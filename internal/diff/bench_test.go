@@ -78,3 +78,27 @@ var (
 	sink  []int64
 	sinkN int
 )
+
+// BenchmarkAppendRuns run-encodes one page's outgoing diff into reused
+// buffers: sparse is benchPages' every-eighth-word pattern (128
+// one-word runs), dense a page changed throughout (one run).
+func BenchmarkAppendRuns(b *testing.B) {
+	sparse, twin, _ := benchPages()
+	dense := make([]int64, benchPage)
+	for i := range dense {
+		dense[i] = twin[i] + 1
+	}
+	for _, bc := range []struct {
+		name string
+		page []int64
+	}{{"sparse", sparse}, {"dense", dense}} {
+		b.Run(bc.name, func(b *testing.B) {
+			offs, words := make([]int32, 0, 2*benchPage), make([]int64, 0, benchPage)
+			b.SetBytes(benchPage * 8)
+			for i := 0; i < b.N; i++ {
+				offs, words, _, sinkN = AppendRuns(offs[:0], words[:0], bc.page, twin)
+			}
+			sink = words
+		})
+	}
+}

@@ -112,6 +112,43 @@ func OutgoingRange(page, twin, home []int64) (n, lo, hi int) {
 	return n, lo, hi
 }
 
+// AppendRuns compares page against twin and appends the differences (the
+// local modifications) in the run-encoded form a diff travels in: offs
+// gains one (start, count) pair per maximal run of consecutive changed
+// words, words gains the runs' values concatenated. It returns the
+// extended slices and the inclusive span [lo, hi] of changed word
+// offsets (-1, -1 when nothing changed). Page and twin are left
+// untouched. A run never bridges an unchanged word: the receiver
+// applies every word it is sent, so sending an unchanged word would
+// overwrite a concurrent writer's value at the home.
+func AppendRuns(offs []int32, words []int64, page, twin []int64) (_ []int32, _ []int64, lo, hi int) {
+	lo, hi = -1, -1
+	for i := 0; i < len(twin); {
+		v := atomic.LoadInt64(&page[i])
+		if v == twin[i] {
+			i++
+			continue
+		}
+		start := i
+		for {
+			words = append(words, v)
+			i++
+			if i == len(twin) {
+				break
+			}
+			if v = atomic.LoadInt64(&page[i]); v == twin[i] {
+				break
+			}
+		}
+		offs = append(offs, int32(start), int32(i-start))
+		if lo < 0 {
+			lo = start
+		}
+		hi = i - 1
+	}
+	return offs, words, lo, hi
+}
+
 // Incoming compares incoming (the fresh master copy) against twin and
 // writes the differences — the remote modifications — to both the
 // working page and the twin. Words the local node has modified (which

@@ -383,3 +383,89 @@ func TestIncomingClobberDefect(t *testing.T) {
 		t.Fatalf("defect injected but local write survived: %v", p)
 	}
 }
+
+// TestAppendRuns checks the run encoder against a word-by-word
+// reference: the runs, applied to a copy of the twin, give the page;
+// they are maximal, ascending, cover no unchanged word, and the
+// reported span is the first and last changed offset.
+func TestAppendRuns(t *testing.T) {
+	const words = 64
+	rng := rand.New(rand.NewSource(7))
+	random := func(density int) func(i int) bool {
+		var mask [words]bool
+		for i := range mask {
+			mask[i] = rng.Intn(100) < density
+		}
+		return func(i int) bool { return mask[i] }
+	}
+	cases := []struct {
+		name    string
+		changed func(i int) bool
+	}{
+		{"empty", func(int) bool { return false }},
+		{"single word", func(i int) bool { return i == 17 }},
+		{"first word", func(i int) bool { return i == 0 }},
+		{"whole page", func(int) bool { return true }},
+		{"alternating words", func(i int) bool { return i%2 == 1 }},
+		{"run ending at the last word", func(i int) bool { return i >= words-5 }},
+		{"two runs one word apart", func(i int) bool { return i != 30 && i >= 20 && i < 40 }},
+		{"random sparse", random(5)},
+		{"random half", random(50)},
+		{"random dense", random(95)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			twin := make([]int64, words)
+			for i := range twin {
+				twin[i] = rng.Int63()
+			}
+			pg := Twin(twin)
+			wantLo, wantHi, wantN := -1, -1, 0
+			for i := range pg {
+				if tc.changed(i) {
+					pg[i] = twin[i] + 1 + int64(i)
+					if wantLo < 0 {
+						wantLo = i
+					}
+					wantHi = i
+					wantN++
+				}
+			}
+			// Appending after existing runs must leave them alone and
+			// never extend the last of them.
+			offs, ws, lo, hi := AppendRuns([]int32{0, 1}, []int64{-1}, pg, twin)
+			if offs[0] != 0 || offs[1] != 1 || ws[0] != -1 {
+				t.Fatalf("prefix rewritten: offs %v words[0] %d", offs[:2], ws[0])
+			}
+			offs, ws = offs[2:], ws[1:]
+			if lo != wantLo || hi != wantHi || len(ws) != wantN {
+				t.Errorf("span (%d,%d) with %d words, want (%d,%d) with %d", lo, hi, len(ws), wantLo, wantHi, wantN)
+			}
+			if len(offs)%2 != 0 {
+				t.Fatalf("odd run list %v", offs)
+			}
+			got := Twin(twin)
+			at, prevEnd := 0, -1
+			for i := 0; i < len(offs); i += 2 {
+				start, count := int(offs[i]), int(offs[i+1])
+				if count <= 0 || start <= prevEnd {
+					t.Fatalf("run (%d,%d) after a run ending at %d: runs must be ascending, non-empty and not adjacent", start, count, prevEnd-1)
+				}
+				for k := 0; k < count; k++ {
+					if !tc.changed(start + k) {
+						t.Errorf("run (%d,%d) covers unchanged word %d", start, count, start+k)
+					}
+				}
+				copy(got[start:start+count], ws[at:at+count])
+				at += count
+				prevEnd = start + count
+			}
+			if at != len(ws) {
+				t.Errorf("runs cover %d words, payload has %d", at, len(ws))
+			}
+			if !Equal(got, pg) {
+				t.Error("twin + runs != page")
+			}
+		})
+	}
+}

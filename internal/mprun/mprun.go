@@ -5,32 +5,72 @@
 // frames of transport/wire. Where the simulator engine (internal/core)
 // models the paper's protocols against a virtual clock, mprun executes
 // a real home-based software-coherence protocol with actual
-// concurrency: pages live on statically-assigned homes, writers track
-// dirty words and flush run-encoded diffs at release operations, homes
-// eagerly invalidate sharers with write notices, and all application
-// synchronization funnels through a rank-0 coordinator.
+// concurrency: pages live on statically-assigned homes, writers twin a
+// page at its first store and flush run-encoded diffs against the twin
+// at release operations (internal/diff, paper Sections 2.2 and 2.5),
+// homes eagerly invalidate sharers with write notices, and all
+// application synchronization funnels through a rank-0 coordinator.
 //
 // # Protocol
 //
 // Page p is homed on rank p % nodes. A processor's first access to a
 // page fetches a copy from its home (TPageReq/TPageReply) and registers
-// the node as a sharer. Stores are applied to the node's copy and the
-// written words recorded. At every release operation (Unlock, Barrier,
-// SetFlag, and once after the application body returns) the node sends
-// each dirty page's modifications to its home as a run-encoded TDiff;
-// the home applies the runs to the authoritative copy, sends a
-// TWriteNotice to every other sharer, and answers the flusher with a
-// TFlushAck once every notice is acknowledged. The flusher's release
-// operation does not complete until every flushed page is acknowledged,
-// so by the time a matching acquire can succeed anywhere, every stale
-// copy has been invalidated — the same eager release consistency
-// argument the paper's protocols make, at node granularity.
+// the node as a sharer. The first store to a page since its last flush
+// copies it to a pooled twin; stores then go straight to the node's
+// copy. At every release operation (Unlock, Barrier, SetFlag, and once
+// after the application body returns) the node compares each twinned
+// page with its twin, in ascending page order, and sends the words that
+// differ to the page's home as a run-encoded TDiff, dropping the twin
+// and invalidating its own copy; a page whose stores changed nothing
+// sends nothing and keeps its copy. A run never bridges an unchanged
+// word, because the home applies every word it is sent. The home
+// applies the runs to the authoritative copy, sends a TWriteNotice to
+// every other sharer, and answers the flusher with a TFlushAck once
+// every notice is acknowledged. The flusher's release operation does
+// not complete until every flushed page is acknowledged, so by the time
+// a matching acquire can succeed anywhere, every stale copy has been
+// invalidated — the same eager release consistency argument the paper's
+// protocols make, at node granularity.
 //
-// A page that is invalidated while it holds unflushed local writes is
-// refetched on next access and the local dirty words are re-applied
-// over the fresh copy, mirroring the diff-merge of concurrent
-// fine-grained sharing: two nodes writing disjoint words of one page
-// between the same pair of synchronization operations both win.
+// A page that is invalidated while it holds unflushed local writes
+// keeps its twin. It is refetched on next access and the reply merged
+// under the local writes with diff.Incoming — words that differ from
+// the twin are the remote modifications, and go to both copy and twin —
+// mirroring the two-way diffing of concurrent fine-grained sharing: two
+// nodes writing disjoint words of one page between the same pair of
+// synchronization operations both win.
+//
+// The fetch-id rule: every page request carries a fresh id in Frame.C,
+// the home echoes it, and a reply is accepted only if it echoes the
+// page's latest request. A flush that publishes a page while a sibling
+// processor's request for it is in flight disowns that request — the
+// home may have copied the page ahead of the diff, and no notice would
+// ever invalidate the stale copy — and the waiting processor asks
+// again, behind the diff on the same ordered channel.
+//
+// # Access path
+//
+// The page cache and the home table are slices indexed by page. Stores
+// take the node mutex — once per page segment in StoreFRow — because a
+// store that landed between a flush's scan of the page and its release
+// of the twin would be lost. Read hits take no lock: each processor
+// remembers the frame of the page it last read and the node's
+// invalidation epoch at the time, and while the epoch stands (it is
+// bumped, under the mutex, by every write notice and every flush that
+// invalidates) the frame is the node's valid copy. A cached frame is
+// only ever updated in place and word-atomically (diff.Refresh,
+// diff.Incoming), so a load that races an invalidation and the refetch
+// behind it may observe, word by word, either the copy it validated or
+// a newer one, but never a torn word and never data older than its
+// processor's last acquire: every acquire waits under the mutex, after
+// the handler has bumped the epoch for each notice the matching release
+// fenced on. It may not observe another processor's StoreFRow in
+// flight: those stores are plain, and reading a word while it is being
+// stored is a data race in the application.
+//
+// Frames off the wire index those slices, so the handler range-checks
+// page numbers, diff runs and reply lengths and panics with the
+// offending rank and page rather than faulting.
 //
 // # Synchronization
 //
@@ -49,22 +89,23 @@
 // flushes, the release-fence wait (EvFlushFence), and lock, flag, and
 // barrier waits on each processor goroutine's ring, plus incoming
 // diffs and write notices on the frame handler's ring (index PPN, the
-// "net" track of a merged export). Page requests carry a fresh
-// correlation id in Frame.C that the home echoes into the reply, which
-// is what lets transport.FrameStats measure request→reply latency at
-// the messenger seam. A nil Tracer costs one branch per site and the
-// runtime sends byte-identical frames apart from those ids, which are
-// minted unconditionally.
+// "net" track of a merged export). The request ids of the fetch-id rule
+// double as correlation ids: they are what lets transport.FrameStats
+// measure request→reply latency at the messenger seam. A nil Tracer
+// costs one branch per site and changes no frame.
 package mprun
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"cashmere/internal/apps"
 	"cashmere/internal/costs"
+	"cashmere/internal/diff"
 	"cashmere/internal/trace"
 	"cashmere/internal/transport"
 	"cashmere/internal/transport/wire"
@@ -110,37 +151,7 @@ func Run(app apps.App, cfg Config, m transport.Messenger) error {
 	if cfg.PPN <= 0 {
 		return fmt.Errorf("mprun: need at least one processor per node, got %d", cfg.PPN)
 	}
-	shape := app.Shape()
-	words := shape.SharedWords
-	if words == 0 {
-		words = 1
-	}
-	pageWords := cfg.PageWords
-	if pageWords <= 0 {
-		pageWords = apps.PageWords
-	}
-	n := &node{
-		cfg:       cfg,
-		m:         m,
-		tr:        cfg.Tracer,
-		pageWords: pageWords,
-		nPages:    (words + pageWords - 1) / pageWords,
-		words:     words,
-		flags:     make([]bool, shape.Flags),
-		cache:     make(map[int]*cpage),
-		home:      make(map[int]*hpage),
-		granted:   make(map[int64]bool),
-		pending:   make(map[pendKey]*pend),
-		lockHeld:  make(map[int64]bool),
-		lockQ:     make(map[int64][]waiter),
-		arrivals:  make(map[int64]int),
-	}
-	n.cond = sync.NewCond(&n.mu)
-	for p := 0; p < n.nPages; p++ {
-		if p%cfg.Nodes == cfg.Rank {
-			n.home[p] = &hpage{data: make([]int64, pageWords), sharers: make(map[int]bool)}
-		}
-	}
+	n := newNode(cfg, m, app.Shape())
 	m.SetHandler(n.handle)
 
 	var wg sync.WaitGroup
@@ -148,7 +159,7 @@ func Run(app apps.App, cfg Config, m transport.Messenger) error {
 		wg.Add(1)
 		go func(local int) {
 			defer wg.Done()
-			p := &proc{n: n, gpid: cfg.Rank*cfg.PPN + local, local: local}
+			p := n.newProc(local)
 			app.Body(p)
 			// Publish any writes the body left unflushed and hold every
 			// node here until the whole cluster is done.
@@ -158,7 +169,7 @@ func Run(app apps.App, cfg Config, m transport.Messenger) error {
 	wg.Wait()
 
 	if cfg.Rank == 0 {
-		verr := app.Verify(&memView{n: n})
+		verr := app.Verify(&memView{p: n.newProc(-1)})
 		for r := 0; r < cfg.Nodes; r++ {
 			if err := n.m.Send(r, wire.Frame{Type: wire.TBye}); err != nil {
 				return fmt.Errorf("mprun: broadcasting bye: %w", err)
@@ -184,19 +195,26 @@ func Run(app apps.App, cfg Config, m transport.Messenger) error {
 
 // cpage is a node's cached copy of one page.
 type cpage struct {
-	valid     bool
-	requested bool
-	data      []int64
-	// dirty maps locally-written word offsets to their values since the
-	// last flush; preserved across invalidation and re-applied over a
-	// refetched copy.
-	dirty map[int]int64
+	// data is the copy's frame, allocated at the first fetch and from
+	// then on only ever updated in place, word-atomically: a processor
+	// that kept the slice from an earlier look reads whole words, stale
+	// at worst, whatever the handler is doing to the page.
+	data []int64
+	// twin is the pristine copy taken at the first store since the last
+	// flush, nil while the page holds no unflushed writes. It survives
+	// invalidation: a refetch merges the fresh copy under it.
+	twin []int64
+	// reqID is the correlation id of the page request in flight, 0 when
+	// there is none. Only the reply echoing it is accepted.
+	reqID int64
+	valid bool
 }
 
-// hpage is the authoritative copy at a page's home with its sharer set.
+// hpage is the authoritative copy at a page's home with its sharer
+// set, indexed by rank. Both are nil for a page homed elsewhere.
 type hpage struct {
 	data    []int64
-	sharers map[int]bool
+	sharers []bool
 }
 
 type pendKey struct {
@@ -224,15 +242,35 @@ type node struct {
 	tr        *trace.Tracer
 	pageWords int
 	nPages    int
-	words     int
+	// pageShift is log2 of pageWords, or -1 when that is not a power of
+	// two; pageMask the matching offset mask.
+	pageShift, pageMask int
+
+	// epoch counts invalidations of cached pages (write notices and
+	// flush self-invalidations); it is bumped with mu held. A processor
+	// that cached a page's frame at epoch e may read it without mu for
+	// as long as epoch still reads e. The padding keeps the processors'
+	// polling of it off the cache line mu and the counters below dirty.
+	epoch atomic.Uint64
+	_     [56]byte
 
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	cache map[int]*cpage
-	home  map[int]*hpage
+	// cache and home are indexed by page number.
+	cache []cpage
+	home  []hpage
+	// dirty lists the pages that hold a twin, in first-store order.
+	dirty []int
+	// twins holds released twins for reuse.
+	twins [][]int64
+	// runOffs and runWords are flush's scratch for one page's runs.
+	runOffs  []int32
+	runWords []int64
+	// notify is the handler's scratch for one diff's notice targets.
+	notify []int
 	// pending tracks diffs this home is collecting notice acks for.
-	pending map[pendKey]*pend
+	pending map[pendKey]pend
 	// flushOut counts this node's diffs whose TFlushAck has not arrived
 	// yet. A release operation completes only when it reaches zero, so
 	// one processor's release can never outrun another local
@@ -241,8 +279,8 @@ type node struct {
 	flushOut int
 	tokenSeq int64
 	// corrSeq numbers this node's page requests; rank<<32|seq goes in
-	// Frame.C so the home's echoed reply can be correlated with the
-	// request (transport.FrameStats measures the round trip).
+	// Frame.C so the home's echoed reply can be matched to the request
+	// (cpage.reqID here, transport.FrameStats at the messenger seam).
 	corrSeq int64
 
 	flags   []bool
@@ -256,7 +294,54 @@ type node struct {
 	arrivals map[int64]int
 }
 
+// newNode builds rank cfg.Rank's share of a shared space of the given
+// shape: an empty page cache and the home copies of its pages.
+func newNode(cfg Config, m transport.Messenger, shape apps.Shape) *node {
+	words := shape.SharedWords
+	if words == 0 {
+		words = 1
+	}
+	pageWords := cfg.PageWords
+	if pageWords <= 0 {
+		pageWords = apps.PageWords
+	}
+	n := &node{
+		cfg:       cfg,
+		m:         m,
+		tr:        cfg.Tracer,
+		pageWords: pageWords,
+		nPages:    (words + pageWords - 1) / pageWords,
+		pageShift: -1,
+		flags:     make([]bool, shape.Flags),
+		notify:    make([]int, 0, cfg.Nodes),
+		granted:   make(map[int64]bool),
+		pending:   make(map[pendKey]pend),
+		lockHeld:  make(map[int64]bool),
+		lockQ:     make(map[int64][]waiter),
+		arrivals:  make(map[int64]int),
+	}
+	if pageWords&(pageWords-1) == 0 {
+		n.pageShift = bits.TrailingZeros(uint(pageWords))
+		n.pageMask = pageWords - 1
+	}
+	n.cond = sync.NewCond(&n.mu)
+	n.cache = make([]cpage, n.nPages)
+	n.home = make([]hpage, n.nPages)
+	for p := cfg.Rank; p < n.nPages; p += cfg.Nodes {
+		n.home[p] = hpage{data: make([]int64, pageWords), sharers: make([]bool, cfg.Nodes)}
+	}
+	return n
+}
+
 func (n *node) homeOf(page int) int { return page % n.cfg.Nodes }
+
+// split returns addr's page number and in-page offset.
+func (n *node) split(addr int) (page, off int) {
+	if n.pageShift >= 0 {
+		return addr >> uint(n.pageShift), addr & n.pageMask
+	}
+	return addr / n.pageWords, addr % n.pageWords
+}
 
 // wallNow returns the tracer-relative wall clock, or 0 when untraced.
 func (n *node) wallNow() int64 {
@@ -302,59 +387,105 @@ func (n *node) send(to int, f wire.Frame) {
 	}
 }
 
+// homed returns the home copy of the page f names. A page this rank
+// does not home, or one outside the space, is a peer's protocol error
+// and panics naming both: with a dense table an unchecked page number
+// off the wire would index memory.
+func (n *node) homed(from int, f wire.Frame) *hpage {
+	if f.A < 0 || f.A >= int64(n.nPages) || n.homeOf(int(f.A)) != n.cfg.Rank {
+		panic(fmt.Sprintf("mprun: rank %d asked for page %d, homed on rank %d (%v frame from rank %d, %d pages)",
+			n.cfg.Rank, f.A, f.A%int64(n.cfg.Nodes), f.Type, from, n.nPages))
+	}
+	return &n.home[f.A]
+}
+
+// cached returns this node's copy of the page f names, panicking on a
+// page number outside the space.
+func (n *node) cached(from int, f wire.Frame) *cpage {
+	if f.A < 0 || f.A >= int64(n.nPages) {
+		panic(fmt.Sprintf("mprun: rank %d received a %v frame from rank %d for page %d of %d",
+			n.cfg.Rank, f.Type, from, f.A, n.nPages))
+	}
+	return &n.cache[f.A]
+}
+
+// checkRuns panics unless f's (start, count) pairs stay inside a page
+// and together cover exactly f.Words.
+func (n *node) checkRuns(from int, f wire.Frame) {
+	total, ok := 0, len(f.Offs)%2 == 0
+	for i := 0; ok && i < len(f.Offs); i += 2 {
+		start, count := int(f.Offs[i]), int(f.Offs[i+1])
+		ok = start >= 0 && count > 0 && start+count <= n.pageWords
+		total += count
+	}
+	if !ok || total != len(f.Words) {
+		panic(fmt.Sprintf("mprun: rank %d received a malformed diff of page %d from rank %d: runs %v over %d words of a %d-word page",
+			n.cfg.Rank, f.A, from, f.Offs, len(f.Words), n.pageWords))
+	}
+}
+
 // handle processes one incoming frame. The Messenger delivers frames
 // single-threaded, so this is the only goroutine mutating home and
-// coordinator state.
+// coordinator state. Frames are validated before mu is taken.
 func (n *node) handle(from int, f wire.Frame) {
 	switch f.Type {
 	case wire.TPageReq:
+		hp := n.homed(from, f)
 		n.mu.Lock()
-		hp := n.home[int(f.A)]
-		if hp == nil {
-			n.mu.Unlock()
-			panic(fmt.Sprintf("mprun: rank %d asked for page %d, homed on rank %d", n.cfg.Rank, f.A, n.homeOf(int(f.A))))
-		}
 		data := append([]int64(nil), hp.data...)
 		hp.sharers[from] = true
 		n.mu.Unlock()
-		// Echo the requester's correlation id so its transport layer can
-		// pair the reply with the request.
+		// Echo the requester's correlation id so it, and its transport
+		// layer, can pair the reply with the request.
 		n.send(from, wire.Frame{Type: wire.TPageReply, A: f.A, C: f.C, Words: data})
 
 	case wire.TPageReply:
+		cp := n.cached(from, f)
+		if len(f.Words) != n.pageWords {
+			panic(fmt.Sprintf("mprun: rank %d received a %d-word reply for page %d from rank %d, want %d words",
+				n.cfg.Rank, len(f.Words), f.A, from, n.pageWords))
+		}
 		n.mu.Lock()
-		cp := n.cache[int(f.A)]
-		if cp != nil && cp.requested {
-			copy(cp.data, f.Words)
-			for off, v := range cp.dirty {
-				cp.data[off] = v
+		// A reply to anything but the latest request was copied at the
+		// home before a diff this node has flushed since: drop it.
+		if cp.reqID != 0 && f.C == cp.reqID {
+			switch {
+			case cp.data == nil:
+				cp.data = make([]int64, n.pageWords)
+				diff.CopyIn(cp.data, f.Words)
+			case cp.twin == nil:
+				diff.Refresh(cp.data, f.Words)
+			default:
+				// Unflushed local writes: take only what changed remotely.
+				diff.Incoming(cp.data, cp.twin, f.Words)
 			}
 			cp.valid = true
-			cp.requested = false
+			cp.reqID = 0
 		}
 		n.mu.Unlock()
 		n.cond.Broadcast()
 
 	case wire.TDiff:
+		hp := n.homed(from, f)
+		n.checkRuns(from, f)
 		n.mu.Lock()
-		hp := n.home[int(f.A)]
 		at := 0
-		for i := 0; i+1 < len(f.Offs); i += 2 {
+		for i := 0; i < len(f.Offs); i += 2 {
 			start, count := int(f.Offs[i]), int(f.Offs[i+1])
 			copy(hp.data[start:start+count], f.Words[at:at+count])
 			at += count
 		}
-		var notify []int
-		for s := range hp.sharers {
-			if s != from {
-				notify = append(notify, s)
-			}
-		}
 		// Every copy out there is now stale: sharers restart from a
 		// fresh fetch (the flusher invalidated its own copy at flush).
-		hp.sharers = make(map[int]bool)
+		notify := n.notify[:0]
+		for s, sharing := range hp.sharers {
+			if sharing && s != from {
+				notify = append(notify, s)
+			}
+			hp.sharers[s] = false
+		}
 		if len(notify) > 0 {
-			n.pending[pendKey{f.A, f.B}] = &pend{remaining: len(notify), flusher: from}
+			n.pending[pendKey{f.A, f.B}] = pend{remaining: len(notify), flusher: from}
 		}
 		n.mu.Unlock()
 		n.emit(n.cfg.PPN, trace.EvDiffIn, int(f.A), int64(len(f.Words)), int64(from))
@@ -362,38 +493,42 @@ func (n *node) handle(from int, f wire.Frame) {
 			n.send(from, wire.Frame{Type: wire.TFlushAck, A: f.A, B: f.B})
 			return
 		}
-		sort.Ints(notify)
 		for _, s := range notify {
 			n.emit(n.cfg.PPN, trace.EvNoticeSend, int(f.A), int64(s), 0)
 			n.send(s, wire.Frame{Type: wire.TWriteNotice, A: f.A, B: f.B})
 		}
 
 	case wire.TWriteNotice:
+		cp := n.cached(from, f)
 		n.mu.Lock()
 		var invalidated int64
-		if cp := n.cache[int(f.A)]; cp != nil {
-			if cp.valid {
-				invalidated = 1
-			}
+		if cp.valid {
+			invalidated = 1
 			cp.valid = false
+			n.epoch.Add(1)
 		}
 		n.mu.Unlock()
 		n.emit(n.cfg.PPN, trace.EvNoticeApply, int(f.A), invalidated, int64(from))
 		n.send(from, wire.Frame{Type: wire.TNoticeAck, A: f.A, B: f.B})
 
 	case wire.TNoticeAck:
-		n.mu.Lock()
 		key := pendKey{f.A, f.B}
-		p := n.pending[key]
-		p.remaining--
-		var flusher = -1
-		if p.remaining == 0 {
-			flusher = p.flusher
-			delete(n.pending, key)
+		n.mu.Lock()
+		pd, ok := n.pending[key]
+		if ok {
+			if pd.remaining--; pd.remaining > 0 {
+				n.pending[key] = pd
+			} else {
+				delete(n.pending, key)
+			}
 		}
 		n.mu.Unlock()
-		if flusher >= 0 {
-			n.send(flusher, wire.Frame{Type: wire.TFlushAck, A: f.A, B: f.B})
+		if !ok {
+			panic(fmt.Sprintf("mprun: rank %d received a notice ack from rank %d for page %d, token %#x, which awaits none",
+				n.cfg.Rank, from, f.A, f.B))
+		}
+		if pd.remaining == 0 {
+			n.send(pd.flusher, wire.Frame{Type: wire.TFlushAck, A: f.A, B: f.B})
 		}
 
 	case wire.TFlushAck:
@@ -476,72 +611,52 @@ func (n *node) handle(from int, f wire.Frame) {
 	}
 }
 
-// ensureLocked makes page p's cached copy valid, requesting it from its
+// ensureLocked makes page's cached copy valid, requesting it from its
 // home as needed; called and returns with n.mu held. ring is the
 // calling goroutine's trace ring (-1 from the verification view). The
 // processor that sends the request records the fetch as an EvPageFetch
 // span from request to reply; pile-in waiters record only their fault
-// span.
-func (n *node) ensureLocked(ring, p int) *cpage {
-	cp := n.cache[p]
-	if cp == nil {
-		cp = &cpage{data: make([]int64, n.pageWords), dirty: make(map[int]int64)}
-		n.cache[p] = cp
-	}
+// span. A flush that publishes the page while a request is in flight
+// clears reqID, and the waiter asks again behind the diff.
+func (n *node) ensureLocked(ring, page int) {
+	cp := &n.cache[page]
 	var t0 int64
 	sent := false
 	for !cp.valid {
-		if !cp.requested {
-			cp.requested = true
+		if cp.reqID == 0 {
 			t0 = n.wallNow()
 			sent = true
 			n.corrSeq++
-			n.send(n.homeOf(p), wire.Frame{
-				Type: wire.TPageReq, A: int64(p),
-				C: int64(n.cfg.Rank)<<32 | n.corrSeq,
-			})
+			cp.reqID = int64(n.cfg.Rank)<<32 | n.corrSeq
+			n.send(n.homeOf(page), wire.Frame{Type: wire.TPageReq, A: int64(page), C: cp.reqID})
 		}
 		n.cond.Wait()
 	}
 	if sent {
-		n.span(ring, trace.EvPageFetch, p, t0,
-			int64(n.pageWords)*transport.WordBytes, int64(n.homeOf(p)))
+		n.span(ring, trace.EvPageFetch, page, t0,
+			int64(n.pageWords)*transport.WordBytes, int64(n.homeOf(page)))
+	}
+}
+
+// writableLocked returns page's copy valid and twinned, ready to be
+// stored to; called and returns with n.mu held.
+func (n *node) writableLocked(ring, page int) *cpage {
+	cp := &n.cache[page]
+	if !cp.valid {
+		t0 := n.wallNow()
+		n.ensureLocked(ring, page)
+		n.span(ring, trace.EvWriteFault, page, t0, 0, 0)
+	}
+	if cp.twin == nil {
+		if k := len(n.twins); k > 0 {
+			cp.twin, n.twins = n.twins[k-1], n.twins[:k-1]
+		} else {
+			cp.twin = make([]int64, n.pageWords)
+		}
+		diff.CopyIn(cp.twin, cp.data)
+		n.dirty = append(n.dirty, page)
 	}
 	return cp
-}
-
-func (n *node) load(ring, addr int) int64 {
-	p, off := addr/n.pageWords, addr%n.pageWords
-	n.mu.Lock()
-	if cp := n.cache[p]; cp != nil && cp.valid {
-		v := cp.data[off]
-		n.mu.Unlock()
-		return v
-	}
-	t0 := n.wallNow()
-	cp := n.ensureLocked(ring, p)
-	v := cp.data[off]
-	n.mu.Unlock()
-	n.span(ring, trace.EvReadFault, p, t0, 0, 0)
-	return v
-}
-
-func (n *node) store(ring, addr int, v int64) {
-	p, off := addr/n.pageWords, addr%n.pageWords
-	n.mu.Lock()
-	cp := n.cache[p]
-	if cp == nil || !cp.valid {
-		t0 := n.wallNow()
-		cp = n.ensureLocked(ring, p)
-		cp.data[off] = v
-		cp.dirty[off] = v
-		n.mu.Unlock()
-		n.span(ring, trace.EvWriteFault, p, t0, 0, 0)
-		return
-	}
-	cp.data[off] = v
-	cp.dirty[off] = v
-	n.mu.Unlock()
 }
 
 // flush publishes every dirty page to its home and waits until each
@@ -556,91 +671,171 @@ func (n *node) flush(ring int) {
 	t0 := n.wallNow()
 	n.tokenSeq++
 	token := int64(n.cfg.Rank)<<32 | n.tokenSeq
-	type outDiff struct {
-		page   int
-		lo, hi int
-		f      wire.Frame
-	}
-	var diffs []outDiff
-	for p, cp := range n.cache {
-		if len(cp.dirty) == 0 {
+	slices.Sort(n.dirty)
+	sent := 0
+	for _, page := range n.dirty {
+		cp := &n.cache[page]
+		var lo, hi int
+		n.runOffs, n.runWords, lo, hi = diff.AppendRuns(n.runOffs[:0], n.runWords[:0], cp.data, cp.twin)
+		n.twins = append(n.twins, cp.twin)
+		cp.twin = nil
+		if len(n.runWords) == 0 {
+			// Only silent stores: the home has nothing to learn and the
+			// copy is as good as it was.
 			continue
 		}
-		offs := make([]int, 0, len(cp.dirty))
-		for off := range cp.dirty {
-			offs = append(offs, off)
-		}
-		sort.Ints(offs)
-		f := wire.Frame{Type: wire.TDiff, A: int64(p), B: token}
-		for i := 0; i < len(offs); {
-			j := i + 1
-			for j < len(offs) && offs[j] == offs[j-1]+1 {
-				j++
-			}
-			f.Offs = append(f.Offs, int32(offs[i]), int32(j-i))
-			for k := i; k < j; k++ {
-				f.Words = append(f.Words, cp.dirty[offs[k]])
-			}
-			i = j
-		}
-		cp.dirty = make(map[int]int64)
 		// Our copy may be missing other nodes' concurrent writes the
-		// home has merged; refetch on next access.
+		// home has merged; refetch on next access. A fetch already in
+		// flight may have been copied at the home ahead of this diff:
+		// disown it, so that its reply is dropped and the waiter asks
+		// again behind the diff.
 		cp.valid = false
-		diffs = append(diffs, outDiff{page: p, lo: offs[0], hi: offs[len(offs)-1], f: f})
+		cp.reqID = 0
+		sent++
+		n.emit(ring, trace.EvDiffOut, page, int64(len(n.runWords)), trace.PackWordSpan(lo, hi))
+		// The frame's slices pass to the home, so they are copies of
+		// the scratch, cut to size.
+		n.send(n.homeOf(page), wire.Frame{
+			Type: wire.TDiff, A: int64(page), B: token,
+			Offs: slices.Clone(n.runOffs), Words: slices.Clone(n.runWords),
+		})
 	}
-	n.flushOut += len(diffs)
-	for _, d := range diffs {
-		n.emit(ring, trace.EvDiffOut, d.page, int64(len(d.f.Words)), trace.PackWordSpan(d.lo, d.hi))
-		n.send(n.homeOf(d.page), d.f)
+	n.dirty = n.dirty[:0]
+	if sent > 0 {
+		n.flushOut += sent
+		n.epoch.Add(1)
+		n.cond.Broadcast() // disowned fetches
 	}
 	// Wait for every outstanding flush of this node, not just our own
 	// diffs: a release may carry no dirty words itself yet must still
 	// fence behind another local processor's in-flight invalidations.
-	fenced := len(diffs) > 0 || n.flushOut > 0
+	fenced := n.flushOut > 0
 	for n.flushOut > 0 {
 		n.cond.Wait()
 	}
 	n.mu.Unlock()
 	if fenced {
-		n.span(ring, trace.EvFlushFence, -1, t0, int64(len(diffs)), 0)
+		n.span(ring, trace.EvFlushFence, -1, t0, int64(sent), 0)
 	}
 }
 
 // proc is one processor goroutine's view of the DSM; it implements
 // apps.Proc. local is the node-relative index, which doubles as the
-// goroutine's trace ring.
+// goroutine's trace ring (-1 for the verification view, which owns
+// none).
 type proc struct {
 	n      *node
 	gpid   int
 	local  int
 	barGen int64
+
+	// last is the page this processor read most recently: its frame and
+	// the node's invalidation epoch at the time, both taken under n.mu
+	// while the copy was valid. While the epoch stands no page has been
+	// invalidated since, so the frame is still the node's valid copy
+	// and a load needs no lock. A load that races an invalidation may
+	// find a refetch already rewriting the frame under it; frames are
+	// rewritten word-atomically, so it reads whole words, each no older
+	// than the processor's last acquire.
+	last struct {
+		page  int
+		data  []int64
+		epoch uint64
+	}
 }
 
 var _ apps.Proc = (*proc)(nil)
 
+func (n *node) newProc(local int) *proc {
+	p := &proc{n: n, gpid: n.cfg.Rank*n.cfg.PPN + local, local: local}
+	p.last.page = -1
+	return p
+}
+
 func (p *proc) ID() int     { return p.gpid }
 func (p *proc) NProcs() int { return p.n.cfg.Nodes * p.n.cfg.PPN }
 
-func (p *proc) Load(addr int) int64     { return p.n.load(p.local, addr) }
-func (p *proc) Store(addr int, v int64) { p.n.store(p.local, addr, v) }
+// readPage returns page's frame, valid at some point during the call,
+// and remembers it in p.last.
+func (p *proc) readPage(page int) []int64 {
+	if p.last.page == page && p.last.epoch == p.n.epoch.Load() {
+		return p.last.data
+	}
+	n := p.n
+	var t0 int64
+	n.mu.Lock()
+	cp := &n.cache[page]
+	faulted := !cp.valid
+	if faulted {
+		t0 = n.wallNow()
+		n.ensureLocked(p.local, page)
+	}
+	p.last.page, p.last.data, p.last.epoch = page, cp.data, n.epoch.Load()
+	n.mu.Unlock()
+	if faulted {
+		n.span(p.local, trace.EvReadFault, page, t0, 0, 0)
+	}
+	return p.last.data
+}
+
+func (p *proc) Load(addr int) int64 {
+	page, off := p.n.split(addr)
+	return atomic.LoadInt64(&p.readPage(page)[off])
+}
+
+// Store writes one word under the node mutex: a store without it could
+// land between flush's scan of the page and its release of the twin,
+// and be lost. The store itself is atomic for the sake of lock-free
+// loads of the same word by a racing reader (TSP's bound).
+func (p *proc) Store(addr int, v int64) {
+	n := p.n
+	page, off := n.split(addr)
+	n.mu.Lock()
+	atomic.StoreInt64(&n.writableLocked(p.local, page).data[off], v)
+	n.mu.Unlock()
+}
 
 func (p *proc) LoadF(addr int) float64 {
-	return math.Float64frombits(uint64(p.n.load(p.local, addr)))
-}
-func (p *proc) StoreF(addr int, v float64) {
-	p.n.store(p.local, addr, int64(math.Float64bits(v)))
+	return math.Float64frombits(uint64(p.Load(addr)))
 }
 
+func (p *proc) StoreF(addr int, v float64) {
+	p.Store(addr, int64(math.Float64bits(v)))
+}
+
+// LoadFRow and StoreFRow clip the row to page segments and pay the
+// validity check, the twin check and the lock once per segment.
+
 func (p *proc) LoadFRow(dst []float64, addr int) {
-	for i := range dst {
-		dst[i] = p.LoadF(addr + i)
+	for len(dst) > 0 {
+		page, off := p.n.split(addr)
+		run := min(p.n.pageWords-off, len(dst))
+		seg := p.readPage(page)[off : off+run]
+		for i := range seg {
+			dst[i] = math.Float64frombits(uint64(atomic.LoadInt64(&seg[i])))
+		}
+		dst = dst[run:]
+		addr += run
 	}
 }
 
+// StoreFRow's stores are plain: they are ordered against every other
+// access to the frame by n.mu, except lock-free loads, and a load of a
+// word while another processor stores it is a data race in the
+// application.
 func (p *proc) StoreFRow(addr int, src []float64) {
-	for i, v := range src {
-		p.StoreF(addr+i, v)
+	n := p.n
+	for len(src) > 0 {
+		page, off := n.split(addr)
+		run := min(n.pageWords-off, len(src))
+		n.mu.Lock()
+		seg := n.writableLocked(p.local, page).data[off : off+run]
+		for i, v := range src[:run] {
+			seg[i] = int64(math.Float64bits(v))
+		}
+		n.mu.Unlock()
+		src = src[run:]
+		addr += run
 	}
 }
 
@@ -747,15 +942,15 @@ func (p *proc) Warmup(f func()) {
 // ring, so its events are dropped rather than corrupting a processor
 // track.
 type memView struct {
-	n *node
+	p *proc
 }
 
 var _ apps.Memory = (*memView)(nil)
 
-func (v *memView) Model() costs.Model { return v.n.cfg.Model }
+func (v *memView) Model() costs.Model { return v.p.n.cfg.Model }
 
-func (v *memView) ReadShared(addr int) int64 { return v.n.load(-1, addr) }
+func (v *memView) ReadShared(addr int) int64 { return v.p.Load(addr) }
 
 func (v *memView) ReadSharedF(addr int) float64 {
-	return math.Float64frombits(uint64(v.n.load(-1, addr)))
+	return v.p.LoadF(addr)
 }
