@@ -51,6 +51,12 @@ func TestRandomDRFPrograms(t *testing.T) {
 				t.Fatal(err)
 			}
 			c.Run(func(p *Proc) {
+				// A processor that has seen a wrong value reports it once
+				// and stops checking, but keeps storing and arriving at
+				// every remaining barrier: returning would strand its
+				// peers there until the test timeout, whose panic drops
+				// the report.
+				wrong := false
 				for r := 0; r < rounds; r++ {
 					for _, o := range script[r] {
 						if o.proc == p.ID() {
@@ -59,13 +65,13 @@ func TestRandomDRFPrograms(t *testing.T) {
 					}
 					p.Barrier()
 					for _, o := range checks[r] {
-						if o.proc != p.ID() {
+						if wrong || o.proc != p.ID() {
 							continue
 						}
 						if got := p.Load(o.addr); got != expected[r][o.addr] {
 							t.Errorf("%v seed %d round %d: proc %d read [%d] = %d, want %d",
 								k, seed, r, p.ID(), o.addr, got, expected[r][o.addr])
-							return
+							wrong = true
 						}
 					}
 					p.Barrier()

@@ -10,26 +10,38 @@ import (
 	"cashmere/internal/transport/shmchan"
 )
 
-// Microbenchmarks for the access and release path on a one-node mesh:
-// the node is its own home, so fetches and flushes go through the real
-// handler over the shm dispatcher, with no peer to wait for. Every
-// benchmark touches pages that are cached before the timer starts
-// unless its name says it measures a flush.
+// Microbenchmarks for the access and release path of rank 0 on a
+// two-rank shm mesh whose rank 1 is a home and nothing else: a handler
+// with no processors. Odd pages are homed there, so rank 0 caches,
+// twins and diffs them, and its fetches and flushes cross the mesh and
+// the real handler; even pages are homed on rank 0 itself, which works
+// on them in place. Benchmarks without Home in their name touch the
+// cached pages, which are valid before the timer starts.
 
-const benchPages = 4
+const benchPages = 4 // of each kind
 
-// benchNode builds a running one-node, two-processor runtime and
-// returns its processors.
+// cachedAddr and homeAddr are the addresses of word off of rank 0's
+// pg-th cached and pg-th homed page.
+func cachedAddr(pg, off int) int { return (2*pg+1)*apps.PageWords + off }
+func homeAddr(pg, off int) int   { return 2*pg*apps.PageWords + off }
+
+// benchNode builds the mesh and returns rank 0 with its two processors.
 func benchNode(b *testing.B) (*node, [2]*proc) {
-	ep := shmchan.NewMesh(1).Endpoint(0)
-	b.Cleanup(func() { ep.Close() })
-	cfg := Config{Rank: 0, Nodes: 1, PPN: 2, Model: costs.Default()}
-	n := newNode(cfg, ep, apps.Shape{SharedWords: benchPages * apps.PageWords})
-	ep.SetHandler(n.handle)
+	mesh := shmchan.NewMesh(2)
+	shape := apps.Shape{SharedWords: 2 * benchPages * apps.PageWords}
+	var nodes [2]*node
+	for r := range nodes {
+		ep := mesh.Endpoint(r)
+		b.Cleanup(func() { ep.Close() })
+		cfg := Config{Rank: r, Nodes: 2, PPN: 2, Model: costs.Default()}
+		nodes[r] = newNode(cfg, ep, shape)
+		ep.SetHandler(nodes[r].handle)
+	}
+	n := nodes[0]
 	procs := [2]*proc{n.newProc(0), n.newProc(1)}
 	for _, p := range procs {
 		for pg := 0; pg < benchPages; pg++ {
-			p.Load(pg * apps.PageWords)
+			p.Load(cachedAddr(pg, 0))
 		}
 	}
 	return n, procs
@@ -46,7 +58,7 @@ func BenchmarkLoad(b *testing.B) {
 	b.ResetTimer()
 	var s int64
 	for i := 0; i < b.N; i++ {
-		s += p.Load(i & (apps.PageWords - 1))
+		s += p.Load(cachedAddr(0, i&(apps.PageWords-1)))
 	}
 	sinkWord = s
 }
@@ -63,7 +75,7 @@ func BenchmarkLoadPPN2(b *testing.B) {
 		defer wg.Done()
 		var s int64
 		for i := 0; !stop.Load(); i++ {
-			s += procs[1].Load(i & (apps.PageWords - 1))
+			s += procs[1].Load(cachedAddr(0, i&(apps.PageWords-1)))
 		}
 		atomic.AddInt64(&sinkWord, s)
 	}()
@@ -71,7 +83,7 @@ func BenchmarkLoadPPN2(b *testing.B) {
 	b.ResetTimer()
 	var s int64
 	for i := 0; i < b.N; i++ {
-		s += p.Load(i & (apps.PageWords - 1))
+		s += p.Load(cachedAddr(0, i&(apps.PageWords-1)))
 	}
 	b.StopTimer()
 	stop.Store(true)
@@ -84,7 +96,18 @@ func BenchmarkStore(b *testing.B) {
 	p := procs[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Store(i&(apps.PageWords-1), int64(i))
+		p.Store(cachedAddr(0, i&(apps.PageWords-1)), int64(i))
+	}
+}
+
+// BenchmarkHomeStore is BenchmarkStore on a page the node homes: the
+// mutex and the dirty mark, no twin.
+func BenchmarkHomeStore(b *testing.B) {
+	_, procs := benchNode(b)
+	p := procs[0]
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Store(homeAddr(0, i&(apps.PageWords-1)), int64(i))
 	}
 }
 
@@ -94,7 +117,7 @@ func BenchmarkLoadFRow(b *testing.B) {
 	b.SetBytes(apps.PageWords * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.LoadFRow(sinkRow, (i&(benchPages-1))*apps.PageWords)
+		p.LoadFRow(sinkRow, cachedAddr(i&(benchPages-1), 0))
 	}
 }
 
@@ -106,15 +129,15 @@ func BenchmarkStoreFRow(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		row[0] = float64(i)
-		p.StoreFRow((i&(benchPages-1))*apps.PageWords, row)
+		p.StoreFRow(cachedAddr(i&(benchPages-1), 0), row)
 	}
 }
 
-// BenchmarkFlushDirtyPage is one release of one dirty page, end to end:
-// the stores that dirty it (8 spread words, or a whole row), the twin
-// scan and run encoding, the diff's trip through the home and its ack,
-// and the refetch the next iteration's first store pays because a
-// flush invalidates the flusher's copy.
+// BenchmarkFlushDirtyPage is one release of one dirty cached page, end
+// to end: the stores that dirty it (8 spread words, or a whole row),
+// the twin scan and run encoding, and the diff's trip to the home and
+// its ack. The copy stays valid, so the next iteration's first store
+// pays a twin, not a refetch.
 func BenchmarkFlushDirtyPage(b *testing.B) {
 	b.Run("sparse", func(b *testing.B) {
 		n, procs := benchNode(b)
@@ -122,7 +145,7 @@ func BenchmarkFlushDirtyPage(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for w := 0; w < apps.PageWords; w += apps.PageWords / 8 {
-				p.Store(w, int64(i+1))
+				p.Store(cachedAddr(0, w), int64(i+1))
 			}
 			n.flush(0)
 		}
@@ -136,8 +159,30 @@ func BenchmarkFlushDirtyPage(b *testing.B) {
 			for w := range row {
 				row[w] = float64(i + w + 1)
 			}
-			p.StoreFRow(0, row)
+			p.StoreFRow(cachedAddr(0, 0), row)
 			n.flush(0)
 		}
 	})
 }
+
+// benchUpdate is the cycle a lock-protected update of one word runs:
+// read it, store it back changed, release.
+func benchUpdate(b *testing.B, addr int) {
+	n, procs := benchNode(b)
+	p := procs[0]
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Store(addr, p.Load(addr)+1)
+		n.flush(0)
+	}
+}
+
+// BenchmarkFlushKeptCopy updates a word of a cached page. The release
+// leaves the copy valid, so the cycle is one diff round trip and no
+// page moves.
+func BenchmarkFlushKeptCopy(b *testing.B) { benchUpdate(b, cachedAddr(0, 5)) }
+
+// BenchmarkHomeFlushNoSharers updates a word of a page the node homes
+// and nobody else has fetched: a store to the master and a release that
+// sends no frame.
+func BenchmarkHomeFlushNoSharers(b *testing.B) { benchUpdate(b, homeAddr(0, 5)) }

@@ -5,7 +5,8 @@
 // frames of transport/wire. Where the simulator engine (internal/core)
 // models the paper's protocols against a virtual clock, mprun executes
 // a real home-based software-coherence protocol with actual
-// concurrency: pages live on statically-assigned homes, writers twin a
+// concurrency: pages live on statically-assigned homes whose own
+// processors work on the master copy in place, other writers twin a
 // page at its first store and flush run-encoded diffs against the twin
 // at release operations (internal/diff, paper Sections 2.2 and 2.5),
 // homes eagerly invalidate sharers with write notices, and all
@@ -13,24 +14,62 @@
 //
 // # Protocol
 //
-// Page p is homed on rank p % nodes. A processor's first access to a
-// page fetches a copy from its home (TPageReq/TPageReply) and registers
-// the node as a sharer. The first store to a page since its last flush
-// copies it to a pooled twin; stores then go straight to the node's
-// copy. At every release operation (Unlock, Barrier, SetFlag, and once
-// after the application body returns) the node compares each twinned
-// page with its twin, in ascending page order, and sends the words that
-// differ to the page's home as a run-encoded TDiff, dropping the twin
-// and invalidating its own copy; a page whose stores changed nothing
-// sends nothing and keeps its copy. A run never bridges an unchanged
-// word, because the home applies every word it is sent. The home
-// applies the runs to the authoritative copy, sends a TWriteNotice to
-// every other sharer, and answers the flusher with a TFlushAck once
-// every notice is acknowledged. The flusher's release operation does
-// not complete until every flushed page is acknowledged, so by the time
-// a matching acquire can succeed anywhere, every stale copy has been
-// invalidated — the same eager release consistency argument the paper's
-// protocols make, at node granularity.
+// Page p is homed on rank p % nodes, and the home holds its master copy.
+//
+// On the home, the node's view of the page is the master copy itself,
+// valid from the start: its processors load and store it in place, with
+// no fetch, twin or diff, and never send the node a frame about it. A
+// store marks the page dirty; that is all a release needs to know.
+//
+// Elsewhere, a processor's first access to the page fetches a copy from
+// the home (TPageReq/TPageReply) and registers the node as a sharer.
+// The first store since the page's last flush copies it to a pooled
+// twin; stores then go straight to the node's copy.
+//
+// At every release operation (Unlock, Barrier, SetFlag, and once after
+// the application body returns) the node publishes each dirty page, in
+// ascending page order. A cached page is compared with its twin and the
+// words that differ go to the home as a run-encoded TDiff; the twin is
+// dropped; a page whose stores changed nothing sends nothing. A run
+// never bridges an unchanged word, because the home applies every word
+// it is sent. The home applies the runs to the master, sends a
+// TWriteNotice to every sharer but the flusher, striking each from the
+// sharer set, and answers the flusher with a TFlushAck once no notice
+// for the page is unacknowledged. A dirty page homed here needs no
+// diff — the words are already in the master — so the flush itself
+// sends the notices, to every sharer, and completes locally on the last
+// TNoticeAck; with no sharer it sends nothing at all. Either kind of
+// release also waits for notices a previous release of the page has
+// out, though it sent none: the copies those are about to invalidate
+// lack its words too. The release operation does not complete until
+// every page it published is acknowledged, so by the time a matching
+// acquire can succeed anywhere, every stale copy has been invalidated —
+// the same eager release consistency argument the paper's protocols
+// make, at node granularity.
+//
+// Who holds a valid copy after a release: the home, always; the
+// flusher, if its copy was valid when it flushed — it has every word
+// the diff carries, it stays in the sharer set, and it is invalidated
+// like any other sharer by the next diff or home release that is not
+// its own; nobody else.
+//
+// The give-up rule is the exception. Keeping the copy is a loss when
+// the page migrates: the next writer's release then pays a notice round
+// trip to invalidate a copy that would have been refetched anyway. A
+// node cannot see the sharing pattern, but it sees what happens to its
+// copy. Once a write notice has invalidated a valid copy of the page
+// (cpage.noticed), others demonstrably write it between this node's
+// releases, so from then on the node's flush of the page gives its
+// valid copy up — invalidates it and says so in TDiff.C, and the home
+// strikes the flusher from the sharer set, which is what makes a home
+// processor's release of a migratory page cost no frame. The rule
+// checks its own work: if a copy refetched after a give-up
+// (cpage.gaveUp) takes another notice before the node's next diff of
+// the page, giving up spared no notice and bought only the refetch —
+// pages falsely shared by concurrent writers behave so — and the node
+// keeps its copy of that page from then on (cpage.keep, sticky). The
+// three flags record only what this node observed on this page; the
+// kind of release and the application are not consulted.
 //
 // A page that is invalidated while it holds unflushed local writes
 // keeps its twin. It is refetched on next access and the reply merged
@@ -38,39 +77,61 @@
 // the twin are the remote modifications, and go to both copy and twin —
 // mirroring the two-way diffing of concurrent fine-grained sharing: two
 // nodes writing disjoint words of one page between the same pair of
-// synchronization operations both win.
+// synchronization operations both win. A home processor is one of the
+// two as a matter of course: the other's diff carries only its own
+// words.
 //
 // The fetch-id rule: every page request carries a fresh id in Frame.C,
 // the home echoes it, and a reply is accepted only if it echoes the
-// page's latest request. A flush that publishes a page while a sibling
-// processor's request for it is in flight disowns that request — the
-// home may have copied the page ahead of the diff, and no notice would
-// ever invalidate the stale copy — and the waiting processor asks
-// again, behind the diff on the same ordered channel.
+// page's latest request. It exists for one case. A flush that publishes
+// an invalid page's twin while a sibling processor's request for the
+// page is in flight disowns that request: the home may have copied the
+// page ahead of the diff, and with the twin gone the reply would
+// replace the node's own flushed words with older ones that no notice
+// would ever correct. The waiting processor asks again, behind the diff
+// on the same ordered channel. (A valid copy has no request in flight.)
+//
+// Replies are ordered before notices. A copy taken at the home and a
+// notice for a later store travel to the requester on one ordered
+// channel, and the requester relies on meeting them in that order: a
+// notice that finds no valid copy is acknowledged and forgotten. The
+// handler sends both, in order, for remote writers' diffs; but a home
+// processor's flush sends its notices from the processor's goroutine,
+// so the handler sends each TPageReply before it releases the node
+// mutex it copied the page under, and the flush sends under the same
+// mutex.
 //
 // # Access path
 //
-// The page cache and the home table are slices indexed by page. Stores
-// take the node mutex — once per page segment in StoreFRow — because a
+// The page cache and the home table are slices indexed by page; on the
+// home rank the cache entry's frame is the home table's. Stores take
+// the node mutex — once per page segment in StoreFRow — because a
 // store that landed between a flush's scan of the page and its release
-// of the twin would be lost. Read hits take no lock: each processor
+// of the twin would be lost, and a home store must find or set the
+// dirty mark the flush clears. Read hits take no lock: each processor
 // remembers the frame of the page it last read and the node's
 // invalidation epoch at the time, and while the epoch stands (it is
-// bumped, under the mutex, by every write notice and every flush that
-// invalidates) the frame is the node's valid copy. A cached frame is
-// only ever updated in place and word-atomically (diff.Refresh,
-// diff.Incoming), so a load that races an invalidation and the refetch
-// behind it may observe, word by word, either the copy it validated or
-// a newer one, but never a torn word and never data older than its
+// bumped, under the mutex, by every write notice that invalidates and
+// every flush that gives a copy up) the frame is the node's valid copy.
+// A release that keeps its copies bumps nothing, so a processor's hits
+// continue across it; a master copy is never invalidated at all.
+//
+// A frame is only ever updated in place and word-atomically — a cached
+// one by diff.Refresh and diff.Incoming, a master copy by the atomic
+// stores the handler applies remote diffs with — so a load that races
+// the handler may observe, word by word, either the copy it validated
+// or a newer one, but never a torn word and never data older than its
 // processor's last acquire: every acquire waits under the mutex, after
 // the handler has bumped the epoch for each notice the matching release
-// fenced on. It may not observe another processor's StoreFRow in
-// flight: those stores are plain, and reading a word while it is being
-// stored is a data race in the application.
+// fenced on, and a master copy has the release's words before its
+// TFlushAck is sent. It may not observe another processor's StoreFRow
+// in flight: those stores are plain, and reading a word while it is
+// being stored is a data race in the application.
 //
 // Frames off the wire index those slices, so the handler range-checks
-// page numbers, diff runs and reply lengths and panics with the
-// offending rank and page rather than faulting.
+// page numbers, diff runs, give-up marks and reply lengths, refuses a
+// reply or notice for a page it homes, and panics with the offending
+// rank and page rather than faulting.
 //
 // # Synchronization
 //
@@ -86,10 +147,11 @@
 //
 // With Config.Tracer set the runtime records wall-clock protocol
 // events on internal/trace rings: fault and page-fetch spans, diff
-// flushes, the release-fence wait (EvFlushFence), and lock, flag, and
-// barrier waits on each processor goroutine's ring, plus incoming
-// diffs and write notices on the frame handler's ring (index PPN, the
-// "net" track of a merged export). The request ids of the fetch-id rule
+// flushes, the notices a home processor's flush sends, the
+// release-fence wait (EvFlushFence), and lock, flag, and barrier waits
+// on each processor goroutine's ring, plus incoming diffs and the write
+// notices they cause on the frame handler's ring (index PPN, the "net"
+// track of a merged export). The request ids of the fetch-id rule
 // double as correlation ids: they are what lets transport.FrameStats
 // measure request→reply latency at the messenger seam. A nil Tracer
 // costs one branch per site and changes no frame.
@@ -193,12 +255,14 @@ func Run(app apps.App, cfg Config, m transport.Messenger) error {
 	return nil
 }
 
-// cpage is a node's cached copy of one page.
+// cpage is a node's view of one page: its cached copy of a page homed
+// elsewhere, or the master copy itself on the page's home.
 type cpage struct {
 	// data is the copy's frame, allocated at the first fetch and from
 	// then on only ever updated in place, word-atomically: a processor
 	// that kept the slice from an earlier look reads whole words, stale
-	// at worst, whatever the handler is doing to the page.
+	// at worst, whatever the handler is doing to the page. On the home
+	// rank it is hpage.data, valid from the start and never twinned.
 	data []int64
 	// twin is the pristine copy taken at the first store since the last
 	// flush, nil while the page holds no unflushed writes. It survives
@@ -208,24 +272,41 @@ type cpage struct {
 	// there is none. Only the reply echoing it is accepted.
 	reqID int64
 	valid bool
+
+	// The give-up rule's evidence, all of it what this node saw happen
+	// to this page. noticed: a write notice has invalidated a valid
+	// copy, so others write the page between this node's releases.
+	// gaveUp: the page's last diff gave the copy up. keep: a copy
+	// refetched after a give-up took another notice before the node's
+	// next diff of the page — giving up bought a fetch and spared no
+	// notice — so the node keeps its copy from then on.
+	noticed, gaveUp, keep bool
 }
 
-// hpage is the authoritative copy at a page's home with its sharer
-// set, indexed by rank. Both are nil for a page homed elsewhere.
+// hpage is the master copy at a page's home with its sharer set,
+// indexed by rank (the home's own entry stays false: it never fetches).
+// Both are nil for a page homed elsewhere.
 type hpage struct {
 	data    []int64
 	sharers []bool
+	// dirty: a processor of this node has stored to the master since
+	// the node's last flush, and the page is on the dirty list.
+	dirty bool
+	// unacked counts the write notices for this page that are out and
+	// not yet acknowledged; acks lists the releases — remote diffs and
+	// this node's own flushes — to complete when it reaches zero. A
+	// release that finds notices out waits for them even if it sent
+	// none itself: the copies they are about to invalidate are stale
+	// with respect to its writes too.
+	unacked int
+	acks    []flushAck
 }
 
-type pendKey struct {
-	page  int64
-	token int64
-}
-
-// pend tracks a TDiff awaiting write-notice acknowledgements.
-type pend struct {
-	remaining int
-	flusher   int
+// flushAck is one release waiting on a page's notices: the flushing
+// rank and its flush token.
+type flushAck struct {
+	flusher int
+	token   int64
 }
 
 type waiter struct {
@@ -247,7 +328,7 @@ type node struct {
 	pageShift, pageMask int
 
 	// epoch counts invalidations of cached pages (write notices and
-	// flush self-invalidations); it is bumped with mu held. A processor
+	// copies given up at a flush); it is bumped with mu held. A processor
 	// that cached a page's frame at epoch e may read it without mu for
 	// as long as epoch still reads e. The padding keeps the processors'
 	// polling of it off the cache line mu and the counters below dirty.
@@ -260,7 +341,8 @@ type node struct {
 	// cache and home are indexed by page number.
 	cache []cpage
 	home  []hpage
-	// dirty lists the pages that hold a twin, in first-store order.
+	// dirty lists the pages with unflushed stores, in first-store order:
+	// remote-homed pages that hold a twin, homed pages marked dirty.
 	dirty []int
 	// twins holds released twins for reuse.
 	twins [][]int64
@@ -269,13 +351,12 @@ type node struct {
 	runWords []int64
 	// notify is the handler's scratch for one diff's notice targets.
 	notify []int
-	// pending tracks diffs this home is collecting notice acks for.
-	pending map[pendKey]pend
-	// flushOut counts this node's diffs whose TFlushAck has not arrived
-	// yet. A release operation completes only when it reaches zero, so
-	// one processor's release can never outrun another local
-	// processor's still-propagating invalidations (the node-grain cache
-	// means a flush carries every local processor's writes).
+	// flushOut counts this node's flushed pages still propagating: diffs
+	// whose TFlushAck has not arrived and homed pages whose notices are
+	// not all acknowledged. A release operation completes only when it
+	// reaches zero, so one processor's release can never outrun another
+	// local processor's still-propagating invalidations (the node-grain
+	// cache means a flush carries every local processor's writes).
 	flushOut int
 	tokenSeq int64
 	// corrSeq numbers this node's page requests; rank<<32|seq goes in
@@ -295,7 +376,8 @@ type node struct {
 }
 
 // newNode builds rank cfg.Rank's share of a shared space of the given
-// shape: an empty page cache and the home copies of its pages.
+// shape: the master copies of the pages it homes, which its processors
+// use directly, and an empty cache for the rest.
 func newNode(cfg Config, m transport.Messenger, shape apps.Shape) *node {
 	words := shape.SharedWords
 	if words == 0 {
@@ -315,7 +397,6 @@ func newNode(cfg Config, m transport.Messenger, shape apps.Shape) *node {
 		flags:     make([]bool, shape.Flags),
 		notify:    make([]int, 0, cfg.Nodes),
 		granted:   make(map[int64]bool),
-		pending:   make(map[pendKey]pend),
 		lockHeld:  make(map[int64]bool),
 		lockQ:     make(map[int64][]waiter),
 		arrivals:  make(map[int64]int),
@@ -329,6 +410,7 @@ func newNode(cfg Config, m transport.Messenger, shape apps.Shape) *node {
 	n.home = make([]hpage, n.nPages)
 	for p := cfg.Rank; p < n.nPages; p += cfg.Nodes {
 		n.home[p] = hpage{data: make([]int64, pageWords), sharers: make([]bool, cfg.Nodes)}
+		n.cache[p] = cpage{data: n.home[p].data, valid: true}
 	}
 	return n
 }
@@ -400,27 +482,32 @@ func (n *node) homed(from int, f wire.Frame) *hpage {
 }
 
 // cached returns this node's copy of the page f names, panicking on a
-// page number outside the space.
+// page number outside the space or a page this rank homes: its master
+// copy is nobody's to refresh or invalidate.
 func (n *node) cached(from int, f wire.Frame) *cpage {
 	if f.A < 0 || f.A >= int64(n.nPages) {
 		panic(fmt.Sprintf("mprun: rank %d received a %v frame from rank %d for page %d of %d",
 			n.cfg.Rank, f.Type, from, f.A, n.nPages))
 	}
+	if n.home[f.A].data != nil {
+		panic(fmt.Sprintf("mprun: rank %d received a %v frame from rank %d for page %d, which it homes",
+			n.cfg.Rank, f.Type, from, f.A))
+	}
 	return &n.cache[f.A]
 }
 
-// checkRuns panics unless f's (start, count) pairs stay inside a page
-// and together cover exactly f.Words.
-func (n *node) checkRuns(from int, f wire.Frame) {
-	total, ok := 0, len(f.Offs)%2 == 0
+// checkDiff panics unless f's (start, count) pairs stay inside a page
+// and together cover exactly f.Words, and its give-up mark is 0 or 1.
+func (n *node) checkDiff(from int, f wire.Frame) {
+	total, ok := 0, len(f.Offs)%2 == 0 && (f.C == 0 || f.C == 1)
 	for i := 0; ok && i < len(f.Offs); i += 2 {
 		start, count := int(f.Offs[i]), int(f.Offs[i+1])
 		ok = start >= 0 && count > 0 && start+count <= n.pageWords
 		total += count
 	}
 	if !ok || total != len(f.Words) {
-		panic(fmt.Sprintf("mprun: rank %d received a malformed diff of page %d from rank %d: runs %v over %d words of a %d-word page",
-			n.cfg.Rank, f.A, from, f.Offs, len(f.Words), n.pageWords))
+		panic(fmt.Sprintf("mprun: rank %d received a malformed diff of page %d from rank %d: runs %v over %d words of a %d-word page, give-up mark %d",
+			n.cfg.Rank, f.A, from, f.Offs, len(f.Words), n.pageWords, f.C))
 	}
 }
 
@@ -432,12 +519,14 @@ func (n *node) handle(from int, f wire.Frame) {
 	case wire.TPageReq:
 		hp := n.homed(from, f)
 		n.mu.Lock()
-		data := append([]int64(nil), hp.data...)
 		hp.sharers[from] = true
-		n.mu.Unlock()
 		// Echo the requester's correlation id so it, and its transport
-		// layer, can pair the reply with the request.
-		n.send(from, wire.Frame{Type: wire.TPageReply, A: f.A, C: f.C, Words: data})
+		// layer, can pair the reply with the request. The reply goes out
+		// before mu is released: a home processor's flush sends notices
+		// under mu, and one for a store made after this copy was taken
+		// must not reach the requester ahead of the copy.
+		n.send(from, wire.Frame{Type: wire.TPageReply, A: f.A, C: f.C, Words: slices.Clone(hp.data)})
+		n.mu.Unlock()
 
 	case wire.TPageReply:
 		cp := n.cached(from, f)
@@ -467,29 +556,39 @@ func (n *node) handle(from int, f wire.Frame) {
 
 	case wire.TDiff:
 		hp := n.homed(from, f)
-		n.checkRuns(from, f)
+		n.checkDiff(from, f)
 		n.mu.Lock()
+		// Word-atomically: this node's processors read the master without
+		// the lock.
 		at := 0
 		for i := 0; i < len(f.Offs); i += 2 {
 			start, count := int(f.Offs[i]), int(f.Offs[i+1])
-			copy(hp.data[start:start+count], f.Words[at:at+count])
+			for j, w := range f.Words[at : at+count] {
+				atomic.StoreInt64(&hp.data[start+j], w)
+			}
 			at += count
 		}
-		// Every copy out there is now stale: sharers restart from a
-		// fresh fetch (the flusher invalidated its own copy at flush).
+		// Every other copy out there is now stale: those sharers restart
+		// from a fresh fetch. The flusher's copy has the words already and
+		// stays registered unless the diff says it was given up.
 		notify := n.notify[:0]
 		for s, sharing := range hp.sharers {
 			if sharing && s != from {
 				notify = append(notify, s)
+				hp.sharers[s] = false
 			}
-			hp.sharers[s] = false
 		}
-		if len(notify) > 0 {
-			n.pending[pendKey{f.A, f.B}] = pend{remaining: len(notify), flusher: from}
+		if f.C == 1 {
+			hp.sharers[from] = false
+		}
+		hp.unacked += len(notify)
+		fenced := hp.unacked > 0
+		if fenced {
+			hp.acks = append(hp.acks, flushAck{flusher: from, token: f.B})
 		}
 		n.mu.Unlock()
 		n.emit(n.cfg.PPN, trace.EvDiffIn, int(f.A), int64(len(f.Words)), int64(from))
-		if len(notify) == 0 {
+		if !fenced {
 			n.send(from, wire.Frame{Type: wire.TFlushAck, A: f.A, B: f.B})
 			return
 		}
@@ -505,6 +604,10 @@ func (n *node) handle(from int, f wire.Frame) {
 		if cp.valid {
 			invalidated = 1
 			cp.valid = false
+			cp.noticed = true
+			if cp.gaveUp {
+				cp.keep = true
+			}
 			n.epoch.Add(1)
 		}
 		n.mu.Unlock()
@@ -512,23 +615,28 @@ func (n *node) handle(from int, f wire.Frame) {
 		n.send(from, wire.Frame{Type: wire.TNoticeAck, A: f.A, B: f.B})
 
 	case wire.TNoticeAck:
-		key := pendKey{f.A, f.B}
+		hp := n.homed(from, f)
 		n.mu.Lock()
-		pd, ok := n.pending[key]
-		if ok {
-			if pd.remaining--; pd.remaining > 0 {
-				n.pending[key] = pd
-			} else {
-				delete(n.pending, key)
-			}
-		}
-		n.mu.Unlock()
-		if !ok {
+		if hp.unacked == 0 {
+			n.mu.Unlock()
 			panic(fmt.Sprintf("mprun: rank %d received a notice ack from rank %d for page %d, token %#x, which awaits none",
 				n.cfg.Rank, from, f.A, f.B))
 		}
-		if pd.remaining == 0 {
-			n.send(pd.flusher, wire.Frame{Type: wire.TFlushAck, A: f.A, B: f.B})
+		released := false
+		if hp.unacked--; hp.unacked == 0 {
+			for _, a := range hp.acks {
+				if a.flusher == n.cfg.Rank {
+					n.flushOut--
+					released = true
+				} else {
+					n.send(a.flusher, wire.Frame{Type: wire.TFlushAck, A: f.A, B: a.token})
+				}
+			}
+			hp.acks = hp.acks[:0]
+		}
+		n.mu.Unlock()
+		if released {
+			n.cond.Broadcast()
 		}
 
 	case wire.TFlushAck:
@@ -616,8 +724,8 @@ func (n *node) handle(from int, f wire.Frame) {
 // calling goroutine's trace ring (-1 from the verification view). The
 // processor that sends the request records the fetch as an EvPageFetch
 // span from request to reply; pile-in waiters record only their fault
-// span. A flush that publishes the page while a request is in flight
-// clears reqID, and the waiter asks again behind the diff.
+// span. A flush that publishes the page's twin while a request is in
+// flight clears reqID, and the waiter asks again behind the diff.
 func (n *node) ensureLocked(ring, page int) {
 	cp := &n.cache[page]
 	var t0 int64
@@ -638,9 +746,17 @@ func (n *node) ensureLocked(ring, page int) {
 	}
 }
 
-// writableLocked returns page's copy valid and twinned, ready to be
-// stored to; called and returns with n.mu held.
-func (n *node) writableLocked(ring, page int) *cpage {
+// writableLocked returns page's frame ready to be stored to and on the
+// dirty list: the master copy on the page's home, elsewhere the node's
+// copy, valid and twinned. Called and returns with n.mu held.
+func (n *node) writableLocked(ring, page int) []int64 {
+	if hp := &n.home[page]; hp.data != nil {
+		if !hp.dirty {
+			hp.dirty = true
+			n.dirty = append(n.dirty, page)
+		}
+		return hp.data
+	}
 	cp := &n.cache[page]
 	if !cp.valid {
 		t0 := n.wallNow()
@@ -656,16 +772,18 @@ func (n *node) writableLocked(ring, page int) *cpage {
 		diff.CopyIn(cp.twin, cp.data)
 		n.dirty = append(n.dirty, page)
 	}
-	return cp
+	return cp.data
 }
 
-// flush publishes every dirty page to its home and waits until each
-// home confirms that all stale copies have been invalidated. It is the
-// release operation's write-back; the caller performs the matching
-// release message only after flush returns. ring is the flushing
-// processor's trace ring; the fence span covers diff construction
-// through the last flush-ack and is recorded only when the release
-// actually sent or waited on something.
+// flush publishes every dirty page and waits until all stale copies of
+// each have been invalidated. It is the release operation's write-back;
+// the caller performs the matching release message only after flush
+// returns. A page homed here was written in place, so publishing it is
+// a write notice to each remote sharer and nothing when there is none;
+// any other page goes to its home as a diff against its twin. ring is
+// the flushing processor's trace ring; the fence span covers diff
+// construction through the last acknowledgement and is recorded only
+// when the release actually sent or waited on something.
 func (n *node) flush(ring int) {
 	n.mu.Lock()
 	t0 := n.wallNow()
@@ -673,41 +791,73 @@ func (n *node) flush(ring int) {
 	token := int64(n.cfg.Rank)<<32 | n.tokenSeq
 	slices.Sort(n.dirty)
 	sent := 0
+	wake := false
 	for _, page := range n.dirty {
+		if hp := &n.home[page]; hp.data != nil {
+			hp.dirty = false
+			for s, sharing := range hp.sharers {
+				if sharing {
+					hp.sharers[s] = false
+					hp.unacked++
+					n.emit(ring, trace.EvNoticeSend, page, int64(s), 0)
+					n.send(s, wire.Frame{Type: wire.TWriteNotice, A: int64(page), B: token})
+				}
+			}
+			if hp.unacked > 0 {
+				hp.acks = append(hp.acks, flushAck{flusher: n.cfg.Rank, token: token})
+				sent++
+			}
+			continue
+		}
 		cp := &n.cache[page]
 		var lo, hi int
 		n.runOffs, n.runWords, lo, hi = diff.AppendRuns(n.runOffs[:0], n.runWords[:0], cp.data, cp.twin)
 		n.twins = append(n.twins, cp.twin)
 		cp.twin = nil
 		if len(n.runWords) == 0 {
-			// Only silent stores: the home has nothing to learn and the
-			// copy is as good as it was.
+			// Only silent stores: the home has nothing to learn.
 			continue
 		}
-		// Our copy may be missing other nodes' concurrent writes the
-		// home has merged; refetch on next access. A fetch already in
-		// flight may have been copied at the home ahead of this diff:
-		// disown it, so that its reply is dropped and the waiter asks
-		// again behind the diff.
-		cp.valid = false
-		cp.reqID = 0
+		giveUp := int64(0)
+		switch {
+		case !cp.valid:
+			// Invalidated under the stores and not refetched since. A
+			// fetch in flight may have been copied at the home ahead of
+			// this diff, and with the twin gone its reply would overwrite
+			// these words: disown it, so that the reply is dropped and
+			// the waiter asks again behind the diff.
+			if cp.reqID != 0 {
+				cp.reqID = 0
+				wake = true
+			}
+		case cp.noticed && !cp.keep:
+			// Others write this page between our releases, so the copy
+			// would be invalidated before we next use it and cost its
+			// writer a notice round trip: give it up now, in the diff.
+			cp.valid = false
+			n.epoch.Add(1)
+			giveUp = 1
+		}
+		// Otherwise the copy stays valid: it has every word the diff
+		// carries, and the home keeps us registered, so whoever writes
+		// the page next invalidates it like any other sharer's.
+		cp.gaveUp = giveUp == 1
 		sent++
 		n.emit(ring, trace.EvDiffOut, page, int64(len(n.runWords)), trace.PackWordSpan(lo, hi))
 		// The frame's slices pass to the home, so they are copies of
 		// the scratch, cut to size.
 		n.send(n.homeOf(page), wire.Frame{
-			Type: wire.TDiff, A: int64(page), B: token,
+			Type: wire.TDiff, A: int64(page), B: token, C: giveUp,
 			Offs: slices.Clone(n.runOffs), Words: slices.Clone(n.runWords),
 		})
 	}
 	n.dirty = n.dirty[:0]
-	if sent > 0 {
-		n.flushOut += sent
-		n.epoch.Add(1)
+	n.flushOut += sent
+	if wake {
 		n.cond.Broadcast() // disowned fetches
 	}
 	// Wait for every outstanding flush of this node, not just our own
-	// diffs: a release may carry no dirty words itself yet must still
+	// pages: a release may carry no dirty words itself yet must still
 	// fence behind another local processor's in-flight invalidations.
 	fenced := n.flushOut > 0
 	for n.flushOut > 0 {
@@ -791,7 +941,7 @@ func (p *proc) Store(addr int, v int64) {
 	n := p.n
 	page, off := n.split(addr)
 	n.mu.Lock()
-	atomic.StoreInt64(&n.writableLocked(p.local, page).data[off], v)
+	atomic.StoreInt64(&n.writableLocked(p.local, page)[off], v)
 	n.mu.Unlock()
 }
 
@@ -829,7 +979,7 @@ func (p *proc) StoreFRow(addr int, src []float64) {
 		page, off := n.split(addr)
 		run := min(n.pageWords-off, len(src))
 		n.mu.Lock()
-		seg := n.writableLocked(p.local, page).data[off : off+run]
+		seg := n.writableLocked(p.local, page)[off : off+run]
 		for i, v := range src[:run] {
 			seg[i] = int64(math.Float64bits(v))
 		}
@@ -936,11 +1086,12 @@ func (p *proc) Warmup(f func()) {
 }
 
 // memView is rank 0's post-run read of the shared space for Verify: it
-// fetches pages through the normal protocol (every final value is at
-// its home after the closing barrier). It reads with ring -1 — the
-// verification pass runs on the main goroutine, which owns no trace
-// ring, so its events are dropped rather than corrupting a processor
-// track.
+// reads through the normal protocol — the pages rank 0 homes in place,
+// the rest from whatever copies the closing barrier left valid or from
+// their homes, where every final value is by then. It reads with ring
+// -1 — the verification pass runs on the main goroutine, which owns no
+// trace ring, so its events are dropped rather than corrupting a
+// processor track.
 type memView struct {
 	p *proc
 }

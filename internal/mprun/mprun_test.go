@@ -120,11 +120,29 @@ func TestThreeNodesUnevenProcs(t *testing.T) {
 	runMesh(t, func() apps.App { return apps.SmallSOR() }, 3, 2)
 }
 
+// selfFlows returns the page and diff traffic rank r's snapshot shows it
+// exchanging with itself. A rank works on the pages it homes in place,
+// so there must be none.
+func selfFlows(r int, snap transport.MsgSnapshot) []transport.FlowCount {
+	var self []transport.FlowCount
+	for _, f := range append(append([]transport.FlowCount(nil), snap.Sent...), snap.Recv...) {
+		switch f.Type {
+		case "page-req", "page-reply", "diff", "flush-ack", "write-notice", "notice-ack":
+			if f.Peer == r {
+				self = append(self, f)
+			}
+		}
+	}
+	return self
+}
+
 // TestTracedRunStructure runs SOR on a traced, frame-counted 2x2 mesh
 // and checks the observability layer end to end: per-processor fault
 // and synchronization spans, handler-ring diff events, flush fences,
 // and transport counters whose request/reply totals must agree with
-// the correlated latency histograms.
+// the correlated latency histograms. Pages are one grid row each, so
+// both ranks home some rows of their band and fetch the others: every
+// rank faults, but only ever on a page homed elsewhere.
 func TestTracedRunStructure(t *testing.T) {
 	const nodes, ppn = 2, 2
 	mesh := shmchan.NewMesh(nodes)
@@ -141,7 +159,7 @@ func TestTracedRunStructure(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			cfg := Config{Rank: r, Nodes: nodes, PPN: ppn, Model: costs.Default(), Tracer: trs[r]}
+			cfg := Config{Rank: r, Nodes: nodes, PPN: ppn, PageWords: 64, Model: costs.Default(), Tracer: trs[r]}
 			errs[r] = Run(apps.SmallSOR(), cfg, mesh.Endpoint(r))
 		}(r)
 	}
@@ -155,7 +173,6 @@ func TestTracedRunStructure(t *testing.T) {
 		}
 	}
 
-	diffIns := 0
 	for r := 0; r < nodes; r++ {
 		evs := trs[r].Events()
 		if len(evs) == 0 {
@@ -177,6 +194,12 @@ func TestTracedRunStructure(t *testing.T) {
 					t.Errorf("rank %d %v event with non-positive duration: %+v", r, e.Kind, e)
 				}
 			}
+			switch e.Kind {
+			case trace.EvReadFault, trace.EvWriteFault, trace.EvPageFetch, trace.EvDiffOut:
+				if int(e.Page)%nodes == r {
+					t.Errorf("rank %d faulted on or diffed page %d, which it homes: %+v", r, e.Page, e)
+				}
+			}
 		}
 		// Every processor goroutine barriers at least once (the
 		// run-ending barrier), on its own ring.
@@ -185,7 +208,8 @@ func TestTracedRunStructure(t *testing.T) {
 				t.Errorf("rank %d ring %d: no barrier spans", r, ring)
 			}
 		}
-		// SOR shares boundary rows, so someone faulted and fetched.
+		// Each band has rows homed on the other rank, so someone here
+		// faulted, fetched, and waited on a release's fence.
 		var faults, fetches, fences int
 		for ring := 0; ring < ppn; ring++ {
 			faults += kindsByRing[ring][trace.EvReadFault] + kindsByRing[ring][trace.EvWriteFault]
@@ -195,10 +219,11 @@ func TestTracedRunStructure(t *testing.T) {
 		if faults == 0 || fetches == 0 || fences == 0 {
 			t.Errorf("rank %d: faults=%d fetches=%d fences=%d, want all nonzero", r, faults, fetches, fences)
 		}
-		// Only handler kinds live on the handler ring. (Which ranks see
-		// incoming diffs depends on the app's page layout, so diff-in
-		// presence is asserted cluster-wide below.)
-		diffIns += kindsByRing[ppn][trace.EvDiffIn]
+		// Both ranks home rows the other writes, and only handler kinds
+		// live on the handler ring.
+		if kindsByRing[ppn][trace.EvDiffIn] == 0 {
+			t.Errorf("rank %d: no diff-in events on the handler ring", r)
+		}
 		for k := range kindsByRing[ppn] {
 			switch k {
 			case trace.EvDiffIn, trace.EvNoticeSend, trace.EvNoticeApply:
@@ -236,16 +261,17 @@ func TestTracedRunStructure(t *testing.T) {
 				t.Errorf("rank %d: non-positive flow %+v", r, f)
 			}
 		}
-	}
-	if diffIns == 0 {
-		t.Error("no diff-in events on any rank's handler ring")
+		if self := selfFlows(r, snap); len(self) > 0 {
+			t.Errorf("rank %d moved pages it homes through the mesh: %+v", r, self)
+		}
 	}
 }
 
 // TestUntracedRunMintsCorrelationIDs pins the protocol detail the
 // transport statistics depend on: page requests carry a nonzero
 // Frame.C even when tracing is off, so attaching FrameStats alone
-// (the -http path) still yields fetch latencies.
+// (the -http path) still yields fetch latencies. Pages are one grid
+// row each, so each rank has rows to fetch from the other.
 func TestUntracedRunMintsCorrelationIDs(t *testing.T) {
 	const nodes = 2
 	mesh := shmchan.NewMesh(nodes)
@@ -260,7 +286,7 @@ func TestUntracedRunMintsCorrelationIDs(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			cfg := Config{Rank: r, Nodes: nodes, PPN: 1, Model: costs.Default()}
+			cfg := Config{Rank: r, Nodes: nodes, PPN: 1, PageWords: 64, Model: costs.Default()}
 			errs[r] = Run(apps.SmallSOR(), cfg, mesh.Endpoint(r))
 		}(r)
 	}
@@ -369,53 +395,67 @@ func TestDisjointWritersOfOnePageBothWin(t *testing.T) {
 }
 
 // TestStoresSurviveSiblingFlushes runs two processors of one node on
-// the same pages: one releases over and over (each release scans the
-// pages against their twins, drops the twins and invalidates the
-// copies) while the other keeps storing to every remaining word and
-// reading each store back. A store that fell between a flush's scan
-// and its twin release, or a refetch that overtook the diff carrying
-// it, would surface as a stale word. Run it under -race -cpu 1,2,4.
+// the same pages: one releases over and over while the other keeps
+// storing to every remaining word and reading each store back. On pages
+// homed elsewhere each release scans the pages against their twins,
+// drops the twins and sends the diffs, so a store that fell between a
+// flush's scan and its twin release would surface as a stale word at
+// the home; on pages homed here the stores go to the master in place
+// and a release has nothing to scan. Run it under -race -cpu 1,2,4.
 func TestStoresSurviveSiblingFlushes(t *testing.T) {
-	const pages, releases = 2, 300
-	var done atomic.Bool
-	last := make([]int64, pages*apps.PageWords) // each word's final store
-	app := &progApp{shape: apps.Shape{SharedWords: len(last), Locks: 1}}
-	app.body = func(p apps.Proc) {
-		if p.ID() == 0 {
-			defer done.Store(true)
-			for k := 1; k <= releases; k++ {
-				a := k % pages * apps.PageWords
-				p.Lock(0)
-				p.Store(a, int64(k))
-				last[a] = int64(k)
-				p.Unlock(0)
-			}
-			return
-		}
-		for round := int64(1); !done.Load(); round++ {
-			for a := range last {
-				if a%apps.PageWords == 0 {
-					continue // processor 0's word
+	for _, tc := range []struct {
+		name  string
+		nodes int
+	}{
+		{"homed elsewhere", 2}, // rank 0's processors on rank 1's pages
+		{"homed here", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const pages, releases = 2, 300
+			// The test's pages are the last of each group of tc.nodes.
+			addr := func(pg, off int) int { return (pg*tc.nodes+tc.nodes-1)*apps.PageWords + off }
+			var done atomic.Bool
+			last := make([]int64, pages*tc.nodes*apps.PageWords) // each word's final store
+			app := &progApp{shape: apps.Shape{SharedWords: len(last), Locks: 1}}
+			app.body = func(p apps.Proc) {
+				switch p.ID() {
+				case 0:
+					defer done.Store(true)
+					for k := 1; k <= releases; k++ {
+						a := addr(k%pages, 0)
+						p.Lock(0)
+						p.Store(a, int64(k))
+						last[a] = int64(k)
+						p.Unlock(0)
+					}
+				case 1:
+					for round := int64(1); !done.Load(); round++ {
+						for pg := 0; pg < pages; pg++ {
+							for off := 1; off < apps.PageWords; off++ { // word 0 is processor 0's
+								a := addr(pg, off)
+								v := round<<32 | int64(a)
+								p.Store(a, v)
+								last[a] = v
+								if got := p.Load(a); got != v {
+									t.Errorf("round %d: processor 1 stored %#x at %d and read back %#x", round, v, a, got)
+									return
+								}
+							}
+						}
+					}
 				}
-				v := round<<32 | int64(a)
-				p.Store(a, v)
-				last[a] = v
-				if got := p.Load(a); got != v {
-					t.Errorf("round %d: processor 1 stored %#x at %d and read back %#x", round, v, a, got)
-					return
+			}
+			app.check = func(m apps.Memory) error {
+				for a, want := range last {
+					if got := m.ReadShared(a); got != want {
+						return fmt.Errorf("word %d = %#x, want its last store %#x", a, got, want)
+					}
 				}
+				return nil
 			}
-		}
+			runMesh(t, func() apps.App { return app }, tc.nodes, 2)
+		})
 	}
-	app.check = func(m apps.Memory) error {
-		for a, want := range last {
-			if got := m.ReadShared(a); got != want {
-				return fmt.Errorf("word %d = %#x, want its last store %#x", a, got, want)
-			}
-		}
-		return nil
-	}
-	runMesh(t, func() apps.App { return app }, 1, 2)
 }
 
 // tap is a Messenger whose peers are the test itself: every frame the
@@ -424,6 +464,9 @@ func TestStoresSurviveSiblingFlushes(t *testing.T) {
 type tap struct {
 	self, peers int
 	sent        chan tapped
+	// hold, when set, is called with each frame before it lands on sent;
+	// a test blocks in it to stop the node mid-send.
+	hold func(wire.Frame)
 }
 
 type tapped struct {
@@ -436,6 +479,9 @@ func (tp *tap) Peers() int                       { return tp.peers }
 func (tp *tap) SetHandler(func(int, wire.Frame)) {}
 func (tp *tap) Close() error                     { return nil }
 func (tp *tap) Send(to int, f wire.Frame) error {
+	if tp.hold != nil {
+		tp.hold(f)
+	}
 	tp.sent <- tapped{to, f}
 	return nil
 }
@@ -456,17 +502,34 @@ func (tp *tap) next(t *testing.T, want wire.Type) wire.Frame {
 	panic("unreachable")
 }
 
-// tapNode builds rank 0 of a two-rank, two-processor cluster over a
-// tap, with two pages: page 0 homed here, page 1 on the absent rank 1.
-func tapNode() (*node, *tap) {
-	// Send runs under the node mutex and must not block; the scripted
-	// tests never leave more than a few frames unread.
-	tp := &tap{self: 0, peers: 2, sent: make(chan tapped, 16)}
-	cfg := Config{Rank: 0, Nodes: 2, PPN: 2, Model: costs.Default()}
-	return newNode(cfg, tp, apps.Shape{SharedWords: 2 * apps.PageWords}), tp
+// quiet fails the test if the node has sent a frame nobody read.
+func (tp *tap) quiet(t *testing.T, when string) {
+	t.Helper()
+	select {
+	case s := <-tp.sent:
+		t.Fatalf("%s: node sent a %v frame to rank %d, want none", when, s.f.Type, s.to)
+	default:
+	}
 }
 
-const remotePage = 1 // homed on rank 1 in tapNode's cluster
+// tapNode builds rank 0 of a two-rank, two-processor cluster over a
+// tap, with two pages: page 0 homed here, page 1 on the absent rank 1.
+func tapNode() (*node, *tap) { return tapCluster(2) }
+
+// tapCluster is tapNode among the given number of ranks, with one page
+// homed on each.
+func tapCluster(ranks int) (*node, *tap) {
+	// Send runs under the node mutex and must not block; the scripted
+	// tests never leave more than a few frames unread.
+	tp := &tap{self: 0, peers: ranks, sent: make(chan tapped, 16)}
+	cfg := Config{Rank: 0, Nodes: ranks, PPN: 2, Model: costs.Default()}
+	return newNode(cfg, tp, apps.Shape{SharedWords: ranks * apps.PageWords}), tp
+}
+
+const (
+	homePage   = 0 // homed on the node under test in tapNode's cluster
+	remotePage = 1 // homed on rank 1
+)
 
 // reply is rank 1's answer to req carrying the given words of the page
 // (the rest zero).
@@ -478,14 +541,21 @@ func reply(req wire.Frame, words map[int]int64) wire.Frame {
 	return wire.Frame{Type: wire.TPageReply, A: req.A, C: req.C, Words: data}
 }
 
-// fetchRemote makes remotePage valid on n with the given contents by
-// loading from it and answering the request.
-func fetchRemote(t *testing.T, n *node, tp *tap, words map[int]int64) {
+// loadRemote loads word off of remotePage on p, which must miss, plays
+// rank 1's reply carrying the given words, and returns what the load
+// saw.
+func loadRemote(t *testing.T, n *node, tp *tap, p *proc, off int, words map[int]int64) int64 {
 	t.Helper()
 	loaded := make(chan int64)
-	go func() { loaded <- n.newProc(1).Load(remotePage * apps.PageWords) }()
+	go func() { loaded <- p.Load(remotePage*apps.PageWords + off) }()
 	n.handle(1, reply(tp.next(t, wire.TPageReq), words))
-	if got := <-loaded; got != words[0] {
+	return <-loaded
+}
+
+// fetchRemote makes remotePage valid on n with the given contents.
+func fetchRemote(t *testing.T, n *node, tp *tap, words map[int]int64) {
+	t.Helper()
+	if got := loadRemote(t, n, tp, n.newProc(1), 0, words); got != words[0] {
 		t.Fatalf("first load of the fetched page = %d, want %d", got, words[0])
 	}
 }
@@ -496,10 +566,31 @@ func (n *node) validLocked(page int) bool {
 	return n.cache[page].valid
 }
 
+// flushRemote runs a release on n that must publish remotePage as one
+// diff, plays the home's acknowledgement, and returns the diff.
+func flushRemote(t *testing.T, n *node, tp *tap) wire.Frame {
+	t.Helper()
+	flushed := make(chan struct{})
+	go func() { n.flush(0); close(flushed) }()
+	d := tp.next(t, wire.TDiff)
+	n.handle(1, wire.Frame{Type: wire.TFlushAck, A: d.A, B: d.B})
+	<-flushed
+	return d
+}
+
+// notice plays the home invalidating n's copy of remotePage on behalf
+// of some other rank's release.
+func notice(t *testing.T, n *node, tp *tap) {
+	t.Helper()
+	n.handle(1, wire.Frame{Type: wire.TWriteNotice, A: remotePage, B: 7})
+	tp.next(t, wire.TNoticeAck)
+}
+
 // TestStaleReplyAfterFlushIsDropped scripts the race deterministically:
-// a request for a page is in flight when a sibling processor's release
-// flushes the page; the reply to that request was copied at the home
-// before the diff and must not be installed.
+// a page holding unflushed writes has been invalidated and a request
+// for it is in flight when a sibling processor's release flushes it,
+// twin and all; the reply to that request was copied at the home before
+// the diff and must not be installed over the flushed words.
 func TestStaleReplyAfterFlushIsDropped(t *testing.T) {
 	n, tp := tapNode()
 	base := remotePage * apps.PageWords
@@ -568,23 +659,21 @@ func TestSilentStoreSendsNoDiff(t *testing.T) {
 // TestRefetchUnderLocalWritesMerges: a page invalidated while it holds
 // unflushed local writes is refetched under them — the local words
 // stay, the remote ones arrive — and the next release sends only the
-// local ones.
+// local ones. The notice is also the node's first evidence that others
+// write the page between its releases, so that release gives the copy
+// up.
 func TestRefetchUnderLocalWritesMerges(t *testing.T) {
 	n, tp := tapNode()
 	base := remotePage * apps.PageWords
 	fetchRemote(t, n, tp, map[int]int64{9: 90})
 	p := n.newProc(0)
 	p.Store(base+3, 30)
-	n.handle(1, wire.Frame{Type: wire.TWriteNotice, A: remotePage, B: 7})
-	tp.next(t, wire.TNoticeAck)
+	notice(t, n, tp)
 	if n.validLocked(remotePage) {
 		t.Fatal("write notice left the copy valid")
 	}
 
-	loaded := make(chan int64)
-	go func() { loaded <- p.Load(base + 5) }()
-	n.handle(1, reply(tp.next(t, wire.TPageReq), map[int]int64{5: 55, 9: 91}))
-	if got := <-loaded; got != 55 {
+	if got := loadRemote(t, n, tp, p, 5, map[int]int64{5: 55, 9: 91}); got != 55 {
 		t.Errorf("remote word reads %d after the refetch, want 55", got)
 	}
 	for off, want := range map[int]int64{3: 30, 9: 91, 0: 0} {
@@ -593,14 +682,281 @@ func TestRefetchUnderLocalWritesMerges(t *testing.T) {
 		}
 	}
 
+	d := flushRemote(t, n, tp)
+	if want := (wire.Frame{Type: wire.TDiff, A: remotePage, B: d.B, C: 1, Offs: []int32{3, 1}, Words: []int64{30}}); !wire.Equal(d, want) {
+		t.Errorf("release sent %+v, want only the local word and the give-up mark: %+v", d, want)
+	}
+	if n.validLocked(remotePage) {
+		t.Error("the copy is still valid after a diff that told the home it was given up")
+	}
+}
+
+// TestHomeStoreFlush: a processor of a page's home stores to the master
+// in place, with no fetch, twin or diff. Its release sends nothing
+// while nobody else holds a copy; once a rank has fetched one, the
+// release is a write notice to that rank and completes on its ack.
+func TestHomeStoreFlush(t *testing.T) {
+	n, tp := tapNode()
+	p := n.newProc(0)
+	p.Store(homePage*apps.PageWords+2, 20)
+	if got := p.Load(homePage*apps.PageWords + 2); got != 20 {
+		t.Fatalf("home store reads back %d, want 20", got)
+	}
+	n.flush(0) // would block on the fence if it had sent anything
+	tp.quiet(t, "home store and flush with no sharer")
+	if n.cache[homePage].twin != nil || len(n.dirty) != 0 {
+		t.Error("the release left the home page twinned or dirty")
+	}
+
+	n.handle(1, wire.Frame{Type: wire.TPageReq, A: homePage, C: 1<<32 | 1})
+	if r := tp.next(t, wire.TPageReply); r.Words[2] != 20 || r.C != 1<<32|1 {
+		t.Fatalf("reply carries word 2 = %d under id %#x, want the home's 20 under the request's id", r.Words[2], r.C)
+	}
+	p.Store(homePage*apps.PageWords+2, 21)
 	flushed := make(chan struct{})
 	go func() { n.flush(0); close(flushed) }()
-	d := tp.next(t, wire.TDiff)
-	if want := (wire.Frame{Type: wire.TDiff, A: remotePage, B: d.B, Offs: []int32{3, 1}, Words: []int64{30}}); !wire.Equal(d, want) {
-		t.Errorf("release sent %+v, want only the local word: %+v", d, want)
+	wn := tp.next(t, wire.TWriteNotice)
+	if wn.A != homePage {
+		t.Fatalf("notice names page %d, want %d", wn.A, homePage)
 	}
-	n.handle(1, wire.Frame{Type: wire.TFlushAck, A: remotePage, B: d.B})
+	select {
+	case <-flushed:
+		t.Fatal("the release completed before the sharer acknowledged the notice")
+	case <-time.After(20 * time.Millisecond):
+	}
+	n.handle(1, wire.Frame{Type: wire.TNoticeAck, A: wn.A, B: wn.B})
 	<-flushed
+	tp.quiet(t, "home flush with one sharer, after the notice")
+
+	// The notice cost the sharer its copy and its registration.
+	p.Store(homePage*apps.PageWords+2, 22)
+	n.flush(0)
+	tp.quiet(t, "home flush after the only sharer was invalidated")
+}
+
+// TestReleaseWaitsForNoticesAlreadyOut: rank 2's diff sends rank 1 a
+// notice and strikes it from the sharer set. Until rank 1 acknowledges,
+// its copy is still in use and lacks whatever is released next as well,
+// so a home processor's release and a second diff, neither of which has
+// anyone left to notify, complete only with that acknowledgement.
+func TestReleaseWaitsForNoticesAlreadyOut(t *testing.T) {
+	n, tp := tapCluster(3)
+	p := n.newProc(0)
+	n.handle(1, wire.Frame{Type: wire.TPageReq, A: homePage, C: 1<<32 | 1})
+	tp.next(t, wire.TPageReply)
+	n.handle(2, wire.Frame{Type: wire.TDiff, A: homePage, B: 2<<32 | 1, Offs: []int32{1, 1}, Words: []int64{10}})
+	wn := tp.next(t, wire.TWriteNotice)
+
+	p.Store(homePage*apps.PageWords+2, 20)
+	flushed := make(chan struct{})
+	go func() { n.flush(0); close(flushed) }()
+	n.handle(2, wire.Frame{Type: wire.TDiff, A: homePage, B: 2<<32 | 2, Offs: []int32{3, 1}, Words: []int64{30}})
+	select {
+	case <-flushed:
+		t.Fatal("a home release completed while a notice for the page was unacknowledged")
+	case s := <-tp.sent:
+		t.Fatalf("node sent a %v frame to rank %d while a notice for the page was unacknowledged", s.f.Type, s.to)
+	case <-time.After(20 * time.Millisecond):
+	}
+
+	n.handle(1, wire.Frame{Type: wire.TNoticeAck, A: wn.A, B: wn.B})
+	<-flushed
+	for _, token := range []int64{2<<32 | 1, 2<<32 | 2} {
+		select {
+		case s := <-tp.sent:
+			if want := (wire.Frame{Type: wire.TFlushAck, A: homePage, B: token}); s.to != 2 || !wire.Equal(s.f, want) {
+				t.Fatalf("node sent %+v to rank %d, want %+v to rank 2", s.f, s.to, want)
+			}
+		default:
+			t.Fatalf("no flush ack for token %#x after the last notice ack", token)
+		}
+	}
+	tp.quiet(t, "after every release was acknowledged")
+}
+
+// TestReplyLeavesBeforeLaterStoresNotice scripts the ordering hazard of
+// home processors publishing their own stores: the handler copies the
+// page for a requester, and a home processor's store and release follow
+// at once. The release's notice must not reach the requester ahead of
+// the copy — it would be ignored there, and the copy installed with
+// nothing left to invalidate it. The tap stalls the reply in Send; while
+// it is stalled no notice may appear.
+func TestReplyLeavesBeforeLaterStoresNotice(t *testing.T) {
+	n, tp := tapNode()
+	p := n.newProc(0)
+	stalled, release := make(chan struct{}), make(chan struct{})
+	tp.hold = func(f wire.Frame) {
+		if f.Type == wire.TPageReply {
+			close(stalled)
+			<-release
+		}
+	}
+	handled := make(chan struct{})
+	go func() {
+		n.handle(1, wire.Frame{Type: wire.TPageReq, A: homePage, C: 1<<32 | 1})
+		close(handled)
+	}()
+	<-stalled
+	flushed := make(chan struct{})
+	go func() {
+		p.Store(homePage*apps.PageWords+4, 40)
+		n.flush(0)
+		close(flushed)
+	}()
+	select {
+	case s := <-tp.sent:
+		t.Fatalf("a %v frame left the home while the reply for an older copy was still on its way out", s.f.Type)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	<-handled
+	if r := tp.next(t, wire.TPageReply); r.Words[4] != 0 {
+		t.Fatalf("reply carries word 4 = %d, want the copy taken before the store", r.Words[4])
+	}
+	wn := tp.next(t, wire.TWriteNotice)
+	n.handle(1, wire.Frame{Type: wire.TNoticeAck, A: wn.A, B: wn.B})
+	<-flushed
+}
+
+// TestKeptCopyServesLoadsUntilNoticed: a release leaves the flusher's
+// copy valid — the next load is a hit, with no page request — and the
+// node registered, so another rank's diff of the page reaches it as a
+// notice and only then costs a refetch.
+func TestKeptCopyServesLoadsUntilNoticed(t *testing.T) {
+	n, tp := tapNode()
+	base := remotePage * apps.PageWords
+	fetchRemote(t, n, tp, map[int]int64{9: 90})
+	p := n.newProc(0)
+	p.Store(base+3, 30)
+	epoch := n.epoch.Load()
+	d := flushRemote(t, n, tp)
+	if want := (wire.Frame{Type: wire.TDiff, A: remotePage, B: d.B, Offs: []int32{3, 1}, Words: []int64{30}}); !wire.Equal(d, want) {
+		t.Fatalf("release sent %+v, want %+v", d, want)
+	}
+	if !n.validLocked(remotePage) || n.epoch.Load() != epoch {
+		t.Fatal("the release invalidated the flusher's own copy")
+	}
+	if n.cache[remotePage].twin != nil {
+		t.Error("the release left the page twinned")
+	}
+	for off, want := range map[int]int64{3: 30, 9: 90} {
+		if got := p.Load(base + off); got != want {
+			t.Errorf("word %d = %d from the kept copy, want %d", off, got, want)
+		}
+	}
+	tp.quiet(t, "loads from a kept copy")
+
+	// A third rank's diff reached the home, which still lists us.
+	notice(t, n, tp)
+	if got := loadRemote(t, n, tp, p, 9, map[int]int64{3: 30, 9: 91}); got != 91 {
+		t.Errorf("load after the notice = %d, want the home's 91", got)
+	}
+}
+
+// TestRemoteDiffVisibleToHomeReader: a home processor that has read a
+// page keeps its frame for lock-free hits, and the frame is the master
+// copy, so a remote diff applied by the handler is visible to its very
+// next load — no invalidation, no epoch bump, no frame but the ack.
+func TestRemoteDiffVisibleToHomeReader(t *testing.T) {
+	n, tp := tapNode()
+	p := n.newProc(0)
+	base := homePage * apps.PageWords
+	if got := p.Load(base + 6); got != 0 {
+		t.Fatalf("fresh home page reads %d", got)
+	}
+	epoch := n.epoch.Load()
+	n.handle(1, wire.Frame{Type: wire.TDiff, A: homePage, B: 9, Offs: []int32{6, 2}, Words: []int64{60, 70}})
+	if ack := tp.next(t, wire.TFlushAck); ack.A != homePage || ack.B != 9 {
+		t.Fatalf("flush ack names page %d token %d, want page %d token 9", ack.A, ack.B, homePage)
+	}
+	if p.last.page != homePage || n.epoch.Load() != epoch {
+		t.Fatal("the diff cost the home reader its cached frame")
+	}
+	if got := p.Load(base + 7); got != 70 {
+		t.Errorf("home reader sees word 7 = %d after the diff, want 70", got)
+	}
+	tp.quiet(t, "home load after a remote diff")
+}
+
+// TestMigratoryHandOffGivesCopyUp scripts both ends of a record passed
+// back and forth under a lock. Away from the home: the first release
+// keeps the copy; the home's next release then invalidates it, which is
+// the evidence; every later release gives the copy up in its diff
+// (C=1). At the home: a sharer that gave its copy up is no longer
+// registered, so the home's releases send nothing.
+func TestMigratoryHandOffGivesCopyUp(t *testing.T) {
+	n, tp := tapNode()
+	p := n.newProc(0)
+	base := remotePage * apps.PageWords
+	wantC := []int64{0, 1, 1}
+	for round, c := range wantC {
+		// Lock; the record arrives; increment; unlock.
+		p.Store(base, loadRemote(t, n, tp, p, 0, map[int]int64{0: int64(2 * round)})+1)
+		if d := flushRemote(t, n, tp); d.C != c || len(d.Words) != 1 || d.Words[0] != int64(2*round+1) {
+			t.Fatalf("round %d: release sent %+v, want word %d with C=%d", round, d, 2*round+1, c)
+		}
+		if kept := n.validLocked(remotePage); kept != (c == 0) {
+			t.Fatalf("round %d: copy valid = %v after a diff with C=%d", round, kept, c)
+		}
+		// The other side's turn. Only a registered copy hears of it.
+		if c == 0 {
+			notice(t, n, tp)
+		}
+	}
+
+	// The home's end, on the page this node homes.
+	home := homePage * apps.PageWords
+	for round := int64(0); round < 2; round++ {
+		n.handle(1, wire.Frame{Type: wire.TPageReq, A: homePage, C: 1<<32 | (round + 1)})
+		tp.next(t, wire.TPageReply)
+		n.handle(1, wire.Frame{Type: wire.TDiff, A: homePage, B: 1<<32 | (round + 1), C: 1, Offs: []int32{0, 1}, Words: []int64{2*round + 1}})
+		tp.next(t, wire.TFlushAck)
+		p.Store(home, p.Load(home)+1)
+		n.flush(0) // would block on the fence if it had sent a notice
+		tp.quiet(t, "home release after the sharer gave its copy up")
+	}
+	if got := p.Load(home); got != 4 {
+		t.Errorf("record = %d after four increments", got)
+	}
+}
+
+// TestFalseSharingKeepsCopyAfterOneGiveUp: two ranks write different
+// words of one page and release often. Giving the copy up buys nothing
+// there — the node refetches at once for its own next store and the
+// other writer's notice hits the fresh copy all the same — so the first
+// give-up that is followed by a refetch and another notice before the
+// node's next diff is the last: later diffs keep the copy (C=0).
+func TestFalseSharingKeepsCopyAfterOneGiveUp(t *testing.T) {
+	n, tp := tapNode()
+	p := n.newProc(0)
+	base := remotePage * apps.PageWords
+	// Each round: refetch if the copy is gone, store our word, take the
+	// other writer's notice mid-interval, release.
+	wantC := []int64{1, 0, 0, 0} // the first notice is evidence, the second that giving up was wasted
+	for round, c := range wantC {
+		v := int64(round + 1)
+		if !n.validLocked(remotePage) {
+			loadRemote(t, n, tp, p, 1, map[int]int64{0: v - 1, 1: 10 * v})
+		}
+		p.Store(base, v)
+		notice(t, n, tp)
+		if d := flushRemote(t, n, tp); d.C != 0 {
+			t.Fatalf("round %d: a copy already invalidated was given up: %+v", round, d)
+		}
+		// Refetch for the next store, and release again with the copy
+		// valid: this is the diff that decides.
+		loadRemote(t, n, tp, p, 1, map[int]int64{0: v, 1: 10*v + 1})
+		p.Store(base+2, v)
+		if d := flushRemote(t, n, tp); d.C != c {
+			t.Fatalf("round %d: release sent C=%d, want %d: %+v", round, d.C, c, d)
+		}
+		if kept := n.validLocked(remotePage); kept != (c == 0) {
+			t.Fatalf("round %d: copy valid = %v after a diff with C=%d", round, kept, c)
+		}
+	}
+	if cp := &n.cache[remotePage]; !cp.keep {
+		t.Error("the wasted give-up did not set the sticky keep")
+	}
 }
 
 // TestMalformedFramesPanicAttributed feeds the handler frames no
@@ -634,10 +990,20 @@ func TestMalformedFramesPanicAttributed(t *testing.T) {
 			"malformed diff of page 0 from rank 1"},
 		{"diff with half a run", wire.Frame{Type: wire.TDiff, A: 0, Offs: []int32{0, 1, 2}, Words: []int64{1}},
 			"malformed diff of page 0 from rank 1"},
+		{"diff with a give-up mark outside {0,1}", wire.Frame{Type: wire.TDiff, A: 0, C: 2, Offs: []int32{0, 1}, Words: []int64{1}},
+			"malformed diff of page 0 from rank 1: runs [0 1] over 1 words of a 1024-word page, give-up mark 2"},
+		{"diff with a negative give-up mark", wire.Frame{Type: wire.TDiff, A: 0, C: -1, Offs: []int32{0, 1}, Words: []int64{1}},
+			"malformed diff of page 0 from rank 1"},
 		{"page reply beyond the space", wire.Frame{Type: wire.TPageReply, A: 2, Words: make([]int64, pw)},
 			"received a page-reply frame from rank 1 for page 2 of 2"},
 		{"short page reply", wire.Frame{Type: wire.TPageReply, A: remotePage, Words: make([]int64, 3)},
 			"received a 3-word reply for page 1 from rank 1, want 1024 words"},
+		{"page reply for a page homed here", wire.Frame{Type: wire.TPageReply, A: 0, Words: make([]int64, pw)},
+			"received a page-reply frame from rank 1 for page 0, which it homes"},
+		{"write notice for a page homed here", wire.Frame{Type: wire.TWriteNotice, A: 0},
+			"received a write-notice frame from rank 1 for page 0, which it homes"},
+		{"notice ack to the wrong home", wire.Frame{Type: wire.TNoticeAck, A: remotePage, B: 5},
+			"rank 0 asked for page 1, homed on rank 1 (notice-ack frame from rank 1"},
 		{"write notice beyond the space", wire.Frame{Type: wire.TWriteNotice, A: -1},
 			"received a write-notice frame from rank 1 for page -1 of 2"},
 		{"notice ack nobody waits for", wire.Frame{Type: wire.TNoticeAck, A: 0, B: 5},

@@ -27,6 +27,7 @@
 package tcpchan
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -238,12 +239,22 @@ func (e *Endpoint) SetHandler(h func(from int, f wire.Frame)) {
 	go e.dispatch()
 }
 
+// readBuffer is each peer stream's read buffer: eight full-page frames,
+// or a few hundred of the small frames synchronization is made of, per
+// read system call.
+const readBuffer = 64 << 10
+
 // readLoop decodes rank's stream into the shared inbox until the
-// stream ends.
+// stream ends. It reads through a buffer: a frame is a header and a
+// body, two reads, and unbuffered a burst of small frames costs two
+// system calls each. (Connect's hello exchange reads the connection
+// directly, exactly one frame, so no byte of the stream is stranded
+// in a buffer nobody owns.)
 func (e *Endpoint) readLoop(rank int, pc *conn) {
 	defer e.readers.Done()
+	br := bufio.NewReaderSize(pc.c, readBuffer)
 	for {
-		f, err := wire.ReadFrame(pc.c)
+		f, err := wire.ReadFrame(br)
 		if err != nil {
 			e.mu.Lock()
 			if !e.closed && e.failure == nil {

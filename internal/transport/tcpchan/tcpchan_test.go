@@ -12,7 +12,7 @@ import (
 
 // dialMesh builds an n-rank loopback mesh in-process and returns the
 // endpoints.
-func dialMesh(t *testing.T, n int) []*Endpoint {
+func dialMesh(t testing.TB, n int) []*Endpoint {
 	t.Helper()
 	listeners := make([]net.Listener, n)
 	addrs := make([]string, n)
@@ -214,10 +214,77 @@ func TestConcurrentSenders(t *testing.T) {
 	}
 	wg.Wait()
 	<-all
-	eps[0].Close()
+	// The receiver closes first: once the sender's end of the stream is
+	// gone the receiver's reader sees an EOF, which is a stream failure
+	// to an endpoint that has not itself been closed yet.
 	eps[1].Close()
+	eps[0].Close()
 	if err := eps[1].Err(); err != nil {
 		t.Fatalf("receiver recorded stream failure: %v", err)
+	}
+}
+
+// BenchmarkRoundTrip is one small frame there and one back over
+// loopback, a lock request and its grant: two sends, two reader
+// wake-ups, two dispatches.
+func BenchmarkRoundTrip(b *testing.B) {
+	eps := dialMesh(b, 2)
+	back := make(chan struct{}, 1)
+	eps[0].SetHandler(func(int, wire.Frame) { back <- struct{}{} })
+	eps[1].SetHandler(func(_ int, f wire.Frame) {
+		if err := eps[1].Send(0, wire.Frame{Type: wire.TLockGrant, A: f.A}); err != nil {
+			b.Error(err)
+		}
+	})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := eps[0].Send(1, wire.Frame{Type: wire.TLockReq, A: int64(i)}); err != nil {
+			b.Fatal(err)
+		}
+		<-back
+	}
+	b.StopTimer()
+	eps[1].Close()
+	eps[0].Close()
+}
+
+// BenchmarkStream sends frames one way as fast as the sender can write
+// them and stops the clock when the receiver has dispatched the last:
+// full-page replies for bandwidth, barrier-sized frames for the
+// per-frame cost a buffered reader amortizes.
+func BenchmarkStream(b *testing.B) {
+	const pageWords = 1024
+	for _, tc := range []struct {
+		name string
+		f    wire.Frame
+	}{
+		{"page", wire.Frame{Type: wire.TPageReply, Words: make([]int64, pageWords)}},
+		{"small", wire.Frame{Type: wire.TBarArrive, B: 1}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			eps := dialMesh(b, 2)
+			done := make(chan struct{})
+			last := int64(b.N)
+			eps[0].SetHandler(func(int, wire.Frame) {})
+			eps[1].SetHandler(func(_ int, f wire.Frame) {
+				if f.A == last {
+					close(done)
+				}
+			})
+			f := tc.f
+			b.SetBytes(int64(wire.EncodedLen(f)))
+			b.ResetTimer()
+			for i := 1; i <= b.N; i++ {
+				f.A = int64(i)
+				if err := eps[0].Send(1, f); err != nil {
+					b.Fatal(err)
+				}
+			}
+			<-done
+			b.StopTimer()
+			eps[1].Close()
+			eps[0].Close()
+		})
 	}
 }
 

@@ -65,7 +65,9 @@ const (
 	// THello opens a connection: A=Magic, B=Version, C=sender rank.
 	THello Type = iota + 1
 	// TDiff carries released modifications to a page's home:
-	// A=page, B=ack token, Offs=paired (start,count) runs,
+	// A=page, B=ack token, C=1 when the sender gave its copy of the
+	// page up with this diff and is to be struck from the sharer
+	// set, 0 when it keeps the copy, Offs=paired (start,count) runs,
 	// Words=the runs' values concatenated.
 	TDiff
 	// TWriteNotice invalidates: A=page, B=ack token (echoed in
