@@ -20,7 +20,9 @@ package main
 // to every child's stdin. The children then build the all-pairs mesh
 // (tcpchan.Connect), run the application, and exit 0 on a verified
 // result. Everything else a child writes is streamed through the
-// parent: rank 0 verbatim, other ranks prefixed "[node R] ".
+// parent: rank 0 verbatim, other ranks prefixed "[node R] ". Rank 0's
+// summary ends with its wall time inside mprun.Run and the frames and
+// megabytes it sent, counted at its endpoint.
 //
 // # Observability
 //
@@ -105,8 +107,9 @@ func runMPChild(o cli.RunOptions, app apps.App, rank, nodes int) int {
 
 	// The child sees the parent's flags verbatim: -trace enables the
 	// rank-local tracer (the parent writes the merged file), and either
-	// -trace or -http enables frame statistics. The child itself never
-	// binds -http — the parent serves the aggregate.
+	// -trace or -http makes the child report frame statistics. Rank 0
+	// counts its frames regardless, for the summary's last line. The
+	// child itself never binds -http — the parent serves the aggregate.
 	var (
 		tr    *trace.Tracer
 		epoch int64
@@ -116,14 +119,15 @@ func runMPChild(o cli.RunOptions, app apps.App, rank, nodes int) int {
 		epoch = time.Now().UnixNano()
 		tr = trace.New(trace.Config{Procs: o.PPN + 1})
 	}
-	if o.Trace != "" || o.HTTP != "" {
+	observed := o.Trace != "" || o.HTTP != ""
+	if observed || rank == 0 {
 		stats = transport.NewFrameStats(nodes)
 		ep.SetStats(stats)
 	}
 
 	report := func(final bool) metrics.MPReport {
 		rep := metrics.MPReport{Rank: rank, Nodes: nodes, PPN: o.PPN, App: app.Name(), Final: final}
-		if stats != nil {
+		if observed {
 			s := stats.Snapshot()
 			rep.Frames = &s
 		}
@@ -147,7 +151,7 @@ func runMPChild(o cli.RunOptions, app apps.App, rank, nodes int) int {
 		outMu.Unlock()
 	}
 	stopObs := func() {}
-	if stats != nil && o.MPStatsInterval > 0 {
+	if observed && o.MPStatsInterval > 0 {
 		stop := make(chan struct{})
 		var obsWG sync.WaitGroup
 		obsWG.Add(1)
@@ -168,19 +172,28 @@ func runMPChild(o cli.RunOptions, app apps.App, rank, nodes int) int {
 	}
 
 	cfg := mprun.Config{Rank: rank, Nodes: nodes, PPN: o.PPN, Model: costs.Default(), Tracer: tr}
+	start := time.Now()
 	runErr := mprun.Run(app, cfg, ep)
+	wall := time.Since(start)
 	stopObs()
 	if runErr != nil {
 		fmt.Fprintf(os.Stderr, "cashmere-run: node %d: %v\n", rank, runErr)
 		return 1
 	}
-	if stats != nil || tr != nil {
+	if observed {
 		emit(report(true))
 	}
 	if rank == 0 {
 		fmt.Printf("%s on %d:%d over tcp — %s\n", app.Name(), nodes*o.PPN, o.PPN, app.DataSet())
 		fmt.Printf("verified against sequential reference: OK\n")
 		fmt.Printf("%d OS processes over loopback, %d procs/node\n", nodes, o.PPN)
+		var frames, bytes int64
+		for _, fl := range stats.Snapshot().Sent {
+			frames += fl.Frames
+			bytes += fl.Bytes
+		}
+		fmt.Printf("rank 0: %.3f s in the runtime (verification included), %d frames and %.2f MB sent\n",
+			wall.Seconds(), frames, float64(bytes)/(1<<20))
 	}
 	return 0
 }

@@ -98,8 +98,22 @@
 // handler sends both, in order, for remote writers' diffs; but a home
 // processor's flush sends its notices from the processor's goroutine,
 // so the handler sends each TPageReply before it releases the node
-// mutex it copied the page under, and the flush sends under the same
-// mutex.
+// mutex, and the flush sends under the same mutex.
+//
+// # Frame memory
+//
+// The runtime builds no buffer per frame and leaves the Messenger none
+// to build: Send borrows a frame's slices until it returns and the
+// handler borrows them until it returns (the transport.Messenger
+// contract). A page reply's Words are the master copy itself, and every
+// diff of a release goes out from the node's one run scratch, overwritten
+// for the next page as soon as Send is back. Both sends happen under the
+// node mutex, which is what orders the transport's reading of a master
+// copy against the plain stores of the home's own processors; remote
+// diffs reach it in the handler, under the same mutex. What arrives is
+// copied where it belongs before the handler returns — a reply into the
+// node's frame of the page, a diff's runs into the master — and no slice
+// of a received frame is kept.
 //
 // # Access path
 //
@@ -513,7 +527,9 @@ func (n *node) checkDiff(from int, f wire.Frame) {
 
 // handle processes one incoming frame. The Messenger delivers frames
 // single-threaded, so this is the only goroutine mutating home and
-// coordinator state. Frames are validated before mu is taken.
+// coordinator state. Frames are validated before mu is taken; their
+// slices are the Messenger's again once handle returns, and every case
+// is done with them by then.
 func (n *node) handle(from int, f wire.Frame) {
 	switch f.Type {
 	case wire.TPageReq:
@@ -521,11 +537,13 @@ func (n *node) handle(from int, f wire.Frame) {
 		n.mu.Lock()
 		hp.sharers[from] = true
 		// Echo the requester's correlation id so it, and its transport
-		// layer, can pair the reply with the request. The reply goes out
-		// before mu is released: a home processor's flush sends notices
-		// under mu, and one for a store made after this copy was taken
-		// must not reach the requester ahead of the copy.
-		n.send(from, wire.Frame{Type: wire.TPageReply, A: f.A, C: f.C, Words: slices.Clone(hp.data)})
+		// layer, can pair the reply with the request. The reply is the
+		// master copy itself, lent to Send, and goes out before mu is
+		// released: no home store lands in it while Send reads it, and a
+		// home processor's flush sends notices under mu, so one for a
+		// store made after this copy was taken cannot reach the
+		// requester ahead of the copy.
+		n.send(from, wire.Frame{Type: wire.TPageReply, A: f.A, C: f.C, Words: hp.data})
 		n.mu.Unlock()
 
 	case wire.TPageReply:
@@ -844,11 +862,11 @@ func (n *node) flush(ring int) {
 		cp.gaveUp = giveUp == 1
 		sent++
 		n.emit(ring, trace.EvDiffOut, page, int64(len(n.runWords)), trace.PackWordSpan(lo, hi))
-		// The frame's slices pass to the home, so they are copies of
-		// the scratch, cut to size.
+		// Send only borrows the frame's slices, so the diff goes out
+		// from the scratch and the next page's runs may overwrite it.
 		n.send(n.homeOf(page), wire.Frame{
 			Type: wire.TDiff, A: int64(page), B: token, C: giveUp,
-			Offs: slices.Clone(n.runOffs), Words: slices.Clone(n.runWords),
+			Offs: n.runOffs, Words: n.runWords,
 		})
 	}
 	n.dirty = n.dirty[:0]

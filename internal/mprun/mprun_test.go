@@ -460,7 +460,9 @@ func TestStoresSurviveSiblingFlushes(t *testing.T) {
 
 // tap is a Messenger whose peers are the test itself: every frame the
 // node sends lands on sent, and the test plays the other ranks by
-// calling node.handle.
+// calling node.handle. Send only borrows a frame's slices — a page
+// reply's are the live master copy — so the tap keeps copies, taken
+// like a real mesh's before Send returns.
 type tap struct {
 	self, peers int
 	sent        chan tapped
@@ -482,7 +484,7 @@ func (tp *tap) Send(to int, f wire.Frame) error {
 	if tp.hold != nil {
 		tp.hold(f)
 	}
-	tp.sent <- tapped{to, f}
+	tp.sent <- tapped{to, f.Clone()}
 	return nil
 }
 
@@ -815,6 +817,65 @@ func TestReplyLeavesBeforeLaterStoresNotice(t *testing.T) {
 	}
 	wn := tp.next(t, wire.TWriteNotice)
 	n.handle(1, wire.Frame{Type: wire.TNoticeAck, A: wn.A, B: wn.B})
+	<-flushed
+}
+
+// TestReplyCarriesMasterAsOfSend: the home lends Send the master copy
+// itself, so what the requester gets is the page as it stood when Send
+// ran — under the node mutex, with every earlier home store in it and no
+// later one, though the same slice takes that store a moment after.
+func TestReplyCarriesMasterAsOfSend(t *testing.T) {
+	n, tp := tapNode()
+	p := n.newProc(0)
+	base := homePage * apps.PageWords
+	p.Store(base+2, 20)
+	n.handle(1, wire.Frame{Type: wire.TPageReq, A: homePage, C: 1<<32 | 1})
+	p.Store(base+2, 21)
+	p.Store(base+3, 31)
+	r := tp.next(t, wire.TPageReply)
+	if len(r.Words) != apps.PageWords || r.Words[2] != 20 || r.Words[3] != 0 {
+		t.Fatalf("reply carries %d words, word 2 = %d, word 3 = %d; want the page as of the send: %d words, 20, 0",
+			len(r.Words), r.Words[2], r.Words[3], apps.PageWords)
+	}
+	if got := p.Load(base + 2); got != 21 {
+		t.Errorf("master word 2 = %d after the later store, want 21", got)
+	}
+}
+
+// TestFlushReusesRunScratchBetweenDiffs: one release publishing two
+// pages builds both diffs in the same scratch. Each goes out whole
+// before the next is built over it.
+func TestFlushReusesRunScratchBetweenDiffs(t *testing.T) {
+	tp := &tap{self: 0, peers: 2, sent: make(chan tapped, 16)}
+	cfg := Config{Rank: 0, Nodes: 2, PPN: 2, Model: costs.Default()}
+	n := newNode(cfg, tp, apps.Shape{SharedWords: 4 * apps.PageWords})
+	p := n.newProc(0)
+	for _, page := range []int{1, 3} { // both homed on rank 1
+		stored := make(chan struct{})
+		go func() {
+			p.Store(page*apps.PageWords+page, int64(10*page))
+			p.Store(page*apps.PageWords+page+1, int64(10*page+1))
+			close(stored)
+		}()
+		n.handle(1, reply(tp.next(t, wire.TPageReq), nil))
+		<-stored
+	}
+	flushed := make(chan struct{})
+	go func() { n.flush(0); close(flushed) }()
+	first, second := tp.next(t, wire.TDiff), tp.next(t, wire.TDiff)
+	for _, tc := range []struct {
+		got  wire.Frame
+		page int32
+	}{{first, 1}, {second, 3}} {
+		want := wire.Frame{Type: wire.TDiff, A: int64(tc.page), B: tc.got.B,
+			Offs: []int32{tc.page, 2}, Words: []int64{int64(10 * tc.page), int64(10*tc.page + 1)}}
+		if !wire.Equal(tc.got, want) {
+			t.Errorf("release sent %+v, want %+v", tc.got, want)
+		}
+	}
+	for _, d := range []wire.Frame{first, second} {
+		n.handle(1, wire.Frame{Type: wire.TFlushAck, A: d.A, B: d.B})
+	}
 	<-flushed
 }
 

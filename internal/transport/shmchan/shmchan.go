@@ -398,7 +398,9 @@ func (e *Endpoint) Self() int { return e.self }
 func (e *Endpoint) Peers() int { return len(e.mesh.eps) }
 
 // Send delivers f to endpoint to in arrival order; sending to self
-// loops the frame through the local handler like any other.
+// loops the frame through the local handler like any other. What is
+// queued is the frame struct, so Send copies f's slices: they are the
+// caller's again when it returns, and the copies are the receiver's.
 func (e *Endpoint) Send(to int, f wire.Frame) error {
 	if to < 0 || to >= len(e.mesh.eps) {
 		return fmt.Errorf("shmchan: send to invalid endpoint %d", to)
@@ -406,13 +408,14 @@ func (e *Endpoint) Send(to int, f wire.Frame) error {
 	if e.stats != nil {
 		e.stats.RecordSend(to, f)
 	}
+	q := queued{from: e.self, f: f.Clone()}
 	dst := e.mesh.eps[to]
 	dst.mu.Lock()
 	if dst.closed {
 		dst.mu.Unlock()
 		return fmt.Errorf("shmchan: endpoint %d is closed", to)
 	}
-	dst.queue = append(dst.queue, queued{from: e.self, f: f})
+	dst.queue = append(dst.queue, q)
 	dst.mu.Unlock()
 	dst.cond.Signal()
 	return nil

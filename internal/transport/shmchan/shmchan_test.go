@@ -373,6 +373,72 @@ func TestInterfaceSatisfaction(t *testing.T) {
 	var _ transport.Messenger = (*Endpoint)(nil)
 }
 
+// BenchmarkRoundTrip is one small frame there and one back, a lock
+// request and its grant: two sends, two dispatcher wake-ups. It mirrors
+// tcpchan's benchmark of the same name.
+func BenchmarkRoundTrip(b *testing.B) {
+	b.ReportAllocs()
+	m := NewMesh(2)
+	back := make(chan struct{}, 1)
+	m.Endpoint(0).SetHandler(func(int, wire.Frame) { back <- struct{}{} })
+	m.Endpoint(1).SetHandler(func(_ int, f wire.Frame) {
+		if err := m.Endpoint(1).Send(0, wire.Frame{Type: wire.TLockGrant, A: f.A}); err != nil {
+			b.Error(err)
+		}
+	})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.Endpoint(0).Send(1, wire.Frame{Type: wire.TLockReq, A: int64(i)}); err != nil {
+			b.Fatal(err)
+		}
+		<-back
+	}
+	b.StopTimer()
+	m.Endpoint(1).Close()
+	m.Endpoint(0).Close()
+}
+
+// BenchmarkStream sends frames one way as fast as Send returns and stops
+// the clock when the receiver has dispatched the last, as tcpchan's
+// does. A page frame costs the copy Send makes of its words; a small
+// frame, the queue and the wake-up.
+func BenchmarkStream(b *testing.B) {
+	const pageWords = 1024
+	for _, tc := range []struct {
+		name string
+		f    wire.Frame
+	}{
+		{"page", wire.Frame{Type: wire.TPageReply, Words: make([]int64, pageWords)}},
+		{"small", wire.Frame{Type: wire.TBarArrive, B: 1}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			m := NewMesh(2)
+			done := make(chan struct{})
+			last := int64(b.N)
+			m.Endpoint(0).SetHandler(func(int, wire.Frame) {})
+			m.Endpoint(1).SetHandler(func(_ int, f wire.Frame) {
+				if f.A == last {
+					close(done)
+				}
+			})
+			f := tc.f
+			b.SetBytes(int64(wire.EncodedLen(f)))
+			b.ResetTimer()
+			for i := 1; i <= b.N; i++ {
+				f.A = int64(i)
+				if err := m.Endpoint(0).Send(1, f); err != nil {
+					b.Fatal(err)
+				}
+			}
+			<-done
+			b.StopTimer()
+			m.Endpoint(1).Close()
+			m.Endpoint(0).Close()
+		})
+	}
+}
+
 func ExampleNetwork() {
 	n := New(2, costs.Default())
 	r := n.NewRegion(1, true)

@@ -24,11 +24,22 @@
 // frames are funneled into a single dispatcher goroutine, so the
 // handler installed with SetHandler is never invoked concurrently —
 // protocol state above needs no locking against itself.
+//
+// # Frame memory
+//
+// Neither side builds a buffer per frame. Send encodes into a buffer
+// the connection keeps, so the caller's slices are its own again when
+// Send returns. A peer's reader decodes through one wire.Reader per
+// stream into payload slices taken from the endpoint's recycled lists,
+// and the dispatcher puts them back when the handler returns, which is
+// why the handler may not keep them (the transport.Messenger contract).
+// A frame sent to self is copied into slices from the same lists.
 package tcpchan
 
 import (
 	"bufio"
 	"fmt"
+	"math/bits"
 	"net"
 	"sync"
 	"time"
@@ -46,9 +57,12 @@ type Endpoint struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	inbox   []delivery
+	spare   []delivery // the dispatcher's last batch, the next inbox
 	started bool
 	closed  bool
 	failure error
+
+	pool recycler
 
 	stats   *transport.FrameStats
 	handler func(from int, f wire.Frame)
@@ -62,10 +76,102 @@ type delivery struct {
 }
 
 // conn is one peer stream with its write lock (frames are single
-// writes, serialized so concurrent senders cannot interleave bytes).
+// writes, serialized so concurrent senders cannot interleave bytes) and,
+// under that lock, the buffer every frame is encoded into. The buffer
+// grows to the largest frame sent on the stream.
 type conn struct {
-	c  net.Conn
-	wm sync.Mutex
+	c    net.Conn
+	wm   sync.Mutex
+	wbuf []byte
+}
+
+// shelf holds recycled slices of one element type, a list per
+// power-of-two capacity: list c holds slices of capacity 1<<c. A
+// request is served from the list of the smallest capacity that fits
+// it, or by a new slice of that capacity when the list is empty — no
+// search, and no slice ever serves a request half its size or smaller.
+type shelf[T any] [bits.UintSize][][]T
+
+// get returns a slice of length n > 0 whose elements are unspecified.
+func (s *shelf[T]) get(n int) []T {
+	c := bits.Len(uint(n - 1))
+	if l := s[c]; len(l) > 0 {
+		b := l[len(l)-1]
+		s[c] = l[:len(l)-1]
+		return b[:n]
+	}
+	return make([]T, n, 1<<c)
+}
+
+// copyOf returns src copied into a slice from get, nil for none.
+func (s *shelf[T]) copyOf(src []T) []T {
+	if len(src) == 0 {
+		return nil
+	}
+	b := s.get(len(src))
+	copy(b, src)
+	return b
+}
+
+// put takes back a slice get returned.
+func (s *shelf[T]) put(b []T) {
+	if cap(b) > 0 {
+		c := bits.TrailingZeros(uint(cap(b)))
+		s[c] = append(s[c], b)
+	}
+}
+
+// recycler owns the payload slices of the frames an endpoint delivers:
+// readers and self-sends take them, the dispatcher gives them back when
+// the handler has returned. It never frees, and it holds only what is
+// not in flight: of each capacity, no more slices than were once queued
+// for the handler together — the deepest burst the endpoint has seen.
+// Whether a request finds a slice depends on how far the dispatcher lags
+// the readers, but every miss deepens a list for good, so what a run
+// allocates here is set by its deepest burst, not by its length.
+type recycler struct {
+	mu  sync.Mutex
+	i32 shelf[int32]
+	i64 shelf[int64]
+}
+
+var _ wire.Allocator = (*recycler)(nil)
+
+func (r *recycler) Int32s(n int) []int32 {
+	r.mu.Lock()
+	b := r.i32.get(n)
+	r.mu.Unlock()
+	return b
+}
+
+func (r *recycler) Int64s(n int) []int64 {
+	r.mu.Lock()
+	b := r.i64.get(n)
+	r.mu.Unlock()
+	return b
+}
+
+// clone returns f with its slices copied into recycled ones.
+func (r *recycler) clone(f wire.Frame) wire.Frame {
+	if len(f.Pages) == 0 && len(f.Offs) == 0 && len(f.Words) == 0 {
+		return f
+	}
+	r.mu.Lock()
+	f.Pages, f.Offs, f.Words = r.i32.copyOf(f.Pages), r.i32.copyOf(f.Offs), r.i64.copyOf(f.Words)
+	r.mu.Unlock()
+	return f
+}
+
+// reclaim takes back the slices of a delivered frame.
+func (r *recycler) reclaim(f wire.Frame) {
+	if cap(f.Pages) == 0 && cap(f.Offs) == 0 && cap(f.Words) == 0 {
+		return
+	}
+	r.mu.Lock()
+	r.i32.put(f.Pages)
+	r.i32.put(f.Offs)
+	r.i64.put(f.Words)
+	r.mu.Unlock()
 }
 
 var _ transport.Messenger = (*Endpoint)(nil)
@@ -185,9 +291,11 @@ func (e *Endpoint) Self() int { return e.self }
 // Peers returns the number of ranks in the mesh.
 func (e *Endpoint) Peers() int { return len(e.conns) }
 
-// Send delivers f to rank to. Sending to self enqueues the frame on
-// the local dispatcher like any received frame, preserving the
-// per-source order of a node's messages to itself.
+// Send delivers f to rank to and is done with f's slices when it
+// returns: a frame for a peer has been encoded and written by then, and
+// a frame to self is copied. Sending to self enqueues the frame on the
+// local dispatcher like any received frame, preserving the per-source
+// order of a node's messages to itself.
 func (e *Endpoint) Send(to int, f wire.Frame) error {
 	if to < 0 || to >= len(e.conns) {
 		return fmt.Errorf("tcpchan: send to invalid rank %d", to)
@@ -196,19 +304,21 @@ func (e *Endpoint) Send(to int, f wire.Frame) error {
 		e.stats.RecordSend(to, f)
 	}
 	if to == e.self {
+		d := delivery{from: e.self, f: e.pool.clone(f)}
 		e.mu.Lock()
 		if e.closed {
 			e.mu.Unlock()
 			return fmt.Errorf("tcpchan: endpoint is closed")
 		}
-		e.inbox = append(e.inbox, delivery{from: e.self, f: f})
+		e.inbox = append(e.inbox, d)
 		e.mu.Unlock()
 		e.cond.Signal()
 		return nil
 	}
 	pc := e.conns[to]
 	pc.wm.Lock()
-	err := wire.WriteFrame(pc.c, f)
+	pc.wbuf = wire.Append(pc.wbuf[:0], f)
+	_, err := pc.c.Write(pc.wbuf)
 	pc.wm.Unlock()
 	if err != nil {
 		return fmt.Errorf("tcpchan: send to rank %d: %w", to, err)
@@ -252,9 +362,9 @@ const readBuffer = 64 << 10
 // in a buffer nobody owns.)
 func (e *Endpoint) readLoop(rank int, pc *conn) {
 	defer e.readers.Done()
-	br := bufio.NewReaderSize(pc.c, readBuffer)
+	rd := wire.NewReader(bufio.NewReaderSize(pc.c, readBuffer), &e.pool)
 	for {
-		f, err := wire.ReadFrame(br)
+		f, err := rd.Read()
 		if err != nil {
 			e.mu.Lock()
 			if !e.closed && e.failure == nil {
@@ -272,7 +382,9 @@ func (e *Endpoint) readLoop(rank int, pc *conn) {
 }
 
 // dispatch runs the handler over the inbox in arrival order, one frame
-// at a time.
+// at a time, and takes each frame's slices back as the handler returns.
+// A batch it has worked through is the spare its next swap installs as
+// the inbox, so the two grow to the deepest burst and no further.
 func (e *Endpoint) dispatch() {
 	defer close(e.done)
 	for {
@@ -285,14 +397,16 @@ func (e *Endpoint) dispatch() {
 			return
 		}
 		batch := e.inbox
-		e.inbox = nil
+		e.inbox = e.spare[:0]
 		e.mu.Unlock()
 		for _, d := range batch {
 			if e.stats != nil {
 				e.stats.RecordRecv(d.from, d.f)
 			}
 			e.handler(d.from, d.f)
+			e.pool.reclaim(d.f)
 		}
+		e.spare = batch
 	}
 }
 

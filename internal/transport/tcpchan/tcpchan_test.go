@@ -224,10 +224,137 @@ func TestConcurrentSenders(t *testing.T) {
 	}
 }
 
+// TestFrameAllocations pins what a frame costs the heap on a warmed
+// pair: nothing — the sender encodes into its connection's buffer, the
+// receiver decodes into slices an earlier frame gave back. Each
+// operation sends one frame from rank 0 and waits for rank 1's handler
+// to have seen it or, for a lock request, for rank 0's to have seen the
+// grant. The limits leave one allocation an operation for the runtime's
+// own doing (testing.AllocsPerRun counts the whole process); the four
+// buffers a page and eight a round trip of a buffer-per-frame path are
+// well clear of them.
+func TestFrameAllocations(t *testing.T) {
+	eps := dialMesh(t, 2)
+	handled := make(chan struct{}, 1)
+	eps[0].SetHandler(func(int, wire.Frame) { handled <- struct{}{} })
+	eps[1].SetHandler(func(_ int, f wire.Frame) {
+		if f.Type != wire.TLockReq {
+			handled <- struct{}{}
+		} else if err := eps[1].Send(0, wire.Frame{Type: wire.TLockGrant, A: f.A}); err != nil {
+			t.Error(err)
+		}
+	})
+	defer eps[0].Close()
+	defer eps[1].Close()
+	beat := func(f wire.Frame) {
+		if err := eps[0].Send(1, f); err != nil {
+			t.Fatal(err)
+		}
+		<-handled
+	}
+	page := wire.Frame{Type: wire.TPageReply, Words: make([]int64, 1024)}
+	diff := wire.Frame{Type: wire.TDiff, Offs: make([]int32, 6), Words: make([]int64, 300)}
+	trip := wire.Frame{Type: wire.TLockReq, A: 3, B: 1}
+	for i := 0; i < 20; i++ {
+		beat(page)
+		beat(diff)
+		beat(trip)
+	}
+	for _, tc := range []struct {
+		name string
+		f    wire.Frame
+	}{
+		{"a page frame sent and handled", page},
+		{"a diff frame sent and handled", diff},
+		{"a small-frame round trip", trip},
+	} {
+		got := testing.AllocsPerRun(200, func() { beat(tc.f) })
+		t.Logf("%s: %v allocations", tc.name, got)
+		if got > 1 {
+			t.Errorf("%s costs %v allocations, want at most 1", tc.name, got)
+		}
+	}
+}
+
+// held returns how many slices the shelf holds of each capacity.
+func (s *shelf[T]) held() map[int]int {
+	m := map[int]int{}
+	for c, l := range s {
+		if len(l) > 0 {
+			m[1<<c] = len(l)
+		}
+	}
+	return m
+}
+
+// TestRecycledMemoryBoundedByDeepestBurst: an endpoint holds, of each
+// capacity, no more recycled slices than it once had queued for the
+// handler. One frame as large as the wire allows leaves one slice of
+// its size behind; the thousand page frames that follow never use that
+// slice, and leave no more of their own than the one burst that piled
+// up behind a stalled handler was deep — one at a time needs two.
+func TestRecycledMemoryBoundedByDeepestBurst(t *testing.T) {
+	const burst, pageWords = 8, 1024
+	eps := dialMesh(t, 2)
+	handled := make(chan struct{}, 1+burst) // the stalled frame and the burst behind it
+	stall := make(chan struct{})
+	eps[0].SetHandler(func(int, wire.Frame) {})
+	eps[1].SetHandler(func(_ int, f wire.Frame) {
+		if f.Type == wire.TFlagSet {
+			<-stall
+		}
+		handled <- struct{}{}
+	})
+	send := func(f wire.Frame) {
+		t.Helper()
+		if err := eps[0].Send(1, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	header := wire.EncodedLen(wire.Frame{}) - 4
+	largest := wire.Frame{Type: wire.TRegionWrite, Words: make([]int64, (wire.MaxFrameBytes-header)/8)}
+	send(largest)
+	<-handled
+
+	page := wire.Frame{Type: wire.TPageReply, Words: make([]int64, pageWords)}
+	send(wire.Frame{Type: wire.TFlagSet})
+	for i := 0; i < burst; i++ {
+		send(page)
+	}
+	close(stall)
+	for i := 0; i < 1+burst; i++ {
+		<-handled
+	}
+	for i := burst; i < 1000; i++ {
+		send(page)
+		<-handled
+	}
+	eps[1].Close()
+	eps[0].Close()
+	if err := eps[1].Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	pool := &eps[1].pool
+	words := pool.i64.held()
+	if n := words[pageWords]; n < 1 || n > burst {
+		t.Errorf("%d page-sized slices held after a deepest burst of %d", n, burst)
+	}
+	delete(words, pageWords)
+	if ceil := 1 << 19; len(words) != 1 || words[ceil] != 1 {
+		t.Errorf("besides pages, slices held by capacity: %v; want the one of %d words the largest frame took", words, ceil)
+	}
+	if lists := pool.i32.held(); len(lists) != 0 {
+		t.Errorf("int32 slices held by capacity: %v; no frame carried any", lists)
+	}
+}
+
 // BenchmarkRoundTrip is one small frame there and one back over
 // loopback, a lock request and its grant: two sends, two reader
 // wake-ups, two dispatches.
 func BenchmarkRoundTrip(b *testing.B) {
+	b.ReportAllocs()
 	eps := dialMesh(b, 2)
 	back := make(chan struct{}, 1)
 	eps[0].SetHandler(func(int, wire.Frame) { back <- struct{}{} })
@@ -262,6 +389,7 @@ func BenchmarkStream(b *testing.B) {
 		{"small", wire.Frame{Type: wire.TBarArrive, B: 1}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
 			eps := dialMesh(b, 2)
 			done := make(chan struct{})
 			last := int64(b.N)

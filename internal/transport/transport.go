@@ -166,9 +166,26 @@ type Fabric interface {
 // Messenger is the explicit point-to-point messaging surface of a
 // fabric: the request/reply channel the Memory Channel's lack of
 // remote reads forces onto the protocol (page fetches, diffs,
-// synchronization traffic). Frames from one sender to one receiver
-// are delivered in send order; frames from different senders are
-// unordered relative to each other.
+// synchronization traffic).
+//
+// Delivery. Each endpoint runs its handler on one goroutine, one frame
+// at a time: two handler calls never overlap, whoever sent the frames.
+// Frames from one sender to one receiver are handled in send order;
+// frames from different senders are unordered relative to each other.
+// A frame sent to self joins the same queue as frames from peers and
+// is handled by the same goroutine, in order with the sender's other
+// frames to itself.
+//
+// Who owns a frame's slices (Pages, Offs, Words). Both sides borrow.
+// Send borrows from its caller: when it returns the slices are the
+// caller's again, to overwrite or to send once more, and nothing the
+// receiver sees changes with them. The handler borrows from the
+// transport: when it returns the slices are the transport's again —
+// it may decode the next frame into them — so a handler copies out what
+// it keeps and never writes into them; while it runs they are its alone
+// and hold what was sent. Which side pays for a copy is the backend's
+// business (shm copies in Send, tcp copies nowhere: it encodes from the
+// sender's slices and decodes into recycled ones).
 //
 // The simulator backend does not implement Messenger — the simulation
 // engine models messages as cost charges against directly-shared
@@ -179,14 +196,14 @@ type Messenger interface {
 	Self() int
 	// Peers returns the number of nodes in the mesh.
 	Peers() int
-	// Send delivers f to node to. Sending to self is allowed and
-	// loops the frame back through the local handler. Send never
-	// blocks on a slow receiver (frames queue).
+	// Send delivers f to node to, borrowing f's slices until it
+	// returns. Sending to self is allowed and loops the frame back
+	// through the local handler. Send never blocks on a slow receiver's
+	// handler (frames queue).
 	Send(to int, f wire.Frame) error
-	// SetHandler installs the frame handler. It must be called before
-	// any peer can send; the handler may be invoked concurrently for
-	// frames from different senders, but frames from one sender are
-	// handled in order.
+	// SetHandler installs the frame handler, which borrows each frame's
+	// slices until it returns. It must be called before any peer can
+	// send. The handler is never invoked concurrently with itself.
 	SetHandler(h func(from int, f wire.Frame))
 	// Close tears the mesh down. Close is idempotent.
 	Close() error

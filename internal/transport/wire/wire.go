@@ -28,6 +28,17 @@
 // MaxFrameBytes — a stream decoder can never be driven into an
 // unbounded allocation by a corrupt or hostile peer.
 //
+// # Encoding and decoding
+//
+// Append encodes onto a byte slice the caller owns, and a Reader decodes
+// a stream frame after frame through one byte buffer it keeps, taking
+// the frames' payload slices from the caller's Allocator: that pair is
+// what a transport runs on, and with a reused buffer on one side and a
+// recycling Allocator on the other a frame costs no allocation.
+// WriteFrame, ReadFrame and Parse are the one-shot forms — a fresh
+// buffer and fresh slices every call — for a connection's hello
+// exchange, fixtures and tests.
+//
 // # Versioning
 //
 // The first frame on every connection must be a Hello carrying the
@@ -42,6 +53,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Magic identifies a Cashmere wire stream ("CSHM" little-endian).
@@ -161,6 +173,13 @@ type Frame struct {
 	Words   []int64
 }
 
+// Clone returns f with its slices copied, for a holder that outlives
+// the loan of the original's (see transport.Messenger).
+func (f Frame) Clone() Frame {
+	f.Pages, f.Offs, f.Words = slices.Clone(f.Pages), slices.Clone(f.Offs), slices.Clone(f.Words)
+	return f
+}
+
 // Hello returns the connection-opening frame for the given rank.
 func Hello(rank int) Frame {
 	return Frame{Type: THello, A: Magic, B: Version, C: int64(rank)}
@@ -237,11 +256,32 @@ func Append(dst []byte, f Frame) []byte {
 	return dst
 }
 
+// Allocator supplies the payload slices of decoded frames. The decoder
+// asks for exactly the lengths a frame declares, never zero, and only
+// after checking them against the frame's payload length, which
+// MaxFrameBytes bounds; it overwrites every element of what it is given,
+// so a recycled slice need not be cleared.
+type Allocator interface {
+	Int32s(n int) []int32
+	Int64s(n int) []int64
+}
+
+// heap is the Allocator of the one-shot decoders: fresh slices.
+type heap struct{}
+
+func (heap) Int32s(n int) []int32 { return make([]int32, n) }
+func (heap) Int64s(n int) []int64 { return make([]int64, n) }
+
 // Parse decodes one frame from the front of b and returns it together
 // with the unconsumed remainder. It returns io.ErrUnexpectedEOF when b
 // holds a syntactically-valid prefix of a frame (read more and retry)
 // and a descriptive error for anything malformed.
 func Parse(b []byte) (f Frame, rest []byte, err error) {
+	return parse(b, heap{})
+}
+
+// parse is Parse with the frame's slices taken from a.
+func parse(b []byte, a Allocator) (f Frame, rest []byte, err error) {
 	if len(b) < 4 {
 		return Frame{}, b, io.ErrUnexpectedEOF
 	}
@@ -275,21 +315,21 @@ func Parse(b []byte) (f Frame, rest []byte, err error) {
 	}
 	at := fixedHeader
 	if nPages > 0 {
-		f.Pages = make([]int32, nPages)
+		f.Pages = a.Int32s(nPages)
 		for i := range f.Pages {
 			f.Pages[i] = int32(binary.LittleEndian.Uint32(body[at:]))
 			at += 4
 		}
 	}
 	if nOffs > 0 {
-		f.Offs = make([]int32, nOffs)
+		f.Offs = a.Int32s(nOffs)
 		for i := range f.Offs {
 			f.Offs[i] = int32(binary.LittleEndian.Uint32(body[at:]))
 			at += 4
 		}
 	}
 	if nWords > 0 {
-		f.Words = make([]int64, nWords)
+		f.Words = a.Int64s(nWords)
 		for i := range f.Words {
 			f.Words[i] = int64(binary.LittleEndian.Uint64(body[at:]))
 			at += 8
@@ -309,23 +349,46 @@ func WriteFrame(w io.Writer, f Frame) error {
 // produced by WriteFrame/Append. It returns io.EOF only at a clean
 // frame boundary.
 func ReadFrame(r io.Reader) (Frame, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	return NewReader(r, heap{}).Read()
+}
+
+// Reader decodes the frames of one byte stream. It reads each frame
+// into a byte buffer it keeps from frame to frame — the buffer grows to
+// the largest frame the stream has carried, MaxFrameBytes at most — and
+// takes the frame's slices from its Allocator, so what a decoded frame
+// costs is the Allocator's to decide.
+type Reader struct {
+	r   io.Reader
+	a   Allocator
+	buf []byte
+}
+
+// NewReader returns a Reader decoding r, which must deliver a byte
+// stream produced by WriteFrame/Append, into slices from a. Read issues
+// two reads per frame, header and body, so r wants to be buffered.
+func NewReader(r io.Reader, a Allocator) *Reader {
+	return &Reader{r: r, a: a}
+}
+
+// Read decodes the stream's next frame. It returns io.EOF only at a
+// clean frame boundary.
+func (rd *Reader) Read() (Frame, error) {
+	rd.buf = slices.Grow(rd.buf[:0], 4)[:4]
+	if _, err := io.ReadFull(rd.r, rd.buf); err != nil {
 		return Frame{}, err
 	}
-	payload := int(binary.LittleEndian.Uint32(hdr[:]))
+	payload := int(binary.LittleEndian.Uint32(rd.buf))
 	if payload > MaxFrameBytes {
 		return Frame{}, fmt.Errorf("wire: frame length %d exceeds limit %d", payload, MaxFrameBytes)
 	}
-	buf := make([]byte, 4+payload)
-	copy(buf, hdr[:])
-	if _, err := io.ReadFull(r, buf[4:]); err != nil {
+	rd.buf = slices.Grow(rd.buf, payload)[:4+payload]
+	if _, err := io.ReadFull(rd.r, rd.buf[4:]); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return Frame{}, err
 	}
-	f, _, err := Parse(buf)
+	f, _, err := parse(rd.buf, rd.a)
 	return f, err
 }
 

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden fixtures")
@@ -301,4 +302,137 @@ func FuzzRoundTrip(f *testing.F) {
 			t.Fatalf("round trip: got %+v, want %+v", got, fr)
 		}
 	})
+}
+
+// arena is the tests' recycling Allocator: it serves a frame's slices
+// out of two arrays it keeps, over whatever earlier frames left in
+// them, and counts the bytes it was asked for since the last reset.
+type arena struct {
+	i32        []int32
+	i64        []int64
+	at32, at64 int
+	asked      int
+}
+
+func (a *arena) reset() { a.at32, a.at64, a.asked = 0, 0, 0 }
+
+func (a *arena) Int32s(n int) []int32 {
+	for len(a.i32) < a.at32+n {
+		a.i32 = append(a.i32, -0x55555556)
+	}
+	a.at32 += n
+	a.asked += 4 * n
+	return a.i32[a.at32-n : a.at32 : a.at32]
+}
+
+func (a *arena) Int64s(n int) []int64 {
+	for len(a.i64) < a.at64+n {
+		a.i64 = append(a.i64, -0x5555555555555556)
+	}
+	a.at64 += n
+	a.asked += 8 * n
+	return a.i64[a.at64-n : a.at64 : a.at64]
+}
+
+// FuzzReader holds a Reader to the one-shot decoder over any byte
+// stream: read a byte at a time through its kept buffer into dirty
+// recycled slices, it returns the frames ReadFrame returns and then
+// ReadFrame's error. It asks its Allocator for exactly the bytes of each
+// frame's lists, which the frame's length-checked payload carried, and
+// for nothing on behalf of a frame it rejects.
+func FuzzReader(f *testing.F) {
+	var stream []byte
+	for _, fr := range goldenFrames() {
+		f.Add(Append(nil, fr))
+		stream = Append(stream, fr)
+	}
+	f.Add(stream)
+	f.Add(stream[:len(stream)-3])
+	f.Add(append(Append(nil, Frame{Type: TPageReply, A: 44, Words: make([]int64, 1024)}), stream...))
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{1, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		ref := bytes.NewReader(b)
+		var a arena
+		rd := NewReader(iotest.OneByteReader(bytes.NewReader(b)), &a)
+		for i := 0; ; i++ {
+			want, wantErr := ReadFrame(ref)
+			a.reset()
+			got, err := rd.Read()
+			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+				t.Fatalf("frame %d: Reader returned error %v, ReadFrame %v", i, err, wantErr)
+			}
+			if err != nil {
+				if a.asked != 0 {
+					t.Fatalf("frame %d: Reader took %d bytes from its allocator for a frame it rejected: %v", i, a.asked, err)
+				}
+				return
+			}
+			if !Equal(got, want) {
+				t.Fatalf("frame %d: Reader decoded %+v, ReadFrame %+v", i, got, want)
+			}
+			if lists := EncodedLen(got) - EncodedLen(Frame{}); a.asked != lists {
+				t.Fatalf("frame %d: Reader took %d bytes from its allocator for lists of %d", i, a.asked, lists)
+			}
+		}
+	})
+}
+
+// benchFrames are the two sizes that matter: a full-page reply and a
+// synchronization frame that is all header.
+var benchFrames = []struct {
+	name string
+	f    Frame
+}{
+	{"page", Frame{Type: TPageReply, A: 44, C: 1<<32 | 7, Words: make([]int64, 1024)}},
+	{"small", Frame{Type: TBarArrive, A: 2, B: 7}},
+}
+
+// BenchmarkAppend encodes into a buffer that is reused, as a
+// connection's is.
+func BenchmarkAppend(b *testing.B) {
+	for _, tc := range benchFrames {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(EncodedLen(tc.f)))
+			buf := Append(nil, tc.f)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf = Append(buf[:0], tc.f)
+			}
+		})
+	}
+}
+
+// endless replays one encoded frame for ever.
+type endless struct {
+	enc []byte
+	at  int
+}
+
+func (e *endless) Read(p []byte) (int, error) {
+	n := copy(p, e.enc[e.at:])
+	e.at = (e.at + n) % len(e.enc)
+	return n, nil
+}
+
+// BenchmarkReaderRead decodes a stream through one Reader into recycled
+// slices, as a connection's reader does.
+func BenchmarkReaderRead(b *testing.B) {
+	for _, tc := range benchFrames {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(EncodedLen(tc.f)))
+			var a arena
+			rd := NewReader(&endless{enc: Append(nil, tc.f)}, &a)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a.reset()
+				if _, err := rd.Read(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
