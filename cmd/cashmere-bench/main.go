@@ -42,7 +42,6 @@ import (
 	"cashmere/internal/cli"
 	"cashmere/internal/metrics"
 	"cashmere/internal/trace"
-	"cashmere/internal/transport"
 )
 
 func main() {
@@ -70,17 +69,7 @@ func main() {
 		os.Exit(code)
 	}
 
-	tk, err := transport.ParseKind(o.Transport)
-	if err != nil || tk == transport.TCP {
-		if err == nil {
-			err = fmt.Errorf(`the multi-process "tcp" backend runs through cashmere-run, not the in-process bench harness`)
-		}
-		fmt.Fprintln(os.Stderr, "cashmere-bench: -transport:", err)
-		exit(2)
-	}
-
 	s := bench.NewSuite(o.Quick)
-	s.SetTransport(tk)
 	s.SetWorkers(o.Workers)
 	s.SetTimeout(o.Timeout)
 	if o.Progress {

@@ -12,6 +12,12 @@
 //	cashmere-run -app SOR -quick -trace-timeline - -trace-pages 0,3
 //	cashmere-run -app SOR -profile -                    # hot-page report
 //	cashmere-run -app Water -http :6060                 # live /metrics
+//	cashmere-run -app SOR -transport tcp -nodes 2 -ppn 2   # one OS process per node
+//
+// -transport selects the engine: "sim" (the default) is the simulator,
+// "tcp" the multi-process runtime (internal/mprun). A flag only the
+// other engine reads — -protocol with tcp, say — is an error, not
+// ignored. See docs/TRANSPORT.md.
 //
 // -trace records a structured event trace of the run and writes it as
 // Chrome trace-event JSON, loadable at https://ui.perfetto.dev.
@@ -50,7 +56,6 @@ import (
 	"cashmere/internal/policy"
 	"cashmere/internal/topology"
 	"cashmere/internal/trace"
-	"cashmere/internal/transport"
 )
 
 func protocolByName(name string) (core.Kind, bool) {
@@ -74,6 +79,10 @@ func main() {
 
 	if o.Replay != "" {
 		os.Exit(replay(o.Replay))
+	}
+	if err := o.CheckEngine(flag.CommandLine); err != nil {
+		fmt.Fprintln(os.Stderr, "cashmere-run:", err)
+		os.Exit(2)
 	}
 
 	kind, ok := protocolByName(o.Protocol)
@@ -111,11 +120,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cashmere-run: unknown application %q\n", o.App)
 		os.Exit(2)
 	}
-	tk, err := transport.ParseKind(o.Transport)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cashmere-run: -transport:", err)
-		os.Exit(2)
-	}
 	if rank, mpNodes, isChild, err := cli.MPChildFromEnv(); isChild {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "cashmere-run:", err)
@@ -123,7 +127,7 @@ func main() {
 		}
 		os.Exit(runMPChild(o, app, rank, mpNodes))
 	}
-	if tk == transport.TCP {
+	if o.Transport == cli.EngineTCP {
 		// One OS process per node over loopback sockets; the
 		// single-process engine below never runs. See docs/TRANSPORT.md.
 		os.Exit(runMPParent(o))
@@ -132,7 +136,6 @@ func main() {
 	cfg := core.Config{
 		Topology:      spec,
 		Protocol:      kind,
-		Transport:     tk,
 		HomeOpt:       o.HomeOpt,
 		LockBasedMeta: o.LockBased,
 		UseInterrupts: o.Interrupts,

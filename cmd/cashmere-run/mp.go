@@ -239,9 +239,6 @@ func runMPParent(o cli.RunOptions) int {
 		fmt.Fprintln(os.Stderr, "cashmere-run:", err)
 		return 1
 	}
-	if o.TraceTL != "" || o.Profile != "" {
-		fmt.Fprintln(os.Stderr, "cashmere-run: -trace-timeline and -profile are not supported with -transport tcp; ignored")
-	}
 	nodes := o.Nodes
 	coll := newObsCollector(nodes)
 

@@ -27,7 +27,6 @@ import (
 	"cashmere/internal/policy"
 	"cashmere/internal/stats"
 	"cashmere/internal/trace"
-	"cashmere/internal/transport"
 )
 
 // Variant identifies a protocol configuration column.
@@ -97,12 +96,6 @@ type Suite struct {
 	// (scaled-down) evaluation sizes.
 	Quick bool
 
-	// transport selects the fabric backend every cell's cluster runs
-	// over. The zero value is transport.Sim, the virtual-time Memory
-	// Channel simulator the paper's numbers are pinned on; see
-	// SetTransport.
-	transport transport.Kind
-
 	// exec performs one experiment cell; tests may substitute it to
 	// count or fail executions.
 	exec func(name string, v Variant, topo Topology) (core.Result, error)
@@ -147,14 +140,6 @@ func (s *Suite) SetWorkers(n int) { s.r.setWorkers(n) }
 
 // Workers returns the worker-pool width.
 func (s *Suite) Workers() int { return s.r.workers() }
-
-// SetTransport selects the fabric backend for every experiment cell
-// (transport.Sim or transport.SHM; the multi-process tcp backend
-// cannot host the single-process engine and is rejected by core.New).
-// Only sim produces the paper's virtual-time numbers — shm runs the
-// same protocol with no time model, useful for wall-clock and race
-// coverage. Call before the first Run or prefetch.
-func (s *Suite) SetTransport(k transport.Kind) { s.transport = k }
 
 // SetTimeout bounds each cell's host wall-clock execution time; a cell
 // exceeding it is marked failed (its error appears in the rendered
@@ -288,7 +273,6 @@ func (s *Suite) execute(name string, v Variant, topo Topology) (core.Result, err
 		Nodes:         topo.Nodes,
 		ProcsPerNode:  topo.PPN,
 		Protocol:      v.Kind,
-		Transport:     s.transport,
 		HomeOpt:       v.HomeOpt,
 		LockBasedMeta: v.LockBased,
 		UseInterrupts: v.Interrupts,

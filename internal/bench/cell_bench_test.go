@@ -9,9 +9,9 @@ import (
 
 // End-to-end cell benchmarks: one full application run at the default
 // (scaled-down) evaluation size on the paper's full 8x4 cluster, per
-// iteration. These are the wall-clock numbers behind
-// BENCH_access_fastpath.json; verification is excluded so the timing
-// covers only the simulated run itself.
+// iteration. These are the per-cell wall-clock numbers EXPERIMENTS.md
+// "Wall-clock performance" quotes; verification is excluded so the
+// timing covers only the simulated run itself.
 
 func benchCell(b *testing.B, mk func() apps.App, kind core.Kind) {
 	b.Helper()

@@ -13,6 +13,7 @@ package cli
 
 import (
 	"flag"
+	"fmt"
 	"time"
 )
 
@@ -47,7 +48,7 @@ type RunOptions struct {
 func (o *RunOptions) Register(fs *flag.FlagSet) {
 	fs.StringVar(&o.App, "app", "SOR", "application: SOR, LU, Water, TSP, Gauss, Ilink, Em3d, Barnes")
 	fs.StringVar(&o.Protocol, "protocol", "2L", "protocol: 2L, 2LS, 1LD, 1L")
-	fs.StringVar(&o.Transport, "transport", "sim", `fabric backend: "sim" (Memory Channel simulator), "shm" (in-process, no virtual time), or "tcp" (N OS processes over loopback sockets; see docs/TRANSPORT.md)`)
+	fs.StringVar(&o.Transport, "transport", EngineSim, `engine: "sim" (the virtual-time Memory Channel simulator, one process) or "tcp" (the multi-process runtime, one OS process per node over loopback sockets; see docs/TRANSPORT.md)`)
 	fs.IntVar(&o.Nodes, "nodes", 8, "SMP nodes")
 	fs.IntVar(&o.PPN, "ppn", 4, "processors per node")
 	fs.StringVar(&o.Topology, "topology", "", `cluster topology as "procs:procsPerNode", e.g. 128:4 (overrides -nodes/-ppn)`)
@@ -66,6 +67,47 @@ func (o *RunOptions) Register(fs *flag.FlagSet) {
 	fs.DurationVar(&o.MPStatsInterval, "mp-stats-interval", 500*time.Millisecond, "frame-counter reporting interval of -transport tcp child processes (0 disables periodic reports)")
 }
 
+// The two values of cashmere-run's -transport: the engine that runs the
+// application.
+const (
+	EngineSim = "sim"
+	EngineTCP = "tcp"
+)
+
+// runEngineFlags names the engine of every cashmere-run flag that only
+// one engine reads: the multi-process runtime has one protocol, no cost
+// model and no page timeline or profile, and the simulator has no child
+// processes to report.
+var runEngineFlags = map[string]string{
+	"protocol":          EngineSim,
+	"fabric":            EngineSim,
+	"homeopt":           EngineSim,
+	"lockbased":         EngineSim,
+	"interrupts":        EngineSim,
+	"adaptive":          EngineSim,
+	"trace-timeline":    EngineSim,
+	"trace-pages":       EngineSim,
+	"profile":           EngineSim,
+	"mp-stats-interval": EngineTCP,
+}
+
+// CheckEngine validates -transport and rejects a flag set explicitly on
+// fs that the selected engine would ignore, naming it. Defaults never
+// trip it, and the tcp launcher's children, re-executed with the
+// parent's arguments, pass whenever the parent did.
+func (o *RunOptions) CheckEngine(fs *flag.FlagSet) error {
+	if o.Transport != EngineSim && o.Transport != EngineTCP {
+		return fmt.Errorf("-transport %q: want %q or %q", o.Transport, EngineSim, EngineTCP)
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if engine, ok := runEngineFlags[f.Name]; ok && engine != o.Transport && err == nil {
+			err = fmt.Errorf("-%s is read only by -transport %s; it would be ignored with -transport %s", f.Name, engine, o.Transport)
+		}
+	})
+	return err
+}
+
 // BenchOptions is the flag set of cashmere-bench. Workers 0 means "use
 // GOMAXPROCS", and Progress defaults to on only when stderr is a
 // terminal; both sentinels are resolved by the binary so the
@@ -73,7 +115,6 @@ func (o *RunOptions) Register(fs *flag.FlagSet) {
 type BenchOptions struct {
 	Quick      bool
 	All        bool
-	Transport  string
 	Table      string
 	Figure     string
 	Ablation   string
@@ -96,7 +137,6 @@ type BenchOptions struct {
 func (o *BenchOptions) Register(fs *flag.FlagSet) {
 	fs.BoolVar(&o.Quick, "quick", false, "use tiny problem sizes")
 	fs.BoolVar(&o.All, "all", false, "run every table, figure, and ablation")
-	fs.StringVar(&o.Transport, "transport", "sim", `fabric backend for every cell: "sim" or "shm" (the multi-process "tcp" backend runs through cashmere-run only)`)
 	fs.StringVar(&o.Table, "table", "", `table to regenerate: "1", "2", "3", or "costs"`)
 	fs.StringVar(&o.Figure, "figure", "", `figure to regenerate: "6" or "7"`)
 	fs.StringVar(&o.Ablation, "ablation", "", `ablation to run: "shootdown", "lockfree", or "adaptive"`)

@@ -7,8 +7,8 @@ import (
 // Wall-clock microbenchmarks for the shared-access fast path: scalar
 // Load/Store, the range kernels, and the write-doubling store path.
 // These measure simulator overhead (host nanoseconds per simulated
-// access), not virtual time; BENCH_access_fastpath.json at the repo
-// root records before/after numbers for the fast-path PR.
+// access), not virtual time; EXPERIMENTS.md "Wall-clock performance"
+// quotes the before/after numbers of the fast-path PR.
 
 // benchCluster builds a small cluster and returns processor 0, which
 // the benchmark goroutine drives directly (a Proc is owned by one

@@ -30,8 +30,6 @@ import (
 	"cashmere/internal/stats"
 	"cashmere/internal/topology"
 	"cashmere/internal/trace"
-	"cashmere/internal/transport"
-	"cashmere/internal/transport/shmchan"
 	"cashmere/internal/transport/simchan"
 	"cashmere/internal/vm"
 	"cashmere/internal/wnotice"
@@ -154,17 +152,6 @@ type Config struct {
 	// cluster; it charges no virtual time, so observed and unobserved
 	// runs produce bit-identical statistics.
 	Observer func(*Cluster)
-
-	// Transport selects the fabric backend the cluster's regions and
-	// transfers run over. transport.Sim (the zero value) is the
-	// virtual-time Memory Channel simulator and the only backend the
-	// golden paper configurations are pinned on; transport.SHM runs the
-	// same engine over the in-process shared-memory fabric (no
-	// virtual-time contention modelling). transport.TCP cannot host the
-	// single-process engine — New returns an error directing callers to
-	// the multi-process runtime (internal/mprun, cashmere-run -transport
-	// tcp).
-	Transport transport.Kind
 
 	// Adaptive, when non-nil, attaches an adaptive per-page coherence
 	// policy engine (internal/policy): the protocol feeds it fault and
@@ -298,7 +285,7 @@ type pageMeta struct {
 type Cluster struct {
 	cfg   Config
 	model *costs.Model
-	net   transport.Fabric
+	net   *simchan.Network
 	dir   *directory.Global
 	lay   directory.Layout // word layout, derived from the topology
 	tr    *trace.Tracer    // nil when tracing is disabled
@@ -391,16 +378,7 @@ func New(cfg Config) (*Cluster, error) {
 		})
 	}
 
-	switch cfg.Transport {
-	case transport.Sim:
-		c.net = simchan.New(cfg.Nodes, *c.model)
-	case transport.SHM:
-		c.net = shmchan.New(cfg.Nodes, *c.model)
-	case transport.TCP:
-		return nil, fmt.Errorf("core: the tcp transport connects separate OS processes and cannot host the single-process engine; run it through cashmere-run -transport tcp (internal/mprun)")
-	default:
-		return nil, fmt.Errorf("core: unknown transport %v", cfg.Transport)
-	}
+	c.net = simchan.New(cfg.Nodes, *c.model)
 	c.net.SetTracer(c.tr)
 
 	// The directory's processor fields hold global processor ids, so the

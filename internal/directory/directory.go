@@ -51,7 +51,7 @@ import (
 	"sync/atomic"
 
 	"cashmere/internal/sim"
-	"cashmere/internal/transport"
+	"cashmere/internal/transport/simchan"
 )
 
 // Perm is a page access permission, from most to least restrictive.
@@ -289,7 +289,7 @@ func (l Layout) Format(w Word) string {
 // protocols; proc-to-SMP mapping for one-level protocols, where every
 // processor is its own protocol node).
 type Global struct {
-	region     transport.Region
+	region     *simchan.Region
 	lay        Layout
 	pages      int
 	protoNodes int
@@ -302,7 +302,7 @@ type Global struct {
 // nodes on the given network, with words encoded by lay. When lockBased
 // is true, updates must be bracketed by Lock/Unlock on the page's
 // global lock (the Section 3.3.5 ablation).
-func NewGlobal(net transport.Fabric, lay Layout, pages, protoNodes int, physOf func(int) int, lockBased bool) *Global {
+func NewGlobal(net *simchan.Network, lay Layout, pages, protoNodes int, physOf func(int) int, lockBased bool) *Global {
 	g := &Global{
 		region:     net.NewRegion(pages*protoNodes, false),
 		lay:        lay,

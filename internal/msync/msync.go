@@ -32,25 +32,25 @@
 // synchronization), and each primitive must be fully constructed before
 // it is shared. Contention races are resolved by host mutexes inside
 // sim.VLock/sim.Rendezvous/sim.VFlag; the Memory Channel array and cell
-// writes are atomic through transport.Region.
+// writes are atomic through simchan.Region.
 package msync
 
 import (
 	"cashmere/internal/sim"
 	"cashmere/internal/trace"
-	"cashmere/internal/transport"
+	"cashmere/internal/transport/simchan"
 	"sort"
 	"sync"
 )
 
 // Lock is a cluster-wide application lock.
 type Lock struct {
-	array transport.Region // one entry per node, loop-back enabled
+	array *simchan.Region // one entry per node, loop-back enabled
 	v     sim.VLock
 }
 
 // NewLock allocates a lock's entry array on the network.
-func NewLock(net transport.Fabric) *Lock {
+func NewLock(net *simchan.Network) *Lock {
 	return &Lock{array: net.NewRegion(net.Nodes(), true)}
 }
 
@@ -114,7 +114,7 @@ func (b *Barrier) Parties() int { return b.r.Parties() }
 // equal-time wakeups is removed, so results stop being bistable (the
 // Gauss pivot-row flags were the motivating case; see docs/ADAPTIVE.md).
 type Flag struct {
-	cell transport.Region
+	cell *simchan.Region
 	wlat int64
 	// resetVis is the global visibility time of the most recent Reset's
 	// clearing write; a later Set can never become visible before it.
@@ -131,7 +131,7 @@ type Flag struct {
 }
 
 // NewFlag allocates a flag cell on the network.
-func NewFlag(net transport.Fabric) *Flag {
+func NewFlag(net *simchan.Network) *Flag {
 	fl := &Flag{
 		cell:    net.NewRegion(1, true),
 		wlat:    net.Model().MCWriteLatency,
@@ -250,12 +250,12 @@ func (fl *Flag) Reset(node int, now int64) {
 
 // emitMsg records a synchronization message on node's link track of the
 // region's network tracer, if one is attached.
-func emitMsg(r transport.Region, node int, vt int64, sub int64) {
+func emitMsg(r *simchan.Region, node int, vt int64, sub int64) {
 	emitMsgSpan(r, node, vt, 0, sub)
 }
 
-func emitMsgSpan(r transport.Region, node int, vt, dur int64, sub int64) {
-	tr := r.Fabric().Tracer()
+func emitMsgSpan(r *simchan.Region, node int, vt, dur int64, sub int64) {
+	tr := r.Network().Tracer()
 	if tr == nil {
 		return
 	}

@@ -1,9 +1,8 @@
 // Package simchan simulates DEC's Memory Channel: a low-latency
 // remote-write cluster interconnect (Gillett, IEEE Micro 1996). It is
-// the virtual-time backend of the transport contract
-// (internal/transport) — the fabric the paper's protocols are
-// evaluated on, and the only backend whose results are pinned
-// bit-identical by the golden paper configurations.
+// the simulation engine's one fabric: internal/core, internal/msync and
+// internal/directory hold *Network and *Region directly, and the golden
+// paper configurations pin its virtual-time results bit-identical.
 //
 // The simulation preserves the four properties the Cashmere protocols
 // depend on (paper Section 2.1):
@@ -87,12 +86,6 @@ func New(nodes int, model costs.Model) *Network {
 	}
 	return n
 }
-
-// Kind identifies the backend as the virtual-time simulator.
-func (n *Network) Kind() transport.Kind { return transport.Sim }
-
-// Close is a no-op: the simulator holds no external resources.
-func (n *Network) Close() error { return nil }
 
 // Nodes returns the number of nodes on the network.
 func (n *Network) Nodes() int { return n.nodes }
@@ -187,7 +180,7 @@ type Region struct {
 // node. loopback configures whether a node's own writes are delivered
 // back to its receive region by the network (used for synchronization
 // objects); without it, writers must double writes locally via Poke.
-func (n *Network) NewRegion(words int, loopback bool) transport.Region {
+func (n *Network) NewRegion(words int, loopback bool) *Region {
 	recv := make([][]int64, n.nodes)
 	for i := range recv {
 		recv[i] = make([]int64, words)
@@ -199,7 +192,7 @@ func (n *Network) NewRegion(words int, loopback bool) transport.Region {
 // from any node are delivered to those receivers alone — the shape used
 // for home-node page copies and per-node metadata areas (paper Figures
 // 2 and 3).
-func (n *Network) NewRegionAt(words int, loopback bool, receivers ...int) transport.Region {
+func (n *Network) NewRegionAt(words int, loopback bool, receivers ...int) *Region {
 	recv := make([][]int64, n.nodes)
 	for _, r := range receivers {
 		if r < 0 || r >= n.nodes {
@@ -213,8 +206,8 @@ func (n *Network) NewRegionAt(words int, loopback bool, receivers ...int) transp
 // Words returns the region's length in words.
 func (r *Region) Words() int { return r.words }
 
-// Fabric returns the network the region is mapped on.
-func (r *Region) Fabric() transport.Fabric { return r.net }
+// Network returns the network the region is mapped on.
+func (r *Region) Network() *Network { return r.net }
 
 // Receives reports whether node maps the region for receive.
 func (r *Region) Receives(node int) bool {

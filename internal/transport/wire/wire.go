@@ -2,9 +2,9 @@
 // socket transport (transport/tcpchan) speaks: diffs, write notices,
 // directory updates, page fetches, and synchronization traffic, each a
 // self-delimiting frame that can be written onto any ordered byte
-// stream. The in-process shm backend passes the same Frame structs by
-// value, so the multi-process runtime (internal/mprun) is agnostic to
-// which carries them.
+// stream. The in-process shm mesh queues the same Frame structs, their
+// slices cloned by its Send, so the multi-process runtime
+// (internal/mprun) is agnostic to which carries them.
 //
 // # Frame layout
 //
