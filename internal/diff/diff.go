@@ -149,6 +149,20 @@ func AppendRuns(offs []int32, words []int64, page, twin []int64) (_ []int32, _ [
 	return offs, words, lo, hi
 }
 
+// ApplyRuns is AppendRuns's receiving end: it stores the runs' words at
+// their offsets in dst, word-atomically. The home applies a diff to its
+// master copy with it, and a flush-update applies the same runs to the
+// twin. The caller has checked that the runs fit dst and cover words.
+func ApplyRuns(dst []int64, offs []int32, words []int64) {
+	for i := 0; i < len(offs); i += 2 {
+		start, count := int(offs[i]), int(offs[i+1])
+		for j, w := range words[:count] {
+			atomic.StoreInt64(&dst[start+j], w)
+		}
+		words = words[count:]
+	}
+}
+
 // Incoming compares incoming (the fresh master copy) against twin and
 // writes the differences — the remote modifications — to both the
 // working page and the twin. Words the local node has modified (which

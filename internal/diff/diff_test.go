@@ -466,6 +466,12 @@ func TestAppendRuns(t *testing.T) {
 			if !Equal(got, pg) {
 				t.Error("twin + runs != page")
 			}
+			// ApplyRuns is the same walk: the twin it updates leaves a
+			// second scan of the page nothing to send.
+			ApplyRuns(twin, offs, ws)
+			if again, _, _, _ := AppendRuns(nil, nil, pg, twin); !Equal(twin, pg) || len(again) != 0 {
+				t.Errorf("ApplyRuns left the twin differing from the page in runs %v", again)
+			}
 		})
 	}
 }

@@ -25,8 +25,8 @@ const benchPages = 4 // of each kind
 func cachedAddr(pg, off int) int { return (2*pg+1)*apps.PageWords + off }
 func homeAddr(pg, off int) int   { return 2*pg*apps.PageWords + off }
 
-// benchNode builds the mesh and returns rank 0 with its two processors.
-func benchNode(b *testing.B) (*node, [2]*proc) {
+// benchNode builds the mesh and returns rank 0's two processors.
+func benchNode(b *testing.B) [2]*proc {
 	mesh := shmchan.NewMesh(2)
 	shape := apps.Shape{SharedWords: 2 * benchPages * apps.PageWords}
 	var nodes [2]*node
@@ -44,7 +44,7 @@ func benchNode(b *testing.B) (*node, [2]*proc) {
 			p.Load(cachedAddr(pg, 0))
 		}
 	}
-	return n, procs
+	return procs
 }
 
 var (
@@ -53,7 +53,7 @@ var (
 )
 
 func BenchmarkLoad(b *testing.B) {
-	_, procs := benchNode(b)
+	procs := benchNode(b)
 	p := procs[0]
 	b.ResetTimer()
 	var s int64
@@ -67,7 +67,7 @@ func BenchmarkLoad(b *testing.B) {
 // loads from the same page as fast as it can: what the two share on a
 // read hit is one read-only cache line.
 func BenchmarkLoadPPN2(b *testing.B) {
-	_, procs := benchNode(b)
+	procs := benchNode(b)
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -91,8 +91,20 @@ func BenchmarkLoadPPN2(b *testing.B) {
 	atomic.AddInt64(&sinkWord, s)
 }
 
+// BenchmarkLoadAlternatingPages loads from two pages in turn, which a
+// one-entry TLB would miss on every time.
+func BenchmarkLoadAlternatingPages(b *testing.B) {
+	p := benchNode(b)[0]
+	b.ResetTimer()
+	var s int64
+	for i := 0; i < b.N; i++ {
+		s += p.Load(cachedAddr(i&1, i&(apps.PageWords-1)))
+	}
+	sinkWord = s
+}
+
 func BenchmarkStore(b *testing.B) {
-	_, procs := benchNode(b)
+	procs := benchNode(b)
 	p := procs[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -100,10 +112,35 @@ func BenchmarkStore(b *testing.B) {
 	}
 }
 
+// BenchmarkStorePPN2 is BenchmarkStore while the node's other processor
+// stores to the other half of the same page as fast as it can: what the
+// two share on a store hit is the read-only line of the epoch.
+func BenchmarkStorePPN2(b *testing.B) {
+	procs := benchNode(b)
+	const half = apps.PageWords / 2
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; !stop.Load(); i++ {
+			procs[1].Store(cachedAddr(0, half+(i&(half-1))), int64(i))
+		}
+	}()
+	p := procs[0]
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Store(cachedAddr(0, i&(half-1)), int64(i))
+	}
+	b.StopTimer()
+	stop.Store(true)
+	wg.Wait()
+}
+
 // BenchmarkHomeStore is BenchmarkStore on a page the node homes: the
-// mutex and the dirty mark, no twin.
+// same hit, on the master copy.
 func BenchmarkHomeStore(b *testing.B) {
-	_, procs := benchNode(b)
+	procs := benchNode(b)
 	p := procs[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -112,7 +149,7 @@ func BenchmarkHomeStore(b *testing.B) {
 }
 
 func BenchmarkLoadFRow(b *testing.B) {
-	_, procs := benchNode(b)
+	procs := benchNode(b)
 	p := procs[0]
 	b.SetBytes(apps.PageWords * 8)
 	b.ResetTimer()
@@ -122,7 +159,7 @@ func BenchmarkLoadFRow(b *testing.B) {
 }
 
 func BenchmarkStoreFRow(b *testing.B) {
-	_, procs := benchNode(b)
+	procs := benchNode(b)
 	p := procs[0]
 	row := make([]float64, apps.PageWords)
 	b.SetBytes(apps.PageWords * 8)
@@ -140,18 +177,18 @@ func BenchmarkStoreFRow(b *testing.B) {
 // pays a twin, not a refetch.
 func BenchmarkFlushDirtyPage(b *testing.B) {
 	b.Run("sparse", func(b *testing.B) {
-		n, procs := benchNode(b)
+		procs := benchNode(b)
 		p := procs[0]
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for w := 0; w < apps.PageWords; w += apps.PageWords / 8 {
 				p.Store(cachedAddr(0, w), int64(i+1))
 			}
-			n.flush(0)
+			p.flush()
 		}
 	})
 	b.Run("dense", func(b *testing.B) {
-		n, procs := benchNode(b)
+		procs := benchNode(b)
 		p := procs[0]
 		row := make([]float64, apps.PageWords)
 		b.ResetTimer()
@@ -160,7 +197,7 @@ func BenchmarkFlushDirtyPage(b *testing.B) {
 				row[w] = float64(i + w + 1)
 			}
 			p.StoreFRow(cachedAddr(0, 0), row)
-			n.flush(0)
+			p.flush()
 		}
 	})
 }
@@ -168,12 +205,12 @@ func BenchmarkFlushDirtyPage(b *testing.B) {
 // benchUpdate is the cycle a lock-protected update of one word runs:
 // read it, store it back changed, release.
 func benchUpdate(b *testing.B, addr int) {
-	n, procs := benchNode(b)
+	procs := benchNode(b)
 	p := procs[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Store(addr, p.Load(addr)+1)
-		n.flush(0)
+		p.flush()
 	}
 }
 

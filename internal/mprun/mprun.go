@@ -19,21 +19,33 @@
 // On the home, the node's view of the page is the master copy itself,
 // valid from the start: its processors load and store it in place, with
 // no fetch, twin or diff, and never send the node a frame about it. A
-// store marks the page dirty; that is all a release needs to know.
+// processor's first store to it since its last release puts the page on
+// that processor's dirty list; that is all its release needs to know.
 //
 // Elsewhere, a processor's first access to the page fetches a copy from
 // the home (TPageReq/TPageReply) and registers the node as a sharer.
-// The first store since the page's last flush copies it to a pooled
-// twin; stores then go straight to the node's copy.
+// A processor's first store to it since its last release is a write
+// fault: the page goes on the processor's dirty list and the processor
+// on the page's writer count, and the first processor on the count
+// copies the page to a pooled twin. Stores then go straight to the
+// node's copy, which the node's processors share as they would a
+// hardware-coherent frame.
 //
 // At every release operation (Unlock, Barrier, SetFlag, and once after
-// the application body returns) the node publishes each dirty page, in
-// ascending page order. A cached page is compared with its twin and the
-// words that differ go to the home as a run-encoded TDiff; the twin is
-// dropped; a page whose stores changed nothing sends nothing. A run
-// never bridges an unchanged word, because the home applies every word
-// it is sent. The home applies the runs to the master, sends a
-// TWriteNotice to every sharer but the flusher, striking each from the
+// the application body returns) a processor publishes the pages on its
+// own dirty list, in ascending page order, and leaves their writer
+// counts; its siblings' lists are theirs to publish. A cached page is
+// compared with its twin and the words that differ — its own and any
+// sibling's so far — go to the home as a run-encoded TDiff; a page whose
+// stores changed nothing sends nothing. The flush that takes the last
+// processor off the writer count drops the twin. One that leaves
+// siblings on it keeps the twin and writes the words it sent into it
+// (the paper's flush-update, Section 2.5), so that their releases send
+// only what is newer; they go on storing throughout, and nothing stops
+// or waits for them (see "Access path"). A run never bridges an
+// unchanged word, because the home applies every word it is sent.
+//
+// The home applies the runs to the master, sends a TWriteNotice to every sharer but the flusher, striking each from the
 // sharer set, and answers the flusher with a TFlushAck once no notice
 // for the page is unacknowledged. A dirty page homed here needs no
 // diff — the words are already in the master — so the flush itself
@@ -42,10 +54,11 @@
 // release also waits for notices a previous release of the page has
 // out, though it sent none: the copies those are about to invalidate
 // lack its words too. The release operation does not complete until
-// every page it published is acknowledged, so by the time a matching
-// acquire can succeed anywhere, every stale copy has been invalidated —
-// the same eager release consistency argument the paper's protocols
-// make, at node granularity.
+// every diff and notice of the node's — a sibling's diff may be
+// carrying this processor's words — is acknowledged, so by the time a
+// matching acquire can succeed anywhere, every stale copy has been
+// invalidated: the same eager release consistency argument the paper's
+// protocols make.
 //
 // Who holds a valid copy after a release: the home, always; the
 // flusher, if its copy was valid when it flushed — it has every word
@@ -59,11 +72,12 @@
 // node cannot see the sharing pattern, but it sees what happens to its
 // copy. Once a write notice has invalidated a valid copy of the page
 // (cpage.noticed), others demonstrably write it between this node's
-// releases, so from then on the node's flush of the page gives its
-// valid copy up — invalidates it and says so in TDiff.C, and the home
-// strikes the flusher from the sharer set, which is what makes a home
-// processor's release of a migratory page cost no frame. The rule
-// checks its own work: if a copy refetched after a give-up
+// releases, so from then on the flush that takes the last writer off
+// the page gives the node's valid copy up — invalidates it and says so
+// in TDiff.C (a sibling still writing the page would only refetch it),
+// and the home strikes the flusher from the sharer set, which is what
+// makes a home processor's release of a migratory page cost no frame.
+// The rule checks its own work: if a copy refetched after a give-up
 // (cpage.gaveUp) takes another notice before the node's next diff of
 // the page, giving up spared no notice and bought only the refetch —
 // pages falsely shared by concurrent writers behave so — and the node
@@ -84,11 +98,12 @@
 // The fetch-id rule: every page request carries a fresh id in Frame.C,
 // the home echoes it, and a reply is accepted only if it echoes the
 // page's latest request. It exists for one case. A flush that publishes
-// an invalid page's twin while a sibling processor's request for the
-// page is in flight disowns that request: the home may have copied the
-// page ahead of the diff, and with the twin gone the reply would
-// replace the node's own flushed words with older ones that no notice
-// would ever correct. The waiting processor asks again, behind the diff
+// an invalid page while a sibling processor's request for the page is
+// in flight disowns that request: the home may have copied the page
+// ahead of the diff, and the reply — merged under a twin that now holds
+// the flushed words, or installed with no twin at all — would replace
+// the node's own flushed words with older ones that no notice would
+// ever correct. The waiting processor asks again, behind the diff
 // on the same ordered channel. (A valid copy has no request in flight.)
 //
 // Replies are ordered before notices. A copy taken at the home and a
@@ -105,42 +120,68 @@
 // The runtime builds no buffer per frame and leaves the Messenger none
 // to build: Send borrows a frame's slices until it returns and the
 // handler borrows them until it returns (the transport.Messenger
-// contract). A page reply's Words are the master copy itself, and every
-// diff of a release goes out from the node's one run scratch, overwritten
-// for the next page as soon as Send is back. Both sends happen under the
-// node mutex, which is what orders the transport's reading of a master
-// copy against the plain stores of the home's own processors; remote
-// diffs reach it in the handler, under the same mutex. What arrives is
-// copied where it belongs before the handler returns — a reply into the
-// node's frame of the page, a diff's runs into the master — and no slice
-// of a received frame is kept.
+// contract). A page reply's Words are a snapshot of the master copy,
+// taken word-atomically under the node mutex into a buffer borrowed from
+// the twin pool and returned to it when Send is back — home processors
+// store to the master without the mutex, so the copy itself cannot be
+// lent — and every diff of a release goes out from the node's one run
+// scratch, overwritten for the next page as soon as Send is back. Both
+// sends happen under the node mutex (replies for the ordering above).
+// What arrives is copied where it belongs before the handler returns — a
+// reply into the node's frame of the page, a diff's runs into the master
+// — and no slice of a received frame is kept.
 //
 // # Access path
 //
 // The page cache and the home table are slices indexed by page; on the
-// home rank the cache entry's frame is the home table's. Stores take
-// the node mutex — once per page segment in StoreFRow — because a
-// store that landed between a flush's scan of the page and its release
-// of the twin would be lost, and a home store must find or set the
-// dirty mark the flush clears. Read hits take no lock: each processor
-// remembers the frame of the page it last read and the node's
-// invalidation epoch at the time, and while the epoch stands (it is
-// bumped, under the mutex, by every write notice that invalidates and
-// every flush that gives a copy up) the frame is the node's valid copy.
-// A release that keeps its copies bumps nothing, so a processor's hits
-// continue across it; a master copy is never invalidated at all.
+// home rank the cache entry's frame is the home table's. Each processor
+// has a 16-entry direct-mapped software TLB, the shape of
+// internal/core's: page, frame, the node's invalidation epoch when the
+// entry was filled, and a writable bit. A Load hits if the page matches
+// and the epoch still stands; a Store hits if the entry is also
+// writable. A hit takes no lock: it is that compare, one atomic load of
+// the epoch and one atomic load or store of the word. A miss takes the
+// node mutex and is the fault — fetch the page if the node's copy is
+// invalid; for a store, join the dirty list and the writer count and
+// twin the page — and fills the entry.
 //
-// A frame is only ever updated in place and word-atomically — a cached
-// one by diff.Refresh and diff.Incoming, a master copy by the atomic
-// stores the handler applies remote diffs with — so a load that races
-// the handler may observe, word by word, either the copy it validated
-// or a newer one, but never a torn word and never data older than its
-// processor's last acquire: every acquire waits under the mutex, after
-// the handler has bumped the epoch for each notice the matching release
-// fenced on, and a master copy has the release's words before its
-// TFlushAck is sent. It may not observe another processor's StoreFRow
-// in flight: those stores are plain, and reading a word while it is
-// being stored is a data race in the application.
+// The epoch is bumped, under the mutex, by every write notice that
+// invalidates a copy and every flush that gives one up, and by nothing
+// else; that is all that ever revokes another processor's entries. A
+// release that keeps its copies bumps nothing, so its siblings' hits —
+// and its own load hits — continue across it; it clears the writable
+// bits of its own entries, which are private, and so faults on its own
+// next store to each page. A master copy is never invalidated at all.
+//
+// No release stops, drains or waits for a sibling's stores: the twin
+// rule makes that unnecessary, as two-way diffing does in the paper. A
+// processor with a writable entry is on the page's writer count until
+// its own next release, so until then the page has a twin, and the twin
+// holds only words that were fetched or have been sent to the home (a
+// flush-update takes them from the run scratch, never from the frame).
+// Wherever the processor's store lands — after a sibling's scan of the
+// page, after a notice has invalidated the copy, during the refetch
+// that follows, which diff.Incoming merges under the twin — the frame
+// differs from the twin at that word, and the next flush to scan the
+// page, the processor's own at the latest, sends it.
+//
+// StoreFRow does the same bookkeeping but holds the mutex across each
+// page segment, and its stores are plain: the mutex is what orders them
+// against scans, snapshots and incoming diffs, where an atomic store per
+// word would cost the row kernels several nanoseconds on each of their
+// millions of words.
+//
+// A frame is only ever updated in place and word-atomically, but for
+// StoreFRow — a cached one by scalar stores, diff.Refresh and
+// diff.Incoming, a master copy by scalar stores and the handler's
+// diff.ApplyRuns — so a load that races the handler may observe, word by
+// word, either the copy it validated or a newer one, but never a torn
+// word and never data older than its processor's last acquire: every
+// acquire waits under the mutex, after the handler has bumped the epoch
+// for each notice the matching release fenced on, and a master copy has
+// the release's words before its TFlushAck is sent. It may not observe
+// another processor's StoreFRow in flight: reading a word while it is
+// being stored plainly is a data race in the application.
 //
 // Frames off the wire index those slices, so the handler range-checks
 // page numbers, diff runs, give-up marks and reply lengths, refuses a
@@ -278,10 +319,16 @@ type cpage struct {
 	// at worst, whatever the handler is doing to the page. On the home
 	// rank it is hpage.data, valid from the start and never twinned.
 	data []int64
-	// twin is the pristine copy taken at the first store since the last
-	// flush, nil while the page holds no unflushed writes. It survives
-	// invalidation: a refetch merges the fresh copy under it.
+	// twin is the pristine copy taken when the first processor joins
+	// writers, nil while writers is zero. It survives invalidation: a
+	// refetch merges the fresh copy under it.
 	twin []int64
+	// writers counts the node's processors that have write-faulted on
+	// the page since their last release, each with the page on its dirty
+	// list and possibly a writable TLB entry for it. A processor leaves
+	// only by its own flush of the page; the flush that takes the last
+	// one off drops the twin. Homed pages have no twin and keep no count.
+	writers int
 	// reqID is the correlation id of the page request in flight, 0 when
 	// there is none. Only the reply echoing it is accepted.
 	reqID int64
@@ -303,9 +350,6 @@ type cpage struct {
 type hpage struct {
 	data    []int64
 	sharers []bool
-	// dirty: a processor of this node has stored to the master since
-	// the node's last flush, and the page is on the dirty list.
-	dirty bool
 	// unacked counts the write notices for this page that are out and
 	// not yet acknowledged; acks lists the releases — remote diffs and
 	// this node's own flushes — to complete when it reaches zero. A
@@ -342,10 +386,11 @@ type node struct {
 	pageShift, pageMask int
 
 	// epoch counts invalidations of cached pages (write notices and
-	// copies given up at a flush); it is bumped with mu held. A processor
-	// that cached a page's frame at epoch e may read it without mu for
-	// as long as epoch still reads e. The padding keeps the processors'
-	// polling of it off the cache line mu and the counters below dirty.
+	// copies given up at a flush); it is bumped with mu held. A TLB entry
+	// filled at epoch e serves loads, and stores if it is writable,
+	// without mu for as long as epoch still reads e. The padding keeps
+	// the processors' polling of it off the cache line mu and the
+	// counters below dirty.
 	epoch atomic.Uint64
 	_     [56]byte
 
@@ -355,10 +400,8 @@ type node struct {
 	// cache and home are indexed by page number.
 	cache []cpage
 	home  []hpage
-	// dirty lists the pages with unflushed stores, in first-store order:
-	// remote-homed pages that hold a twin, homed pages marked dirty.
-	dirty []int
-	// twins holds released twins for reuse.
+	// twins holds released twins for reuse; the handler borrows one for
+	// the snapshot a page reply carries.
 	twins [][]int64
 	// runOffs and runWords are flush's scratch for one page's runs.
 	runOffs  []int32
@@ -434,7 +477,9 @@ func (n *node) homeOf(page int) int { return page % n.cfg.Nodes }
 // split returns addr's page number and in-page offset.
 func (n *node) split(addr int) (page, off int) {
 	if n.pageShift >= 0 {
-		return addr >> uint(n.pageShift), addr & n.pageMask
+		// The mask tells the compiler the count is in range, which saves
+		// the access path its oversized-shift guard.
+		return addr >> (uint(n.pageShift) & 63), addr & n.pageMask
 	}
 	return addr / n.pageWords, addr % n.pageWords
 }
@@ -510,13 +555,15 @@ func (n *node) cached(from int, f wire.Frame) *cpage {
 	return &n.cache[f.A]
 }
 
-// checkDiff panics unless f's (start, count) pairs stay inside a page
-// and together cover exactly f.Words, and its give-up mark is 0 or 1.
+// checkDiff panics unless f's (start, count) pairs stay inside a page,
+// each begin at or past the end of the one before, and together cover
+// exactly f.Words, and its give-up mark is 0 or 1.
 func (n *node) checkDiff(from int, f wire.Frame) {
-	total, ok := 0, len(f.Offs)%2 == 0 && (f.C == 0 || f.C == 1)
+	total, end, ok := 0, 0, len(f.Offs)%2 == 0 && (f.C == 0 || f.C == 1)
 	for i := 0; ok && i < len(f.Offs); i += 2 {
 		start, count := int(f.Offs[i]), int(f.Offs[i+1])
-		ok = start >= 0 && count > 0 && start+count <= n.pageWords
+		ok = start >= end && count > 0 && start+count <= n.pageWords
+		end = start + count
 		total += count
 	}
 	if !ok || total != len(f.Words) {
@@ -536,14 +583,16 @@ func (n *node) handle(from int, f wire.Frame) {
 		hp := n.homed(from, f)
 		n.mu.Lock()
 		hp.sharers[from] = true
-		// Echo the requester's correlation id so it, and its transport
-		// layer, can pair the reply with the request. The reply is the
-		// master copy itself, lent to Send, and goes out before mu is
-		// released: no home store lands in it while Send reads it, and a
-		// home processor's flush sends notices under mu, so one for a
-		// store made after this copy was taken cannot reach the
-		// requester ahead of the copy.
-		n.send(from, wire.Frame{Type: wire.TPageReply, A: f.A, C: f.C, Words: hp.data})
+		// The reply is a snapshot, taken word-atomically into a borrowed
+		// twin: home processors store to the master without mu, and Send
+		// reads its frame plainly. It echoes the requester's correlation
+		// id so the requester, and its transport layer, can pair it with
+		// the request, and it goes out before mu is released: a home
+		// processor's flush sends notices under mu, so one for a store
+		// the snapshot missed cannot reach the requester ahead of it.
+		snap := n.takeTwin(hp.data)
+		n.send(from, wire.Frame{Type: wire.TPageReply, A: f.A, C: f.C, Words: snap})
+		n.twins = append(n.twins, snap)
 		n.mu.Unlock()
 
 	case wire.TPageReply:
@@ -576,16 +625,9 @@ func (n *node) handle(from int, f wire.Frame) {
 		hp := n.homed(from, f)
 		n.checkDiff(from, f)
 		n.mu.Lock()
-		// Word-atomically: this node's processors read the master without
-		// the lock.
-		at := 0
-		for i := 0; i < len(f.Offs); i += 2 {
-			start, count := int(f.Offs[i]), int(f.Offs[i+1])
-			for j, w := range f.Words[at : at+count] {
-				atomic.StoreInt64(&hp.data[start+j], w)
-			}
-			at += count
-		}
+		// Word-atomically: this node's processors read and write the
+		// master without the lock.
+		diff.ApplyRuns(hp.data, f.Offs, f.Words)
 		// Every other copy out there is now stale: those sharers restart
 		// from a fresh fetch. The flusher's copy has the words already and
 		// stays registered unless the diff says it was given up.
@@ -764,127 +806,40 @@ func (n *node) ensureLocked(ring, page int) {
 	}
 }
 
-// writableLocked returns page's frame ready to be stored to and on the
-// dirty list: the master copy on the page's home, elsewhere the node's
-// copy, valid and twinned. Called and returns with n.mu held.
-func (n *node) writableLocked(ring, page int) []int64 {
-	if hp := &n.home[page]; hp.data != nil {
-		if !hp.dirty {
-			hp.dirty = true
-			n.dirty = append(n.dirty, page)
-		}
-		return hp.data
+// takeTwin returns a page-sized buffer from the twin pool holding a
+// word-atomic copy of data. Called with n.mu held; the caller appends
+// the buffer to n.twins when it is done with it.
+func (n *node) takeTwin(data []int64) []int64 {
+	var t []int64
+	if k := len(n.twins); k > 0 {
+		t, n.twins = n.twins[k-1], n.twins[:k-1]
+	} else {
+		t = make([]int64, n.pageWords)
 	}
-	cp := &n.cache[page]
-	if !cp.valid {
-		t0 := n.wallNow()
-		n.ensureLocked(ring, page)
-		n.span(ring, trace.EvWriteFault, page, t0, 0, 0)
-	}
-	if cp.twin == nil {
-		if k := len(n.twins); k > 0 {
-			cp.twin, n.twins = n.twins[k-1], n.twins[:k-1]
-		} else {
-			cp.twin = make([]int64, n.pageWords)
-		}
-		diff.CopyIn(cp.twin, cp.data)
-		n.dirty = append(n.dirty, page)
-	}
-	return cp.data
+	diff.CopyIn(t, data)
+	return t
 }
 
-// flush publishes every dirty page and waits until all stale copies of
-// each have been invalidated. It is the release operation's write-back;
-// the caller performs the matching release message only after flush
-// returns. A page homed here was written in place, so publishing it is
-// a write notice to each remote sharer and nothing when there is none;
-// any other page goes to its home as a diff against its twin. ring is
-// the flushing processor's trace ring; the fence span covers diff
-// construction through the last acknowledgement and is recorded only
-// when the release actually sent or waited on something.
-func (n *node) flush(ring int) {
-	n.mu.Lock()
-	t0 := n.wallNow()
-	n.tokenSeq++
-	token := int64(n.cfg.Rank)<<32 | n.tokenSeq
-	slices.Sort(n.dirty)
-	sent := 0
-	wake := false
-	for _, page := range n.dirty {
-		if hp := &n.home[page]; hp.data != nil {
-			hp.dirty = false
-			for s, sharing := range hp.sharers {
-				if sharing {
-					hp.sharers[s] = false
-					hp.unacked++
-					n.emit(ring, trace.EvNoticeSend, page, int64(s), 0)
-					n.send(s, wire.Frame{Type: wire.TWriteNotice, A: int64(page), B: token})
-				}
-			}
-			if hp.unacked > 0 {
-				hp.acks = append(hp.acks, flushAck{flusher: n.cfg.Rank, token: token})
-				sent++
-			}
-			continue
-		}
-		cp := &n.cache[page]
-		var lo, hi int
-		n.runOffs, n.runWords, lo, hi = diff.AppendRuns(n.runOffs[:0], n.runWords[:0], cp.data, cp.twin)
-		n.twins = append(n.twins, cp.twin)
-		cp.twin = nil
-		if len(n.runWords) == 0 {
-			// Only silent stores: the home has nothing to learn.
-			continue
-		}
-		giveUp := int64(0)
-		switch {
-		case !cp.valid:
-			// Invalidated under the stores and not refetched since. A
-			// fetch in flight may have been copied at the home ahead of
-			// this diff, and with the twin gone its reply would overwrite
-			// these words: disown it, so that the reply is dropped and
-			// the waiter asks again behind the diff.
-			if cp.reqID != 0 {
-				cp.reqID = 0
-				wake = true
-			}
-		case cp.noticed && !cp.keep:
-			// Others write this page between our releases, so the copy
-			// would be invalidated before we next use it and cost its
-			// writer a notice round trip: give it up now, in the diff.
-			cp.valid = false
-			n.epoch.Add(1)
-			giveUp = 1
-		}
-		// Otherwise the copy stays valid: it has every word the diff
-		// carries, and the home keeps us registered, so whoever writes
-		// the page next invalidates it like any other sharer's.
-		cp.gaveUp = giveUp == 1
-		sent++
-		n.emit(ring, trace.EvDiffOut, page, int64(len(n.runWords)), trace.PackWordSpan(lo, hi))
-		// Send only borrows the frame's slices, so the diff goes out
-		// from the scratch and the next page's runs may overwrite it.
-		n.send(n.homeOf(page), wire.Frame{
-			Type: wire.TDiff, A: int64(page), B: token, C: giveUp,
-			Offs: n.runOffs, Words: n.runWords,
-		})
-	}
-	n.dirty = n.dirty[:0]
-	n.flushOut += sent
-	if wake {
-		n.cond.Broadcast() // disowned fetches
-	}
-	// Wait for every outstanding flush of this node, not just our own
-	// pages: a release may carry no dirty words itself yet must still
-	// fence behind another local processor's in-flight invalidations.
-	fenced := n.flushOut > 0
-	for n.flushOut > 0 {
-		n.cond.Wait()
-	}
-	n.mu.Unlock()
-	if fenced {
-		n.span(ring, trace.EvFlushFence, -1, t0, int64(sent), 0)
-	}
+// tlbSize is the number of direct-mapped entries in each processor's
+// software TLB, as in internal/core: sixteen cover the applications'
+// working rows without conflict.
+const (
+	tlbSize = 16
+	tlbMask = tlbSize - 1
+)
+
+// tlbEntry caches one page's frame in plain fields owned by the
+// accessing goroutine. It was filled under n.mu while the node's copy
+// was valid, and stands while its epoch tag equals n.epoch: no copy has
+// been invalidated since, so the frame is still the node's valid copy.
+// writable additionally says the processor is on its own dirty list for
+// the page — and, for a cached page, on the page's writer count, which
+// is what keeps the twin its stores will be diffed against alive.
+type tlbEntry struct {
+	page     int // -1 when empty
+	frame    []int64
+	epoch    uint64
+	writable bool
 }
 
 // proc is one processor goroutine's view of the DSM; it implements
@@ -897,70 +852,117 @@ type proc struct {
 	local  int
 	barGen int64
 
-	// last is the page this processor read most recently: its frame and
-	// the node's invalidation epoch at the time, both taken under n.mu
-	// while the copy was valid. While the epoch stands no page has been
-	// invalidated since, so the frame is still the node's valid copy
-	// and a load needs no lock. A load that races an invalidation may
-	// find a refetch already rewriting the frame under it; frames are
-	// rewritten word-atomically, so it reads whole words, each no older
-	// than the processor's last acquire.
-	last struct {
-		page  int
-		data  []int64
-		epoch uint64
-	}
+	tlb [tlbSize]tlbEntry
+
+	// dirty is the processor's private dirty list: the pages it has
+	// write-faulted on since its last release, in fault order. dirtyIn
+	// mirrors membership, indexed by page. Both change only on the
+	// processor's own goroutine, under n.mu.
+	dirty   []int
+	dirtyIn []bool
 }
 
 var _ apps.Proc = (*proc)(nil)
 
 func (n *node) newProc(local int) *proc {
-	p := &proc{n: n, gpid: n.cfg.Rank*n.cfg.PPN + local, local: local}
-	p.last.page = -1
+	p := &proc{n: n, gpid: n.cfg.Rank*n.cfg.PPN + local, local: local, dirtyIn: make([]bool, n.nPages)}
+	for i := range p.tlb {
+		p.tlb[i].page = -1
+	}
 	return p
 }
 
 func (p *proc) ID() int     { return p.gpid }
 func (p *proc) NProcs() int { return p.n.cfg.Nodes * p.n.cfg.PPN }
 
-// readPage returns page's frame, valid at some point during the call,
-// and remembers it in p.last.
-func (p *proc) readPage(page int) []int64 {
-	if p.last.page == page && p.last.epoch == p.n.epoch.Load() {
-		return p.last.data
+// fillLocked caches page's frame in its TLB slot. Called with n.mu held
+// and the node's copy valid, so the epoch it records is one the copy is
+// valid at.
+func (p *proc) fillLocked(page int) *tlbEntry {
+	e := &p.tlb[page&tlbMask]
+	*e = tlbEntry{page: page, frame: p.n.cache[page].data, epoch: p.n.epoch.Load(), writable: p.dirtyIn[page]}
+	return e
+}
+
+// readEntry returns a TLB entry good for loading from page: the cached
+// one on a hit, else one filled under n.mu, after a fetch if the node's
+// copy is invalid. A load through it that races an invalidation may find
+// a refetch already rewriting the frame; frames are rewritten
+// word-atomically, so it reads whole words, each no older than the
+// processor's last acquire.
+func (p *proc) readEntry(page int) *tlbEntry {
+	e := &p.tlb[page&tlbMask]
+	if e.page == page && e.epoch == p.n.epoch.Load() {
+		return e
 	}
 	n := p.n
 	var t0 int64
 	n.mu.Lock()
-	cp := &n.cache[page]
-	faulted := !cp.valid
+	faulted := !n.cache[page].valid
 	if faulted {
 		t0 = n.wallNow()
 		n.ensureLocked(p.local, page)
 	}
-	p.last.page, p.last.data, p.last.epoch = page, cp.data, n.epoch.Load()
+	e = p.fillLocked(page)
 	n.mu.Unlock()
 	if faulted {
 		n.span(p.local, trace.EvReadFault, page, t0, 0, 0)
 	}
-	return p.last.data
+	return e
 }
 
+// writableLocked is the write fault: it returns a writable TLB entry
+// for page, with the node's copy valid, the page on the processor's
+// dirty list and, away from the page's home, the processor on the
+// page's writer count and the page twinned. Called and returns with
+// n.mu held.
+func (p *proc) writableLocked(page int) *tlbEntry {
+	n := p.n
+	cp := &n.cache[page]
+	if !cp.valid {
+		t0 := n.wallNow()
+		n.ensureLocked(p.local, page)
+		n.span(p.local, trace.EvWriteFault, page, t0, 0, 0)
+	}
+	if !p.dirtyIn[page] {
+		p.dirtyIn[page] = true
+		p.dirty = append(p.dirty, page)
+		if n.home[page].data == nil {
+			if cp.writers == 0 {
+				cp.twin = n.takeTwin(cp.data)
+			}
+			cp.writers++
+		}
+	}
+	return p.fillLocked(page)
+}
+
+// Load repeats readEntry's hit test because readEntry is too big to
+// inline, and the call would cost a hit a fifth of its time.
 func (p *proc) Load(addr int) int64 {
 	page, off := p.n.split(addr)
-	return atomic.LoadInt64(&p.readPage(page)[off])
+	e := &p.tlb[page&tlbMask]
+	if e.page != page || e.epoch != p.n.epoch.Load() {
+		e = p.readEntry(page)
+	}
+	return atomic.LoadInt64(&e.frame[off])
 }
 
-// Store writes one word under the node mutex: a store without it could
-// land between flush's scan of the page and its release of the twin,
-// and be lost. The store itself is atomic for the sake of lock-free
-// loads of the same word by a racing reader (TSP's bound).
+// Store writes one word without the node mutex on a hit; a miss is the
+// write fault. No flush waits for the store to land: until the
+// processor's own next release it is on the page's writer count, so the
+// page keeps a twin that lacks the word, and whichever flush scans the
+// page after the store diffs it — a sibling's, or its own. The store is
+// atomic because siblings scan, snapshot and load the frame meanwhile.
 func (p *proc) Store(addr int, v int64) {
-	n := p.n
-	page, off := n.split(addr)
-	n.mu.Lock()
-	atomic.StoreInt64(&n.writableLocked(p.local, page)[off], v)
-	n.mu.Unlock()
+	page, off := p.n.split(addr)
+	e := &p.tlb[page&tlbMask]
+	if e.page != page || !e.writable || e.epoch != p.n.epoch.Load() {
+		p.n.mu.Lock()
+		e = p.writableLocked(page)
+		p.n.mu.Unlock()
+	}
+	atomic.StoreInt64(&e.frame[off], v)
 }
 
 func (p *proc) LoadF(addr int) float64 {
@@ -971,14 +973,14 @@ func (p *proc) StoreF(addr int, v float64) {
 	p.Store(addr, int64(math.Float64bits(v)))
 }
 
-// LoadFRow and StoreFRow clip the row to page segments and pay the
-// validity check, the twin check and the lock once per segment.
+// LoadFRow and StoreFRow clip the row to page segments and pay the TLB
+// check or the fault bookkeeping once per segment.
 
 func (p *proc) LoadFRow(dst []float64, addr int) {
 	for len(dst) > 0 {
 		page, off := p.n.split(addr)
 		run := min(p.n.pageWords-off, len(dst))
-		seg := p.readPage(page)[off : off+run]
+		seg := p.readEntry(page).frame[off : off+run]
 		for i := range seg {
 			dst[i] = math.Float64frombits(uint64(atomic.LoadInt64(&seg[i])))
 		}
@@ -987,8 +989,11 @@ func (p *proc) LoadFRow(dst []float64, addr int) {
 	}
 }
 
-// StoreFRow's stores are plain: they are ordered against every other
-// access to the frame by n.mu, except lock-free loads, and a load of a
+// StoreFRow holds n.mu across each segment so that its stores can be
+// plain: the mutex orders them against every flush's scan, every reply's
+// snapshot and every diff the handler applies, which an atomic store per
+// word would otherwise have to (and a row kernel stores millions). They
+// are not ordered against a sibling's lock-free loads, and a load of a
 // word while another processor stores it is a data race in the
 // application.
 func (p *proc) StoreFRow(addr int, src []float64) {
@@ -997,13 +1002,130 @@ func (p *proc) StoreFRow(addr int, src []float64) {
 		page, off := n.split(addr)
 		run := min(n.pageWords-off, len(src))
 		n.mu.Lock()
-		seg := n.writableLocked(p.local, page)[off : off+run]
+		seg := p.writableLocked(page).frame[off : off+run]
 		for i, v := range src[:run] {
 			seg[i] = int64(math.Float64bits(v))
 		}
 		n.mu.Unlock()
 		src = src[run:]
 		addr += run
+	}
+}
+
+// flush publishes every page on the processor's dirty list, takes the
+// processor off each, and waits until all stale copies of each have
+// been invalidated. It is the release operation's write-back; the
+// caller performs the matching release message only after flush
+// returns. A page homed here was written in place, so publishing it is
+// a write notice to each remote sharer and nothing when there is none;
+// any other page goes to its home as a diff against its twin, which
+// carries every local processor's words so far. The fence span covers
+// diff construction through the last acknowledgement and is recorded
+// only when the release actually sent or waited on something.
+func (p *proc) flush() {
+	n := p.n
+	n.mu.Lock()
+	t0 := n.wallNow()
+	n.tokenSeq++
+	token := int64(n.cfg.Rank)<<32 | n.tokenSeq
+	slices.Sort(p.dirty)
+	sent := 0
+	wake := false
+	for _, page := range p.dirty {
+		// Off the page: the processor's next store to it faults.
+		p.dirtyIn[page] = false
+		if e := &p.tlb[page&tlbMask]; e.page == page {
+			e.writable = false
+		}
+		if hp := &n.home[page]; hp.data != nil {
+			for s, sharing := range hp.sharers {
+				if sharing {
+					hp.sharers[s] = false
+					hp.unacked++
+					n.emit(p.local, trace.EvNoticeSend, page, int64(s), 0)
+					n.send(s, wire.Frame{Type: wire.TWriteNotice, A: int64(page), B: token})
+				}
+			}
+			if hp.unacked > 0 {
+				hp.acks = append(hp.acks, flushAck{flusher: n.cfg.Rank, token: token})
+				sent++
+			}
+			continue
+		}
+		cp := &n.cache[page]
+		var lo, hi int
+		n.runOffs, n.runWords, lo, hi = diff.AppendRuns(n.runOffs[:0], n.runWords[:0], cp.data, cp.twin)
+		cp.writers--
+		last := cp.writers == 0
+		if last {
+			n.twins = append(n.twins, cp.twin)
+			cp.twin = nil
+		}
+		if len(n.runWords) == 0 {
+			// Only silent stores: the home has nothing to learn.
+			continue
+		}
+		giveUp := int64(0)
+		switch {
+		case !cp.valid:
+			// Invalidated under the stores and not refetched since. A
+			// fetch in flight may have been copied at the home ahead of
+			// this diff, and its reply would put older words over these —
+			// in the frame, and in the twin if one is left: disown it, so
+			// that the reply is dropped and the waiter asks again behind
+			// the diff.
+			if cp.reqID != 0 {
+				cp.reqID = 0
+				wake = true
+			}
+		case last && cp.noticed && !cp.keep:
+			// Others write this page between our releases, so the copy
+			// would be invalidated before we next use it and cost its
+			// writer a notice round trip: give it up now, in the diff.
+			// Not while a sibling is still writing it, though: that one
+			// would refetch at once.
+			cp.valid = false
+			n.epoch.Add(1)
+			giveUp = 1
+		}
+		// Otherwise the copy stays valid: it has every word the diff
+		// carries, and the home keeps us registered, so whoever writes
+		// the page next invalidates it like any other sharer's.
+		cp.gaveUp = giveUp == 1
+		sent++
+		n.emit(p.local, trace.EvDiffOut, page, int64(len(n.runWords)), trace.PackWordSpan(lo, hi))
+		// Send only borrows the frame's slices, so the diff goes out
+		// from the scratch and the next page's runs may overwrite it.
+		n.send(n.homeOf(page), wire.Frame{
+			Type: wire.TDiff, A: int64(page), B: token, C: giveUp,
+			Offs: n.runOffs, Words: n.runWords,
+		})
+		if !last {
+			// Siblings still store to the page without the mutex, so the
+			// twin stays, brought up to what the diff carried
+			// (flush-update): their releases then send only what is newer.
+			// The words come from the scratch, not the frame: a store that
+			// has landed since the scan is in no diff yet, and a twin that
+			// took it from the frame would hide it from every later one.
+			diff.ApplyRuns(cp.twin, n.runOffs, n.runWords)
+		}
+	}
+	p.dirty = p.dirty[:0]
+	n.flushOut += sent
+	if wake {
+		n.cond.Broadcast() // disowned fetches
+	}
+	// Wait for every outstanding flush of this node, not just our own
+	// pages: a release may carry no dirty words itself yet must still
+	// fence behind a sibling's diff in flight, which may be carrying
+	// words of ours that the twin it updated then kept out of our own.
+	fenced := n.flushOut > 0
+	for n.flushOut > 0 {
+		n.cond.Wait()
+	}
+	n.mu.Unlock()
+	if fenced {
+		n.span(p.local, trace.EvFlushFence, -1, t0, int64(sent), 0)
 	}
 }
 
@@ -1035,7 +1157,7 @@ func (p *proc) Lock(i int) {
 func (p *proc) Unlock(i int) {
 	n := p.n
 	t0 := n.wallNow()
-	n.flush(p.local)
+	p.flush()
 	n.send(0, wire.Frame{Type: wire.TLockRelease, A: int64(i), B: int64(p.gpid)})
 	n.span(p.local, trace.EvUnlock, -1, t0, int64(i), 0)
 }
@@ -1045,7 +1167,7 @@ func (p *proc) Unlock(i int) {
 func (p *proc) SetFlag(i int) {
 	n := p.n
 	t0 := n.wallNow()
-	n.flush(p.local)
+	p.flush()
 	for r := 0; r < n.cfg.Nodes; r++ {
 		n.send(r, wire.Frame{Type: wire.TFlagSet, A: int64(i)})
 	}
@@ -1068,7 +1190,7 @@ func (p *proc) WaitFlag(i int) {
 func (p *proc) Barrier() {
 	n := p.n
 	t0 := n.wallNow()
-	n.flush(p.local)
+	p.flush()
 	p.barGen++
 	n.send(0, wire.Frame{Type: wire.TBarArrive, A: p.barGen, B: int64(p.gpid)})
 	n.mu.Lock()

@@ -396,42 +396,65 @@ func TestDisjointWritersOfOnePageBothWin(t *testing.T) {
 
 // TestStoresSurviveSiblingFlushes runs two processors of one node on
 // the same pages: one releases over and over while the other keeps
-// storing to every remaining word and reading each store back. On pages
-// homed elsewhere each release scans the pages against their twins,
-// drops the twins and sends the diffs, so a store that fell between a
-// flush's scan and its twin release would surface as a stale word at
-// the home; on pages homed here the stores go to the master in place
-// and a release has nothing to scan. Run it under -race -cpu 1,2,4.
+// storing, without the node mutex, to every remaining word and reading
+// each store back. On pages homed elsewhere each release scans the pages
+// against their twins and sends the diffs, and the twin rule is what
+// keeps a store that lands after a scan from being lost: the streaming
+// processor is on the page's writer count, so the twin stays, updated
+// with exactly what was sent; a twin dropped, left as it was, or updated
+// from the frame surfaces as a stale or missing word at the home. In the
+// third case a processor of the home writes word 1 of the same pages
+// under the lock, so its releases' notices invalidate the copy, and the
+// refetches merge under the twin, while the stores stream. On pages
+// homed here the stores go to the master in place and a release has
+// nothing to scan. Run it under -race -cpu 1,2,4.
 func TestStoresSurviveSiblingFlushes(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		nodes int
+		name   string
+		nodes  int
+		remote bool // processor 2, on the pages' home, writes word 1
 	}{
-		{"homed elsewhere", 2}, // rank 0's processors on rank 1's pages
-		{"homed here", 1},
+		{"homed elsewhere", 2, false}, // rank 0's processors on rank 1's pages
+		{"homed here", 1, false},
+		{"invalidated by the home", 2, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			const pages, releases = 2, 300
+			const pages = 2
 			// The test's pages are the last of each group of tc.nodes.
 			addr := func(pg, off int) int { return (pg*tc.nodes+tc.nodes-1)*apps.PageWords + off }
-			var done atomic.Bool
+			var lockers atomic.Int32 // still releasing
+			lockers.Store(1)
+			releases := 300 // in all
+			streamFrom := 1 // words below belong to the lockers
+			if tc.remote {
+				lockers.Store(2)
+				releases /= 2
+				streamFrom = 2
+			}
 			last := make([]int64, pages*tc.nodes*apps.PageWords) // each word's final store
 			app := &progApp{shape: apps.Shape{SharedWords: len(last), Locks: 1}}
+			locker := func(p apps.Proc, off int) {
+				defer lockers.Add(-1)
+				for k := 1; k <= releases; k++ {
+					a := addr(k%pages, off)
+					p.Lock(0)
+					p.Store(a, int64(k))
+					last[a] = int64(k)
+					p.Unlock(0)
+				}
+			}
 			app.body = func(p apps.Proc) {
 				switch p.ID() {
 				case 0:
-					defer done.Store(true)
-					for k := 1; k <= releases; k++ {
-						a := addr(k%pages, 0)
-						p.Lock(0)
-						p.Store(a, int64(k))
-						last[a] = int64(k)
-						p.Unlock(0)
+					locker(p, 0)
+				case 2:
+					if tc.remote {
+						locker(p, 1)
 					}
 				case 1:
-					for round := int64(1); !done.Load(); round++ {
+					for round := int64(1); lockers.Load() > 0; round++ {
 						for pg := 0; pg < pages; pg++ {
-							for off := 1; off < apps.PageWords; off++ { // word 0 is processor 0's
+							for off := streamFrom; off < apps.PageWords; off++ {
 								a := addr(pg, off)
 								v := round<<32 | int64(a)
 								p.Store(a, v)
@@ -461,8 +484,8 @@ func TestStoresSurviveSiblingFlushes(t *testing.T) {
 // tap is a Messenger whose peers are the test itself: every frame the
 // node sends lands on sent, and the test plays the other ranks by
 // calling node.handle. Send only borrows a frame's slices — a page
-// reply's are the live master copy — so the tap keeps copies, taken
-// like a real mesh's before Send returns.
+// reply's are a pooled buffer, a diff's the run scratch — so the tap
+// keeps copies, taken like a real mesh's before Send returns.
 type tap struct {
 	self, peers int
 	sent        chan tapped
@@ -568,14 +591,14 @@ func (n *node) validLocked(page int) bool {
 	return n.cache[page].valid
 }
 
-// flushRemote runs a release on n that must publish remotePage as one
+// flushRemote runs a release on p that must publish remotePage as one
 // diff, plays the home's acknowledgement, and returns the diff.
-func flushRemote(t *testing.T, n *node, tp *tap) wire.Frame {
+func flushRemote(t *testing.T, p *proc, tp *tap) wire.Frame {
 	t.Helper()
 	flushed := make(chan struct{})
-	go func() { n.flush(0); close(flushed) }()
+	go func() { p.flush(); close(flushed) }()
 	d := tp.next(t, wire.TDiff)
-	n.handle(1, wire.Frame{Type: wire.TFlushAck, A: d.A, B: d.B})
+	p.n.handle(1, wire.Frame{Type: wire.TFlushAck, A: d.A, B: d.B})
 	<-flushed
 	return d
 }
@@ -608,7 +631,7 @@ func TestStaleReplyAfterFlushIsDropped(t *testing.T) {
 	stale := tp.next(t, wire.TPageReq)
 
 	flushed := make(chan struct{})
-	go func() { n.flush(0); close(flushed) }()
+	go func() { writer.flush(); close(flushed) }()
 	d := tp.next(t, wire.TDiff)
 	if want := (wire.Frame{Type: wire.TDiff, A: remotePage, B: d.B, Offs: []int32{3, 1}, Words: []int64{30}}); !wire.Equal(d, want) {
 		t.Fatalf("flush sent %+v, want %+v", d, want)
@@ -644,7 +667,7 @@ func TestSilentStoreSendsNoDiff(t *testing.T) {
 	fetchRemote(t, n, tp, map[int]int64{4: 44})
 	p := n.newProc(0)
 	p.Store(base+4, 44)
-	n.flush(0) // would block on the fence if it had sent a diff
+	p.flush() // would block on the fence if it had sent a diff
 	select {
 	case s := <-tp.sent:
 		t.Fatalf("a silent store made the release send a %v frame", s.f.Type)
@@ -653,7 +676,7 @@ func TestSilentStoreSendsNoDiff(t *testing.T) {
 	if !n.validLocked(remotePage) {
 		t.Error("a silent store cost the node its valid copy")
 	}
-	if n.cache[remotePage].twin != nil || len(n.dirty) != 0 {
+	if n.cache[remotePage].twin != nil || len(p.dirty) != 0 {
 		t.Error("the release left the page twinned")
 	}
 }
@@ -684,7 +707,7 @@ func TestRefetchUnderLocalWritesMerges(t *testing.T) {
 		}
 	}
 
-	d := flushRemote(t, n, tp)
+	d := flushRemote(t, p, tp)
 	if want := (wire.Frame{Type: wire.TDiff, A: remotePage, B: d.B, C: 1, Offs: []int32{3, 1}, Words: []int64{30}}); !wire.Equal(d, want) {
 		t.Errorf("release sent %+v, want only the local word and the give-up mark: %+v", d, want)
 	}
@@ -704,9 +727,9 @@ func TestHomeStoreFlush(t *testing.T) {
 	if got := p.Load(homePage*apps.PageWords + 2); got != 20 {
 		t.Fatalf("home store reads back %d, want 20", got)
 	}
-	n.flush(0) // would block on the fence if it had sent anything
+	p.flush() // would block on the fence if it had sent anything
 	tp.quiet(t, "home store and flush with no sharer")
-	if n.cache[homePage].twin != nil || len(n.dirty) != 0 {
+	if n.cache[homePage].twin != nil || len(p.dirty) != 0 {
 		t.Error("the release left the home page twinned or dirty")
 	}
 
@@ -716,7 +739,7 @@ func TestHomeStoreFlush(t *testing.T) {
 	}
 	p.Store(homePage*apps.PageWords+2, 21)
 	flushed := make(chan struct{})
-	go func() { n.flush(0); close(flushed) }()
+	go func() { p.flush(); close(flushed) }()
 	wn := tp.next(t, wire.TWriteNotice)
 	if wn.A != homePage {
 		t.Fatalf("notice names page %d, want %d", wn.A, homePage)
@@ -732,7 +755,7 @@ func TestHomeStoreFlush(t *testing.T) {
 
 	// The notice cost the sharer its copy and its registration.
 	p.Store(homePage*apps.PageWords+2, 22)
-	n.flush(0)
+	p.flush()
 	tp.quiet(t, "home flush after the only sharer was invalidated")
 }
 
@@ -751,7 +774,7 @@ func TestReleaseWaitsForNoticesAlreadyOut(t *testing.T) {
 
 	p.Store(homePage*apps.PageWords+2, 20)
 	flushed := make(chan struct{})
-	go func() { n.flush(0); close(flushed) }()
+	go func() { p.flush(); close(flushed) }()
 	n.handle(2, wire.Frame{Type: wire.TDiff, A: homePage, B: 2<<32 | 2, Offs: []int32{3, 1}, Words: []int64{30}})
 	select {
 	case <-flushed:
@@ -802,7 +825,7 @@ func TestReplyLeavesBeforeLaterStoresNotice(t *testing.T) {
 	flushed := make(chan struct{})
 	go func() {
 		p.Store(homePage*apps.PageWords+4, 40)
-		n.flush(0)
+		p.flush()
 		close(flushed)
 	}()
 	select {
@@ -820,18 +843,34 @@ func TestReplyLeavesBeforeLaterStoresNotice(t *testing.T) {
 	<-flushed
 }
 
-// TestReplyCarriesMasterAsOfSend: the home lends Send the master copy
-// itself, so what the requester gets is the page as it stood when Send
-// ran — under the node mutex, with every earlier home store in it and no
-// later one, though the same slice takes that store a moment after.
+// TestReplyCarriesMasterAsOfSend: home processors store to the master
+// without the node mutex, so the home sends a snapshot taken under it,
+// in a buffer borrowed from the twin pool. What the requester gets is
+// the page as it stood when the handler sent it — every earlier home
+// store in it and no later one, though the tap stalls Send and the
+// master takes two more stores before the transport reads the frame.
 func TestReplyCarriesMasterAsOfSend(t *testing.T) {
 	n, tp := tapNode()
 	p := n.newProc(0)
 	base := homePage * apps.PageWords
 	p.Store(base+2, 20)
-	n.handle(1, wire.Frame{Type: wire.TPageReq, A: homePage, C: 1<<32 | 1})
-	p.Store(base+2, 21)
+	stalled, release := make(chan struct{}), make(chan struct{})
+	tp.hold = func(f wire.Frame) {
+		if f.Type == wire.TPageReply {
+			close(stalled)
+			<-release
+		}
+	}
+	handled := make(chan struct{})
+	go func() {
+		n.handle(1, wire.Frame{Type: wire.TPageReq, A: homePage, C: 1<<32 | 1})
+		close(handled)
+	}()
+	<-stalled
+	p.Store(base+2, 21) // hits: the handler holds the mutex
 	p.Store(base+3, 31)
+	close(release)
+	<-handled
 	r := tp.next(t, wire.TPageReply)
 	if len(r.Words) != apps.PageWords || r.Words[2] != 20 || r.Words[3] != 0 {
 		t.Fatalf("reply carries %d words, word 2 = %d, word 3 = %d; want the page as of the send: %d words, 20, 0",
@@ -839,6 +878,15 @@ func TestReplyCarriesMasterAsOfSend(t *testing.T) {
 	}
 	if got := p.Load(base + 2); got != 21 {
 		t.Errorf("master word 2 = %d after the later store, want 21", got)
+	}
+	// The buffer is back in the pool, and the next reply borrows it again.
+	tp.hold = nil
+	n.handle(1, wire.Frame{Type: wire.TPageReq, A: homePage, C: 1<<32 | 2})
+	if r := tp.next(t, wire.TPageReply); r.Words[2] != 21 || r.Words[3] != 31 {
+		t.Errorf("second reply carries words 2, 3 = %d, %d, want 21, 31", r.Words[2], r.Words[3])
+	}
+	if len(n.twins) != 1 {
+		t.Errorf("two replies left %d buffers in the twin pool, want the one both borrowed", len(n.twins))
 	}
 }
 
@@ -861,7 +909,7 @@ func TestFlushReusesRunScratchBetweenDiffs(t *testing.T) {
 		<-stored
 	}
 	flushed := make(chan struct{})
-	go func() { n.flush(0); close(flushed) }()
+	go func() { p.flush(); close(flushed) }()
 	first, second := tp.next(t, wire.TDiff), tp.next(t, wire.TDiff)
 	for _, tc := range []struct {
 		got  wire.Frame
@@ -890,7 +938,7 @@ func TestKeptCopyServesLoadsUntilNoticed(t *testing.T) {
 	p := n.newProc(0)
 	p.Store(base+3, 30)
 	epoch := n.epoch.Load()
-	d := flushRemote(t, n, tp)
+	d := flushRemote(t, p, tp)
 	if want := (wire.Frame{Type: wire.TDiff, A: remotePage, B: d.B, Offs: []int32{3, 1}, Words: []int64{30}}); !wire.Equal(d, want) {
 		t.Fatalf("release sent %+v, want %+v", d, want)
 	}
@@ -930,7 +978,7 @@ func TestRemoteDiffVisibleToHomeReader(t *testing.T) {
 	if ack := tp.next(t, wire.TFlushAck); ack.A != homePage || ack.B != 9 {
 		t.Fatalf("flush ack names page %d token %d, want page %d token 9", ack.A, ack.B, homePage)
 	}
-	if p.last.page != homePage || n.epoch.Load() != epoch {
+	if e := p.tlb[homePage&tlbMask]; e.page != homePage || e.epoch != epoch || n.epoch.Load() != epoch {
 		t.Fatal("the diff cost the home reader its cached frame")
 	}
 	if got := p.Load(base + 7); got != 70 {
@@ -953,7 +1001,7 @@ func TestMigratoryHandOffGivesCopyUp(t *testing.T) {
 	for round, c := range wantC {
 		// Lock; the record arrives; increment; unlock.
 		p.Store(base, loadRemote(t, n, tp, p, 0, map[int]int64{0: int64(2 * round)})+1)
-		if d := flushRemote(t, n, tp); d.C != c || len(d.Words) != 1 || d.Words[0] != int64(2*round+1) {
+		if d := flushRemote(t, p, tp); d.C != c || len(d.Words) != 1 || d.Words[0] != int64(2*round+1) {
 			t.Fatalf("round %d: release sent %+v, want word %d with C=%d", round, d, 2*round+1, c)
 		}
 		if kept := n.validLocked(remotePage); kept != (c == 0) {
@@ -973,7 +1021,7 @@ func TestMigratoryHandOffGivesCopyUp(t *testing.T) {
 		n.handle(1, wire.Frame{Type: wire.TDiff, A: homePage, B: 1<<32 | (round + 1), C: 1, Offs: []int32{0, 1}, Words: []int64{2*round + 1}})
 		tp.next(t, wire.TFlushAck)
 		p.Store(home, p.Load(home)+1)
-		n.flush(0) // would block on the fence if it had sent a notice
+		p.flush() // would block on the fence if it had sent a notice
 		tp.quiet(t, "home release after the sharer gave its copy up")
 	}
 	if got := p.Load(home); got != 4 {
@@ -1001,14 +1049,14 @@ func TestFalseSharingKeepsCopyAfterOneGiveUp(t *testing.T) {
 		}
 		p.Store(base, v)
 		notice(t, n, tp)
-		if d := flushRemote(t, n, tp); d.C != 0 {
+		if d := flushRemote(t, p, tp); d.C != 0 {
 			t.Fatalf("round %d: a copy already invalidated was given up: %+v", round, d)
 		}
 		// Refetch for the next store, and release again with the copy
 		// valid: this is the diff that decides.
 		loadRemote(t, n, tp, p, 1, map[int]int64{0: v, 1: 10*v + 1})
 		p.Store(base+2, v)
-		if d := flushRemote(t, n, tp); d.C != c {
+		if d := flushRemote(t, p, tp); d.C != c {
 			t.Fatalf("round %d: release sent C=%d, want %d: %+v", round, d.C, c, d)
 		}
 		if kept := n.validLocked(remotePage); kept != (c == 0) {
@@ -1017,6 +1065,172 @@ func TestFalseSharingKeepsCopyAfterOneGiveUp(t *testing.T) {
 	}
 	if cp := &n.cache[remotePage]; !cp.keep {
 		t.Error("the wasted give-up did not set the sticky keep")
+	}
+}
+
+// hitStore stores through p and fails unless the store completes while
+// the node mutex is held by someone else — the caller, or a flush the
+// tap has stalled in Send: it must be a TLB hit.
+func hitStore(t *testing.T, p *proc, addr int, v int64) {
+	t.Helper()
+	if p.n.mu.TryLock() {
+		t.Fatal("hitStore wants the node mutex held")
+	}
+	stored := make(chan struct{})
+	go func() { p.Store(addr, v); close(stored) }()
+	select {
+	case <-stored:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("store to word %d waits for the node mutex", addr)
+	}
+}
+
+// twinState returns whether page holds a twin, and its writer count.
+func (n *node) twinState(page int) (twinned bool, writers int) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.cache[page].twin != nil, n.cache[page].writers
+}
+
+// twinnedPair fetches remotePage holding 90 in word 9 and has processor
+// b, then processor a, write-fault on it: b stores 50 to word 5, a 30
+// to word 3.
+func twinnedPair(t *testing.T, n *node, tp *tap) (a, b *proc) {
+	t.Helper()
+	fetchRemote(t, n, tp, map[int]int64{9: 90})
+	a, b = n.newProc(0), n.newProc(1)
+	b.Store(remotePage*apps.PageWords+5, 50)
+	a.Store(remotePage*apps.PageWords+3, 30)
+	return a, b
+}
+
+// TestTwinOutlivesSiblingFlush is the twin rule, scripted. Two
+// processors write-fault on a page and one releases: its diff carries
+// both processors' words so far, and because the other is still on the
+// page's writer count the twin stays, brought up to exactly the words
+// that were sent. The tap stalls the diff in Send, under the node mutex,
+// while the sibling — without the mutex — overwrites a word the diff
+// carries and stores a new one: both must reach the home in the
+// sibling's own diff, and nothing else may. A twin updated from the
+// frame would swallow the overwrite, one not updated would resend the
+// first diff's words, and a dropped one would send nothing.
+func TestTwinOutlivesSiblingFlush(t *testing.T) {
+	n, tp := tapNode()
+	base := remotePage * apps.PageWords
+	a, b := twinnedPair(t, n, tp)
+
+	stalled, release := make(chan struct{}), make(chan struct{})
+	tp.hold = func(f wire.Frame) {
+		if f.Type == wire.TDiff {
+			close(stalled)
+			<-release
+		}
+	}
+	flushed := make(chan struct{})
+	go func() { a.flush(); close(flushed) }()
+	<-stalled
+	tp.hold = nil
+	hitStore(t, b, base+5, 51)
+	hitStore(t, b, base+6, 60)
+	close(release)
+	d := tp.next(t, wire.TDiff)
+	if want := (wire.Frame{Type: wire.TDiff, A: remotePage, B: d.B, Offs: []int32{3, 1, 5, 1}, Words: []int64{30, 50}}); !wire.Equal(d, want) {
+		t.Fatalf("first release sent %+v, want both processors' words as of its scan: %+v", d, want)
+	}
+	n.handle(1, wire.Frame{Type: wire.TFlushAck, A: d.A, B: d.B})
+	<-flushed
+	if twinned, writers := n.twinState(remotePage); !twinned || writers != 1 || !n.validLocked(remotePage) {
+		t.Fatalf("after the first release: twinned %v, %d writers, want the twin held for the one sibling and the copy valid", twinned, writers)
+	}
+
+	d = flushRemote(t, b, tp)
+	if want := (wire.Frame{Type: wire.TDiff, A: remotePage, B: d.B, Offs: []int32{5, 2}, Words: []int64{51, 60}}); !wire.Equal(d, want) {
+		t.Errorf("second release sent %+v, want only what the first did not carry: %+v", d, want)
+	}
+	if twinned, writers := n.twinState(remotePage); twinned || writers != 0 {
+		t.Errorf("after the last writer's release: twinned %v, %d writers", twinned, writers)
+	}
+	a.flush() // nothing of a's is dirty, nothing is in flight
+	tp.quiet(t, "a release with an empty dirty list")
+}
+
+// TestTwinSurvivesNoticeBeforeSiblingFlush: the page is invalidated
+// under both processors' stores, and the sibling has already faulted on
+// its next store when the other releases. The release publishes the
+// invalid page and keeps the twin; it disowns the sibling's request,
+// whose reply may predate the diff; the re-request's reply merges under
+// the twin; and the sibling's release sends its one new word — giving
+// the copy up, now that it is the last writer of a noticed page.
+func TestTwinSurvivesNoticeBeforeSiblingFlush(t *testing.T) {
+	n, tp := tapNode()
+	base := remotePage * apps.PageWords
+	a, b := twinnedPair(t, n, tp)
+	notice(t, n, tp)
+
+	stored := make(chan struct{})
+	go func() { b.Store(base+6, 60); close(stored) }() // the notice revoked b's entry
+	stale := tp.next(t, wire.TPageReq)
+	flushed := make(chan struct{})
+	go func() { a.flush(); close(flushed) }()
+	d := tp.next(t, wire.TDiff)
+	if want := (wire.Frame{Type: wire.TDiff, A: remotePage, B: d.B, Offs: []int32{3, 1, 5, 1}, Words: []int64{30, 50}}); !wire.Equal(d, want) {
+		t.Fatalf("release of the invalidated page sent %+v, want %+v", d, want)
+	}
+	again := tp.next(t, wire.TPageReq)
+	n.handle(1, reply(stale, map[int]int64{7: 70, 9: 91})) // copied before the diff: no words 3, 5
+	if n.validLocked(remotePage) {
+		t.Fatal("the reply to a request sent before the flush was installed as a valid copy")
+	}
+	n.handle(1, reply(again, map[int]int64{3: 30, 5: 50, 7: 70, 9: 91}))
+	<-stored
+	n.handle(1, wire.Frame{Type: wire.TFlushAck, A: d.A, B: d.B})
+	<-flushed
+	if twinned, writers := n.twinState(remotePage); !twinned || writers != 1 {
+		t.Fatalf("after the release: twinned %v, %d writers, want the twin held for the sibling", twinned, writers)
+	}
+	for off, want := range map[int]int64{3: 30, 5: 50, 6: 60, 7: 70, 9: 91} {
+		if got := a.Load(base + off); got != want {
+			t.Errorf("word %d = %d after the merge, want %d", off, got, want)
+		}
+	}
+
+	d = flushRemote(t, b, tp)
+	if want := (wire.Frame{Type: wire.TDiff, A: remotePage, B: d.B, C: 1, Offs: []int32{6, 1}, Words: []int64{60}}); !wire.Equal(d, want) {
+		t.Errorf("sibling's release sent %+v, want its one new word and the give-up mark: %+v", d, want)
+	}
+	if twinned, _ := n.twinState(remotePage); twinned {
+		t.Error("the last writer's release left the page twinned")
+	}
+}
+
+// TestTwinHoldsOffGiveUp: the give-up rule would have a release of a
+// noticed page invalidate the node's copy, but a sibling on the writer
+// count is using it and would refetch at once, so the release keeps the
+// copy, the registration and the epoch — the sibling's next store still
+// hits — and the give-up waits for the last writer's release.
+func TestTwinHoldsOffGiveUp(t *testing.T) {
+	n, tp := tapNode()
+	base := remotePage * apps.PageWords
+	fetchRemote(t, n, tp, nil)
+	notice(t, n, tp) // the evidence: others write the page between our releases
+	a, b := twinnedPair(t, n, tp)
+	epoch := n.epoch.Load()
+
+	if d := flushRemote(t, a, tp); d.C != 0 {
+		t.Fatalf("a release gave the copy up while a sibling was on the writer count: %+v", d)
+	}
+	if !n.validLocked(remotePage) || n.epoch.Load() != epoch {
+		t.Fatal("the release invalidated a copy a sibling is writing")
+	}
+	n.mu.Lock()
+	hitStore(t, b, base+6, 60)
+	n.mu.Unlock()
+	d := flushRemote(t, b, tp)
+	if want := (wire.Frame{Type: wire.TDiff, A: remotePage, B: d.B, C: 1, Offs: []int32{6, 1}, Words: []int64{60}}); !wire.Equal(d, want) {
+		t.Errorf("last writer's release sent %+v, want %+v", d, want)
+	}
+	if n.validLocked(remotePage) {
+		t.Error("the copy is still valid after a diff that told the home it was given up")
 	}
 }
 
@@ -1049,6 +1263,10 @@ func TestMalformedFramesPanicAttributed(t *testing.T) {
 			"malformed diff of page 0 from rank 1"},
 		{"diff runs beyond the payload", wire.Frame{Type: wire.TDiff, A: 0, Offs: []int32{0, 2, 8, 2}, Words: []int64{1, 2, 3}},
 			"malformed diff of page 0 from rank 1"},
+		{"diff runs that overlap", wire.Frame{Type: wire.TDiff, A: 0, Offs: []int32{0, 2, 1, 2}, Words: []int64{1, 2, 3, 4}},
+			"malformed diff of page 0 from rank 1: runs [0 2 1 2] over 4 words"},
+		{"diff runs that go backwards", wire.Frame{Type: wire.TDiff, A: 0, Offs: []int32{8, 2, 0, 2}, Words: []int64{1, 2, 3, 4}},
+			"malformed diff of page 0 from rank 1: runs [8 2 0 2] over 4 words"},
 		{"diff with half a run", wire.Frame{Type: wire.TDiff, A: 0, Offs: []int32{0, 1, 2}, Words: []int64{1}},
 			"malformed diff of page 0 from rank 1"},
 		{"diff with a give-up mark outside {0,1}", wire.Frame{Type: wire.TDiff, A: 0, C: 2, Offs: []int32{0, 1}, Words: []int64{1}},
