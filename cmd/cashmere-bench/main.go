@@ -41,7 +41,6 @@ import (
 	"cashmere/internal/bench"
 	"cashmere/internal/cli"
 	"cashmere/internal/metrics"
-	"cashmere/internal/trace"
 )
 
 func main() {
@@ -91,16 +90,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cashmere-bench: serving metrics on http://%s/\n", srv.Addr)
 		defer srv.Close()
 	}
-	if o.Trace != "" || o.Profile != "" {
-		var pages map[int]bool
-		if o.TracePages != "" {
-			var err error
-			pages, err = trace.ParsePageList(o.TracePages)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "cashmere-bench: -trace-pages:", err)
-				exit(2)
-			}
-		}
+	outs, err := metrics.NewTraceOutputs(o.Trace, "", o.Profile, o.TracePages, "hot-page/hot-lock profile of "+o.TraceCell)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "cashmere-bench:", err)
+		exit(2)
+	}
+	if outs.Wanted() {
 		// Validate the cell label and normalize its topology through the
 		// shared grammar, so "-trace-cell SOR/2L/32:4" and every other
 		// topology-bearing flag reject bad input with the same message.
@@ -109,7 +104,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "cashmere-bench: -trace-cell:", err)
 			exit(2)
 		}
-		s.SetTrace(label, pages)
+		s.SetTrace(label, outs.Pages)
 	}
 
 	w := os.Stdout
@@ -201,35 +196,13 @@ func main() {
 		fail(err)
 	}
 
-	if o.Trace != "" || o.Profile != "" {
+	if outs.Wanted() {
 		tr := s.TraceResult()
 		if tr == nil {
 			fmt.Fprintf(os.Stderr, "cashmere-bench: -trace/-profile: cell %s was not executed by the selected sections\n", o.TraceCell)
 			exit(1)
 		}
-		if o.Trace != "" {
-			f, err := os.Create(o.Trace)
-			fail(err)
-			err = trace.WriteChrome(f, tr, trace.ChromeOptions{})
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			fail(err)
-		}
-		if o.Profile != "" {
-			prof := metrics.BuildProfile(tr, 20)
-			out := os.Stdout
-			if o.Profile != "-" {
-				f, err := os.Create(o.Profile)
-				fail(err)
-				out = f
-			}
-			fmt.Fprintf(out, "hot-page/hot-lock profile of %s\n\n", o.TraceCell)
-			fail(prof.WriteText(out))
-			if out != os.Stdout {
-				fail(out.Close())
-			}
-		}
+		fail(outs.Write(tr.Recording()))
 	}
 
 	if fails := s.FailedCells(); len(fails) > 0 {

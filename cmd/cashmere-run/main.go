@@ -13,24 +13,26 @@
 //	cashmere-run -app SOR -profile -                    # hot-page report
 //	cashmere-run -app Water -http :6060                 # live /metrics
 //	cashmere-run -app SOR -transport tcp -nodes 2 -ppn 2   # one OS process per node
+//	cashmere-run -app Gauss -quick -transport tcp -nodes 2 -ppn 2 -profile -
 //
 // -transport selects the engine: "sim" (the default) is the simulator,
 // "tcp" the multi-process runtime (internal/mprun). A flag only the
 // other engine reads — -protocol with tcp, say — is an error, not
 // ignored. See docs/TRANSPORT.md.
 //
-// -trace records a structured event trace of the run and writes it as
-// Chrome trace-event JSON, loadable at https://ui.perfetto.dev.
-// -trace-timeline writes a plain-text per-page event timeline ("-" for
-// stdout), optionally restricted to the -trace-pages page numbers; it
-// is the structured successor of the CASHMERE_TRACE_PAGE environment
-// variable. See docs/TRACING.md.
+// The tracing flags render one trace.Recording, whichever engine made
+// it — in virtual time from the simulator, in rank 0's wall clock from
+// tcp. -trace writes it as Chrome trace-event JSON, loadable at
+// https://ui.perfetto.dev; -trace-timeline as a plain-text per-page
+// event timeline ("-" for stdout), optionally restricted to the
+// -trace-pages page numbers, the structured successor of the
+// CASHMERE_TRACE_PAGE environment variable; -profile as the hot-page /
+// hot-lock attribution report ("-" for stdout): the top pages by
+// protocol time with sharing-pattern labels, contended locks and flags,
+// and barrier latency. See docs/TRACING.md and docs/METRICS.md.
 //
-// -profile writes the run's hot-page / hot-lock attribution report
-// ("-" for stdout): the top pages by protocol time with sharing-pattern
-// labels, contended locks and flags, and barrier latency. -http serves
-// live /metrics (Prometheus text format), /status, and net/http/pprof
-// while the run executes. See docs/METRICS.md.
+// -http serves live /metrics (Prometheus text format), /status, and
+// net/http/pprof while the run executes. See docs/METRICS.md.
 //
 // -replay re-executes a model-checker counterexample (the JSON file the
 // checker or fuzzer writes on an invariant violation; see
@@ -120,17 +122,22 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cashmere-run: unknown application %q\n", o.App)
 		os.Exit(2)
 	}
+	outs, err := metrics.NewTraceOutputs(o.Trace, o.TraceTL, o.Profile, o.TracePages, "")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "cashmere-run:", err)
+		os.Exit(2)
+	}
 	if rank, mpNodes, isChild, err := cli.MPChildFromEnv(); isChild {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "cashmere-run:", err)
 			os.Exit(2)
 		}
-		os.Exit(runMPChild(o, app, rank, mpNodes))
+		os.Exit(runMPChild(o, app, rank, mpNodes, outs.Wanted()))
 	}
 	if o.Transport == cli.EngineTCP {
 		// One OS process per node over loopback sockets; the
 		// single-process engine below never runs. See docs/TRANSPORT.md.
-		os.Exit(runMPParent(o))
+		os.Exit(runMPParent(o, outs))
 	}
 
 	cfg := core.Config{
@@ -141,17 +148,8 @@ func main() {
 		UseInterrupts: o.Interrupts,
 	}
 	var tr *trace.Tracer
-	if o.Trace != "" || o.TraceTL != "" || o.Profile != "" {
-		var pages map[int]bool
-		if o.TracePages != "" {
-			var err error
-			pages, err = trace.ParsePageList(o.TracePages)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "cashmere-run: -trace-pages:", err)
-				os.Exit(2)
-			}
-		}
-		tr = trace.New(trace.Config{Procs: o.Nodes * o.PPN, Links: o.Nodes, Pages: pages})
+	if outs.Wanted() {
+		tr = trace.New(trace.Config{Procs: o.Nodes * o.PPN, Links: o.Nodes, Pages: outs.Pages})
 		cfg.Trace = tr
 	}
 	var detach func()
@@ -178,21 +176,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "cashmere-run:", err)
 		os.Exit(1)
 	}
-	if o.Trace != "" {
-		writeOut(o.Trace, func(f *os.File) error {
-			return trace.WriteChrome(f, tr, trace.ChromeOptions{})
-		})
-	}
-	if o.TraceTL != "" {
-		writeOut(o.TraceTL, func(f *os.File) error {
-			return trace.WritePageTimeline(f, tr, nil)
-		})
-	}
-	if o.Profile != "" {
-		prof := metrics.BuildProfile(tr, 20)
-		writeOut(o.Profile, func(f *os.File) error {
-			return prof.WriteText(f)
-		})
+	if tr != nil {
+		if err := outs.Write(tr.Recording()); err != nil {
+			fmt.Fprintln(os.Stderr, "cashmere-run:", err)
+			os.Exit(1)
+		}
 	}
 	seq := app.SeqTime(costs.Default())
 	protoLabel := kind.String()
@@ -230,27 +218,4 @@ func replay(path string) int {
 		return 1
 	}
 	return 0
-}
-
-// writeOut writes through fn to the named file, or to stdout for "-".
-func writeOut(path string, fn func(*os.File) error) {
-	f := os.Stdout
-	if path != "-" {
-		var err error
-		f, err = os.Create(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cashmere-run:", err)
-			os.Exit(1)
-		}
-	}
-	err := fn(f)
-	if f != os.Stdout {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cashmere-run:", err)
-		os.Exit(1)
-	}
 }

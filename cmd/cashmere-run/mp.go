@@ -26,8 +26,9 @@ package main
 //
 // # Observability
 //
-// With -trace or -http set, each child also streams observability
-// reports on the same pipe as single lines tagged
+// With a tracing flag (-trace, -trace-timeline, -profile) or -http set,
+// each child also streams observability reports on the same pipe as
+// single lines tagged
 //
 //	CASHMERE-MP-OBS <one-line JSON, metrics.MPReport>
 //
@@ -36,10 +37,10 @@ package main
 // buffer, tracer epoch, and clock-offset estimates from the hello
 // exchange. The parent keeps the latest report per rank: -http serves
 // the aggregate on /metrics (cashmere_mp_* families) and per-rank
-// progress on /status, and -trace merges every rank's buffer into one
-// clock-aligned Perfetto timeline (trace.WriteChromeRanks). A missing
-// final trace report from any rank fails the run rather than writing a
-// partial timeline.
+// progress on /status, and the tracing flags merge every rank's buffer
+// into one clock-aligned trace.Recording (trace.Merge) and write it
+// exactly as the simulator's is written. A missing final trace report
+// from any rank fails the run rather than writing a partial timeline.
 
 import (
 	"bufio"
@@ -75,8 +76,9 @@ const mpMaxLine = 256 << 20
 
 // runMPChild is the child side of the tcp launcher: announce a
 // listening address, receive the peer map, join the mesh, run the
-// application. Returns the process exit code.
-func runMPChild(o cli.RunOptions, app apps.App, rank, nodes int) int {
+// application, under a tracer when the parent will want its recording.
+// Returns the process exit code.
+func runMPChild(o cli.RunOptions, app apps.App, rank, nodes int, traced bool) int {
 	if nodes != o.Nodes {
 		fmt.Fprintf(os.Stderr, "cashmere-run: CASHMERE_MP_CHILD says %d nodes but flags say %d\n", nodes, o.Nodes)
 		return 2
@@ -105,9 +107,9 @@ func runMPChild(o cli.RunOptions, app apps.App, rank, nodes int) int {
 	}
 	defer ep.Close()
 
-	// The child sees the parent's flags verbatim: -trace enables the
-	// rank-local tracer (the parent writes the merged file), and either
-	// -trace or -http makes the child report frame statistics. Rank 0
+	// The child sees the parent's flags verbatim: a tracing flag enables
+	// the rank-local tracer (the parent writes the merged files), and
+	// that or -http makes the child report frame statistics. Rank 0
 	// counts its frames regardless, for the summary's last line. The
 	// child itself never binds -http — the parent serves the aggregate.
 	var (
@@ -115,11 +117,11 @@ func runMPChild(o cli.RunOptions, app apps.App, rank, nodes int) int {
 		epoch int64
 		stats *transport.FrameStats
 	)
-	if o.Trace != "" {
+	if traced {
 		epoch = time.Now().UnixNano()
 		tr = trace.New(trace.Config{Procs: o.PPN + 1})
 	}
-	observed := o.Trace != "" || o.HTTP != ""
+	observed := traced || o.HTTP != ""
 	if observed || rank == 0 {
 		stats = transport.NewFrameStats(nodes)
 		ep.SetStats(stats)
@@ -232,8 +234,9 @@ func (c *obsCollector) reports() []metrics.MPReport {
 
 // runMPParent launches o.Nodes child processes, brokers the address
 // exchange, relays their output, collects their observability reports,
-// and reaps them. Returns the process exit code.
-func runMPParent(o cli.RunOptions) int {
+// reaps them, and writes what the tracing flags ask for. Returns the
+// process exit code.
+func runMPParent(o cli.RunOptions, outs metrics.TraceOutputs) int {
 	exe, err := os.Executable()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cashmere-run:", err)
@@ -390,44 +393,26 @@ func runMPParent(o cli.RunOptions) int {
 		}
 	}
 
-	if o.Trace != "" {
+	if outs.Wanted() {
 		// Merge every rank's trace buffer onto rank 0's clock. A rank
 		// that never delivered its final report (crash, dropped pipe)
 		// fails the run rather than producing a partial timeline.
 		tracks, err := metrics.MPTracks(coll.reports())
+		var rec *trace.Recording
+		if err == nil {
+			rec, err = trace.Merge(tracks)
+		}
+		if err == nil {
+			err = outs.Write(rec)
+		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "cashmere-run: -trace:", err)
-			if code == 0 {
-				code = 1
-			}
-		} else if err := writeMPFile(o.Trace, tracks); err != nil {
-			fmt.Fprintln(os.Stderr, "cashmere-run: -trace:", err)
+			fmt.Fprintln(os.Stderr, "cashmere-run: tracing:", err)
 			if code == 0 {
 				code = 1
 			}
 		}
 	}
 	return code
-}
-
-// writeMPFile writes the merged multi-rank timeline to path ("-" for
-// stdout).
-func writeMPFile(path string, tracks []trace.RankTrack) error {
-	f := os.Stdout
-	if path != "-" {
-		var err error
-		f, err = os.Create(path)
-		if err != nil {
-			return err
-		}
-	}
-	err := trace.WriteChromeRanks(f, tracks, trace.ChromeOptions{})
-	if f != os.Stdout {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
 }
 
 // relay forwards one line of child output: rank 0 owns the run's

@@ -305,7 +305,7 @@ func (s *Suite) execute(name string, v Variant, topo Topology) (core.Result, err
 		s.trMu.Unlock()
 		if s.r.sink != nil {
 			s.r.sink.noteTrace(key, tr.Summary())
-			s.r.sink.noteProfile(key, metrics.BuildProfile(tr, 20))
+			s.r.sink.noteProfile(key, metrics.BuildProfile(tr.Recording(), 20))
 		}
 	}
 	return res, err

@@ -58,9 +58,9 @@ func (o *RunOptions) Register(fs *flag.FlagSet) {
 	fs.BoolVar(&o.Interrupts, "interrupts", false, "interrupt-based messaging instead of polling")
 	fs.BoolVar(&o.Adaptive, "adaptive", false, "adaptive per-page coherence policy (see docs/ADAPTIVE.md)")
 	fs.BoolVar(&o.Quick, "quick", false, "tiny problem size")
-	fs.StringVar(&o.Trace, "trace", "", "write a Chrome/Perfetto trace of the run to this file")
+	fs.StringVar(&o.Trace, "trace", "", `write a Chrome/Perfetto trace of the run to this file ("-" for stdout)`)
 	fs.StringVar(&o.TraceTL, "trace-timeline", "", `write a per-page event timeline to this file ("-" for stdout)`)
-	fs.StringVar(&o.TracePages, "trace-pages", "", "comma-separated page numbers to restrict tracing output to")
+	fs.StringVar(&o.TracePages, "trace-pages", "", "comma-separated page numbers to restrict -trace-timeline (and, with -transport sim, CASHMERE_TRACE_PAGE-style live notes) to")
 	fs.StringVar(&o.Profile, "profile", "", `write a hot-page/hot-lock attribution report to this file ("-" for stdout)`)
 	fs.StringVar(&o.HTTP, "http", "", `serve live /metrics, /status, and pprof on this address (e.g. ":6060")`)
 	fs.StringVar(&o.Replay, "replay", "", "replay a model-checker counterexample JSON file and exit")
@@ -75,9 +75,10 @@ const (
 )
 
 // runEngineFlags names the engine of every cashmere-run flag that only
-// one engine reads: the multi-process runtime has one protocol, no cost
-// model and no page timeline or profile, and the simulator has no child
-// processes to report.
+// one engine reads: the multi-process runtime has one protocol and no
+// cost model, and the simulator has no child processes to report. The
+// tracing flags are not here: a traced run is one trace.Recording
+// whichever engine made it.
 var runEngineFlags = map[string]string{
 	"protocol":          EngineSim,
 	"fabric":            EngineSim,
@@ -85,9 +86,6 @@ var runEngineFlags = map[string]string{
 	"lockbased":         EngineSim,
 	"interrupts":        EngineSim,
 	"adaptive":          EngineSim,
-	"trace-timeline":    EngineSim,
-	"trace-pages":       EngineSim,
-	"profile":           EngineSim,
 	"mp-stats-interval": EngineTCP,
 }
 

@@ -26,22 +26,32 @@ func TestCheckEngine(t *testing.T) {
 		// The flags of the two CI tcp smokes.
 		{"tcp smoke", []string{"-app", "SOR", "-quick", "-transport", "tcp", "-nodes", "2", "-ppn", "2"}, nil},
 		{"tcp observed", []string{"-transport", "tcp", "-trace", "t.json", "-http", ":0", "-mp-stats-interval", "50ms"}, nil},
+		// A traced run is one recording whichever engine made it.
+		{"tcp profiled", []string{"-transport", "tcp", "-profile", "-", "-trace-timeline", "-", "-trace-pages", "0"}, nil},
 	}
-	// Every table entry, set explicitly to its own default (still set),
-	// against the other engine and with its own. A table entry that is
-	// not a registered flag has no default to look up.
+	// Every flag, set explicitly to its own default (still set), with
+	// each engine: a table entry is refused by the other engine, by
+	// name, and everything else is accepted by both. A table entry that
+	// is not a registered flag has no default to look up.
 	ref := flag.NewFlagSet("", flag.ContinueOnError)
 	new(RunOptions).Register(ref)
-	for name, engine := range runEngineFlags {
-		arg := "-" + name + "=" + ref.Lookup(name).DefValue
-		other := EngineTCP
-		if engine == EngineTCP {
-			other = EngineSim
+	for name := range runEngineFlags {
+		if ref.Lookup(name) == nil {
+			t.Fatalf("runEngineFlags names -%s, which is not a flag", name)
 		}
-		cases = append(cases,
-			tc{name + " with " + other, []string{"-transport", other, arg}, []string{"-" + name + " "}},
-			tc{name + " with " + engine, []string{"-transport", engine, arg}, nil})
 	}
+	ref.VisitAll(func(f *flag.Flag) {
+		if f.Name == "transport" {
+			return
+		}
+		for _, engine := range []string{EngineSim, EngineTCP} {
+			c := tc{f.Name + " with " + engine, []string{"-transport", engine, "-" + f.Name + "=" + f.DefValue}, nil}
+			if only, ok := runEngineFlags[f.Name]; ok && only != engine {
+				c.want = []string{"-" + f.Name + " "}
+			}
+			cases = append(cases, c)
+		}
+	})
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			var o RunOptions

@@ -71,8 +71,8 @@ func DecodeMPReport(line string) (MPReport, error) {
 	return rep, nil
 }
 
-// MPTracks converts the final per-rank reports of one run into merged
-// trace tracks for trace.WriteChromeRanks, aligning every rank's clock
+// MPTracks converts the final per-rank reports of one run into the
+// rank tracks trace.Merge takes, aligning every rank's clock
 // to rank 0's using rank 0's offset estimates: an event at rank-local
 // wall time Epoch_r + VT lands on the merged timeline at
 // Epoch_r + VT − offset0[r] (offset0[r] ≈ rank r's clock minus rank
@@ -120,6 +120,7 @@ func MPTracks(reports []MPReport) ([]trace.RankTrack, error) {
 			Procs:    rep.PPN,
 			OffsetNS: rep.EpochUnixNS - off,
 			Events:   rep.TraceEvents,
+			Dropped:  rep.TraceDropped,
 		})
 	}
 	return tracks, nil

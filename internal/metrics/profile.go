@@ -26,10 +26,10 @@ const (
 type PageProfile struct {
 	Page int `json:"page"`
 
-	// ProtocolNS sums the virtual duration of the page's read- and
-	// write-fault spans — the time processors stalled resolving access
-	// to it. Page-fetch spans nest inside fault spans and are not added
-	// again.
+	// ProtocolNS sums the duration of the page's read- and write-fault
+	// spans, in the recording's clock — the time processors stalled
+	// resolving access to it. Page-fetch spans nest inside fault spans
+	// and are not added again.
 	ProtocolNS int64 `json:"protocol_ns"`
 
 	ReadFaults  int64 `json:"read_faults"`
@@ -121,21 +121,21 @@ type pageAcc struct {
 	spans map[int32][2]int
 
 	// lastWriter and alternations track the write-fault processor
-	// sequence in virtual-time order, for the migratory test.
+	// sequence in time order, for the migratory test.
 	lastWriter   int32
 	writeSeqLen  int64
 	alternations int64
 }
 
-// BuildProfile scans a tracer's recorded events and returns the
-// attribution profile. topN bounds the page list (<= 0 means 20).
-// Events() merges rings in virtual-time order, so the write-fault
-// alternation sequence is deterministic for deterministic runs.
-func BuildProfile(t *trace.Tracer, topN int) *Profile {
+// BuildProfile scans a recorded run and returns the attribution
+// profile. topN bounds the page list (<= 0 means 20). A recording is in
+// time order with cluster-wide processor ids, so the write-fault
+// alternation sequence is as deterministic as the run.
+func BuildProfile(rec *trace.Recording, topN int) *Profile {
 	if topN <= 0 {
 		topN = 20
 	}
-	p := &Profile{DroppedEvents: t.Dropped()}
+	p := &Profile{DroppedEvents: rec.Dropped}
 
 	pages := make(map[int32]*pageAcc)
 	pg := func(id int32) *pageAcc {
@@ -168,7 +168,7 @@ func BuildProfile(t *trace.Tracer, topN int) *Profile {
 		}
 	}
 
-	for _, e := range t.Events() {
+	for _, e := range rec.Events {
 		switch e.Kind {
 		case trace.EvReadFault:
 			a := pg(e.Page)

@@ -62,7 +62,7 @@ func TestProfileClassification(t *testing.T) {
 	emit(tr, 0, trace.Event{Kind: trace.EvBarrier, Page: -1, VT: 430, Dur: 2000})
 	emit(tr, 1, trace.Event{Kind: trace.EvBarrier, Page: -1, VT: 430, Dur: 4000})
 
-	p := metrics.BuildProfile(tr, 0)
+	p := metrics.BuildProfile(tr.Recording(), 0)
 
 	want := map[int]string{
 		0: metrics.PatternReadOnly,
@@ -124,7 +124,7 @@ func TestProfileTopNCut(t *testing.T) {
 	for page := 0; page < 30; page++ {
 		emit(tr, 0, trace.Event{Kind: trace.EvReadFault, Page: int32(page), VT: int64(page), Dur: int64(1 + page)})
 	}
-	p := metrics.BuildProfile(tr, 5)
+	p := metrics.BuildProfile(tr.Recording(), 5)
 	if len(p.Pages) != 5 || p.TotalPages != 30 {
 		t.Fatalf("topN cut: %d pages listed of %d", len(p.Pages), p.TotalPages)
 	}
@@ -149,7 +149,7 @@ func TestProfileRealRuns(t *testing.T) {
 			if _, err := apps.Run(app, cfg); err != nil {
 				t.Fatal(err)
 			}
-			p := metrics.BuildProfile(tr, 10)
+			p := metrics.BuildProfile(tr.Recording(), 10)
 			if len(p.Pages) == 0 {
 				t.Fatal("no hot pages attributed")
 			}

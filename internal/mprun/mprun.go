@@ -45,9 +45,10 @@
 // or waits for them (see "Access path"). A run never bridges an
 // unchanged word, because the home applies every word it is sent.
 //
-// The home applies the runs to the master, sends a TWriteNotice to every sharer but the flusher, striking each from the
-// sharer set, and answers the flusher with a TFlushAck once no notice
-// for the page is unacknowledged. A dirty page homed here needs no
+// The home applies the runs to the master, sends a TWriteNotice to
+// every sharer but the flusher, striking each from the sharer set, and
+// answers the flusher with a TFlushAck once no notice for the page is
+// unacknowledged. A dirty page homed here needs no
 // diff — the words are already in the master — so the flush itself
 // sends the notices, to every sharer, and completes locally on the last
 // TNoticeAck; with no sharer it sends nothing at all. Either kind of
@@ -184,9 +185,10 @@
 // being stored plainly is a data race in the application.
 //
 // Frames off the wire index those slices, so the handler range-checks
-// page numbers, diff runs, give-up marks and reply lengths, refuses a
-// reply or notice for a page it homes, and panics with the offending
-// rank and page rather than faulting.
+// page numbers, flag ids, diff runs, give-up marks and reply lengths,
+// refuses a reply or notice for a page it homes, an acknowledgement it
+// does not await and a slice the frame's type does not define, and
+// panics with the offending rank and frame rather than faulting.
 //
 // # Synchronization
 //
@@ -205,11 +207,18 @@
 // flushes, the notices a home processor's flush sends, the
 // release-fence wait (EvFlushFence), and lock, flag, and barrier waits
 // on each processor goroutine's ring, plus incoming diffs and the write
-// notices they cause on the frame handler's ring (index PPN, the "net"
-// track of a merged export). The request ids of the fetch-id rule
-// double as correlation ids: they are what lets transport.FrameStats
-// measure request→reply latency at the messenger seam. A nil Tracer
-// costs one branch per site and changes no frame.
+// notices they cause on the frame handler's ring (index PPN). Every
+// write fault is recorded — an instant when nothing had to be fetched,
+// as on the page's home — so a trace names each processor that stored
+// to a page; a load that hits, like every load of a master copy,
+// records nothing. trace.Merge turns the ranks' buffers into the one
+// trace.Recording that the Chrome exporter, the page timeline and the
+// profiler read, exactly as they read the simulator's: processors
+// numbered Rank*PPN + local, the handler on its node's own "net" track.
+// The request ids of the fetch-id rule double as correlation ids: they
+// are what lets transport.FrameStats measure request→reply latency at
+// the messenger seam. A nil Tracer costs one branch per site and
+// changes no frame.
 package mprun
 
 import (
@@ -246,8 +255,8 @@ type Config struct {
 	// frame-handler goroutine, so size it with
 	// trace.Config{Procs: PPN + 1} and no link rings. The runtime has
 	// no virtual clock; events carry wall nanoseconds since the
-	// tracer's start in VT, which the Chrome exporters render
-	// directly. Nil disables tracing at one branch per site.
+	// tracer's start in VT, which trace.Merge aligns across ranks. Nil
+	// disables tracing at one branch per site.
 	Tracer *trace.Tracer
 }
 
@@ -578,6 +587,16 @@ func (n *node) checkDiff(from int, f wire.Frame) {
 // slices are the Messenger's again once handle returns, and every case
 // is done with them by then.
 func (n *node) handle(from int, f wire.Frame) {
+	// A frame's slices belong to its type: a diff defines Offs and
+	// Words, a page reply Words, nothing else any. One this protocol
+	// would drop on the floor — a batched notice's extra Pages, say —
+	// is refused, not ignored.
+	hasOffs := f.Type == wire.TDiff
+	hasWords := hasOffs || f.Type == wire.TPageReply
+	if len(f.Pages) != 0 || len(f.Offs) != 0 && !hasOffs || len(f.Words) != 0 && !hasWords {
+		panic(fmt.Sprintf("mprun: rank %d received a %v frame from rank %d carrying %d pages, %d offsets and %d words, which the type does not define",
+			n.cfg.Rank, f.Type, from, len(f.Pages), len(f.Offs), len(f.Words)))
+	}
 	switch f.Type {
 	case wire.TPageReq:
 		hp := n.homed(from, f)
@@ -701,6 +720,12 @@ func (n *node) handle(from int, f wire.Frame) {
 
 	case wire.TFlushAck:
 		n.mu.Lock()
+		if n.flushOut <= 0 {
+			// Taken, it would let the node's next release skip its fence.
+			n.mu.Unlock()
+			panic(fmt.Sprintf("mprun: rank %d received a flush ack from rank %d for page %d, token %#x, but awaits none",
+				n.cfg.Rank, from, f.A, f.B))
+		}
 		n.flushOut--
 		n.mu.Unlock()
 		n.cond.Broadcast()
@@ -763,6 +788,10 @@ func (n *node) handle(from int, f wire.Frame) {
 		}
 
 	case wire.TFlagSet:
+		if f.A < 0 || f.A >= int64(len(n.flags)) {
+			panic(fmt.Sprintf("mprun: rank %d received a %v frame from rank %d for flag %d of %d",
+				n.cfg.Rank, f.Type, from, f.A, len(n.flags)))
+		}
 		n.mu.Lock()
 		n.flags[f.A] = true
 		n.mu.Unlock()
@@ -914,17 +943,23 @@ func (p *proc) readEntry(page int) *tlbEntry {
 // writableLocked is the write fault: it returns a writable TLB entry
 // for page, with the node's copy valid, the page on the processor's
 // dirty list and, away from the page's home, the processor on the
-// page's writer count and the page twinned. Called and returns with
-// n.mu held.
+// page's writer count and the page twinned. Every fault is recorded —
+// a span when it had to fetch, an instant when the copy was valid or
+// the master — so a trace shows each processor that wrote a page, its
+// home's included. Called and returns with n.mu held.
 func (p *proc) writableLocked(page int) *tlbEntry {
 	n := p.n
 	cp := &n.cache[page]
-	if !cp.valid {
+	fetched := !cp.valid
+	if fetched {
 		t0 := n.wallNow()
 		n.ensureLocked(p.local, page)
 		n.span(p.local, trace.EvWriteFault, page, t0, 0, 0)
 	}
 	if !p.dirtyIn[page] {
+		if !fetched {
+			n.emit(p.local, trace.EvWriteFault, page, 0, 0)
+		}
 		p.dirtyIn[page] = true
 		p.dirty = append(p.dirty, page)
 		if n.home[page].data == nil {

@@ -10,6 +10,7 @@ import (
 
 	"cashmere/internal/apps"
 	"cashmere/internal/costs"
+	"cashmere/internal/metrics"
 	"cashmere/internal/trace"
 	"cashmere/internal/transport"
 	"cashmere/internal/transport/shmchan"
@@ -136,19 +137,18 @@ func selfFlows(r int, snap transport.MsgSnapshot) []transport.FlowCount {
 	return self
 }
 
-// TestTracedRunStructure runs SOR on a traced, frame-counted 2x2 mesh
-// and checks the observability layer end to end: per-processor fault
-// and synchronization spans, handler-ring diff events, flush fences,
-// and transport counters whose request/reply totals must agree with
-// the correlated latency histograms. Pages are one grid row each, so
-// both ranks home some rows of their band and fetch the others: every
-// rank faults, but only ever on a page homed elsewhere.
-func TestTracedRunStructure(t *testing.T) {
-	const nodes, ppn = 2, 2
+// tracedMesh is runMesh with a tracer and frame counters on every rank:
+// it returns what each rank recorded, positioned for trace.Merge as the
+// tcp launcher's parent positions its children's reports (the ranks
+// share this process's clock, so a rank's offset is its tracer's start).
+func tracedMesh(t *testing.T, app func() apps.App, nodes, ppn, pageWords int) ([]trace.RankTrack, []*transport.FrameStats) {
+	t.Helper()
 	mesh := shmchan.NewMesh(nodes)
 	trs := make([]*trace.Tracer, nodes)
+	ranks := make([]trace.RankTrack, nodes)
 	stats := make([]*transport.FrameStats, nodes)
 	for r := 0; r < nodes; r++ {
+		ranks[r] = trace.RankTrack{Rank: r, Procs: ppn, OffsetNS: time.Now().UnixNano()}
 		trs[r] = trace.New(trace.Config{Procs: ppn + 1})
 		stats[r] = transport.NewFrameStats(nodes)
 		mesh.Endpoint(r).SetStats(stats[r])
@@ -159,22 +159,36 @@ func TestTracedRunStructure(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			cfg := Config{Rank: r, Nodes: nodes, PPN: ppn, PageWords: 64, Model: costs.Default(), Tracer: trs[r]}
-			errs[r] = Run(apps.SmallSOR(), cfg, mesh.Endpoint(r))
+			cfg := Config{Rank: r, Nodes: nodes, PPN: ppn, PageWords: pageWords, Model: costs.Default(), Tracer: trs[r]}
+			errs[r] = Run(app(), cfg, mesh.Endpoint(r))
 		}(r)
 	}
 	wg.Wait()
 	for r := 0; r < nodes; r++ {
 		mesh.Endpoint(r).Close()
+		ranks[r].Events, ranks[r].Dropped = trs[r].Events(), trs[r].Dropped()
 	}
 	for r, err := range errs {
 		if err != nil {
 			t.Fatalf("rank %d: %v", r, err)
 		}
 	}
+	return ranks, stats
+}
+
+// TestTracedRunStructure runs SOR on a traced, frame-counted 2x2 mesh
+// and checks the observability layer end to end: per-processor fault
+// and synchronization spans, handler-ring diff events, flush fences,
+// and transport counters whose request/reply totals must agree with
+// the correlated latency histograms. Pages are one grid row each, so
+// both ranks home some rows of their band and fetch the others: every
+// rank faults, but only ever on a page homed elsewhere.
+func TestTracedRunStructure(t *testing.T) {
+	const nodes, ppn = 2, 2
+	ranks, stats := tracedMesh(t, func() apps.App { return apps.SmallSOR() }, nodes, ppn, 64)
 
 	for r := 0; r < nodes; r++ {
-		evs := trs[r].Events()
+		evs := ranks[r].Events
 		if len(evs) == 0 {
 			t.Fatalf("rank %d recorded no events", r)
 		}
@@ -188,16 +202,23 @@ func TestTracedRunStructure(t *testing.T) {
 				kindsByRing[ring] = map[trace.Kind]int{}
 			}
 			kindsByRing[ring][e.Kind]++
+			homed := int(e.Page)%nodes == r
 			switch e.Kind {
-			case trace.EvBarrier, trace.EvFlushFence, trace.EvReadFault, trace.EvWriteFault, trace.EvPageFetch:
+			case trace.EvBarrier, trace.EvFlushFence, trace.EvReadFault, trace.EvPageFetch:
 				if e.Dur <= 0 {
 					t.Errorf("rank %d %v event with non-positive duration: %+v", r, e.Kind, e)
 				}
+			case trace.EvWriteFault:
+				// A span when the fault fetched, which a home never does;
+				// an instant for a first store to a copy already valid.
+				if e.Dur < 0 || e.Dur > 0 && homed {
+					t.Errorf("rank %d write fault of %d ns on page %d (homed here: %v): %+v", r, e.Dur, e.Page, homed, e)
+				}
 			}
 			switch e.Kind {
-			case trace.EvReadFault, trace.EvWriteFault, trace.EvPageFetch, trace.EvDiffOut:
-				if int(e.Page)%nodes == r {
-					t.Errorf("rank %d faulted on or diffed page %d, which it homes: %+v", r, e.Page, e)
+			case trace.EvReadFault, trace.EvPageFetch, trace.EvDiffOut:
+				if homed {
+					t.Errorf("rank %d fetched or diffed page %d, which it homes: %+v", r, e.Page, e)
 				}
 			}
 		}
@@ -1287,6 +1308,12 @@ func TestMalformedFramesPanicAttributed(t *testing.T) {
 			"received a write-notice frame from rank 1 for page -1 of 2"},
 		{"notice ack nobody waits for", wire.Frame{Type: wire.TNoticeAck, A: 0, B: 5},
 			"received a notice ack from rank 1 for page 0, token 0x5, which awaits none"},
+		{"flush ack nobody waits for", wire.Frame{Type: wire.TFlushAck, A: remotePage, B: 5},
+			"rank 0 received a flush ack from rank 1 for page 1, token 0x5, but awaits none"},
+		{"flag beyond the application's", wire.Frame{Type: wire.TFlagSet, A: 1 << 20},
+			"rank 0 received a flag-set frame from rank 1 for flag 1048576 of "},
+		{"write notice batching pages", wire.Frame{Type: wire.TWriteNotice, A: remotePage, Pages: []int32{3, 5}},
+			"rank 0 received a write-notice frame from rank 1 carrying 2 pages, 0 offsets and 0 words, which the type does not define"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			n, _ := tapNode()
@@ -1299,5 +1326,95 @@ func TestMalformedFramesPanicAttributed(t *testing.T) {
 			n.handle(1, tc.f)
 			t.Errorf("handle accepted the frame")
 		})
+	}
+}
+
+// TestMergedRunProfile merges a traced 2x2 Gauss run as the tcp
+// launcher does and reads it with the tools the simulator's recording
+// is read with. Gauss's rows are dealt cyclically, so with 64-word
+// pages both ranks store to the same pages: the profile must count a
+// writer on each, the home's included, and the page's timeline must
+// interleave the two ranks on one aligned wall clock.
+func TestMergedRunProfile(t *testing.T) {
+	const nodes, ppn = 2, 2
+	ranks, _ := tracedMesh(t, func() apps.App { return apps.SmallGauss() }, nodes, ppn, 64)
+	rec, err := trace.Merge(ranks)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Global processor ids: rank r's are r*ppn..r*ppn+ppn-1, and its
+	// handler's events sit on Proc = -1 of node r.
+	var handler int
+	for _, e := range rec.Events {
+		switch {
+		case e.Proc == -1:
+			handler++
+			if e.Kind != trace.EvDiffIn && e.Kind != trace.EvNoticeSend && e.Kind != trace.EvNoticeApply {
+				t.Fatalf("%v on node %d's handler track", e.Kind, e.Node)
+			}
+		case e.Proc < 0 || int(e.Proc) >= nodes*ppn || int(e.Proc)/ppn != int(e.Node):
+			t.Fatalf("processor %d on node %d: %+v", e.Proc, e.Node, e)
+		}
+	}
+	if handler == 0 {
+		t.Error("no handler events in the merged recording")
+	}
+
+	// What the ranks recorded, before any merging: who stored to what.
+	stored := map[int32][nodes]bool{}
+	for r, tk := range ranks {
+		for _, e := range tk.Events {
+			if e.Kind == trace.EvWriteFault {
+				by := stored[e.Page]
+				by[r] = true
+				stored[e.Page] = by
+			}
+		}
+	}
+
+	prof := metrics.BuildProfile(rec, 1<<20)
+	if len(prof.Pages) == 0 {
+		t.Fatal("empty profile")
+	}
+	shared := -1
+	for _, pg := range prof.Pages {
+		// Protocol time is fault time, and only a page some other rank
+		// homes can fault for longer than an instant.
+		if pg.ProtocolNS > 0 && pg.Transfers == 0 {
+			t.Errorf("page %d is hot (%d ns) but was never fetched: %+v", pg.Page, pg.ProtocolNS, pg)
+		}
+		if by := stored[int32(pg.Page)]; by[0] && by[1] {
+			if pg.Writers < 2 {
+				t.Errorf("page %d stored to by both ranks has %d writers (%s)", pg.Page, pg.Writers, pg.Pattern)
+			}
+			if shared < 0 {
+				shared = pg.Page
+			}
+		}
+	}
+	if shared < 0 {
+		t.Fatal("no page with stores from both ranks")
+	}
+
+	var buf strings.Builder
+	if err := trace.WritePageTimeline(&buf, rec, map[int]bool{shared: true}); err != nil {
+		t.Fatal(err)
+	}
+	last, seen := int64(-1), [nodes]bool{}
+	for _, line := range strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n") {
+		var at int64
+		var track string
+		var node int
+		if _, err := fmt.Sscanf(line, "wt=%dns %s n%d pg", &at, &track, &node); err != nil {
+			t.Fatalf("timeline line %q: %v", line, err)
+		}
+		if at < last {
+			t.Errorf("timeline line %q follows one at %d ns", line, last)
+		}
+		last, seen[node] = at, true
+	}
+	if !seen[0] || !seen[1] {
+		t.Errorf("page %d's timeline has lines of ranks %v, want both:\n%s", shared, seen, buf.String())
 	}
 }

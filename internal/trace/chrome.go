@@ -3,36 +3,19 @@ package trace
 import (
 	"encoding/json"
 	"io"
-	"strconv"
+	"slices"
+	"sort"
 )
 
 // Chrome trace-event export. The output is the JSON-object form of the
 // Chrome trace-event format ({"traceEvents": [...]}), which Perfetto
-// (https://ui.perfetto.dev) loads directly. The timeline is virtual
-// time — the time axis the protocol's cost model defines — rendered as
-// one process ("processors") with a thread per simulated processor and
-// a second process with a thread per fabric link (transport/simchan;
-// the track group keeps its historical "memchan" name so existing
-// Perfetto queries stay valid). Spans are "X" (complete) events;
-// instants are "i" events with thread scope.
-//
-// By default the export contains only virtual-time data and is
-// therefore byte-for-byte deterministic for deterministic runs (the
-// golden test relies on this). ChromeOptions.Wall adds each event's
-// host wall-clock stamp to its args.
-
-// ChromeOptions configures WriteChrome.
-type ChromeOptions struct {
-	// Wall includes each event's host wall-clock nanosecond stamp as an
-	// arg. It makes the output nondeterministic across runs.
-	Wall bool
-}
-
-// chromePIDs for the two track groups.
-const (
-	chromePIDProcs = 1
-	chromePIDLinks = 2
-)
+// (https://ui.perfetto.dev) loads directly. The time axis is the
+// recording's clock; Perfetto processes, threads and event categories
+// are the recording's track table. Spans are "X" (complete) events;
+// instants are "i" events with thread scope. The export is a pure
+// function of the Recording — host wall-clock stamps (Event.WT) are
+// left out — so it is byte-for-byte deterministic whenever the
+// recording is, which the two golden tests rely on.
 
 type chromeEvent struct {
 	Name string         `json:"name"`
@@ -75,28 +58,31 @@ var argNames = map[Kind][2]string{
 	EvFlushFence:      {"pages", ""},
 }
 
-// eventArgs builds the kind-specific args map the exporters share, or
-// nil when the event carries nothing worth rendering.
-func eventArgs(e Event, wall bool) map[string]any {
-	args := make(map[string]any)
-	if e.Page >= 0 {
-		args["page"] = e.Page
-	}
-	names := argNames[e.Kind]
+// argNamesOf returns the names of the two payload words of a k event.
+func argNamesOf(k Kind) [2]string {
+	names := argNames[k]
 	if names[0] == "" {
 		names[0] = "arg"
 	}
 	if names[1] == "" {
 		names[1] = "arg2"
 	}
+	return names
+}
+
+// eventArgs builds e's kind-specific args map, or nil when the event
+// carries nothing worth rendering.
+func eventArgs(e Event) map[string]any {
+	args := make(map[string]any)
+	if e.Page >= 0 {
+		args["page"] = e.Page
+	}
+	names := argNamesOf(e.Kind)
 	if e.Arg != 0 {
 		args[names[0]] = e.Arg
 	}
 	if e.Arg2 != 0 {
 		args[names[1]] = e.Arg2
-	}
-	if wall {
-		args["wt_ns"] = e.WT
 	}
 	if len(args) == 0 {
 		return nil
@@ -104,44 +90,39 @@ func eventArgs(e Event, wall bool) map[string]any {
 	return args
 }
 
-// WriteChrome writes the tracer's events as Chrome trace-event JSON.
-func WriteChrome(w io.Writer, t *Tracer, opts ChromeOptions) error {
+// WriteChrome writes the recording as Chrome trace-event JSON.
+func WriteChrome(w io.Writer, r *Recording) error {
 	file := chromeFile{DisplayTimeUnit: "ns"}
 
-	meta := func(pid int, name string) {
-		file.TraceEvents = append(file.TraceEvents, chromeEvent{
-			Name: "process_name", Ph: "M", Pid: pid,
-			Args: map[string]any{"name": name},
-		})
-	}
-	thread := func(pid, tid int, name string) {
-		file.TraceEvents = append(file.TraceEvents, chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
-			Args: map[string]any{"name": name},
-		})
-	}
-	meta(chromePIDProcs, "processors")
-	for i := 0; i < t.Procs(); i++ {
-		thread(chromePIDProcs, i, "cpu "+strconv.Itoa(i))
-	}
-	if t.Links() > 0 {
-		meta(chromePIDLinks, "memchan")
-		for i := 0; i < t.Links(); i++ {
-			thread(chromePIDLinks, i, "link "+strconv.Itoa(i))
+	// Metadata first: every track in (pid, tid) order, each process
+	// named ahead of its first thread.
+	tracks := append(slices.Clone(r.Procs), r.Nodes...)
+	sort.SliceStable(tracks, func(i, j int) bool {
+		if tracks[i].Pid != tracks[j].Pid {
+			return tracks[i].Pid < tracks[j].Pid
 		}
+		return tracks[i].Tid < tracks[j].Tid
+	})
+	meta := func(what string, pid, tid int, name string) {
+		file.TraceEvents = append(file.TraceEvents, chromeEvent{
+			Name: what, Ph: "M", Pid: pid, Tid: tid, Args: map[string]any{"name": name}})
+	}
+	for i, tk := range tracks {
+		if i == 0 || tk.Pid != tracks[i-1].Pid {
+			meta("process_name", tk.Pid, 0, tk.Process)
+		}
+		meta("thread_name", tk.Pid, tk.Tid, tk.Thread)
 	}
 
-	for _, e := range t.Events() {
+	for _, e := range r.Events {
+		tk := r.track(e)
 		ce := chromeEvent{
 			Name: e.Kind.String(),
-			Cat:  "protocol",
+			Cat:  tk.Cat,
 			Ts:   float64(e.VT) / 1e3, // trace-event ts is microseconds
-		}
-		if e.Proc >= 0 {
-			ce.Pid, ce.Tid = chromePIDProcs, int(e.Proc)
-		} else {
-			ce.Pid, ce.Tid = chromePIDLinks, int(e.Node)
-			ce.Cat = "memchan"
+			Pid:  tk.Pid,
+			Tid:  tk.Tid,
+			Args: eventArgs(e),
 		}
 		if e.Dur > 0 {
 			ce.Ph = "X"
@@ -151,7 +132,6 @@ func WriteChrome(w io.Writer, t *Tracer, opts ChromeOptions) error {
 			ce.Ph = "i"
 			ce.S = "t"
 		}
-		ce.Args = eventArgs(e, opts.Wall)
 		file.TraceEvents = append(file.TraceEvents, ce)
 	}
 

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"cashmere/internal/core"
@@ -99,7 +100,7 @@ func tracedRun(t *testing.T) *trace.Tracer {
 func chromeJSON(t *testing.T, tr *trace.Tracer) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := trace.WriteChrome(&buf, tr, trace.ChromeOptions{}); err != nil {
+	if err := trace.WriteChrome(&buf, tr.Recording()); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -107,7 +108,7 @@ func chromeJSON(t *testing.T, tr *trace.Tracer) []byte {
 
 // TestChromeGolden pins the complete Chrome trace-event JSON of the
 // two-processor workload against a golden file. Wall-time stamps are
-// excluded from the export by default and virtual time is a function of
+// never exported and virtual time is a function of
 // the program and cost model alone, so with the tie-free workload above
 // the file is bit-stable. GOMAXPROCS is pinned and the test skips under
 // -race for the same reasons as the virtual-time determinism test (see
@@ -216,5 +217,40 @@ func TestChromeStructure(t *testing.T) {
 	}
 	if spans == 0 || instants == 0 {
 		t.Errorf("want both spans and instants, got %d/%d", spans, instants)
+	}
+}
+
+// TestPageTimeline dumps the same run's page timeline: every line is on
+// the simulator's virtual clock, the page filter is the argument's and
+// nobody else's, and a link event prints under its link's label.
+func TestPageTimeline(t *testing.T) {
+	rec := tracedRun(t).Recording()
+	if rec.Clock != trace.ClockVirtual {
+		t.Errorf("simulator recording on clock %q, want %q", rec.Clock, trace.ClockVirtual)
+	}
+	dump := func(pages map[int]bool) []string {
+		var buf bytes.Buffer
+		if err := trace.WritePageTimeline(&buf, rec, pages); err != nil {
+			t.Fatal(err)
+		}
+		return strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	}
+	all, page1 := dump(nil), dump(map[int]bool{1: true})
+	if len(page1) == 0 || len(page1) >= len(all) {
+		t.Fatalf("%d lines for page 1 of %d for every page", len(page1), len(all))
+	}
+	for _, line := range all {
+		if !strings.HasPrefix(line, "vt=") {
+			t.Errorf("line %q is not on the vt clock", line)
+		}
+	}
+	for _, line := range page1 {
+		if !strings.Contains(line, " pg1 ") {
+			t.Errorf("line %q passed a filter of page 1", line)
+		}
+	}
+	rec.Events = append(rec.Events, trace.Event{Kind: trace.EvLinkTransfer, Proc: -1, Node: 1, Page: 7, VT: 9, Dur: 5, Arg: 64})
+	if last := dump(map[int]bool{7: true}); last[len(last)-1] != "vt=9ns link1 pg7 link-transfer dur=5ns bytes=64" {
+		t.Errorf("link event printed as %q", last[len(last)-1])
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"cashmere/internal/trace"
@@ -15,9 +16,9 @@ import (
 // boundary row, flushes a diff at the barrier, and the homes apply
 // diffs and post write notices on their handler ("net") threads. The
 // tracks deliberately arrive out of rank order and with different
-// clock offsets, so the golden file pins the exporter's sorting,
-// alignment, and re-basing behavior — a real run's wall-clock stamps
-// could never be byte-stable.
+// clock offsets, so the golden file pins Merge's sorting, alignment,
+// and re-basing and the exporter's rendering of its track table — a
+// real run's wall-clock stamps could never be byte-stable.
 func syntheticRankTracks() []trace.RankTrack {
 	ev := func(k trace.Kind, proc, node, page int, vt, dur, arg, arg2 int64) trace.Event {
 		return trace.Event{
@@ -56,19 +57,29 @@ func syntheticRankTracks() []trace.RankTrack {
 	}
 }
 
+func merged(t *testing.T) *trace.Recording {
+	t.Helper()
+	rec, err := trace.Merge(syntheticRankTracks())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
 func mergedJSON(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := trace.WriteChromeRanks(&buf, syntheticRankTracks(), trace.ChromeOptions{}); err != nil {
+	if err := trace.WriteChrome(&buf, merged(t)); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
 // TestChromeRanksGolden pins the merged multi-rank Perfetto export
-// byte-for-byte. The input is synthetic and the exporter is a pure
-// function of its input, so no scheduling caveats apply. Regenerate
-// with:
+// byte-for-byte, through the same WriteChrome that TestChromeGolden
+// holds to the simulator's file. The input is synthetic and merge and
+// export are pure functions of it, so no scheduling caveats apply.
+// Regenerate with:
 //
 //	go test ./internal/trace -run TestChromeRanksGolden -update
 func TestChromeRanksGolden(t *testing.T) {
@@ -179,43 +190,81 @@ func TestChromeRanksStructure(t *testing.T) {
 	}
 }
 
-// TestMergedEventArgsMatchSingle ensures the merged exporter labels
-// event args with the same names WriteChrome uses (both go through the
-// shared eventArgs helper), so Perfetto queries written against
-// single-process traces keep working on merged ones.
-func TestMergedEventArgsMatchSingle(t *testing.T) {
-	var file struct {
-		TraceEvents []struct {
-			Name string         `json:"name"`
-			Ph   string         `json:"ph"`
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(mergedJSON(t), &file); err != nil {
+// TestMergeRecording checks the plain-data side of the merge: global
+// processor ids numbered in rank order, handler events on Proc = -1 of
+// their rank's node, the wall clock's name, drop counts summed, and a
+// timeline that prints both ranks in aligned-time order.
+func TestMergeRecording(t *testing.T) {
+	tracks := syntheticRankTracks()
+	tracks[0].Dropped, tracks[1].Dropped = 3, 4
+	rec, err := trace.Merge(tracks)
+	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string][]string{
-		"page-fetch":  {"bytes", "page"},
-		"diff-out":    {"words", "page"},
-		"flush-fence": {"pages"},
-		"lock":        {},
+	if rec.Clock != trace.ClockWall || rec.Dropped != 7 {
+		t.Errorf("clock %q, dropped %d; want %q, 7", rec.Clock, rec.Dropped, trace.ClockWall)
 	}
-	seen := map[string]bool{}
-	for _, e := range file.TraceEvents {
-		keys, ok := want[e.Name]
-		if !ok {
-			continue
+	if len(rec.Procs) != 4 || len(rec.Nodes) != 2 {
+		t.Fatalf("%d processor and %d node tracks, want 4 and 2", len(rec.Procs), len(rec.Nodes))
+	}
+	var handler int
+	for i, e := range rec.Events {
+		if i > 0 && e.VT < rec.Events[i-1].VT {
+			t.Errorf("event %d at %d ns follows one at %d ns", i, e.VT, rec.Events[i-1].VT)
 		}
-		seen[e.Name] = true
-		for _, k := range keys {
-			if _, ok := e.Args[k]; !ok {
-				t.Errorf("%s event missing %q arg (got %v)", e.Name, k, e.Args)
+		switch {
+		case e.Proc == -1:
+			handler++
+			if e.Kind != trace.EvDiffIn && e.Kind != trace.EvNoticeSend && e.Kind != trace.EvNoticeApply {
+				t.Errorf("%v on node %d's handler track", e.Kind, e.Node)
 			}
+		case int(e.Proc)/2 != int(e.Node):
+			t.Errorf("processor %d on node %d, want rank*2+local: %+v", e.Proc, e.Node, e)
 		}
 	}
-	for _, name := range []string{"page-fetch", "diff-out", "flush-fence"} {
-		if !seen[name] {
-			t.Errorf("no %s event in synthetic merge", name)
-		}
+	if handler != 3 {
+		t.Errorf("%d handler events on Proc = -1, want 3", handler)
+	}
+
+	var buf bytes.Buffer
+	if err := trace.WritePageTimeline(&buf, rec, map[int]bool{5: true}); err != nil {
+		t.Fatal(err)
+	}
+	want := `wt=520ns p2 n1 pg5 read-fault dur=700ns
+wt=560ns p2 n1 pg5 page-fetch dur=600ns bytes=1024
+wt=2200ns p3 n1 pg5 diff-out words=16 span=68719476768
+wt=2500ns net n0 pg5 diff-in words=16 arg2=1
+wt=2510ns net n0 pg5 notice-send to=1
+wt=3300ns net n1 pg5 notice-apply arg=1
+`
+	if buf.String() != want {
+		t.Errorf("page 5 timeline:\n%s\nwant:\n%s", buf.String(), want)
+	}
+}
+
+// TestMergeChecksItsInput: rank reports come from other processes, and
+// Merge indexes the track table with what they say.
+func TestMergeChecksItsInput(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(tracks []trace.RankTrack)
+		want string
+	}{
+		{"ring beyond the handler's", func(tk []trace.RankTrack) { tk[0].Events[2].Proc = 3 },
+			"rank 1's event 2 (diff-out) is on ring 3 of node 1; the rank has rings 0..2"},
+		{"negative ring", func(tk []trace.RankTrack) { tk[1].Events[0].Proc = -1 },
+			"rank 0's event 0 (read-fault) is on ring -1"},
+		{"another rank's node", func(tk []trace.RankTrack) { tk[1].Events[7].Node = 1 },
+			"rank 0's event 7 (diff-in) is on ring 2 of node 1"},
+		{"a rank twice", func(tk []trace.RankTrack) { tk[1].Rank = 1 }, "got rank 1 in place 0"},
+		{"a rank missing", func(tk []trace.RankTrack) { tk[0].Rank = 2 }, "got rank 2 in place 1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tracks := syntheticRankTracks()
+			tc.edit(tracks)
+			if _, err := trace.Merge(tracks); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Merge returned %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -8,46 +8,28 @@ import (
 // WritePageTimeline writes a chronological text dump of every recorded
 // event touching the given pages — the structured successor of the
 // CASHMERE_TRACE_PAGE stderr stream, usable after the run instead of
-// interleaved with it. A nil pages slice uses the tracer's page filter;
-// an empty filter dumps every page-bearing event.
+// interleaved with it. An empty (or nil) pages dumps every page-bearing
+// event.
 //
-// Each line carries the virtual timestamp, the emitting track, the
-// event name, and its payload:
+// Each line carries the timestamp under the name of the recording's
+// clock, the emitting track, the event name, and its payload:
 //
 //	vt=1204133ns p1 n1 pg0 read-fault dur=92000ns
 //	vt=1204133ns p1 n1 pg0 page-fetch dur=85000ns bytes=8192 home=0
-func WritePageTimeline(w io.Writer, t *Tracer, pages []int) error {
-	var filter map[int]bool
-	if pages == nil {
-		filter = t.pages
-	} else {
-		filter = make(map[int]bool, len(pages))
-		for _, p := range pages {
-			filter[p] = true
-		}
-	}
-	for _, e := range t.Events() {
-		if e.Page < 0 {
-			continue
-		}
-		if len(filter) > 0 && !filter[int(e.Page)] {
+func WritePageTimeline(w io.Writer, r *Recording, pages map[int]bool) error {
+	for _, e := range r.Events {
+		if e.Page < 0 || len(pages) > 0 && !pages[int(e.Page)] {
 			continue
 		}
 		track := fmt.Sprintf("p%d n%d", e.Proc, e.Node)
 		if e.Proc < 0 {
-			track = fmt.Sprintf("link%d", e.Node)
+			track = r.Nodes[e.Node].Label
 		}
-		line := fmt.Sprintf("vt=%dns %s pg%d %s", e.VT, track, e.Page, e.Kind)
+		line := fmt.Sprintf("%s=%dns %s pg%d %s", r.Clock, e.VT, track, e.Page, e.Kind)
 		if e.Dur > 0 {
 			line += fmt.Sprintf(" dur=%dns", e.Dur)
 		}
-		names := argNames[e.Kind]
-		if names[0] == "" {
-			names[0] = "arg"
-		}
-		if names[1] == "" {
-			names[1] = "arg2"
-		}
+		names := argNamesOf(e.Kind)
 		if e.Arg != 0 {
 			line += fmt.Sprintf(" %s=%d", names[0], e.Arg)
 		}

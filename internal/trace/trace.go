@@ -13,23 +13,26 @@
 // with tracing disabled the protocol pays a single nil check per
 // emission site and the access fast path is untouched.
 //
-// Exporters turn a recorded run into:
+// A finished run is a [Recording] — time-ordered events, the name of
+// their clock and a track table — from [Tracer.Recording] for the
+// simulator or [Merge] for the ranks of the multi-process runtime
+// (internal/mprun), and it is all that the exporters read:
 //
-//   - Chrome trace-event JSON ([WriteChrome]), loadable in Perfetto,
-//     with one track per simulated processor and one per fabric link
-//     (transport/simchan), plus a multi-rank merge ([WriteChromeRanks])
-//     for the multi-process runtime;
+//   - Chrome trace-event JSON ([WriteChrome]), loadable in Perfetto;
 //   - a per-page text timeline ([WritePageTimeline]), the structured
 //     successor of the CASHMERE_TRACE_PAGE stderr dump; and
-//   - histogram summaries ([Tracer.Summary]: fault latency, diff size,
-//     messages per barrier interval) for the cashmere-bench -json
-//     results file.
+//   - the hot-page / hot-lock profile (metrics.BuildProfile).
+//
+// Histogram summaries ([Tracer.Summary]: fault latency, diff size,
+// messages per barrier interval) for the cashmere-bench -json results
+// file accumulate at emission time instead.
 //
 // # Concurrency
 //
 // A processor ring's Emit may be called only by its owning goroutine.
-// EmitLink, Notef, Snapshot, Events, and Summary are safe to call from
-// any goroutine at any time, including concurrently with emission.
+// EmitLink, Notef, Snapshot, Events, Recording, and Summary are safe to
+// call from any goroutine at any time, including concurrently with
+// emission.
 package trace
 
 import (
@@ -270,8 +273,7 @@ type Config struct {
 	RingSize int
 
 	// Pages, when non-empty, is the page filter for the live Notef
-	// stream and the default page set of WritePageTimeline. It does not
-	// restrict which events are recorded.
+	// stream. It does not restrict which events are recorded.
 	Pages map[int]bool
 
 	// Live, when set, receives Notef lines for pages in the filter as
@@ -370,20 +372,6 @@ func (t *Tracer) EmitLink(link int, e Event) {
 
 // TracesPage reports whether page is in the live page filter.
 func (t *Tracer) TracesPage(page int) bool { return t.pages[page] }
-
-// FilterPages returns the sorted page filter, or nil when no filter is
-// set.
-func (t *Tracer) FilterPages() []int {
-	if len(t.pages) == 0 {
-		return nil
-	}
-	out := make([]int, 0, len(t.pages))
-	for p := range t.pages {
-		out = append(out, p)
-	}
-	sort.Ints(out)
-	return out
-}
 
 // ClampPages removes filter pages outside [0, pages), calling warn for
 // each removed page. The cluster applies it once the page count is
