@@ -20,15 +20,19 @@
 // (chosen with -trace-cell, default SOR/2L/32:4) and writes it as
 // Chrome trace-event JSON, loadable at https://ui.perfetto.dev; with
 // -json, the traced cell's results also carry a "trace" summary of
-// event counts and latency histograms. See docs/TRACING.md.
+// event counts and latency histograms. See docs/TRACING.md. A
+// -trace-cell that none of the selected sections reads is rejected
+// before any cell runs.
 //
-// Experiment cells (application x protocol variant x topology) execute
-// through a bounded worker pool; -j sets its width (default GOMAXPROCS).
-// A panicking or timed-out cell is marked FAIL in the rendered output
-// while the rest of the evaluation proceeds; any failure makes the
-// command exit nonzero after rendering. -json records every completed
-// cell (including failures) in a machine-readable results file whose
-// schema is documented in EXPERIMENTS.md.
+// The selected sections are planned first: their distinct experiment
+// cells (application x protocol variant x topology) execute once each
+// through a bounded worker pool, -j sets its width (default
+// GOMAXPROCS), and every section then renders from the one results
+// table. A panicking or timed-out cell is marked FAIL in the rendered
+// output while the rest of the evaluation proceeds; any failure makes
+// the command exit nonzero after rendering. -json writes the results
+// table (including failures) as a machine-readable file whose schema
+// is documented in EXPERIMENTS.md.
 package main
 
 import (
@@ -67,6 +71,20 @@ func main() {
 		stopProfiles()
 		os.Exit(code)
 	}
+	usage := func(err error) {
+		fmt.Fprintln(os.Stderr, "cashmere-bench:", err)
+		exit(2)
+	}
+
+	secs, err := bench.Sections(o)
+	if err != nil {
+		usage(err)
+	}
+	if len(secs) == 0 {
+		flag.Usage()
+		exit(2)
+	}
+	plan := bench.Plan(secs...)
 
 	s := bench.NewSuite(o.Quick)
 	s.SetWorkers(o.Workers)
@@ -74,122 +92,48 @@ func main() {
 	if o.Progress {
 		s.SetProgress(os.Stderr)
 	}
-	var sink *bench.JSONSink
-	if o.JSON != "" {
-		sink = bench.NewJSONSink(o.Quick, o.Workers)
-		s.SetJSON(sink)
+	outs, err := metrics.NewTraceOutputs(o.Trace, "", o.Profile, o.TracePages, "hot-page/hot-lock profile of "+o.TraceCell)
+	if err != nil {
+		usage(err)
+	}
+	if outs.Wanted() {
+		// Validate the cell label and normalize its topology through the
+		// shared grammar, so "-trace-cell SOR/2L/32:4" and every other
+		// topology-bearing flag reject bad input with the same message,
+		// and refuse a cell the plan does not run before any cell runs.
+		label, err := bench.ParseCell(o.TraceCell, plan)
+		if err != nil {
+			usage(fmt.Errorf("-trace-cell: %w", err))
+		}
+		s.SetTrace(label, outs.Pages)
 	}
 	if o.HTTP != "" {
 		reg := metrics.NewRegistry()
 		s.SetMetrics(reg)
 		srv, err := reg.Start(o.HTTP)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "cashmere-bench: -http:", err)
-			exit(2)
+			usage(fmt.Errorf("-http: %w", err))
 		}
 		fmt.Fprintf(os.Stderr, "cashmere-bench: serving metrics on http://%s/\n", srv.Addr)
 		defer srv.Close()
 	}
-	outs, err := metrics.NewTraceOutputs(o.Trace, "", o.Profile, o.TracePages, "hot-page/hot-lock profile of "+o.TraceCell)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cashmere-bench:", err)
-		exit(2)
-	}
-	if outs.Wanted() {
-		// Validate the cell label and normalize its topology through the
-		// shared grammar, so "-trace-cell SOR/2L/32:4" and every other
-		// topology-bearing flag reject bad input with the same message.
-		label, _, err := bench.ParseCell(o.TraceCell)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cashmere-bench: -trace-cell:", err)
-			exit(2)
-		}
-		s.SetTrace(label, outs.Pages)
-	}
 
-	w := os.Stdout
 	fail := func(err error) {
 		if err != nil {
-			s.Close()
 			fmt.Fprintln(os.Stderr, "cashmere-bench:", err)
 			exit(1)
 		}
 	}
-
-	ran := false
-	sep := func() { fmt.Fprintln(w) }
-
-	if o.All {
-		// Schedule the whole evaluation up front so later sections
-		// compute while earlier ones render.
-		s.PrefetchAll()
-	}
-	if o.All || o.Table == "costs" {
-		bench.BasicCosts(w)
-		sep()
-		ran = true
-	}
-	if o.All || o.Table == "1" {
-		fail(bench.Table1(w))
-		sep()
-		ran = true
-	}
-	if o.All || o.Table == "2" {
-		s.Table2(w)
-		sep()
-		ran = true
-	}
-	if o.All || o.Table == "3" {
-		fail(s.Table3(w))
-		sep()
-		ran = true
-	}
-	if o.All || o.Figure == "6" {
-		fail(s.Figure6(w))
-		sep()
-		ran = true
-	}
-	if o.All || o.Figure == "7" {
-		fail(s.Figure7(w))
-		sep()
-		ran = true
-	}
-	if o.All || o.Ablation == "shootdown" {
-		fail(s.AblationShootdown(w))
-		sep()
-		ran = true
-	}
-	if o.All || o.Ablation == "lockfree" {
-		fail(s.AblationLockFree(w))
-		sep()
-		ran = true
-	}
-	if o.Adaptive || o.Ablation == "adaptive" {
-		fail(s.AblationAdaptive(w, bench.AdaptiveTopology(o.Quick)))
-		sep()
-		ran = true
-	}
-	if o.Scaling != "" {
-		top, err := bench.ParseTopology(o.Scaling)
-		if err != nil {
-			s.Close()
-			fmt.Fprintln(os.Stderr, "cashmere-bench: -scaling:", err)
-			exit(2)
-		}
-		fail(s.Scaling(w, top))
-		sep()
-		ran = true
-	}
-	s.Close()
-	if !ran {
-		flag.Usage()
-		exit(2)
+	rf := s.Run(plan)
+	for _, sec := range secs {
+		fail(sec.Render(os.Stdout, rf))
+		fmt.Println()
 	}
 
-	if sink != nil {
+	if o.JSON != "" {
 		f, err := os.Create(o.JSON)
 		fail(err)
-		_, err = sink.WriteTo(f)
+		_, err = rf.WriteTo(f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
@@ -199,13 +143,13 @@ func main() {
 	if outs.Wanted() {
 		tr := s.TraceResult()
 		if tr == nil {
-			fmt.Fprintf(os.Stderr, "cashmere-bench: -trace/-profile: cell %s was not executed by the selected sections\n", o.TraceCell)
+			fmt.Fprintf(os.Stderr, "cashmere-bench: -trace/-profile: cell %s failed, so it left no trace\n", o.TraceCell)
 			exit(1)
 		}
 		fail(outs.Write(tr.Recording()))
 	}
 
-	if fails := s.FailedCells(); len(fails) > 0 {
+	if fails := rf.Failed(); len(fails) > 0 {
 		fmt.Fprintf(os.Stderr, "cashmere-bench: %d cell(s) failed:\n", len(fails))
 		for _, f := range fails {
 			fmt.Fprintln(os.Stderr, " ", f)

@@ -3,12 +3,14 @@ package bench
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"cashmere/internal/core"
 	"cashmere/internal/costs"
 	"cashmere/internal/stats"
+	"cashmere/internal/topology"
 )
 
 func TestVariantLabels(t *testing.T) {
@@ -29,11 +31,8 @@ func TestVariantLabels(t *testing.T) {
 }
 
 func TestTopologyLabels(t *testing.T) {
-	if got := (Topology{8, 4}).Label(); got != "32:4" {
-		t.Errorf("label = %q", got)
-	}
-	if got := (Topology{1, 4}).Label(); got != "4:4" {
-		t.Errorf("label = %q", got)
+	if got := (Cell{"SOR", Variant{Kind: core.TwoLevel}, FullCluster}).String(); got != "SOR/2L/32:4" {
+		t.Errorf("cell label = %q", got)
 	}
 	// The figure's nine configurations match the paper.
 	want := []string{"4:1", "4:4", "8:1", "8:2", "8:4", "16:2", "16:4", "24:3", "32:4"}
@@ -41,8 +40,8 @@ func TestTopologyLabels(t *testing.T) {
 		t.Fatalf("%d topologies, want %d", len(Figure7Topologies), len(want))
 	}
 	for i, topo := range Figure7Topologies {
-		if topo.Label() != want[i] {
-			t.Errorf("topology %d = %s, want %s", i, topo.Label(), want[i])
+		if topo.String() != want[i] {
+			t.Errorf("topology %d = %s, want %s", i, topo, want[i])
 		}
 	}
 }
@@ -90,7 +89,7 @@ func TestMeasureBasicOpsMatchTable1(t *testing.T) {
 
 func TestTable1Output(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Table1(&buf); err != nil {
+	if err := Table1.Render(&buf, &ResultsFile{}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -103,7 +102,9 @@ func TestTable1Output(t *testing.T) {
 
 func TestBasicCostsOutput(t *testing.T) {
 	var buf bytes.Buffer
-	BasicCosts(&buf)
+	if err := Costs.Render(&buf, &ResultsFile{}); err != nil {
+		t.Fatal(err)
+	}
 	for _, want := range []string{"Twin creation", "Incoming diff", "Directory update", "199"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("BasicCosts missing %q", want)
@@ -112,9 +113,10 @@ func TestBasicCostsOutput(t *testing.T) {
 }
 
 func TestTable2Output(t *testing.T) {
-	s := NewSuite(true)
 	var buf bytes.Buffer
-	s.Table2(&buf)
+	if err := Table2.Render(&buf, &ResultsFile{Quick: true}); err != nil {
+		t.Fatal(err)
+	}
 	out := buf.String()
 	for _, name := range AppNames() {
 		if !strings.Contains(out, name) {
@@ -123,44 +125,108 @@ func TestTable2Output(t *testing.T) {
 	}
 }
 
+// TestSuiteRunCaching checks that sections sharing cells — Table 3,
+// Figure 6 and both ablations all read the 32:4 cells of 2L — execute
+// each shared cell once, and that a cell of an unknown application is
+// a failed row rather than a crash.
 func TestSuiteRunCaching(t *testing.T) {
 	s := NewSuite(true)
-	v := Variant{Kind: core.TwoLevel}
-	topo := Topology{2, 2}
-	r1, err := s.Run("SOR", v, topo)
-	if err != nil {
-		t.Fatal(err)
+	s.SetWorkers(4)
+	var mu sync.Mutex
+	execs := make(map[Cell]int)
+	s.exec = func(c Cell) CellResult {
+		mu.Lock()
+		execs[c]++
+		mu.Unlock()
+		return CellResult{ExecNS: 1}
 	}
-	r2, err := s.Run("SOR", v, topo)
-	if err != nil {
-		t.Fatal(err)
+	rf := s.Run(Plan(Table3, Figure6, Shootdown, LockFree))
+	// 2L, 2LS, 1LD, 1L, 2LS+intr and 2L+lk, all at 32:4.
+	if want := 6 * len(AppNames()); len(rf.Cells) != want || len(execs) != want {
+		t.Errorf("%d rows, %d distinct cells executed, want %d", len(rf.Cells), len(execs), want)
 	}
-	if r1.ExecNS != r2.ExecNS {
-		t.Error("cached run differs")
+	for c, n := range execs {
+		if n != 1 {
+			t.Errorf("%s executed %d times", c, n)
+		}
 	}
-	if len(s.sortedKeys()) != 1 {
-		t.Errorf("cache holds %d keys, want 1", len(s.sortedKeys()))
-	}
-	if _, err := s.Run("nope", v, topo); err == nil {
-		t.Error("unknown app accepted")
+
+	real := NewSuite(true)
+	rf = real.Run([]Cell{{"nope", Variant{Kind: core.TwoLevel}, topology.New(2, 2)}})
+	if len(rf.Failed()) != 1 || !strings.Contains(rf.Cells[0].Error, "unknown application") {
+		t.Errorf("unknown app row = %+v", rf.Cells[0])
 	}
 }
 
+// TestSpeedupPositive checks the speedup's numerator: for every quick
+// application the seq_ns a cell records (read from the instance its own
+// Verify ran the sequential reference on) equals SeqTime on a fresh
+// instance, and the speedup it gives is positive. One processor on one
+// node keeps the cells cheap and free of coherence traffic.
 func TestSpeedupPositive(t *testing.T) {
-	s := NewSuite(true)
-	sp, err := s.Speedup("Em3d", Variant{Kind: core.TwoLevel}, Topology{4, 2})
-	if err != nil {
-		t.Fatal(err)
+	var cells []Cell
+	for _, name := range AppNames() {
+		cells = append(cells, Cell{name, Variant{Kind: core.TwoLevel}, topology.New(1, 1)})
 	}
-	if sp <= 0 {
-		t.Errorf("speedup = %f", sp)
+	rf := NewSuite(true).Run(cells)
+	for _, c := range rf.Cells {
+		if c.Error != "" {
+			t.Errorf("%s: %s", cellLabel(c), c.Error)
+			continue
+		}
+		if want := freshApp(t, c.App).SeqTime(costs.Default()); c.SeqNS != want {
+			t.Errorf("%s: seq_ns %d, want %d", cellLabel(c), c.SeqNS, want)
+		}
+		if sp := c.speedup(); sp <= 0 {
+			t.Errorf("%s: speedup = %f", cellLabel(c), sp)
+		}
+	}
+}
+
+// TestRendersFromResultsFile renders every cell-reading section from a
+// hand-built results table, with no execution: one cell has failed and
+// must show as FAIL, and the rest render from the table's numbers.
+func TestRendersFromResultsFile(t *testing.T) {
+	secs := []Section{Table3, Figure6, Figure7, Shootdown, LockFree, Adaptive(true), Scaling(topology.New(2, 4))}
+	rf := &ResultsFile{Quick: true}
+	for _, c := range Plan(secs...) {
+		cr := CellResult{
+			App: c.App, Variant: c.V.Label(), Topology: c.Topo.String(),
+			ExecNS: 2e9, SeqNS: 5e9, DataBytes: 3 << 20,
+			Counts: map[string]int64{stats.Barriers.String(): 7},
+			TimeNS: map[string]int64{stats.User.String(): 1},
+		}
+		if cellLabel(cr) == "SOR/2L/32:4" {
+			cr = CellResult{App: "SOR", Variant: "2L", Topology: "32:4", Error: "synthetic failure"}
+		}
+		rf.Cells = append(rf.Cells, cr)
+	}
+	for i, want := range [][]string{
+		{"FAIL", "3.00"}, // Table 3: the failed column, then data MB
+		{"SOR      2L     FAIL (2L baseline: synthetic failure)"},
+		{"  2L" + strings.Repeat(" ", 9) + "FAIL |", "2.50"}, // Figure 7: speedup 5e9/2e9
+		{"SOR" + strings.Repeat(" ", 14) + "FAIL"},
+		{"SOR" + strings.Repeat(" ", 16) + "FAIL"},
+		{"at 16:4", "2.000"},
+		{"8:4     2.50"},
+	} {
+		var buf bytes.Buffer
+		if err := secs[i].Render(&buf, rf); err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range want {
+			if !strings.Contains(buf.String(), w) {
+				t.Errorf("section %d missing %q:\n%s", i, w, buf.String())
+			}
+		}
 	}
 }
 
 func TestTable3AndFigure6Quick(t *testing.T) {
 	s := NewSuite(true)
+	rf := s.Run(Plan(Table3, Figure6))
 	var buf bytes.Buffer
-	if err := s.Table3(&buf); err != nil {
+	if err := Table3.Render(&buf, rf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -170,7 +236,7 @@ func TestTable3AndFigure6Quick(t *testing.T) {
 		}
 	}
 	buf.Reset()
-	if err := s.Figure6(&buf); err != nil {
+	if err := Figure6.Render(&buf, rf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "Comm&Wait") {
@@ -180,15 +246,16 @@ func TestTable3AndFigure6Quick(t *testing.T) {
 
 func TestAblationsQuick(t *testing.T) {
 	s := NewSuite(true)
+	rf := s.Run(Plan(Shootdown, LockFree))
 	var buf bytes.Buffer
-	if err := s.AblationShootdown(&buf); err != nil {
+	if err := Shootdown.Render(&buf, rf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "2LS poll") {
 		t.Error("shootdown ablation missing column")
 	}
 	buf.Reset()
-	if err := s.AblationLockFree(&buf); err != nil {
+	if err := LockFree.Render(&buf, rf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "lock-based") {
@@ -200,22 +267,24 @@ func TestShapeTwoLevelWinsOnSharingHeavyApps(t *testing.T) {
 	// The paper's headline: 2L transfers less data than 1LD for the
 	// sharing-heavy applications (Gauss shows ~4x) and never does
 	// worse. Quick sizes are noisy, so only the direction is checked.
-	s := NewSuite(true)
+	var cells []Cell
 	for _, name := range []string{"Gauss", "Em3d", "Barnes"} {
-		two, err := s.Run(name, Variant{Kind: core.TwoLevel}, FullCluster)
-		if err != nil {
-			t.Fatal(err)
-		}
-		one, err := s.Run(name, Variant{Kind: core.OneLevelDiff}, FullCluster)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cells = append(cells,
+			Cell{name, Variant{Kind: core.TwoLevel}, FullCluster},
+			Cell{name, Variant{Kind: core.OneLevelDiff}, FullCluster})
+	}
+	rf := NewSuite(true).Run(cells)
+	if fails := rf.Failed(); len(fails) > 0 {
+		t.Fatal(fails)
+	}
+	for i := 0; i < len(rf.Cells); i += 2 {
+		two, one := rf.Cells[i], rf.Cells[i+1]
 		if two.DataBytes >= one.DataBytes {
-			t.Errorf("%s: 2L data (%d) not below 1LD (%d)", name, two.DataBytes, one.DataBytes)
+			t.Errorf("%s: 2L data (%d) not below 1LD (%d)", two.App, two.DataBytes, one.DataBytes)
 		}
-		if two.Counts[stats.PageTransfers] >= one.Counts[stats.PageTransfers] {
-			t.Errorf("%s: 2L transfers (%d) not below 1LD (%d)", name,
-				two.Counts[stats.PageTransfers], one.Counts[stats.PageTransfers])
+		if two.count(stats.PageTransfers) >= one.count(stats.PageTransfers) {
+			t.Errorf("%s: 2L transfers (%d) not below 1LD (%d)", two.App,
+				two.count(stats.PageTransfers), one.count(stats.PageTransfers))
 		}
 	}
 }

@@ -54,7 +54,7 @@ func TestVirtualTimeDeterminism(t *testing.T) {
 		t.Run(app.Name(), func(t *testing.T) {
 			cfg := core.Config{
 				Nodes:        FullCluster.Nodes,
-				ProcsPerNode: FullCluster.PPN,
+				ProcsPerNode: FullCluster.ProcsPerNode,
 				Protocol:     core.TwoLevel,
 			}
 			a, err := apps.Run(freshApp(t, app.Name()), cfg)
@@ -71,9 +71,13 @@ func TestVirtualTimeDeterminism(t *testing.T) {
 }
 
 // freshApp returns a new small instance of the named application (app
-// instances cache layout state, so each run gets its own).
+// instances cache layout state, so each run gets its own) on a collected
+// heap. Every run then starts from the same GC state, as each Suite.Run
+// cell does, so at GOMAXPROCS=1 its host schedule, and the virtual-time
+// tie-breaks that schedule picks, do not depend on the tests before it.
 func freshApp(t *testing.T, name string) apps.App {
 	t.Helper()
+	runtime.GC()
 	for _, a := range apps.Small() {
 		if a.Name() == name {
 			return a

@@ -7,6 +7,7 @@ import (
 	"cashmere/internal/apps"
 	"cashmere/internal/core"
 	"cashmere/internal/directory"
+	"cashmere/internal/topology"
 )
 
 // goldenCell pins one cell's virtual-time statistics to the values the
@@ -19,7 +20,7 @@ import (
 type goldenCell struct {
 	app   string
 	kind  core.Kind
-	topo  Topology
+	topo  topology.Spec
 	exec  int64
 	bytes int64
 }
@@ -27,9 +28,9 @@ type goldenCell struct {
 // Topologies of the golden set, in the paper's P:ppn notation:
 // 32:4 = 8x4, 8:2 = 4x2, 8:1 = 8x1.
 var (
-	g32x4 = Topology{Nodes: 8, PPN: 4}
-	g8x2  = Topology{Nodes: 4, PPN: 2}
-	g8x1  = Topology{Nodes: 8, PPN: 1}
+	g32x4 = topology.New(8, 4)
+	g8x2  = topology.New(4, 2)
+	g8x1  = topology.New(8, 1)
 )
 
 // goldenCells covers the deterministic barrier applications under all
@@ -94,10 +95,10 @@ func TestGoldenPaperConfigsBitIdentical(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, g := range goldenCells {
 		g := g
-		t.Run(g.app+"/"+g.kind.String()+"/"+g.topo.Label(), func(t *testing.T) {
+		t.Run(g.app+"/"+g.kind.String()+"/"+g.topo.String(), func(t *testing.T) {
 			cfg := core.Config{
 				Nodes:        g.topo.Nodes,
-				ProcsPerNode: g.topo.PPN,
+				ProcsPerNode: g.topo.ProcsPerNode,
 				Protocol:     g.kind,
 			}
 			// Even the retained cells can, rarely, land a virtual-time

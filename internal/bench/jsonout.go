@@ -4,15 +4,18 @@ import (
 	"encoding/json"
 	"io"
 	"sort"
-	"sync"
+	"time"
 
 	"cashmere/internal/metrics"
+	"cashmere/internal/stats"
+	"cashmere/internal/topology"
 	"cashmere/internal/trace"
 )
 
-// JSON results output: every completed experiment cell is recorded in a
-// machine-readable file so benchmark trajectories can be diffed across
-// revisions. The file is a single JSON document:
+// The results table: Suite.Run returns one ResultsFile holding a row for
+// every planned cell, the renderers read it, and -json writes it so
+// benchmark trajectories can be diffed across revisions. The file is a
+// single JSON document:
 //
 //	{
 //	  "tool": "cashmere-bench",
@@ -29,7 +32,7 @@ import (
 //	      "data_bytes": 744480,
 //	      "counts": {"Barriers": 14, "ReadFaults": 59, ...},
 //	      "time_ns": {"User": ..., "Protocol": ..., ...},
-//	      "wall_ns": 1834000,
+//	      "seq_ns": 1603000000,
 //	      "trace": {...},         // present only for the cell traced
 //	                              // with -trace (see docs/TRACING.md)
 //	      "profile": {...},       // hot-page/hot-lock attribution for
@@ -41,7 +44,9 @@ import (
 //
 // Cells are sorted by (app, variant, topology) regardless of execution
 // order, so two runs of the same evaluation diff cleanly. Zero-valued
-// counters and components are omitted from the maps.
+// counters and components are omitted from the maps. Files written
+// before seq_ns existed carry a "wall_ns" (host time per cell), which
+// loaders ignore.
 
 // CellResult is one experiment cell in the results file.
 type CellResult struct {
@@ -66,8 +71,9 @@ type CellResult struct {
 	// name, in virtual nanoseconds.
 	TimeNS map[string]int64 `json:"time_ns,omitempty"`
 
-	// WallNS is the host wall-clock time spent executing the cell.
-	WallNS int64 `json:"wall_ns"`
+	// SeqNS is the application's sequential reference time under the
+	// default cost model, the numerator of the cell's speedup.
+	SeqNS int64 `json:"seq_ns"`
 
 	// Trace holds the structured-trace summary (event counts and
 	// latency/size histograms) for the cell selected with
@@ -81,7 +87,23 @@ type CellResult struct {
 	// Error is the failure message of a failed (errored, panicked, or
 	// timed-out) cell; empty on success.
 	Error string `json:"error,omitempty"`
+
+	// The cell's progress while Suite.Run executes the table, read by
+	// /status and the progress line: start is zero while the cell is
+	// queued, and wall is its host time once done.
+	start time.Time
+	wall  time.Duration
+	done  bool
 }
+
+// count returns one protocol event counter of the cell.
+func (c CellResult) count(k stats.Counter) int64 { return c.Counts[k.String()] }
+
+// secs returns the cell's virtual execution time in seconds.
+func (c CellResult) secs() float64 { return float64(c.ExecNS) / 1e9 }
+
+// speedup returns sequential time over parallel virtual time.
+func (c CellResult) speedup() float64 { return float64(c.SeqNS) / float64(c.ExecNS) }
 
 // ResultsFile is the top-level document of the JSON results output.
 type ResultsFile struct {
@@ -92,87 +114,35 @@ type ResultsFile struct {
 	Cells   []CellResult `json:"cells"`
 }
 
-// JSONSink accumulates per-cell results as the evaluation runs and
-// serializes them on WriteTo. It is safe for concurrent use.
-type JSONSink struct {
-	mu       sync.Mutex
-	file     ResultsFile
-	trsums   map[runKey]*trace.Summary
-	profiles map[runKey]*metrics.Profile
+// row returns the table's row for app under v at topo. A cell the table
+// lacks reads as failed, so a renderer shows FAIL rather than zeros.
+func (f *ResultsFile) row(app string, v Variant, topo topology.Spec) CellResult {
+	vl, tl := v.Label(), topo.String()
+	for _, c := range f.Cells {
+		if c.App == app && c.Variant == vl && c.Topology == tl {
+			return c
+		}
+	}
+	return CellResult{App: app, Variant: vl, Topology: tl, Error: "not in the results table"}
 }
 
-// NewJSONSink returns a sink describing an evaluation at the given
-// problem size and worker-pool width.
-func NewJSONSink(quick bool, workers int) *JSONSink {
-	return &JSONSink{file: ResultsFile{Tool: "cashmere-bench", Schema: 1, Quick: quick, Workers: workers}}
+// Failed returns "label: error" for every failed cell, sorted.
+func (f *ResultsFile) Failed() []string {
+	var out []string
+	for _, c := range f.Cells {
+		if c.Error != "" {
+			out = append(out, cellLabel(c)+": "+c.Error)
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
-// noteTrace records a cell's trace summary, to be attached when the
-// cell itself is added (the runner adds cells after execution returns,
-// so the summary is always noted first).
-func (s *JSONSink) noteTrace(key runKey, sum trace.Summary) {
-	s.mu.Lock()
-	if s.trsums == nil {
-		s.trsums = make(map[runKey]*trace.Summary)
-	}
-	s.trsums[key] = &sum
-	s.mu.Unlock()
-}
-
-// noteProfile records a traced cell's attribution profile, attached to
-// the cell like noteTrace's summary.
-func (s *JSONSink) noteProfile(key runKey, p *metrics.Profile) {
-	s.mu.Lock()
-	if s.profiles == nil {
-		s.profiles = make(map[runKey]*metrics.Profile)
-	}
-	s.profiles[key] = p
-	s.mu.Unlock()
-}
-
-// add records one completed cell.
-func (s *JSONSink) add(key runKey, out cellOut) {
-	cr := CellResult{
-		App:      key.app,
-		Variant:  key.v.Label(),
-		Topology: key.topo.Label(),
-		WallNS:   out.wallNS,
-	}
-	if out.err != nil {
-		cr.Error = out.err.Error()
-	} else {
-		t := out.res.Total
-		cr.Procs = t.Procs
-		cr.ExecNS = t.ExecNS
-		cr.DataBytes = t.DataBytes
-		cr.Counts = t.CountsMap()
-		cr.TimeNS = t.TimeMap()
-	}
-	s.mu.Lock()
-	if sum, ok := s.trsums[key]; ok && out.err == nil {
-		cr.Trace = sum
-	}
-	if p, ok := s.profiles[key]; ok && out.err == nil {
-		cr.Profile = p
-	}
-	s.file.Cells = append(s.file.Cells, cr)
-	s.mu.Unlock()
-}
-
-// Len returns the number of recorded cells.
-func (s *JSONSink) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.file.Cells)
-}
-
-// WriteTo serializes the collected results as indented JSON, with
-// cells sorted by (app, variant, topology) for stable diffs.
-func (s *JSONSink) WriteTo(w io.Writer) (int64, error) {
-	s.mu.Lock()
-	file := s.file
-	file.Cells = append([]CellResult(nil), s.file.Cells...)
-	s.mu.Unlock()
+// WriteTo serializes the table as indented JSON, with cells sorted by
+// (app, variant, topology) for stable diffs.
+func (f *ResultsFile) WriteTo(w io.Writer) (int64, error) {
+	file := *f
+	file.Cells = append([]CellResult(nil), f.Cells...)
 	sort.Slice(file.Cells, func(i, j int) bool {
 		a, b := file.Cells[i], file.Cells[j]
 		if a.App != b.App {

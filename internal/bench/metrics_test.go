@@ -2,12 +2,14 @@ package bench
 
 import (
 	"runtime"
+	"runtime/debug"
 	"sync/atomic"
 	"testing"
 
 	"cashmere/internal/apps"
 	"cashmere/internal/core"
 	"cashmere/internal/metrics"
+	"cashmere/internal/topology"
 )
 
 // TestMetricsPreservesVirtualTime is the instrumented-equals-
@@ -26,9 +28,13 @@ func TestMetricsPreservesVirtualTime(t *testing.T) {
 		t.Skip("mid-run scrapes are deliberate monitoring-grade data races; see comment")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	// The scraper allocates, so a collection would land in the observed
+	// run and not the plain one, and at GOMAXPROCS=1 that alone moves
+	// tie-breaks: keep the collector off for both.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	cfg := core.Config{
 		Nodes:        FullCluster.Nodes,
-		ProcsPerNode: FullCluster.PPN,
+		ProcsPerNode: FullCluster.ProcsPerNode,
 		Protocol:     core.TwoLevel,
 	}
 	plain, err := apps.Run(freshApp(t, "SOR"), cfg)
@@ -87,11 +93,9 @@ func TestSuiteSetMetrics(t *testing.T) {
 	s.SetMetrics(reg)
 
 	v := Variant{Kind: core.TwoLevel}
-	if _, err := s.Run("SOR", v, Topology{Nodes: 2, PPN: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run("LU", v, Topology{Nodes: 2, PPN: 2}); err != nil {
-		t.Fatal(err)
+	rf := s.Run([]Cell{{"SOR", v, topology.New(2, 2)}, {"LU", v, topology.New(2, 2)}})
+	if fails := rf.Failed(); len(fails) > 0 {
+		t.Fatal(fails)
 	}
 
 	snap := reg.Snapshot()
@@ -120,31 +124,25 @@ func TestSuiteSetMetrics(t *testing.T) {
 }
 
 // TestSuiteProfileInJSON checks that the traced cell's attribution
-// profile lands in the JSON results, and only there.
+// profile lands on that cell's row of the results table, and only there.
 func TestSuiteProfileInJSON(t *testing.T) {
 	s := NewSuite(true)
-	sink := NewJSONSink(true, 1)
-	s.SetJSON(sink)
 	s.SetTrace("SOR/2L/8:2", nil)
 
 	v := Variant{Kind: core.TwoLevel}
-	if _, err := s.Run("SOR", v, Topology{Nodes: 4, PPN: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run("LU", v, Topology{Nodes: 4, PPN: 2}); err != nil {
-		t.Fatal(err)
+	rf := s.Run([]Cell{{"LU", v, topology.New(4, 2)}, {"SOR", v, topology.New(4, 2)}})
+	if fails := rf.Failed(); len(fails) > 0 {
+		t.Fatal(fails)
 	}
 
-	sink.mu.Lock()
-	defer sink.mu.Unlock()
 	var withProfile int
-	for _, c := range sink.file.Cells {
+	for _, c := range rf.Cells {
 		if c.Profile == nil {
 			continue
 		}
 		withProfile++
-		if c.App != "SOR" {
-			t.Errorf("profile attached to %s/%s/%s", c.App, c.Variant, c.Topology)
+		if cellLabel(c) != "SOR/2L/8:2" {
+			t.Errorf("profile attached to %s", cellLabel(c))
 		}
 		if len(c.Profile.Pages) == 0 {
 			t.Error("traced cell's profile has no pages")
@@ -160,39 +158,38 @@ func TestSuiteProfileInJSON(t *testing.T) {
 	}
 }
 
-// TestRunnerStatusStates drives a runner whose exec blocks, verifying
-// the queued → running → done transitions /status reports.
+// TestRunnerStatusStates runs a plan whose cells block, verifying the
+// queued → running → done transitions /status reads from the results
+// table.
 func TestRunnerStatusStates(t *testing.T) {
+	s := NewSuite(true)
+	s.SetWorkers(1)
+	if st := s.Status(); st.Queued+st.Running+st.Done+st.Failed != 0 || len(st.Cells) != 0 {
+		t.Fatalf("status before Run: %+v", st)
+	}
 	release := make(chan struct{})
-	started := make(chan struct{}, 8)
-	r := newRunner(1, func(k runKey) (core.Result, error) {
+	started := make(chan struct{}, 2) // one send per cell
+	s.exec = func(c Cell) CellResult {
 		started <- struct{}{}
 		<-release
-		return core.Result{}, nil
-	})
+		return CellResult{}
+	}
 
-	k1 := runKey{app: "A", v: Variant{}, topo: Topology{Nodes: 1, PPN: 1}}
-	k2 := runKey{app: "B", v: Variant{}, topo: Topology{Nodes: 1, PPN: 1}}
-	done := make(chan struct{}, 2)
-	go func() { r.run(k1); done <- struct{}{} }()
-	<-started // k1 holds the single worker slot
-	go func() { r.run(k2); done <- struct{}{} }()
+	done := make(chan *ResultsFile)
+	go func() { done <- s.Run(cellsOf("A", "B")) }()
+	<-started // A holds the single worker slot, B is queued behind it
 
-	// Wait until k2 is registered in flight (queued behind k1).
-	for {
-		st := r.status()
-		if st.Running == 1 && st.Queued == 1 {
-			if st.Cells[0].State != "running" || st.Cells[1].State != "queued" {
-				t.Fatalf("cell ordering: %+v", st.Cells)
-			}
-			break
-		}
+	st := s.Status()
+	if st.Running != 1 || st.Queued != 1 {
+		t.Fatalf("status mid-run: %+v", st)
+	}
+	if st.Cells[0].State != "running" || st.Cells[1].State != "queued" {
+		t.Fatalf("cell ordering: %+v", st.Cells)
 	}
 
 	close(release)
 	<-done
-	<-done
-	st := r.status()
+	st = s.Status()
 	if st.Done != 2 || st.Running != 0 || st.Queued != 0 {
 		t.Fatalf("final status: %+v", st)
 	}

@@ -3,119 +3,162 @@ package bench
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"runtime/debug"
 	"sort"
 	"sync"
 	"time"
 
+	"cashmere/internal/apps"
 	"cashmere/internal/core"
+	"cashmere/internal/costs"
 	"cashmere/internal/metrics"
+	"cashmere/internal/policy"
+	"cashmere/internal/trace"
 )
 
-// runner is the Suite's concurrent execution engine: a bounded worker
-// pool with singleflight deduplication, per-cell panic recovery, and
-// optional per-cell wall-clock timeouts. Every experiment cell is an
-// independent core.Cluster, so cells parallelize freely at the host
-// level; the pool bounds how many simulated clusters run at once.
-type runner struct {
-	timeout time.Duration
-	exec    func(key runKey) (core.Result, error)
+// Suite executes a plan of experiment cells through a bounded worker
+// pool: cells execute in parallel (each is an independent simulated
+// cluster), a panicking cell reports an error instead of killing the
+// evaluation, and cells can be bounded by a wall-clock timeout.
+type Suite struct {
+	// Quick selects the tiny test problem sizes instead of the default
+	// (scaled-down) evaluation sizes.
+	Quick bool
 
-	sem chan struct{} // bounded worker slots
+	// exec performs one experiment cell; tests may substitute it to
+	// count or fail executions.
+	exec func(c Cell) CellResult
 
-	mu       sync.Mutex
-	results  map[runKey]cellOut
-	inflight map[runKey]*flight
+	workers  int
+	timeout  time.Duration
+	progress io.Writer // nil: no progress line
 
-	// starts records when each currently-executing cell acquired its
-	// worker slot; a key in inflight but not here is queued. This feeds
-	// the /status snapshot and is independent of the progress line.
-	starts map[runKey]time.Time
+	// traceLabel selects the cell (app/variant/topology) whose run is
+	// recorded by a structured event tracer; empty disables tracing.
+	traceLabel string
+	tracePages map[int]bool
 
-	prog *progress
-	sink *JSONSink
+	// metrics, when set, receives every cell's cluster for live
+	// scraping: clusters attach through core.Config.Observer as they
+	// are built and detach (folding their final statistics into the
+	// registry) when their run completes.
+	metrics *metrics.Registry
+
+	mu     sync.Mutex
+	table  *ResultsFile // the table Run is filling; nil before Run
+	traced *trace.Tracer
 }
 
-// cellOut is the outcome of one executed cell.
-type cellOut struct {
-	res    core.Result
-	err    error
-	wallNS int64 // host wall-clock time spent executing
+// NewSuite returns a suite with a worker pool of GOMAXPROCS cells.
+func NewSuite(quick bool) *Suite {
+	s := &Suite{Quick: quick, workers: runtime.GOMAXPROCS(0)}
+	s.exec = s.execute
+	return s
 }
 
-// flight is an in-progress execution of one cell: latecomers for the
-// same key block on done instead of executing the cell again
-// (singleflight).
-type flight struct {
-	done chan struct{}
-	out  cellOut
+// SetWorkers sets the number of experiment cells executing
+// concurrently.
+func (s *Suite) SetWorkers(n int) { s.workers = max(n, 1) }
+
+// SetTimeout bounds each cell's host wall-clock execution time; a cell
+// exceeding it is marked failed (its error appears in the rendered
+// tables and the JSON results) while the rest of the evaluation
+// proceeds. Zero disables the bound.
+func (s *Suite) SetTimeout(d time.Duration) { s.timeout = d }
+
+// SetProgress enables a live progress line (cells done/total, current
+// slowest cell) written to w, typically stderr, while Run executes.
+func (s *Suite) SetProgress(w io.Writer) { s.progress = w }
+
+// SetTrace arranges for the cell with the given "app/variant/topology"
+// label (e.g. "SOR/2L/32:4") to run under a structured event tracer
+// (see internal/trace). pages optionally restricts per-page live notes
+// to those page numbers; nil records all pages. Call before Run;
+// retrieve the recorder with TraceResult.
+func (s *Suite) SetTrace(cell string, pages map[int]bool) {
+	s.traceLabel = cell
+	s.tracePages = pages
 }
 
-// newRunner returns a runner executing cells through exec with the
-// given worker-pool width.
-func newRunner(workers int, exec func(runKey) (core.Result, error)) *runner {
-	r := &runner{
-		exec:     exec,
-		results:  make(map[runKey]cellOut),
-		inflight: make(map[runKey]*flight),
-		starts:   make(map[runKey]time.Time),
-	}
-	r.setWorkers(workers)
-	return r
+// TraceResult returns the tracer of the cell selected with SetTrace,
+// or nil if that cell has not (successfully) executed.
+func (s *Suite) TraceResult() *trace.Tracer {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.traced
 }
 
-// setWorkers resizes the worker pool. It must not be called after the
-// first run or prefetch.
-func (r *runner) setWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	r.sem = make(chan struct{}, n)
+// SetMetrics attaches the suite to a live metrics registry: every
+// cell's cluster becomes scrapeable through /metrics while it runs,
+// and the registry's /status snapshot is served from the results table
+// (per-cell queued/running/done/failed progress with an ETA). Call
+// before Run.
+func (s *Suite) SetMetrics(reg *metrics.Registry) {
+	s.metrics = reg
+	reg.SetStatusFunc(s.Status)
 }
 
-// workers returns the worker-pool width.
-func (r *runner) workers() int { return cap(r.sem) }
-
-// run executes the cell identified by key, deduplicating against
-// concurrent and past executions, and returns its result.
-func (r *runner) run(key runKey) (core.Result, error) {
-	r.mu.Lock()
-	if out, ok := r.results[key]; ok {
-		r.mu.Unlock()
-		return out.res, out.err
+// Run executes every cell once, in the order given, and returns the
+// results table, one row per cell in that order. cells must be
+// distinct, as Plan returns them.
+func (s *Suite) Run(cells []Cell) *ResultsFile {
+	rf := &ResultsFile{Tool: "cashmere-bench", Schema: 1, Quick: s.Quick, Workers: s.workers,
+		Cells: make([]CellResult, len(cells))}
+	for i, c := range cells {
+		rf.Cells[i] = CellResult{App: c.App, Variant: c.V.Label(), Topology: c.Topo.String()}
 	}
-	if f, ok := r.inflight[key]; ok {
-		r.mu.Unlock()
-		<-f.done
-		return f.out.res, f.out.err
-	}
-	f := &flight{done: make(chan struct{})}
-	r.inflight[key] = f
-	r.mu.Unlock()
-	r.prog.scheduled()
+	s.mu.Lock()
+	s.table = rf
+	s.mu.Unlock()
 
-	r.sem <- struct{}{} // acquire a worker slot
-	r.prog.started(key)
-	start := time.Now()
-	r.mu.Lock()
-	r.starts[key] = start
-	r.mu.Unlock()
-	res, err := r.execCell(key)
-	out := cellOut{res: res, err: err, wallNS: time.Since(start).Nanoseconds()}
-	<-r.sem
+	next := 0
+	var wg sync.WaitGroup
+	for w := 0; w < s.workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				s.mu.Lock()
+				i := next
+				next++
+				if i >= len(cells) {
+					s.mu.Unlock()
+					return
+				}
+				start := time.Now()
+				rf.Cells[i].start = start
+				s.renderProgress()
+				s.mu.Unlock()
 
-	r.mu.Lock()
-	r.results[key] = out
-	delete(r.inflight, key)
-	delete(r.starts, key)
-	r.mu.Unlock()
-	f.out = out
-	close(f.done)
-	r.prog.finished(key)
-	if r.sink != nil {
-		r.sink.add(key, out)
+				// A serial run starts every cell on a collected heap.
+				// Otherwise where the cells before it left the GC cycle
+				// decides when a collection interrupts its processors,
+				// and at GOMAXPROCS=1 -j 1 that host schedule picks its
+				// virtual-time tie-breaks: with this, serial runs repeat
+				// bit for bit and the CI gates stop flaking. Parallel
+				// runs are not reproducible either way, and a collection
+				// there only stalls the other workers' cells.
+				if s.workers == 1 {
+					runtime.GC()
+				}
+
+				out := s.execCell(cells[i])
+
+				s.mu.Lock()
+				out.App, out.Variant, out.Topology = rf.Cells[i].App, rf.Cells[i].Variant, rf.Cells[i].Topology
+				out.start, out.wall, out.done = start, time.Since(start), true
+				rf.Cells[i] = out
+				s.renderProgress()
+				s.mu.Unlock()
+			}
+		}()
 	}
-	return out.res, out.err
+	wg.Wait()
+	if s.progress != nil && len(cells) > 0 {
+		fmt.Fprintln(s.progress) // end the progress line
+	}
+	return rf
 }
 
 // execCell performs one cell with panic recovery and, if configured, a
@@ -125,201 +168,176 @@ func (r *runner) run(key runKey) (core.Result, error) {
 // goroutine cannot be cancelled — the cluster runs to completion or
 // diverges in the background — but the rest of the evaluation
 // proceeds).
-func (r *runner) execCell(key runKey) (core.Result, error) {
-	ch := make(chan cellOut, 1)
+func (s *Suite) execCell(c Cell) CellResult {
+	ch := make(chan CellResult, 1)
 	go func() {
 		defer func() {
 			if p := recover(); p != nil {
-				ch <- cellOut{err: fmt.Errorf("bench: %s panicked: %v\n%s",
-					keyLabel(key), p, debug.Stack())}
+				ch <- CellResult{Error: fmt.Sprintf("bench: %s panicked: %v\n%s", c, p, debug.Stack())}
 			}
 		}()
-		res, err := r.exec(key)
-		ch <- cellOut{res: res, err: err}
+		ch <- s.exec(c)
 	}()
-	if r.timeout <= 0 {
-		out := <-ch
-		return out.res, out.err
+	if s.timeout <= 0 {
+		return <-ch
 	}
-	timer := time.NewTimer(r.timeout)
+	timer := time.NewTimer(s.timeout)
 	defer timer.Stop()
 	select {
 	case out := <-ch:
-		return out.res, out.err
+		return out
 	case <-timer.C:
-		return core.Result{}, fmt.Errorf("bench: %s timed out after %v (cell abandoned)",
-			keyLabel(key), r.timeout)
+		return CellResult{Error: fmt.Sprintf("bench: %s timed out after %v (cell abandoned)", c, s.timeout)}
 	}
 }
 
-// prefetch schedules keys through the worker pool without waiting for
-// them: renderers then pull each cell through run, which joins the
-// in-flight execution. Cells already completed or in flight are
-// deduplicated by run itself.
-func (r *runner) prefetch(keys []runKey) {
-	for _, k := range keys {
-		go r.run(k)
-	}
-}
-
-// failed returns the labels and errors of every failed cell, sorted.
-func (r *runner) failed() []string {
-	r.mu.Lock()
-	var out []string
-	for k, o := range r.results {
-		if o.err != nil {
-			out = append(out, fmt.Sprintf("%s: %v", keyLabel(k), o.err))
+// execute runs one experiment cell on a fresh application instance.
+func (s *Suite) execute(c Cell) CellResult {
+	var app apps.App
+	for _, a := range suiteApps(s.Quick) {
+		if a.Name() == c.App {
+			app = a
+			break
 		}
 	}
-	r.mu.Unlock()
-	sort.Strings(out)
+	if app == nil {
+		return CellResult{Error: fmt.Sprintf("bench: unknown application %q", c.App)}
+	}
+	cfg := core.Config{
+		Nodes:         c.Topo.Nodes,
+		ProcsPerNode:  c.Topo.ProcsPerNode,
+		Protocol:      c.V.Kind,
+		HomeOpt:       c.V.HomeOpt,
+		LockBasedMeta: c.V.LockBased,
+		UseInterrupts: c.V.Interrupts,
+	}
+	var tr *trace.Tracer
+	if c.String() == s.traceLabel {
+		tr = trace.New(trace.Config{
+			Procs: c.Topo.Procs(),
+			Links: c.Topo.Nodes,
+			Pages: s.tracePages,
+		})
+		cfg.Trace = tr
+	}
+	var detach func()
+	if s.metrics != nil {
+		cfg.Observer = func(cl *core.Cluster) { detach = s.metrics.Attach(cl) }
+	}
+	if c.V.Adaptive {
+		// Wire chains the Observer above, so metrics still attach.
+		policy.Wire(&cfg, policy.Defaults())
+	}
+	res, err := apps.Run(app, cfg)
+	if detach != nil {
+		detach()
+	}
+	if err != nil {
+		return CellResult{Error: err.Error()}
+	}
+	t := res.Total
+	out := CellResult{
+		Procs:     t.Procs,
+		ExecNS:    t.ExecNS,
+		DataBytes: t.DataBytes,
+		Counts:    t.CountsMap(),
+		TimeNS:    t.TimeMap(),
+		// Verify computed the sequential reference on this instance,
+		// and the reference charges only the node bus bandwidth every
+		// topology shares, so this reads the cached value.
+		SeqNS: app.SeqTime(costs.Default()),
+	}
+	if tr != nil {
+		sum := tr.Summary()
+		out.Trace = &sum
+		out.Profile = metrics.BuildProfile(tr.Recording(), 20)
+		s.mu.Lock()
+		s.traced = tr
+		s.mu.Unlock()
+	}
 	return out
 }
 
-// keyLabel renders a cell key as app/variant/topology.
-func keyLabel(k runKey) string {
-	return fmt.Sprintf("%s/%s/%s", k.app, k.v.Label(), k.topo.Label())
-}
-
-// status builds the /status snapshot: per-cell progress (running cells
-// first, then queued, then completed) and an ETA extrapolated from the
-// mean wall time of completed cells across the worker pool.
-func (r *runner) status() metrics.Status {
+// Status returns the evaluation's live progress snapshot, read from the
+// results table: running cells first (longest first), then queued, then
+// completed, and an ETA extrapolated from the mean wall time of
+// completed cells across the worker pool.
+func (s *Suite) Status() metrics.Status {
 	now := time.Now()
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 
 	var st metrics.Status
+	if s.table == nil {
+		return st
+	}
 	var running, queued, finished []metrics.CellStatus
-	var doneWallNS int64
-
-	for k, start := range r.starts {
-		st.Running++
-		running = append(running, metrics.CellStatus{
-			Name:   keyLabel(k),
-			State:  "running",
-			WallMS: now.Sub(start).Milliseconds(),
-		})
-	}
-	for k := range r.inflight {
-		if _, isRunning := r.starts[k]; isRunning {
-			continue
+	var doneWall time.Duration
+	for _, c := range s.table.Cells {
+		cs := metrics.CellStatus{Name: cellLabel(c)}
+		switch {
+		case c.start.IsZero():
+			st.Queued++
+			cs.State = "queued"
+			queued = append(queued, cs)
+		case !c.done:
+			st.Running++
+			cs.State, cs.WallMS = "running", now.Sub(c.start).Milliseconds()
+			running = append(running, cs)
+		default:
+			cs.State, cs.WallMS = "done", c.wall.Milliseconds()
+			if c.Error != "" {
+				cs.State = "failed"
+				st.Failed++
+			} else {
+				st.Done++
+			}
+			doneWall += c.wall
+			finished = append(finished, cs)
 		}
-		st.Queued++
-		queued = append(queued, metrics.CellStatus{Name: keyLabel(k), State: "queued"})
-	}
-	for k, o := range r.results {
-		cs := metrics.CellStatus{Name: keyLabel(k), State: "done", WallMS: o.wallNS / 1e6}
-		if o.err != nil {
-			cs.State = "failed"
-			st.Failed++
-		} else {
-			st.Done++
-		}
-		doneWallNS += o.wallNS
-		finished = append(finished, cs)
 	}
 
 	if completed := st.Done + st.Failed; completed > 0 {
-		mean := float64(doneWallNS) / float64(completed) / 1e9
-		remaining := st.Queued + st.Running
-		st.ETASeconds = float64(remaining) * mean / float64(cap(r.sem))
+		mean := doneWall.Seconds() / float64(completed)
+		st.ETASeconds = float64(st.Queued+st.Running) * mean / float64(s.workers)
 	}
 
 	byWall := func(cells []metrics.CellStatus) {
-		sort.Slice(cells, func(i, j int) bool {
-			if cells[i].WallMS != cells[j].WallMS {
-				return cells[i].WallMS > cells[j].WallMS
-			}
-			return cells[i].Name < cells[j].Name
-		})
+		sort.SliceStable(cells, func(i, j int) bool { return cells[i].WallMS > cells[j].WallMS })
 	}
 	byWall(running)
-	sort.Slice(queued, func(i, j int) bool { return queued[i].Name < queued[j].Name })
 	byWall(finished)
 	st.Cells = append(append(running, queued...), finished...)
 	return st
 }
 
-// progress renders a live one-line status of the evaluation: cells
-// done/total, cells running, and the cell that has been running the
-// longest (the current slowest). A nil *progress discards all updates,
-// so call sites need no checks.
-type progress struct {
-	w io.Writer
-
-	mu      sync.Mutex
-	total   int
-	done    int
-	running map[runKey]time.Time
-	wrote   bool
-}
-
-func newProgress(w io.Writer) *progress {
-	return &progress{w: w, running: make(map[runKey]time.Time)}
-}
-
-func (p *progress) scheduled() {
-	if p == nil {
+// renderProgress rewrites the live progress line from the results
+// table: cells done/total, cells running, and the cell that has been
+// running the longest (the current slowest). Called with s.mu held.
+func (s *Suite) renderProgress() {
+	if s.progress == nil {
 		return
 	}
-	p.mu.Lock()
-	p.total++
-	p.mu.Unlock()
-}
-
-func (p *progress) started(key runKey) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.running[key] = time.Now()
-	p.render()
-	p.mu.Unlock()
-}
-
-func (p *progress) finished(key runKey) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	delete(p.running, key)
-	p.done++
-	p.render()
-	p.mu.Unlock()
-}
-
-// render writes the status line. Called with p.mu held.
-func (p *progress) render() {
-	slowest := ""
-	var slowStart time.Time
-	for k, t := range p.running {
-		if slowest == "" || t.Before(slowStart) {
-			slowest, slowStart = keyLabel(k), t
+	done, running := 0, 0
+	var slowest CellResult
+	for _, c := range s.table.Cells {
+		switch {
+		case c.done:
+			done++
+		case !c.start.IsZero():
+			running++
+			if slowest.start.IsZero() || c.start.Before(slowest.start) {
+				slowest = c
+			}
 		}
 	}
-	line := fmt.Sprintf("\rbench: %d/%d cells done, %d running", p.done, p.total, len(p.running))
-	if slowest != "" {
-		line += fmt.Sprintf(", slowest %s (%.1fs)", slowest, time.Since(slowStart).Seconds())
+	line := fmt.Sprintf("\rbench: %d/%d cells done, %d running", done, len(s.table.Cells), running)
+	if running > 0 {
+		line += fmt.Sprintf(", slowest %s (%.1fs)", cellLabel(slowest), time.Since(slowest.start).Seconds())
 	}
 	// Pad to overwrite a longer previous line.
 	if len(line) < 79 {
 		line += fmt.Sprintf("%*s", 79-len(line), "")
 	}
-	fmt.Fprint(p.w, line)
-	p.wrote = true
-}
-
-// close terminates the progress line with a newline if anything was
-// written.
-func (p *progress) close() {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	if p.wrote {
-		fmt.Fprintln(p.w)
-		p.wrote = false
-	}
-	p.mu.Unlock()
+	fmt.Fprint(s.progress, line)
 }

@@ -10,61 +10,19 @@ import (
 	"testing"
 	"time"
 
+	"cashmere/internal/cli"
 	"cashmere/internal/core"
+	"cashmere/internal/topology"
 )
 
-// TestSingleflightDedup is the regression test for the Suite.Run cache
-// race: the seed's check-then-act on s.cache let two concurrent callers
-// both miss and execute the same cell twice. With the singleflight
-// in-flight entry, exactly one caller executes and the rest share its
-// result.
-func TestSingleflightDedup(t *testing.T) {
-	s := NewSuite(true)
-	var execs atomic.Int64
-	s.exec = func(name string, v Variant, topo Topology) (core.Result, error) {
-		execs.Add(1)
-		// Widen the race window: the seed's implementation would let
-		// every waiter fall through the cache miss during this sleep.
-		time.Sleep(50 * time.Millisecond)
-		res := core.Result{}
-		res.ExecNS = 12345
-		return res, nil
+// cellsOf returns one 2L cell at 32:4 per named application, the shape
+// the pool tests feed a fake executor.
+func cellsOf(names ...string) []Cell {
+	var cells []Cell
+	for _, name := range names {
+		cells = append(cells, Cell{name, Variant{Kind: core.TwoLevel}, FullCluster})
 	}
-
-	const callers = 16
-	var wg sync.WaitGroup
-	results := make([]core.Result, callers)
-	v := Variant{Kind: core.TwoLevel}
-	topo := Topology{2, 2}
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := s.Run("SOR", v, topo)
-			if err != nil {
-				t.Errorf("caller %d: %v", i, err)
-			}
-			results[i] = res
-		}(i)
-	}
-	wg.Wait()
-
-	if n := execs.Load(); n != 1 {
-		t.Errorf("cell executed %d times for %d concurrent callers, want 1", n, callers)
-	}
-	for i, res := range results {
-		if res.ExecNS != 12345 {
-			t.Errorf("caller %d got ExecNS=%d, want shared result 12345", i, res.ExecNS)
-		}
-	}
-
-	// A different key still executes.
-	if _, err := s.Run("SOR", v, Topology{4, 1}); err != nil {
-		t.Fatal(err)
-	}
-	if n := execs.Load(); n != 2 {
-		t.Errorf("second key: %d executions, want 2", n)
-	}
+	return cells
 }
 
 // TestWorkerPoolBounded checks that at most -j cells execute at once.
@@ -72,7 +30,7 @@ func TestWorkerPoolBounded(t *testing.T) {
 	s := NewSuite(true)
 	s.SetWorkers(2)
 	var cur, peak atomic.Int64
-	s.exec = func(name string, v Variant, topo Topology) (core.Result, error) {
+	s.exec = func(c Cell) CellResult {
 		n := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -82,17 +40,13 @@ func TestWorkerPoolBounded(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 		cur.Add(-1)
-		return core.Result{}, nil
+		return CellResult{}
 	}
-	var wg sync.WaitGroup
+	var names []string
 	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			s.Run(fmt.Sprintf("app%d", i), Variant{Kind: core.TwoLevel}, FullCluster)
-		}(i)
+		names = append(names, fmt.Sprintf("app%d", i))
 	}
-	wg.Wait()
+	s.Run(cellsOf(names...))
 	if p := peak.Load(); p > 2 {
 		t.Errorf("peak concurrency %d exceeds pool width 2", p)
 	}
@@ -102,186 +56,147 @@ func TestWorkerPoolBounded(t *testing.T) {
 // and leaves the rest of the evaluation intact.
 func TestPanicIsolation(t *testing.T) {
 	s := NewSuite(true)
-	s.exec = func(name string, v Variant, topo Topology) (core.Result, error) {
-		if name == "boom" {
+	s.exec = func(c Cell) CellResult {
+		if c.App == "boom" {
 			panic("injected divergence")
 		}
-		res := core.Result{}
-		res.ExecNS = 7
-		return res, nil
+		return CellResult{ExecNS: 7}
 	}
-	v := Variant{Kind: core.TwoLevel}
-	_, err := s.Run("boom", v, FullCluster)
-	if err == nil || !strings.Contains(err.Error(), "panicked") ||
-		!strings.Contains(err.Error(), "injected divergence") {
-		t.Fatalf("panicking cell error = %v, want panic report", err)
+	rf := s.Run(cellsOf("boom", "fine"))
+	if err := rf.Cells[0].Error; !strings.Contains(err, "panicked") ||
+		!strings.Contains(err, "injected divergence") {
+		t.Fatalf("panicking cell error = %q, want panic report", err)
 	}
-	res, err := s.Run("fine", v, FullCluster)
-	if err != nil || res.ExecNS != 7 {
-		t.Errorf("healthy cell after panic: res=%+v err=%v", res.Total, err)
+	if fine := rf.Cells[1]; fine.Error != "" || fine.ExecNS != 7 {
+		t.Errorf("healthy cell beside a panic: %+v", fine)
 	}
-	fails := s.FailedCells()
+	fails := rf.Failed()
 	if len(fails) != 1 || !strings.Contains(fails[0], "boom/2L/32:4") {
-		t.Errorf("FailedCells = %v, want one entry for boom", fails)
+		t.Errorf("Failed = %v, want one entry for boom", fails)
 	}
 }
 
 // TestTimeoutMarksCellFailed checks that a cell exceeding the per-run
-// wall-clock timeout is marked failed while the suite stays usable.
+// wall-clock timeout is marked failed while the rest of the plan runs.
 func TestTimeoutMarksCellFailed(t *testing.T) {
 	s := NewSuite(true)
+	s.SetWorkers(1)
 	s.SetTimeout(20 * time.Millisecond)
 	release := make(chan struct{})
-	s.exec = func(name string, v Variant, topo Topology) (core.Result, error) {
-		if name == "slow" {
+	s.exec = func(c Cell) CellResult {
+		if c.App == "slow" {
 			<-release
 		}
-		return core.Result{}, nil
+		return CellResult{}
 	}
-	v := Variant{Kind: core.OneLevelDiff}
-	_, err := s.Run("slow", v, FullCluster)
-	if err == nil || !strings.Contains(err.Error(), "timed out") {
-		t.Fatalf("slow cell error = %v, want timeout", err)
-	}
+	rf := s.Run(cellsOf("slow", "quick"))
 	close(release) // let the abandoned goroutine finish
-	if _, err := s.Run("quick", v, FullCluster); err != nil {
+	if err := rf.Cells[0].Error; !strings.Contains(err, "timed out") {
+		t.Fatalf("slow cell error = %q, want timeout", err)
+	}
+	if err := rf.Cells[1].Error; err != "" {
 		t.Errorf("cell after timeout failed: %v", err)
 	}
-	if fails := s.FailedCells(); len(fails) != 1 {
-		t.Errorf("FailedCells = %v, want the timed-out cell only", fails)
+	if fails := rf.Failed(); len(fails) != 1 {
+		t.Errorf("Failed = %v, want the timed-out cell only", fails)
 	}
 }
 
-// deterministicExec returns a fake cell executor whose result is a pure
-// function of the cell key, for tests that compare parallel and serial
-// suite fills.
-func deterministicExec() func(string, Variant, Topology) (core.Result, error) {
-	return func(name string, v Variant, topo Topology) (core.Result, error) {
-		res := core.Result{}
-		h := int64(len(name)*1000003 + topo.Nodes*8191 + topo.PPN*131 + int(v.Kind)*17)
-		res.ExecNS = h
-		res.DataBytes = h * 3
-		res.Counts[0] = h % 97
-		time.Sleep(time.Millisecond) // widen interleaving windows
-		return res, nil
-	}
-}
-
-// TestConcurrentSuiteMatchesSerial runs the full app x protocol x
-// topology cross product through the pool and asserts every cell
-// equals the result of a serial fill — the pool must not mix up,
-// drop, or duplicate cells. Runs under -race in CI.
+// TestConcurrentSuiteMatchesSerial plans -all, the whole evaluation,
+// and runs it through a counting fake executor whose result is a pure
+// function of the cell, once at 1 worker and once at 8: every distinct
+// cell must execute exactly once per run, and the two tables must be
+// equal — the pool must not mix up, drop, or duplicate cells. Runs under
+// -race in CI.
 func TestConcurrentSuiteMatchesSerial(t *testing.T) {
-	serial := NewSuite(true)
-	serial.SetWorkers(1)
-	serial.exec = deterministicExec()
-	parallel := NewSuite(true)
-	parallel.SetWorkers(8)
-	parallel.exec = deterministicExec()
-
-	names := AppNames()
-	base := make(map[runKey]core.Result)
-	for _, name := range names {
-		for _, v := range Figure7Variants {
-			for _, topo := range Figure7Topologies {
-				res, err := serial.Run(name, v, topo)
-				if err != nil {
-					t.Fatal(err)
-				}
-				base[runKey{name, v, topo}] = res
-			}
-		}
+	secs, err := Sections(cli.BenchOptions{All: true, Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := Plan(secs...)
+	// 8 apps x (6 Figure 7 variants at 9 topologies + 2LS+intr and 2L+lk at 32:4).
+	if len(plan) != 448 {
+		t.Fatalf("-all plans %d cells, want 448", len(plan))
 	}
 
-	parallel.Prefetch(Figure7Variants, Figure7Topologies)
-	var wg sync.WaitGroup
-	for _, name := range names {
-		for _, v := range Figure7Variants {
-			for _, topo := range Figure7Topologies {
-				wg.Add(1)
-				go func(name string, v Variant, topo Topology) {
-					defer wg.Done()
-					res, err := parallel.Run(name, v, topo)
-					if err != nil {
-						t.Errorf("%s/%s/%s: %v", name, v.Label(), topo.Label(), err)
-						return
-					}
-					want := base[runKey{name, v, topo}]
-					if res.ExecNS != want.ExecNS || res.DataBytes != want.DataBytes {
-						t.Errorf("%s/%s/%s: parallel %d/%d, serial %d/%d",
-							name, v.Label(), topo.Label(),
-							res.ExecNS, res.DataBytes, want.ExecNS, want.DataBytes)
-					}
-				}(name, v, topo)
+	run := func(workers int) []byte {
+		s := NewSuite(true)
+		s.SetWorkers(workers)
+		var mu sync.Mutex
+		execs := make(map[Cell]int)
+		s.exec = func(c Cell) CellResult {
+			mu.Lock()
+			execs[c]++
+			mu.Unlock()
+			h := int64(len(c.App)*1000003 + c.Topo.Nodes*8191 + c.Topo.ProcsPerNode*131 + int(c.V.Kind)*17)
+			if c.V.HomeOpt || c.V.LockBased || c.V.Interrupts {
+				h++
+			}
+			time.Sleep(100 * time.Microsecond) // widen interleaving windows
+			return CellResult{ExecNS: h, DataBytes: h * 3, Counts: map[string]int64{"Barriers": h % 97}}
+		}
+		rf := s.Run(plan)
+		if len(execs) != len(plan) {
+			t.Errorf("%d workers: %d distinct cells executed, want %d", workers, len(execs), len(plan))
+		}
+		for c, n := range execs {
+			if n != 1 {
+				t.Errorf("%d workers: %s executed %d times", workers, c, n)
 			}
 		}
+		buf, err := json.Marshal(rf.Cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
 	}
-	wg.Wait()
-	if got, want := len(parallel.sortedKeys()), len(base); got != want {
-		t.Errorf("parallel suite cached %d cells, want %d", got, want)
+	if serial, parallel := run(1), run(8); !bytes.Equal(serial, parallel) {
+		t.Error("the 8-worker table differs from the serial one")
 	}
 }
 
 // TestConcurrentRealAppAllProtocols runs a real quick-size application
 // across all four protocols simultaneously through the pool (under
 // -race in CI). Every run is validated against the sequential
-// reference inside apps.Run, and re-querying must return the cached
-// result bit-for-bit.
+// reference inside apps.Run.
 func TestConcurrentRealAppAllProtocols(t *testing.T) {
 	s := NewSuite(true)
 	s.SetWorkers(4)
-	topo := Topology{2, 2}
-	var wg sync.WaitGroup
-	first := make([]core.Result, len(FourProtocols))
-	for i, v := range FourProtocols {
-		wg.Add(1)
-		go func(i int, v Variant) {
-			defer wg.Done()
-			res, err := s.Run("SOR", v, topo)
-			if err != nil {
-				t.Errorf("SOR/%s: %v", v.Label(), err)
-			}
-			first[i] = res
-		}(i, v)
+	var cells []Cell
+	for _, v := range FourProtocols {
+		cells = append(cells, Cell{"SOR", v, topology.New(2, 2)})
 	}
-	wg.Wait()
-	for i, v := range FourProtocols {
-		res, err := s.Run("SOR", v, topo)
-		if err != nil {
-			t.Fatalf("re-query SOR/%s: %v", v.Label(), err)
-		}
-		if res.ExecNS != first[i].ExecNS || res.DataBytes != first[i].DataBytes {
-			t.Errorf("SOR/%s: re-query differs from pooled run", v.Label())
+	rf := s.Run(cells)
+	for _, c := range rf.Cells {
+		if c.Error != "" || c.ExecNS <= 0 {
+			t.Errorf("%s: exec_ns %d, error %q", cellLabel(c), c.ExecNS, c.Error)
 		}
 	}
 }
 
-// TestJSONSinkSchema checks that completed and failed cells serialize
-// into the documented results-file schema, sorted for stable diffs.
-func TestJSONSinkSchema(t *testing.T) {
+// TestResultsFileSchema checks that completed and failed cells
+// serialize into the documented results-file schema, sorted for stable
+// diffs.
+func TestResultsFileSchema(t *testing.T) {
 	s := NewSuite(true)
 	s.SetWorkers(2)
-	sink := NewJSONSink(true, 2)
-	s.SetJSON(sink)
-	s.exec = func(name string, v Variant, topo Topology) (core.Result, error) {
-		if name == "bad" {
-			return core.Result{}, fmt.Errorf("synthetic failure")
+	s.exec = func(c Cell) CellResult {
+		if c.App == "bad" {
+			return CellResult{Error: "synthetic failure"}
 		}
-		res := core.Result{}
-		res.ExecNS = 42
-		res.DataBytes = 99
-		res.Procs = topo.Nodes * topo.PPN
-		res.Counts[0] = 5
-		return res, nil
+		return CellResult{ExecNS: 42, DataBytes: 99, Procs: c.Topo.Procs(), SeqNS: 84,
+			Counts: map[string]int64{"LockAcquires": 5}}
 	}
 	v := Variant{Kind: core.TwoLevel}
-	s.Run("zzz", v, Topology{2, 2})
-	s.Run("bad", v, Topology{2, 2})
-	s.Run("aaa", v, Topology{2, 2})
+	topo := topology.New(2, 2)
+	rf := s.Run([]Cell{{"zzz", v, topo}, {"bad", v, topo}, {"aaa", v, topo}})
 
 	var buf bytes.Buffer
-	if _, err := sink.WriteTo(&buf); err != nil {
+	if _, err := rf.WriteTo(&buf); err != nil {
 		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), "wall_ns") {
+		t.Errorf("results file still carries wall_ns:\n%s", buf.String())
 	}
 	var file ResultsFile
 	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
@@ -297,36 +212,33 @@ func TestJSONSinkSchema(t *testing.T) {
 		t.Errorf("cells not sorted: %s %s %s",
 			file.Cells[0].App, file.Cells[1].App, file.Cells[2].App)
 	}
-	ok := file.Cells[0]
-	if ok.ExecNS != 42 || ok.DataBytes != 99 || ok.Procs != 4 ||
-		ok.Counts["LockAcquires"] != 5 || ok.Error != "" {
+	ok := file.Cells[2]
+	if ok.ExecNS != 42 || ok.DataBytes != 99 || ok.Procs != 4 || ok.SeqNS != 84 ||
+		ok.Counts["LockAcquires"] != 5 || ok.Error != "" || cellLabel(ok) != "zzz/2L/4:2" {
 		t.Errorf("good cell = %+v", ok)
 	}
 	bad := file.Cells[1]
-	if bad.Error != "synthetic failure" || bad.ExecNS != 0 {
+	if bad.Error != "synthetic failure" || bad.ExecNS != 0 || cellLabel(bad) != "bad/2L/4:2" {
 		t.Errorf("failed cell = %+v", bad)
-	}
-	if ok.WallNS < 0 {
-		t.Errorf("wall time %d negative", ok.WallNS)
 	}
 }
 
-// TestProgressLine checks the live progress line renders counts.
+// TestProgressLine checks the live progress line renders counts from
+// the results table and is terminated when Run returns.
 func TestProgressLine(t *testing.T) {
 	s := NewSuite(true)
+	s.SetWorkers(1)
 	var buf bytes.Buffer
 	s.SetProgress(&buf)
-	s.exec = func(name string, v Variant, topo Topology) (core.Result, error) {
-		return core.Result{}, nil
-	}
-	s.Run("one", Variant{Kind: core.TwoLevel}, Topology{2, 2})
-	s.Run("two", Variant{Kind: core.TwoLevel}, Topology{2, 2})
-	s.Close()
+	s.exec = func(c Cell) CellResult { return CellResult{} }
+	s.Run(cellsOf("one", "two"))
 	out := buf.String()
-	if !strings.Contains(out, "1/1 cells done") {
-		t.Errorf("progress output missing completion count:\n%q", out)
+	for _, want := range []string{"0/2 cells done, 1 running, slowest one/2L/32:4", "2/2 cells done, 0 running"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("progress output missing %q:\n%q", want, out)
+		}
 	}
 	if !strings.HasSuffix(out, "\n") {
-		t.Errorf("Close did not terminate the progress line")
+		t.Errorf("Run did not terminate the progress line")
 	}
 }

@@ -1,45 +1,12 @@
 package bench
 
 import (
-	"fmt"
 	"io"
-	"strings"
 
 	"cashmere/internal/core"
 	"cashmere/internal/stats"
 	"cashmere/internal/topology"
 )
-
-// Topology-string parsing shared by every flag that names a
-// configuration (-topology, -trace-cell, -scaling): one grammar, one
-// error message (see topology.Grammar).
-
-// ParseTopology parses the paper's "procs:procsPerNode" notation into a
-// Topology, through the shared grammar of internal/topology.
-func ParseTopology(s string) (Topology, error) {
-	spec, err := topology.Parse(s)
-	if err != nil {
-		return Topology{}, err
-	}
-	return Topology{Nodes: spec.Nodes, PPN: spec.ProcsPerNode}, nil
-}
-
-// ParseCell parses an experiment-cell label of the form
-// "app/variant/topology" (e.g. "SOR/2L/32:4"), validating the topology
-// portion against the shared grammar. The returned label is the
-// canonical rendering, suitable for Suite.SetTrace.
-func ParseCell(cell string) (label string, topo Topology, err error) {
-	parts := strings.Split(cell, "/")
-	if len(parts) != 3 || parts[0] == "" || parts[1] == "" {
-		return "", Topology{}, fmt.Errorf(`bench: cell %q is not "app/variant/topology" (topology is %s)`,
-			cell, topology.Grammar)
-	}
-	topo, err = ParseTopology(parts[2])
-	if err != nil {
-		return "", Topology{}, fmt.Errorf("bench: cell %q: %w", cell, err)
-	}
-	return parts[0] + "/" + parts[1] + "/" + topo.Label(), topo, nil
-}
 
 // ScalingVariants are the protocol columns of the scaling sweep: the
 // two-level protocol and the one-level diff protocol, whose per-proc
@@ -65,54 +32,52 @@ func ScalingSeries(maxNodes int) []int {
 // acquires (each acquire is a request/grant message exchange). Under
 // the two-level protocol this total grows monotonically with the node
 // count for every application.
-func messages(res core.Result) int64 {
-	t := res.Total
-	return t.Counts[stats.PageTransfers] +
-		t.Counts[stats.WriteNotices] +
-		t.Counts[stats.DirectoryUpdates] +
-		t.Counts[stats.LockAcquires]
+func messages(c CellResult) int64 {
+	return c.count(stats.PageTransfers) +
+		c.count(stats.WriteNotices) +
+		c.count(stats.DirectoryUpdates) +
+		c.count(stats.LockAcquires)
 }
 
-// Scaling writes the scale-out sweep: speedup and protocol message
-// counts per application and protocol as the node count doubles from 1
-// to top.Nodes at top.PPN processors per node. Configurations past the
-// paper's 8x4 run with wide directory words and barrier costs
+// Scaling is the scale-out sweep: speedup and protocol message counts
+// per application and protocol as the node count doubles from 1 to
+// top.Nodes at top.ProcsPerNode processors per node. Configurations past
+// the paper's 8x4 run with wide directory words and barrier costs
 // extrapolated along the measured slope, so the absolute numbers beyond
 // 32 processors are a model extrapolation, not a platform measurement.
-func (s *Suite) Scaling(w io.Writer, top Topology) error {
-	series := ScalingSeries(top.Nodes)
-	topos := make([]Topology, len(series))
-	for i, n := range series {
-		topos[i] = Topology{Nodes: n, PPN: top.PPN}
+func Scaling(top topology.Spec) Section {
+	var topos []topology.Spec
+	for _, n := range ScalingSeries(top.Nodes) {
+		topos = append(topos, topology.New(n, top.ProcsPerNode))
 	}
-	s.Prefetch(ScalingVariants, topos)
-
-	line(w, "Scaling sweep: 1-%d nodes at %d procs/node (speedup | messages: transfers+notices+dir updates+acquires)",
-		top.Nodes, top.PPN)
-	for _, name := range AppNames() {
-		line(w, "")
-		line(w, "--- %s ---", name)
-		header := pad("config", 8)
-		for _, v := range ScalingVariants {
-			header += pad(v.Label()+" sp", 10) + pad(v.Label()+" msgs", 12)
-		}
-		line(w, "%s", header)
-		for _, topo := range topos {
-			out := pad(topo.Label(), 8)
-			for _, v := range ScalingVariants {
-				res, err := s.Run(name, v, topo)
-				if err != nil {
-					out += pad("FAIL", 10) + pad("-", 12)
-					continue
+	return Section{
+		Variants: ScalingVariants,
+		Topos:    topos,
+		Render: func(w io.Writer, rf *ResultsFile) error {
+			line(w, "Scaling sweep: 1-%d nodes at %d procs/node (speedup | messages: transfers+notices+dir updates+acquires)",
+				top.Nodes, top.ProcsPerNode)
+			for _, name := range AppNames() {
+				line(w, "")
+				line(w, "--- %s ---", name)
+				header := pad("config", 8)
+				for _, v := range ScalingVariants {
+					header += pad(v.Label()+" sp", 10) + pad(v.Label()+" msgs", 12)
 				}
-				sp, err := s.Speedup(name, v, topo)
-				if err != nil {
-					sp = 0
+				line(w, "%s", header)
+				for _, topo := range topos {
+					out := pad(topo.String(), 8)
+					for _, v := range ScalingVariants {
+						c := rf.row(name, v, topo)
+						if c.Error != "" {
+							out += pad("FAIL", 10) + pad("-", 12)
+							continue
+						}
+						out += pad(fmtSp(c), 10) + pad(kcount(messages(c)), 12)
+					}
+					line(w, "%s", out)
 				}
-				out += pad(fmtSp(sp), 10) + pad(kcount(messages(res)), 12)
 			}
-			line(w, "%s", out)
-		}
+			return nil
+		},
 	}
-	return nil
 }

@@ -4,39 +4,58 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"cashmere/internal/cli"
+	"cashmere/internal/topology"
 )
 
-func TestParseTopology(t *testing.T) {
-	topo, err := ParseTopology("32:4")
+// TestScalingTopology checks -scaling's parse: the endpoint takes the
+// shared topology grammar, the sweep doubles the node count up to it,
+// and malformed input carries the grammar message.
+func TestScalingTopology(t *testing.T) {
+	secs, err := Sections(cli.BenchOptions{Scaling: "32:4"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if topo != (Topology{Nodes: 8, PPN: 4}) {
-		t.Errorf("ParseTopology(32:4) = %+v", topo)
+	if len(secs) != 1 {
+		t.Fatalf("-scaling alone selects %d sections, want 1", len(secs))
 	}
-	if topo.Label() != "32:4" {
-		t.Errorf("label roundtrip = %q", topo.Label())
+	var labels []string
+	for _, topo := range secs[0].Topos {
+		labels = append(labels, topo.String())
 	}
-	// Malformed input carries the shared grammar message.
-	if _, err := ParseTopology("8x4"); err == nil ||
+	if want := []string{"4:4", "8:4", "16:4", "32:4"}; !reflect.DeepEqual(labels, want) {
+		t.Errorf("sweep topologies = %v, want %v", labels, want)
+	}
+	if _, err := Sections(cli.BenchOptions{Scaling: "8x4"}); err == nil ||
 		!strings.Contains(err.Error(), "procs:procsPerNode") {
-		t.Errorf("ParseTopology(8x4) error %v does not quote the grammar", err)
+		t.Errorf("-scaling 8x4 error %v does not quote the grammar", err)
 	}
 }
 
+// TestParseCell checks -trace-cell's parse: a cell the plan runs comes
+// back in canonical form, malformed input quotes the grammar, and a
+// well-formed cell the plan does not run — a topology outside it, or a
+// variant in the wrong case — is refused naming the cell.
 func TestParseCell(t *testing.T) {
-	label, topo, err := ParseCell("SOR/2L/32:4")
+	plan := Plan(Figure7)
+	label, err := ParseCell("SOR/2L/32:4", plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if label != "SOR/2L/32:4" || topo != (Topology{Nodes: 8, PPN: 4}) {
-		t.Errorf("ParseCell = %q, %+v", label, topo)
+	if label != "SOR/2L/32:4" {
+		t.Errorf("ParseCell = %q", label)
 	}
 	for _, in := range []string{"", "SOR", "SOR/2L", "SOR/2L/8x4", "//32:4", "SOR/2L/32:4/extra"} {
-		if _, _, err := ParseCell(in); err == nil {
+		if _, err := ParseCell(in, plan); err == nil {
 			t.Errorf("ParseCell(%q) did not fail", in)
 		} else if !strings.Contains(err.Error(), "procs:procsPerNode") {
 			t.Errorf("ParseCell(%q) error %q does not quote the grammar", in, err)
+		}
+	}
+	for _, in := range []string{"SOR/2L/8:8", "SOR/2l/32:4"} {
+		if _, err := ParseCell(in, plan); err == nil || !strings.Contains(err.Error(), in+" is not run") {
+			t.Errorf("ParseCell(%q) error %v, want a cell outside the plan", in, err)
 		}
 	}
 }
@@ -64,9 +83,10 @@ func TestScalingSweepSmoke(t *testing.T) {
 	// every cell without failures, including a beyond-paper row once the
 	// endpoint exceeds 8 nodes elsewhere; here it validates the renderer
 	// end to end.
-	s := NewSuite(true)
+	sec := Scaling(topology.New(4, 2))
+	rf := NewSuite(true).Run(Plan(sec))
 	var buf strings.Builder
-	if err := s.Scaling(&buf, Topology{Nodes: 4, PPN: 2}); err != nil {
+	if err := sec.Render(&buf, rf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -78,7 +98,7 @@ func TestScalingSweepSmoke(t *testing.T) {
 	if strings.Contains(out, "FAIL") {
 		t.Errorf("sweep contains failed cells:\n%s", out)
 	}
-	if fails := s.FailedCells(); len(fails) > 0 {
+	if fails := rf.Failed(); len(fails) > 0 {
 		t.Errorf("failed cells: %v", fails)
 	}
 }

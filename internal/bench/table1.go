@@ -133,8 +133,9 @@ func measureTransfer(kind core.Kind, local bool) (int64, error) {
 	return cost, nil
 }
 
-// Table1 writes the regenerated Table 1.
-func Table1(w io.Writer) error {
+// Table1 regenerates Table 1 from its microbenchmarks; it reads no
+// cells.
+var Table1 = Section{Render: func(w io.Writer, _ *ResultsFile) error {
 	two, err := MeasureBasicOps(core.TwoLevel)
 	if err != nil {
 		return err
@@ -152,12 +153,12 @@ func Table1(w io.Writer) error {
 	line(w, "%-28s %12s %12s", "Page Transfer (Local)", us(two.PageTransferLocal), us(one.PageTransferLocal))
 	line(w, "%-28s %12s %12s", "Page Transfer (Remote)", us(two.PageTransferRemote), us(one.PageTransferRemote))
 	return nil
-}
+}}
 
-// BasicCosts writes the Section 3.1 microcosts straight from the cost
-// model (twinning, diffs, directory updates) alongside the measured
-// ranges.
-func BasicCosts(w io.Writer) {
+// Costs writes the Section 3.1 microcosts straight from the cost model
+// (twinning, diffs, directory updates) alongside the measured ranges;
+// it reads no cells.
+var Costs = Section{Render: func(w io.Writer, _ *ResultsFile) error {
 	m := costs.Default()
 	us := func(ns int64) float64 { return float64(ns) / 1000 }
 	line(w, "Section 3.1 basic operation costs (microseconds)")
@@ -176,4 +177,5 @@ func BasicCosts(w io.Writer) {
 	line(w, "%-38s %8.0f", "Shootdown per processor (polling)", us(m.ShootdownPoll))
 	line(w, "%-38s %8.0f", "Shootdown per processor (interrupt)", us(m.ShootdownInterrupt))
 	line(w, "%-38s %8.1f", "MC remote write latency", us(m.MCWriteLatency))
-}
+	return nil
+}}

@@ -6,6 +6,7 @@ import (
 
 	"cashmere/internal/apps"
 	"cashmere/internal/core"
+	"cashmere/internal/topology"
 	"cashmere/internal/trace"
 )
 
@@ -22,7 +23,7 @@ func TestTracingPreservesVirtualTime(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	cfg := core.Config{
 		Nodes:        FullCluster.Nodes,
-		ProcsPerNode: FullCluster.PPN,
+		ProcsPerNode: FullCluster.ProcsPerNode,
 		Protocol:     core.TwoLevel,
 	}
 	plain, err := apps.Run(freshApp(t, "SOR"), cfg)
@@ -48,19 +49,15 @@ func TestTracingPreservesVirtualTime(t *testing.T) {
 
 // TestSuiteSetTrace checks the bench plumbing: the selected cell (and
 // only that cell) runs under a tracer, the tracer is retrievable, and
-// the JSON sink attaches the trace summary to the matching cell.
+// the trace summary lands on that cell's row of the results table.
 func TestSuiteSetTrace(t *testing.T) {
 	s := NewSuite(true)
-	sink := NewJSONSink(true, 1)
-	s.SetJSON(sink)
 	s.SetTrace("SOR/2L/8:2", nil)
 
 	v := Variant{Kind: core.TwoLevel}
-	if _, err := s.Run("SOR", v, Topology{Nodes: 4, PPN: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run("LU", v, Topology{Nodes: 4, PPN: 2}); err != nil {
-		t.Fatal(err)
+	rf := s.Run([]Cell{{"LU", v, topology.New(4, 2)}, {"SOR", v, topology.New(4, 2)}})
+	if fails := rf.Failed(); len(fails) > 0 {
+		t.Fatal(fails)
 	}
 	tr := s.TraceResult()
 	if tr == nil {
@@ -70,14 +67,12 @@ func TestSuiteSetTrace(t *testing.T) {
 		t.Error("selected cell's tracer recorded no barriers")
 	}
 
-	sink.mu.Lock()
-	defer sink.mu.Unlock()
 	var traced, untraced int
-	for _, c := range sink.file.Cells {
+	for _, c := range rf.Cells {
 		if c.Trace != nil {
 			traced++
-			if c.App != "SOR" {
-				t.Errorf("trace summary attached to %s/%s/%s", c.App, c.Variant, c.Topology)
+			if cellLabel(c) != "SOR/2L/8:2" {
+				t.Errorf("trace summary attached to %s", cellLabel(c))
 			}
 		} else {
 			untraced++

@@ -110,9 +110,12 @@ func (b *Barrier) Parties() int { return b.r.Parties() }
 // breaks the tie deterministically: the processors found blocked at
 // the Set instant form a cohort that proceeds one at a time in
 // descending waiter id, each releasing the next with its done handle.
-// Virtual times are unchanged — only the host-schedule freedom of the
-// equal-time wakeups is removed, so results stop being bistable (the
-// Gauss pivot-row flags were the motivating case; see docs/ADAPTIVE.md).
+// That fixes the order of the equal-time acquire actions, and so which
+// outcome of the tie a run takes; it does not reproduce the outcome
+// the free broadcast wakeup gives. Only the adaptive engine opts in
+// (core's WaitFlag), which made the bistable Gauss/2L+A cell
+// reproducible (docs/ADAPTIVE.md); moving the non-adaptive protocols
+// onto it changes their virtual times and re-pins their golden values.
 type Flag struct {
 	cell *simchan.Region
 	wlat int64
@@ -153,12 +156,9 @@ func (fl *Flag) Set(node int, now int64) {
 	if !fl.set {
 		fl.set = true
 		fl.vis = visible
-		// Snapshot the blocked waiters as the ordered wakeup cohort.
-		// Descending id matches the schedule the golden paper configs
-		// were pinned under (cond.Broadcast wakes the most recent
-		// waiter first on the host runtime), so fixing the order keeps
-		// the pinned virtual times bit-identical while removing the
-		// host-schedule freedom.
+		// Snapshot the blocked waiters as the ordered wakeup cohort,
+		// drained in descending id. Callers that opt out still wake
+		// through the free broadcast below.
 		fl.cohort = fl.cohort[:0]
 		for id := range fl.blocked {
 			fl.cohort = append(fl.cohort, id)

@@ -83,8 +83,9 @@ const (
 	// Words=the runs' values concatenated.
 	TDiff
 	// TWriteNotice invalidates: A=page, B=ack token (echoed in
-	// TNoticeAck). Pages may carry additional page numbers when
-	// notices are batched.
+	// TNoticeAck). Pages is empty in version 1, and the receiver
+	// refuses a notice that carries any; batching notices into one
+	// frame belongs to a version 2 of the format.
 	TWriteNotice
 	// TNoticeAck acknowledges a write notice: A=page, B=token.
 	TNoticeAck
