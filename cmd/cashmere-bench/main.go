@@ -7,7 +7,7 @@
 //	cashmere-bench -table 3       # one table (1, 2, 3, or "costs")
 //	cashmere-bench -figure 7      # one figure (6 or 7)
 //	cashmere-bench -ablation shootdown|lockfree|adaptive
-//	cashmere-bench -quick -adaptive   # adaptive-policy ablation at 16:4
+//	cashmere-bench -quick -ablation adaptive   # adaptive-policy ablation at 16:4
 //	cashmere-bench -scaling 128:4  # scale-out sweep, 1-32 nodes at 4 procs/node
 //	cashmere-bench -quick -all    # tiny problem sizes (seconds)
 //	cashmere-bench -all -j 8      # eight experiment cells in parallel
@@ -92,7 +92,7 @@ func main() {
 	if o.Progress {
 		s.SetProgress(os.Stderr)
 	}
-	outs, err := metrics.NewTraceOutputs(o.Trace, "", o.Profile, o.TracePages, "hot-page/hot-lock profile of "+o.TraceCell)
+	outs, err := metrics.NewTraceOutputs(o.Trace, "", o.Profile, "", "hot-page/hot-lock profile of "+o.TraceCell)
 	if err != nil {
 		usage(err)
 	}
@@ -105,7 +105,7 @@ func main() {
 		if err != nil {
 			usage(fmt.Errorf("-trace-cell: %w", err))
 		}
-		s.SetTrace(label, outs.Pages)
+		s.SetTrace(label)
 	}
 	if o.HTTP != "" {
 		reg := metrics.NewRegistry()

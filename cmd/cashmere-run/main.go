@@ -25,8 +25,9 @@
 // tcp. -trace writes it as Chrome trace-event JSON, loadable at
 // https://ui.perfetto.dev; -trace-timeline as a plain-text per-page
 // event timeline ("-" for stdout), optionally restricted to the
-// -trace-pages page numbers, the structured successor of the
-// CASHMERE_TRACE_PAGE environment variable; -profile as the hot-page /
+// -trace-pages page numbers — the lines the CASHMERE_TRACE_PAGE
+// environment variable streams to stderr, which a traced run ignores
+// with a warning; -profile as the hot-page /
 // hot-lock attribution report ("-" for stdout): the top pages by
 // protocol time with sharing-pattern labels, contended locks and flags,
 // and barrier latency. See docs/TRACING.md and docs/METRICS.md.

@@ -240,14 +240,3 @@ func Small() []App {
 		SmallBarnes(),
 	}
 }
-
-// ByName returns the suite application with the given (case-sensitive)
-// name, or nil.
-func ByName(name string) App {
-	for _, a := range All() {
-		if a.Name() == name {
-			return a
-		}
-	}
-	return nil
-}

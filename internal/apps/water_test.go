@@ -173,18 +173,12 @@ func TestSuiteRegistry(t *testing.T) {
 		if a.Name() != wantOrder[i] {
 			t.Errorf("All()[%d] = %s, want %s", i, a.Name(), wantOrder[i])
 		}
-		if ByName(a.Name()) == nil {
-			t.Errorf("ByName(%q) = nil", a.Name())
-		}
 		if a.DataSet() == "" {
 			t.Errorf("%s has empty DataSet", a.Name())
 		}
 		if a.SeqTime(defaultCosts()) <= 0 {
 			t.Errorf("%s SeqTime not positive", a.Name())
 		}
-	}
-	if ByName("nope") != nil {
-		t.Error("ByName of unknown app returned non-nil")
 	}
 	if len(Small()) != 8 {
 		t.Error("Small() must cover the full suite")

@@ -127,7 +127,7 @@ func Plan(secs ...Section) []Cell {
 
 // Sections returns the sections cashmere-bench's options select, in
 // rendering order. -all is every section but the adaptive ablation and
-// the scaling sweep, which have flags of their own.
+// the scaling sweep, which only -ablation adaptive and -scaling select.
 func Sections(o cli.BenchOptions) ([]Section, error) {
 	var secs []Section
 	for _, s := range []struct {
@@ -142,7 +142,7 @@ func Sections(o cli.BenchOptions) ([]Section, error) {
 		{o.All || o.Figure == "7", Figure7},
 		{o.All || o.Ablation == "shootdown", Shootdown},
 		{o.All || o.Ablation == "lockfree", LockFree},
-		{o.Adaptive || o.Ablation == "adaptive", Adaptive(o.Quick)},
+		{o.Ablation == "adaptive", Adaptive(o.Quick)},
 	} {
 		if s.on {
 			secs = append(secs, s.sec)

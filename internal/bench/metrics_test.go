@@ -127,7 +127,7 @@ func TestSuiteSetMetrics(t *testing.T) {
 // profile lands on that cell's row of the results table, and only there.
 func TestSuiteProfileInJSON(t *testing.T) {
 	s := NewSuite(true)
-	s.SetTrace("SOR/2L/8:2", nil)
+	s.SetTrace("SOR/2L/8:2")
 
 	v := Variant{Kind: core.TwoLevel}
 	rf := s.Run([]Cell{{"LU", v, topology.New(4, 2)}, {"SOR", v, topology.New(4, 2)}})

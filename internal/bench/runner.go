@@ -37,7 +37,6 @@ type Suite struct {
 	// traceLabel selects the cell (app/variant/topology) whose run is
 	// recorded by a structured event tracer; empty disables tracing.
 	traceLabel string
-	tracePages map[int]bool
 
 	// metrics, when set, receives every cell's cluster for live
 	// scraping: clusters attach through core.Config.Observer as they
@@ -73,13 +72,9 @@ func (s *Suite) SetProgress(w io.Writer) { s.progress = w }
 
 // SetTrace arranges for the cell with the given "app/variant/topology"
 // label (e.g. "SOR/2L/32:4") to run under a structured event tracer
-// (see internal/trace). pages optionally restricts per-page live notes
-// to those page numbers; nil records all pages. Call before Run;
-// retrieve the recorder with TraceResult.
-func (s *Suite) SetTrace(cell string, pages map[int]bool) {
-	s.traceLabel = cell
-	s.tracePages = pages
-}
+// (see internal/trace). Call before Run; retrieve the recorder with
+// TraceResult.
+func (s *Suite) SetTrace(cell string) { s.traceLabel = cell }
 
 // TraceResult returns the tracer of the cell selected with SetTrace,
 // or nil if that cell has not (successfully) executed.
@@ -213,11 +208,7 @@ func (s *Suite) execute(c Cell) CellResult {
 	}
 	var tr *trace.Tracer
 	if c.String() == s.traceLabel {
-		tr = trace.New(trace.Config{
-			Procs: c.Topo.Procs(),
-			Links: c.Topo.Nodes,
-			Pages: s.tracePages,
-		})
+		tr = trace.New(trace.Config{Procs: c.Topo.Procs(), Links: c.Topo.Nodes})
 		cfg.Trace = tr
 	}
 	var detach func()

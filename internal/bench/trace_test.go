@@ -52,7 +52,7 @@ func TestTracingPreservesVirtualTime(t *testing.T) {
 // the trace summary lands on that cell's row of the results table.
 func TestSuiteSetTrace(t *testing.T) {
 	s := NewSuite(true)
-	s.SetTrace("SOR/2L/8:2", nil)
+	s.SetTrace("SOR/2L/8:2")
 
 	v := Variant{Kind: core.TwoLevel}
 	rf := s.Run([]Cell{{"LU", v, topology.New(4, 2)}, {"SOR", v, topology.New(4, 2)}})

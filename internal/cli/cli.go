@@ -60,7 +60,7 @@ func (o *RunOptions) Register(fs *flag.FlagSet) {
 	fs.BoolVar(&o.Quick, "quick", false, "tiny problem size")
 	fs.StringVar(&o.Trace, "trace", "", `write a Chrome/Perfetto trace of the run to this file ("-" for stdout)`)
 	fs.StringVar(&o.TraceTL, "trace-timeline", "", `write a per-page event timeline to this file ("-" for stdout)`)
-	fs.StringVar(&o.TracePages, "trace-pages", "", "comma-separated page numbers to restrict -trace-timeline (and, with -transport sim, CASHMERE_TRACE_PAGE-style live notes) to")
+	fs.StringVar(&o.TracePages, "trace-pages", "", "comma-separated page numbers to restrict -trace-timeline to")
 	fs.StringVar(&o.Profile, "profile", "", `write a hot-page/hot-lock attribution report to this file ("-" for stdout)`)
 	fs.StringVar(&o.HTTP, "http", "", `serve live /metrics, /status, and pprof on this address (e.g. ":6060")`)
 	fs.StringVar(&o.Replay, "replay", "", "replay a model-checker counterexample JSON file and exit")
@@ -116,7 +116,6 @@ type BenchOptions struct {
 	Table      string
 	Figure     string
 	Ablation   string
-	Adaptive   bool
 	Scaling    string
 	Workers    int
 	JSON       string
@@ -126,7 +125,6 @@ type BenchOptions struct {
 	MemProfile string
 	Trace      string
 	TraceCell  string
-	TracePages string
 	HTTP       string
 	Profile    string
 }
@@ -137,8 +135,7 @@ func (o *BenchOptions) Register(fs *flag.FlagSet) {
 	fs.BoolVar(&o.All, "all", false, "run every table, figure, and ablation")
 	fs.StringVar(&o.Table, "table", "", `table to regenerate: "1", "2", "3", or "costs"`)
 	fs.StringVar(&o.Figure, "figure", "", `figure to regenerate: "6" or "7"`)
-	fs.StringVar(&o.Ablation, "ablation", "", `ablation to run: "shootdown", "lockfree", or "adaptive"`)
-	fs.BoolVar(&o.Adaptive, "adaptive", false, "run the adaptive-policy ablation (2L+A vs the fixed protocols; 16:4 with -quick, 32:4 otherwise)")
+	fs.StringVar(&o.Ablation, "ablation", "", `ablation to run: "shootdown", "lockfree", or "adaptive" (2L+A vs the fixed protocols; 16:4 with -quick, 32:4 otherwise)`)
 	fs.StringVar(&o.Scaling, "scaling", "", `scale-out sweep up to this topology ("procs:procsPerNode", e.g. 128:4 sweeps 1-32 nodes)`)
 	fs.IntVar(&o.Workers, "j", 0, "experiment cells to execute in parallel (0 = GOMAXPROCS)")
 	fs.StringVar(&o.JSON, "json", "", "write machine-readable per-cell results to this file")
@@ -148,7 +145,6 @@ func (o *BenchOptions) Register(fs *flag.FlagSet) {
 	fs.StringVar(&o.MemProfile, "memprofile", "", "write a heap profile to this file on exit")
 	fs.StringVar(&o.Trace, "trace", "", "write a Chrome/Perfetto trace of the -trace-cell run to this file")
 	fs.StringVar(&o.TraceCell, "trace-cell", "SOR/2L/32:4", "cell to trace, as app/variant/topology")
-	fs.StringVar(&o.TracePages, "trace-pages", "", "comma-separated page numbers for per-page trace notes")
 	fs.StringVar(&o.HTTP, "http", "", `serve live /metrics, /status, and pprof on this address (e.g. ":6060")`)
 	fs.StringVar(&o.Profile, "profile", "", `write the -trace-cell run's hot-page/hot-lock report to this file ("-" = stdout)`)
 }

@@ -29,9 +29,9 @@ func EnvVars() []EnvVar {
 		},
 		{
 			Name: "CASHMERE_TRACE_PAGE",
-			Usage: "page number or comma-separated list: stream every free-form protocol " +
-				"note for those pages to stderr (zero-configuration predecessor of " +
-				"-trace-timeline/-trace-pages; see docs/TRACING.md).",
+			Usage: "page number or comma-separated list: write to stderr, as it happens, the " +
+				"-trace-timeline line of every protocol event on those pages (simulator runs " +
+				"only; ignored, with a warning, by a run that already records a trace; see docs/TRACING.md).",
 		},
 	}
 }

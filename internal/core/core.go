@@ -141,7 +141,9 @@ type Config struct {
 	// fast path is untouched, and virtual-time results are bit-identical
 	// to a build without the tracing layer. When nil and the
 	// CASHMERE_TRACE_PAGE environment variable is set, New builds a
-	// compatibility tracer that streams the variable's pages to stderr.
+	// tracer that streams the page-timeline lines of the variable's
+	// pages to stderr as the events happen; when non-nil, the variable
+	// is ignored with a one-line stderr warning, once per process.
 	Trace *trace.Tracer
 
 	// Observer, when non-nil, is called with the fully-constructed
@@ -361,10 +363,7 @@ func New(cfg Config) (*Cluster, error) {
 	c.superpages = (c.pages + cfg.SuperpagePages - 1) / cfg.SuperpagePages
 
 	total := cfg.Nodes * cfg.ProcsPerNode
-	c.tr = cfg.Trace
-	if c.tr == nil {
-		c.tr = envTracer(total, cfg.Nodes)
-	}
+	c.tr = envTrace.tracer(cfg.Trace, total, cfg.Nodes)
 	if c.tr != nil {
 		if c.tr.Procs() < total || c.tr.Links() < cfg.Nodes {
 			return nil, fmt.Errorf("core: tracer sized for %d procs / %d links, cluster needs %d / %d",

@@ -523,10 +523,13 @@ func TestHomeOptReducesOneLevelOverhead(t *testing.T) {
 				p.Store(i*16+p.ID(), int64(p.ID()))
 			}
 			p.Barrier()
+			// A bad read is reported once, and the processor still
+			// arrives at the barrier below: returning would strand its
+			// peers there until the test timeout.
 			for i := 0; i < 8; i++ {
 				if got := p.Load(i*16 + (p.ID()+1)%8); got != int64((p.ID()+1)%8) {
-					t.Errorf("homeOpt=%v: bad read %d", homeOpt, got)
-					return
+					t.Errorf("homeOpt=%v: proc %d bad read %d", homeOpt, p.ID(), got)
+					break
 				}
 			}
 			p.Barrier()

@@ -11,18 +11,9 @@ import "cashmere/internal/trace"
 // emit records an instantaneous event at the processor's current
 // virtual time.
 func (p *Proc) emit(k trace.Kind, page int, arg, arg2 int64) {
-	if p.ring == nil {
-		return
+	if p.ring != nil {
+		p.emitSpan(k, page, p.clk.Now(), arg, arg2)
 	}
-	p.tr.EmitProc(p.global, trace.Event{
-		Kind: k,
-		Proc: int32(p.global),
-		Node: int32(p.n.id),
-		Page: int32(page),
-		VT:   p.clk.Now(),
-		Arg:  arg,
-		Arg2: arg2,
-	})
 }
 
 // emitSpan records an event covering virtual time [beginVT, now).

@@ -54,7 +54,6 @@ func (p *Proc) breakExclusive(page, holderNode, holderProc int) {
 	}
 	p.chargeProtocol(req)
 
-	p.trace(page, "break exclusive: holder node %d proc %d", holderNode, holderProc)
 	x := c.nodes[holderNode]
 	x.mu.Lock()
 	defer x.mu.Unlock()

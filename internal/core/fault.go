@@ -32,7 +32,6 @@ func (p *Proc) readFault(page int) {
 }
 
 func (p *Proc) doReadFault(page int) {
-	p.trace(page, "readFault")
 	p.st.Inc(stats.ReadFaults)
 	p.chargeProtocol(p.c.model.PageFault)
 	if ap := p.c.cfg.Adaptive; ap != nil {
@@ -83,7 +82,6 @@ func (p *Proc) writeFault(page int) {
 }
 
 func (p *Proc) doWriteFault(page int) {
-	p.trace(page, "writeFault")
 	p.st.Inc(stats.WriteFaults)
 	p.chargeProtocol(p.c.model.PageFault)
 	if ap := p.c.cfg.Adaptive; ap != nil {
@@ -134,7 +132,6 @@ func (p *Proc) doWriteFault(page int) {
 			// page incurs no further coherence overhead — no twin,
 			// no dirty-list entry, no flushes or notices — until
 			// another node breaks it out (Section 2.4.1).
-			p.trace(page, "enter exclusive")
 			n.dropTwin(page) // exclusive pages have no twin
 			p.table.Set(page, directory.ReadWrite)
 			p.chargeProtocol(p.c.model.MProtect)
@@ -211,14 +208,11 @@ func (p *Proc) ensureCurrentLocked(page int) bool {
 			// master lacks before adopting the master copy.
 			if f != nil {
 				if _, excl := p.c.lay.Excl(p.ownWord(page)); excl {
-					p.trace(page, "alias: flushing exclusive frame")
 					diff.Copy(c.masters[page], *f)
 				} else if tw := n.twins[page]; tw != nil {
-					p.trace(page, "alias: flush-update private frame")
 					diff.FlushUpdate(*f, tw, c.masters[page])
 				}
 			}
-			p.trace(page, "alias master (home=%d)", homeProto)
 			m := c.masters[page]
 			slot.p.Store(&m)
 			slot.aliased.Store(true)
@@ -244,7 +238,6 @@ func (p *Proc) ensureCurrentLocked(page int) bool {
 	}
 	switch {
 	case frame == nil:
-		p.trace(page, "fresh fetch (home=%d)", homeProto)
 		f := make([]int64, c.cfg.PageWords)
 		p.fetchPage(page, homeProto)
 		diff.CopyIn(f, c.masters[page]) // f is not yet published
@@ -252,7 +245,6 @@ func (p *Proc) ensureCurrentLocked(page int) bool {
 		n.vm.Bump()
 		meta.updateTS = n.lclock.Tick()
 	case meta.updateTS < wnOrAcq:
-		p.trace(page, "refetch: updTS=%d wnTS=%d acqTS=%d", meta.updateTS, meta.wnTS, p.acquireTS)
 		p.fetchPage(page, homeProto)
 		p.applyUpdate(page, *frame)
 		meta.updateTS = n.lclock.Tick()
@@ -265,7 +257,6 @@ func (p *Proc) ensureCurrentLocked(page int) bool {
 		// and the notice distribution only reached the processors
 		// mapped at drain time. Post the notice to our own second-level
 		// list so the invalidation is not lost.
-		p.trace(page, "stale map: queue self-notice (updTS=%d wnTS=%d)", meta.updateTS, meta.wnTS)
 		p.pwn.Add(page)
 		p.chargeProtocol(p.c.model.LLSC)
 	}
@@ -372,7 +363,6 @@ func (p *Proc) applyUpdate(page int, frame []int64) {
 		return
 	}
 
-	p.trace(page, "incoming diff")
 	// Two-way diffing: apply only the remote modifications, to both the
 	// working page and the twin, with no intra-node synchronization.
 	changed := diff.Incoming(frame, twin, master)

@@ -88,7 +88,6 @@ func (p *Proc) maybeFirstTouch(page int) {
 	if oldProto != newProto {
 		c.migrateSuperpage(p, sp, oldProto)
 	}
-	p.trace(page, "first-touch: superpage %d home %d -> %d", sp, oldProto, newProto)
 	c.homes[sp].Store(encodeHome(newProto, p.global, true))
 	p.st.Inc(stats.HomeMigrations)
 	p.emit(trace.EvHomeMigrate, page, int64(oldProto), int64(newProto))

@@ -208,7 +208,6 @@ func (p *Proc) refreshPage(page int) bool {
 	p.st.Inc(stats.PolicyUpdates)
 	p.st.Inc(stats.IncomingDiffs)
 	p.chargeProtocol(c.model.IncomingDiff(changed, c.cfg.PageWords))
-	p.trace(page, "update refresh: %d words", changed)
 	p.emit(trace.EvDiffIn, page, int64(changed), 1)
 	return true
 }
@@ -228,7 +227,6 @@ func (p *Proc) maybeDemoteBroadcast(page int) {
 	p.st.Inc(stats.PolicyModeChanges)
 	p.chargeProtocol(c.model.DirectoryUpdate)
 	p.st.Data(wordBytes)
-	p.trace(page, "broadcast demoted by write fault")
 	p.emit(trace.EvPolicyMode, page, int64(ModeBroadcast), int64(ModeInvalidate))
 }
 
@@ -283,7 +281,6 @@ func (c *Cluster) migrateHomePolicy(p *Proc, page, target int) bool {
 	}
 
 	p.st.Inc(stats.HomeMigrations)
-	p.trace(page, "policy migrate: superpage %d home %d -> %d", sp, oldProto, newProto)
 	p.emit(trace.EvHomeMigrate, page, int64(oldProto), int64(newProto))
 	c.homeLock.Release(p.clk.Now())
 	return true
@@ -373,7 +370,6 @@ func (c *Cluster) replicatePage(p *Proc, page int) bool {
 		return false
 	}
 	p.st.Inc(stats.PolicyReplications)
-	p.trace(page, "replicated to %d nodes", touched)
 	p.emit(trace.EvPolicyReplicate, page, int64(touched), 0)
 	return true
 }

@@ -408,14 +408,19 @@ func TestInterleavedReadersAndWriters(t *testing.T) {
 		}
 		n := c.NumProcs()
 		c.Run(func(p *Proc) {
+			// A processor that has read a wrong value reports it once
+			// and stops checking, but keeps arriving at every remaining
+			// barrier: returning would strand its peers there until the
+			// test timeout.
+			wrong := false
 			for round := 0; round < 2*n; round++ {
 				if round%n == p.ID() {
 					p.Store(3, int64(round))
 				}
 				p.Barrier()
-				if got := p.Load(3); got != int64(round) {
+				if got := p.Load(3); !wrong && got != int64(round) {
 					t.Errorf("%v: proc %d round %d reads %d", k, p.ID(), round, got)
-					return
+					wrong = true
 				}
 				p.Barrier()
 			}

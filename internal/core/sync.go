@@ -130,7 +130,6 @@ func (p *Proc) flushForBarrier(releaseStart int64) {
 	work = append(work, p.dirty...)
 	for _, page := range work {
 		if w := p.pendingWriter(page); w >= 0 {
-			p.trace(page, "barrier delegate -> local %d", w)
 			// A local writer has not arrived yet; it flushes for all
 			// of us (initiating a flush now would only force it to
 			// flush again).
@@ -231,11 +230,9 @@ func (p *Proc) flushPage(page int, releaseStart int64) {
 	meta := &n.meta[page]
 
 	if _, excl := p.c.lay.Excl(p.ownWord(page)); excl {
-		p.trace(page, "flush skipped: exclusive")
 		return // exclusive pages incur no coherence overhead
 	}
 	if meta.flushTS > releaseStart {
-		p.trace(page, "flush skipped: flushTS=%d > relStart=%d", meta.flushTS, releaseStart)
 		// A flush that began after this release began already covers
 		// our modifications (overlapping-release rule).
 		return
@@ -259,7 +256,6 @@ func (p *Proc) flushPage(page int, releaseStart int64) {
 			}
 		}
 		changed, lo, hi := diff.FlushUpdateRange(frame, n.twins[page], c.masters[page])
-		p.trace(page, "flush-update: %d words", changed)
 		if ap := c.cfg.Adaptive; ap != nil {
 			ap.NoteFlush(page, p.global, changed)
 		}
@@ -287,6 +283,7 @@ func (p *Proc) flushPage(page int, releaseStart int64) {
 			n.dropTwin(page)
 		}
 		p.st.Inc(stats.ExclTransitions)
+		p.emit(trace.EvExclEnter, page, 0, 0)
 		p.publishOwnWord(page, p.global)
 		return
 	}
@@ -304,7 +301,6 @@ func (p *Proc) flushPage(page int, releaseStart int64) {
 		if c.nodes[x].frames[page].aliased.Load() {
 			continue
 		}
-		p.trace(page, "notice -> node %d", x)
 		p.postNotice(x, page)
 		p.emit(trace.EvNoticeSend, page, int64(x), 0)
 	}
@@ -385,7 +381,6 @@ func (p *Proc) acquireActions() {
 		if p.table.Get(page) == directory.Invalid {
 			continue
 		}
-		p.trace(page, "acquire invalidate: updTS=%d wnTS=%d", meta.updateTS, meta.wnTS)
 		p.table.Set(page, directory.Invalid)
 		p.chargeProtocol(c.model.MProtect)
 		p.emit(trace.EvNoticeApply, page, 0, 0)

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"os"
+	"strings"
 	"sync"
 
 	"cashmere/internal/cli"
@@ -11,74 +13,48 @@ import (
 
 // Protocol event tracing. The structured layer lives in internal/trace;
 // a cluster records events when Config.Trace carries a tracer. The
-// legacy CASHMERE_TRACE_PAGE environment variable — a page number or a
-// comma-separated list — is kept as a zero-configuration entry point:
-// when it is set and no tracer was supplied, New builds a tracer whose
-// page filter comes from the variable and whose live stream goes to
-// stderr, so every free-form protocol note for those pages appears as
-// it always has. A value that does not parse is reported on stderr
-// rather than silently disabling the trace the user asked for, and —
-// once the cluster's page count is known — page numbers beyond it are
-// rejected with the same warning instead of silently never matching.
+// CASHMERE_TRACE_PAGE environment variable — a page number or a
+// comma-separated list — is the zero-configuration entry point: when it
+// is set and no tracer was supplied, New builds one whose live stream
+// writes to stderr, as they happen, the page-timeline lines of every
+// event on those pages. A value that does not parse, a page beyond the
+// cluster's, and a variable shadowed by a supplied tracer are each
+// reported on stderr instead of silently dropping the trace asked for.
 
-var (
-	envTraceOnce  sync.Once
-	envTracePages map[int]bool
-)
+// envTrace is the process's one reading of CASHMERE_TRACE_PAGE.
+var envTrace = new(envTraceState)
 
-// envPageFilter parses CASHMERE_TRACE_PAGE once per process through
-// the cli env-var registry (so the variable is documented alongside
-// the flags), reporting bad values on stderr.
-func envPageFilter() map[int]bool {
-	envTraceOnce.Do(func() {
-		pages, raw, set, err := cli.TracePagesFromEnv(parseTracePages)
-		if !set {
-			return
-		}
-		if err != nil {
+type envTraceState struct {
+	read     sync.Once
+	pages    map[int]bool
+	list     string    // the pages as -trace-pages takes them
+	shadowed sync.Once // the ignored-beside-a-tracer warning
+}
+
+// tracer returns the tracer a cluster of the given shape records into:
+// supplied when there is one, else the variable's live tracer, else nil.
+// The variable is read, through the cli env-var registry, on first use.
+func (s *envTraceState) tracer(supplied *trace.Tracer, procs, links int) *trace.Tracer {
+	s.read.Do(func() {
+		pages, raw, set, err := cli.TracePagesFromEnv(trace.ParsePageList)
+		if set && err != nil {
 			fmt.Fprintf(os.Stderr, "cashmere: ignoring CASHMERE_TRACE_PAGE=%q: %v\n", raw, err)
 			return
 		}
-		envTracePages = pages
+		s.pages, s.list = pages, strings.Join(strings.Fields(raw), "")
 	})
-	return envTracePages
-}
-
-// envTracer builds the CASHMERE_TRACE_PAGE compatibility tracer for a
-// cluster of the given shape, or returns nil when the variable is
-// unset. The filter map is copied: New clamps it to the cluster's page
-// count, and clusters must not edit each other's filters.
-func envTracer(procs, links int) *trace.Tracer {
-	env := envPageFilter()
-	if len(env) == 0 {
-		return nil
+	switch {
+	case len(s.pages) == 0:
+		return supplied
+	case supplied != nil:
+		s.shadowed.Do(func() {
+			fmt.Fprintf(os.Stderr, "cashmere: ignoring CASHMERE_TRACE_PAGE=%s: this run already records a trace; "+
+				"use cashmere-run -trace-timeline - -trace-pages %s instead\n", s.list, s.list)
+		})
+		return supplied
 	}
-	pages := make(map[int]bool, len(env))
-	for p := range env {
-		pages[p] = true
-	}
-	return trace.New(trace.Config{
-		Procs:    procs,
-		Links:    links,
-		RingSize: 1 << 12,
-		Pages:    pages,
-		Live:     os.Stderr,
-	})
-}
-
-// parseTracePages parses a comma-separated list of non-negative page
-// numbers ("7" or "7,12,40"); see trace.ParsePageList for the accepted
-// syntax.
-func parseTracePages(v string) (map[int]bool, error) {
-	return trace.ParsePageList(v)
-}
-
-// trace writes a live free-form note for page when a tracer with a
-// matching page filter is attached. Zero overhead when tracing is
-// disabled (a single nil check).
-func (p *Proc) trace(page int, format string, args ...any) {
-	if p.tr == nil {
-		return
-	}
-	p.tr.Notef(p.global, p.n.id, page, format, args...)
+	// New clamps the filter to the cluster's page count, so each
+	// cluster gets its own copy.
+	return trace.New(trace.Config{Procs: procs, Links: links, RingSize: 1 << 12,
+		Pages: maps.Clone(s.pages), Live: os.Stderr})
 }

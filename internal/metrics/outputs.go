@@ -21,7 +21,7 @@ type TraceOutputs struct {
 }
 
 // NewTraceOutputs takes the flags' values as given (cashmere-bench has
-// no timeline flag, cashmere-run no title) and parses pages; a run
+// no timeline or page flag, cashmere-run no title) and parses pages; a run
 // nothing asks to trace does not read -trace-pages at all.
 func NewTraceOutputs(chrome, timeline, profile, pages, title string) (t TraceOutputs, err error) {
 	t = TraceOutputs{Chrome: chrome, Timeline: timeline, Profile: profile, ProfileTitle: title}

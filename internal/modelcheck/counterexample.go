@@ -86,7 +86,8 @@ func Minimize(cx *Counterexample) *Counterexample {
 
 // Replay re-executes the counterexample's schedule deterministically
 // against a fresh cluster with protocol-event tracing attached, writing
-// a step-by-step account and the recorded protocol events to w. It
+// a step-by-step account and the recorded protocol events, one
+// trace.Recording.Line each, to w. It
 // returns the violation the replay reproduced, or nil (with a
 // divergence note on w) if the schedule no longer violates anything.
 func Replay(cx *Counterexample, w io.Writer) (*Violation, error) {
@@ -117,9 +118,9 @@ func Replay(cx *Counterexample, w io.Writer) (*Violation, error) {
 	}
 
 	fmt.Fprintf(w, "\nprotocol events:\n")
-	for _, e := range tracer.Events() {
-		fmt.Fprintf(w, "  vt=%-8d p%-2d node%-2d page%-2d %-16s arg=%d arg2=%d\n",
-			e.VT, e.Proc, e.Node, e.Page, e.Kind, e.Arg, e.Arg2)
+	rec := tracer.Recording()
+	for _, e := range rec.Events {
+		fmt.Fprintln(w, rec.Line(e))
 	}
 	return got, nil
 }

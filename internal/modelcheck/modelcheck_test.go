@@ -208,6 +208,20 @@ func TestReplayDivergenceReported(t *testing.T) {
 	if !strings.Contains(out.String(), "DIVERGENCE") {
 		t.Errorf("replay output missing DIVERGENCE marker:\n%s", out.String())
 	}
+	// The events print as page-timeline lines (trace.Recording.Line):
+	// the write is a write fault of processor 0 on page 0.
+	_, events, _ := strings.Cut(out.String(), "\nprotocol events:\n")
+	lines := strings.Split(strings.TrimSuffix(events, "\n"), "\n")
+	sawFault := false
+	for _, line := range lines {
+		if !strings.HasPrefix(line, "vt=") {
+			t.Errorf("event line %q is not a timeline line", line)
+		}
+		sawFault = sawFault || strings.Contains(line, " p0 n0 pg0 write-fault dur=")
+	}
+	if !sawFault {
+		t.Errorf("no write-fault line for p0 on page 0 among the events:\n%s", events)
+	}
 }
 
 // TestHarnessMatchesBlockingBarrier cross-checks the composite barrier

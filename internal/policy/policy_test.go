@@ -102,8 +102,11 @@ func run(t *testing.T, adaptive bool, body func(p *core.Proc)) (*core.Cluster, c
 
 // producerConsumer has proc 0 rewrite page 0 each phase and the other
 // procs read it back, with barriers between — the write-update shape.
-func producerConsumer(rounds int) func(p *core.Proc) {
+// A processor that reads a stale value reports it once and keeps
+// arriving at every barrier, so its peers are never stranded.
+func producerConsumer(t *testing.T, rounds int) func(p *core.Proc) {
 	return func(p *core.Proc) {
+		stale := false
 		for r := 0; r < rounds; r++ {
 			if p.ID() == 0 {
 				for w := 0; w < 8; w++ {
@@ -111,9 +114,10 @@ func producerConsumer(rounds int) func(p *core.Proc) {
 				}
 			}
 			p.Barrier()
-			for w := 0; w < 8; w++ {
+			for w := 0; w < 8 && !stale; w++ {
 				if got := p.Load(w); got != int64(r*100+w) {
-					panic("stale read under adaptive policy")
+					t.Errorf("proc %d round %d: stale read of word %d = %d under the adaptive policy", p.ID(), r, w, got)
+					stale = true
 				}
 			}
 			p.Barrier()
@@ -122,7 +126,7 @@ func producerConsumer(rounds int) func(p *core.Proc) {
 }
 
 func TestEnginePromotesProducerConsumerToUpdate(t *testing.T) {
-	c, _ := run(t, true, producerConsumer(6))
+	c, _ := run(t, true, producerConsumer(t, 6))
 	h := c.Harness()
 	if m := h.PageMode(0); m != core.ModeUpdate {
 		t.Errorf("page 0 mode = %v, want update", m)
@@ -153,7 +157,7 @@ func TestEnginePatternTracksProfilerTaxonomy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Run(producerConsumer(6))
+	c.Run(producerConsumer(t, 6))
 	if got := e.Pattern(0); got != metrics.PatternProducerConsumer {
 		t.Errorf("page 0 pattern = %q, want %q", got, metrics.PatternProducerConsumer)
 	}
@@ -197,10 +201,12 @@ func TestEngineReplicatesReadOnlyPage(t *testing.T) {
 			}
 		}
 		p.EndInit()
+		wrong := false
 		for r := 0; r < 5; r++ {
-			for w := 0; w < 8; w++ {
+			for w := 0; w < 8 && !wrong; w++ {
 				if got := p.Load(64 + w); got != int64(w+1) {
-					panic("wrong value on read-only page")
+					t.Errorf("proc %d round %d: read-only word %d = %d, want %d", p.ID(), r, w, got, w+1)
+					wrong = true
 				}
 			}
 			p.Barrier()
@@ -243,8 +249,8 @@ func TestEngineMigratesHomeTowardFlusher(t *testing.T) {
 // TestAdaptiveDeterministic runs the same workload twice with the
 // engine on and requires identical virtual time and data volume.
 func TestAdaptiveDeterministic(t *testing.T) {
-	_, a := run(t, true, producerConsumer(5))
-	_, b := run(t, true, producerConsumer(5))
+	_, a := run(t, true, producerConsumer(t, 5))
+	_, b := run(t, true, producerConsumer(t, 5))
 	if a.ExecNS != b.ExecNS || a.DataBytes != b.DataBytes {
 		t.Errorf("nondeterministic adaptive run: %d/%d vs %d/%d",
 			a.ExecNS, a.DataBytes, b.ExecNS, b.DataBytes)
@@ -278,14 +284,14 @@ func TestObserveOnlyEngineIsNearFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	off := base.Run(producerConsumer(4))
+	off := base.Run(producerConsumer(t, 4))
 
 	cfg.Adaptive = nullController{}
 	cl, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	on := cl.Run(producerConsumer(4))
+	on := cl.Run(producerConsumer(t, 4))
 
 	drift := on.ExecNS - off.ExecNS
 	if drift < 0 {

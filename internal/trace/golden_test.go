@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -27,10 +28,11 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // still exercises the protocol broadly: remote write faults with twin
 // creation, read faults with page fetches, release-time diff flushes
 // and write notices, acquire-time invalidations, and an ordered lock
-// handoff.
-func tracedRun(t *testing.T) *trace.Tracer {
+// handoff. cfg supplies the tracer's options; its shape is set here.
+func tracedRun(t *testing.T, cfg trace.Config) *trace.Tracer {
 	t.Helper()
-	tr := trace.New(trace.Config{Procs: 2, Links: 2})
+	cfg.Procs, cfg.Links = 2, 2
+	tr := trace.New(cfg)
 	c, err := core.New(core.Config{
 		Nodes:        2,
 		ProcsPerNode: 1,
@@ -121,7 +123,7 @@ func TestChromeGolden(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 
-	got := chromeJSON(t, tracedRun(t))
+	got := chromeJSON(t, tracedRun(t, trace.Config{}))
 	golden := filepath.Join("testdata", "two_proc_chrome.json")
 	if *update {
 		if err := os.WriteFile(golden, got, 0o644); err != nil {
@@ -140,7 +142,7 @@ func TestChromeGolden(t *testing.T) {
 	// Distinguish a real regression from an unrepeatable host schedule:
 	// if a second fresh run disagrees with the first, this host isn't
 	// scheduling repeatably and the comparison is meaningless.
-	again := chromeJSON(t, tracedRun(t))
+	again := chromeJSON(t, tracedRun(t, trace.Config{}))
 	if !bytes.Equal(again, got) {
 		t.Skip("host schedule not repeatable; golden comparison skipped")
 	}
@@ -162,7 +164,7 @@ func commonPrefix(a, b []byte) int {
 // must parse as Chrome trace-event JSON with the expected process and
 // thread metadata and only committed, well-formed events.
 func TestChromeStructure(t *testing.T) {
-	tr := tracedRun(t)
+	tr := tracedRun(t, trace.Config{})
 	evs := tr.Events()
 	if len(evs) == 0 {
 		t.Fatal("two-proc run recorded no events")
@@ -224,7 +226,7 @@ func TestChromeStructure(t *testing.T) {
 // the simulator's virtual clock, the page filter is the argument's and
 // nobody else's, and a link event prints under its link's label.
 func TestPageTimeline(t *testing.T) {
-	rec := tracedRun(t).Recording()
+	rec := tracedRun(t, trace.Config{}).Recording()
 	if rec.Clock != trace.ClockVirtual {
 		t.Errorf("simulator recording on clock %q, want %q", rec.Clock, trace.ClockVirtual)
 	}
@@ -252,5 +254,56 @@ func TestPageTimeline(t *testing.T) {
 	rec.Events = append(rec.Events, trace.Event{Kind: trace.EvLinkTransfer, Proc: -1, Node: 1, Page: 7, VT: 9, Dur: 5, Arg: 64})
 	if last := dump(map[int]bool{7: true}); last[len(last)-1] != "vt=9ns link1 pg7 link-transfer dur=5ns bytes=64" {
 		t.Errorf("link event printed as %q", last[len(last)-1])
+	}
+}
+
+// TestLiveStreamIsTheTimeline: a tracer with a live writer (what
+// CASHMERE_TRACE_PAGE builds) writes, for every event on a listed page,
+// the line WritePageTimeline prints for it in the finished recording —
+// the same lines, in emission order instead of time order. With every
+// page listed the stream is the whole timeline; with one listed it is
+// that page's; a link-track event streams under its link's label.
+func TestLiveStreamIsTheTimeline(t *testing.T) {
+	sortedLines := func(s string) []string {
+		lines := strings.Split(strings.TrimSuffix(s, "\n"), "\n")
+		slices.Sort(lines)
+		return lines
+	}
+	allPages := map[int]bool{}
+	for p := 0; p < 8; p++ {
+		allPages[p] = true
+	}
+	for _, c := range []struct {
+		name          string
+		live, written map[int]bool // the stream's filter, the timeline's
+	}{
+		{"every page", allPages, nil},
+		{"page 1", map[int]bool{1: true}, map[int]bool{1: true}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var live bytes.Buffer
+			tr := tracedRun(t, trace.Config{Pages: c.live, Live: &live})
+			tr.EmitLink(1, trace.Event{Kind: trace.EvLinkTransfer, Proc: -1, Node: 1, Page: 1, VT: 9, Dur: 5, Arg: 64})
+			rec := tr.Recording()
+			if rec.Dropped != 0 {
+				t.Fatalf("the recording dropped %d events", rec.Dropped)
+			}
+			var timeline bytes.Buffer
+			if err := trace.WritePageTimeline(&timeline, rec, c.written); err != nil {
+				t.Fatal(err)
+			}
+			got, want := sortedLines(live.String()), sortedLines(timeline.String())
+			if !slices.Equal(got, want) {
+				t.Errorf("live stream (%d lines) differs from the timeline (%d lines)", len(got), len(want))
+			}
+			if !slices.Contains(got, "vt=9ns link1 pg1 link-transfer dur=5ns bytes=64") {
+				t.Error("the link event is not in the live stream")
+			}
+			for _, line := range got {
+				if c.written != nil && !strings.Contains(line, " pg1 ") {
+					t.Errorf("line %q passed a filter of page 1", line)
+				}
+			}
+		})
 	}
 }

@@ -69,7 +69,15 @@ func (r *Recording) track(e Event) *Track {
 // Its times are virtual, so it is as deterministic as the run. Safe to
 // call while the run emits.
 func (t *Tracer) Recording() *Recording {
-	r := &Recording{Events: t.Events(), Dropped: t.Dropped(), Clock: ClockVirtual}
+	r := t.tracks()
+	r.Events, r.Dropped = t.Events(), t.Dropped()
+	return r
+}
+
+// tracks returns a recording with no events: the clock and track table
+// of Recording.
+func (t *Tracer) tracks() *Recording {
+	r := &Recording{Clock: ClockVirtual}
 	for i := range t.procs {
 		r.Procs = append(r.Procs, Track{Pid: 1, Tid: i, Process: "processors",
 			Thread: "cpu " + strconv.Itoa(i), Cat: "protocol"})

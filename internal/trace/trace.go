@@ -19,19 +19,21 @@
 // (internal/mprun), and it is all that the exporters read:
 //
 //   - Chrome trace-event JSON ([WriteChrome]), loadable in Perfetto;
-//   - a per-page text timeline ([WritePageTimeline]), the structured
-//     successor of the CASHMERE_TRACE_PAGE stderr dump; and
+//   - a per-page text timeline ([WritePageTimeline]), one
+//     [Recording.Line] per event; and
 //   - the hot-page / hot-lock profile (metrics.BuildProfile).
 //
 // Histogram summaries ([Tracer.Summary]: fault latency, diff size,
 // messages per barrier interval) for the cashmere-bench -json results
-// file accumulate at emission time instead.
+// file accumulate at emission time instead, and a tracer with a live
+// writer ([Config.Live], what CASHMERE_TRACE_PAGE sets up) writes the
+// timeline line of each event on a listed page as it is emitted.
 //
 // # Concurrency
 //
 // A processor ring's Emit may be called only by its owning goroutine.
-// EmitLink, Notef, Snapshot, Events, Recording, and Summary are safe to
-// call from any goroutine at any time, including concurrently with
+// EmitLink, Snapshot, Events, Recording, and Summary are safe to call
+// from any goroutine at any time, including concurrently with
 // emission.
 package trace
 
@@ -272,13 +274,14 @@ type Config struct {
 	// power of two). Zero means DefaultRingSize.
 	RingSize int
 
-	// Pages, when non-empty, is the page filter for the live Notef
-	// stream. It does not restrict which events are recorded.
+	// Pages is the page filter of the live stream, and the pages
+	// ClampPages checks. It does not restrict which events are
+	// recorded.
 	Pages map[int]bool
 
-	// Live, when set, receives Notef lines for pages in the filter as
-	// they happen — the behavior CASHMERE_TRACE_PAGE historically
-	// provided on stderr.
+	// Live, when set, receives as it is emitted every event on a page in
+	// the filter, as the line WritePageTimeline prints for it in
+	// Recording — the stream CASHMERE_TRACE_PAGE sends to stderr.
 	Live io.Writer
 }
 
@@ -294,9 +297,10 @@ type Tracer struct {
 	links []*Ring
 	lmu   []sync.Mutex // guards the corresponding links ring (multi-producer)
 
-	pages  map[int]bool
-	live   io.Writer
-	livemu sync.Mutex
+	pages     map[int]bool
+	live      io.Writer
+	liveTable *Recording // the track table live lines are formatted against
+	livemu    sync.Mutex
 }
 
 // New returns a tracer for a cluster with the given shape.
@@ -316,6 +320,9 @@ func New(cfg Config) *Tracer {
 	}
 	for i := range t.links {
 		t.links[i] = NewRing(cfg.RingSize)
+	}
+	if t.live != nil {
+		t.liveTable = t.tracks()
 	}
 	if len(cfg.Pages) > 0 {
 		t.pages = make(map[int]bool, len(cfg.Pages))
@@ -354,6 +361,7 @@ func (t *Tracer) EmitProc(proc int, e Event) {
 	}
 	e.WT = t.WallNow()
 	r.Emit(e)
+	t.stream(e)
 }
 
 // EmitLink records e on link link's track, stamping wall time. Unlike
@@ -368,6 +376,19 @@ func (t *Tracer) EmitLink(link int, e Event) {
 	t.lmu[link].Lock()
 	t.links[link].Emit(e)
 	t.lmu[link].Unlock()
+	t.stream(e)
+}
+
+// stream writes e's timeline line to the live writer when e is on a
+// page in the filter.
+func (t *Tracer) stream(e Event) {
+	if t.live == nil || !t.pages[int(e.Page)] {
+		return
+	}
+	line := t.liveTable.Line(e) + "\n"
+	t.livemu.Lock()
+	io.WriteString(t.live, line)
+	t.livemu.Unlock()
 }
 
 // TracesPage reports whether page is in the live page filter.
@@ -386,18 +407,6 @@ func (t *Tracer) ClampPages(pages int, warn func(page int)) {
 			}
 		}
 	}
-}
-
-// Notef writes a live free-form trace line for page if it is in the
-// page filter — the formatted stderr stream CASHMERE_TRACE_PAGE users
-// rely on, now carried by the tracer.
-func (t *Tracer) Notef(proc, node, page int, format string, args ...any) {
-	if t.live == nil || !t.pages[page] {
-		return
-	}
-	t.livemu.Lock()
-	fmt.Fprintf(t.live, "[p%d n%d pg%d] %s\n", proc, node, page, fmt.Sprintf(format, args...))
-	t.livemu.Unlock()
 }
 
 // Events returns every committed event, merged across all rings and

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"strings"
 	"sync"
 	"testing"
 )
@@ -216,33 +215,33 @@ func TestClampPages(t *testing.T) {
 // TestParsePageList checks both directions of the list syntax,
 // including the rejects that used to be silently dropped.
 func TestParsePageList(t *testing.T) {
-	good, err := ParsePageList("7, 12,40")
-	if err != nil {
-		t.Fatalf("ParsePageList: %v", err)
-	}
-	for _, p := range []int{7, 12, 40} {
-		if !good[p] {
-			t.Errorf("page %d missing from %v", p, good)
+	for _, c := range []struct {
+		in   string
+		want []int
+	}{
+		{"7", []int{7}},
+		{"0", []int{0}},
+		{"7,12,40", []int{7, 12, 40}},
+		{"7, 12,40", []int{7, 12, 40}},
+		{" 7 , 12 ", []int{7, 12}},
+	} {
+		pages, err := ParsePageList(c.in)
+		if err != nil {
+			t.Errorf("ParsePageList(%q): %v", c.in, err)
+			continue
+		}
+		if len(pages) != len(c.want) {
+			t.Errorf("ParsePageList(%q) = %v, want %v", c.in, pages, c.want)
+		}
+		for _, p := range c.want {
+			if !pages[p] {
+				t.Errorf("ParsePageList(%q) is missing page %d", c.in, p)
+			}
 		}
 	}
-	for _, bad := range []string{"", "7,,12", "7,-3", "x", "7,nope"} {
-		if _, err := ParsePageList(bad); err == nil {
-			t.Errorf("ParsePageList(%q) accepted", bad)
+	for _, bad := range []string{"", "x", "7,", "7,,12", "7;12", "-1", "7,-2", "7,nope"} {
+		if pages, err := ParsePageList(bad); err == nil {
+			t.Errorf("ParsePageList(%q) = %v, want an error", bad, pages)
 		}
-	}
-}
-
-// TestNotef checks the live CASHMERE_TRACE_PAGE-style stream honors the
-// page filter and format.
-func TestNotef(t *testing.T) {
-	var sb strings.Builder
-	tr := New(Config{Procs: 1, Links: 1, RingSize: 4,
-		Pages: map[int]bool{5: true}, Live: &sb})
-	tr.Notef(2, 1, 5, "fetch %d bytes", 8192)
-	tr.Notef(2, 1, 6, "should be filtered")
-	got := sb.String()
-	want := "[p2 n1 pg5] fetch 8192 bytes\n"
-	if got != want {
-		t.Errorf("Notef output %q, want %q", got, want)
 	}
 }
