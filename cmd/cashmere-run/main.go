@@ -5,7 +5,7 @@
 // Usage:
 //
 //	cashmere-run -app Gauss -protocol 2L -nodes 8 -ppn 4
-//	cashmere-run -app SOR -topology 128:4 -fabric switched  # beyond the paper's 8x4
+//	cashmere-run -app SOR -nodes 32 -ppn 4 -fabric switched  # beyond the paper's 8x4
 //	cashmere-run -app Barnes -protocol 1LD -homeopt -quick
 //	cashmere-run -app Em3d -adaptive       # per-page adaptive policy
 //	cashmere-run -app SOR -quick -trace sor.json        # Perfetto trace
@@ -57,7 +57,6 @@ import (
 	"cashmere/internal/metrics"
 	"cashmere/internal/modelcheck"
 	"cashmere/internal/policy"
-	"cashmere/internal/topology"
 	"cashmere/internal/trace"
 )
 
@@ -93,22 +92,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cashmere-run: unknown protocol %q\n", o.Protocol)
 		os.Exit(2)
 	}
-	spec := topology.New(o.Nodes, o.PPN)
-	if o.Topology != "" {
-		var err error
-		spec, err = topology.Parse(o.Topology)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cashmere-run: -topology:", err)
-			os.Exit(2)
-		}
-		o.Nodes, o.PPN = spec.Nodes, spec.ProcsPerNode
-	}
+	model := costs.Default()
 	fab, err := costs.ParseFabric(o.Fabric)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cashmere-run: -fabric:", err)
 		os.Exit(2)
 	}
-	spec.Interconnect.Fabric = fab
+	model.MCFabric = fab
 	set := apps.All()
 	if o.Quick {
 		set = apps.Small()
@@ -142,7 +132,9 @@ func main() {
 	}
 
 	cfg := core.Config{
-		Topology:      spec,
+		Nodes:         o.Nodes,
+		ProcsPerNode:  o.PPN,
+		Model:         &model,
 		Protocol:      kind,
 		HomeOpt:       o.HomeOpt,
 		LockBasedMeta: o.LockBased,

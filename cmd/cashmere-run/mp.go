@@ -245,13 +245,12 @@ func runMPParent(o cli.RunOptions, outs metrics.TraceOutputs) int {
 	nodes := o.Nodes
 	coll := newObsCollector(nodes)
 
-	// Per-rank progress for /status: "running" until the reap, then
-	// "done" or "failed".
+	// Per-rank progress for /status, written as each child is reaped.
 	var stMu sync.Mutex
 	stStart := time.Now()
-	states := make([]string, nodes)
-	for i := range states {
-		states[i] = "running"
+	ranks := make([]rankState, nodes)
+	for i := range ranks {
+		ranks[i].state = "running"
 	}
 
 	if o.HTTP != "" {
@@ -260,23 +259,7 @@ func runMPParent(o cli.RunOptions, outs metrics.TraceOutputs) int {
 		reg.SetStatusFunc(func() metrics.Status {
 			stMu.Lock()
 			defer stMu.Unlock()
-			var s metrics.Status
-			for r, state := range states {
-				cell := metrics.CellStatus{Name: fmt.Sprintf("rank%d", r), State: state}
-				switch state {
-				case "running":
-					s.Running++
-					cell.WallMS = time.Since(stStart).Milliseconds()
-				case "failed":
-					s.Failed++
-					cell.WallMS = time.Since(stStart).Milliseconds()
-				default:
-					s.Done++
-					cell.WallMS = time.Since(stStart).Milliseconds()
-				}
-				s.Cells = append(s.Cells, cell)
-			}
-			return s
+			return mpStatus(stStart, time.Now(), ranks)
 		})
 		srv, err := reg.Start(o.HTTP)
 		if err != nil {
@@ -362,7 +345,10 @@ func runMPParent(o cli.RunOptions, outs metrics.TraceOutputs) int {
 		c.stdin.Close()
 	}
 
-	// Stream the rest of every child's output, then reap.
+	// Stream the rest of every child's output, and reap each child as
+	// soon as its output ends (Wait closes the pipe, so it comes after
+	// the last read).
+	errs := make([]error, nodes)
 	var wg sync.WaitGroup
 	for r, c := range children {
 		wg.Add(1)
@@ -374,19 +360,19 @@ func runMPParent(o cli.RunOptions, outs metrics.TraceOutputs) int {
 			if err := c.out.Err(); err != nil {
 				fmt.Fprintf(os.Stderr, "cashmere-run: node %d output: %v\n", r, err)
 			}
+			errs[r] = c.cmd.Wait()
+			st := rankState{state: "done", end: time.Now()}
+			if errs[r] != nil {
+				st.state = "failed"
+			}
+			stMu.Lock()
+			ranks[r] = st
+			stMu.Unlock()
 		}(r, c)
 	}
 	wg.Wait()
 	code := 0
-	for r, c := range children {
-		err := c.cmd.Wait()
-		stMu.Lock()
-		if err != nil {
-			states[r] = "failed"
-		} else {
-			states[r] = "done"
-		}
-		stMu.Unlock()
+	for r, err := range errs {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cashmere-run: node %d: %v\n", r, err)
 			code = 1
@@ -413,6 +399,35 @@ func runMPParent(o cli.RunOptions, outs metrics.TraceOutputs) int {
 		}
 	}
 	return code
+}
+
+// rankState is one tcp rank's progress: "running" until the launcher
+// reaps it, then "done" or "failed" as of end.
+type rankState struct {
+	state string
+	end   time.Time
+}
+
+// mpStatus renders the ranks' progress at now for /status. A running
+// rank's wall time is elapsed since start; a reaped rank's is final.
+func mpStatus(start, now time.Time, ranks []rankState) metrics.Status {
+	var s metrics.Status
+	for r, rk := range ranks {
+		end := rk.end
+		switch rk.state {
+		case "running":
+			s.Running++
+			end = now
+		case "failed":
+			s.Failed++
+		default:
+			s.Done++
+		}
+		s.Cells = append(s.Cells, metrics.CellStatus{
+			Name: fmt.Sprintf("rank%d", r), State: rk.state, WallMS: end.Sub(start).Milliseconds(),
+		})
+	}
+	return s
 }
 
 // relay forwards one line of child output: rank 0 owns the run's

@@ -54,6 +54,15 @@ func checkApp(t *testing.T, mk func() App) {
 
 func TestSORSmallAllProtocols(t *testing.T) {
 	checkApp(t, func() App { return SmallSOR() })
+	// 16x4: processor ids up to 63, the smallest cluster whose
+	// directory words are wider than the paper's 6-bit fields.
+	for _, k := range []core.Kind{core.TwoLevel, core.OneLevelDiff} {
+		cfg := smallConfig(k)
+		cfg.Nodes, cfg.ProcsPerNode = 16, 4
+		if _, err := Run(SmallSOR(), cfg); err != nil {
+			t.Fatalf("%v at 64:4: %v", k, err)
+		}
+	}
 }
 
 func TestSORSequentialDeterministic(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 
 	"cashmere/internal/apps"
 	"cashmere/internal/core"
-	"cashmere/internal/directory"
 	"cashmere/internal/topology"
 )
 
@@ -125,35 +124,6 @@ func TestGoldenPaperConfigsBitIdentical(t *testing.T) {
 			if res.DataBytes != g.bytes {
 				t.Errorf("DataBytes = %d, want pre-refactor %d", res.DataBytes, g.bytes)
 			}
-		})
-	}
-}
-
-// TestLayoutEquivalenceSmallRun asserts that forcing the wide directory
-// layout on a paper-sized cluster changes nothing observable: every
-// virtual-time statistic matches the packed default bit for bit, because
-// the layout only changes how words are packed, never what the protocol
-// does with them.
-func TestLayoutEquivalenceSmallRun(t *testing.T) {
-	if raceEnabled {
-		t.Skip("virtual-time tie-breaks flip under the race detector (see determinism test)")
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	for _, kind := range []core.Kind{core.TwoLevel, core.OneLevelDiff} {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
-			base := core.Config{Nodes: 4, ProcsPerNode: 2, Protocol: kind}
-			packed, err := apps.Run(freshApp(t, "SOR"), base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wideCfg := base
-			wideCfg.DirectoryLayout = directory.LayoutWide
-			wide, err := apps.Run(freshApp(t, "SOR"), wideCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			compareResults(t, packed, wide)
 		})
 	}
 }

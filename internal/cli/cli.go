@@ -26,7 +26,6 @@ type RunOptions struct {
 	Transport  string
 	Nodes      int
 	PPN        int
-	Topology   string
 	Fabric     string
 	HomeOpt    bool
 	LockBased  bool
@@ -51,7 +50,6 @@ func (o *RunOptions) Register(fs *flag.FlagSet) {
 	fs.StringVar(&o.Transport, "transport", EngineSim, `engine: "sim" (the virtual-time Memory Channel simulator, one process) or "tcp" (the multi-process runtime, one OS process per node over loopback sockets; see docs/TRANSPORT.md)`)
 	fs.IntVar(&o.Nodes, "nodes", 8, "SMP nodes")
 	fs.IntVar(&o.PPN, "ppn", 4, "processors per node")
-	fs.StringVar(&o.Topology, "topology", "", `cluster topology as "procs:procsPerNode", e.g. 128:4 (overrides -nodes/-ppn)`)
 	fs.StringVar(&o.Fabric, "fabric", "serial", `interconnect fabric: "serial" (the paper's hub) or "switched" (crossbar)`)
 	fs.BoolVar(&o.HomeOpt, "homeopt", false, "home-node optimization (one-level protocols)")
 	fs.BoolVar(&o.LockBased, "lockbased", false, "lock-based protocol metadata (Section 3.3.5 ablation)")

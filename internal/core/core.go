@@ -28,7 +28,6 @@ import (
 	"cashmere/internal/msync"
 	"cashmere/internal/sim"
 	"cashmere/internal/stats"
-	"cashmere/internal/topology"
 	"cashmere/internal/trace"
 	"cashmere/internal/transport/simchan"
 	"cashmere/internal/vm"
@@ -79,23 +78,10 @@ func (k Kind) TwoLevelFamily() bool { return k == TwoLevel || k == TwoLevelSD }
 type Config struct {
 	// Nodes and ProcsPerNode give the physical topology (the paper's
 	// platform is 8 nodes x 4 processors). Configurations such as 8:2
-	// use fewer processors per node.
+	// use fewer processors per node. The directory word layout follows
+	// from the processor count (directory.LayoutFor).
 	Nodes        int
 	ProcsPerNode int
-
-	// Topology, when non-zero, is the canonical cluster description: it
-	// supplies Nodes, ProcsPerNode, and SuperpagePages, and its
-	// interconnect parameters are folded into Model. The flat fields
-	// above remain for callers that only need a shape; fill normalizes
-	// the two views so Config() always returns a populated Topology.
-	Topology topology.Spec
-
-	// DirectoryLayout selects the directory word layout.
-	// directory.LayoutAuto (the default) derives it from the topology:
-	// the paper's packed 32-bit layout whenever every processor id fits
-	// its 6-bit fields, the wide layout otherwise. Forcing LayoutPacked
-	// on a larger topology is a construction-time error.
-	DirectoryLayout directory.LayoutKind
 
 	// Protocol selects the coherence protocol.
 	Protocol Kind
@@ -131,7 +117,8 @@ type Config struct {
 	Locks int
 	Flags int
 
-	// Model supplies operation costs; zero value means costs.Default().
+	// Model supplies operation costs, the interconnect fabric included;
+	// nil means costs.Default().
 	Model *costs.Model
 
 	// Trace attaches a structured protocol-event recorder
@@ -168,17 +155,6 @@ type Config struct {
 }
 
 func (c *Config) fill() error {
-	topoSet := c.Topology != (topology.Spec{})
-	if topoSet {
-		if err := c.Topology.Validate(); err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-		c.Nodes = c.Topology.Nodes
-		c.ProcsPerNode = c.Topology.ProcsPerNode
-		if c.SuperpagePages == 0 {
-			c.SuperpagePages = c.Topology.SuperpagePages
-		}
-	}
 	if c.Nodes <= 0 || c.ProcsPerNode <= 0 {
 		return fmt.Errorf("core: need positive Nodes and ProcsPerNode, got %d:%d", c.Nodes, c.ProcsPerNode)
 	}
@@ -191,6 +167,9 @@ func (c *Config) fill() error {
 	if c.SharedWords <= 0 {
 		return fmt.Errorf("core: need positive SharedWords, got %d", c.SharedWords)
 	}
+	if c.SuperpagePages < 0 {
+		return fmt.Errorf("core: negative SuperpagePages %d", c.SuperpagePages)
+	}
 	if c.SuperpagePages == 0 {
 		c.SuperpagePages = 8
 	}
@@ -198,14 +177,6 @@ func (c *Config) fill() error {
 		m := costs.Default()
 		c.Model = &m
 	}
-	if topoSet {
-		m := c.Topology.ApplyModel(*c.Model)
-		c.Model = &m
-	}
-	// Normalize: the Topology view always reflects the final shape.
-	c.Topology.Nodes = c.Nodes
-	c.Topology.ProcsPerNode = c.ProcsPerNode
-	c.Topology.SuperpagePages = c.SuperpagePages
 	return nil
 }
 
@@ -355,6 +326,10 @@ type Cluster struct {
 	locks []*msync.Lock
 	flags []*msync.Flag
 	bar   *msync.Barrier
+
+	// defects is the set of historical defects re-introduced through
+	// Harness.InjectDefect; zero in production.
+	defects defects
 }
 
 // New builds a cluster for the given configuration.
@@ -394,9 +369,9 @@ func New(cfg Config) (*Cluster, error) {
 	// layout is sized for the largest one. Oversized topologies surface
 	// here as a construction error naming the violated limit, not as a
 	// panic deep in an encode path mid-run.
-	lay, err := directory.ChooseLayout(cfg.DirectoryLayout, total-1)
+	lay, err := directory.LayoutFor(total - 1)
 	if err != nil {
-		return nil, fmt.Errorf("core: topology %s (%d processors): %w", cfg.Topology, total, err)
+		return nil, fmt.Errorf("core: topology %d:%d: %w", total, cfg.ProcsPerNode, err)
 	}
 	c.lay = lay
 

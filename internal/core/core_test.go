@@ -36,6 +36,9 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Nodes: 2, ProcsPerNode: 2, SharedWords: 0}); err == nil {
 		t.Error("zero shared words accepted")
 	}
+	if _, err := New(Config{Nodes: 2, ProcsPerNode: 2, SharedWords: 10, SuperpagePages: -1}); err == nil {
+		t.Error("negative superpage grouping accepted")
+	}
 	c, err := New(Config{Nodes: 2, ProcsPerNode: 2, SharedWords: 100})
 	if err != nil {
 		t.Fatal(err)

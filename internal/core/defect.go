@@ -1,59 +1,83 @@
 package core
 
-import "sync/atomic"
+import (
+	"fmt"
+	"sync/atomic"
 
-// Historical protocol defects, deliberately re-introducible so the model
-// checker's own tests can prove each one still produces a replayable
-// counterexample (see docs/MODELCHECK.md). Every defect here was found
-// by the checker, fixed, and is guarded by a regression test; the
-// injection switches exist only for that validation and must stay off
-// everywhere else.
-//
-// The switches are process-global: they gate code running under node
-// mutexes, and the checker drives clusters from a single goroutine, so
-// plain atomics are enough.
-
-// Defect names accepted by SetInjectedDefectForTest.
-const (
-	// DefectKeepExclusiveTwin suppresses dropping the twin when a
-	// one-level protocol moves a page into exclusive mode at a release.
-	// The retained twin goes stale across exclusive-era writes and, after
-	// a break, misclassifies already-flushed words as unreleased local
-	// writes — a later release then pushes stale data over newer remote
-	// writes.
-	DefectKeepExclusiveTwin = "keep-exclusive-twin"
-	// DefectDropStaleMapNotice suppresses the self-notice queued when a
-	// fault maps a page copy that predates an already-drained write
-	// notice. Processors unmapped at drain time then never learn of the
-	// invalidation and can keep reading the stale copy past their next
-	// acquire.
-	DefectDropStaleMapNotice = "drop-stale-map-notice"
-	// DefectSkipExclusiveRepublish suppresses republishing the directory
-	// word when a write fault joins a page its node already holds
-	// exclusively. After a one-level release re-enters exclusive mode
-	// with only read-only mappings, the word then understates the node's
-	// access.
-	DefectSkipExclusiveRepublish = "skip-exclusive-republish"
+	"cashmere/internal/diff"
 )
 
-var injectedDefects struct {
-	keepExclusiveTwin      atomic.Bool
-	dropStaleMapNotice     atomic.Bool
-	skipExclusiveRepublish atomic.Bool
+// Historical protocol defects, re-introducible one cluster at a time so
+// the model checker's own tests can prove each one still produces a
+// replayable counterexample (see docs/MODELCHECK.md). Every defect here
+// was found by the checker, fixed, and is guarded by a regression test.
+//
+// A defect is set only through Harness.InjectDefect, by the name a
+// counterexample records (modelcheck.Options.Defect), before any
+// transition runs; the protocol reads it as a plain field. The zero
+// value is the production protocol.
+type defects struct {
+	// keepExclusiveTwin ("keep-exclusive-twin") suppresses dropping
+	// the twin when a one-level protocol moves a page into exclusive
+	// mode at a release. The retained twin goes stale across
+	// exclusive-era writes and, after a break, misclassifies
+	// already-flushed words as unreleased local writes — a later
+	// release then pushes stale data over newer remote writes.
+	keepExclusiveTwin bool
+	// dropStaleMapNotice ("drop-stale-map-notice") suppresses the
+	// self-notice queued when a fault maps a page copy that predates an
+	// already-drained write notice. Processors unmapped at drain time
+	// then never learn of the invalidation and can keep reading the
+	// stale copy past their next acquire.
+	dropStaleMapNotice bool
+	// skipExclusiveRepublish ("skip-exclusive-republish") suppresses
+	// republishing the directory word when a write fault joins a page
+	// its node already holds exclusively. After a one-level release
+	// re-enters exclusive mode with only read-only mappings, the word
+	// then understates the node's access.
+	skipExclusiveRepublish bool
+	// incomingClobber ("incoming-clobber") merges an incoming diff by
+	// applying every remote difference to the working page
+	// unconditionally, destroying unreleased local writes that collide
+	// with a remote write on the same word.
+	incomingClobber bool
 }
 
-// SetInjectedDefectForTest enables or disables one named defect. It
-// panics on an unknown name so a misspelled test cannot silently
-// validate nothing.
-func SetInjectedDefectForTest(name string, on bool) {
+// InjectDefect re-introduces the named historical defect on this
+// cluster only. Call it before the first transition. An unknown name is
+// an error, so a misspelled counterexample cannot silently check the
+// fixed protocol.
+func (h *Harness) InjectDefect(name string) error {
+	d := &h.c.defects
 	switch name {
-	case DefectKeepExclusiveTwin:
-		injectedDefects.keepExclusiveTwin.Store(on)
-	case DefectDropStaleMapNotice:
-		injectedDefects.dropStaleMapNotice.Store(on)
-	case DefectSkipExclusiveRepublish:
-		injectedDefects.skipExclusiveRepublish.Store(on)
+	case "keep-exclusive-twin":
+		d.keepExclusiveTwin = true
+	case "drop-stale-map-notice":
+		d.dropStaleMapNotice = true
+	case "skip-exclusive-republish":
+		d.skipExclusiveRepublish = true
+	case "incoming-clobber":
+		d.incomingClobber = true
 	default:
-		panic("core: unknown injected defect " + name)
+		return fmt.Errorf("core: unknown defect %q", name)
 	}
+	return nil
+}
+
+// incoming merges the master copy into a twinned working frame: an
+// incoming diff (diff.Incoming), or the historical clobbering merge
+// under the incoming-clobber defect.
+func (c *Cluster) incoming(working, twin, master []int64) int {
+	if !c.defects.incomingClobber {
+		return diff.Incoming(working, twin, master)
+	}
+	n := 0
+	for i := range twin {
+		if v := atomic.LoadInt64(&master[i]); v != atomic.LoadInt64(&twin[i]) {
+			atomic.StoreInt64(&working[i], v)
+			atomic.StoreInt64(&twin[i], v)
+			n++
+		}
+	}
+	return n
 }

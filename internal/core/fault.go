@@ -120,7 +120,7 @@ func (p *Proc) doWriteFault(page int) {
 			wasLoosest := n.vm.Loosest(page)
 			p.table.Set(page, directory.ReadWrite)
 			p.chargeProtocol(p.c.model.MProtect)
-			if wasLoosest != directory.ReadWrite && !injectedDefects.skipExclusiveRepublish.Load() {
+			if wasLoosest != directory.ReadWrite && !p.c.defects.skipExclusiveRepublish {
 				e, _ := p.c.lay.Excl(own)
 				p.publishOwnWord(page, e)
 			}
@@ -256,7 +256,7 @@ func (p *Proc) ensureCurrentLocked(page int) bool {
 		p.applyUpdate(page, *frame)
 		meta.updateTS = n.lclock.Tick()
 	}
-	if meta.updateTS < meta.wnTS && !injectedDefects.dropStaleMapNotice.Load() {
+	if meta.updateTS < meta.wnTS && !c.defects.dropStaleMapNotice {
 		// The copy being mapped predates a write notice the node has
 		// already drained. Release consistency lets this processor use
 		// it until its next acquire (its acquire timestamp precedes the
@@ -356,7 +356,7 @@ func (p *Proc) applyUpdate(page int, frame []int64) {
 		// mutex we hold.
 		mu.Lock()
 		changed, lo, hi := diff.OutgoingRange(frame, twin, master)
-		diff.Incoming(frame, twin, master)
+		c.incoming(frame, twin, master)
 		mu.Unlock()
 		p.emit(trace.EvShootdownDrain, page, revoked, 0)
 		if changed > 0 {
@@ -370,7 +370,7 @@ func (p *Proc) applyUpdate(page int, frame []int64) {
 	// Two-way diffing: apply only the remote modifications, to both the
 	// working page and the twin, with no intra-node synchronization.
 	mu.Lock()
-	changed := diff.Incoming(frame, twin, master)
+	changed := c.incoming(frame, twin, master)
 	mu.Unlock()
 	p.st.Inc(stats.IncomingDiffs)
 	p.chargeProtocol(c.model.IncomingDiff(changed, c.cfg.PageWords))

@@ -9,8 +9,24 @@ import (
 // Minimized regression tests for the protocol bugs the model checker
 // (internal/modelcheck) flushed out, driving the harness through the
 // exact transition sequences of the minimized counterexamples. Each
-// test also flips the matching injection knob to prove it discriminates:
-// reverting the fix makes the assertion fail. See docs/MODELCHECK.md.
+// test also injects the matching defect into a second cluster to prove
+// it discriminates: reverting the fix makes the assertion fail. See
+// docs/MODELCHECK.md.
+
+// defective returns the harness of a fresh cluster with the named
+// historical defect injected.
+func defective(t *testing.T, cfg Config, defect string) *Harness {
+	t.Helper()
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := c.Harness()
+	if err := h.InjectDefect(defect); err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
 
 // TestExclusiveReleaseDropsTwin is the minimized counterexample for the
 // stale-twin bug: a one-level release that moves a page into exclusive
@@ -49,17 +65,11 @@ func TestExclusiveReleaseDropsTwin(t *testing.T) {
 
 	// The injected defect restores the old behavior, so this test fails
 	// if the fix is reverted.
-	SetInjectedDefectForTest(DefectKeepExclusiveTwin, true)
-	defer SetInjectedDefectForTest(DefectKeepExclusiveTwin, false)
-	c2, err := New(testConfig(OneLevelDiff, 2, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2 := c2.Harness()
+	h2 := defective(t, testConfig(OneLevelDiff, 2, 2), "keep-exclusive-twin")
 	h2.Write(3, 0, 7)
 	h2.Release(3)
 	if st := h2.PageState(node, 0); !st.HasTwin {
-		t.Error("defect injection did not retain the twin (knob broken?)")
+		t.Error("defect injection did not retain the twin (injection broken?)")
 	}
 }
 
@@ -93,14 +103,9 @@ func TestExclusiveRejoinRepublishesWord(t *testing.T) {
 		t.Errorf("directory word records %v after an exclusive rw rejoin, want rw", got)
 	}
 
-	SetInjectedDefectForTest(DefectSkipExclusiveRepublish, true)
-	defer SetInjectedDefectForTest(DefectSkipExclusiveRepublish, false)
-	c2, err := New(testConfig(OneLevelDiff, 2, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := lay.Perm(run(c2.Harness())); got != directory.ReadOnly {
-		t.Errorf("defect injection left word at %v, want the stale ro (knob broken?)", got)
+	h2 := defective(t, testConfig(OneLevelDiff, 2, 2), "skip-exclusive-republish")
+	if got := lay.Perm(run(h2)); got != directory.ReadOnly {
+		t.Errorf("defect injection left word at %v, want the stale ro (injection broken?)", got)
 	}
 }
 
@@ -130,13 +135,8 @@ func TestStaleMappingQueuesSelfNotice(t *testing.T) {
 		t.Errorf("p2 reads %d after its acquire, want 42", got)
 	}
 
-	SetInjectedDefectForTest(DefectDropStaleMapNotice, true)
-	defer SetInjectedDefectForTest(DefectDropStaleMapNotice, false)
-	c2, err := New(testConfig(TwoLevel, 2, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := run(c2.Harness()); got != 0 {
-		t.Errorf("defect injection: p2 reads %d, want the stale 0 (knob broken?)", got)
+	h2 := defective(t, testConfig(TwoLevel, 2, 2), "drop-stale-map-notice")
+	if got := run(h2); got != 0 {
+		t.Errorf("defect injection: p2 reads %d, want the stale 0 (injection broken?)", got)
 	}
 }

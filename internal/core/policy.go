@@ -202,7 +202,7 @@ func (p *Proc) refreshPage(page int) bool {
 	mu := &c.pageMu[page]
 	mu.Lock()
 	if tw := n.twins[page]; tw != nil {
-		changed = diff.Incoming(*f, tw, c.masters[page])
+		changed = c.incoming(*f, tw, c.masters[page])
 	} else {
 		changed = diff.Refresh(*f, c.masters[page])
 	}

@@ -282,7 +282,7 @@ func (p *Proc) flushPage(page int, releaseStart int64) {
 	// already-flushed words as unreleased local writes.
 	if !c.cfg.Protocol.TwoLevelFamily() && !aliased &&
 		c.dir.Sharers(n.id, page, n.id) == 0 {
-		if !injectedDefects.keepExclusiveTwin.Load() {
+		if !c.defects.keepExclusiveTwin {
 			n.dropTwin(page)
 		}
 		p.st.Inc(stats.ExclTransitions)

@@ -23,6 +23,10 @@
 // and stores keep running alongside the scan, so these functions read and
 // write page words with sync/atomic; twins are only touched under the
 // owning node's lock but are accessed atomically too for uniformity.
+//
+// Both engines (internal/core and internal/mprun) call these merges, and
+// they have no switches: a checker that needs the historical clobbering
+// merge back gets it from core's per-cluster defect set.
 package diff
 
 import "sync/atomic"
@@ -176,13 +180,12 @@ func ApplyRuns(dst []int64, offs []int32, words []int64) {
 // word instead would destroy a write that was never flushed anywhere.
 // It returns the number of words applied to the twin.
 func Incoming(working, twin, incoming []int64) int {
-	clobber := clobberIncoming.Load()
 	n := 0
 	for i := range twin {
 		v := atomic.LoadInt64(&incoming[i])
 		t := atomic.LoadInt64(&twin[i])
 		if v != t {
-			if clobber || atomic.LoadInt64(&working[i]) == t {
+			if atomic.LoadInt64(&working[i]) == t {
 				atomic.StoreInt64(&working[i], v)
 			}
 			atomic.StoreInt64(&twin[i], v)
@@ -191,16 +194,6 @@ func Incoming(working, twin, incoming []int64) int {
 	}
 	return n
 }
-
-// clobberIncoming re-introduces the historical Incoming defect for model
-// checker validation: apply every remote difference to the working page
-// unconditionally, destroying unreleased local writes that collide with
-// a remote write on the same word. See docs/MODELCHECK.md.
-var clobberIncoming atomic.Bool
-
-// SetClobberIncomingForTest enables or disables the historical Incoming
-// defect. Test use only.
-func SetClobberIncomingForTest(on bool) { clobberIncoming.Store(on) }
 
 // Refresh makes dst equal to src, storing word-atomically only the
 // words that differ, and returns their number — the payload size of a

@@ -373,19 +373,6 @@ func TestIncomingOverlapLastWriterWins(t *testing.T) {
 	}
 }
 
-func TestIncomingClobberDefect(t *testing.T) {
-	// The injected historical defect must restore the old behavior —
-	// remote value applied unconditionally — or the model checker's
-	// defect-reintroduction test would validate nothing.
-	SetClobberIncomingForTest(true)
-	defer SetClobberIncomingForTest(false)
-	p, tw, home := page(5), page(1), page(9)
-	Incoming(p, tw, home)
-	if p[0] != 9 {
-		t.Fatalf("defect injected but local write survived: %v", p)
-	}
-}
-
 // TestAppendRuns checks the run encoder against a word-by-word
 // reference: the runs, applied to a copy of the twin, give the page;
 // they are maximal, ascending, cover no unchanged word, and the

@@ -12,22 +12,21 @@
 //
 // # Word layouts
 //
-// How a word packs its fields is described by a Layout, derived from the
-// cluster topology. The packed legacy layout is the paper's 32-bit
-// format (Section 2.3), bit-identical to the original platform's and the
-// fast default whenever every processor id fits its 6-bit fields:
+// How a word packs its fields is described by a Layout, which follows
+// from one fact about the cluster: its largest processor id. A cluster
+// whose ids fit 6-bit fields (ids 0..62, the paper's 32 processors
+// included) gets the paper's 32-bit format (Section 2.3), bit for bit:
 //
 //	bits 0-1   loosest permission for the page on that node
 //	bits 2-7   processor holding the page in exclusive mode, plus one
 //	bits 8-13  home processor, plus one (redundant across words)
 //	bit  14    home was assigned by first-touch (vs round-robin default)
 //
-// Clusters with more than 62 processors use the wide layout: the same
-// field order with processor fields widened to whatever the topology
-// needs (at least 7 bits), still within the one 64-bit word the
-// simulated region stores. Widening the word rather than adding words
-// per entry preserves the single-writer discipline unchanged: every
-// word still has exactly one writing node, whatever its width.
+// A larger cluster gets the same field order with the processor fields
+// widened to whatever its ids need, still within the one 64-bit word
+// the simulated region stores. Widening the word rather than adding
+// words per entry preserves the single-writer discipline unchanged:
+// every word still has exactly one writing node, whatever its width.
 //
 // The one-level protocols use the same machinery with one word per
 // processor, and the lock-based ablation (Section 3.3.5) serializes
@@ -92,51 +91,15 @@ const (
 	// holding proc+1, so ids 0..62.
 	packedProcBits = 6
 
-	// wideMinProcBits keeps every wide layout distinguishable from the
-	// packed legacy layout: a topology small enough for 6-bit fields
-	// always uses the packed layout instead.
-	wideMinProcBits = 7
-
-	// maxProcBits bounds the wide layout so both processor fields and
+	// maxProcBits bounds the layout so both processor fields and
 	// the first-touch bit stay inside the 63 low bits of the region's
 	// int64 word (2 + 2*30 + 1 = 63).
 	maxProcBits = 30
 )
 
-// LayoutKind selects how the directory word layout is chosen for a
-// topology.
-type LayoutKind int
-
-const (
-	// LayoutAuto derives the layout from the topology: the paper's
-	// packed 32-bit layout whenever every processor id fits its 6-bit
-	// fields, the wide layout otherwise. The default.
-	LayoutAuto LayoutKind = iota
-	// LayoutPacked forces the paper's packed layout; topologies whose
-	// processor ids exceed its bound are a construction-time error.
-	LayoutPacked
-	// LayoutWide forces the wide layout regardless of topology size
-	// (used to cross-check the two layouts on small runs).
-	LayoutWide
-)
-
-// String returns a short name for the layout kind.
-func (k LayoutKind) String() string {
-	switch k {
-	case LayoutAuto:
-		return "auto"
-	case LayoutPacked:
-		return "packed"
-	case LayoutWide:
-		return "wide"
-	default:
-		return fmt.Sprintf("LayoutKind(%d)", int(k))
-	}
-}
-
 // Layout describes how a Word packs its permission, exclusive-holder,
 // home, and first-touch fields. The zero value is not meaningful; use
-// Packed or ChooseLayout.
+// Packed or LayoutFor.
 type Layout struct {
 	procBits  uint
 	exclShift uint
@@ -159,38 +122,19 @@ func layoutWithProcBits(pb uint) Layout {
 	}
 }
 
-// ChooseLayout returns the directory word layout for a cluster whose
-// largest processor id is maxProcID, honoring the kind. It fails when
-// the processor ids cannot be encoded — packed layouts hold ids up to
-// 62, wide layouts up to 2^30-2 — so misconfigured topologies surface
-// at construction instead of as a mid-run panic in an encode path.
-func ChooseLayout(kind LayoutKind, maxProcID int) (Layout, error) {
+// LayoutFor returns the directory word layout for a cluster whose
+// largest processor id is maxProcID: processor fields of
+// max(6, bits.Len(maxProcID+1)) bits, since they hold proc+1. Up to id
+// 62 that is the paper's Packed layout. It fails past 30-bit fields, so
+// a cluster too large to encode surfaces at construction instead of as
+// a mid-run panic in an encode path.
+func LayoutFor(maxProcID int) (Layout, error) {
 	if maxProcID < 0 {
 		return Layout{}, fmt.Errorf("directory: negative processor id %d", maxProcID)
 	}
-	packed := Packed()
-	switch kind {
-	case LayoutAuto:
-		if maxProcID <= packed.MaxProc() {
-			return packed, nil
-		}
-	case LayoutPacked:
-		if maxProcID > packed.MaxProc() {
-			return Layout{}, fmt.Errorf("directory: packed word layout holds processor ids 0..%d, need %d",
-				packed.MaxProc(), maxProcID)
-		}
-		return packed, nil
-	case LayoutWide:
-		// fall through to the wide sizing below
-	default:
-		return Layout{}, fmt.Errorf("directory: unknown layout kind %d", int(kind))
-	}
-	pb := uint(bits.Len(uint(maxProcID + 1))) // field stores proc+1
-	if pb < wideMinProcBits {
-		pb = wideMinProcBits
-	}
+	pb := max(packedProcBits, uint(bits.Len(uint(maxProcID+1))))
 	if pb > maxProcBits {
-		return Layout{}, fmt.Errorf("directory: wide word layout holds processor ids 0..%d, need %d",
+		return Layout{}, fmt.Errorf("directory: word layout holds processor ids 0..%d, need %d",
 			layoutWithProcBits(maxProcBits).MaxProc(), maxProcID)
 	}
 	return layoutWithProcBits(pb), nil
@@ -200,7 +144,7 @@ func ChooseLayout(kind LayoutKind, maxProcID int) (Layout, error) {
 // (the fields hold proc+1, so one value is lost to "none").
 func (l Layout) MaxProc() int { return int(l.procMask) - 1 }
 
-// Wide reports whether l is a wide (non-paper) layout.
+// Wide reports whether l's processor fields are wider than the paper's.
 func (l Layout) Wide() bool { return l.procBits != packedProcBits }
 
 // Perm returns the loosest permission any processor on the node holds.

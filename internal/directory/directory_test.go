@@ -74,18 +74,26 @@ func TestPackedLayoutMatchesPaperBits(t *testing.T) {
 	}
 }
 
-// layoutsUnderTest returns both layouts sized for the packed bound, so
-// every boundary case runs against each.
+// layoutsUnderTest returns the paper's layout and the first wide one
+// (the layout of a 64-processor cluster), so every boundary case runs
+// against each.
 func layoutsUnderTest(t *testing.T) map[string]Layout {
 	t.Helper()
-	wide, err := ChooseLayout(LayoutWide, 62)
+	return map[string]Layout{"packed": Packed(), "wide": firstWide(t)}
+}
+
+// firstWide returns LayoutFor(63): 7-bit processor fields, the layout
+// of the smallest cluster past the paper's word.
+func firstWide(t *testing.T) Layout {
+	t.Helper()
+	wide, err := LayoutFor(63)
 	if err != nil {
-		t.Fatalf("ChooseLayout(wide, 62): %v", err)
+		t.Fatalf("LayoutFor(63): %v", err)
 	}
 	if !wide.Wide() {
-		t.Fatal("forced wide layout is not wide")
+		t.Fatal("LayoutFor(63) is not wide")
 	}
-	return map[string]Layout{"packed": Packed(), "wide": wide}
+	return wide
 }
 
 func TestWordFieldBoundaries(t *testing.T) {
@@ -163,51 +171,46 @@ func TestWordRangePanics(t *testing.T) {
 	}
 }
 
-func TestChooseLayout(t *testing.T) {
+func TestLayoutFor(t *testing.T) {
 	cases := []struct {
-		kind    LayoutKind
-		maxProc int
-		wide    bool
-		err     bool
+		maxProc  int
+		procBits uint
+		err      bool
 	}{
-		{LayoutAuto, 0, false, false},
-		{LayoutAuto, 62, false, false},
-		{LayoutAuto, 63, true, false},  // first id past the packed bound
-		{LayoutAuto, 511, true, false}, // 128 nodes x 4
-		{LayoutPacked, 62, false, false},
-		{LayoutPacked, 63, false, true},
-		{LayoutWide, 3, true, false},
-		{LayoutWide, 1 << 20, true, false},
-		{LayoutAuto, 1 << 62, false, true},
-		{LayoutAuto, -1, false, true},
-		{LayoutKind(42), 0, false, true},
+		{0, 6, false},
+		{31, 6, false}, // the paper's 32 processors
+		{62, 6, false}, // the last id 6-bit fields hold
+		{63, 7, false}, // 16 nodes x 4: the first wide word
+		{126, 7, false},
+		{127, 8, false},
+		{511, 10, false}, // 128 nodes x 4
+		{1<<30 - 2, 30, false},
+		{1<<30 - 1, 0, true}, // past 30-bit fields
+		{1 << 62, 0, true},
+		{-1, 0, true},
 	}
 	for _, c := range cases {
-		l, err := ChooseLayout(c.kind, c.maxProc)
+		l, err := LayoutFor(c.maxProc)
 		if (err != nil) != c.err {
-			t.Errorf("ChooseLayout(%v, %d) error = %v, want err=%v", c.kind, c.maxProc, err, c.err)
+			t.Errorf("LayoutFor(%d) error = %v, want err=%v", c.maxProc, err, c.err)
 			continue
 		}
 		if err != nil {
 			continue
 		}
-		if l.Wide() != c.wide {
-			t.Errorf("ChooseLayout(%v, %d).Wide() = %v, want %v", c.kind, c.maxProc, l.Wide(), c.wide)
+		if l.procBits != c.procBits {
+			t.Errorf("LayoutFor(%d) has %d-bit fields, want %d", c.maxProc, l.procBits, c.procBits)
 		}
-		if l.MaxProc() < c.maxProc {
-			t.Errorf("ChooseLayout(%v, %d).MaxProc() = %d, too small", c.kind, c.maxProc, l.MaxProc())
+		if l.Wide() != (c.procBits > 6) {
+			t.Errorf("LayoutFor(%d).Wide() = %v", c.maxProc, l.Wide())
 		}
-		// The chosen layout must actually round-trip the largest id.
+		// The layout must actually round-trip the largest id.
 		if p, ok := l.Excl(l.WithExcl(0, c.maxProc)); !ok || p != c.maxProc {
-			t.Errorf("ChooseLayout(%v, %d): max id does not roundtrip", c.kind, c.maxProc)
+			t.Errorf("LayoutFor(%d): max id does not roundtrip", c.maxProc)
 		}
 	}
-	if _, err := ChooseLayout(LayoutPacked, 63); err == nil ||
-		!strings.Contains(err.Error(), "62") {
-		t.Error("packed overflow error does not name the 62-proc limit")
-	}
-	if LayoutAuto.String() != "auto" || LayoutPacked.String() != "packed" || LayoutWide.String() != "wide" {
-		t.Error("LayoutKind names wrong")
+	if l, _ := LayoutFor(31); l != Packed() {
+		t.Error("the paper's 32 processors do not get the paper's word")
 	}
 }
 
@@ -392,12 +395,12 @@ func TestGlobalWideLayoutLargeCluster(t *testing.T) {
 	// A 128-node cluster of 4-way SMPs (511 = largest proc id) cannot use
 	// the packed layout; the wide words must survive the region's int64
 	// storage and round-trip through Store/Load.
-	lay, err := ChooseLayout(LayoutAuto, 511)
+	lay, err := LayoutFor(511)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !lay.Wide() {
-		t.Fatal("512-proc cluster chose the packed layout")
+		t.Fatal("512-proc cluster got the packed layout")
 	}
 	net := simchan.New(128, costs.Default())
 	g := NewGlobal(net, lay, 4, 128, ident, false)
@@ -418,44 +421,38 @@ func TestGlobalWideLayoutLargeCluster(t *testing.T) {
 
 func TestLayoutBoundaryPackedToWide(t *testing.T) {
 	// The packed layout's 6-bit fields hold proc+1, so id 62 is the last
-	// packed topology and 63 the first wide one. Auto selection must flip
-	// exactly there, and the first wide layout must still round-trip the
-	// id the packed layout just rejected.
-	atBound, err := ChooseLayout(LayoutAuto, 62)
+	// packed cluster and 63 the first wide one. LayoutFor must flip
+	// exactly there, and the first wide layout must round-trip the id
+	// the packed layout cannot hold.
+	atBound, err := LayoutFor(62)
 	if err != nil {
-		t.Fatalf("ChooseLayout(auto, 62): %v", err)
+		t.Fatalf("LayoutFor(62): %v", err)
 	}
 	if atBound != Packed() {
-		t.Errorf("auto layout at 62 procs is not the packed layout")
+		t.Errorf("layout at id 62 is not the packed layout")
 	}
-	past, err := ChooseLayout(LayoutAuto, 63)
-	if err != nil {
-		t.Fatalf("ChooseLayout(auto, 63): %v", err)
-	}
-	if !past.Wide() {
-		t.Fatal("auto layout at 63 procs is not wide")
-	}
+	past := firstWide(t)
 	if past.MaxProc() < 63 {
 		t.Errorf("first wide layout MaxProc = %d, cannot hold 63", past.MaxProc())
 	}
 	if p, ok := past.Excl(past.WithExcl(0, 63)); !ok || p != 63 {
 		t.Errorf("first wide layout: excl 63 roundtrip = %d,%v", p, ok)
 	}
-	if _, err := ChooseLayout(LayoutPacked, 63); err == nil {
-		t.Error("packed layout accepted proc id 63")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("packed layout accepted proc id 63")
+		}
+	}()
+	Packed().WithExcl(0, 63)
 }
 
 func TestPackedWideEquivalenceAtBoundary(t *testing.T) {
-	// At exactly the packed bound (62 procs) both layouts are legal; their
-	// raw encodings differ but every decoded field must agree for every
-	// word either can represent. A divergence here would mean the two
-	// directory formats disagree about protocol state on the same topology.
+	// Every id the packed layout holds (0..62) the first wide layout
+	// holds too; their raw encodings differ but every decoded field must
+	// agree for every word both can represent. A divergence here would
+	// mean widening the word changed the protocol state it records.
 	packed := Packed()
-	wide, err := ChooseLayout(LayoutWide, 62)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wide := firstWide(t)
 	for _, perm := range []Perm{Invalid, ReadOnly, ReadWrite} {
 		for _, excl := range []int{-1, 0, 1, 61, 62} {
 			for _, home := range []int{-1, 0, 62} {
@@ -491,12 +488,9 @@ func TestPackedWideEquivalenceAtBoundary(t *testing.T) {
 
 func TestGlobalPackedWideEquivalenceStoreLoad(t *testing.T) {
 	// The same Store sequence against a packed-backed and a wide-backed
-	// directory at the 62-proc boundary must leave every reader decoding
-	// identical protocol state from both.
-	wide, err := ChooseLayout(LayoutWide, 62)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// directory, with ids up to the packed bound 62, must leave every
+	// reader decoding identical protocol state from both.
+	wide := firstWide(t)
 	net := simchan.New(4, costs.Default())
 	gp := NewGlobal(net, Packed(), 3, 4, ident, false)
 	gw := NewGlobal(net, wide, 3, 4, ident, false)
@@ -543,12 +537,12 @@ func TestGlobalExclHolderOwnWideLayout(t *testing.T) {
 	// ExclHolderOwn under the wide layout, including a processor id the
 	// packed fields cannot encode and a word present only in the owner's
 	// doubled replica (broadcast not yet delivered).
-	lay, err := ChooseLayout(LayoutAuto, 511)
+	lay, err := LayoutFor(511)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !lay.Wide() {
-		t.Fatal("511-proc cluster chose the packed layout")
+		t.Fatal("512-proc cluster got the packed layout")
 	}
 	net := simchan.New(4, costs.Default())
 	g := NewGlobal(net, lay, 4, 4, ident, false)

@@ -101,6 +101,9 @@ func Replay(cx *Counterexample, w io.Writer) (*Violation, error) {
 		return nil, err
 	}
 	fmt.Fprintf(w, "replay: %s\n", r.h.String())
+	if opts.Defect != "" {
+		fmt.Fprintf(w, "defect: %s (re-introduced)\n", opts.Defect)
+	}
 	fmt.Fprintf(w, "expect: %s\n\n", &cx.Violation)
 
 	var got *Violation

@@ -1,26 +1,25 @@
 package modelcheck
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"cashmere/internal/core"
-	"cashmere/internal/diff"
 )
 
 // The checker checks the checker: every protocol defect this package's
-// invariants ever caught can be re-introduced behind an injection
-// switch, and these tests prove that with the defect back in, the
-// checker still reports a replayable counterexample — and that the same
-// schedule runs clean on the fixed protocol. A checker change that
+// invariants ever caught can be re-introduced in one model through
+// Options.Defect, and these tests prove that with the defect back in,
+// the checker still reports a replayable counterexample — and that the
+// same schedule runs clean on the fixed protocol. A checker change that
 // silently stops detecting one of these bugs fails here.
 
-// defectCase describes one historical defect: how to inject it, the
-// model it shows up in, a scripted schedule reaching it, and the
-// invariant that must fire.
+// defectCase describes one historical defect: the model it shows up in
+// (Options.Defect names the defect), a scripted schedule reaching it,
+// and the invariant that must fire.
 type defectCase struct {
-	name      string
-	inject    func(on bool)
 	opts      Options
 	schedule  []Op
 	invariant string
@@ -33,9 +32,7 @@ var defectCases = []defectCase{
 		// A remote and an unreleased local write collide on a word; the
 		// historical Incoming applied the remote value unconditionally,
 		// destroying the local write.
-		name:   "incoming-clobber",
-		inject: diff.SetClobberIncomingForTest,
-		opts:   Options{Protocol: core.TwoLevel},
+		opts: Options{Protocol: core.TwoLevel, Defect: "incoming-clobber"},
 		schedule: []Op{
 			{Proc: 0, Kind: OpWrite, Page: 0}, // home node: master = v1
 			{Proc: 2, Kind: OpWrite, Page: 0}, // node 1 twins, v2 pending
@@ -50,9 +47,7 @@ var defectCases = []defectCase{
 		// A fault maps a copy that predates an already-drained write
 		// notice; without the self-notice, the mapping survives the
 		// processor's next acquire and keeps serving stale data.
-		name:   core.DefectDropStaleMapNotice,
-		inject: func(on bool) { core.SetInjectedDefectForTest(core.DefectDropStaleMapNotice, on) },
-		opts:   Options{Protocol: core.TwoLevel},
+		opts: Options{Protocol: core.TwoLevel, Defect: "drop-stale-map-notice"},
 		schedule: []Op{
 			{Proc: 3, Kind: OpRead, Page: 0},  // node 1 maps the page
 			{Proc: 0, Kind: OpWrite, Page: 0}, // home write: master = v1
@@ -69,9 +64,7 @@ var defectCases = []defectCase{
 		// A one-level release moves the page into exclusive mode but
 		// keeps the twin, which then goes stale across exclusive-era
 		// writes.
-		name:   core.DefectKeepExclusiveTwin,
-		inject: func(on bool) { core.SetInjectedDefectForTest(core.DefectKeepExclusiveTwin, on) },
-		opts:   Options{Protocol: core.OneLevelDiff},
+		opts: Options{Protocol: core.OneLevelDiff, Defect: "keep-exclusive-twin"},
 		schedule: []Op{
 			{Proc: 3, Kind: OpWrite, Page: 0},
 			{Proc: 3, Kind: OpRelease}, // enters exclusive, twin retained
@@ -82,9 +75,7 @@ var defectCases = []defectCase{
 		// A write fault joins an exclusively-held page whose directory
 		// word records only read-only access (a one-level re-entry after
 		// a break downgrade) without republishing the word.
-		name:   core.DefectSkipExclusiveRepublish,
-		inject: func(on bool) { core.SetInjectedDefectForTest(core.DefectSkipExclusiveRepublish, on) },
-		opts:   Options{Protocol: core.OneLevelDiff},
+		opts: Options{Protocol: core.OneLevelDiff, Defect: "skip-exclusive-republish"},
 		schedule: []Op{
 			{Proc: 3, Kind: OpWrite, Page: 0},
 			{Proc: 3, Kind: OpRelease},        // exclusive
@@ -98,18 +89,16 @@ var defectCases = []defectCase{
 
 func TestReintroducedDefectsAreCaught(t *testing.T) {
 	for _, dc := range defectCases {
-		dc := dc
-		t.Run(dc.name, func(t *testing.T) {
+		t.Run(dc.opts.Defect, func(t *testing.T) {
 			// The schedule must run clean on the fixed protocol: what it
 			// exercises is the defect, not an unrelated weakness.
-			if v, err := RunSchedule(dc.opts, dc.schedule); err != nil {
+			fixed := dc.opts
+			fixed.Defect = ""
+			if v, err := RunSchedule(fixed, dc.schedule); err != nil {
 				t.Fatal(err)
 			} else if v != nil {
 				t.Fatalf("schedule violates %q on the fixed protocol", v.Invariant)
 			}
-
-			dc.inject(true)
-			defer dc.inject(false)
 
 			v, err := RunSchedule(dc.opts, dc.schedule)
 			if err != nil {
@@ -159,22 +148,12 @@ func TestFuzzerFindsReintroducedDefects(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fuzz batch")
 	}
-	cases := []struct {
-		name   string
-		inject func(on bool)
-		opts   Options
-	}{
-		{"incoming-clobber", diff.SetClobberIncomingForTest, Options{Protocol: core.TwoLevel}},
-		{core.DefectKeepExclusiveTwin,
-			func(on bool) { core.SetInjectedDefectForTest(core.DefectKeepExclusiveTwin, on) },
-			Options{Protocol: core.OneLevelDiff}},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			tc.inject(true)
-			defer tc.inject(false)
-			res, err := Fuzz(tc.opts, 1, 500, 40)
+	for _, opts := range []Options{
+		{Protocol: core.TwoLevel, Defect: "incoming-clobber"},
+		{Protocol: core.OneLevelDiff, Defect: "keep-exclusive-twin"},
+	} {
+		t.Run(opts.Defect, func(t *testing.T) {
+			res, err := Fuzz(opts, 1, 500, 40)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,7 +162,8 @@ func TestFuzzerFindsReintroducedDefects(t *testing.T) {
 				t.Fatalf("fuzzer missed the re-introduced defect in %d schedules", res.Runs)
 			}
 			// Minimize already re-verified the shrunken schedule; check
-			// it reproduces one more time from scratch.
+			// it reproduces one more time from scratch, from the options
+			// the counterexample recorded.
 			v, err := RunSchedule(cx.Options, cx.Schedule)
 			if err != nil {
 				t.Fatal(err)
@@ -192,6 +172,45 @@ func TestFuzzerFindsReintroducedDefects(t *testing.T) {
 				t.Fatalf("minimized counterexample does not reproduce %q", cx.Violation.Invariant)
 			}
 			t.Logf("found %q with a %d-op schedule (seed %d)", cx.Violation.Invariant, len(cx.Schedule), cx.Seed)
+		})
+	}
+}
+
+func TestUnknownDefectIsAnError(t *testing.T) {
+	_, err := RunSchedule(Options{Defect: "nope"}, []Op{{Proc: 0, Kind: OpRead}})
+	if err == nil || !strings.Contains(err.Error(), `"nope"`) {
+		t.Fatalf("RunSchedule with defect %q: err = %v, want an error naming it", "nope", err)
+	}
+}
+
+// TestReplayFixtures replays every committed counterexample and
+// requires the invariant it records. The files pin the counterexample
+// format the way wire's golden frames pin the frame layout: an option
+// renamed or dropped from the JSON shows up here as a file that no
+// longer decodes or no longer reproduces.
+func TestReplayFixtures(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no counterexample fixtures (err %v)", err)
+	}
+	for _, path := range paths {
+		t.Run(filepath.Base(path), func(t *testing.T) {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cx, err := Decode(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out strings.Builder
+			v, err := Replay(cx, &out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v == nil || v.Invariant != cx.Violation.Invariant {
+				t.Fatalf("replay violated %v, want %q:\n%s", v, cx.Violation.Invariant, out.String())
+			}
 		})
 	}
 }

@@ -200,9 +200,12 @@ type Options struct {
 	// default).
 	Protocol core.Kind `json:"protocol,omitempty"`
 
-	// WideLayout forces the wide directory word layout, cross-checking
-	// it against the packed layout the small model would choose.
-	WideLayout bool `json:"wideLayout,omitempty"`
+	// Defect names a historical protocol defect to re-introduce
+	// (core.Harness.InjectDefect): "keep-exclusive-twin",
+	// "drop-stale-map-notice", "skip-exclusive-republish" or
+	// "incoming-clobber". Empty checks the protocol as built. Recording
+	// it here makes a counterexample of a defect replay as one.
+	Defect string `json:"defect,omitempty"`
 
 	// LockBasedMeta checks the globally-locked metadata ablation.
 	LockBasedMeta bool `json:"lockBasedMeta,omitempty"`
@@ -303,26 +306,26 @@ type run struct {
 // for counterexample replay output.
 func newRun(opts Options, tracer *trace.Tracer) (*run, error) {
 	opts = opts.withDefaults()
-	layout := directory.LayoutAuto
-	if opts.WideLayout {
-		layout = directory.LayoutWide
-	}
 	cfg := core.Config{
-		Nodes:           opts.Nodes,
-		ProcsPerNode:    opts.ProcsPerNode,
-		Protocol:        opts.Protocol,
-		DirectoryLayout: layout,
-		LockBasedMeta:   opts.LockBasedMeta,
-		PageWords:       opts.PageWords,
-		SharedWords:     opts.Pages * opts.PageWords,
-		SuperpagePages:  1,
-		Trace:           tracer,
+		Nodes:          opts.Nodes,
+		ProcsPerNode:   opts.ProcsPerNode,
+		Protocol:       opts.Protocol,
+		LockBasedMeta:  opts.LockBasedMeta,
+		PageWords:      opts.PageWords,
+		SharedWords:    opts.Pages * opts.PageWords,
+		SuperpagePages: 1,
+		Trace:          tracer,
 	}
 	c, err := core.New(cfg)
 	if err != nil {
 		return nil, err
 	}
 	h := c.Harness()
+	if opts.Defect != "" {
+		if err := h.InjectDefect(opts.Defect); err != nil {
+			return nil, err
+		}
+	}
 	if opts.FirstTouch {
 		h.SetFirstTouch(true)
 	}

@@ -51,7 +51,7 @@ func mustExplore(t *testing.T, opts Options, depth int) Result {
 
 // The exhaustive sweep: every interleaving of the full operation
 // alphabet over the 2x2x2 small model up to the depth bound, for every
-// protocol variant and both metadata/layout ablations.
+// protocol variant, the lock-based metadata ablation and first touch.
 
 func TestExploreTwoLevel(t *testing.T) {
 	mustExplore(t, Options{Protocol: core.TwoLevel}, exploreDepth(t, 3))
@@ -67,10 +67,6 @@ func TestExploreOneLevelDiff(t *testing.T) {
 
 func TestExploreOneLevelWrite(t *testing.T) {
 	mustExplore(t, Options{Protocol: core.OneLevelWrite}, exploreDepth(t, 3))
-}
-
-func TestExploreWideLayout(t *testing.T) {
-	mustExplore(t, Options{Protocol: core.TwoLevel, WideLayout: true}, exploreDepth(t, 3))
 }
 
 func TestExploreLockBasedMeta(t *testing.T) {
@@ -105,7 +101,7 @@ func TestFuzzCorpus(t *testing.T) {
 		{"2LS", Options{Protocol: core.TwoLevelSD}},
 		{"1LD", Options{Protocol: core.OneLevelDiff}},
 		{"1L", Options{Protocol: core.OneLevelWrite}},
-		{"2L-widewords", Options{Protocol: core.TwoLevel, WideLayout: true, Words: 2}},
+		{"2L-words2", Options{Protocol: core.TwoLevel, Words: 2}},
 		{"2L-lockmeta", Options{Protocol: core.TwoLevel, LockBasedMeta: true}},
 		{"2L-firsttouch", Options{Protocol: core.TwoLevel, FirstTouch: true}},
 	} {
@@ -161,10 +157,7 @@ func TestCounterexampleRoundTrip(t *testing.T) {
 func TestMinimizeShrinksSchedule(t *testing.T) {
 	// Pad the keep-exclusive-twin trigger with irrelevant traffic on
 	// the other page; minimization must strip it back down.
-	core.SetInjectedDefectForTest(core.DefectKeepExclusiveTwin, true)
-	defer core.SetInjectedDefectForTest(core.DefectKeepExclusiveTwin, false)
-
-	opts := Options{Protocol: core.OneLevelDiff}
+	opts := Options{Protocol: core.OneLevelDiff, Defect: "keep-exclusive-twin"}
 	padded := []Op{
 		{Proc: 0, Kind: OpRead, Page: 1},
 		{Proc: 3, Kind: OpWrite, Page: 0},

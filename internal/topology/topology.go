@@ -1,70 +1,35 @@
-// Package topology describes the shape of a simulated Cashmere cluster:
-// how many SMP nodes it has, how many processors each node carries, how
-// pages group into superpages, and which interconnect contention model
-// connects the nodes.
+// Package topology is the paper's P:ppn notation for the shape of a
+// Cashmere cluster: how many SMP nodes it has and how many processors
+// each node carries.
 //
 // The paper evaluates one fixed platform — eight 4-processor
-// AlphaServer nodes on a first-generation Memory Channel — and earlier
-// revisions of this reproduction baked that ceiling into the protocol
-// layers. A Spec is the explicit, configuration-driven alternative:
-// internal/core derives its directory layout, home assignment, and
-// synchronization sizing from the Spec it is given, internal/bench
-// sweeps over Specs, and the cmd/ flag surface parses them from the
-// paper's P:ppn notation. Nothing in the protocol layer may assume the
-// paper's 8x4 shape.
+// AlphaServer nodes ("32:4") — but nothing in the protocol layer
+// assumes that shape: internal/core takes it from core.Config's Nodes
+// and ProcsPerNode, internal/bench sweeps over Specs, and the cmd/ flag
+// surface parses them with Parse. A cluster's costs, interconnect
+// fabric included, live in its costs.Model, not here.
 package topology
 
 import (
 	"fmt"
 	"strconv"
 	"strings"
-
-	"cashmere/internal/costs"
 )
 
 // Grammar documents the topology string syntax shared by every flag
-// that accepts a topology (-topology, -trace-cell, -scaling): the
-// paper's notation "procs:procsPerNode", where procs is the total
-// processor count and must be an exact multiple of procsPerNode.
+// that accepts a topology (-trace-cell, -scaling): the paper's notation
+// "procs:procsPerNode", where procs is the total processor count and
+// must be an exact multiple of procsPerNode.
 const Grammar = `"procs:procsPerNode" — total processors, a colon, and processors per SMP node; procs must be a positive multiple of procsPerNode (e.g. "32:4" is 8 nodes of 4 processors)`
 
-// Interconnect overrides the network contention parameters of the cost
-// model. Zero-valued fields keep the model's (paper) constants, so the
-// zero value is the paper's first-generation Memory Channel.
-type Interconnect struct {
-	// Fabric selects the contention topology: the paper's serial hub
-	// (zero value) or a switched crossbar.
-	Fabric costs.Fabric
-
-	// LinkBandwidth, if nonzero, replaces the model's per-link
-	// bandwidth (bytes per second; the paper's PCI-limited 29 MB/s).
-	LinkBandwidth int64
-
-	// AggregateBandwidth, if nonzero, replaces the model's aggregate
-	// serial-hub bandwidth (bytes per second; the paper's ~60 MB/s).
-	// Meaningless under a switched fabric, which has no shared cap.
-	AggregateBandwidth int64
-}
-
-// Spec is a complete cluster topology description.
+// Spec is a cluster shape. The paper's platform is 8 nodes x 4
+// processors ("32:4").
 type Spec struct {
-	// Nodes and ProcsPerNode give the physical shape. The paper's
-	// platform is 8 nodes x 4 processors ("32:4").
 	Nodes        int
 	ProcsPerNode int
-
-	// SuperpagePages groups pages into superpages sharing a home node;
-	// zero selects the paper's default of 8 (the Memory Channel
-	// mapping-table limit of Section 2.3).
-	SuperpagePages int
-
-	// Interconnect parameterizes the network contention model; the
-	// zero value is the paper's serial Memory Channel.
-	Interconnect Interconnect
 }
 
-// New returns a Spec with the given shape and paper-default superpage
-// grouping and interconnect.
+// New returns the Spec with the given shape.
 func New(nodes, procsPerNode int) Spec {
 	return Spec{Nodes: nodes, ProcsPerNode: procsPerNode}
 }
@@ -75,30 +40,6 @@ func (s Spec) Procs() int { return s.Nodes * s.ProcsPerNode }
 // String renders the paper's P:ppn notation, e.g. "32:4".
 func (s Spec) String() string {
 	return fmt.Sprintf("%d:%d", s.Procs(), s.ProcsPerNode)
-}
-
-// Validate reports whether the Spec describes a runnable cluster.
-func (s Spec) Validate() error {
-	if s.Nodes <= 0 || s.ProcsPerNode <= 0 {
-		return fmt.Errorf("topology: need positive nodes and procs per node, got %d nodes x %d procs", s.Nodes, s.ProcsPerNode)
-	}
-	if s.SuperpagePages < 0 {
-		return fmt.Errorf("topology: negative superpage grouping %d", s.SuperpagePages)
-	}
-	return nil
-}
-
-// ApplyModel folds the Spec's interconnect overrides into a copy of the
-// cost model.
-func (s Spec) ApplyModel(m costs.Model) costs.Model {
-	m.MCFabric = s.Interconnect.Fabric
-	if s.Interconnect.LinkBandwidth > 0 {
-		m.MCLinkBandwidth = s.Interconnect.LinkBandwidth
-	}
-	if s.Interconnect.AggregateBandwidth > 0 {
-		m.MCAggregateBandwidth = s.Interconnect.AggregateBandwidth
-	}
-	return m
 }
 
 // Parse parses the shared topology grammar (see Grammar): the paper's

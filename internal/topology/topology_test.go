@@ -3,8 +3,6 @@ package topology
 import (
 	"strings"
 	"testing"
-
-	"cashmere/internal/costs"
 )
 
 func TestParse(t *testing.T) {
@@ -55,18 +53,6 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestValidate(t *testing.T) {
-	if err := New(8, 4).Validate(); err != nil {
-		t.Errorf("8x4 invalid: %v", err)
-	}
-	if err := (Spec{Nodes: 0, ProcsPerNode: 4}).Validate(); err == nil {
-		t.Error("0 nodes validated")
-	}
-	if err := (Spec{Nodes: 8, ProcsPerNode: 4, SuperpagePages: -1}).Validate(); err == nil {
-		t.Error("negative superpages validated")
-	}
-}
-
 func TestProcsAndLabel(t *testing.T) {
 	s := New(8, 4)
 	if s.Procs() != 32 {
@@ -74,28 +60,5 @@ func TestProcsAndLabel(t *testing.T) {
 	}
 	if s.String() != "32:4" {
 		t.Errorf("String = %q", s.String())
-	}
-}
-
-func TestApplyModel(t *testing.T) {
-	m := costs.Default()
-	// Zero interconnect: the paper's model, untouched.
-	got := New(8, 4).ApplyModel(m)
-	if got != m {
-		t.Error("zero interconnect changed the model")
-	}
-
-	s := New(32, 4)
-	s.Interconnect = Interconnect{
-		Fabric:             costs.FabricSwitched,
-		LinkBandwidth:      100 << 20,
-		AggregateBandwidth: 500 << 20,
-	}
-	got = s.ApplyModel(m)
-	if got.MCFabric != costs.FabricSwitched {
-		t.Errorf("fabric = %v", got.MCFabric)
-	}
-	if got.MCLinkBandwidth != 100<<20 || got.MCAggregateBandwidth != 500<<20 {
-		t.Errorf("bandwidths = %d/%d", got.MCLinkBandwidth, got.MCAggregateBandwidth)
 	}
 }
