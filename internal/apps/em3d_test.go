@@ -4,10 +4,6 @@ import (
 	"testing"
 )
 
-func TestEm3dSmallAllProtocols(t *testing.T) {
-	checkApp(t, func() App { return SmallEm3d() })
-}
-
 func TestEm3dDepWraps(t *testing.T) {
 	e := SmallEm3d()
 	for i := 0; i < e.Nodes; i++ {
@@ -32,10 +28,6 @@ func TestEm3dValuesEvolve(t *testing.T) {
 	if same == e.Nodes {
 		t.Error("E field unchanged after simulation")
 	}
-}
-
-func TestIlinkSmallAllProtocols(t *testing.T) {
-	checkApp(t, func() App { return SmallIlink() })
 }
 
 func TestIlinkLoadImbalance(t *testing.T) {

@@ -3,13 +3,8 @@ package apps
 import (
 	"testing"
 
-	"cashmere/internal/core"
 	"cashmere/internal/stats"
 )
-
-func TestLUSmallAllProtocols(t *testing.T) {
-	checkApp(t, func() App { return SmallLU() })
-}
 
 func TestLUGrid(t *testing.T) {
 	cases := map[int][2]int{
@@ -81,10 +76,6 @@ func TestLUFactorizationCorrect(t *testing.T) {
 	}
 }
 
-func TestGaussSmallAllProtocols(t *testing.T) {
-	checkApp(t, func() App { return SmallGauss() })
-}
-
 func TestGaussSolvesSystem(t *testing.T) {
 	// The sequential solution must actually satisfy A*x = b.
 	g := SmallGauss()
@@ -112,8 +103,7 @@ func TestGaussFlagsPerRow(t *testing.T) {
 func TestGaussLockFlagAcquireCount(t *testing.T) {
 	// Every non-owner performs one flag acquire per row.
 	g := SmallGauss()
-	cfg := smallConfig(core.TwoLevel)
-	res, err := Run(g, cfg)
+	res, err := Run(g, small2x2)
 	if err != nil {
 		t.Fatal(err)
 	}

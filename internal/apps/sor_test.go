@@ -6,65 +6,6 @@ import (
 	"cashmere/internal/core"
 )
 
-// kindsUnderTest lists the protocols every application must pass under.
-var kindsUnderTest = []core.Kind{
-	core.TwoLevel, core.TwoLevelSD, core.OneLevelDiff, core.OneLevelWrite,
-}
-
-// smallConfig returns a 2x2 test topology with small pages so the tiny
-// test problems still span multiple pages.
-func smallConfig(k core.Kind) core.Config {
-	return core.Config{
-		Nodes:        2,
-		ProcsPerNode: 2,
-		Protocol:     k,
-		PageWords:    64,
-	}
-}
-
-// checkApp runs app under every protocol on the small topology,
-// verifying results each time.
-func checkApp(t *testing.T, mk func() App) {
-	t.Helper()
-	for _, k := range kindsUnderTest {
-		app := mk()
-		cfg := smallConfig(k)
-		res, err := Run(app, cfg)
-		if err != nil {
-			t.Fatalf("%v: %v", k, err)
-		}
-		if res.ExecNS <= 0 {
-			t.Errorf("%v: no virtual time elapsed", k)
-		}
-		sp := Speedup(app, cfg, res)
-		if sp <= 0 {
-			t.Errorf("%v: speedup = %v", k, sp)
-		}
-	}
-	// Home-node optimization variants of the one-level protocols.
-	for _, k := range []core.Kind{core.OneLevelDiff, core.OneLevelWrite} {
-		app := mk()
-		cfg := smallConfig(k)
-		cfg.HomeOpt = true
-		if _, err := Run(app, cfg); err != nil {
-			t.Fatalf("%v+homeopt: %v", k, err)
-		}
-	}
-}
-
-func TestSORSmallAllProtocols(t *testing.T) {
-	checkApp(t, func() App { return SmallSOR() })
-	// 16x4: processor ids up to 63, the smallest cluster whose
-	// directory words are wider than the paper's 6-bit fields.
-	for _, k := range []core.Kind{core.TwoLevel, core.OneLevelDiff} {
-		cfg := smallConfig(k)
-		cfg.Nodes, cfg.ProcsPerNode = 16, 4
-		if _, err := Run(SmallSOR(), cfg); err != nil {
-			t.Fatalf("%v at 64:4: %v", k, err)
-		}
-	}
-}
-
 func TestSORSequentialDeterministic(t *testing.T) {
 	a := SmallSOR()
 	b := SmallSOR()

@@ -3,19 +3,13 @@ package apps
 import (
 	"testing"
 
-	"cashmere/internal/core"
 	"cashmere/internal/stats"
 )
-
-func TestWaterSmallAllProtocols(t *testing.T) {
-	checkApp(t, func() App { return SmallWater() })
-}
 
 func TestWaterMigratorySharing(t *testing.T) {
 	// Water's force accumulation must actually exercise the locks.
 	w := SmallWater()
-	cfg := smallConfig(core.TwoLevel)
-	res, err := Run(w, cfg)
+	res, err := Run(w, small2x2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,10 +35,6 @@ func TestWaterMoleculesMove(t *testing.T) {
 	if moved == 0 {
 		t.Error("no molecule moved during the simulation")
 	}
-}
-
-func TestTSPSmallAllProtocols(t *testing.T) {
-	checkApp(t, func() App { return SmallTSP() })
 }
 
 func TestTSPTaskPrefixesDistinct(t *testing.T) {
@@ -102,10 +92,6 @@ func TestTSPSeqFindsOptimal(t *testing.T) {
 	if ts.seqBest != best {
 		t.Errorf("DFS best = %d, brute force = %d", ts.seqBest, best)
 	}
-}
-
-func TestBarnesSmallAllProtocols(t *testing.T) {
-	checkApp(t, func() App { return SmallBarnes() })
 }
 
 func TestBarnesTreeInvariants(t *testing.T) {

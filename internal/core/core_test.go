@@ -63,163 +63,6 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestSingleProcStoreLoad(t *testing.T) {
-	for _, k := range allKinds {
-		c, err := New(testConfig(k, 1, 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := c.Run(func(p *Proc) {
-			for i := 0; i < 100; i++ {
-				p.Store(i, int64(i*i))
-			}
-			for i := 0; i < 100; i++ {
-				if got := p.Load(i); got != int64(i*i) {
-					t.Errorf("%v: Load(%d) = %d, want %d", k, i, got, i*i)
-				}
-			}
-			p.StoreF(200, 3.25)
-			if got := p.LoadF(200); got != 3.25 {
-				t.Errorf("%v: LoadF = %v", k, got)
-			}
-		})
-		if res.ExecNS <= 0 {
-			t.Errorf("%v: no virtual time elapsed", k)
-		}
-		if res.Counts[stats.ReadFaults] == 0 && res.Counts[stats.WriteFaults] == 0 {
-			t.Errorf("%v: no faults recorded", k)
-		}
-	}
-}
-
-func TestCrossNodeSharingViaBarrier(t *testing.T) {
-	// Proc 0 (node 0) writes a region; after a barrier every processor
-	// on every node reads it back.
-	for _, k := range allKinds {
-		c, err := New(testConfig(k, 4, 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		const words = 100
-		c.Run(func(p *Proc) {
-			if p.ID() == 0 {
-				for i := 0; i < words; i++ {
-					p.Store(i, int64(1000+i))
-				}
-			}
-			p.Barrier()
-			for i := 0; i < words; i++ {
-				if got := p.Load(i); got != int64(1000+i) {
-					t.Errorf("%v: proc %d Load(%d) = %d, want %d", k, p.ID(), i, got, 1000+i)
-					return
-				}
-			}
-		})
-	}
-}
-
-func TestMultiWriterFalseSharingMerge(t *testing.T) {
-	// Every processor writes its own word of the SAME page between two
-	// barriers; afterwards every processor must observe all writes.
-	// This exercises multi-writer diff merging at the home node.
-	for _, k := range allKinds {
-		c, err := New(testConfig(k, 4, 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := c.NumProcs()
-		c.Run(func(p *Proc) {
-			p.Store(p.ID(), int64(100+p.ID()))
-			p.Barrier()
-			for i := 0; i < n; i++ {
-				if got := p.Load(i); got != int64(100+i) {
-					t.Errorf("%v: proc %d sees word %d = %d, want %d", k, p.ID(), i, got, 100+i)
-					return
-				}
-			}
-		})
-	}
-}
-
-func TestRepeatedPhases(t *testing.T) {
-	// SOR-like alternation: even procs write phase A, odd write phase
-	// B, with barriers between; values accumulate across phases.
-	for _, k := range allKinds {
-		c, err := New(testConfig(k, 2, 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		const rounds = 8
-		c.Run(func(p *Proc) {
-			me := p.ID()
-			for r := 0; r < rounds; r++ {
-				if r%2 == me%2 {
-					old := p.Load(me)
-					p.Store(me, old+1)
-				}
-				p.Barrier()
-			}
-			for i := 0; i < p.NProcs(); i++ {
-				if got := p.Load(i); got != rounds/2 {
-					t.Errorf("%v: proc %d sees counter %d = %d, want %d", k, p.ID(), i, got, rounds/2)
-					return
-				}
-			}
-		})
-	}
-}
-
-func TestLockMigratorySharing(t *testing.T) {
-	// A counter protected by a lock is incremented by every processor
-	// many times (migratory sharing, as in Water's force phase).
-	for _, k := range allKinds {
-		c, err := New(testConfig(k, 4, 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		const per = 10
-		total := int64(c.NumProcs() * per)
-		c.Run(func(p *Proc) {
-			for i := 0; i < per; i++ {
-				p.Lock(0)
-				p.Store(0, p.Load(0)+1)
-				p.Unlock(0)
-			}
-			p.Barrier()
-			if got := p.Load(0); got != total {
-				t.Errorf("%v: proc %d sees counter = %d, want %d", k, p.ID(), got, total)
-			}
-		})
-	}
-}
-
-func TestFlagProducerConsumer(t *testing.T) {
-	// Gauss-style: proc 0 produces a row and sets a flag; all others
-	// wait on the flag and read the row.
-	for _, k := range allKinds {
-		c, err := New(testConfig(k, 4, 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Run(func(p *Proc) {
-			if p.ID() == 0 {
-				for i := 0; i < 20; i++ {
-					p.Store(32+i, int64(7*i))
-				}
-				p.SetFlag(0)
-			} else {
-				p.WaitFlag(0)
-				for i := 0; i < 20; i++ {
-					if got := p.Load(32 + i); got != int64(7*i) {
-						t.Errorf("%v: proc %d flag read %d = %d, want %d", k, p.ID(), i, got, 7*i)
-						return
-					}
-				}
-			}
-		})
-	}
-}
-
 func TestExclusiveModeEntryAndBreak(t *testing.T) {
 	// Proc 0 writes a private page repeatedly: under 2L it should enter
 	// exclusive mode (one transition) and take no further faults. Then
@@ -545,27 +388,6 @@ func TestHomeOptReducesOneLevelOverhead(t *testing.T) {
 		t.Errorf("home-opt twins (%d) not fewer than base (%d)",
 			with.Counts[stats.TwinCreations], without.Counts[stats.TwinCreations])
 	}
-}
-
-func TestLockBasedMetaSameResults(t *testing.T) {
-	// The lock-based ablation must produce identical memory results,
-	// only different timing.
-	cfg := testConfig(TwoLevel, 2, 2)
-	cfg.LockBasedMeta = true
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Run(func(p *Proc) {
-		p.Store(p.ID(), int64(p.ID()+50))
-		p.Barrier()
-		for i := 0; i < 4; i++ {
-			if got := p.Load(i); got != int64(i+50) {
-				t.Errorf("lock-based: proc %d sees %d, want %d", p.ID(), got, i+50)
-				return
-			}
-		}
-	})
 }
 
 func TestInterruptCostVariant(t *testing.T) {

@@ -285,29 +285,6 @@ func TestBreakdownComponentsPartitionExecTime(t *testing.T) {
 	}
 }
 
-func TestPageWordsVariants(t *testing.T) {
-	// The protocol must work at unusual coherence block sizes.
-	for _, pw := range []int{8, 100, 1024} {
-		cfg := testConfig(TwoLevel, 2, 2)
-		cfg.PageWords = pw
-		cfg.SharedWords = pw * 10
-		c, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Run(func(p *Proc) {
-			p.Store(p.ID()*pw, int64(p.ID()))
-			p.Barrier()
-			for i := 0; i < 4; i++ {
-				if got := p.Load(i * pw); got != int64(i) {
-					t.Errorf("pw=%d: proc %d reads %d, want %d", pw, p.ID(), got, i)
-					return
-				}
-			}
-		})
-	}
-}
-
 func TestDirectoryWordsReflectProtocolState(t *testing.T) {
 	c, err := New(testConfig(TwoLevel, 2, 2))
 	if err != nil {
@@ -338,92 +315,4 @@ func TestDirectoryWordsReflectProtocolState(t *testing.T) {
 			}
 		}
 	})
-}
-
-func TestFlagsAreReleaseAcquirePairs(t *testing.T) {
-	// Data written before SetFlag must be visible after WaitFlag even
-	// with no other synchronization, for every protocol.
-	for _, k := range allKinds {
-		c, err := New(testConfig(k, 4, 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Run(func(p *Proc) {
-			switch {
-			case p.ID() == 0:
-				for i := 0; i < 64; i++ {
-					p.Store(i, int64(i*i))
-				}
-				p.SetFlag(0)
-			default:
-				p.WaitFlag(0)
-				for i := 0; i < 64; i++ {
-					if got := p.Load(i); got != int64(i*i) {
-						t.Errorf("%v: proc %d flag read %d = %d", k, p.ID(), i, got)
-						return
-					}
-				}
-			}
-		})
-	}
-}
-
-func TestManyLocksManyPages(t *testing.T) {
-	// Stress: independent counters under independent locks across many
-	// pages and all protocols.
-	for _, k := range allKinds {
-		cfg := testConfig(k, 4, 2)
-		cfg.Locks = 4
-		c, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Run(func(p *Proc) {
-			for i := 0; i < 8; i++ {
-				l := (p.ID() + i) % 4
-				p.Lock(l)
-				addr := l * 16
-				p.Store(addr, p.Load(addr)+1)
-				p.Unlock(l)
-			}
-			p.Barrier()
-			total := int64(0)
-			for l := 0; l < 4; l++ {
-				total += p.Load(l * 16)
-			}
-			if total != int64(8*c.NumProcs()) {
-				t.Errorf("%v: total = %d, want %d", k, total, 8*c.NumProcs())
-			}
-		})
-	}
-}
-
-func TestInterleavedReadersAndWriters(t *testing.T) {
-	// Rotating single-writer/multi-reader ownership of one page across
-	// all nodes over many rounds.
-	for _, k := range allKinds {
-		c, err := New(testConfig(k, 4, 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := c.NumProcs()
-		c.Run(func(p *Proc) {
-			// A processor that has read a wrong value reports it once
-			// and stops checking, but keeps arriving at every remaining
-			// barrier: returning would strand its peers there until the
-			// test timeout.
-			wrong := false
-			for round := 0; round < 2*n; round++ {
-				if round%n == p.ID() {
-					p.Store(3, int64(round))
-				}
-				p.Barrier()
-				if got := p.Load(3); !wrong && got != int64(round) {
-					t.Errorf("%v: proc %d round %d reads %d", k, p.ID(), round, got)
-					wrong = true
-				}
-				p.Barrier()
-			}
-		})
-	}
 }

@@ -1,6 +1,7 @@
 package mprun
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"cashmere/internal/apps"
+	"cashmere/internal/apps/proctest"
 	"cashmere/internal/costs"
 	"cashmere/internal/metrics"
 	"cashmere/internal/trace"
@@ -17,109 +19,90 @@ import (
 	"cashmere/internal/transport/wire"
 )
 
-// runMesh executes app across nodes in-process goroutine "processes"
-// connected by the shm messenger mesh, and fails on any node error.
-// This is the full multi-process protocol — wire frames, homes, diffs,
-// notices, coordinator — minus the TCP sockets, so it runs under the
-// race detector in the ordinary test suite.
-func runMesh(t *testing.T, app func() apps.App, nodes, ppn int) {
-	t.Helper()
-	mesh := shmchan.NewMesh(nodes)
-	errs := make([]error, nodes)
+// runMesh, the apps.Proc contract suite's engine here, executes a fresh
+// program from mk on each of nodes in-process goroutine "processes"
+// connected by the shm messenger mesh, with pageWords-word pages (0 =
+// the applications' default), and returns the ranks' errors. This is
+// the full multi-process protocol minus the TCP sockets, so it runs
+// under the race detector in the ordinary test suite.
+func runMesh(_ *testing.T, mk func() apps.App, nodes, ppn, pageWords int) error {
+	return meshRun(shmchan.NewMesh(nodes), mk, ppn, pageWords, make([]*trace.Tracer, nodes))
+}
+
+// meshRun is runMesh on a given mesh, with rank r traced by trs[r] (nil
+// for none). It closes the mesh's endpoints.
+func meshRun(mesh *shmchan.Mesh, mk func() apps.App, ppn, pageWords int, trs []*trace.Tracer) error {
+	errs := make([]error, len(trs))
 	var wg sync.WaitGroup
-	for r := 0; r < nodes; r++ {
+	for r := range trs {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			cfg := Config{Rank: r, Nodes: nodes, PPN: ppn, Model: costs.Default()}
-			errs[r] = Run(app(), cfg, mesh.Endpoint(r))
+			cfg := Config{Rank: r, Nodes: len(trs), PPN: ppn, PageWords: pageWords, Model: costs.Default(), Tracer: trs[r]}
+			if err := Run(mk(), cfg, mesh.Endpoint(r)); err != nil {
+				errs[r] = fmt.Errorf("rank %d: %w", r, err)
+			}
 		}(r)
 	}
 	wg.Wait()
-	for r := 0; r < nodes; r++ {
+	for r := range trs {
 		mesh.Endpoint(r).Close()
 	}
-	for r, err := range errs {
-		if err != nil {
-			t.Errorf("rank %d: %v", r, err)
-		}
+	return errors.Join(errs...)
+}
+
+// onMeshApp runs a fresh mk program per rank at nodes×ppn with the
+// applications' default page size, and fails t with any rank's error.
+func onMeshApp(t *testing.T, mk func() apps.App, nodes, ppn int) {
+	if err := runMesh(t, mk, nodes, ppn, 0); err != nil {
+		t.Error(err)
 	}
 }
 
-func TestSORBarriers(t *testing.T) {
-	runMesh(t, func() apps.App { return apps.SmallSOR() }, 2, 2)
+// One application per synchronization style, at the default page size
+// (the suite's app matrix runs 64-word pages), and an uneven page
+// distribution across three homes.
+func TestSORBarriers(t *testing.T) { onMeshApp(t, func() apps.App { return apps.SmallSOR() }, 2, 2) }
+func TestTSPLocks(t *testing.T)    { onMeshApp(t, func() apps.App { return apps.SmallTSP() }, 2, 2) }
+func TestGaussFlags(t *testing.T)  { onMeshApp(t, func() apps.App { return apps.SmallGauss() }, 2, 2) }
+func TestLU(t *testing.T)          { onMeshApp(t, func() apps.App { return apps.SmallLU() }, 2, 2) }
+func TestThreeNodesUnevenProcs(t *testing.T) {
+	onMeshApp(t, func() apps.App { return apps.SmallSOR() }, 3, 2)
 }
 
-func TestTSPLocks(t *testing.T) {
-	runMesh(t, func() apps.App { return apps.SmallTSP() }, 2, 2)
-}
-
-func TestGaussFlags(t *testing.T) {
-	runMesh(t, func() apps.App { return apps.SmallGauss() }, 2, 2)
-}
-
-func TestLU(t *testing.T) {
-	runMesh(t, func() apps.App { return apps.SmallLU() }, 2, 2)
-}
-
-// smallByName constructs a fresh small instance per rank: application
-// values carry per-run state, so mesh ranks cannot share one.
-var smallByName = map[string]func() apps.App{
-	"SOR":    func() apps.App { return apps.SmallSOR() },
-	"LU":     func() apps.App { return apps.SmallLU() },
-	"Water":  func() apps.App { return apps.SmallWater() },
-	"TSP":    func() apps.App { return apps.SmallTSP() },
-	"Gauss":  func() apps.App { return apps.SmallGauss() },
-	"Ilink":  func() apps.App { return apps.SmallIlink() },
-	"Em3d":   func() apps.App { return apps.SmallEm3d() },
-	"Barnes": func() apps.App { return apps.SmallBarnes() },
-}
-
-// TestFullSuiteTwoNodes runs all eight applications on a 2x1 mesh —
-// every sharing pattern over the real protocol.
-func TestFullSuiteTwoNodes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full suite in -short mode")
-	}
-	for _, app := range apps.Small() {
-		mk, ok := smallByName[app.Name()]
-		if !ok {
-			t.Fatalf("no small constructor for %s", app.Name())
-		}
-		t.Run(app.Name(), func(t *testing.T) {
-			runMesh(t, mk, 2, 1)
+// onMesh runs each case at each nodes×ppn shape over the shm mesh, in
+// parallel subtests named case/shape. Rank 0's Run verifies the final
+// memory, so every cell is an end-to-end check of the real concurrent
+// protocol; under -race it doubles as a synchronization audit.
+func onMesh(t *testing.T, cases []proctest.Case, shapes ...[2]int) {
+	for _, c := range cases {
+		t.Run(c.Name, func(t *testing.T) {
+			for _, s := range shapes {
+				t.Run(fmt.Sprintf("%dx%d", s[0], s[1]), func(t *testing.T) {
+					t.Parallel()
+					c.Run(t, runMesh, s[0], s[1])
+				})
+			}
 		})
 	}
 }
 
-// TestFullSuiteMatrix runs all eight applications at 2x2 and 3x2 —
-// multi-processor nodes (intra-node sharing through one cache) and an
-// uneven page distribution across three homes. Rank 0's Run verifies
-// the final memory against the sequential reference, so every cell is
-// a full end-to-end correctness check of the real concurrent protocol;
-// under -race it doubles as a synchronization audit.
+// meshShapes: one node, two and four single-processor nodes,
+// intra-node sharing through one cache, and three uneven homes.
+var meshShapes = [][2]int{{1, 2}, {2, 1}, {2, 2}, {3, 2}, {4, 1}}
+
+// TestProcSuite runs the apps.Proc contract suite's litmus and random
+// data-race-free programs at every mesh shape.
+func TestProcSuite(t *testing.T) { onMesh(t, proctest.Litmus, meshShapes...) }
+
+// TestFullSuiteMatrix runs the suite's eight small applications at every
+// mesh shape but 2x1, which TestFullSuiteTwoNodes runs: the shape of the
+// repository benchmark's mp_* workloads.
 func TestFullSuiteMatrix(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full matrix in -short mode")
-	}
-	for _, shape := range []struct{ nodes, ppn int }{{2, 2}, {3, 2}} {
-		for _, app := range apps.Small() {
-			mk, ok := smallByName[app.Name()]
-			if !ok {
-				t.Fatalf("no small constructor for %s", app.Name())
-			}
-			t.Run(fmt.Sprintf("%s/%dx%d", app.Name(), shape.nodes, shape.ppn), func(t *testing.T) {
-				shape := shape
-				t.Parallel()
-				runMesh(t, mk, shape.nodes, shape.ppn)
-			})
-		}
-	}
+	onMesh(t, proctest.Apps, meshShapes[0], meshShapes[2], meshShapes[3], meshShapes[4])
 }
 
-func TestThreeNodesUnevenProcs(t *testing.T) {
-	runMesh(t, func() apps.App { return apps.SmallSOR() }, 3, 2)
-}
+func TestFullSuiteTwoNodes(t *testing.T) { onMesh(t, proctest.Apps, meshShapes[1]) }
 
 // selfFlows returns the page and diff traffic rank r's snapshot shows it
 // exchanging with itself. A rank works on the pages it homes in place,
@@ -153,25 +136,11 @@ func tracedMesh(t *testing.T, app func() apps.App, nodes, ppn, pageWords int) ([
 		stats[r] = transport.NewFrameStats(nodes)
 		mesh.Endpoint(r).SetStats(stats[r])
 	}
-	errs := make([]error, nodes)
-	var wg sync.WaitGroup
-	for r := 0; r < nodes; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			cfg := Config{Rank: r, Nodes: nodes, PPN: ppn, PageWords: pageWords, Model: costs.Default(), Tracer: trs[r]}
-			errs[r] = Run(app(), cfg, mesh.Endpoint(r))
-		}(r)
+	if err := meshRun(mesh, app, ppn, pageWords, trs); err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	for r := 0; r < nodes; r++ {
-		mesh.Endpoint(r).Close()
+	for r := range ranks {
 		ranks[r].Events, ranks[r].Dropped = trs[r].Events(), trs[r].Dropped()
-	}
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
 	}
 	return ranks, stats
 }
@@ -338,10 +307,6 @@ func TestUntracedRunMintsCorrelationIDs(t *testing.T) {
 	}
 }
 
-func TestSingleNode(t *testing.T) {
-	runMesh(t, func() apps.App { return apps.SmallSOR() }, 1, 2)
-}
-
 func TestConfigValidation(t *testing.T) {
 	mesh := shmchan.NewMesh(2)
 	defer mesh.Endpoint(0).Close()
@@ -371,48 +336,7 @@ func TestFullSizeGaussTwoByTwo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-size Gauss in -short mode")
 	}
-	runMesh(t, func() apps.App { return apps.DefaultGauss() }, 2, 2)
-}
-
-// progApp is a hand-written program over the shared space: body runs on
-// every processor, check inspects the final memory on rank 0.
-type progApp struct {
-	shape apps.Shape
-	body  func(p apps.Proc)
-	check func(m apps.Memory) error
-}
-
-func (a *progApp) Name() string              { return "Prog" }
-func (a *progApp) DataSet() string           { return "test program" }
-func (a *progApp) Shape() apps.Shape         { return a.shape }
-func (a *progApp) Body(p apps.Proc)          { a.body(p) }
-func (a *progApp) SeqTime(costs.Model) int64 { return 0 }
-func (a *progApp) Verify(m apps.Memory) error {
-	if a.check == nil {
-		return nil
-	}
-	return a.check(m)
-}
-
-// TestDisjointWritersOfOnePageBothWin has two nodes write different
-// words of one page between the same pair of barriers, every round:
-// each diff carries only its writer's word, so the home merges both.
-func TestDisjointWritersOfOnePageBothWin(t *testing.T) {
-	const rounds = 20
-	app := &progApp{shape: apps.Shape{SharedWords: apps.PageWords}}
-	app.body = func(p apps.Proc) {
-		for r := 1; r <= rounds; r++ {
-			p.Store(p.ID(), int64(10*r+p.ID()))
-			p.Barrier()
-			for w := 0; w < p.NProcs(); w++ {
-				if got, want := p.Load(w), int64(10*r+w); got != want {
-					t.Errorf("round %d: processor %d reads word %d = %d, want %d", r, p.ID(), w, got, want)
-				}
-			}
-			p.Barrier()
-		}
-	}
-	runMesh(t, func() apps.App { return app }, 2, 1)
+	onMeshApp(t, func() apps.App { return apps.DefaultGauss() }, 2, 2)
 }
 
 // TestStoresSurviveSiblingFlushes runs two processors of one node on
@@ -453,7 +377,7 @@ func TestStoresSurviveSiblingFlushes(t *testing.T) {
 				streamFrom = 2
 			}
 			last := make([]int64, pages*tc.nodes*apps.PageWords) // each word's final store
-			app := &progApp{shape: apps.Shape{SharedWords: len(last), Locks: 1}}
+			app := &proctest.Prog{Space: apps.Shape{SharedWords: len(last), Locks: 1}}
 			locker := func(p apps.Proc, off int) {
 				defer lockers.Add(-1)
 				for k := 1; k <= releases; k++ {
@@ -464,7 +388,7 @@ func TestStoresSurviveSiblingFlushes(t *testing.T) {
 					p.Unlock(0)
 				}
 			}
-			app.body = func(p apps.Proc) {
+			app.Code = func(p apps.Proc) {
 				switch p.ID() {
 				case 0:
 					locker(p, 0)
@@ -489,7 +413,7 @@ func TestStoresSurviveSiblingFlushes(t *testing.T) {
 					}
 				}
 			}
-			app.check = func(m apps.Memory) error {
+			app.Check = func(m apps.Memory) error {
 				for a, want := range last {
 					if got := m.ReadShared(a); got != want {
 						return fmt.Errorf("word %d = %#x, want its last store %#x", a, got, want)
@@ -497,7 +421,9 @@ func TestStoresSurviveSiblingFlushes(t *testing.T) {
 				}
 				return nil
 			}
-			runMesh(t, func() apps.App { return app }, tc.nodes, 2)
+			if err := runMesh(t, func() apps.App { return app }, tc.nodes, 2, 0); err != nil {
+				t.Error(err)
+			}
 		})
 	}
 }

@@ -30,9 +30,10 @@
 // mirror the application contracts: Flag.Reset must not race with Set,
 // Wait, or another Reset (the caller separates them with application
 // synchronization), and each primitive must be fully constructed before
-// it is shared. Contention races are resolved by host mutexes inside
-// sim.VLock/sim.Rendezvous/sim.VFlag; the Memory Channel array and cell
-// writes are atomic through simchan.Region.
+// it is shared. Contention races are resolved by host mutexes: inside
+// sim.VLock and sim.Rendezvous for locks and barriers, and each Flag's
+// own; the Memory Channel array and cell writes are atomic through
+// simchan.Region.
 package msync
 
 import (

@@ -243,60 +243,3 @@ func (l *VLock) Release(now int64) {
 	}
 	l.mu.Unlock()
 }
-
-// VFlag is a set-once synchronization flag over virtual time (the
-// paper's per-row availability flags in Gauss). Set publishes a virtual
-// set-time; Wait blocks until the flag is set and returns that time.
-// A flag may be Reset between uses when no waiter is active.
-type VFlag struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	set     bool
-	setTime int64
-}
-
-// NewVFlag returns an unset flag.
-func NewVFlag() *VFlag {
-	f := &VFlag{}
-	f.cond = sync.NewCond(&f.mu)
-	return f
-}
-
-// Set marks the flag set as of virtual time now and wakes all waiters.
-// Setting an already-set flag keeps the earliest set time.
-func (f *VFlag) Set(now int64) {
-	f.mu.Lock()
-	if !f.set {
-		f.set = true
-		f.setTime = now
-	}
-	f.mu.Unlock()
-	f.cond.Broadcast()
-}
-
-// Wait blocks until the flag is set and returns the virtual time at
-// which it was set.
-func (f *VFlag) Wait() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for !f.set {
-		f.cond.Wait()
-	}
-	return f.setTime
-}
-
-// IsSet reports whether the flag has been set.
-func (f *VFlag) IsSet() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.set
-}
-
-// Reset returns the flag to the unset state. The caller must ensure no
-// goroutine is concurrently waiting.
-func (f *VFlag) Reset() {
-	f.mu.Lock()
-	f.set = false
-	f.setTime = 0
-	f.mu.Unlock()
-}

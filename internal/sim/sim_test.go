@@ -297,47 +297,6 @@ func TestVLockMutualExclusion(t *testing.T) {
 	l.Release(1 << 40)
 }
 
-func TestVFlag(t *testing.T) {
-	f := NewVFlag()
-	if f.IsSet() {
-		t.Error("new flag is set")
-	}
-	done := make(chan int64)
-	go func() { done <- f.Wait() }()
-	f.Set(123)
-	if got := <-done; got != 123 {
-		t.Errorf("Wait = %d, want 123", got)
-	}
-	// Second Set keeps the earliest time.
-	f.Set(99)
-	if got := f.Wait(); got != 123 {
-		t.Errorf("Wait after re-Set = %d, want 123", got)
-	}
-	f.Reset()
-	if f.IsSet() {
-		t.Error("Reset flag still set")
-	}
-	f.Set(7)
-	if got := f.Wait(); got != 7 {
-		t.Errorf("Wait after Reset+Set = %d, want 7", got)
-	}
-}
-
-func TestVFlagManyWaiters(t *testing.T) {
-	f := NewVFlag()
-	const n = 20
-	out := make(chan int64, n)
-	for i := 0; i < n; i++ {
-		go func() { out <- f.Wait() }()
-	}
-	f.Set(55)
-	for i := 0; i < n; i++ {
-		if got := <-out; got != 55 {
-			t.Fatalf("waiter got %d, want 55", got)
-		}
-	}
-}
-
 func TestClockProperties(t *testing.T) {
 	f := func(steps []int16) bool {
 		var c Clock
