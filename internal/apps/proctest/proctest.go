@@ -104,7 +104,7 @@ func litmus(name string, pageWords int, build func(procs int) *Prog) Case {
 var Litmus = []Case{
 	StoreLoad, CrossNode, FalseSharing, RepeatedPhases, Migratory, LockCounters,
 	ProducerConsumer, FlagChain, RotatingWriter, PageSizes,
-	DisjointWriters, RandomDRF, RandomDRFFlags,
+	DisjointWriters, RandomDRF, RandomDRFFlags, Bands, RandomDRFInit,
 }
 
 // StoreLoad has each processor store words and a float of its own and
@@ -305,12 +305,121 @@ var PageSizes = Case{"PageSizes", func(t *testing.T, e Engine, nodes, ppn int) {
 	}
 }}
 
+// Bands is the placement program: processor 0 initializes every page
+// inside the init epoch, and then, interval after interval, each
+// processor rewrites half the words of its own band of pages, alternating
+// parity, and reads the other half of its neighbours' edge pages, which
+// they wrote in the interval before. Every band page has one writer from
+// the first interval on. Two more pages do not: processor 0 and the last
+// processor both write the shared page in the first interval, and
+// processor 0 first writes the late page in the fourth interval, which
+// everyone reads after it.
+var Bands = litmus("Bands", pw, func(procs int) *Prog {
+	const band, intervals = 2, 8 // pages per processor; intervals after EndInit
+	shared, late := procs*band*pw, (procs*band+1)*pw
+	a := &Prog{Space: apps.Shape{SharedWords: late + pw}}
+	initial := func(addr int) int64 { return int64(-addr - 1) }
+	written := func(i, addr int) int64 { return int64(1000*i + addr) }
+	// bandWord is band word addr as interval i leaves it: the value of
+	// the last interval up to i whose parity it has, or its initial one.
+	bandWord := func(i, addr int) int64 {
+		if i%2 != addr%2 {
+			i--
+		}
+		if i < 1 {
+			return initial(addr)
+		}
+		return written(i, addr)
+	}
+	a.Code = func(p apps.Proc) {
+		me := p.ID()
+		p.BeginInit()
+		if me == 0 {
+			for addr := 0; addr < late+pw; addr++ {
+				p.Store(addr, initial(addr))
+			}
+		}
+		p.EndInit()
+		for i := 1; i <= intervals; i++ {
+			for addr := me * band * pw; addr < (me+1)*band*pw; addr++ {
+				if addr%2 == i%2 {
+					p.Store(addr, written(i, addr))
+				}
+			}
+			if i == 1 && me == 0 {
+				p.Store(shared, 1)
+			}
+			if i == 1 && me == procs-1 {
+				p.Store(shared+1, 2)
+			}
+			if i == 4 && me == 0 {
+				for addr := late; addr < late+pw; addr++ {
+					p.Store(addr, written(i, addr))
+				}
+			}
+			// The neighbours' edge pages, at the parity written last
+			// interval.
+			for _, q := range []int{me - 1, me + 1} {
+				if q < 0 || q >= procs {
+					continue
+				}
+				edge := q * band * pw
+				if q < me {
+					edge += (band - 1) * pw
+				}
+				for addr := edge + (i-1)%2; addr < edge+pw; addr += 2 {
+					a.want(p.Load(addr), bandWord(i-1, addr), "interval %d: proc %d reads [%d]", i, me, addr)
+				}
+			}
+			if i > 1 {
+				a.want(p.Load(shared), 1, "interval %d: proc %d reads shared word 0", i, me)
+				a.want(p.Load(shared+1), 2, "interval %d: proc %d reads shared word 1", i, me)
+			}
+			if i > 4 {
+				for addr := late; addr < late+pw; addr++ {
+					a.want(p.Load(addr), written(4, addr), "interval %d: proc %d reads late [%d]", i, me, addr)
+				}
+			}
+			p.Barrier()
+		}
+	}
+	a.Check = func(m apps.Memory) error {
+		for addr := 0; addr < late+pw; addr++ {
+			want := bandWord(intervals, addr)
+			switch {
+			case addr == shared:
+				want = 1
+			case addr == shared+1:
+				want = 2
+			case addr >= late:
+				want = written(4, addr)
+			case addr > shared:
+				want = initial(addr)
+			}
+			if got := m.ReadShared(addr); got != want {
+				return fmt.Errorf("final memory [%d] = %d, want %d", addr, got, want)
+			}
+		}
+		return nil
+	}
+	return a
+})
+
 // RandomDRF runs three seeded random programs: rounds of writes in which
 // every word has at most one writer, then reads checked against a
 // sequential model, barriers between the two. The programs are
 // data-race-free by construction and still produce arbitrary page-level
 // multi-writer false sharing.
 var RandomDRF = randomDRF("RandomDRF", false)
+
+// RandomDRFInit is RandomDRF with every word's initial value written by
+// processor 0 inside the init epoch, so the rounds are the first writes
+// after EndInit.
+var RandomDRFInit = Case{"RandomDRFInit", func(t *testing.T, e Engine, nodes, ppn int) {
+	for seed := int64(1); seed <= 3 && !t.Failed(); seed++ {
+		run(t, e, nodes, ppn, pw, drf(seed, nodes*ppn, false, true))
+	}
+}}
 
 // RandomDRFFlags is RandomDRF with flags for barriers: each processor
 // sets its writes-done flag, waits for those of just the processors
@@ -323,13 +432,15 @@ var RandomDRFFlags = randomDRF("RandomDRFFlags", true)
 func randomDRF(name string, flags bool) Case {
 	return Case{name, func(t *testing.T, e Engine, nodes, ppn int) {
 		for seed := int64(1); seed <= 3 && !t.Failed(); seed++ {
-			run(t, e, nodes, ppn, pw, drf(seed, nodes*ppn, flags))
+			run(t, e, nodes, ppn, pw, drf(seed, nodes*ppn, flags, false))
 		}
 	}}
 }
 
-// drf builds random program seed for procs processors over 24 pages.
-func drf(seed int64, procs int, flags bool) *Prog {
+// drf builds random program seed for procs processors over 24 pages,
+// with every word's initial value written in the init epoch if init is
+// set, and zero otherwise.
+func drf(seed int64, procs int, flags, init bool) *Prog {
 	const words, rounds, writes, reads = pw * 24, 6, 40, 60
 	// The script and its sequential model are built up front, so every
 	// processor agrees on them.
@@ -339,6 +450,12 @@ func drf(seed int64, procs int, flags bool) *Prog {
 	checks := make([][]op, rounds) // reads per round
 	expected := make([][]int64, rounds)
 	model := make([]int64, words)
+	initial := func(addr int) int64 { return int64(-addr - 1) }
+	if init {
+		for addr := range model {
+			model[addr] = initial(addr)
+		}
+	}
 	// need[r][c*procs+w]: processor c reads a word w writes in round r.
 	need := make([][]bool, rounds)
 	for r := 0; r < rounds; r++ {
@@ -373,6 +490,15 @@ func drf(seed int64, procs int, flags bool) *Prog {
 	}
 	a.Code = func(p apps.Proc) {
 		me := p.ID()
+		if init {
+			p.BeginInit()
+			if me == 0 {
+				for addr := 0; addr < words; addr++ {
+					p.Store(addr, initial(addr))
+				}
+			}
+			p.EndInit()
+		}
 		// phase ends phase k of the program: a barrier, or flag k set
 		// here and awaited from the processors wait picks.
 		phase := func(k int, wait func(j int) bool) {

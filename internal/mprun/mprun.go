@@ -5,7 +5,7 @@
 // frames of transport/wire. Where the simulator engine (internal/core)
 // models the paper's protocols against a virtual clock, mprun executes
 // a real home-based software-coherence protocol with actual
-// concurrency: pages live on statically-assigned homes whose own
+// concurrency: pages live on homes placed by first touch, whose own
 // processors work on the master copy in place, other writers twin a
 // page at its first store and flush run-encoded diffs against the twin
 // at release operations (internal/diff, paper Sections 2.2 and 2.5),
@@ -14,7 +14,8 @@
 //
 // # Protocol
 //
-// Page p is homed on rank p % nodes, and the home holds its master copy.
+// Each page has one home, which holds its master copy ("Page
+// placement" says which rank that is).
 //
 // On the home, the node's view of the page is the master copy itself,
 // valid from the start: its processors load and store it in place, with
@@ -116,6 +117,37 @@
 // so the handler sends each TPageReply before it releases the node
 // mutex, and the flush sends under the same mutex.
 //
+// # Page placement
+//
+// Page p starts out homed on rank p % nodes. Every rank keeps the home
+// table, and it changes only at barriers: a page moves to the rank that
+// first writes it after initialization, the paper's first-touch rule
+// (Section 2.3) counting writes only, since only writes cost diffs.
+//
+// Placement opens on a node when its processors leave EndInit. From then
+// on the write fault records each page the node writes and has not
+// reported before, and the node's last local arrival at a barrier
+// reports them to rank 0 in its TBarArrive, each with whether the node
+// still holds a valid copy. Once every processor has arrived, rank 0
+// places every reported page, and moves it if exactly one node wrote it,
+// that node holds a valid copy, and it is not the home already. A placed
+// page is not reported or moved again. A page nobody writes after
+// EndInit keeps its first home, and a program that never calls EndInit
+// keeps them all.
+//
+// No page data travels. At the decision every release fence of the
+// interval has completed, so every diff and notice has been
+// acknowledged, no fetch is in flight and no twin exists: the writer's
+// valid copy equals the master. The TBarRelease lists the moves, and
+// each rank applies them in its handler before it wakes its processors.
+// The new home adopts its copy as the master, with an empty sharer set;
+// every other rank, the old home among them, invalidates its copy and
+// bumps its epoch. A release that moved pages is followed by one
+// internal barrier before any processor returns: a rank's release and
+// another rank's request travel on different channels, and the internal
+// barrier is what keeps a request for a moved page from reaching a rank
+// that has not applied the move.
+//
 // # Frame memory
 //
 // The runtime builds no buffer per frame and leaves the Messenger none
@@ -185,15 +217,19 @@
 // being stored plainly is a data race in the application.
 //
 // Frames off the wire index those slices, so the handler range-checks
-// page numbers, flag ids, diff runs, give-up marks and reply lengths,
-// refuses a reply or notice for a page it homes, an acknowledgement it
-// does not await and a slice the frame's type does not define, and
-// panics with the offending rank and frame rather than faulting.
+// page numbers, flag ids, diff runs, give-up marks, reply lengths and a
+// barrier frame's pages, marks and ranks, refuses a reply or notice for
+// a page it homes, an acknowledgement it does not await, a coordinator
+// frame at or from a rank other than 0, a lock grant for a processor it
+// does not host, a release of a lock nobody holds and a slice the
+// frame's type does not define, and panics with the offending rank and
+// frame rather than faulting.
 //
 // # Synchronization
 //
 // Rank 0 coordinates locks (FIFO grant queues per lock id) and
-// barriers (count arrivals per generation, broadcast the release).
+// barriers (count arrivals per generation, decide page moves, broadcast
+// the release).
 // Flags are broadcast by the setter after its flush. Messages from one
 // rank are delivered in order; the handler runs single-threaded per
 // node (the Messenger contract), so protocol state needs no locking
@@ -206,8 +242,9 @@
 // events on internal/trace rings: fault and page-fetch spans, diff
 // flushes, the notices a home processor's flush sends, the
 // release-fence wait (EvFlushFence), and lock, flag, and barrier waits
-// on each processor goroutine's ring, plus incoming diffs and the write
-// notices they cause on the frame handler's ring (index PPN). Every
+// on each processor goroutine's ring, plus incoming diffs, the write
+// notices they cause and the home moves a barrier release applies
+// (EvHomeMigrate) on the frame handler's ring (index PPN). Every
 // write fault is recorded — an instant when nothing had to be fetched,
 // as on the page's home — so a trace names each processor that stored
 // to a page; a load that hits, like every load of a master copy,
@@ -409,6 +446,23 @@ type node struct {
 	// cache and home are indexed by page number.
 	cache []cpage
 	home  []hpage
+	// homes is the home table: homes[p] is the rank page p is homed on,
+	// p % nodes until first-touch placement moves it. Only the handler
+	// writes it, under mu, when it applies a barrier release's moves.
+	homes []int
+	// place is page placement's state of each page on this node, and
+	// wrote the pages recorded in the current interval. placing opens
+	// recording when the node's processors leave EndInit; barHere counts
+	// the local arrivals at the barrier in progress; relMoved says the
+	// latest barrier release moved pages, so an internal barrier follows.
+	place    []placeState
+	wrote    []int
+	placing  bool
+	barHere  int
+	relMoved bool
+	// reportPages and reportValid are the last local arrival's Pages
+	// and Offs.
+	reportPages, reportValid []int32
 	// twins holds released twins for reuse; the handler borrows one for
 	// the snapshot a page reply carries.
 	twins [][]int64
@@ -439,7 +493,35 @@ type node struct {
 	lockHeld map[int64]bool
 	lockQ    map[int64][]waiter
 	arrivals map[int64]int
+	// placed marks the pages whose placement is decided. writer is each
+	// page's reporter in the barrier in progress (noWriter, a rank, or
+	// manyWriters) and writerValid whether that reporter holds a valid
+	// copy; reported lists the pages with a writer. movePages and
+	// moveHomes are the release's Pages and Offs. All of it is the
+	// handler's alone.
+	placed               []bool
+	writer               []int
+	writerValid          []bool
+	reported             []int
+	movePages, moveHomes []int32
 }
+
+// placeState is one node's progress in placing a page: unplaced until
+// the node first writes it after EndInit, recorded until the barrier
+// that ends that interval reports it to rank 0, reported from then on.
+type placeState uint8
+
+const (
+	unplaced placeState = iota
+	recorded
+	reported
+)
+
+// The coordinator's writer marks besides a rank.
+const (
+	noWriter    = -1
+	manyWriters = -2
+)
 
 // newNode builds rank cfg.Rank's share of a shared space of the given
 // shape: the master copies of the pages it homes, which its processors
@@ -474,14 +556,29 @@ func newNode(cfg Config, m transport.Messenger, shape apps.Shape) *node {
 	n.cond = sync.NewCond(&n.mu)
 	n.cache = make([]cpage, n.nPages)
 	n.home = make([]hpage, n.nPages)
+	n.homes = make([]int, n.nPages)
+	n.place = make([]placeState, n.nPages)
+	for p := range n.homes {
+		n.homes[p] = p % cfg.Nodes
+	}
 	for p := cfg.Rank; p < n.nPages; p += cfg.Nodes {
 		n.home[p] = hpage{data: make([]int64, pageWords), sharers: make([]bool, cfg.Nodes)}
 		n.cache[p] = cpage{data: n.home[p].data, valid: true}
 	}
+	if cfg.Rank == 0 {
+		n.placed = make([]bool, n.nPages)
+		n.writer = make([]int, n.nPages)
+		n.writerValid = make([]bool, n.nPages)
+		for p := range n.writer {
+			n.writer[p] = noWriter
+		}
+	}
 	return n
 }
 
-func (n *node) homeOf(page int) int { return page % n.cfg.Nodes }
+// homeOf returns page's home rank. Processors call it with mu held; the
+// handler, which alone writes the table, also without.
+func (n *node) homeOf(page int) int { return n.homes[page] }
 
 // split returns addr's page number and in-page offset.
 func (n *node) split(addr int) (page, off int) {
@@ -542,11 +639,41 @@ func (n *node) send(to int, f wire.Frame) {
 // and panics naming both: with a dense table an unchecked page number
 // off the wire would index memory.
 func (n *node) homed(from int, f wire.Frame) *hpage {
-	if f.A < 0 || f.A >= int64(n.nPages) || n.homeOf(int(f.A)) != n.cfg.Rank {
-		panic(fmt.Sprintf("mprun: rank %d asked for page %d, homed on rank %d (%v frame from rank %d, %d pages)",
-			n.cfg.Rank, f.A, f.A%int64(n.cfg.Nodes), f.Type, from, n.nPages))
+	where := "outside the space"
+	if f.A >= 0 && f.A < int64(n.nPages) {
+		if n.homeOf(int(f.A)) == n.cfg.Rank {
+			return &n.home[f.A]
+		}
+		where = fmt.Sprintf("homed on rank %d", n.homeOf(int(f.A)))
 	}
-	return &n.home[f.A]
+	panic(fmt.Sprintf("mprun: rank %d asked for page %d, %s (%v frame from rank %d, %d pages)",
+		n.cfg.Rank, f.A, where, f.Type, from, n.nPages))
+}
+
+// viaRank0 panics unless r — the rank that receives f, or the one that
+// sent it — is rank 0, the one coordinator of locks and barriers.
+func (n *node) viaRank0(from int, f wire.Frame, r int) {
+	if r != 0 {
+		panic(fmt.Sprintf("mprun: rank %d received a %v frame from rank %d, but only rank 0 coordinates",
+			n.cfg.Rank, f.Type, from))
+	}
+}
+
+// checkPlacement panics unless f's page list and its per-page entries
+// pair up, every page is in the space, and every entry lies in [0, top):
+// a validity mark in an arrival, a rank in a release, which moves no
+// page to the home it already has.
+func (n *node) checkPlacement(from int, f wire.Frame, top int) {
+	ok := len(f.Pages) == len(f.Offs)
+	for i := 0; ok && i < len(f.Pages); i++ {
+		pg, v := f.Pages[i], f.Offs[i]
+		ok = pg >= 0 && int(pg) < n.nPages && v >= 0 && int(v) < top &&
+			(f.Type != wire.TBarRelease || int(v) != n.homeOf(int(pg)))
+	}
+	if !ok {
+		panic(fmt.Sprintf("mprun: rank %d received a malformed %v frame from rank %d: pages %v, entries %v (%d pages, entries below %d)",
+			n.cfg.Rank, f.Type, from, f.Pages, f.Offs, n.nPages, top))
+	}
 }
 
 // cached returns this node's copy of the page f names, panicking on a
@@ -588,12 +715,13 @@ func (n *node) checkDiff(from int, f wire.Frame) {
 // is done with them by then.
 func (n *node) handle(from int, f wire.Frame) {
 	// A frame's slices belong to its type: a diff defines Offs and
-	// Words, a page reply Words, nothing else any. One this protocol
-	// would drop on the floor — a batched notice's extra Pages, say —
-	// is refused, not ignored.
-	hasOffs := f.Type == wire.TDiff
-	hasWords := hasOffs || f.Type == wire.TPageReply
-	if len(f.Pages) != 0 || len(f.Offs) != 0 && !hasOffs || len(f.Words) != 0 && !hasWords {
+	// Words, a page reply Words, a barrier arrival or release Pages and
+	// Offs, nothing else any. One this protocol would drop on the floor
+	// — a batched notice's extra Pages, say — is refused, not ignored.
+	hasPages := f.Type == wire.TBarArrive || f.Type == wire.TBarRelease
+	hasOffs := hasPages || f.Type == wire.TDiff
+	hasWords := f.Type == wire.TDiff || f.Type == wire.TPageReply
+	if len(f.Pages) != 0 && !hasPages || len(f.Offs) != 0 && !hasOffs || len(f.Words) != 0 && !hasWords {
 		panic(fmt.Sprintf("mprun: rank %d received a %v frame from rank %d carrying %d pages, %d offsets and %d words, which the type does not define",
 			n.cfg.Rank, f.Type, from, len(f.Pages), len(f.Offs), len(f.Words)))
 	}
@@ -731,6 +859,11 @@ func (n *node) handle(from int, f wire.Frame) {
 		n.cond.Broadcast()
 
 	case wire.TBarArrive:
+		n.viaRank0(from, f, n.cfg.Rank)
+		n.checkPlacement(from, f, 2)
+		for i, pg := range f.Pages {
+			n.noteWriter(int(pg), from, f.Offs[i] == 1)
+		}
 		n.mu.Lock()
 		n.arrivals[f.A]++
 		release := n.arrivals[f.A] == n.cfg.Nodes*n.cfg.PPN
@@ -739,20 +872,28 @@ func (n *node) handle(from int, f wire.Frame) {
 		}
 		n.mu.Unlock()
 		if release {
+			// The decision's scratch is the handler's alone, and Send is
+			// done with it before the next arrival can be handled.
+			n.decide()
 			for r := 0; r < n.cfg.Nodes; r++ {
-				n.send(r, wire.Frame{Type: wire.TBarRelease, A: f.A})
+				n.send(r, wire.Frame{Type: wire.TBarRelease, A: f.A, Pages: n.movePages, Offs: n.moveHomes})
 			}
 		}
 
 	case wire.TBarRelease:
+		n.viaRank0(from, f, from)
+		n.checkPlacement(from, f, n.cfg.Nodes)
 		n.mu.Lock()
+		n.rehome(f.Pages, f.Offs)
 		if f.A > n.barRel {
 			n.barRel = f.A
+			n.relMoved = len(f.Pages) > 0
 		}
 		n.mu.Unlock()
 		n.cond.Broadcast()
 
 	case wire.TLockReq:
+		n.viaRank0(from, f, n.cfg.Rank)
 		n.mu.Lock()
 		var grant bool
 		if !n.lockHeld[f.A] {
@@ -767,13 +908,24 @@ func (n *node) handle(from int, f wire.Frame) {
 		}
 
 	case wire.TLockGrant:
+		n.viaRank0(from, f, from)
+		if lo := int64(n.cfg.Rank * n.cfg.PPN); f.B < lo || f.B >= lo+int64(n.cfg.PPN) {
+			panic(fmt.Sprintf("mprun: rank %d received a grant of lock %d for processor %d, which it does not host",
+				n.cfg.Rank, f.A, f.B))
+		}
 		n.mu.Lock()
 		n.granted[f.B] = true
 		n.mu.Unlock()
 		n.cond.Broadcast()
 
 	case wire.TLockRelease:
+		n.viaRank0(from, f, n.cfg.Rank)
 		n.mu.Lock()
+		if !n.lockHeld[f.A] {
+			n.mu.Unlock()
+			panic(fmt.Sprintf("mprun: rank %d received a release of lock %d from rank %d, which is not held",
+				n.cfg.Rank, f.A, from))
+		}
 		var next waiter
 		var grant bool
 		if q := n.lockQ[f.A]; len(q) > 0 {
@@ -805,6 +957,77 @@ func (n *node) handle(from int, f wire.Frame) {
 
 	default:
 		panic(fmt.Sprintf("mprun: rank %d received unexpected %v frame", n.cfg.Rank, f.Type))
+	}
+}
+
+// noteWriter records, on the coordinator, that rank from wrote page in
+// the interval the barrier in progress ends, and whether it holds a
+// valid copy. A page already placed is not reconsidered.
+func (n *node) noteWriter(page, from int, valid bool) {
+	switch w := n.writer[page]; {
+	case n.placed[page] || w == from:
+	case w == noWriter:
+		n.writer[page], n.writerValid[page] = from, valid
+		n.reported = append(n.reported, page)
+	default:
+		n.writer[page] = manyWriters
+	}
+}
+
+// decide places every page reported at the barrier in progress, once
+// all processors have arrived, and lists the ones that move in
+// n.movePages, in page order, with their new homes in n.moveHomes. A
+// page moves to its one writer if that rank still holds a valid copy and
+// is not its home already. By now every release fence of the interval
+// has completed, so that copy equals the master, and no frame about the
+// page is in flight.
+func (n *node) decide() {
+	slices.Sort(n.reported)
+	n.movePages, n.moveHomes = n.movePages[:0], n.moveHomes[:0]
+	for _, pg := range n.reported {
+		n.placed[pg] = true
+		if w := n.writer[pg]; w >= 0 && n.writerValid[pg] && w != n.homeOf(pg) {
+			n.movePages = append(n.movePages, int32(pg))
+			n.moveHomes = append(n.moveHomes, int32(w))
+		}
+		n.writer[pg] = noWriter
+	}
+	n.reported = n.reported[:0]
+}
+
+// rehome applies a barrier release's moves, page pages[i] to rank
+// homes[i], before any processor leaves the barrier. The new home
+// adopts its valid copy as the master, with no sharers; every other rank
+// drops its copy — the old home's master among them — and bumps the
+// epoch. No page data travels. Called with n.mu held, from the handler.
+func (n *node) rehome(pages, homes []int32) {
+	dropped := false
+	for i, pg32 := range pages {
+		pg, to := int(pg32), int(homes[i])
+		cp, hp := &n.cache[pg], &n.home[pg]
+		if cp.twin != nil || cp.writers != 0 || cp.reqID != 0 || hp.unacked != 0 {
+			panic(fmt.Sprintf("mprun: rank %d: page %d moves to rank %d while it has a twin (%v), %d writers, request %#x and %d notices out",
+				n.cfg.Rank, pg, to, cp.twin != nil, cp.writers, cp.reqID, hp.unacked))
+		}
+		from := n.homeOf(pg)
+		switch {
+		case to == n.cfg.Rank:
+			if !cp.valid {
+				panic(fmt.Sprintf("mprun: rank %d: page %d moves here from rank %d, but this rank holds no valid copy",
+					n.cfg.Rank, pg, from))
+			}
+			*hp = hpage{data: cp.data, sharers: make([]bool, n.cfg.Nodes)}
+			cp.noticed, cp.gaveUp, cp.keep = false, false, false
+		case cp.valid:
+			*hp = hpage{}
+			cp.valid = false
+			dropped = true
+		}
+		n.homes[pg] = to
+		n.emit(n.cfg.PPN, trace.EvHomeMigrate, pg, int64(from), int64(to))
+	}
+	if dropped {
+		n.epoch.Add(1)
 	}
 }
 
@@ -967,6 +1190,10 @@ func (p *proc) writableLocked(page int) *tlbEntry {
 				cp.twin = n.takeTwin(cp.data)
 			}
 			cp.writers++
+		}
+		if n.placing && n.place[page] == unplaced {
+			n.place[page] = recorded
+			n.wrote = append(n.wrote, page)
 		}
 	}
 	return p.fillLocked(page)
@@ -1221,25 +1448,61 @@ func (p *proc) WaitFlag(i int) {
 	n.span(p.local, trace.EvFlagWait, -1, t0, int64(i), 0)
 }
 
-// Barrier flushes and waits for every processor in the cluster.
+// Barrier flushes and waits for every processor in the cluster. A
+// release that moved pages is followed by an internal barrier: every
+// rank has applied the moves before any processor leaves, so no frame
+// about a moved page can reach a rank that does not know its new home.
 func (p *proc) Barrier() {
 	n := p.n
 	t0 := n.wallNow()
 	p.flush()
+	if p.arrive() {
+		p.arrive()
+	}
+	n.span(p.local, trace.EvBarrier, -1, t0, p.barGen, 0)
+}
+
+// arrive announces the processor at the next barrier generation, waits
+// for its release and reports whether the release moved pages. The
+// node's last local arrival carries the pages the node first wrote in
+// the interval, and whether its copy of each is valid; it sends them
+// under mu, from the report scratch, which no one touches again before
+// the release. Every processor has flushed by then, so the copies are
+// as the barrier leaves them.
+func (p *proc) arrive() (moved bool) {
+	n := p.n
 	p.barGen++
-	n.send(0, wire.Frame{Type: wire.TBarArrive, A: p.barGen, B: int64(p.gpid)})
+	f := wire.Frame{Type: wire.TBarArrive, A: p.barGen, B: int64(p.gpid)}
 	n.mu.Lock()
+	if n.barHere++; n.barHere == n.cfg.PPN {
+		n.barHere = 0
+		n.reportPages, n.reportValid = n.reportPages[:0], n.reportValid[:0]
+		for _, pg := range n.wrote {
+			n.place[pg] = reported
+			valid := int32(0)
+			if n.cache[pg].valid {
+				valid = 1
+			}
+			n.reportPages = append(n.reportPages, int32(pg))
+			n.reportValid = append(n.reportValid, valid)
+		}
+		n.wrote = n.wrote[:0]
+		f.Pages, f.Offs = n.reportPages, n.reportValid
+	}
+	n.send(0, f)
 	for n.barRel < p.barGen {
 		n.cond.Wait()
 	}
+	moved = n.relMoved
 	n.mu.Unlock()
-	n.span(p.local, trace.EvBarrier, -1, t0, p.barGen, 0)
+	return moved
 }
 
 // BeginInit and EndInit bracket the initialization epoch with the same
 // barrier pairs the simulator engine uses, which is what makes proc
 // 0's initialization writes visible everywhere before the body starts.
-// There is no virtual clock to pause here.
+// There is no virtual clock to pause here. Leaving EndInit opens page
+// placement on the node.
 func (p *proc) BeginInit() {
 	p.Barrier()
 	p.Barrier()
@@ -1248,6 +1511,9 @@ func (p *proc) BeginInit() {
 func (p *proc) EndInit() {
 	p.Barrier()
 	p.Barrier()
+	p.n.mu.Lock()
+	p.n.placing = true
+	p.n.mu.Unlock()
 }
 
 // Warmup runs f inside the engine's barrier bracket; with no virtual

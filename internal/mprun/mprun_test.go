@@ -1,8 +1,11 @@
 package mprun
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -95,6 +98,34 @@ var meshShapes = [][2]int{{1, 2}, {2, 1}, {2, 2}, {3, 2}, {4, 1}}
 // data-race-free programs at every mesh shape.
 func TestProcSuite(t *testing.T) { onMesh(t, proctest.Litmus, meshShapes...) }
 
+// TestBandsPlacement runs the suite's Bands program traced at 2x2 and
+// reads the moves off rank 0's handler ring. Processors 0 and 1 own pages
+// 0-3, processors 2 and 3 pages 4-7, so the band pages homed on the other
+// rank (1, 3, 4, 6) move to their owners' rank at the first barrier;
+// page 8, which ranks 0 and 1 both write then, stays; and page 9, first
+// written by processor 0 three intervals later, moves to rank 0 then.
+func TestBandsPlacement(t *testing.T) {
+	var ranks []trace.RankTrack
+	proctest.Bands.Run(t, func(t *testing.T, mk func() apps.App, nodes, ppn, pageWords int) error {
+		ranks, _ = tracedMesh(t, mk, nodes, ppn, pageWords)
+		return nil
+	}, 2, 2)
+	moved, at := map[int32]int64{}, map[int32]int64{}
+	for _, e := range ranks[0].Events {
+		if e.Kind == trace.EvHomeMigrate {
+			moved[e.Page], at[e.Page] = e.Arg2, e.VT
+		}
+	}
+	if want := map[int32]int64{1: 0, 3: 0, 4: 1, 6: 1, 9: 0}; !maps.Equal(moved, want) {
+		t.Fatalf("pages moved to %v, want %v", moved, want)
+	}
+	for _, pg := range []int32{1, 3, 4, 6} {
+		if at[pg] >= at[9] {
+			t.Errorf("band page %d moved after the late page", pg)
+		}
+	}
+}
+
 // TestFullSuiteMatrix runs the suite's eight small applications at every
 // mesh shape but 2x1, which TestFullSuiteTwoNodes runs: the shape of the
 // repository benchmark's mp_* workloads.
@@ -147,19 +178,33 @@ func tracedMesh(t *testing.T, app func() apps.App, nodes, ppn, pageWords int) ([
 
 // TestTracedRunStructure runs SOR on a traced, frame-counted 2x2 mesh
 // and checks the observability layer end to end: per-processor fault
-// and synchronization spans, handler-ring diff events, flush fences,
-// and transport counters whose request/reply totals must agree with
-// the correlated latency histograms. Pages are one grid row each, so
-// both ranks home some rows of their band and fetch the others: every
-// rank faults, but only ever on a page homed elsewhere.
+// and synchronization spans, handler-ring diff and home-migrate events,
+// flush fences, and transport counters whose request/reply totals must
+// agree with the correlated latency histograms. Pages are one grid row
+// each. Processor 0 initializes the grid, so it fetches and diffs the
+// rows rank 1 homes; in Warmup each rank fetches the rows of its band
+// homed on the other, and at its end those rows move to the rank that
+// writes them. Every rank faults, but only ever on a page homed
+// elsewhere at the time, which each rank's home-migrate events say.
 func TestTracedRunStructure(t *testing.T) {
 	const nodes, ppn = 2, 2
 	ranks, stats := tracedMesh(t, func() apps.App { return apps.SmallSOR() }, nodes, ppn, 64)
 
+	var moves [nodes]int
 	for r := 0; r < nodes; r++ {
-		evs := ranks[r].Events
+		evs := slices.Clone(ranks[r].Events)
 		if len(evs) == 0 {
 			t.Fatalf("rank %d recorded no events", r)
+		}
+		// The rings in one order, so that each event sees the home table
+		// the moves before it left.
+		slices.SortStableFunc(evs, func(a, b trace.Event) int { return cmp.Compare(a.VT, b.VT) })
+		homes := map[int32]int64{}
+		homeOf := func(pg int32) int64 {
+			if h, ok := homes[pg]; ok {
+				return h
+			}
+			return int64(pg) % nodes
 		}
 		kindsByRing := map[int]map[trace.Kind]int{}
 		for _, e := range evs {
@@ -171,7 +216,14 @@ func TestTracedRunStructure(t *testing.T) {
 				kindsByRing[ring] = map[trace.Kind]int{}
 			}
 			kindsByRing[ring][e.Kind]++
-			homed := int(e.Page)%nodes == r
+			if e.Kind == trace.EvHomeMigrate {
+				if e.Arg != homeOf(e.Page) || e.Arg2 == e.Arg || e.Arg2 < 0 || e.Arg2 >= nodes {
+					t.Errorf("rank %d moved page %d from rank %d to rank %d; its home was rank %d", r, e.Page, e.Arg, e.Arg2, homeOf(e.Page))
+				}
+				homes[e.Page] = e.Arg2
+				moves[r]++
+			}
+			homed := homeOf(e.Page) == int64(r)
 			switch e.Kind {
 			case trace.EvBarrier, trace.EvFlushFence, trace.EvReadFault, trace.EvPageFetch:
 				if e.Dur <= 0 {
@@ -209,14 +261,14 @@ func TestTracedRunStructure(t *testing.T) {
 		if faults == 0 || fetches == 0 || fences == 0 {
 			t.Errorf("rank %d: faults=%d fetches=%d fences=%d, want all nonzero", r, faults, fetches, fences)
 		}
-		// Both ranks home rows the other writes, and only handler kinds
-		// live on the handler ring.
-		if kindsByRing[ppn][trace.EvDiffIn] == 0 {
+		// Rank 1 homes rows processor 0 initializes, and only handler
+		// kinds live on the handler ring.
+		if r == 1 && kindsByRing[ppn][trace.EvDiffIn] == 0 {
 			t.Errorf("rank %d: no diff-in events on the handler ring", r)
 		}
 		for k := range kindsByRing[ppn] {
 			switch k {
-			case trace.EvDiffIn, trace.EvNoticeSend, trace.EvNoticeApply:
+			case trace.EvDiffIn, trace.EvNoticeSend, trace.EvNoticeApply, trace.EvHomeMigrate:
 			default:
 				t.Errorf("rank %d: unexpected %v on the handler ring", r, k)
 			}
@@ -254,6 +306,10 @@ func TestTracedRunStructure(t *testing.T) {
 		if self := selfFlows(r, snap); len(self) > 0 {
 			t.Errorf("rank %d moved pages it homes through the mesh: %+v", r, self)
 		}
+	}
+	// Every rank applies every move, and each band has rows to move.
+	if moves[0] == 0 || moves[0] != moves[1] {
+		t.Errorf("ranks applied %v moves, want the same nonzero number", moves)
 	}
 }
 
@@ -462,12 +518,19 @@ func (tp *tap) Send(to int, f wire.Frame) error {
 // want.
 func (tp *tap) next(t *testing.T, want wire.Type) wire.Frame {
 	t.Helper()
+	_, f := tp.nextTo(t, want)
+	return f
+}
+
+// nextTo is next that also returns the rank the frame went to.
+func (tp *tap) nextTo(t *testing.T, want wire.Type) (int, wire.Frame) {
+	t.Helper()
 	select {
 	case s := <-tp.sent:
 		if s.f.Type != want {
-			t.Fatalf("node sent a %v frame, want %v", s.f.Type, want)
+			t.Fatalf("node sent a %v frame to rank %d, want %v", s.f.Type, s.to, want)
 		}
-		return s.f
+		return s.to, s.f
 	case <-time.After(10 * time.Second):
 		t.Fatalf("node sent nothing, want a %v frame", want)
 	}
@@ -490,11 +553,14 @@ func tapNode() (*node, *tap) { return tapCluster(2) }
 
 // tapCluster is tapNode among the given number of ranks, with one page
 // homed on each.
-func tapCluster(ranks int) (*node, *tap) {
+func tapCluster(ranks int) (*node, *tap) { return tapAt(0, ranks) }
+
+// tapAt is tapCluster with the node under test at the given rank.
+func tapAt(rank, ranks int) (*node, *tap) {
 	// Send runs under the node mutex and must not block; the scripted
 	// tests never leave more than a few frames unread.
-	tp := &tap{self: 0, peers: ranks, sent: make(chan tapped, 16)}
-	cfg := Config{Rank: 0, Nodes: ranks, PPN: 2, Model: costs.Default()}
+	tp := &tap{self: rank, peers: ranks, sent: make(chan tapped, 16)}
+	cfg := Config{Rank: rank, Nodes: ranks, PPN: 2, Model: costs.Default()}
 	return newNode(cfg, tp, apps.Shape{SharedWords: ranks * apps.PageWords}), tp
 }
 
@@ -1191,65 +1257,94 @@ func TestMalformedFramesPanicAttributed(t *testing.T) {
 		name string
 		f    wire.Frame
 		want string
+		at   int // the node's rank; the frame comes from the other one
 	}{
 		{"page request beyond the space", wire.Frame{Type: wire.TPageReq, A: 99},
-			"rank 0 asked for page 99, homed on rank 1 (page-req frame from rank 1, 2 pages)"},
+			"rank 0 asked for page 99, outside the space (page-req frame from rank 1, 2 pages)", 0},
 		{"page request for a negative page", wire.Frame{Type: wire.TPageReq, A: -2},
-			"rank 0 asked for page -2, homed on rank 0"},
+			"rank 0 asked for page -2, outside the space", 0},
 		{"page request to the wrong home", wire.Frame{Type: wire.TPageReq, A: remotePage},
-			"rank 0 asked for page 1, homed on rank 1"},
+			"rank 0 asked for page 1, homed on rank 1", 0},
 		{"diff to the wrong home", wire.Frame{Type: wire.TDiff, A: remotePage, Offs: []int32{0, 1}, Words: []int64{1}},
-			"rank 0 asked for page 1, homed on rank 1 (diff frame from rank 1"},
+			"rank 0 asked for page 1, homed on rank 1 (diff frame from rank 1", 0},
 		{"diff beyond the space", wire.Frame{Type: wire.TDiff, A: 4, Offs: []int32{0, 1}, Words: []int64{1}},
-			"rank 0 asked for page 4, homed on rank 0"},
+			"rank 0 asked for page 4, outside the space", 0},
 		{"diff run past the page end", wire.Frame{Type: wire.TDiff, A: 0, Offs: []int32{pw - 1, 2}, Words: []int64{1, 2}},
-			"malformed diff of page 0 from rank 1"},
+			"malformed diff of page 0 from rank 1", 0},
 		{"diff run at a negative offset", wire.Frame{Type: wire.TDiff, A: 0, Offs: []int32{-1, 1}, Words: []int64{1}},
-			"malformed diff of page 0 from rank 1"},
+			"malformed diff of page 0 from rank 1", 0},
 		{"diff runs short of the payload", wire.Frame{Type: wire.TDiff, A: 0, Offs: []int32{0, 1}, Words: []int64{1, 2}},
-			"malformed diff of page 0 from rank 1"},
+			"malformed diff of page 0 from rank 1", 0},
 		{"diff runs beyond the payload", wire.Frame{Type: wire.TDiff, A: 0, Offs: []int32{0, 2, 8, 2}, Words: []int64{1, 2, 3}},
-			"malformed diff of page 0 from rank 1"},
+			"malformed diff of page 0 from rank 1", 0},
 		{"diff runs that overlap", wire.Frame{Type: wire.TDiff, A: 0, Offs: []int32{0, 2, 1, 2}, Words: []int64{1, 2, 3, 4}},
-			"malformed diff of page 0 from rank 1: runs [0 2 1 2] over 4 words"},
+			"malformed diff of page 0 from rank 1: runs [0 2 1 2] over 4 words", 0},
 		{"diff runs that go backwards", wire.Frame{Type: wire.TDiff, A: 0, Offs: []int32{8, 2, 0, 2}, Words: []int64{1, 2, 3, 4}},
-			"malformed diff of page 0 from rank 1: runs [8 2 0 2] over 4 words"},
+			"malformed diff of page 0 from rank 1: runs [8 2 0 2] over 4 words", 0},
 		{"diff with half a run", wire.Frame{Type: wire.TDiff, A: 0, Offs: []int32{0, 1, 2}, Words: []int64{1}},
-			"malformed diff of page 0 from rank 1"},
+			"malformed diff of page 0 from rank 1", 0},
 		{"diff with a give-up mark outside {0,1}", wire.Frame{Type: wire.TDiff, A: 0, C: 2, Offs: []int32{0, 1}, Words: []int64{1}},
-			"malformed diff of page 0 from rank 1: runs [0 1] over 1 words of a 1024-word page, give-up mark 2"},
+			"malformed diff of page 0 from rank 1: runs [0 1] over 1 words of a 1024-word page, give-up mark 2", 0},
 		{"diff with a negative give-up mark", wire.Frame{Type: wire.TDiff, A: 0, C: -1, Offs: []int32{0, 1}, Words: []int64{1}},
-			"malformed diff of page 0 from rank 1"},
+			"malformed diff of page 0 from rank 1", 0},
 		{"page reply beyond the space", wire.Frame{Type: wire.TPageReply, A: 2, Words: make([]int64, pw)},
-			"received a page-reply frame from rank 1 for page 2 of 2"},
+			"received a page-reply frame from rank 1 for page 2 of 2", 0},
 		{"short page reply", wire.Frame{Type: wire.TPageReply, A: remotePage, Words: make([]int64, 3)},
-			"received a 3-word reply for page 1 from rank 1, want 1024 words"},
+			"received a 3-word reply for page 1 from rank 1, want 1024 words", 0},
 		{"page reply for a page homed here", wire.Frame{Type: wire.TPageReply, A: 0, Words: make([]int64, pw)},
-			"received a page-reply frame from rank 1 for page 0, which it homes"},
+			"received a page-reply frame from rank 1 for page 0, which it homes", 0},
 		{"write notice for a page homed here", wire.Frame{Type: wire.TWriteNotice, A: 0},
-			"received a write-notice frame from rank 1 for page 0, which it homes"},
+			"received a write-notice frame from rank 1 for page 0, which it homes", 0},
 		{"notice ack to the wrong home", wire.Frame{Type: wire.TNoticeAck, A: remotePage, B: 5},
-			"rank 0 asked for page 1, homed on rank 1 (notice-ack frame from rank 1"},
+			"rank 0 asked for page 1, homed on rank 1 (notice-ack frame from rank 1", 0},
 		{"write notice beyond the space", wire.Frame{Type: wire.TWriteNotice, A: -1},
-			"received a write-notice frame from rank 1 for page -1 of 2"},
+			"received a write-notice frame from rank 1 for page -1 of 2", 0},
 		{"notice ack nobody waits for", wire.Frame{Type: wire.TNoticeAck, A: 0, B: 5},
-			"received a notice ack from rank 1 for page 0, token 0x5, which awaits none"},
+			"received a notice ack from rank 1 for page 0, token 0x5, which awaits none", 0},
 		{"flush ack nobody waits for", wire.Frame{Type: wire.TFlushAck, A: remotePage, B: 5},
-			"rank 0 received a flush ack from rank 1 for page 1, token 0x5, but awaits none"},
+			"rank 0 received a flush ack from rank 1 for page 1, token 0x5, but awaits none", 0},
 		{"flag beyond the application's", wire.Frame{Type: wire.TFlagSet, A: 1 << 20},
-			"rank 0 received a flag-set frame from rank 1 for flag 1048576 of "},
+			"rank 0 received a flag-set frame from rank 1 for flag 1048576 of ", 0},
 		{"write notice batching pages", wire.Frame{Type: wire.TWriteNotice, A: remotePage, Pages: []int32{3, 5}},
-			"rank 0 received a write-notice frame from rank 1 carrying 2 pages, 0 offsets and 0 words, which the type does not define"},
+			"rank 0 received a write-notice frame from rank 1 carrying 2 pages, 0 offsets and 0 words, which the type does not define", 0},
+		{"barrier arrival away from rank 0", wire.Frame{Type: wire.TBarArrive, A: 1, B: 0},
+			"rank 1 received a bar-arrive frame from rank 0, but only rank 0 coordinates", 1},
+		{"lock request away from rank 0", wire.Frame{Type: wire.TLockReq, A: 0, B: 0},
+			"rank 1 received a lock-req frame from rank 0, but only rank 0 coordinates", 1},
+		{"lock release away from rank 0", wire.Frame{Type: wire.TLockRelease, A: 0, B: 0},
+			"rank 1 received a lock-release frame from rank 0, but only rank 0 coordinates", 1},
+		{"barrier release not from rank 0", wire.Frame{Type: wire.TBarRelease, A: 1},
+			"rank 0 received a bar-release frame from rank 1, but only rank 0 coordinates", 0},
+		{"lock grant not from rank 0", wire.Frame{Type: wire.TLockGrant, A: 0, B: 0},
+			"rank 0 received a lock-grant frame from rank 1, but only rank 0 coordinates", 0},
+		{"lock grant for a processor hosted elsewhere", wire.Frame{Type: wire.TLockGrant, A: 4, B: 1},
+			"rank 1 received a grant of lock 4 for processor 1, which it does not host", 1},
+		{"release of a lock nobody holds", wire.Frame{Type: wire.TLockRelease, A: 3, B: 2},
+			"rank 0 received a release of lock 3 from rank 1, which is not held", 0},
+		{"arrival reporting a page beyond the space", wire.Frame{Type: wire.TBarArrive, A: 1, B: 2, Pages: []int32{2}, Offs: []int32{1}},
+			"rank 0 received a malformed bar-arrive frame from rank 1: pages [2], entries [1] (2 pages, entries below 2)", 0},
+		{"arrival with a validity mark outside {0,1}", wire.Frame{Type: wire.TBarArrive, A: 1, B: 2, Pages: []int32{1}, Offs: []int32{2}},
+			"rank 0 received a malformed bar-arrive frame from rank 1: pages [1], entries [2]", 0},
+		{"arrival with more pages than marks", wire.Frame{Type: wire.TBarArrive, A: 1, B: 2, Pages: []int32{0, 1}, Offs: []int32{1}},
+			"rank 0 received a malformed bar-arrive frame from rank 1: pages [0 1], entries [1]", 0},
+		{"release moving a page to a rank outside the mesh", wire.Frame{Type: wire.TBarRelease, A: 1, Pages: []int32{0}, Offs: []int32{2}},
+			"rank 1 received a malformed bar-release frame from rank 0: pages [0], entries [2] (2 pages, entries below 2)", 1},
+		{"release moving a page to its own home", wire.Frame{Type: wire.TBarRelease, A: 1, Pages: []int32{1}, Offs: []int32{1}},
+			"rank 1 received a malformed bar-release frame from rank 0: pages [1], entries [1]", 1},
+		{"release moving a page beyond the space", wire.Frame{Type: wire.TBarRelease, A: 1, Pages: []int32{-1}, Offs: []int32{1}},
+			"rank 1 received a malformed bar-release frame from rank 0: pages [-1]", 1},
+		{"release carrying words", wire.Frame{Type: wire.TBarRelease, A: 1, Pages: []int32{0}, Offs: []int32{1}, Words: []int64{7}},
+			"rank 1 received a bar-release frame from rank 0 carrying 1 pages, 1 offsets and 1 words, which the type does not define", 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			n, _ := tapNode()
+			n, _ := tapAt(tc.at, 2)
 			defer func() {
 				msg, ok := recover().(string)
 				if !ok || !strings.HasPrefix(msg, "mprun: ") || !strings.Contains(msg, tc.want) {
 					t.Errorf("handle(%+v) panicked with %q, want an mprun message containing %q", tc.f.Type, msg, tc.want)
 				}
 			}()
-			n.handle(1, tc.f)
+			n.handle(1-tc.at, tc.f)
 			t.Errorf("handle accepted the frame")
 		})
 	}
@@ -1276,7 +1371,9 @@ func TestMergedRunProfile(t *testing.T) {
 		switch {
 		case e.Proc == -1:
 			handler++
-			if e.Kind != trace.EvDiffIn && e.Kind != trace.EvNoticeSend && e.Kind != trace.EvNoticeApply {
+			switch e.Kind {
+			case trace.EvDiffIn, trace.EvNoticeSend, trace.EvNoticeApply, trace.EvHomeMigrate:
+			default:
 				t.Fatalf("%v on node %d's handler track", e.Kind, e.Node)
 			}
 		case e.Proc < 0 || int(e.Proc) >= nodes*ppn || int(e.Proc)/ppn != int(e.Node):
@@ -1343,4 +1440,222 @@ func TestMergedRunProfile(t *testing.T) {
 	if !seen[0] || !seen[1] {
 		t.Errorf("page %d's timeline has lines of ranks %v, want both:\n%s", shared, seen, buf.String())
 	}
+}
+
+// tapBarrier plays one barrier of tapNode's cluster, with the node under
+// test as coordinator: both of its processors in procs arrive, rank 1's
+// two processors arrive, the second reporting the pages and validity
+// marks in report, and the node releases the barrier. A release that
+// moves pages holds the processors for an internal barrier, played the
+// same way with nothing to report. Every frame the node sends meanwhile
+// must be an arrival or a release: no page data moves. It returns the
+// node's own last local arrival and the release it broadcast.
+func tapBarrier(t *testing.T, n *node, tp *tap, procs [2]*proc, report wire.Frame) (arrival, release wire.Frame) {
+	t.Helper()
+	done := make(chan struct{}, 2)
+	for _, p := range procs {
+		go func() { p.Barrier(); done <- struct{}{} }()
+	}
+	round := func(report wire.Frame) (arrival, release wire.Frame) {
+		t.Helper()
+		for range procs {
+			to, f := tp.nextTo(t, wire.TBarArrive)
+			if to != 0 {
+				t.Fatalf("arrival sent to rank %d", to)
+			}
+			n.handle(0, f)
+			arrival = f // the last local arrival
+		}
+		n.handle(1, wire.Frame{Type: wire.TBarArrive, A: arrival.A, B: 2})
+		report.Type, report.A, report.B = wire.TBarArrive, arrival.A, 3
+		n.handle(1, report)
+		for r := range 2 {
+			to, f := tp.nextTo(t, wire.TBarRelease)
+			if to != r || r == 1 && !wire.Equal(f, release) {
+				t.Fatalf("release %+v to rank %d, want one release to each rank", f, to)
+			}
+			release = f
+		}
+		n.handle(0, release)
+		return arrival, release
+	}
+	arrival, release = round(report)
+	if len(release.Pages) > 0 {
+		select {
+		case <-done:
+			t.Fatal("a processor left a barrier that moved pages before the internal barrier")
+		case <-time.After(20 * time.Millisecond):
+		}
+		if _, internal := round(wire.Frame{}); len(internal.Pages) > 0 {
+			t.Fatalf("the internal barrier moved pages: %+v", internal)
+		}
+	}
+	<-done
+	<-done
+	tp.quiet(t, "after the barrier")
+	return arrival, release
+}
+
+// placing opens page placement on n, as leaving EndInit does.
+func placing(n *node) {
+	n.mu.Lock()
+	n.placing = true
+	n.mu.Unlock()
+}
+
+// TestPlacementMovesSoleWriter: a page written after EndInit by one rank
+// only, which holds a valid copy and is not its home, moves there at the
+// barrier, and no page data travels. Here the node under test is first
+// the old home of page 0 — its master becomes an invalid copy, and its
+// next load fetches from the new home — and then the new home of page 1,
+// whose valid copy becomes the master with no sharers: the node's own
+// release sends nothing, and it serves rank 1's request.
+func TestPlacementMovesSoleWriter(t *testing.T) {
+	n, tp := tapNode()
+	procs := [2]*proc{n.newProc(0), n.newProc(1)}
+	procs[0].Store(homePage*apps.PageWords+1, 10)
+	if len(n.wrote) != 0 {
+		t.Fatalf("a store before EndInit was recorded: %v", n.wrote)
+	}
+	tapBarrier(t, n, tp, procs, wire.Frame{})
+	placing(n)
+
+	// Rank 1 alone wrote page 0, and holds a valid copy.
+	_, rel := tapBarrier(t, n, tp, procs, wire.Frame{Pages: []int32{homePage}, Offs: []int32{1}})
+	if want := (wire.Frame{Type: wire.TBarRelease, A: rel.A, Pages: []int32{homePage}, Offs: []int32{1}}); !wire.Equal(rel, want) {
+		t.Fatalf("release %+v, want %+v", rel, want)
+	}
+	if n.homeOf(homePage) != 1 || n.home[homePage].data != nil || n.validLocked(homePage) {
+		t.Fatal("the old home kept its master copy")
+	}
+	loaded := make(chan int64)
+	go func() { loaded <- procs[1].Load(homePage*apps.PageWords + 1) }()
+	to, req := tp.nextTo(t, wire.TPageReq)
+	if to != 1 {
+		t.Fatalf("the old home asked rank %d for the page, want its new home, rank 1", to)
+	}
+	n.handle(1, reply(req, map[int]int64{1: 11}))
+	if got := <-loaded; got != 11 {
+		t.Errorf("load after the move = %d, want the new home's 11", got)
+	}
+
+	// The node alone wrote page 1, homed on rank 1, and kept its copy.
+	base := remotePage * apps.PageWords
+	fetchRemote(t, n, tp, map[int]int64{9: 90})
+	procs[0].Store(base+3, 30)
+	flushRemote(t, procs[0], tp)
+	arr, rel := tapBarrier(t, n, tp, procs, wire.Frame{})
+	if want := (wire.Frame{Type: wire.TBarArrive, A: arr.A, B: arr.B, Pages: []int32{remotePage}, Offs: []int32{1}}); !wire.Equal(arr, want) {
+		t.Fatalf("last local arrival %+v, want %+v", arr, want)
+	}
+	if len(rel.Pages) != 1 || rel.Pages[0] != remotePage || rel.Offs[0] != 0 {
+		t.Fatalf("release %+v, want page 1 moved to rank 0", rel)
+	}
+	if hp := &n.home[remotePage]; n.homeOf(remotePage) != 0 || &hp.data[0] != &n.cache[remotePage].data[0] || slices.Contains(hp.sharers, true) {
+		t.Fatal("the new home did not adopt its copy as the master with no sharers")
+	}
+	for off, want := range map[int]int64{3: 30, 9: 90} {
+		if got := procs[1].Load(base + off); got != want {
+			t.Errorf("word %d = %d on the new home, want %d", off, got, want)
+		}
+	}
+	procs[0].Store(base+3, 31)
+	procs[0].flush() // would block on the fence if it had sent a notice
+	tp.quiet(t, "the new home's release with no sharers")
+	n.handle(1, wire.Frame{Type: wire.TPageReq, A: remotePage, C: 1<<32 | 9})
+	if r := tp.next(t, wire.TPageReply); r.Words[3] != 31 || r.Words[9] != 90 {
+		t.Errorf("the new home's reply carries words 3, 9 = %d, %d, want 31, 90", r.Words[3], r.Words[9])
+	}
+}
+
+// TestPlacementKeepsSharedAndHomeWritten: a page written by two ranks in
+// its first interval after EndInit, or by its home alone, is placed and
+// stays. Placed, it stays for good: a later sole writer moves nothing,
+// and the node reports no page twice.
+func TestPlacementKeepsSharedAndHomeWritten(t *testing.T) {
+	n, tp := tapNode()
+	procs := [2]*proc{n.newProc(0), n.newProc(1)}
+	placing(n)
+	fetchRemote(t, n, tp, nil)
+	procs[0].Store(homePage*apps.PageWords, 1)
+	procs[1].Store(remotePage*apps.PageWords, 2)
+	flushRemote(t, procs[1], tp)
+	arr, rel := tapBarrier(t, n, tp, procs, wire.Frame{Pages: []int32{remotePage}, Offs: []int32{1}})
+	if !slices.Equal(arr.Pages, []int32{homePage, remotePage}) || !slices.Equal(arr.Offs, []int32{1, 1}) {
+		t.Fatalf("last local arrival reports pages %v, marks %v, want both pages, valid", arr.Pages, arr.Offs)
+	}
+	if len(rel.Pages) != 0 {
+		t.Fatalf("release moved pages %v written by two ranks or by their home", rel.Pages)
+	}
+
+	procs[0].Store(homePage*apps.PageWords, 3)
+	procs[0].flush()
+	arr, rel = tapBarrier(t, n, tp, procs, wire.Frame{Pages: []int32{homePage}, Offs: []int32{1}})
+	if len(arr.Pages) != 0 || len(rel.Pages) != 0 {
+		t.Errorf("placed pages were reported (%v) or moved (%v)", arr.Pages, rel.Pages)
+	}
+	if n.homeOf(homePage) != 0 || n.homeOf(remotePage) != 1 {
+		t.Error("a placed page moved")
+	}
+}
+
+// TestPlacementKeepsGivenUpCopy: the page's only writer gave its copy up
+// in its diff (TDiff.C=1), so it reports no valid copy and the page
+// stays where it is.
+func TestPlacementKeepsGivenUpCopy(t *testing.T) {
+	n, tp := tapNode()
+	procs := [2]*proc{n.newProc(0), n.newProc(1)}
+	placing(n)
+	fetchRemote(t, n, tp, nil)
+	procs[0].Store(remotePage*apps.PageWords+3, 30)
+	notice(t, n, tp)
+	loadRemote(t, n, tp, procs[0], 5, nil)
+	if d := flushRemote(t, procs[0], tp); d.C != 1 {
+		t.Fatalf("release sent %+v, want the give-up mark", d)
+	}
+	arr, rel := tapBarrier(t, n, tp, procs, wire.Frame{})
+	if !slices.Equal(arr.Pages, []int32{remotePage}) || !slices.Equal(arr.Offs, []int32{0}) {
+		t.Fatalf("last local arrival reports pages %v, marks %v, want page 1 without a valid copy", arr.Pages, arr.Offs)
+	}
+	if len(rel.Pages) != 0 || n.homeOf(remotePage) != 1 {
+		t.Errorf("a page whose writer gave its copy up moved: %+v", rel)
+	}
+}
+
+// TestPlacementLaterInterval: a page nobody writes in the first
+// intervals after EndInit keeps its home through their barriers, and
+// moves at the barrier ending the interval it is first written in.
+func TestPlacementLaterInterval(t *testing.T) {
+	n, tp := tapNode()
+	procs := [2]*proc{n.newProc(0), n.newProc(1)}
+	placing(n)
+	for range 2 {
+		if _, rel := tapBarrier(t, n, tp, procs, wire.Frame{}); len(rel.Pages) != 0 {
+			t.Fatalf("a barrier with no writes moved pages %v", rel.Pages)
+		}
+	}
+	if _, rel := tapBarrier(t, n, tp, procs, wire.Frame{Pages: []int32{homePage}, Offs: []int32{1}}); len(rel.Pages) != 1 || n.homeOf(homePage) != 1 {
+		t.Fatalf("release %+v, want page 0 moved to rank 1", rel)
+	}
+}
+
+// TestMoveRefusesPageInUse: a release that moves a page this node still
+// has a twin of — a store no release has flushed — is a protocol error,
+// and the handler says which page.
+func TestMoveRefusesPageInUse(t *testing.T) {
+	n, tp := tapAt(1, 2)
+	p := n.newProc(0)
+	addr := 0 // page 0, homed on rank 0
+	stored := make(chan struct{})
+	go func() { p.Store(addr, 5); close(stored) }()
+	n.handle(0, reply(tp.next(t, wire.TPageReq), nil))
+	<-stored
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "mprun: rank 1: page 0 moves to rank 1 while it has a twin (true), 1 writers") {
+			t.Errorf("handler panicked with %q, want a message naming the page and its twin", msg)
+		}
+	}()
+	n.handle(0, wire.Frame{Type: wire.TBarRelease, A: 1, Pages: []int32{0}, Offs: []int32{1}})
+	t.Error("handler moved a page with a twin")
 }

@@ -21,9 +21,10 @@
 //	i64  words[nWords]
 //
 // all little-endian. The scalar fields carry page numbers, lock ids,
-// barrier generations, and ack tokens; the three arrays carry write
-// notice page lists, diff run headers (paired start/count offsets),
-// and bulk word payloads. A frame whose declared lengths disagree
+// barrier generations, and ack tokens; the three arrays carry page
+// lists (a barrier's placement reports and moves), diff run headers
+// (paired start/count offsets) or one entry per listed page, and bulk
+// word payloads. A frame whose declared lengths disagree
 // with its payload length is rejected, as is any frame longer than
 // MaxFrameBytes — a stream decoder can never be driven into an
 // unbounded allocation by a corrupt or hostile peer.
@@ -61,7 +62,7 @@ const Magic = 0x4d485343
 
 // Version is the current wire-format version. Bump on any change to
 // the frame layout or to the meaning of an existing frame type.
-const Version = 1
+const Version = 2
 
 // MaxFrameBytes bounds a single frame's payload. The largest
 // legitimate frame is a full-page reply (8 Kbyte page = 1024 words)
@@ -72,7 +73,9 @@ const MaxFrameBytes = 1 << 22
 // Type identifies a frame's meaning.
 type Type uint8
 
-// The frame types of wire-format version 1.
+// The frame types of wire-format version 2. Version 2 gave TBarArrive
+// and TBarRelease their page lists; the layout and the other types are
+// version 1's.
 const (
 	// THello opens a connection: A=Magic, B=Version, C=sender rank.
 	THello Type = iota + 1
@@ -83,9 +86,9 @@ const (
 	// Words=the runs' values concatenated.
 	TDiff
 	// TWriteNotice invalidates: A=page, B=ack token (echoed in
-	// TNoticeAck). Pages is empty in version 1, and the receiver
-	// refuses a notice that carries any; batching notices into one
-	// frame belongs to a version 2 of the format.
+	// TNoticeAck). Pages is empty, and the receiver refuses a notice
+	// that carries any; batching notices into one frame belongs to a
+	// later version of the format.
 	TWriteNotice
 	// TNoticeAck acknowledges a write notice: A=page, B=token.
 	TNoticeAck
@@ -101,9 +104,15 @@ const (
 	// been invalidated: A=page, B=token.
 	TFlushAck
 	// TBarArrive announces barrier arrival to the coordinator:
-	// A=generation, B=arriving global processor id.
+	// A=generation, B=arriving global processor id. The node's last
+	// local arrival also reports its first-touch writes: Pages=the
+	// pages the node wrote since the last barrier and never reported
+	// before, Offs=one entry per page, 1 if the node still holds a
+	// valid copy of it, 0 if not. Other arrivals carry neither.
 	TBarArrive
-	// TBarRelease releases a barrier generation: A=generation.
+	// TBarRelease releases a barrier generation: A=generation,
+	// Pages=the pages whose home moves at this barrier, Offs=one entry
+	// per page, its new home's rank. Both are empty when nothing moves.
 	TBarRelease
 	// TLockReq requests an application lock: A=lock id, B=requesting
 	// global processor id.

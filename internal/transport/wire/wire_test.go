@@ -29,7 +29,9 @@ func goldenFrames() []Frame {
 		{Type: TPageReply, A: 44, Words: []int64{-1, 0, 1, 1 << 62}},
 		{Type: TFlushAck, A: 17, B: 9001},
 		{Type: TBarArrive, A: 2, B: 7},
+		{Type: TBarArrive, A: 3, B: 7, Pages: []int32{4, 9}, Offs: []int32{1, 0}},
 		{Type: TBarRelease, A: 2},
+		{Type: TBarRelease, A: 3, Pages: []int32{4}, Offs: []int32{1}},
 		{Type: TLockReq, A: 1, B: 6},
 		{Type: TLockGrant, A: 1, B: 6},
 		{Type: TLockRelease, A: 1, B: 6},
@@ -40,7 +42,7 @@ func goldenFrames() []Frame {
 }
 
 // TestGoldenFixtures pins the exact encoded bytes of every frame shape
-// against testdata/frames_v1.hex. A diff means the wire layout changed:
+// against testdata/frames_v<Version>.hex. A diff means the wire layout changed:
 // either revert, or bump Version and regenerate with -update.
 func TestGoldenFixtures(t *testing.T) {
 	var b strings.Builder
@@ -134,6 +136,7 @@ func TestCheckHello(t *testing.T) {
 		{"not hello", Frame{Type: TDiff, A: Magic, B: Version}, "expected hello"},
 		{"bad magic", Frame{Type: THello, A: 0x12345678, B: Version}, "bad magic"},
 		{"version ahead", Frame{Type: THello, A: Magic, B: Version + 1}, "version mismatch"},
+		{"v1 peer", Frame{Type: THello, A: Magic, B: 1}, "version mismatch: peer speaks v1, this build speaks v2"},
 		{"version zero", Frame{Type: THello, A: Magic, B: 0}, "version mismatch"},
 	}
 	for _, tc := range cases {
@@ -271,6 +274,10 @@ func FuzzRoundTrip(f *testing.F) {
 	f.Add(uint8(TDiff), int64(17), int64(9001), int64(0), []byte{0, 0, 0, 1}, 3)
 	f.Add(uint8(TPageReply), int64(44), int64(0), int64(0), []byte{}, 1024)
 	f.Add(uint8(TBye), int64(0), int64(0), int64(0), []byte{}, 0)
+	// A barrier arrival reporting pages 4 and 9, a valid copy of 4, and
+	// a release moving page 4 to rank 1: Pages and Offs interleave.
+	f.Add(uint8(TBarArrive), int64(3), int64(7), int64(0), []byte{4, 0, 0, 0, 1, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0}, 0)
+	f.Add(uint8(TBarRelease), int64(3), int64(0), int64(0), []byte{4, 0, 0, 0, 1, 0, 0, 0}, 0)
 	f.Fuzz(func(t *testing.T, ty uint8, a, bb, c int64, raw []byte, nWords int) {
 		if ty == 0 {
 			t.Skip("type 0 is reserved")
