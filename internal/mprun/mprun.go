@@ -24,7 +24,9 @@
 // that processor's dirty list; that is all its release needs to know.
 //
 // Elsewhere, a processor's first access to the page fetches a copy from
-// the home (TPageReq/TPageReply) and registers the node as a sharer.
+// the home (TPageReq/TPageReply; a refetch may carry only the words the
+// node's frame lacks, see "Delta replies") and registers the node as a
+// sharer.
 // A processor's first store to it since its last release is a write
 // fault: the page goes on the processor's dirty list and the processor
 // on the page's writer count, and the first processor on the count
@@ -153,16 +155,57 @@
 // The runtime builds no buffer per frame and leaves the Messenger none
 // to build: Send borrows a frame's slices until it returns and the
 // handler borrows them until it returns (the transport.Messenger
-// contract). A page reply's Words are a snapshot of the master copy,
-// taken word-atomically under the node mutex into a buffer borrowed from
-// the twin pool and returned to it when Send is back — home processors
-// store to the master without the mutex, so the copy itself cannot be
-// lent — and every diff of a release goes out from the node's one run
-// scratch, overwritten for the next page as soon as Send is back. Both
-// sends happen under the node mutex (replies for the ordering above).
-// What arrives is copied where it belongs before the handler returns — a
-// reply into the node's frame of the page, a diff's runs into the master
-// — and no slice of a received frame is kept.
+// contract). A full page reply's Words are a snapshot of the master
+// copy, taken word-atomically under the node mutex into a buffer
+// borrowed from the twin pool and returned to it when Send is back —
+// home processors store to the master without the mutex, so the copy
+// itself cannot be lent. A run reply, and every diff of a release, goes
+// out from the node's one run scratch, its words read word-atomically
+// from the frame, and the scratch is overwritten for the next page as
+// soon as Send is back. All these sends happen under the node mutex
+// (replies for the ordering above). What arrives is copied where it
+// belongs before the handler returns — a reply's page or runs into the
+// node's frame of the page, a diff's runs into the master — and no slice
+// of a received frame is kept.
+//
+// # Delta replies
+//
+// A reply need not carry the whole page: the home remembers, per page
+// and per rank, which words of the master that rank's retained frame may
+// lack, and a refetch carries only those, as runs (TPageReply.B = 1). It
+// changes what a reply carries, never who holds a valid copy or how many
+// frames a fetch costs.
+//
+// A rank's first fetch of a page is only recorded; its second starts
+// the rank's mask at the home (homeDelta.stale), which is never dropped
+// after. The marked words are all that may differ; a mask of every word
+// is unknown. Into every mask go the runs of each diff from another rank
+// (the flusher's own frame has its words) and the stores of the home's
+// own processors. A home processor's write
+// fault finds the page tracked if some rank's mask exists; its stores
+// then set bits in a bitmap of its own (homeDelta.stores) — one atomic
+// OR after each scalar store, a range per StoreFRow segment — which its
+// release folds into every mask. An untracked interval sets no bits, so
+// its release marks every word of every mask.
+//
+// A request asks for runs (TPageReq.B = 1) when the node holds a frame
+// of the page and has accepted every reply it was sent since its last
+// accepted one (cpage.synced): a reply the fetch-id rule drops — or a
+// request it disowns, whose reply will be dropped — leaves the frame
+// without words the home counted as delivered. The home answers with
+// runs when the request asks for them, the rank has a mask, no local
+// processor is in an untracked interval on the page, and the runs with
+// their (start, count) headers are smaller than the page — which an
+// unknown mask's never are. The runs cover the mask and the bitmaps of
+// the page's tracked local writers: a superset of what the frame lacks,
+// read from the master under the node mutex, and a store that lands
+// after its bit is read is in its processor's next release, which
+// notices the requester like any other sharer. Any other reply is the
+// whole page. Either way the rank's mask is left empty. The requester
+// merges runs as diff.Incoming merges a page, over the runs only: a word
+// it has modified locally (frame differs from twin) keeps its value, and
+// the twin takes every run word. A page's new home (see "Page
+// placement") starts with no masks.
 //
 // # Access path
 //
@@ -217,13 +260,14 @@
 // being stored plainly is a data race in the application.
 //
 // Frames off the wire index those slices, so the handler range-checks
-// page numbers, flag ids, diff runs, give-up marks, reply lengths and a
-// barrier frame's pages, marks and ranks, refuses a reply or notice for
-// a page it homes, an acknowledgement it does not await, a coordinator
-// frame at or from a rank other than 0, a lock grant for a processor it
-// does not host, a release of a lock nobody holds and a slice the
-// frame's type does not define, and panics with the offending rank and
-// frame rather than faulting.
+// page numbers, flag ids, diff and reply runs, give-up, delta and form
+// marks, reply lengths and a barrier frame's pages, marks and ranks,
+// refuses a reply or notice for a page it homes, a run reply for a page
+// it holds no frame of, an acknowledgement it does not await, a
+// coordinator frame at or from a rank other than 0, a lock grant for a
+// processor it does not host, a release of a lock nobody holds and a
+// slice the frame's type does not define, and panics with the offending
+// rank and frame rather than faulting.
 //
 // # Synchronization
 //
@@ -379,6 +423,13 @@ type cpage struct {
 	// there is none. Only the reply echoing it is accepted.
 	reqID int64
 	valid bool
+	// synced says the frame holds every word the home's last reply to
+	// this node carried, so the next request may ask for the words it
+	// lacks (TPageReq.B = 1). An accepted reply sets it; a dropped one,
+	// or a flush disowning the request in flight, clears it. got is the
+	// bytes the last accepted reply carried, for the fetch's trace span.
+	synced bool
+	got    int64
 
 	// The give-up rule's evidence, all of it what this node saw happen
 	// to this page. noticed: a write notice has invalidated a valid
@@ -390,12 +441,20 @@ type cpage struct {
 	noticed, gaveUp, keep bool
 }
 
-// hpage is the master copy at a page's home with its sharer set,
-// indexed by rank (the home's own entry stays false: it never fetches).
-// Both are nil for a page homed elsewhere.
+// hpage is the master copy at a page's home with its sharer set and
+// the ranks that have fetched it, both indexed by rank (the home's own
+// entries stay false: it never fetches). All are nil for a page homed
+// elsewhere.
 type hpage struct {
 	data    []int64
 	sharers []bool
+	// delta is the page's stale-word state ("Delta replies"), nil until
+	// some rank fetches the page a second time. untracked counts the
+	// local processors in an untracked dirty interval on the page: their
+	// write fault found no delta, so their stores set no bits. Both sit
+	// with data, which every write fault and release reads too.
+	delta     *homeDelta
+	untracked int
 	// unacked counts the write notices for this page that are out and
 	// not yet acknowledged; acks lists the releases — remote diffs and
 	// this node's own flushes — to complete when it reaches zero. A
@@ -404,6 +463,67 @@ type hpage struct {
 	// with respect to its writes too.
 	unacked int
 	acks    []flushAck
+	fetched []bool
+}
+
+// newHpage returns the home state of a page whose master copy is data.
+func newHpage(data []int64, nodes int) hpage {
+	marks := make([]bool, 2*nodes)
+	return hpage{data: data, sharers: marks[:nodes:nodes], fetched: marks[nodes:]}
+}
+
+// homeDelta is what a page's home knows about the words other ranks'
+// retained frames lack. stale[r] is rank r's mask, nil until r fetches
+// the page a second time and never dropped after: the master's words
+// that may differ from r's frame. A mask of every word is unknown: its
+// runs are never smaller than the page. stores[i] is local processor
+// i's store bitmap for the tracked dirty interval it is in, nil when it
+// is in none.
+type homeDelta struct {
+	stale  []wordMask
+	stores []wordMask
+}
+
+// wordMask has one bit per word of a page.
+type wordMask []uint64
+
+// set marks word off. Atomic: a processor sets bits of its store bitmap
+// without the node mutex while the handler reads them under it.
+func (m wordMask) set(off int) { atomic.OrUint64(&m[off>>6], 1<<(off&63)) }
+
+// setRange marks count words from start.
+func (m wordMask) setRange(start, count int) {
+	for end := start + count; start < end; {
+		k, lo := start>>6, start&63
+		hi := min(64, lo+end-start)
+		atomic.OrUint64(&m[k], (^uint64(0)>>(64-(hi-lo)))<<lo)
+		start += hi - lo
+	}
+}
+
+// nextRun returns the first run of marked words at or after from in a
+// page of size words, as [start, end); start is size when there is none.
+func (m wordMask) nextRun(from, size int) (start, end int) {
+	k := from >> 6
+	if k >= len(m) {
+		return size, size
+	}
+	w := m[k] &^ (1<<(from&63) - 1)
+	for w == 0 {
+		if k++; k == len(m) {
+			return size, size
+		}
+		w = m[k]
+	}
+	start = k<<6 + bits.TrailingZeros64(w)
+	w = ^m[k] &^ (1<<(start&63) - 1)
+	for w == 0 {
+		if k++; k == len(m) {
+			return start, size
+		}
+		w = ^m[k]
+	}
+	return start, min(k<<6+bits.TrailingZeros64(w), size)
 }
 
 // flushAck is one release waiting on a page's notices: the flushing
@@ -464,9 +584,16 @@ type node struct {
 	// and Offs.
 	reportPages, reportValid []int32
 	// twins holds released twins for reuse; the handler borrows one for
-	// the snapshot a page reply carries.
-	twins [][]int64
-	// runOffs and runWords are flush's scratch for one page's runs.
+	// the snapshot a full page reply carries. masks holds released store
+	// bitmaps, cleared, and union is the handler's scratch for the words
+	// one run reply carries; maskWords is a mask's length.
+	twins     [][]int64
+	masks     []wordMask
+	union     wordMask
+	maskWords int
+	// runOffs and runWords are the scratch for one page's runs: a
+	// flush's diff or the handler's run reply, both built and sent under
+	// mu.
 	runOffs  []int32
 	runWords []int64
 	// notify is the handler's scratch for one diff's notice targets.
@@ -553,6 +680,8 @@ func newNode(cfg Config, m transport.Messenger, shape apps.Shape) *node {
 		n.pageShift = bits.TrailingZeros(uint(pageWords))
 		n.pageMask = pageWords - 1
 	}
+	n.maskWords = (pageWords + 63) / 64
+	n.union = make(wordMask, n.maskWords)
 	n.cond = sync.NewCond(&n.mu)
 	n.cache = make([]cpage, n.nPages)
 	n.home = make([]hpage, n.nPages)
@@ -562,7 +691,7 @@ func newNode(cfg Config, m transport.Messenger, shape apps.Shape) *node {
 		n.homes[p] = p % cfg.Nodes
 	}
 	for p := cfg.Rank; p < n.nPages; p += cfg.Nodes {
-		n.home[p] = hpage{data: make([]int64, pageWords), sharers: make([]bool, cfg.Nodes)}
+		n.home[p] = newHpage(make([]int64, pageWords), cfg.Nodes)
 		n.cache[p] = cpage{data: n.home[p].data, valid: true}
 	}
 	if cfg.Rank == 0 {
@@ -691,21 +820,115 @@ func (n *node) cached(from int, f wire.Frame) *cpage {
 	return &n.cache[f.A]
 }
 
-// checkDiff panics unless f's (start, count) pairs stay inside a page,
-// each begin at or past the end of the one before, and together cover
-// exactly f.Words, and its give-up mark is 0 or 1.
-func (n *node) checkDiff(from int, f wire.Frame) {
-	total, end, ok := 0, 0, len(f.Offs)%2 == 0 && (f.C == 0 || f.C == 1)
-	for i := 0; ok && i < len(f.Offs); i += 2 {
-		start, count := int(f.Offs[i]), int(f.Offs[i+1])
+// runsFit reports whether offs's (start, count) pairs stay inside a
+// page, each begin at or past the end of the one before, and together
+// cover exactly words words.
+func (n *node) runsFit(offs []int32, words int) bool {
+	total, end, ok := 0, 0, len(offs)%2 == 0
+	for i := 0; ok && i < len(offs); i += 2 {
+		start, count := int(offs[i]), int(offs[i+1])
 		ok = start >= end && count > 0 && start+count <= n.pageWords
 		end = start + count
 		total += count
 	}
-	if !ok || total != len(f.Words) {
+	return ok && total == words
+}
+
+// checkDiff panics unless f's runs fit a page (runsFit) and its give-up
+// mark is 0 or 1.
+func (n *node) checkDiff(from int, f wire.Frame) {
+	if !n.runsFit(f.Offs, len(f.Words)) || f.C != 0 && f.C != 1 {
 		panic(fmt.Sprintf("mprun: rank %d received a malformed diff of page %d from rank %d: runs %v over %d words of a %d-word page, give-up mark %d",
 			n.cfg.Rank, f.A, from, f.Offs, len(f.Words), n.pageWords, f.C))
 	}
+}
+
+// mergeRuns is diff.Incoming restricted to a run reply's words: a word
+// the node has modified locally (working differs from twin) keeps its
+// local value, and the twin takes every run word. A word outside the
+// runs is one the home knows the frame already holds.
+func mergeRuns(working, twin []int64, offs []int32, words []int64) {
+	for i := 0; i < len(offs); i += 2 {
+		start, count := int(offs[i]), int(offs[i+1])
+		for j, v := range words[:count] {
+			if t := twin[start+j]; v != t {
+				if atomic.LoadInt64(&working[start+j]) == t {
+					atomic.StoreInt64(&working[start+j], v)
+				}
+				twin[start+j] = v
+			}
+		}
+		words = words[count:]
+	}
+}
+
+// serve answers rank from's request f for page hp, under n.mu. The
+// first fetch by a rank is only recorded and the second starts its
+// mask; both are answered with the whole page. From then on the reply
+// carries only the words the mask and the page's tracked local writers
+// mark, as runs, when the request says the frame is in step, no local
+// processor is in an untracked dirty interval on the page, and the runs
+// with their headers are smaller than the page. A full reply is a
+// snapshot, taken word-atomically into a borrowed twin (home processors
+// store to the master without mu, and Send reads its frame plainly); a
+// run reply goes out from the run scratch. Either echoes the
+// requester's correlation id and leaves its mask empty.
+func (n *node) serve(from int, f wire.Frame, hp *hpage) {
+	d := hp.delta
+	switch {
+	case d != nil && d.stale[from] != nil:
+		m := d.stale[from]
+		runs := f.B == 1 && hp.untracked == 0 && n.staleRuns(hp, m)
+		clear(m)
+		if runs {
+			n.send(from, wire.Frame{Type: wire.TPageReply, A: f.A, B: 1, C: f.C, Offs: n.runOffs, Words: n.runWords})
+			return
+		}
+	case !hp.fetched[from]:
+		hp.fetched[from] = true
+	default:
+		if d == nil {
+			d = &homeDelta{stale: make([]wordMask, n.cfg.Nodes), stores: make([]wordMask, n.cfg.PPN)}
+			hp.delta = d
+		}
+		d.stale[from] = make(wordMask, n.maskWords)
+	}
+	snap := n.takeTwin(hp.data)
+	n.send(from, wire.Frame{Type: wire.TPageReply, A: f.A, C: f.C, Words: snap})
+	n.twins = append(n.twins, snap)
+}
+
+// staleRuns gathers into the run scratch the master's words that mask m
+// or the bitmap of a local processor in a tracked interval marks, unless
+// the runs with their (start, count) headers would be no smaller than
+// the page, and reports whether it did. A store that lands after its
+// bit is read here is covered by its processor's flush, which marks the
+// word in m and notices the requester.
+func (n *node) staleRuns(hp *hpage, m wordMask) bool {
+	u := n.union
+	copy(u, m)
+	for _, s := range hp.delta.stores {
+		for k := range s {
+			u[k] |= atomic.LoadUint64(&s[k])
+		}
+	}
+	words, runs, carry := 0, 0, uint64(0)
+	for _, w := range u {
+		words += bits.OnesCount64(w)
+		runs += bits.OnesCount64(w &^ (w<<1 | carry)) // a run starts where the word before is unmarked
+		carry = w >> 63
+	}
+	if words+runs >= n.pageWords {
+		return false
+	}
+	n.runOffs, n.runWords = n.runOffs[:0], n.runWords[:0]
+	for start, end := u.nextRun(0, n.pageWords); start < n.pageWords; start, end = u.nextRun(end, n.pageWords) {
+		n.runOffs = append(n.runOffs, int32(start), int32(end-start))
+		for i := start; i < end; i++ {
+			n.runWords = append(n.runWords, atomic.LoadInt64(&hp.data[i]))
+		}
+	}
+	return true
 }
 
 // handle processes one incoming frame. The Messenger delivers frames
@@ -714,12 +937,13 @@ func (n *node) checkDiff(from int, f wire.Frame) {
 // slices are the Messenger's again once handle returns, and every case
 // is done with them by then.
 func (n *node) handle(from int, f wire.Frame) {
-	// A frame's slices belong to its type: a diff defines Offs and
-	// Words, a page reply Words, a barrier arrival or release Pages and
-	// Offs, nothing else any. One this protocol would drop on the floor
-	// — a batched notice's extra Pages, say — is refused, not ignored.
+	// A frame's slices belong to its type: a diff and a run reply define
+	// Offs and Words, a full page reply Words, a barrier arrival or
+	// release Pages and Offs, nothing else any. One this protocol would
+	// drop on the floor — a batched notice's extra Pages, say — is
+	// refused, not ignored.
 	hasPages := f.Type == wire.TBarArrive || f.Type == wire.TBarRelease
-	hasOffs := hasPages || f.Type == wire.TDiff
+	hasOffs := hasPages || f.Type == wire.TDiff || f.Type == wire.TPageReply && f.B == 1
 	hasWords := f.Type == wire.TDiff || f.Type == wire.TPageReply
 	if len(f.Pages) != 0 && !hasPages || len(f.Offs) != 0 && !hasOffs || len(f.Words) != 0 && !hasWords {
 		panic(fmt.Sprintf("mprun: rank %d received a %v frame from rank %d carrying %d pages, %d offsets and %d words, which the type does not define",
@@ -728,31 +952,44 @@ func (n *node) handle(from int, f wire.Frame) {
 	switch f.Type {
 	case wire.TPageReq:
 		hp := n.homed(from, f)
+		if f.B != 0 && f.B != 1 {
+			panic(fmt.Sprintf("mprun: rank %d received a request for page %d from rank %d with delta mark %d",
+				n.cfg.Rank, f.A, from, f.B))
+		}
 		n.mu.Lock()
 		hp.sharers[from] = true
-		// The reply is a snapshot, taken word-atomically into a borrowed
-		// twin: home processors store to the master without mu, and Send
-		// reads its frame plainly. It echoes the requester's correlation
-		// id so the requester, and its transport layer, can pair it with
-		// the request, and it goes out before mu is released: a home
-		// processor's flush sends notices under mu, so one for a store
-		// the snapshot missed cannot reach the requester ahead of it.
-		snap := n.takeTwin(hp.data)
-		n.send(from, wire.Frame{Type: wire.TPageReply, A: f.A, C: f.C, Words: snap})
-		n.twins = append(n.twins, snap)
+		// The reply goes out before mu is released: a home processor's
+		// flush sends notices under mu, so one for a store the reply
+		// missed cannot reach the requester ahead of it.
+		n.serve(from, f, hp)
 		n.mu.Unlock()
 
 	case wire.TPageReply:
 		cp := n.cached(from, f)
-		if len(f.Words) != n.pageWords {
+		switch {
+		case f.B == 0 && len(f.Words) != n.pageWords:
 			panic(fmt.Sprintf("mprun: rank %d received a %d-word reply for page %d from rank %d, want %d words",
 				n.cfg.Rank, len(f.Words), f.A, from, n.pageWords))
+		case f.B == 1 && cp.data == nil:
+			panic(fmt.Sprintf("mprun: rank %d received a run reply for page %d from rank %d, but holds no frame of it",
+				n.cfg.Rank, f.A, from))
+		case f.B == 1 && !n.runsFit(f.Offs, len(f.Words)):
+			panic(fmt.Sprintf("mprun: rank %d received a malformed run reply for page %d from rank %d: runs %v over %d words of a %d-word page",
+				n.cfg.Rank, f.A, from, f.Offs, len(f.Words), n.pageWords))
+		case f.B != 0 && f.B != 1:
+			panic(fmt.Sprintf("mprun: rank %d received a reply for page %d from rank %d with form mark %d",
+				n.cfg.Rank, f.A, from, f.B))
 		}
 		n.mu.Lock()
 		// A reply to anything but the latest request was copied at the
-		// home before a diff this node has flushed since: drop it.
+		// home before a diff this node has flushed since: drop it, and
+		// with it the frame's claim to what the home thinks it sent.
 		if cp.reqID != 0 && f.C == cp.reqID {
 			switch {
+			case f.B == 1 && cp.twin == nil:
+				diff.ApplyRuns(cp.data, f.Offs, f.Words)
+			case f.B == 1:
+				mergeRuns(cp.data, cp.twin, f.Offs, f.Words)
 			case cp.data == nil:
 				cp.data = make([]int64, n.pageWords)
 				diff.CopyIn(cp.data, f.Words)
@@ -762,8 +999,11 @@ func (n *node) handle(from int, f wire.Frame) {
 				// Unflushed local writes: take only what changed remotely.
 				diff.Incoming(cp.data, cp.twin, f.Words)
 			}
-			cp.valid = true
+			cp.valid, cp.synced = true, true
 			cp.reqID = 0
+			cp.got = int64(len(f.Words))*transport.WordBytes + int64(len(f.Offs))*4
+		} else {
+			cp.synced = false
 		}
 		n.mu.Unlock()
 		n.cond.Broadcast()
@@ -775,6 +1015,17 @@ func (n *node) handle(from int, f wire.Frame) {
 		// Word-atomically: this node's processors read and write the
 		// master without the lock.
 		diff.ApplyRuns(hp.data, f.Offs, f.Words)
+		// Every other rank's frame now lacks these words; the flusher's
+		// has them.
+		if d := hp.delta; d != nil {
+			for r, m := range d.stale {
+				if m != nil && r != from {
+					for i := 0; i < len(f.Offs); i += 2 {
+						m.setRange(int(f.Offs[i]), int(f.Offs[i+1]))
+					}
+				}
+			}
+		}
 		// Every other copy out there is now stale: those sharers restart
 		// from a fresh fetch. The flusher's copy has the words already and
 		// stays registered unless the diff says it was given up.
@@ -1016,7 +1267,7 @@ func (n *node) rehome(pages, homes []int32) {
 				panic(fmt.Sprintf("mprun: rank %d: page %d moves here from rank %d, but this rank holds no valid copy",
 					n.cfg.Rank, pg, from))
 			}
-			*hp = hpage{data: cp.data, sharers: make([]bool, n.cfg.Nodes)}
+			*hp = newHpage(cp.data, n.cfg.Nodes)
 			cp.noticed, cp.gaveUp, cp.keep = false, false, false
 		case cp.valid:
 			*hp = hpage{}
@@ -1035,9 +1286,10 @@ func (n *node) rehome(pages, homes []int32) {
 // home as needed; called and returns with n.mu held. ring is the
 // calling goroutine's trace ring (-1 from the verification view). The
 // processor that sends the request records the fetch as an EvPageFetch
-// span from request to reply; pile-in waiters record only their fault
-// span. A flush that publishes the page's twin while a request is in
-// flight clears reqID, and the waiter asks again behind the diff.
+// span from request to reply, with the bytes the accepted reply
+// carried; pile-in waiters record only their fault span. A flush that
+// publishes the page's twin while a request is in flight clears reqID,
+// and the waiter asks again behind the diff.
 func (n *node) ensureLocked(ring, page int) {
 	cp := &n.cache[page]
 	var t0 int64
@@ -1048,13 +1300,16 @@ func (n *node) ensureLocked(ring, page int) {
 			sent = true
 			n.corrSeq++
 			cp.reqID = int64(n.cfg.Rank)<<32 | n.corrSeq
-			n.send(n.homeOf(page), wire.Frame{Type: wire.TPageReq, A: int64(page), C: cp.reqID})
+			var synced int64
+			if cp.synced {
+				synced = 1
+			}
+			n.send(n.homeOf(page), wire.Frame{Type: wire.TPageReq, A: int64(page), B: synced, C: cp.reqID})
 		}
 		n.cond.Wait()
 	}
 	if sent {
-		n.span(ring, trace.EvPageFetch, page, t0,
-			int64(n.pageWords)*transport.WordBytes, int64(n.homeOf(page)))
+		n.span(ring, trace.EvPageFetch, page, t0, cp.got, int64(n.homeOf(page)))
 	}
 }
 
@@ -1072,6 +1327,48 @@ func (n *node) takeTwin(data []int64) []int64 {
 	return t
 }
 
+// takeMask returns a cleared store bitmap from the pool. Called with
+// n.mu held.
+func (n *node) takeMask() wordMask {
+	if k := len(n.masks); k > 0 {
+		m := n.masks[k-1]
+		n.masks = n.masks[:k-1]
+		return m
+	}
+	return make(wordMask, n.maskWords)
+}
+
+// closeInterval ends local processor local's dirty interval on homed
+// page hp, at its flush: a tracked processor's stores go into every mask
+// and its bitmap back to the pool, cleared; an untracked one set no
+// bits, so every mask becomes unknown: every word marked. Called with
+// n.mu held.
+func (n *node) closeInterval(hp *hpage, local int) {
+	d := hp.delta
+	if d == nil || d.stores[local] == nil {
+		hp.untracked--
+		if d != nil {
+			for _, m := range d.stale {
+				if m != nil {
+					m.setRange(0, n.pageWords)
+				}
+			}
+		}
+		return
+	}
+	s := d.stores[local]
+	for _, m := range d.stale {
+		if m != nil {
+			for k, w := range s {
+				m[k] |= w
+			}
+		}
+	}
+	clear(s)
+	n.masks = append(n.masks, s)
+	d.stores[local] = nil
+}
+
 // tlbSize is the number of direct-mapped entries in each processor's
 // software TLB, as in internal/core: sixteen cover the applications'
 // working rows without conflict.
@@ -1086,12 +1383,18 @@ const (
 // been invalidated since, so the frame is still the node's valid copy.
 // writable additionally says the processor is on its own dirty list for
 // the page — and, for a cached page, on the page's writer count, which
-// is what keeps the twin its stores will be diffed against alive.
+// is what keeps the twin its stores will be diffed against alive; on a
+// homed page in a tracked interval, stores is where its stores are
+// marked.
 type tlbEntry struct {
-	page     int // -1 when empty
+	page     int32 // -1 when empty
+	writable bool
 	frame    []int64
 	epoch    uint64
-	writable bool
+	// stores is the processor's store bitmap for a homed page it writes
+	// in a tracked interval, nil otherwise. With it the entry is 64
+	// bytes, a page number and a bool sharing the first word.
+	stores wordMask
 }
 
 // proc is one processor goroutine's view of the DSM; it implements
@@ -1132,7 +1435,12 @@ func (p *proc) NProcs() int { return p.n.cfg.Nodes * p.n.cfg.PPN }
 // valid at.
 func (p *proc) fillLocked(page int) *tlbEntry {
 	e := &p.tlb[page&tlbMask]
-	*e = tlbEntry{page: page, frame: p.n.cache[page].data, epoch: p.n.epoch.Load(), writable: p.dirtyIn[page]}
+	*e = tlbEntry{page: int32(page), frame: p.n.cache[page].data, epoch: p.n.epoch.Load(), writable: p.dirtyIn[page]}
+	if e.writable {
+		if d := p.n.home[page].delta; d != nil {
+			e.stores = d.stores[p.local]
+		}
+	}
 	return e
 }
 
@@ -1144,7 +1452,7 @@ func (p *proc) fillLocked(page int) *tlbEntry {
 // processor's last acquire.
 func (p *proc) readEntry(page int) *tlbEntry {
 	e := &p.tlb[page&tlbMask]
-	if e.page == page && e.epoch == p.n.epoch.Load() {
+	if e.page == int32(page) && e.epoch == p.n.epoch.Load() {
 		return e
 	}
 	n := p.n
@@ -1166,10 +1474,12 @@ func (p *proc) readEntry(page int) *tlbEntry {
 // writableLocked is the write fault: it returns a writable TLB entry
 // for page, with the node's copy valid, the page on the processor's
 // dirty list and, away from the page's home, the processor on the
-// page's writer count and the page twinned. Every fault is recorded —
-// a span when it had to fetch, an instant when the copy was valid or
-// the master — so a trace shows each processor that wrote a page, its
-// home's included. Called and returns with n.mu held.
+// page's writer count and the page twinned. On the home the interval is
+// tracked — the processor's stores set bits in a bitmap of its own — if
+// some rank's mask exists, and untracked otherwise. Every fault is
+// recorded — a span when it had to fetch, an instant when the copy was
+// valid or the master — so a trace shows each processor that wrote a
+// page, its home's included. Called and returns with n.mu held.
 func (p *proc) writableLocked(page int) *tlbEntry {
 	n := p.n
 	cp := &n.cache[page]
@@ -1185,11 +1495,16 @@ func (p *proc) writableLocked(page int) *tlbEntry {
 		}
 		p.dirtyIn[page] = true
 		p.dirty = append(p.dirty, page)
-		if n.home[page].data == nil {
+		switch hp := &n.home[page]; {
+		case hp.data == nil:
 			if cp.writers == 0 {
 				cp.twin = n.takeTwin(cp.data)
 			}
 			cp.writers++
+		case hp.delta != nil:
+			hp.delta.stores[p.local] = n.takeMask()
+		default:
+			hp.untracked++
 		}
 		if n.placing && n.place[page] == unplaced {
 			n.place[page] = recorded
@@ -1204,7 +1519,7 @@ func (p *proc) writableLocked(page int) *tlbEntry {
 func (p *proc) Load(addr int) int64 {
 	page, off := p.n.split(addr)
 	e := &p.tlb[page&tlbMask]
-	if e.page != page || e.epoch != p.n.epoch.Load() {
+	if e.page != int32(page) || e.epoch != p.n.epoch.Load() {
 		e = p.readEntry(page)
 	}
 	return atomic.LoadInt64(&e.frame[off])
@@ -1216,15 +1531,20 @@ func (p *proc) Load(addr int) int64 {
 // page keeps a twin that lacks the word, and whichever flush scans the
 // page after the store diffs it — a sibling's, or its own. The store is
 // atomic because siblings scan, snapshot and load the frame meanwhile.
+// On a homed page in a tracked interval the store then marks its word in
+// the processor's bitmap ("Delta replies").
 func (p *proc) Store(addr int, v int64) {
 	page, off := p.n.split(addr)
 	e := &p.tlb[page&tlbMask]
-	if e.page != page || !e.writable || e.epoch != p.n.epoch.Load() {
+	if e.page != int32(page) || !e.writable || e.epoch != p.n.epoch.Load() {
 		p.n.mu.Lock()
 		e = p.writableLocked(page)
 		p.n.mu.Unlock()
 	}
 	atomic.StoreInt64(&e.frame[off], v)
+	if e.stores != nil {
+		e.stores.set(off)
+	}
 }
 
 func (p *proc) LoadF(addr int) float64 {
@@ -1264,9 +1584,13 @@ func (p *proc) StoreFRow(addr int, src []float64) {
 		page, off := n.split(addr)
 		run := min(n.pageWords-off, len(src))
 		n.mu.Lock()
-		seg := p.writableLocked(page).frame[off : off+run]
+		e := p.writableLocked(page)
+		seg := e.frame[off : off+run]
 		for i, v := range src[:run] {
 			seg[i] = int64(math.Float64bits(v))
+		}
+		if e.stores != nil {
+			e.stores.setRange(off, run)
 		}
 		n.mu.Unlock()
 		src = src[run:]
@@ -1296,10 +1620,11 @@ func (p *proc) flush() {
 	for _, page := range p.dirty {
 		// Off the page: the processor's next store to it faults.
 		p.dirtyIn[page] = false
-		if e := &p.tlb[page&tlbMask]; e.page == page {
-			e.writable = false
+		if e := &p.tlb[page&tlbMask]; e.page == int32(page) {
+			e.writable, e.stores = false, nil
 		}
 		if hp := &n.home[page]; hp.data != nil {
+			n.closeInterval(hp, p.local)
 			for s, sharing := range hp.sharers {
 				if sharing {
 					hp.sharers[s] = false
@@ -1337,7 +1662,7 @@ func (p *proc) flush() {
 			// that the reply is dropped and the waiter asks again behind
 			// the diff.
 			if cp.reqID != 0 {
-				cp.reqID = 0
+				cp.reqID, cp.synced = 0, false
 				wake = true
 			}
 		case last && cp.noticed && !cp.keep:

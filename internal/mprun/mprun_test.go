@@ -1293,6 +1293,24 @@ func TestMalformedFramesPanicAttributed(t *testing.T) {
 			"received a 3-word reply for page 1 from rank 1, want 1024 words", 0},
 		{"page reply for a page homed here", wire.Frame{Type: wire.TPageReply, A: 0, Words: make([]int64, pw)},
 			"received a page-reply frame from rank 1 for page 0, which it homes", 0},
+		{"page request with a delta mark outside {0,1}", wire.Frame{Type: wire.TPageReq, A: 0, B: 2},
+			"rank 0 received a request for page 0 from rank 1 with delta mark 2", 0},
+		{"full page reply carrying runs", wire.Frame{Type: wire.TPageReply, A: remotePage, Offs: []int32{0, 1}, Words: make([]int64, pw)},
+			"rank 0 received a page-reply frame from rank 1 carrying 0 pages, 2 offsets and 1024 words, which the type does not define", 0},
+		{"page reply with a form mark outside {0,1}", wire.Frame{Type: wire.TPageReply, A: remotePage, B: 2, Words: make([]int64, pw)},
+			"rank 0 received a reply for page 1 from rank 1 with form mark 2", 0},
+		{"run reply past the page end", wire.Frame{Type: wire.TPageReply, A: remotePage, B: 1, Offs: []int32{pw - 1, 2}, Words: []int64{1, 2}},
+			"rank 0 received a malformed run reply for page 1 from rank 1: runs [1023 2] over 2 words of a 1024-word page", 0},
+		{"run reply with overlapping runs", wire.Frame{Type: wire.TPageReply, A: remotePage, B: 1, Offs: []int32{0, 2, 1, 2}, Words: []int64{1, 2, 3, 4}},
+			"rank 0 received a malformed run reply for page 1 from rank 1: runs [0 2 1 2] over 4 words", 0},
+		{"run reply with words its runs do not cover", wire.Frame{Type: wire.TPageReply, A: remotePage, B: 1, Offs: []int32{0, 1}, Words: []int64{1, 2}},
+			"rank 0 received a malformed run reply for page 1 from rank 1: runs [0 1] over 2 words", 0},
+		{"run reply with runs beyond its words", wire.Frame{Type: wire.TPageReply, A: remotePage, B: 1, Offs: []int32{0, 2, 8, 2}, Words: []int64{1, 2, 3}},
+			"rank 0 received a malformed run reply for page 1 from rank 1: runs [0 2 8 2] over 3 words", 0},
+		{"run reply for a page with no frame", wire.Frame{Type: wire.TPageReply, A: 0, B: 1, Offs: []int32{0, 1}, Words: []int64{1}},
+			"rank 1 received a run reply for page 0 from rank 0, but holds no frame of it", 1},
+		{"run reply for a page homed here", wire.Frame{Type: wire.TPageReply, A: 0, B: 1, Offs: []int32{0, 1}, Words: []int64{1}},
+			"rank 0 received a page-reply frame from rank 1 for page 0, which it homes", 0},
 		{"write notice for a page homed here", wire.Frame{Type: wire.TWriteNotice, A: 0},
 			"received a write-notice frame from rank 1 for page 0, which it homes", 0},
 		{"notice ack to the wrong home", wire.Frame{Type: wire.TNoticeAck, A: remotePage, B: 5},
@@ -1338,6 +1356,11 @@ func TestMalformedFramesPanicAttributed(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			n, _ := tapAt(tc.at, 2)
+			if tc.at == 0 {
+				// A frame of the page homed on rank 1, for run replies to
+				// land in.
+				n.cache[remotePage].data = make([]int64, pw)
+			}
 			defer func() {
 				msg, ok := recover().(string)
 				if !ok || !strings.HasPrefix(msg, "mprun: ") || !strings.Contains(msg, tc.want) {

@@ -62,10 +62,10 @@ const Magic = 0x4d485343
 
 // Version is the current wire-format version. Bump on any change to
 // the frame layout or to the meaning of an existing frame type.
-const Version = 2
+const Version = 3
 
 // MaxFrameBytes bounds a single frame's payload. The largest
-// legitimate frame is a full-page reply (8 Kbyte page = 1024 words)
+// legitimate frame is a full page reply (8 Kbyte page = 1024 words)
 // plus headers; the bound leaves room for larger configured pages
 // while keeping a corrupt length field from allocating gigabytes.
 const MaxFrameBytes = 1 << 22
@@ -73,8 +73,9 @@ const MaxFrameBytes = 1 << 22
 // Type identifies a frame's meaning.
 type Type uint8
 
-// The frame types of wire-format version 2. Version 2 gave TBarArrive
-// and TBarRelease their page lists; the layout and the other types are
+// The frame types of wire-format version 3. Version 2 gave TBarArrive
+// and TBarRelease their page lists; version 3 gave TPageReq its delta
+// mark and TPageReply its run form. The layout and the other types are
 // version 1's.
 const (
 	// THello opens a connection: A=Magic, B=Version, C=sender rank.
@@ -96,9 +97,16 @@ const (
 	// B=node, C=1 to add the node to the page's sharer set, 0 to
 	// drop it.
 	TDirUpdate
-	// TPageReq requests a page copy from its home: A=page.
+	// TPageReq requests a page copy from its home: A=page, B=1 when
+	// the requester's frame holds everything the home's last reply to it
+	// carried, so a reply may carry only the words it lacks, 0 when it
+	// needs the whole page, C=request id.
 	TPageReq
-	// TPageReply answers: A=page, Words=the full page.
+	// TPageReply answers, echoing the request id in C, in one of two
+	// forms. B=0: A=page, Words=the full page. B=1 (only to a request
+	// with B=1): A=page, Offs=paired (start,count) runs, Words=the runs'
+	// values concatenated — the master's words the requester's frame
+	// may lack, every other word being one it already holds.
 	TPageReply
 	// TFlushAck acknowledges a TDiff after every affected sharer has
 	// been invalidated: A=page, B=token.

@@ -26,7 +26,9 @@ func goldenFrames() []Frame {
 		{Type: TNoticeAck, A: 17, B: 9002},
 		{Type: TDirUpdate, A: 4, B: 1, C: 1},
 		{Type: TPageReq, A: 44},
+		{Type: TPageReq, A: 44, B: 1, C: 1<<32 | 5},
 		{Type: TPageReply, A: 44, Words: []int64{-1, 0, 1, 1 << 62}},
+		{Type: TPageReply, A: 44, B: 1, C: 1<<32 | 5, Offs: []int32{3, 2, 100, 1}, Words: []int64{7, -8, 1 << 40}},
 		{Type: TFlushAck, A: 17, B: 9001},
 		{Type: TBarArrive, A: 2, B: 7},
 		{Type: TBarArrive, A: 3, B: 7, Pages: []int32{4, 9}, Offs: []int32{1, 0}},
@@ -136,7 +138,8 @@ func TestCheckHello(t *testing.T) {
 		{"not hello", Frame{Type: TDiff, A: Magic, B: Version}, "expected hello"},
 		{"bad magic", Frame{Type: THello, A: 0x12345678, B: Version}, "bad magic"},
 		{"version ahead", Frame{Type: THello, A: Magic, B: Version + 1}, "version mismatch"},
-		{"v1 peer", Frame{Type: THello, A: Magic, B: 1}, "version mismatch: peer speaks v1, this build speaks v2"},
+		{"v1 peer", Frame{Type: THello, A: Magic, B: 1}, "version mismatch: peer speaks v1, this build speaks v3"},
+		{"v2 peer", Frame{Type: THello, A: Magic, B: 2}, "version mismatch: peer speaks v2, this build speaks v3"},
 		{"version zero", Frame{Type: THello, A: Magic, B: 0}, "version mismatch"},
 	}
 	for _, tc := range cases {
@@ -278,6 +281,10 @@ func FuzzRoundTrip(f *testing.F) {
 	// a release moving page 4 to rank 1: Pages and Offs interleave.
 	f.Add(uint8(TBarArrive), int64(3), int64(7), int64(0), []byte{4, 0, 0, 0, 1, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0}, 0)
 	f.Add(uint8(TBarRelease), int64(3), int64(0), int64(0), []byte{4, 0, 0, 0, 1, 0, 0, 0}, 0)
+	// A request for the words the frame lacks, and a run reply: Offs
+	// come from every other four bytes, so here they are (3, 2).
+	f.Add(uint8(TPageReq), int64(44), int64(1), int64(1<<32|5), []byte{}, 0)
+	f.Add(uint8(TPageReply), int64(44), int64(1), int64(1<<32|5), []byte{0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0}, 2)
 	f.Fuzz(func(t *testing.T, ty uint8, a, bb, c int64, raw []byte, nWords int) {
 		if ty == 0 {
 			t.Skip("type 0 is reserved")
