@@ -103,7 +103,7 @@ func litmus(name string, pageWords int, build func(procs int) *Prog) Case {
 // Litmus lists every hand-written and random program.
 var Litmus = []Case{
 	StoreLoad, CrossNode, FalseSharing, RepeatedPhases, Migratory, LockCounters,
-	ProducerConsumer, FlagChain, RotatingWriter, PageSizes,
+	LockedRecords, ProducerConsumer, FlagChain, RotatingWriter, PageSizes,
 	DisjointWriters, RandomDRF, RandomDRFFlags, Bands, RandomDRFInit,
 }
 
@@ -244,6 +244,44 @@ func counters(name string, locks int) Case {
 		return a
 	})
 }
+
+// LockedRecords has every processor update small records, each under a
+// lock of its own, in a random order of its own, many times over. Four
+// records share a page, so while one processor holds a lock its node
+// often holds another record's unflushed writes, or has a fetch or a diff
+// of the page in flight for another processor. Each critical section
+// finds its record's words equal and adds one to each, and the records
+// add up to every critical section run.
+var LockedRecords = litmus("LockedRecords", pw, func(procs int) *Prog {
+	const locks, words, per = 8, pw / 4, 200
+	a := &Prog{Space: apps.Shape{SharedWords: locks * words, Locks: locks}}
+	a.Code = func(p apps.Proc) {
+		rng := rand.New(rand.NewSource(int64(p.ID())))
+		for i := 0; i < per; i++ {
+			l := rng.Intn(locks)
+			rec := l * words
+			p.Lock(l)
+			v := p.Load(rec)
+			for w := 0; w < words; w++ {
+				a.want(p.Load(rec+w), v, "proc %d, section %d: record %d word %d", p.ID(), i, l, w)
+				p.Store(rec+w, v+1)
+			}
+			p.Unlock(l)
+		}
+		p.Barrier()
+	}
+	a.Check = func(m apps.Memory) error {
+		var total int64
+		for l := 0; l < locks; l++ {
+			total += m.ReadShared(l * words)
+		}
+		if want := int64(procs * per); total != want {
+			return fmt.Errorf("the records count %d critical sections, want %d", total, want)
+		}
+		return nil
+	}
+	return a
+})
 
 // FlagChain passes a flag down the processors: each waits for its
 // predecessor's, reads what every earlier processor wrote, writes half a

@@ -9,8 +9,8 @@
 // processors work on the master copy in place, other writers twin a
 // page at its first store and flush run-encoded diffs against the twin
 // at release operations (internal/diff, paper Sections 2.2 and 2.5),
-// homes eagerly invalidate sharers with write notices, and all
-// application synchronization funnels through a rank-0 coordinator.
+// homes eagerly invalidate sharers with write notices, each lock is
+// queued on a home rank of its own, and barriers on rank 0.
 //
 // # Protocol
 //
@@ -101,14 +101,29 @@
 //
 // The fetch-id rule: every page request carries a fresh id in Frame.C,
 // the home echoes it, and a reply is accepted only if it echoes the
-// page's latest request. It exists for one case. A flush that publishes
+// page's latest request. It exists for two cases. A flush that publishes
 // an invalid page while a sibling processor's request for the page is
 // in flight disowns that request: the home may have copied the page
 // ahead of the diff, and the reply — merged under a twin that now holds
 // the flushed words, or installed with no twin at all — would replace
 // the node's own flushed words with older ones that no notice would
 // ever correct. The waiting processor asks again, behind the diff
-// on the same ordered channel. (A valid copy has no request in flight.)
+// on the same ordered channel. A lock grant that drops its runs disowns
+// a request in flight too (the grant rule). (A valid copy has no request
+// in flight.)
+//
+// The grant rule: a lock grant from another rank may carry runs of pages
+// homed on the lock's home, built as a run reply's are ("Delta
+// replies"), and the home counts them as delivered. The node takes a
+// page's runs into its frame, which becomes a valid copy, only if the
+// frame is synced and has no twin, no request in flight and no diff
+// unacknowledged: local writes and a diff the master may not have yet
+// would each disagree with some run word, and a request in flight would
+// leave a valid copy waiting for a reply. Otherwise it drops them; the
+// frame then lacks words the home thinks it holds, so it is no longer
+// synced, and a request in flight, whose reply the home builds from the
+// mask the grant emptied, is disowned: the waiter asks again, for the
+// whole page.
 //
 // Replies are ordered before notices. A copy taken at the home and a
 // notice for a later store travel to the requester on one ordered
@@ -162,11 +177,13 @@
 // itself cannot be lent. A run reply, and every diff of a release, goes
 // out from the node's one run scratch, its words read word-atomically
 // from the frame, and the scratch is overwritten for the next page as
-// soon as Send is back. All these sends happen under the node mutex
-// (replies for the ordering above). What arrives is copied where it
-// belongs before the handler returns — a reply's page or runs into the
-// node's frame of the page, a diff's runs into the master — and no slice
-// of a received frame is kept.
+// soon as Send is back; a lock grant's runs go out from it too, with the
+// grant's page and count scratch. All these sends happen under the node
+// mutex (replies and grants for the ordering above). What arrives is
+// copied where it belongs before the handler returns — a reply's page or
+// runs into the node's frame of the page, a diff's runs into the master,
+// a grant's runs into the grantee's frames — and no slice of a received
+// frame is kept.
 //
 // # Delta replies
 //
@@ -205,7 +222,8 @@
 // merges runs as diff.Incoming merges a page, over the runs only: a word
 // it has modified locally (frame differs from twin) keeps its value, and
 // the twin takes every run word. A page's new home (see "Page
-// placement") starts with no masks.
+// placement") starts with no masks. A lock grant carries runs on the same
+// terms and with the same effect on the mask (see the grant rule).
 //
 // # Access path
 //
@@ -260,20 +278,35 @@
 // being stored plainly is a data race in the application.
 //
 // Frames off the wire index those slices, so the handler range-checks
-// page numbers, flag ids, diff and reply runs, give-up, delta and form
-// marks, reply lengths and a barrier frame's pages, marks and ranks,
-// refuses a reply or notice for a page it homes, a run reply for a page
-// it holds no frame of, an acknowledgement it does not await, a
-// coordinator frame at or from a rank other than 0, a lock grant for a
-// processor it does not host, a release of a lock nobody holds and a
-// slice the frame's type does not define, and panics with the offending
-// rank and frame rather than faulting.
+// page numbers, flag and lock ids, diff, reply and grant runs, give-up,
+// delta and form marks, reply lengths, a barrier frame's pages, marks
+// and ranks and a lock release's or grant's pages, refuses a reply or
+// notice for a page it homes, a run reply or grant runs for a page it
+// holds no frame of, grant runs for a page it homes, a release listing a
+// page homed elsewhere, an acknowledgement it does not await, a barrier
+// frame at or from a rank other than 0, a lock frame at or from a rank
+// other than the lock's home or naming a processor its rank does not
+// host, a release of a lock nobody holds and a slice the frame's type
+// does not define, and panics with the offending rank and frame rather
+// than faulting.
 //
 // # Synchronization
 //
-// Rank 0 coordinates locks (FIFO grant queues per lock id) and
-// barriers (count arrivals per generation, decide page moves, broadcast
-// the release).
+// Lock i is homed on rank i % nodes, the rule pages start from, and its
+// home keeps its FIFO queue. A processor of the home takes and passes the
+// lock under the node mutex and sends no frame; another rank's processor
+// sends a TLockReq there and waits for a TLockGrant, and its Unlock,
+// after its flush, sends a TLockRelease. Each release names the pages it
+// published that are homed on the lock's home — a home processor's are
+// kept in place — and a grant to another rank carries the words of those
+// pages that the grantee's frames lack (the grant rule), so the next
+// holder of a lock whose data is homed with it need not fetch. A release
+// lists pages against the home table of the last barrier its processor
+// left, which the lock's home may have moved past; a grant passes over a
+// page no longer homed there.
+//
+// Rank 0 coordinates barriers (count arrivals per generation, decide
+// page moves, broadcast the release).
 // Flags are broadcast by the setter after its flush. Messages from one
 // rank are delivered in order; the handler runs single-threaded per
 // node (the Messenger contract), so protocol state needs no locking
@@ -439,6 +472,11 @@ type cpage struct {
 	// next diff of the page — giving up bought a fetch and spared no
 	// notice — so the node keeps its copy from then on.
 	noticed, gaveUp, keep bool
+	// diffs counts this node's diffs of the page whose TFlushAck has not
+	// arrived. A lock grant's runs are not installed while one is out:
+	// they were read from a master that may not have its words yet. It
+	// fits beside the flags, so a cpage is no bigger for it.
+	diffs int32
 }
 
 // hpage is the master copy at a page's home with its sharer set and
@@ -533,6 +571,8 @@ type flushAck struct {
 	token   int64
 }
 
+// waiter is a processor queued for a lock at the lock's home: its rank
+// and its global processor id.
 type waiter struct {
 	node int
 	gpid int64
@@ -611,14 +651,25 @@ type node struct {
 	// (cpage.reqID here, transport.FrameStats at the messenger seam).
 	corrSeq int64
 
-	flags   []bool
-	granted map[int64]bool // gpid -> lock grant delivered
-	barRel  int64          // highest released barrier generation
+	flags []bool
+	// granted[i] says the lock local processor i waits for has been
+	// granted to it.
+	granted []bool
+	barRel  int64 // highest released barrier generation
 	bye     bool
 
+	// Lock state, indexed by lock id and used for the locks this rank
+	// homes ("Synchronization"). lockHeld says the lock is held, lockQ
+	// lists its waiters in arrival order, and lockPages the pages its last
+	// release published that are homed here, which a grant may carry.
+	// grantPages and grantOffs are the scratch for a grant's Pages and
+	// Offs, built and sent under mu.
+	lockHeld              []bool
+	lockQ                 [][]waiter
+	lockPages             [][]int32
+	grantPages, grantOffs []int32
+
 	// Coordinator state, used on rank 0 only.
-	lockHeld map[int64]bool
-	lockQ    map[int64][]waiter
 	arrivals map[int64]int
 	// placed marks the pages whose placement is decided. writer is each
 	// page's reporter in the barrier in progress (noWriter, a rank, or
@@ -671,9 +722,10 @@ func newNode(cfg Config, m transport.Messenger, shape apps.Shape) *node {
 		pageShift: -1,
 		flags:     make([]bool, shape.Flags),
 		notify:    make([]int, 0, cfg.Nodes),
-		granted:   make(map[int64]bool),
-		lockHeld:  make(map[int64]bool),
-		lockQ:     make(map[int64][]waiter),
+		granted:   make([]bool, cfg.PPN),
+		lockHeld:  make([]bool, shape.Locks),
+		lockQ:     make([][]waiter, shape.Locks),
+		lockPages: make([][]int32, shape.Locks),
 		arrivals:  make(map[int64]int),
 	}
 	if pageWords&(pageWords-1) == 0 {
@@ -705,9 +757,13 @@ func newNode(cfg Config, m transport.Messenger, shape apps.Shape) *node {
 	return n
 }
 
-// homeOf returns page's home rank. Processors call it with mu held; the
-// handler, which alone writes the table, also without.
+// homeOf returns page's home rank. Processors call it with mu held, or
+// between barriers, when the table cannot change; the handler, which
+// alone writes the table, also without.
 func (n *node) homeOf(page int) int { return n.homes[page] }
+
+// lockHome returns lock i's home rank, which keeps its queue.
+func (n *node) lockHome(i int) int { return i % n.cfg.Nodes }
 
 // split returns addr's page number and in-page offset.
 func (n *node) split(addr int) (page, off int) {
@@ -780,12 +836,103 @@ func (n *node) homed(from int, f wire.Frame) *hpage {
 }
 
 // viaRank0 panics unless r — the rank that receives f, or the one that
-// sent it — is rank 0, the one coordinator of locks and barriers.
+// sent it — is rank 0, the coordinator of barriers.
 func (n *node) viaRank0(from int, f wire.Frame, r int) {
 	if r != 0 {
 		panic(fmt.Sprintf("mprun: rank %d received a %v frame from rank %d, but only rank 0 coordinates",
 			n.cfg.Rank, f.Type, from))
 	}
+}
+
+// lockAt returns the lock f names, panicking unless it is one of the
+// application's, r — the rank that receives f, or the one that sent it
+// — is its home, and f.B names a processor of rank host.
+func (n *node) lockAt(from int, f wire.Frame, r, host int) int {
+	if f.A < 0 || f.A >= int64(len(n.lockHeld)) {
+		panic(fmt.Sprintf("mprun: rank %d received a %v frame from rank %d for lock %d of %d",
+			n.cfg.Rank, f.Type, from, f.A, len(n.lockHeld)))
+	}
+	i := int(f.A)
+	if home := n.lockHome(i); r != home {
+		panic(fmt.Sprintf("mprun: rank %d received a %v frame from rank %d for lock %d, which is homed on rank %d",
+			n.cfg.Rank, f.Type, from, i, home))
+	}
+	if lo := int64(host * n.cfg.PPN); f.B < lo || f.B >= lo+int64(n.cfg.PPN) {
+		panic(fmt.Sprintf("mprun: rank %d received a %v frame from rank %d for lock %d and processor %d, which rank %d does not host",
+			n.cfg.Rank, f.Type, from, i, f.B, host))
+	}
+	return i
+}
+
+// checkRelease panics unless f's pages ascend, lie in the space and are
+// homed here. A release whose sender had left an earlier barrier than
+// the last this rank applied (f.C < barRel) was listed against an older
+// home table, and a page it lists may have moved away since; such a page
+// is let through, and no grant carries it (grant checks every page's
+// home).
+func (n *node) checkRelease(from int, f wire.Frame) {
+	moved := f.C < n.barRel
+	for k, pg := range f.Pages {
+		bad := ""
+		switch {
+		case pg < 0 || int(pg) >= n.nPages:
+			bad = "outside the space"
+		case k > 0 && pg <= f.Pages[k-1]:
+			bad = "out of order"
+		case !moved && n.homeOf(int(pg)) != n.cfg.Rank:
+			bad = fmt.Sprintf("homed on rank %d", n.homeOf(int(pg)))
+		default:
+			continue
+		}
+		panic(fmt.Sprintf("mprun: rank %d received a release of lock %d from rank %d listing page %d, %s (pages %v, %d pages)",
+			n.cfg.Rank, f.A, from, pg, bad, f.Pages, n.nPages))
+	}
+}
+
+// checkGrant panics unless the pages f carries ascend, lie in the space
+// and are not homed here, this node holds a frame of each (a home keeps
+// a mask only for a rank that has fetched the page), and f.Offs holds
+// one run count per page and then that many runs of each, which fit a
+// page (runsLen) and together cover f.Words. The handler alone sets a
+// page's frame, so it reads cpage.data without mu.
+func (n *node) checkGrant(from int, f wire.Frame) {
+	bad := ""
+	at, words := len(f.Pages), 0
+	if at > len(f.Offs) {
+		bad = "fewer run counts than pages"
+	}
+	for k := 0; bad == "" && k < len(f.Pages); k++ {
+		pg, runs := f.Pages[k], int(f.Offs[k])
+		switch {
+		case pg < 0 || int(pg) >= n.nPages:
+			bad = fmt.Sprintf("page %d is outside the space", pg)
+		case k > 0 && pg <= f.Pages[k-1]:
+			bad = "pages out of order"
+		case n.homeOf(int(pg)) == n.cfg.Rank:
+			bad = fmt.Sprintf("page %d is homed here", pg)
+		case n.cache[pg].data == nil:
+			bad = fmt.Sprintf("page %d has no frame here", pg)
+		case runs < 0 || runs > (len(f.Offs)-at)/2:
+			bad = fmt.Sprintf("page %d's run count %d exceeds the offsets", pg, runs)
+		default:
+			w := n.runsLen(f.Offs[at : at+2*runs])
+			if w < 0 {
+				bad = fmt.Sprintf("page %d's runs %v do not fit a page", pg, f.Offs[at:at+2*runs])
+			}
+			at, words = at+2*runs, words+w
+		}
+	}
+	switch {
+	case bad != "":
+	case at != len(f.Offs):
+		bad = fmt.Sprintf("%d offsets beyond the counted runs", len(f.Offs)-at)
+	case words != len(f.Words):
+		bad = fmt.Sprintf("runs over %d words carry %d", words, len(f.Words))
+	default:
+		return
+	}
+	panic(fmt.Sprintf("mprun: rank %d received a malformed grant of lock %d from rank %d: %s (pages %v, offsets %v, %d words of a %d-word page)",
+		n.cfg.Rank, f.A, from, bad, f.Pages, f.Offs, len(f.Words), n.pageWords))
 }
 
 // checkPlacement panics unless f's page list and its per-page entries
@@ -823,15 +970,25 @@ func (n *node) cached(from int, f wire.Frame) *cpage {
 // runsFit reports whether offs's (start, count) pairs stay inside a
 // page, each begin at or past the end of the one before, and together
 // cover exactly words words.
-func (n *node) runsFit(offs []int32, words int) bool {
-	total, end, ok := 0, 0, len(offs)%2 == 0
-	for i := 0; ok && i < len(offs); i += 2 {
+func (n *node) runsFit(offs []int32, words int) bool { return n.runsLen(offs) == words }
+
+// runsLen returns the words offs's (start, count) pairs cover, or -1
+// unless they stay inside a page and each begins at or past the end of
+// the one before.
+func (n *node) runsLen(offs []int32) int {
+	if len(offs)%2 != 0 {
+		return -1
+	}
+	total, end := 0, 0
+	for i := 0; i < len(offs); i += 2 {
 		start, count := int(offs[i]), int(offs[i+1])
-		ok = start >= end && count > 0 && start+count <= n.pageWords
+		if start < end || count <= 0 || start+count > n.pageWords {
+			return -1
+		}
 		end = start + count
 		total += count
 	}
-	return ok && total == words
+	return total
 }
 
 // checkDiff panics unless f's runs fit a page (runsFit) and its give-up
@@ -878,6 +1035,7 @@ func (n *node) serve(from int, f wire.Frame, hp *hpage) {
 	switch {
 	case d != nil && d.stale[from] != nil:
 		m := d.stale[from]
+		n.runOffs, n.runWords = n.runOffs[:0], n.runWords[:0]
 		runs := f.B == 1 && hp.untracked == 0 && n.staleRuns(hp, m)
 		clear(m)
 		if runs {
@@ -898,7 +1056,7 @@ func (n *node) serve(from int, f wire.Frame, hp *hpage) {
 	n.twins = append(n.twins, snap)
 }
 
-// staleRuns gathers into the run scratch the master's words that mask m
+// staleRuns appends to the run scratch the master's words that mask m
 // or the bitmap of a local processor in a tracked interval marks, unless
 // the runs with their (start, count) headers would be no smaller than
 // the page, and reports whether it did. A store that lands after its
@@ -921,7 +1079,6 @@ func (n *node) staleRuns(hp *hpage, m wordMask) bool {
 	if words+runs >= n.pageWords {
 		return false
 	}
-	n.runOffs, n.runWords = n.runOffs[:0], n.runWords[:0]
 	for start, end := u.nextRun(0, n.pageWords); start < n.pageWords; start, end = u.nextRun(end, n.pageWords) {
 		n.runOffs = append(n.runOffs, int32(start), int32(end-start))
 		for i := start; i < end; i++ {
@@ -929,6 +1086,89 @@ func (n *node) staleRuns(hp *hpage, m wordMask) bool {
 		}
 	}
 	return true
+}
+
+// grant passes lock i to waiter w, under n.mu. A processor of this rank
+// is marked granted. Another rank is sent a TLockGrant, which carries the
+// runs of each page of the lock's last release that is still homed here
+// and that w's frame lacks, on the terms serve answers a request with
+// runs: w is not a sharer, has a mask, no local processor is in an
+// untracked interval on the page, and the runs with their headers are
+// smaller than the page. Each page carried registers w as a sharer and
+// empties w's mask, as a reply does. The grant goes out under n.mu, so a
+// notice of a later store follows it on the channel to w.
+func (n *node) grant(i int, w waiter) {
+	if w.node == n.cfg.Rank {
+		n.granted[int(w.gpid)-n.cfg.Rank*n.cfg.PPN] = true
+		n.cond.Broadcast()
+		return
+	}
+	pages, counts := n.grantPages[:0], n.grantOffs[:0]
+	n.runOffs, n.runWords = n.runOffs[:0], n.runWords[:0]
+	for _, pg := range n.lockPages[i] {
+		if n.homeOf(int(pg)) != n.cfg.Rank {
+			continue // moved away at a barrier since the release
+		}
+		hp := &n.home[pg]
+		if hp.sharers[w.node] || hp.delta == nil || hp.untracked > 0 {
+			continue
+		}
+		m := hp.delta.stale[w.node]
+		at := len(n.runOffs)
+		if m == nil || !n.staleRuns(hp, m) {
+			continue
+		}
+		clear(m)
+		hp.sharers[w.node] = true
+		pages = append(pages, pg)
+		counts = append(counts, int32((len(n.runOffs)-at)/2))
+	}
+	n.grantPages, n.grantOffs = pages, append(counts, n.runOffs...)
+	n.send(w.node, wire.Frame{Type: wire.TLockGrant, A: int64(i), B: w.gpid, Pages: n.grantPages, Offs: n.grantOffs, Words: n.runWords})
+}
+
+// release keeps pages, the pages a release of lock i published that are
+// homed here, as the lock's, and passes the lock, which is held, to its
+// first waiter, or frees it when there is none. Called with n.mu held.
+func (n *node) release(i int, pages []int32) {
+	n.lockPages[i] = append(n.lockPages[i][:0], pages...)
+	q := n.lockQ[i]
+	if len(q) == 0 {
+		n.lockHeld[i] = false
+		return
+	}
+	w := q[0]
+	n.lockQ[i] = q[:copy(q, q[1:])]
+	n.grant(i, w)
+}
+
+// install takes in the runs grant f carries, under n.mu, by the grant
+// rule (package doc): a page's runs go into a frame that is synced and
+// has no twin, no request in flight and no diff unacknowledged, which
+// becomes a valid copy; otherwise they are dropped, the frame is no
+// longer synced, and a request in flight is disowned.
+func (n *node) install(f wire.Frame) {
+	offs, words := f.Offs[len(f.Pages):], f.Words
+	wake := false
+	for k, pg := range f.Pages {
+		runs := offs[:2*f.Offs[k]]
+		vals := words[:n.runsLen(runs)]
+		offs, words = offs[len(runs):], words[len(vals):]
+		cp := &n.cache[pg]
+		if cp.synced && cp.twin == nil && cp.reqID == 0 && cp.diffs == 0 {
+			diff.ApplyRuns(cp.data, runs, vals)
+			cp.valid = true
+			continue
+		}
+		cp.synced = false
+		if cp.reqID != 0 {
+			cp.reqID = 0
+			wake = true
+		}
+	}
+	if wake {
+		n.cond.Broadcast() // disowned fetches
+	}
 }
 
 // handle processes one incoming frame. The Messenger delivers frames
@@ -939,12 +1179,14 @@ func (n *node) staleRuns(hp *hpage, m wordMask) bool {
 func (n *node) handle(from int, f wire.Frame) {
 	// A frame's slices belong to its type: a diff and a run reply define
 	// Offs and Words, a full page reply Words, a barrier arrival or
-	// release Pages and Offs, nothing else any. One this protocol would
-	// drop on the floor — a batched notice's extra Pages, say — is
-	// refused, not ignored.
-	hasPages := f.Type == wire.TBarArrive || f.Type == wire.TBarRelease
-	hasOffs := hasPages || f.Type == wire.TDiff || f.Type == wire.TPageReply && f.B == 1
-	hasWords := f.Type == wire.TDiff || f.Type == wire.TPageReply
+	// release Pages and Offs, a lock release Pages, a lock grant all
+	// three, nothing else any. One this protocol would drop on the floor
+	// — a batched notice's extra Pages, say — is refused, not ignored.
+	barrier := f.Type == wire.TBarArrive || f.Type == wire.TBarRelease
+	grant := f.Type == wire.TLockGrant
+	hasPages := barrier || grant || f.Type == wire.TLockRelease
+	hasOffs := barrier || grant || f.Type == wire.TDiff || f.Type == wire.TPageReply && f.B == 1
+	hasWords := grant || f.Type == wire.TDiff || f.Type == wire.TPageReply
 	if len(f.Pages) != 0 && !hasPages || len(f.Offs) != 0 && !hasOffs || len(f.Words) != 0 && !hasWords {
 		panic(fmt.Sprintf("mprun: rank %d received a %v frame from rank %d carrying %d pages, %d offsets and %d words, which the type does not define",
 			n.cfg.Rank, f.Type, from, len(f.Pages), len(f.Offs), len(f.Words)))
@@ -1098,13 +1340,15 @@ func (n *node) handle(from int, f wire.Frame) {
 		}
 
 	case wire.TFlushAck:
+		cp := n.cached(from, f)
 		n.mu.Lock()
-		if n.flushOut <= 0 {
+		if cp.diffs <= 0 {
 			// Taken, it would let the node's next release skip its fence.
 			n.mu.Unlock()
 			panic(fmt.Sprintf("mprun: rank %d received a flush ack from rank %d for page %d, token %#x, but awaits none",
 				n.cfg.Rank, from, f.A, f.B))
 		}
+		cp.diffs--
 		n.flushOut--
 		n.mu.Unlock()
 		n.cond.Broadcast()
@@ -1144,51 +1388,36 @@ func (n *node) handle(from int, f wire.Frame) {
 		n.cond.Broadcast()
 
 	case wire.TLockReq:
-		n.viaRank0(from, f, n.cfg.Rank)
+		i := n.lockAt(from, f, n.cfg.Rank, from)
 		n.mu.Lock()
-		var grant bool
-		if !n.lockHeld[f.A] {
-			n.lockHeld[f.A] = true
-			grant = true
+		if w := (waiter{node: from, gpid: f.B}); n.lockHeld[i] {
+			n.lockQ[i] = append(n.lockQ[i], w)
 		} else {
-			n.lockQ[f.A] = append(n.lockQ[f.A], waiter{node: from, gpid: f.B})
+			n.lockHeld[i] = true
+			n.grant(i, w)
 		}
 		n.mu.Unlock()
-		if grant {
-			n.send(from, wire.Frame{Type: wire.TLockGrant, A: f.A, B: f.B})
-		}
 
 	case wire.TLockGrant:
-		n.viaRank0(from, f, from)
-		if lo := int64(n.cfg.Rank * n.cfg.PPN); f.B < lo || f.B >= lo+int64(n.cfg.PPN) {
-			panic(fmt.Sprintf("mprun: rank %d received a grant of lock %d for processor %d, which it does not host",
-				n.cfg.Rank, f.A, f.B))
-		}
+		n.lockAt(from, f, from, n.cfg.Rank)
+		n.checkGrant(from, f)
 		n.mu.Lock()
-		n.granted[f.B] = true
+		n.install(f)
+		n.granted[int(f.B)-n.cfg.Rank*n.cfg.PPN] = true
 		n.mu.Unlock()
 		n.cond.Broadcast()
 
 	case wire.TLockRelease:
-		n.viaRank0(from, f, n.cfg.Rank)
+		i := n.lockAt(from, f, n.cfg.Rank, from)
+		n.checkRelease(from, f)
 		n.mu.Lock()
-		if !n.lockHeld[f.A] {
+		if !n.lockHeld[i] {
 			n.mu.Unlock()
 			panic(fmt.Sprintf("mprun: rank %d received a release of lock %d from rank %d, which is not held",
-				n.cfg.Rank, f.A, from))
+				n.cfg.Rank, i, from))
 		}
-		var next waiter
-		var grant bool
-		if q := n.lockQ[f.A]; len(q) > 0 {
-			next, n.lockQ[f.A] = q[0], q[1:]
-			grant = true
-		} else {
-			n.lockHeld[f.A] = false
-		}
+		n.release(i, f.Pages)
 		n.mu.Unlock()
-		if grant {
-			n.send(next.node, wire.Frame{Type: wire.TLockGrant, A: f.A, B: next.gpid})
-		}
 
 	case wire.TFlagSet:
 		if f.A < 0 || f.A >= int64(len(n.flags)) {
@@ -1415,6 +1644,8 @@ type proc struct {
 	// processor's own goroutine, under n.mu.
 	dirty   []int
 	dirtyIn []bool
+	// relPages is the scratch for the pages an Unlock lists.
+	relPages []int32
 }
 
 var _ apps.Proc = (*proc)(nil)
@@ -1679,6 +1910,7 @@ func (p *proc) flush() {
 		// carries, and the home keeps us registered, so whoever writes
 		// the page next invalidates it like any other sharer's.
 		cp.gaveUp = giveUp == 1
+		cp.diffs++
 		sent++
 		n.emit(p.local, trace.EvDiffOut, page, int64(len(n.runWords)), trace.PackWordSpan(lo, hi))
 		// Send only borrows the frame's slices, so the diff goes out
@@ -1725,27 +1957,61 @@ func (p *proc) Compute(ns, busBytes int64) {}
 func (p *proc) Poll()         {}
 func (p *proc) PollN(n int64) {}
 
-// Lock acquires application lock i through the rank-0 coordinator.
+// Lock acquires application lock i from its home: in place, under n.mu,
+// when this rank is the home, else with a TLockReq there, whose grant may
+// bring some of the lock's pages with it.
 func (p *proc) Lock(i int) {
 	n := p.n
-	t0 := n.wallNow()
-	n.send(0, wire.Frame{Type: wire.TLockReq, A: int64(i), B: int64(p.gpid)})
-	n.mu.Lock()
-	for !n.granted[int64(p.gpid)] {
-		n.cond.Wait()
+	if i < 0 || i >= len(n.lockHeld) {
+		panic(fmt.Sprintf("mprun: processor %d locks lock %d of %d", p.gpid, i, len(n.lockHeld)))
 	}
-	delete(n.granted, int64(p.gpid))
+	t0 := n.wallNow()
+	home := n.lockHome(i)
+	if home != n.cfg.Rank {
+		n.send(home, wire.Frame{Type: wire.TLockReq, A: int64(i), B: int64(p.gpid)})
+	}
+	n.mu.Lock()
+	switch {
+	case home == n.cfg.Rank && !n.lockHeld[i]:
+		n.lockHeld[i] = true
+	case home == n.cfg.Rank:
+		n.lockQ[i] = append(n.lockQ[i], waiter{node: home, gpid: int64(p.gpid)})
+		fallthrough
+	default:
+		for !n.granted[p.local] {
+			n.cond.Wait()
+		}
+		n.granted[p.local] = false
+	}
 	n.mu.Unlock()
 	n.span(p.local, trace.EvLock, -1, t0, int64(i), 0)
 }
 
-// Unlock releases lock i: dirty pages are flushed before the grant can
-// pass to the next holder.
+// Unlock releases lock i: dirty pages are flushed before the lock can
+// pass to the next holder. The release names the pages it published
+// that are homed on the lock's home, which a grant to another rank may
+// carry: in a TLockRelease to the home, or, on the home, kept in place.
 func (p *proc) Unlock(i int) {
 	n := p.n
 	t0 := n.wallNow()
+	// The dirty list is this goroutine's own, and the flush publishes it.
+	home := n.lockHome(i)
+	pages := p.relPages[:0]
+	for _, pg := range p.dirty {
+		if n.homeOf(pg) == home {
+			pages = append(pages, int32(pg))
+		}
+	}
+	slices.Sort(pages)
+	p.relPages = pages
 	p.flush()
-	n.send(0, wire.Frame{Type: wire.TLockRelease, A: int64(i), B: int64(p.gpid)})
+	if home != n.cfg.Rank {
+		n.send(home, wire.Frame{Type: wire.TLockRelease, A: int64(i), B: int64(p.gpid), C: p.barGen, Pages: pages})
+	} else {
+		n.mu.Lock()
+		n.release(i, pages)
+		n.mu.Unlock()
+	}
 	n.span(p.local, trace.EvUnlock, -1, t0, int64(i), 0)
 }
 

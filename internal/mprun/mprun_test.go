@@ -555,14 +555,17 @@ func tapNode() (*node, *tap) { return tapCluster(2) }
 // homed on each.
 func tapCluster(ranks int) (*node, *tap) { return tapAt(0, ranks) }
 
-// tapAt is tapCluster with the node under test at the given rank.
+// tapAt is tapCluster with the node under test at the given rank, and
+// tapLocks locks, lock i homed on rank i % ranks.
 func tapAt(rank, ranks int) (*node, *tap) {
 	// Send runs under the node mutex and must not block; the scripted
 	// tests never leave more than a few frames unread.
 	tp := &tap{self: rank, peers: ranks, sent: make(chan tapped, 16)}
 	cfg := Config{Rank: rank, Nodes: ranks, PPN: 2, Model: costs.Default()}
-	return newNode(cfg, tp, apps.Shape{SharedWords: ranks * apps.PageWords}), tp
+	return newNode(cfg, tp, apps.Shape{SharedWords: ranks * apps.PageWords, Locks: tapLocks}), tp
 }
+
+const tapLocks = 4
 
 const (
 	homePage   = 0 // homed on the node under test in tapNode's cluster
@@ -1327,18 +1330,52 @@ func TestMalformedFramesPanicAttributed(t *testing.T) {
 			"rank 0 received a write-notice frame from rank 1 carrying 2 pages, 0 offsets and 0 words, which the type does not define", 0},
 		{"barrier arrival away from rank 0", wire.Frame{Type: wire.TBarArrive, A: 1, B: 0},
 			"rank 1 received a bar-arrive frame from rank 0, but only rank 0 coordinates", 1},
-		{"lock request away from rank 0", wire.Frame{Type: wire.TLockReq, A: 0, B: 0},
-			"rank 1 received a lock-req frame from rank 0, but only rank 0 coordinates", 1},
-		{"lock release away from rank 0", wire.Frame{Type: wire.TLockRelease, A: 0, B: 0},
-			"rank 1 received a lock-release frame from rank 0, but only rank 0 coordinates", 1},
+		{"lock request away from the lock's home", wire.Frame{Type: wire.TLockReq, A: 0, B: 0},
+			"rank 1 received a lock-req frame from rank 0 for lock 0, which is homed on rank 0", 1},
+		{"lock release away from the lock's home", wire.Frame{Type: wire.TLockRelease, A: 2, B: 0},
+			"rank 1 received a lock-release frame from rank 0 for lock 2, which is homed on rank 0", 1},
 		{"barrier release not from rank 0", wire.Frame{Type: wire.TBarRelease, A: 1},
 			"rank 0 received a bar-release frame from rank 1, but only rank 0 coordinates", 0},
-		{"lock grant not from rank 0", wire.Frame{Type: wire.TLockGrant, A: 0, B: 0},
-			"rank 0 received a lock-grant frame from rank 1, but only rank 0 coordinates", 0},
-		{"lock grant for a processor hosted elsewhere", wire.Frame{Type: wire.TLockGrant, A: 4, B: 1},
-			"rank 1 received a grant of lock 4 for processor 1, which it does not host", 1},
-		{"release of a lock nobody holds", wire.Frame{Type: wire.TLockRelease, A: 3, B: 2},
-			"rank 0 received a release of lock 3 from rank 1, which is not held", 0},
+		{"lock grant not from the lock's home", wire.Frame{Type: wire.TLockGrant, A: 0, B: 0},
+			"rank 0 received a lock-grant frame from rank 1 for lock 0, which is homed on rank 0", 0},
+		{"lock grant for a processor hosted elsewhere", wire.Frame{Type: wire.TLockGrant, A: 2, B: 1},
+			"rank 1 received a lock-grant frame from rank 0 for lock 2 and processor 1, which rank 1 does not host", 1},
+		{"lock request for a processor the sender does not host", wire.Frame{Type: wire.TLockReq, A: 0, B: 0},
+			"rank 0 received a lock-req frame from rank 1 for lock 0 and processor 0, which rank 1 does not host", 0},
+		{"release of a lock nobody holds", wire.Frame{Type: wire.TLockRelease, A: 2, B: 2},
+			"rank 0 received a release of lock 2 from rank 1, which is not held", 0},
+		{"lock request for a lock beyond the application's", wire.Frame{Type: wire.TLockReq, A: tapLocks, B: 2},
+			"rank 0 received a lock-req frame from rank 1 for lock 4 of 4", 0},
+		{"lock grant for a negative lock", wire.Frame{Type: wire.TLockGrant, A: -2, B: 2},
+			"rank 1 received a lock-grant frame from rank 0 for lock -2 of 4", 1},
+		{"release listing a page homed elsewhere", wire.Frame{Type: wire.TLockRelease, A: 0, B: 2, Pages: []int32{0, 1}},
+			"rank 0 received a release of lock 0 from rank 1 listing page 1, homed on rank 1 (pages [0 1], 2 pages)", 0},
+		{"release listing a page beyond the space", wire.Frame{Type: wire.TLockRelease, A: 0, B: 2, Pages: []int32{2}},
+			"rank 0 received a release of lock 0 from rank 1 listing page 2, outside the space", 0},
+		{"release listing pages out of order", wire.Frame{Type: wire.TLockRelease, A: 0, B: 2, Pages: []int32{0, 0}},
+			"rank 0 received a release of lock 0 from rank 1 listing page 0, out of order", 0},
+		{"release carrying runs", wire.Frame{Type: wire.TLockRelease, A: 0, B: 2, Pages: []int32{0}, Offs: []int32{0}},
+			"rank 0 received a lock-release frame from rank 1 carrying 1 pages, 1 offsets and 0 words, which the type does not define", 0},
+		{"grant carrying a page homed at the grantee", wire.Frame{Type: wire.TLockGrant, A: 0, B: 2, Pages: []int32{1}, Offs: []int32{0}},
+			"rank 1 received a malformed grant of lock 0 from rank 0: page 1 is homed here", 1},
+		{"grant carrying a page beyond the space", wire.Frame{Type: wire.TLockGrant, A: 0, B: 2, Pages: []int32{2}, Offs: []int32{0}},
+			"rank 1 received a malformed grant of lock 0 from rank 0: page 2 is outside the space", 1},
+		{"grant carrying a page with no frame", wire.Frame{Type: wire.TLockGrant, A: 0, B: 2, Pages: []int32{0}, Offs: []int32{1, 0, 1}, Words: []int64{1}},
+			"rank 1 received a malformed grant of lock 0 from rank 0: page 0 has no frame here", 1},
+		{"grant with runs past the page end", wire.Frame{Type: wire.TLockGrant, A: 0, B: 2, Pages: []int32{0}, Offs: []int32{1, pw - 1, 2}, Words: []int64{1, 2}},
+			"rank 1 received a malformed grant of lock 0 from rank 0: page 0's runs [1023 2] do not fit a page", 1},
+		{"grant with overlapping runs", wire.Frame{Type: wire.TLockGrant, A: 0, B: 2, Pages: []int32{0}, Offs: []int32{2, 0, 2, 1, 2}, Words: []int64{1, 2, 3, 4}},
+			"rank 1 received a malformed grant of lock 0 from rank 0: page 0's runs [0 2 1 2] do not fit a page", 1},
+		{"grant with fewer run counts than pages", wire.Frame{Type: wire.TLockGrant, A: 0, B: 2, Pages: []int32{0}},
+			"rank 1 received a malformed grant of lock 0 from rank 0: fewer run counts than pages", 1},
+		{"grant counting more runs than it carries", wire.Frame{Type: wire.TLockGrant, A: 0, B: 2, Pages: []int32{0}, Offs: []int32{2, 0, 1}, Words: []int64{1}},
+			"rank 1 received a malformed grant of lock 0 from rank 0: page 0's run count 2 exceeds the offsets", 1},
+		{"grant carrying runs it does not count", wire.Frame{Type: wire.TLockGrant, A: 0, B: 2, Pages: []int32{0}, Offs: []int32{0, 0, 1}, Words: []int64{1}},
+			"rank 1 received a malformed grant of lock 0 from rank 0: 2 offsets beyond the counted runs", 1},
+		{"grant with words its runs do not cover", wire.Frame{Type: wire.TLockGrant, A: 0, B: 2, Pages: []int32{0}, Offs: []int32{1, 0, 1}, Words: []int64{1, 2}},
+			"rank 1 received a malformed grant of lock 0 from rank 0: runs over 1 words carry 2", 1},
+		{"grant carrying runs with no pages", wire.Frame{Type: wire.TLockGrant, A: 0, B: 2, Offs: []int32{0, 1}, Words: []int64{1}},
+			"rank 1 received a malformed grant of lock 0 from rank 0: 2 offsets beyond the counted runs", 1},
 		{"arrival reporting a page beyond the space", wire.Frame{Type: wire.TBarArrive, A: 1, B: 2, Pages: []int32{2}, Offs: []int32{1}},
 			"rank 0 received a malformed bar-arrive frame from rank 1: pages [2], entries [1] (2 pages, entries below 2)", 0},
 		{"arrival with a validity mark outside {0,1}", wire.Frame{Type: wire.TBarArrive, A: 1, B: 2, Pages: []int32{1}, Offs: []int32{2}},
@@ -1356,10 +1393,14 @@ func TestMalformedFramesPanicAttributed(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			n, _ := tapAt(tc.at, 2)
-			if tc.at == 0 {
+			switch {
+			case tc.at == 0:
 				// A frame of the page homed on rank 1, for run replies to
 				// land in.
 				n.cache[remotePage].data = make([]int64, pw)
+			case tc.f.Type == wire.TLockGrant && !strings.HasSuffix(tc.name, "with no frame"):
+				// A frame of the page homed on rank 0, for grants to carry.
+				n.cache[homePage].data = make([]int64, pw)
 			}
 			defer func() {
 				msg, ok := recover().(string)

@@ -151,9 +151,12 @@ func (r *recycler) Int64s(n int) []int64 {
 	return b
 }
 
-// clone returns f with its slices copied into recycled ones.
+// clone returns f with its slices copied into recycled ones, and an
+// empty one nil: the caller's is only lent, however empty, and reclaim
+// would shelve it.
 func (r *recycler) clone(f wire.Frame) wire.Frame {
 	if len(f.Pages) == 0 && len(f.Offs) == 0 && len(f.Words) == 0 {
+		f.Pages, f.Offs, f.Words = nil, nil, nil
 		return f
 	}
 	r.mu.Lock()

@@ -22,9 +22,9 @@
 //
 // all little-endian. The scalar fields carry page numbers, lock ids,
 // barrier generations, and ack tokens; the three arrays carry page
-// lists (a barrier's placement reports and moves), diff run headers
-// (paired start/count offsets) or one entry per listed page, and bulk
-// word payloads. A frame whose declared lengths disagree
+// lists (a barrier's placement reports and moves, a lock release's or
+// grant's pages), diff run headers (paired start/count offsets) or one
+// entry per listed page, and bulk word payloads. A frame whose declared lengths disagree
 // with its payload length is rejected, as is any frame longer than
 // MaxFrameBytes — a stream decoder can never be driven into an
 // unbounded allocation by a corrupt or hostile peer.
@@ -62,7 +62,7 @@ const Magic = 0x4d485343
 
 // Version is the current wire-format version. Bump on any change to
 // the frame layout or to the meaning of an existing frame type.
-const Version = 3
+const Version = 4
 
 // MaxFrameBytes bounds a single frame's payload. The largest
 // legitimate frame is a full page reply (8 Kbyte page = 1024 words)
@@ -73,9 +73,11 @@ const MaxFrameBytes = 1 << 22
 // Type identifies a frame's meaning.
 type Type uint8
 
-// The frame types of wire-format version 3. Version 2 gave TBarArrive
+// The frame types of wire-format version 4. Version 2 gave TBarArrive
 // and TBarRelease their page lists; version 3 gave TPageReq its delta
-// mark and TPageReply its run form. The layout and the other types are
+// mark and TPageReply its run form; version 4 sends the lock frames to
+// and from the lock's home rather than rank 0, gave TLockRelease its
+// page list and TLockGrant its runs. The layout and the other types are
 // version 1's.
 const (
 	// THello opens a connection: A=Magic, B=Version, C=sender rank.
@@ -122,13 +124,20 @@ const (
 	// Pages=the pages whose home moves at this barrier, Offs=one entry
 	// per page, its new home's rank. Both are empty when nothing moves.
 	TBarRelease
-	// TLockReq requests an application lock: A=lock id, B=requesting
-	// global processor id.
+	// TLockReq requests an application lock from its home rank: A=lock
+	// id, B=requesting global processor id.
 	TLockReq
-	// TLockGrant grants it: A=lock id, B=grantee global processor id.
+	// TLockGrant grants it, from the lock's home: A=lock id, B=grantee
+	// global processor id. It may carry the words of some of the lock's
+	// pages that the grantee's frames lack: Pages=those pages, ascending,
+	// Offs=one entry per page, its run count, then every page's paired
+	// (start,count) runs in page order, Words=the runs' values
+	// concatenated. All three are empty when it carries none.
 	TLockGrant
-	// TLockRelease returns it: A=lock id, B=releasing global
-	// processor id.
+	// TLockRelease returns it to its home: A=lock id, B=releasing global
+	// processor id, C=the last barrier generation the releaser has left,
+	// Pages=the pages the release published that are homed on the lock's
+	// home.
 	TLockRelease
 	// TFlagSet raises a set-once application flag: A=flag id.
 	TFlagSet

@@ -36,7 +36,9 @@ func goldenFrames() []Frame {
 		{Type: TBarRelease, A: 3, Pages: []int32{4}, Offs: []int32{1}},
 		{Type: TLockReq, A: 1, B: 6},
 		{Type: TLockGrant, A: 1, B: 6},
+		{Type: TLockGrant, A: 1, B: 6, Pages: []int32{1, 5}, Offs: []int32{2, 1, 0, 1, 3, 2, 8, 2}, Words: []int64{10, 11, 12, 40, -41}},
 		{Type: TLockRelease, A: 1, B: 6},
+		{Type: TLockRelease, A: 1, B: 6, C: 4, Pages: []int32{1, 5}},
 		{Type: TFlagSet, A: 12},
 		{Type: TRegionWrite, A: 2, B: 640, Words: []int64{42}},
 		{Type: TBye},
@@ -138,8 +140,9 @@ func TestCheckHello(t *testing.T) {
 		{"not hello", Frame{Type: TDiff, A: Magic, B: Version}, "expected hello"},
 		{"bad magic", Frame{Type: THello, A: 0x12345678, B: Version}, "bad magic"},
 		{"version ahead", Frame{Type: THello, A: Magic, B: Version + 1}, "version mismatch"},
-		{"v1 peer", Frame{Type: THello, A: Magic, B: 1}, "version mismatch: peer speaks v1, this build speaks v3"},
-		{"v2 peer", Frame{Type: THello, A: Magic, B: 2}, "version mismatch: peer speaks v2, this build speaks v3"},
+		{"v1 peer", Frame{Type: THello, A: Magic, B: 1}, "version mismatch: peer speaks v1, this build speaks v4"},
+		{"v2 peer", Frame{Type: THello, A: Magic, B: 2}, "version mismatch: peer speaks v2, this build speaks v4"},
+		{"v3 peer", Frame{Type: THello, A: Magic, B: 3}, "version mismatch: peer speaks v3, this build speaks v4"},
 		{"version zero", Frame{Type: THello, A: Magic, B: 0}, "version mismatch"},
 	}
 	for _, tc := range cases {
@@ -285,6 +288,10 @@ func FuzzRoundTrip(f *testing.F) {
 	// come from every other four bytes, so here they are (3, 2).
 	f.Add(uint8(TPageReq), int64(44), int64(1), int64(1<<32|5), []byte{}, 0)
 	f.Add(uint8(TPageReply), int64(44), int64(1), int64(1<<32|5), []byte{0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0}, 2)
+	// A lock release listing pages 1 and 5, and a grant carrying page 1
+	// with one run, (1, 2): Pages (1, 1), Offs (1, 1, 2).
+	f.Add(uint8(TLockRelease), int64(1), int64(6), int64(4), []byte{1, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0}, 0)
+	f.Add(uint8(TLockGrant), int64(1), int64(6), int64(0), []byte{1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0}, 2)
 	f.Fuzz(func(t *testing.T, ty uint8, a, bb, c int64, raw []byte, nWords int) {
 		if ty == 0 {
 			t.Skip("type 0 is reserved")
