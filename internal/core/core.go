@@ -286,6 +286,21 @@ type Cluster struct {
 	// time, and no protocol code runs under the read side.
 	pageMu []sync.RWMutex
 
+	// shareMu[p] serializes the check-then-act steps on page p's
+	// sharing set. A fault checks that no node holds the page
+	// exclusively, brings its copy up to date and publishes its mapping;
+	// entering exclusive mode checks that no other node shares the page
+	// and publishes the exclusive word; a release, its changes already in
+	// the master, reads the set to send write notices. Unserialized, two
+	// of these can each pass their check before the other publishes: a
+	// node faults in while another enters exclusive mode, and that
+	// holder's next break flushes its stale frame over the faulter's
+	// writes; or a fault copies the master before a release's flush but
+	// joins the set after the release read it, and keeps its stale copy
+	// with no notice. Taken after n.mu and before pageMu; like pageMu it
+	// is a host lock and charges no virtual time.
+	shareMu []sync.Mutex
+
 	// Home state per superpage: packed (protoNode, proc, firstTouched)
 	// words readable lock-free; relocation serializes on homeLock.
 	// homeNode/homeProc hold the round-robin defaults from New.
@@ -387,6 +402,7 @@ func New(cfg Config) (*Cluster, error) {
 		c.masters[p] = make([]int64, cfg.PageWords)
 	}
 	c.pageMu = make([]sync.RWMutex, c.pages)
+	c.shareMu = make([]sync.Mutex, c.pages)
 	c.pageModes = make([]atomic.Int32, c.pages)
 
 	c.homeNode = make([]int, c.superpages)
@@ -435,6 +451,7 @@ func New(cfg Config) (*Cluster, error) {
 			vmEpoch:   n.vm.Epoch(),
 			pageShift: c.pageShift,
 			pageMask:  c.pageMask,
+			sd:        cfg.Protocol == TwoLevelSD,
 			nle:       wnotice.NewPerProc(c.pages),
 			pwn:       wnotice.NewPerProc(c.pages),
 			dirtyIn:   make([]bool, c.pages),

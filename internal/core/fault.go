@@ -43,12 +43,16 @@ func (p *Proc) doReadFault(page int) {
 			continue
 		}
 		n := p.n
+		sh := &p.c.shareMu[page]
 		n.mu.Lock()
+		sh.Lock()
 		if p.table.CanRead(page) {
+			sh.Unlock()
 			n.mu.Unlock()
 			return // resolved by a concurrent local fault
 		}
 		if !p.ensureCurrentLocked(page) {
+			sh.Unlock()
 			n.mu.Unlock()
 			continue // raced with a new exclusive holder
 		}
@@ -62,6 +66,7 @@ func (p *Proc) doReadFault(page int) {
 			}
 			p.publishOwnWord(page, excl)
 		}
+		sh.Unlock()
 		n.mu.Unlock()
 		return
 	}
@@ -94,12 +99,16 @@ func (p *Proc) doWriteFault(page int) {
 			continue
 		}
 		n := p.n
+		sh := &p.c.shareMu[page]
 		n.mu.Lock()
+		sh.Lock()
 		if p.table.CanWrite(page) {
+			sh.Unlock()
 			n.mu.Unlock()
 			return
 		}
 		if !p.ensureCurrentLocked(page) {
+			sh.Unlock()
 			n.mu.Unlock()
 			continue
 		}
@@ -158,6 +167,7 @@ func (p *Proc) doWriteFault(page int) {
 				p.publishOwnWord(page, -1)
 			}
 		}
+		sh.Unlock()
 		n.mu.Unlock()
 		return
 	}
@@ -178,8 +188,9 @@ func (p *Proc) needsTwin(page int) bool {
 
 // ensureCurrentLocked makes the node's copy of page resident and
 // current, fetching from the home node if necessary. It must be called
-// with p.n.mu held. It returns false if the caller must retry because an
-// exclusive holder elsewhere was discovered.
+// with p.n.mu and the page's shareMu held. It returns false if the
+// caller must retry because an exclusive holder elsewhere was
+// discovered.
 func (p *Proc) ensureCurrentLocked(page int) bool {
 	c := p.c
 	n := p.n

@@ -57,9 +57,10 @@ type tlbEntry struct {
 // of any copy of the page takes: a scan — a diff, a twin, a refresh, a
 // 2LS shootdown's flush — never overlaps a run, and a run revalidates
 // its mapping under the lock, so it cannot slip stores past a
-// revocation made before the scan. A scalar store's revocation window
-// is a single in-flight word, the same window the per-word permission
-// check had.
+// revocation made before the scan. A scalar store checks its mapping
+// before it lands, so under 2LS it can land after a shootdown revoked
+// the mapping and diffed the page; it rereads the epoch afterwards and,
+// if it moved, writes its word through to the master (storeRevoked).
 type Proc struct {
 	c      *Cluster
 	n      *node
@@ -71,11 +72,13 @@ type Proc struct {
 	// Software TLB state. vmEpoch points at the node's translation
 	// generation; pageShift/pageMask mirror the cluster's shift/mask
 	// page arithmetic (pageShift is -1 when PageWords is not a power of
-	// two).
+	// two); sd notes the shootdown protocol, whose scalar stores must
+	// not slip past a shootdown (see storeRevoked).
 	tlb       [tlbSize]tlbEntry
 	vmEpoch   *atomic.Uint64
 	pageShift int
 	pageMask  int
+	sd        bool
 
 	// rowBuf is scratch for the float64 range kernels.
 	rowBuf []int64
@@ -216,7 +219,27 @@ func (p *Proc) Store(addr int, v int64) {
 		p.st.Charge(stats.WriteDoubling, p.c.model.WriteDouble)
 		p.doubledBytes += wordBytes
 		p.st.Data(wordBytes)
+	} else if p.sd && e.epoch != p.vmEpoch.Load() {
+		p.storeRevoked(page, off, v)
 	}
+}
+
+// storeRevoked writes a 2LS store that may have raced a shootdown
+// through to the master. The shooter revokes the mapping, which moves
+// the node epoch, then diffs the frame against the twin and drops the
+// twin; a store that passed its check before the revocation can land
+// after the diff, and with the twin gone no flush would ever find it.
+// With sequentially consistent atomics, a store whose epoch reread
+// still matches landed before the revocation and so before the diff.
+// Otherwise the word goes to the master here, under the read side of
+// the page's lock so it does not overlap the diff. An epoch moved by
+// anything else costs only a write of a word the next release flushes
+// anyway; a data-race-free program has no other writer of it.
+func (p *Proc) storeRevoked(page, off int, v int64) {
+	mu := &p.c.pageMu[page]
+	mu.RLock()
+	atomic.StoreInt64(&p.c.masters[page][off], v)
+	mu.RUnlock()
 }
 
 // LoadRange reads len(dst) consecutive shared words starting at addr

@@ -279,15 +279,32 @@ func (p *Proc) flushPage(page int, releaseStart int64) {
 	// master, and keeping it would let exclusive-mode writes silently
 	// diverge from it — after a later break (which flushes the frame but
 	// sees an existing twin) the stale twin would misclassify those
-	// already-flushed words as unreleased local writes.
+	// already-flushed words as unreleased local writes. Only a current
+	// copy may enter — one the node still maps, that postdates every
+	// notice it has applied, and with no notice for it still queued: an
+	// exclusive holder skips the page at its acquires, and a break
+	// flushes the whole frame to the master, so a stale frame (a
+	// no-longer-exclusive page comes back here with its mapping
+	// invalidated; a sharer can write, release and leave the set before
+	// this node acquires) would be read past the next acquire and would
+	// overwrite other nodes' released writes.
+	//
+	// The sharing set is read under the page's shareMu, after the data
+	// above reached the master: a fault copies the master and publishes
+	// its mapping under the same lock, so it either sees the flushed
+	// data or is in the set and gets a notice.
+	sh := &c.shareMu[page]
+	sh.Lock()
 	if !c.cfg.Protocol.TwoLevelFamily() && !aliased &&
-		c.dir.Sharers(n.id, page, n.id) == 0 {
+		n.vm.Loosest(page) != directory.Invalid && meta.updateTS >= meta.wnTS &&
+		c.dir.Sharers(n.id, page, n.id) == 0 && !n.noticeQueued(page) {
 		if !c.defects.keepExclusiveTwin {
 			n.dropTwin(page)
 		}
 		p.st.Inc(stats.ExclTransitions)
 		p.emit(trace.EvExclEnter, page, 0, 0)
 		p.publishOwnWord(page, p.global)
+		sh.Unlock()
 		return
 	}
 
@@ -307,6 +324,7 @@ func (p *Proc) flushPage(page int, releaseStart int64) {
 		p.postNotice(x, page)
 		p.emit(trace.EvNoticeSend, page, int64(x), 0)
 	}
+	sh.Unlock()
 
 	p.downgradeAfterFlush(page)
 }
@@ -322,6 +340,15 @@ func (p *Proc) downgradeAfterFlush(page int) {
 	if p.n.vm.Loosest(page) != directory.ReadWrite {
 		p.publishOwnWord(page, -1)
 	}
+}
+
+// noticeQueued reports whether a write notice for page waits in n's
+// list: posted by a release and not yet drained by an acquire.
+func (n *node) noticeQueued(page int) bool {
+	if n.wnLocked != nil {
+		return n.wnLocked.Has(page)
+	}
+	return n.gwn.Has(page)
 }
 
 // postNotice delivers a write notice for page to node x.

@@ -510,7 +510,8 @@ func (tp *tap) Send(to int, f wire.Frame) error {
 	if tp.hold != nil {
 		tp.hold(f)
 	}
-	tp.sent <- tapped{to, f.Clone()}
+	f.Pages, f.Offs, f.Words = slices.Clone(f.Pages), slices.Clone(f.Offs), slices.Clone(f.Words)
+	tp.sent <- tapped{to, f}
 	return nil
 }
 

@@ -31,7 +31,8 @@ import (
 // tcp backend and the canonical equivalent for the in-process shm mesh,
 // so the two backends report comparable numbers.
 //
-// A backend with no attached FrameStats pays one nil check per frame.
+// A nil *FrameStats records nothing, so a backend with none attached
+// pays one nil check per frame.
 // All counter updates are atomic; RecordSend and RecordRecv may be
 // called from any goroutine. The latency correlation map is guarded by
 // a mutex taken only for the three request/reply types above.
@@ -94,7 +95,7 @@ func typeSlot(t wire.Type) int {
 
 // RecordSend accounts one frame sent to peer to.
 func (s *FrameStats) RecordSend(to int, f wire.Frame) {
-	if to < 0 || to >= len(s.counters[0]) {
+	if s == nil || to < 0 || to >= len(s.counters[0]) {
 		return
 	}
 	c := &s.counters[0][to][typeSlot(f.Type)]
@@ -123,7 +124,7 @@ func (s *FrameStats) RecordSend(to int, f wire.Frame) {
 
 // RecordRecv accounts one frame received from peer from.
 func (s *FrameStats) RecordRecv(from int, f wire.Frame) {
-	if from < 0 || from >= len(s.counters[1]) {
+	if s == nil || from < 0 || from >= len(s.counters[1]) {
 		return
 	}
 	c := &s.counters[1][from][typeSlot(f.Type)]

@@ -18,9 +18,9 @@ import (
 // inside the test process.
 var meshes = []struct {
 	name  string
-	build func(t *testing.T, n int) []transport.Messenger
+	build func(t testing.TB, n int) []transport.Messenger
 }{
-	{"shm", func(t *testing.T, n int) []transport.Messenger {
+	{"shm", func(t testing.TB, n int) []transport.Messenger {
 		m := shmchan.NewMesh(n)
 		eps := make([]transport.Messenger, n)
 		for i := range eps {
@@ -28,7 +28,7 @@ var meshes = []struct {
 		}
 		return eps
 	}},
-	{"tcp", func(t *testing.T, n int) []transport.Messenger {
+	{"tcp", func(t testing.TB, n int) []transport.Messenger {
 		listeners := make([]net.Listener, n)
 		addrs := make([]string, n)
 		for i := range listeners {
@@ -182,5 +182,132 @@ func TestMessengerContract(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFrameAllocations pins what a frame costs the heap on a warmed
+// pair of either mesh: nothing — the receiving inbox copies or decodes
+// it into slices an earlier frame gave back, and a tcp sender encodes
+// into its connection's buffer. Each operation sends one frame from
+// rank 0 and waits for rank 1's handler to have seen it or, for a lock
+// request, for rank 0's to have seen the grant. The limits leave one
+// allocation an operation for the runtime's own doing
+// (testing.AllocsPerRun counts the whole process); a mesh that clones
+// a frame's slices or starts a fresh queue for each batch costs two or
+// more.
+func TestFrameAllocations(t *testing.T) {
+	for _, mesh := range meshes {
+		t.Run(mesh.name, func(t *testing.T) {
+			eps := mesh.build(t, 2)
+			handled := make(chan struct{}, 1)
+			eps[0].SetHandler(func(int, wire.Frame) { handled <- struct{}{} })
+			eps[1].SetHandler(func(_ int, f wire.Frame) {
+				if f.Type != wire.TLockReq {
+					handled <- struct{}{}
+				} else if err := eps[1].Send(0, wire.Frame{Type: wire.TLockGrant, A: f.A}); err != nil {
+					t.Error(err)
+				}
+			})
+			defer eps[0].Close()
+			defer eps[1].Close()
+			beat := func(f wire.Frame) {
+				if err := eps[0].Send(1, f); err != nil {
+					t.Fatal(err)
+				}
+				<-handled
+			}
+			page := wire.Frame{Type: wire.TPageReply, Words: make([]int64, 1024)}
+			diff := wire.Frame{Type: wire.TDiff, Offs: make([]int32, 6), Words: make([]int64, 300)}
+			trip := wire.Frame{Type: wire.TLockReq, A: 3, B: 1}
+			for i := 0; i < 20; i++ {
+				beat(page)
+				beat(diff)
+				beat(trip)
+			}
+			for _, tc := range []struct {
+				name string
+				f    wire.Frame
+			}{
+				{"a page frame sent and handled", page},
+				{"a diff frame sent and handled", diff},
+				{"a small-frame round trip", trip},
+			} {
+				got := testing.AllocsPerRun(200, func() { beat(tc.f) })
+				t.Logf("%s: %v allocations", tc.name, got)
+				if got > 1 {
+					t.Errorf("%s costs %v allocations, want at most 1", tc.name, got)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRoundTrip is one small frame there and one back, a lock
+// request and its grant: two sends, two dispatcher wake-ups, and on tcp
+// two reader wake-ups.
+func BenchmarkRoundTrip(b *testing.B) {
+	for _, mesh := range meshes {
+		b.Run(mesh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			eps := mesh.build(b, 2)
+			back := make(chan struct{}, 1)
+			eps[0].SetHandler(func(int, wire.Frame) { back <- struct{}{} })
+			eps[1].SetHandler(func(_ int, f wire.Frame) {
+				if err := eps[1].Send(0, wire.Frame{Type: wire.TLockGrant, A: f.A}); err != nil {
+					b.Error(err)
+				}
+			})
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := eps[0].Send(1, wire.Frame{Type: wire.TLockReq, A: int64(i)}); err != nil {
+					b.Fatal(err)
+				}
+				<-back
+			}
+			b.StopTimer()
+			eps[1].Close()
+			eps[0].Close()
+		})
+	}
+}
+
+// BenchmarkStream sends frames one way as fast as Send returns and
+// stops the clock when the receiver has dispatched the last: full-page
+// replies for bandwidth, barrier-sized frames for the per-frame cost.
+func BenchmarkStream(b *testing.B) {
+	for _, mesh := range meshes {
+		for _, tc := range []struct {
+			name string
+			f    wire.Frame
+		}{
+			{"page", wire.Frame{Type: wire.TPageReply, Words: make([]int64, 1024)}},
+			{"small", wire.Frame{Type: wire.TBarArrive, B: 1}},
+		} {
+			b.Run(mesh.name+"/"+tc.name, func(b *testing.B) {
+				b.ReportAllocs()
+				eps := mesh.build(b, 2)
+				done := make(chan struct{})
+				last := int64(b.N)
+				eps[0].SetHandler(func(int, wire.Frame) {})
+				eps[1].SetHandler(func(_ int, f wire.Frame) {
+					if f.A == last {
+						close(done)
+					}
+				})
+				f := tc.f
+				b.SetBytes(int64(wire.EncodedLen(f)))
+				b.ResetTimer()
+				for i := 1; i <= b.N; i++ {
+					f.A = int64(i)
+					if err := eps[0].Send(1, f); err != nil {
+						b.Fatal(err)
+					}
+				}
+				<-done
+				b.StopTimer()
+				eps[1].Close()
+				eps[0].Close()
+			})
+		}
 	}
 }

@@ -1,7 +1,8 @@
 // Package transport holds what the fabrics of the multi-process runtime
 // share: the Messenger contract internal/mprun drives its protocol
-// through, the FrameStats collector every Messenger can carry, and the
-// word size. The repository has two engines and each has one seam:
+// through, the Inbox that is the receiving half of both meshes'
+// Messengers, the FrameStats collector every Messenger can carry, and
+// the word size. The repository has two engines and each has one seam:
 //
 //   - the simulation engine (internal/core, internal/msync,
 //     internal/directory) maps remote-write regions on
@@ -10,9 +11,10 @@
 //     properties of paper Section 2.1;
 //   - the multi-process runtime (internal/mprun) never maps a region: it
 //     exchanges versioned wire frames (transport/wire) over a Messenger,
-//     which is either transport/shmchan (goroutine nodes, a
-//     mutex-and-cond FIFO queue per endpoint) or transport/tcpchan
-//     (one OS process per node on a socket mesh).
+//     which is either transport/shmchan (goroutine nodes in one
+//     process) or transport/tcpchan (one OS process per node on a
+//     socket mesh); either endpoint is an Inbox plus the way its mesh
+//     reaches the peers' inboxes.
 //
 // See docs/TRANSPORT.md for the backend matrix and the delivery and
 // ownership rules each Messenger keeps.
@@ -46,9 +48,9 @@ const WordBytes = 8
 // transport: when it returns the slices are the transport's again —
 // it may decode the next frame into them — so a handler copies out what
 // it keeps and never writes into them; while it runs they are its alone
-// and hold what was sent. Which side pays for a copy is the backend's
-// business (shm copies in Send, tcp copies nowhere: it encodes from the
-// sender's slices and decodes into recycled ones).
+// and hold what was sent. A frame is copied once, into slices the
+// receiving endpoint recycles: Send makes the copy in process, the
+// stream decoder makes it over a socket (see Inbox).
 //
 // The simulator does not implement Messenger — the simulation engine
 // models messages as cost charges against directly-shared memory. The

@@ -1,9 +1,9 @@
 // Package wire defines the versioned, length-prefixed frame format the
 // socket transport (transport/tcpchan) speaks: diffs, write notices,
-// directory updates, page fetches, and synchronization traffic, each a
-// self-delimiting frame that can be written onto any ordered byte
-// stream. The in-process shm mesh queues the same Frame structs, their
-// slices cloned by its Send, so the multi-process runtime
+// page fetches, and synchronization traffic, each a self-delimiting
+// frame that can be written onto any ordered byte stream. The
+// in-process shm mesh queues the same Frame structs, their slices
+// copied into ones the receiver recycles, so the multi-process runtime
 // (internal/mprun) is agnostic to which carries them.
 //
 // # Frame layout
@@ -78,7 +78,8 @@ type Type uint8
 // mark and TPageReply its run form; version 4 sends the lock frames to
 // and from the lock's home rather than rank 0, gave TLockRelease its
 // page list and TLockGrant its runs. The layout and the other types are
-// version 1's.
+// version 1's. Types 5 and 15, a directory update and a region write,
+// were never sent and are retired; their numbers stay unused.
 const (
 	// THello opens a connection: A=Magic, B=Version, C=sender rank.
 	THello Type = iota + 1
@@ -95,10 +96,7 @@ const (
 	TWriteNotice
 	// TNoticeAck acknowledges a write notice: A=page, B=token.
 	TNoticeAck
-	// TDirUpdate maintains the home's sharer directory: A=page,
-	// B=node, C=1 to add the node to the page's sharer set, 0 to
-	// drop it.
-	TDirUpdate
+	_ // 5, retired
 	// TPageReq requests a page copy from its home: A=page, B=1 when
 	// the requester's frame holds everything the home's last reply to it
 	// carried, so a reply may carry only the words it lacks, 0 when it
@@ -141,9 +139,7 @@ const (
 	TLockRelease
 	// TFlagSet raises a set-once application flag: A=flag id.
 	TFlagSet
-	// TRegionWrite carries a remote-write burst into a replicated
-	// region: A=region id, B=starting word offset, Words=the values.
-	TRegionWrite
+	_ // 15, retired
 	// TBye ends the session; a node that has received TBye may shut
 	// down once its peers' streams drain.
 	TBye
@@ -160,8 +156,6 @@ func (t Type) String() string {
 		return "write-notice"
 	case TNoticeAck:
 		return "notice-ack"
-	case TDirUpdate:
-		return "dir-update"
 	case TPageReq:
 		return "page-req"
 	case TPageReply:
@@ -180,8 +174,6 @@ func (t Type) String() string {
 		return "lock-release"
 	case TFlagSet:
 		return "flag-set"
-	case TRegionWrite:
-		return "region-write"
 	case TBye:
 		return "bye"
 	default:
@@ -198,13 +190,6 @@ type Frame struct {
 	Pages   []int32
 	Offs    []int32
 	Words   []int64
-}
-
-// Clone returns f with its slices copied, for a holder that outlives
-// the loan of the original's (see transport.Messenger).
-func (f Frame) Clone() Frame {
-	f.Pages, f.Offs, f.Words = slices.Clone(f.Pages), slices.Clone(f.Offs), slices.Clone(f.Words)
-	return f
 }
 
 // Hello returns the connection-opening frame for the given rank.

@@ -33,6 +33,7 @@
 package wnotice
 
 import (
+	"slices"
 	"sync"
 
 	"cashmere/internal/sim"
@@ -106,6 +107,22 @@ func (g *Global) Pending() int {
 		g.bins[i].mu.Unlock()
 	}
 	return n
+}
+
+// Has reports whether a notice for page is queued in any bin, under the
+// same all-bins lock as Drain.
+func (g *Global) Has(page int) bool {
+	for i := range g.bins {
+		g.bins[i].mu.Lock()
+	}
+	found := false
+	for i := range g.bins {
+		found = found || slices.Contains(g.bins[i].pages, page)
+	}
+	for i := range g.bins {
+		g.bins[i].mu.Unlock()
+	}
+	return found
 }
 
 // Snapshot returns a copy of the queued notices across all bins, in bin
@@ -191,6 +208,7 @@ func (p *PerProc) Has(page int) bool {
 // updated virtual time.
 type Locked struct {
 	lock  sim.VLock
+	mu    sync.Mutex // guards pages for Has, which charges no virtual time
 	pages []int
 }
 
@@ -201,7 +219,9 @@ func NewLocked() *Locked { return &Locked{} }
 // time after waiting for and holding the global lock.
 func (l *Locked) Post(now int64, page int, lockCost int64) int64 {
 	now = l.lock.Acquire(now, lockCost)
+	l.mu.Lock()
 	l.pages = append(l.pages, page)
+	l.mu.Unlock()
 	l.lock.Release(now)
 	return now
 }
@@ -210,11 +230,21 @@ func (l *Locked) Post(now int64, page int, lockCost int64) int64 {
 // the notices and the time after the locked traversal.
 func (l *Locked) Drain(now int64, lockCost int64) ([]int, int64) {
 	now = l.lock.Acquire(now, lockCost)
+	l.mu.Lock()
 	out := make([]int, len(l.pages))
 	copy(out, l.pages)
 	l.pages = l.pages[:0]
+	l.mu.Unlock()
 	l.lock.Release(now)
 	return out, now
+}
+
+// Has reports whether a notice for page is queued, without charging
+// virtual time.
+func (l *Locked) Has(page int) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return slices.Contains(l.pages, page)
 }
 
 // Pending returns the number of queued notices without charging

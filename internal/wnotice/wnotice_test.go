@@ -273,3 +273,30 @@ func TestSnapshotIsAtomic(t *testing.T) {
 		}
 	}
 }
+
+// TestHas checks that both global list kinds report a page as queued
+// from its post until the drain that takes it, whatever bin it is in.
+func TestHas(t *testing.T) {
+	g := NewGlobal(3)
+	g.Post(2, 7)
+	g.Post(0, 4)
+	for page, want := range map[int]bool{4: true, 7: true, 5: false} {
+		if got := g.Has(page); got != want {
+			t.Errorf("Global.Has(%d) = %v, want %v", page, got, want)
+		}
+	}
+	g.Drain()
+	if g.Has(7) {
+		t.Error("Global.Has(7) after Drain = true")
+	}
+
+	l := NewLocked()
+	l.Post(0, 9, 1)
+	if !l.Has(9) || l.Has(8) {
+		t.Errorf("Locked.Has(9), Has(8) = %v, %v; want true, false", l.Has(9), l.Has(8))
+	}
+	l.Drain(0, 1)
+	if l.Has(9) {
+		t.Error("Locked.Has(9) after Drain = true")
+	}
+}
