@@ -24,12 +24,18 @@ var reqSeq atomic.Int64
 // frame lacks when synced, and returns the home's reply to it.
 func served(t *testing.T, n *node, tp *tap, r int, synced bool) wire.Frame {
 	t.Helper()
-	var b int64
+	var marks int64
 	if synced {
-		b = 1
+		marks = deltaMark
 	}
+	return servedMarks(t, n, tp, r, marks)
+}
+
+// servedMarks is served with the request's marks given.
+func servedMarks(t *testing.T, n *node, tp *tap, r int, marks int64) wire.Frame {
+	t.Helper()
 	c := int64(r)<<32 | reqSeq.Add(1)
-	n.handle(r, wire.Frame{Type: wire.TPageReq, A: homePage, B: b, C: c})
+	n.handle(r, wire.Frame{Type: wire.TPageReq, A: homePage, B: marks, C: c})
 	to, f := tp.nextTo(t, wire.TPageReply)
 	if to != r || f.C != c {
 		t.Fatalf("reply %#x went to rank %d, want the echo of %#x to rank %d", f.C, to, c, r)

@@ -9,8 +9,9 @@
 // processors work on the master copy in place, other writers twin a
 // page at its first store and flush run-encoded diffs against the twin
 // at release operations (internal/diff, paper Sections 2.2 and 2.5),
-// homes eagerly invalidate sharers with write notices, each lock is
-// queued on a home rank of its own, and barriers on rank 0.
+// homes eagerly invalidate sharers with write notices, or push the
+// words they lack to copies that several writers falsely share, each
+// lock is queued on a home rank of its own, and barriers on rank 0.
 //
 // # Protocol
 //
@@ -36,8 +37,10 @@
 //
 // At every release operation (Unlock, Barrier, SetFlag, and once after
 // the application body returns) a processor publishes the pages on its
-// own dirty list, in ascending page order, and leaves their writer
-// counts; its siblings' lists are theirs to publish. A cached page is
+// own dirty list, in ascending page order — first those homed elsewhere,
+// then, once their diffs are acknowledged, those homed here ("Pushes") —
+// and leaves their writer counts; its siblings' lists are theirs to
+// publish. A cached page is
 // compared with its twin and the words that differ — its own and any
 // sibling's so far — go to the home as a run-encoded TDiff; a page whose
 // stores changed nothing sends nothing. The flush that takes the last
@@ -49,26 +52,28 @@
 // unchanged word, because the home applies every word it is sent.
 //
 // The home applies the runs to the master, sends a TWriteNotice to
-// every sharer but the flusher, striking each from the sharer set, and
-// answers the flusher with a TFlushAck once no notice for the page is
-// unacknowledged. A dirty page homed here needs no
+// every sharer but the flusher — a push, carrying the words the
+// sharer's copy lacks, to a sharer that keeps its copy ("Pushes"), a
+// plain notice, striking the sharer from the sharer set, to any other —
+// and answers the flusher with a TFlushAck once no notice for the page
+// is unacknowledged. A dirty page homed here needs no
 // diff — the words are already in the master — so the flush itself
-// sends the notices, to every sharer, and completes locally on the last
-// TNoticeAck; with no sharer it sends nothing at all. Either kind of
-// release also waits for notices a previous release of the page has
-// out, though it sent none: the copies those are about to invalidate
-// lack its words too. The release operation does not complete until
-// every diff and notice of the node's — a sibling's diff may be
-// carrying this processor's words — is acknowledged, so by the time a
-// matching acquire can succeed anywhere, every stale copy has been
-// invalidated: the same eager release consistency argument the paper's
-// protocols make.
+// sends the pushes and notices, to every sharer, and completes locally
+// on the last TNoticeAck; with no sharer it sends nothing at all. Either
+// kind of release also waits for notices a previous release of the page
+// has out, though it sent none: the copies those are about to
+// invalidate or update lack its words too. The release operation does
+// not complete until every diff and notice of the node's — a sibling's
+// diff may be carrying this processor's words — is acknowledged, so by
+// the time a matching acquire can succeed anywhere, every stale copy has
+// been invalidated or brought up to date: the same eager release
+// consistency argument the paper's protocols make.
 //
 // Who holds a valid copy after a release: the home, always; the
 // flusher, if its copy was valid when it flushed — it has every word
 // the diff carries, it stays in the sharer set, and it is invalidated
-// like any other sharer by the next diff or home release that is not
-// its own; nobody else.
+// or pushed to like any other sharer by the next diff or home release
+// that is not its own; every sharer that took a push; nobody else.
 //
 // The give-up rule is the exception. Keeping the copy is a loss when
 // the page migrates: the next writer's release then pays a notice round
@@ -109,8 +114,8 @@
 // the node's own flushed words with older ones that no notice would
 // ever correct. The waiting processor asks again, behind the diff
 // on the same ordered channel. A lock grant that drops its runs disowns
-// a request in flight too (the grant rule). (A valid copy has no request
-// in flight.)
+// a request in flight too (the grant rule), and so does a dropped push
+// ("Pushes"). (A valid copy has no request in flight.)
 //
 // The grant rule: a lock grant from another rank may carry runs of pages
 // homed on the lock's home, built as a run reply's are ("Delta
@@ -126,13 +131,14 @@
 // whole page.
 //
 // Replies are ordered before notices. A copy taken at the home and a
-// notice for a later store travel to the requester on one ordered
-// channel, and the requester relies on meeting them in that order: a
-// notice that finds no valid copy is acknowledged and forgotten. The
-// handler sends both, in order, for remote writers' diffs; but a home
-// processor's flush sends its notices from the processor's goroutine,
-// so the handler sends each TPageReply before it releases the node
-// mutex, and the flush sends under the same mutex.
+// notice or push for a later store travel to the requester on one
+// ordered channel, and the requester relies on meeting them in that
+// order: a notice that finds no valid copy is acknowledged and
+// forgotten, and a push's runs, read from the master after the reply's
+// words, are merged over them. The handler sends replies, and the pushes
+// and notices of remote writers' diffs, under the node mutex; a home
+// processor's flush sends its pushes and notices from the processor's
+// goroutine, under the same mutex.
 //
 // # Page placement
 //
@@ -178,12 +184,12 @@
 // out from the node's one run scratch, its words read word-atomically
 // from the frame, and the scratch is overwritten for the next page as
 // soon as Send is back; a lock grant's runs go out from it too, with the
-// grant's page and count scratch. All these sends happen under the node
-// mutex (replies and grants for the ordering above). What arrives is
-// copied where it belongs before the handler returns — a reply's page or
-// runs into the node's frame of the page, a diff's runs into the master,
-// a grant's runs into the grantee's frames — and no slice of a received
-// frame is kept.
+// grant's page and count scratch, and so do a push's. All these sends
+// happen under the node mutex (replies, grants and pushes for the
+// ordering above). What arrives is copied where it belongs before the
+// handler returns — a reply's or push's page or runs into the node's
+// frame of the page, a diff's runs into the master, a grant's runs into
+// the grantee's frames — and no slice of a received frame is kept.
 //
 // # Delta replies
 //
@@ -223,7 +229,48 @@
 // it has modified locally (frame differs from twin) keeps its value, and
 // the twin takes every run word. A page's new home (see "Page
 // placement") starts with no masks. A lock grant carries runs on the same
-// terms and with the same effect on the mask (see the grant rule).
+// terms and with the same effect on the mask (see the grant rule), and so
+// does a push ("Pushes").
+//
+// # Pushes
+//
+// A kept copy (cpage.keep: giving it up bought a refetch and spared no
+// notice) is refetched after every notice, and its home already knows
+// which words it lacks: its mask. So a node says when it keeps its copy
+// — its requests for the page carry the keep mark, TPageReq.B's second
+// bit — and the home records, per page and rank, whether the rank's last
+// request did (homeDelta.keep). Where the home would send such a rank a
+// write notice, at a home processor's flush or for a remote writer's
+// diff (three or more ranks), it pushes instead (publish): the notice
+// carries the runs serve would answer a run request with, built from the
+// rank's mask and the page's tracked local store bitmaps, the mask is
+// emptied, and the rank stays in the sharer set. It falls back to a
+// plain notice, striking the rank, when the rank has no mask, a local
+// processor is in an untracked interval on the page, or the runs with
+// their headers are no smaller than the page.
+//
+// The sharer merges a push as it merges a run reply — diff.ApplyRuns, or
+// mergeRuns under a twin, so that unflushed local words keep their
+// values and the twin takes every run word — into a copy that is valid,
+// and so has no request in flight, and has no diff unacknowledged. The
+// copy stays valid and no epoch is bumped: its processors' TLB entries
+// stand, and a load may see the pushed words as soon as they land, as it
+// may a refetch's. In any other state it takes the push as a notice,
+// invalidating a valid copy, and drops the runs as the grant rule drops
+// a grant's: the frame is no longer synced, and a request in flight is
+// disowned. A diff unacknowledged means the runs were read from a master
+// that may not have the diff's words yet, and would put older words over
+// the node's own; an invalid copy has been given up or has dropped an
+// earlier push, and lacks more than the runs carry. Either way the
+// sharer answers with a TNoticeAck, so a push holds up the release that
+// sent it exactly as a notice does.
+//
+// A release sends in two phases: first its diffs, and it waits for their
+// acknowledgements; then its pushes and notices, and it waits again
+// (flush). A peer's transport.Inbox then never holds one release's diffs
+// and pushes at once, and neither does the recycler behind it, which
+// keeps slices for the largest burst it has held. The release's
+// EvFlushFence span covers both waits.
 //
 // # Access path
 //
@@ -278,11 +325,12 @@
 // being stored plainly is a data race in the application.
 //
 // Frames off the wire index those slices, so the handler range-checks
-// page numbers, flag and lock ids, diff, reply and grant runs, give-up,
-// delta and form marks, reply lengths, a barrier frame's pages, marks
-// and ranks and a lock release's or grant's pages, refuses a reply or
-// notice for a page it homes, a run reply or grant runs for a page it
-// holds no frame of, grant runs for a page it homes, a release listing a
+// page numbers, flag and lock ids, diff, reply, push and grant runs,
+// give-up, request and form marks, reply lengths, a barrier frame's
+// pages, marks and ranks and a lock release's or grant's pages, refuses
+// a reply, notice or push for a page it homes, a run reply, push or
+// grant runs for a page it holds no frame of, grant runs for a page it
+// homes, a release listing a
 // page homed elsewhere, an acknowledgement it does not await, a barrier
 // frame at or from a rank other than 0, a lock frame at or from a rank
 // other than the lock's home or naming a processor its rank does not
@@ -317,10 +365,11 @@
 //
 // With Config.Tracer set the runtime records wall-clock protocol
 // events on internal/trace rings: fault and page-fetch spans, diff
-// flushes, the notices a home processor's flush sends, the
+// flushes, the notices and pushes a home processor's flush sends
+// (EvNoticeSend, with the words a push carried in Arg2), the
 // release-fence wait (EvFlushFence), and lock, flag, and barrier waits
-// on each processor goroutine's ring, plus incoming diffs, the write
-// notices they cause and the home moves a barrier release applies
+// on each processor goroutine's ring, plus incoming diffs, the notices
+// and pushes they cause and the home moves a barrier release applies
 // (EvHomeMigrate) on the frame handler's ring (index PPN). Every
 // write fault is recorded — an instant when nothing had to be fetched,
 // as on the page's home — so a trace names each processor that stored
@@ -510,15 +559,26 @@ func newHpage(data []int64, nodes int) hpage {
 	return hpage{data: data, sharers: marks[:nodes:nodes], fetched: marks[nodes:]}
 }
 
+// The marks a TPageReq carries in B.
+const (
+	// deltaMark: the frame is synced, so a run reply will do.
+	deltaMark = 1
+	// keepMark: the node keeps its copy of the page (cpage.keep), so the
+	// home pushes to it ("Pushes").
+	keepMark = 2
+)
+
 // homeDelta is what a page's home knows about the words other ranks'
 // retained frames lack. stale[r] is rank r's mask, nil until r fetches
 // the page a second time and never dropped after: the master's words
 // that may differ from r's frame. A mask of every word is unknown: its
-// runs are never smaller than the page. stores[i] is local processor
-// i's store bitmap for the tracked dirty interval it is in, nil when it
-// is in none.
+// runs are never smaller than the page. keep[r] says rank r's last
+// request carried the keep mark, so its mask is pushed ("Pushes").
+// stores[i] is local processor i's store bitmap for the tracked dirty
+// interval it is in, nil when it is in none.
 type homeDelta struct {
 	stale  []wordMask
+	keep   []bool
 	stores []wordMask
 }
 
@@ -625,19 +685,17 @@ type node struct {
 	reportPages, reportValid []int32
 	// twins holds released twins for reuse; the handler borrows one for
 	// the snapshot a full page reply carries. masks holds released store
-	// bitmaps, cleared, and union is the handler's scratch for the words
-	// one run reply carries; maskWords is a mask's length.
+	// bitmaps, cleared, and union is the scratch for the words one run
+	// reply, grant page or push carries, used under mu; maskWords is a
+	// mask's length.
 	twins     [][]int64
 	masks     []wordMask
 	union     wordMask
 	maskWords int
 	// runOffs and runWords are the scratch for one page's runs: a
-	// flush's diff or the handler's run reply, both built and sent under
-	// mu.
+	// flush's diff, a run reply or a push, all built and sent under mu.
 	runOffs  []int32
 	runWords []int64
-	// notify is the handler's scratch for one diff's notice targets.
-	notify []int
 	// flushOut counts this node's flushed pages still propagating: diffs
 	// whose TFlushAck has not arrived and homed pages whose notices are
 	// not all acknowledged. A release operation completes only when it
@@ -721,7 +779,6 @@ func newNode(cfg Config, m transport.Messenger, shape apps.Shape) *node {
 		nPages:    (words + pageWords - 1) / pageWords,
 		pageShift: -1,
 		flags:     make([]bool, shape.Flags),
-		notify:    make([]int, 0, cfg.Nodes),
 		granted:   make([]bool, cfg.PPN),
 		lockHeld:  make([]bool, shape.Locks),
 		lockQ:     make([][]waiter, shape.Locks),
@@ -1000,6 +1057,20 @@ func (n *node) checkDiff(from int, f wire.Frame) {
 	}
 }
 
+// checkPush panics unless push f's runs fit a page (runsFit) and this
+// node holds a frame of the page (cp's) for them to go into: a home
+// pushes only to a rank with a mask, which has fetched the page.
+func (n *node) checkPush(from int, f wire.Frame, cp *cpage) {
+	switch {
+	case cp.data == nil:
+		panic(fmt.Sprintf("mprun: rank %d received a push for page %d from rank %d, but holds no frame of it",
+			n.cfg.Rank, f.A, from))
+	case !n.runsFit(f.Offs, len(f.Words)):
+		panic(fmt.Sprintf("mprun: rank %d received a malformed push for page %d from rank %d: runs %v over %d words of a %d-word page",
+			n.cfg.Rank, f.A, from, f.Offs, len(f.Words), n.pageWords))
+	}
+}
+
 // mergeRuns is diff.Incoming restricted to a run reply's words: a word
 // the node has modified locally (working differs from twin) keeps its
 // local value, and the twin takes every run word. A word outside the
@@ -1036,7 +1107,7 @@ func (n *node) serve(from int, f wire.Frame, hp *hpage) {
 	case d != nil && d.stale[from] != nil:
 		m := d.stale[from]
 		n.runOffs, n.runWords = n.runOffs[:0], n.runWords[:0]
-		runs := f.B == 1 && hp.untracked == 0 && n.staleRuns(hp, m)
+		runs := f.B&deltaMark != 0 && hp.untracked == 0 && n.staleRuns(hp, m)
 		clear(m)
 		if runs {
 			n.send(from, wire.Frame{Type: wire.TPageReply, A: f.A, B: 1, C: f.C, Offs: n.runOffs, Words: n.runWords})
@@ -1046,7 +1117,7 @@ func (n *node) serve(from int, f wire.Frame, hp *hpage) {
 		hp.fetched[from] = true
 	default:
 		if d == nil {
-			d = &homeDelta{stale: make([]wordMask, n.cfg.Nodes), stores: make([]wordMask, n.cfg.PPN)}
+			d = &homeDelta{stale: make([]wordMask, n.cfg.Nodes), keep: make([]bool, n.cfg.Nodes), stores: make([]wordMask, n.cfg.PPN)}
 			hp.delta = d
 		}
 		d.stale[from] = make(wordMask, n.maskWords)
@@ -1086,6 +1157,31 @@ func (n *node) staleRuns(hp *hpage, m wordMask) bool {
 		}
 	}
 	return true
+}
+
+// publish tells sharer s that a release has changed homed page pg,
+// under n.mu, and counts one more notice of the page out. It pushes —
+// sends a TWriteNotice carrying the runs staleRuns builds from s's mask,
+// empties the mask and leaves s a sharer — when s's last request carried
+// the keep mark, s has a mask, no local processor is in an untracked
+// interval on the page, and there are runs, smaller with their headers
+// than the page. Otherwise it sends a plain notice and strikes s from
+// the sharer set. Both go out under n.mu, like a reply, so neither
+// overtakes one on the channel to s. ring is the caller's trace ring.
+func (n *node) publish(ring, pg, s int, token int64) {
+	hp := &n.home[pg]
+	hp.unacked++
+	f := wire.Frame{Type: wire.TWriteNotice, A: int64(pg), B: token}
+	n.runOffs, n.runWords = n.runOffs[:0], n.runWords[:0]
+	if d := hp.delta; d != nil && d.keep[s] && d.stale[s] != nil && hp.untracked == 0 &&
+		n.staleRuns(hp, d.stale[s]) && len(n.runOffs) > 0 {
+		clear(d.stale[s])
+		f.Offs, f.Words = n.runOffs, n.runWords
+	} else {
+		hp.sharers[s] = false
+	}
+	n.emit(ring, trace.EvNoticeSend, pg, int64(s), int64(len(f.Words)))
+	n.send(s, f)
 }
 
 // grant passes lock i to waiter w, under n.mu. A processor of this rank
@@ -1145,8 +1241,7 @@ func (n *node) release(i int, pages []int32) {
 // install takes in the runs grant f carries, under n.mu, by the grant
 // rule (package doc): a page's runs go into a frame that is synced and
 // has no twin, no request in flight and no diff unacknowledged, which
-// becomes a valid copy; otherwise they are dropped, the frame is no
-// longer synced, and a request in flight is disowned.
+// becomes a valid copy; otherwise they are dropped (dropRuns).
 func (n *node) install(f wire.Frame) {
 	offs, words := f.Offs[len(f.Pages):], f.Words
 	wake := false
@@ -1160,15 +1255,34 @@ func (n *node) install(f wire.Frame) {
 			cp.valid = true
 			continue
 		}
-		cp.synced = false
-		if cp.reqID != 0 {
-			cp.reqID = 0
-			wake = true
-		}
+		wake = dropRuns(cp) || wake
 	}
 	if wake {
 		n.cond.Broadcast() // disowned fetches
 	}
+}
+
+// takeRuns writes runs the home built from a mask into cp's frame, under
+// n.mu: plainly, or merged under the twin (mergeRuns) while the page has
+// unflushed local writes.
+func takeRuns(cp *cpage, offs []int32, words []int64) {
+	if cp.twin == nil {
+		diff.ApplyRuns(cp.data, offs, words)
+	} else {
+		mergeRuns(cp.data, cp.twin, offs, words)
+	}
+}
+
+// dropRuns is what dropping runs the home built from a mask — a grant's
+// or a push's — does to cp, under n.mu: the frame lacks words the home
+// now counts as delivered, so it is no longer synced, and a request in
+// flight, whose reply the home builds from the mask the runs emptied, is
+// disowned. It reports whether it disowned one, whose waiter must be
+// woken to ask again, for the whole page.
+func dropRuns(cp *cpage) (disowned bool) {
+	disowned = cp.reqID != 0
+	cp.synced, cp.reqID = false, 0
+	return disowned
 }
 
 // handle processes one incoming frame. The Messenger delivers frames
@@ -1177,16 +1291,17 @@ func (n *node) install(f wire.Frame) {
 // slices are the Messenger's again once handle returns, and every case
 // is done with them by then.
 func (n *node) handle(from int, f wire.Frame) {
-	// A frame's slices belong to its type: a diff and a run reply define
-	// Offs and Words, a full page reply Words, a barrier arrival or
-	// release Pages and Offs, a lock release Pages, a lock grant all
-	// three, nothing else any. One this protocol would drop on the floor
-	// — a batched notice's extra Pages, say — is refused, not ignored.
+	// A frame's slices belong to its type: a diff, a run reply and a
+	// push define Offs and Words, a full page reply Words, a barrier
+	// arrival or release Pages and Offs, a lock release Pages, a lock
+	// grant all three, nothing else any. One this protocol would drop on
+	// the floor — a batched notice's extra Pages, say — is refused, not
+	// ignored.
 	barrier := f.Type == wire.TBarArrive || f.Type == wire.TBarRelease
-	grant := f.Type == wire.TLockGrant
-	hasPages := barrier || grant || f.Type == wire.TLockRelease
-	hasOffs := barrier || grant || f.Type == wire.TDiff || f.Type == wire.TPageReply && f.B == 1
-	hasWords := grant || f.Type == wire.TDiff || f.Type == wire.TPageReply
+	runs := f.Type == wire.TLockGrant || f.Type == wire.TDiff || f.Type == wire.TWriteNotice
+	hasPages := barrier || f.Type == wire.TLockGrant || f.Type == wire.TLockRelease
+	hasOffs := barrier || runs || f.Type == wire.TPageReply && f.B == 1
+	hasWords := runs || f.Type == wire.TPageReply
 	if len(f.Pages) != 0 && !hasPages || len(f.Offs) != 0 && !hasOffs || len(f.Words) != 0 && !hasWords {
 		panic(fmt.Sprintf("mprun: rank %d received a %v frame from rank %d carrying %d pages, %d offsets and %d words, which the type does not define",
 			n.cfg.Rank, f.Type, from, len(f.Pages), len(f.Offs), len(f.Words)))
@@ -1194,8 +1309,8 @@ func (n *node) handle(from int, f wire.Frame) {
 	switch f.Type {
 	case wire.TPageReq:
 		hp := n.homed(from, f)
-		if f.B != 0 && f.B != 1 {
-			panic(fmt.Sprintf("mprun: rank %d received a request for page %d from rank %d with delta mark %d",
+		if f.B&^(deltaMark|keepMark) != 0 {
+			panic(fmt.Sprintf("mprun: rank %d received a request for page %d from rank %d with marks %d, want 0..3",
 				n.cfg.Rank, f.A, from, f.B))
 		}
 		n.mu.Lock()
@@ -1204,6 +1319,9 @@ func (n *node) handle(from int, f wire.Frame) {
 		// flush sends notices under mu, so one for a store the reply
 		// missed cannot reach the requester ahead of it.
 		n.serve(from, f, hp)
+		if hp.delta != nil {
+			hp.delta.keep[from] = f.B&keepMark != 0
+		}
 		n.mu.Unlock()
 
 	case wire.TPageReply:
@@ -1228,10 +1346,8 @@ func (n *node) handle(from int, f wire.Frame) {
 		// with it the frame's claim to what the home thinks it sent.
 		if cp.reqID != 0 && f.C == cp.reqID {
 			switch {
-			case f.B == 1 && cp.twin == nil:
-				diff.ApplyRuns(cp.data, f.Offs, f.Words)
 			case f.B == 1:
-				mergeRuns(cp.data, cp.twin, f.Offs, f.Words)
+				takeRuns(cp, f.Offs, f.Words)
 			case cp.data == nil:
 				cp.data = make([]int64, n.pageWords)
 				diff.CopyIn(cp.data, f.Words)
@@ -1268,40 +1384,44 @@ func (n *node) handle(from int, f wire.Frame) {
 				}
 			}
 		}
-		// Every other copy out there is now stale: those sharers restart
-		// from a fresh fetch. The flusher's copy has the words already and
-		// stays registered unless the diff says it was given up.
-		notify := n.notify[:0]
+		n.emit(n.cfg.PPN, trace.EvDiffIn, int(f.A), int64(len(f.Words)), int64(from))
+		// Every other copy out there is now stale: those sharers are
+		// pushed the words or restart from a fresh fetch. The flusher's
+		// copy has the words already and stays registered unless the
+		// diff says it was given up.
 		for s, sharing := range hp.sharers {
 			if sharing && s != from {
-				notify = append(notify, s)
-				hp.sharers[s] = false
+				n.publish(n.cfg.PPN, int(f.A), s, f.B)
 			}
 		}
 		if f.C == 1 {
 			hp.sharers[from] = false
 		}
-		hp.unacked += len(notify)
 		fenced := hp.unacked > 0
 		if fenced {
 			hp.acks = append(hp.acks, flushAck{flusher: from, token: f.B})
 		}
 		n.mu.Unlock()
-		n.emit(n.cfg.PPN, trace.EvDiffIn, int(f.A), int64(len(f.Words)), int64(from))
 		if !fenced {
 			n.send(from, wire.Frame{Type: wire.TFlushAck, A: f.A, B: f.B})
-			return
-		}
-		for _, s := range notify {
-			n.emit(n.cfg.PPN, trace.EvNoticeSend, int(f.A), int64(s), 0)
-			n.send(s, wire.Frame{Type: wire.TWriteNotice, A: f.A, B: f.B})
 		}
 
 	case wire.TWriteNotice:
 		cp := n.cached(from, f)
+		push := len(f.Offs) != 0 || len(f.Words) != 0
+		if push {
+			n.checkPush(from, f, cp)
+		}
 		n.mu.Lock()
 		var invalidated int64
-		if cp.valid {
+		wake := false
+		switch {
+		case push && cp.valid && cp.diffs == 0:
+			// A push into a copy in step with the master but for the runs
+			// (package doc, "Pushes"); a valid copy has no request in
+			// flight. The copy stays valid.
+			takeRuns(cp, f.Offs, f.Words)
+		case cp.valid:
 			invalidated = 1
 			cp.valid = false
 			cp.noticed = true
@@ -1309,8 +1429,16 @@ func (n *node) handle(from int, f wire.Frame) {
 				cp.keep = true
 			}
 			n.epoch.Add(1)
+			fallthrough
+		default:
+			if push {
+				wake = dropRuns(cp)
+			}
 		}
 		n.mu.Unlock()
+		if wake {
+			n.cond.Broadcast() // a disowned fetch
+		}
 		n.emit(n.cfg.PPN, trace.EvNoticeApply, int(f.A), invalidated, int64(from))
 		n.send(from, wire.Frame{Type: wire.TNoticeAck, A: f.A, B: f.B})
 
@@ -1529,11 +1657,14 @@ func (n *node) ensureLocked(ring, page int) {
 			sent = true
 			n.corrSeq++
 			cp.reqID = int64(n.cfg.Rank)<<32 | n.corrSeq
-			var synced int64
+			var marks int64
 			if cp.synced {
-				synced = 1
+				marks |= deltaMark
 			}
-			n.send(n.homeOf(page), wire.Frame{Type: wire.TPageReq, A: int64(page), B: synced, C: cp.reqID})
+			if cp.keep {
+				marks |= keepMark
+			}
+			n.send(n.homeOf(page), wire.Frame{Type: wire.TPageReq, A: int64(page), B: marks, C: cp.reqID})
 		}
 		n.cond.Wait()
 	}
@@ -1831,14 +1962,17 @@ func (p *proc) StoreFRow(addr int, src []float64) {
 
 // flush publishes every page on the processor's dirty list, takes the
 // processor off each, and waits until all stale copies of each have
-// been invalidated. It is the release operation's write-back; the
-// caller performs the matching release message only after flush
-// returns. A page homed here was written in place, so publishing it is
-// a write notice to each remote sharer and nothing when there is none;
-// any other page goes to its home as a diff against its twin, which
-// carries every local processor's words so far. The fence span covers
-// diff construction through the last acknowledgement and is recorded
-// only when the release actually sent or waited on something.
+// been invalidated or pushed. It is the release operation's write-back;
+// the caller performs the matching release message only after flush
+// returns. It sends in two phases. First every page homed elsewhere goes
+// to its home as a diff against its twin, which carries every local
+// processor's words so far, and the release waits for their
+// acknowledgements. Then every page homed here, written in place, is
+// published to each remote sharer — a push or a write notice (publish)
+// — and nothing is sent when there is none; the release waits again.
+// The fence span covers diff construction through the last
+// acknowledgement of either phase and is recorded only when the release
+// actually waited on something.
 func (p *proc) flush() {
 	n := p.n
 	n.mu.Lock()
@@ -1846,106 +1980,129 @@ func (p *proc) flush() {
 	n.tokenSeq++
 	token := int64(n.cfg.Rank)<<32 | n.tokenSeq
 	slices.Sort(p.dirty)
-	sent := 0
-	wake := false
+	diffs := 0
 	for _, page := range p.dirty {
-		// Off the page: the processor's next store to it faults.
-		p.dirtyIn[page] = false
-		if e := &p.tlb[page&tlbMask]; e.page == int32(page) {
-			e.writable, e.stores = false, nil
+		if n.home[page].data == nil && p.flushDiff(page, token) {
+			diffs++
 		}
+	}
+	n.flushOut += diffs
+	// The diffs' acknowledgements come back before the pushes go out, so
+	// a peer's inbox never holds both bursts of one release at once.
+	fenced := diffs > 0 && n.await()
+	published := 0
+	for _, page := range p.dirty {
 		if hp := &n.home[page]; hp.data != nil {
+			p.offPage(page)
 			n.closeInterval(hp, p.local)
 			for s, sharing := range hp.sharers {
 				if sharing {
-					hp.sharers[s] = false
-					hp.unacked++
-					n.emit(p.local, trace.EvNoticeSend, page, int64(s), 0)
-					n.send(s, wire.Frame{Type: wire.TWriteNotice, A: int64(page), B: token})
+					n.publish(p.local, page, s, token)
 				}
 			}
 			if hp.unacked > 0 {
 				hp.acks = append(hp.acks, flushAck{flusher: n.cfg.Rank, token: token})
-				sent++
+				published++
 			}
-			continue
-		}
-		cp := &n.cache[page]
-		var lo, hi int
-		n.runOffs, n.runWords, lo, hi = diff.AppendRuns(n.runOffs[:0], n.runWords[:0], cp.data, cp.twin)
-		cp.writers--
-		last := cp.writers == 0
-		if last {
-			n.twins = append(n.twins, cp.twin)
-			cp.twin = nil
-		}
-		if len(n.runWords) == 0 {
-			// Only silent stores: the home has nothing to learn.
-			continue
-		}
-		giveUp := int64(0)
-		switch {
-		case !cp.valid:
-			// Invalidated under the stores and not refetched since. A
-			// fetch in flight may have been copied at the home ahead of
-			// this diff, and its reply would put older words over these —
-			// in the frame, and in the twin if one is left: disown it, so
-			// that the reply is dropped and the waiter asks again behind
-			// the diff.
-			if cp.reqID != 0 {
-				cp.reqID, cp.synced = 0, false
-				wake = true
-			}
-		case last && cp.noticed && !cp.keep:
-			// Others write this page between our releases, so the copy
-			// would be invalidated before we next use it and cost its
-			// writer a notice round trip: give it up now, in the diff.
-			// Not while a sibling is still writing it, though: that one
-			// would refetch at once.
-			cp.valid = false
-			n.epoch.Add(1)
-			giveUp = 1
-		}
-		// Otherwise the copy stays valid: it has every word the diff
-		// carries, and the home keeps us registered, so whoever writes
-		// the page next invalidates it like any other sharer's.
-		cp.gaveUp = giveUp == 1
-		cp.diffs++
-		sent++
-		n.emit(p.local, trace.EvDiffOut, page, int64(len(n.runWords)), trace.PackWordSpan(lo, hi))
-		// Send only borrows the frame's slices, so the diff goes out
-		// from the scratch and the next page's runs may overwrite it.
-		n.send(n.homeOf(page), wire.Frame{
-			Type: wire.TDiff, A: int64(page), B: token, C: giveUp,
-			Offs: n.runOffs, Words: n.runWords,
-		})
-		if !last {
-			// Siblings still store to the page without the mutex, so the
-			// twin stays, brought up to what the diff carried
-			// (flush-update): their releases then send only what is newer.
-			// The words come from the scratch, not the frame: a store that
-			// has landed since the scan is in no diff yet, and a twin that
-			// took it from the frame would hide it from every later one.
-			diff.ApplyRuns(cp.twin, n.runOffs, n.runWords)
 		}
 	}
 	p.dirty = p.dirty[:0]
-	n.flushOut += sent
-	if wake {
-		n.cond.Broadcast() // disowned fetches
-	}
+	n.flushOut += published
 	// Wait for every outstanding flush of this node, not just our own
 	// pages: a release may carry no dirty words itself yet must still
 	// fence behind a sibling's diff in flight, which may be carrying
 	// words of ours that the twin it updated then kept out of our own.
-	fenced := n.flushOut > 0
+	fenced = n.await() || fenced
+	n.mu.Unlock()
+	if fenced {
+		n.span(p.local, trace.EvFlushFence, -1, t0, int64(diffs+published), 0)
+	}
+}
+
+// offPage takes the processor off page at its release: its next store
+// to the page faults. Called with n.mu held.
+func (p *proc) offPage(page int) {
+	p.dirtyIn[page] = false
+	if e := &p.tlb[page&tlbMask]; e.page == int32(page) {
+		e.writable, e.stores = false, nil
+	}
+}
+
+// flushDiff is the first phase of flush for page, one homed elsewhere:
+// it takes the processor off the page and sends the home the page's diff
+// against its twin, if the stores changed anything, and reports whether
+// it sent one. Called with n.mu held.
+func (p *proc) flushDiff(page int, token int64) bool {
+	n := p.n
+	p.offPage(page)
+	cp := &n.cache[page]
+	var lo, hi int
+	n.runOffs, n.runWords, lo, hi = diff.AppendRuns(n.runOffs[:0], n.runWords[:0], cp.data, cp.twin)
+	cp.writers--
+	last := cp.writers == 0
+	if last {
+		n.twins = append(n.twins, cp.twin)
+		cp.twin = nil
+	}
+	if len(n.runWords) == 0 {
+		// Only silent stores: the home has nothing to learn.
+		return false
+	}
+	giveUp := int64(0)
+	switch {
+	case !cp.valid:
+		// Invalidated under the stores and not refetched since. A fetch
+		// in flight may have been copied at the home ahead of this diff,
+		// and its reply would put older words over these — in the frame,
+		// and in the twin if one is left: disown it, so that the reply is
+		// dropped and the waiter asks again behind the diff.
+		if cp.reqID != 0 {
+			cp.reqID, cp.synced = 0, false
+			n.cond.Broadcast() // the disowned fetch
+		}
+	case last && cp.noticed && !cp.keep:
+		// Others write this page between our releases, so the copy would
+		// be invalidated before we next use it and cost its writer a
+		// notice round trip: give it up now, in the diff. Not while a
+		// sibling is still writing it, though: that one would refetch at
+		// once.
+		cp.valid = false
+		n.epoch.Add(1)
+		giveUp = 1
+	}
+	// Otherwise the copy stays valid: it has every word the diff carries,
+	// and the home keeps us registered, so whoever writes the page next
+	// pushes to it or invalidates it like any other sharer's.
+	cp.gaveUp = giveUp == 1
+	cp.diffs++
+	n.emit(p.local, trace.EvDiffOut, page, int64(len(n.runWords)), trace.PackWordSpan(lo, hi))
+	// Send only borrows the frame's slices, so the diff goes out from the
+	// scratch and the next page's runs may overwrite it.
+	n.send(n.homeOf(page), wire.Frame{
+		Type: wire.TDiff, A: int64(page), B: token, C: giveUp,
+		Offs: n.runOffs, Words: n.runWords,
+	})
+	if !last {
+		// Siblings still store to the page without the mutex, so the twin
+		// stays, brought up to what the diff carried (flush-update): their
+		// releases then send only what is newer. The words come from the
+		// scratch, not the frame: a store that has landed since the scan
+		// is in no diff yet, and a twin that took it from the frame would
+		// hide it from every later one.
+		diff.ApplyRuns(cp.twin, n.runOffs, n.runWords)
+	}
+	return true
+}
+
+// await waits until every flush of the node has propagated — flushOut
+// is zero — and reports whether it had to wait. Called and returns with
+// n.mu held.
+func (n *node) await() bool {
+	waited := n.flushOut > 0
 	for n.flushOut > 0 {
 		n.cond.Wait()
 	}
-	n.mu.Unlock()
-	if fenced {
-		n.span(p.local, trace.EvFlushFence, -1, t0, int64(sent), 0)
-	}
+	return waited
 }
 
 // Compute is a no-op: the multi-process runtime runs in real time and

@@ -1297,8 +1297,10 @@ func TestMalformedFramesPanicAttributed(t *testing.T) {
 			"received a 3-word reply for page 1 from rank 1, want 1024 words", 0},
 		{"page reply for a page homed here", wire.Frame{Type: wire.TPageReply, A: 0, Words: make([]int64, pw)},
 			"received a page-reply frame from rank 1 for page 0, which it homes", 0},
-		{"page request with a delta mark outside {0,1}", wire.Frame{Type: wire.TPageReq, A: 0, B: 2},
-			"rank 0 received a request for page 0 from rank 1 with delta mark 2", 0},
+		{"page request with a mark outside {0..3}", wire.Frame{Type: wire.TPageReq, A: 0, B: 4},
+			"rank 0 received a request for page 0 from rank 1 with marks 4, want 0..3", 0},
+		{"page request with a negative mark", wire.Frame{Type: wire.TPageReq, A: 0, B: -1},
+			"rank 0 received a request for page 0 from rank 1 with marks -1, want 0..3", 0},
 		{"full page reply carrying runs", wire.Frame{Type: wire.TPageReply, A: remotePage, Offs: []int32{0, 1}, Words: make([]int64, pw)},
 			"rank 0 received a page-reply frame from rank 1 carrying 0 pages, 2 offsets and 1024 words, which the type does not define", 0},
 		{"page reply with a form mark outside {0,1}", wire.Frame{Type: wire.TPageReply, A: remotePage, B: 2, Words: make([]int64, pw)},
@@ -1329,6 +1331,18 @@ func TestMalformedFramesPanicAttributed(t *testing.T) {
 			"rank 0 received a flag-set frame from rank 1 for flag 1048576 of ", 0},
 		{"write notice batching pages", wire.Frame{Type: wire.TWriteNotice, A: remotePage, Pages: []int32{3, 5}},
 			"rank 0 received a write-notice frame from rank 1 carrying 2 pages, 0 offsets and 0 words, which the type does not define", 0},
+		{"push carrying pages", wire.Frame{Type: wire.TWriteNotice, A: remotePage, Pages: []int32{1}, Offs: []int32{0, 1}, Words: []int64{1}},
+			"rank 0 received a write-notice frame from rank 1 carrying 1 pages, 2 offsets and 1 words, which the type does not define", 0},
+		{"push with runs past the page end", wire.Frame{Type: wire.TWriteNotice, A: remotePage, Offs: []int32{pw - 1, 2}, Words: []int64{1, 2}},
+			"rank 0 received a malformed push for page 1 from rank 1: runs [1023 2] over 2 words of a 1024-word page", 0},
+		{"push with words its runs do not cover", wire.Frame{Type: wire.TWriteNotice, A: remotePage, Offs: []int32{0, 1}, Words: []int64{1, 2}},
+			"rank 0 received a malformed push for page 1 from rank 1: runs [0 1] over 2 words", 0},
+		{"push with words and no runs", wire.Frame{Type: wire.TWriteNotice, A: remotePage, Words: []int64{1}},
+			"rank 0 received a malformed push for page 1 from rank 1: runs [] over 1 words", 0},
+		{"push for a page with no frame", wire.Frame{Type: wire.TWriteNotice, A: 0, Offs: []int32{0, 1}, Words: []int64{1}},
+			"rank 1 received a push for page 0 from rank 0, but holds no frame of it", 1},
+		{"push for a page homed here", wire.Frame{Type: wire.TWriteNotice, A: 0, Offs: []int32{0, 1}, Words: []int64{1}},
+			"rank 0 received a write-notice frame from rank 1 for page 0, which it homes", 0},
 		{"barrier arrival away from rank 0", wire.Frame{Type: wire.TBarArrive, A: 1, B: 0},
 			"rank 1 received a bar-arrive frame from rank 0, but only rank 0 coordinates", 1},
 		{"lock request away from the lock's home", wire.Frame{Type: wire.TLockReq, A: 0, B: 0},
@@ -1419,8 +1433,9 @@ func TestMalformedFramesPanicAttributed(t *testing.T) {
 // launcher does and reads it with the tools the simulator's recording
 // is read with. Gauss's rows are dealt cyclically, so with 64-word
 // pages both ranks store to the same pages: the profile must count a
-// writer on each, the home's included, and the page's timeline must
-// interleave the two ranks on one aligned wall clock.
+// writer on each, the home's included, the page's timeline must
+// interleave the two ranks on one aligned wall clock, and the give-up
+// rule's kept copies must be pushed to (a notice-send carrying words).
 func TestMergedRunProfile(t *testing.T) {
 	const nodes, ppn = 2, 2
 	ranks, _ := tracedMesh(t, func() apps.App { return apps.SmallGauss() }, nodes, ppn, 64)
@@ -1431,8 +1446,11 @@ func TestMergedRunProfile(t *testing.T) {
 
 	// Global processor ids: rank r's are r*ppn..r*ppn+ppn-1, and its
 	// handler's events sit on Proc = -1 of node r.
-	var handler int
+	var handler, pushes int
 	for _, e := range rec.Events {
+		if e.Kind == trace.EvNoticeSend && e.Arg2 > 0 {
+			pushes++
+		}
 		switch {
 		case e.Proc == -1:
 			handler++
@@ -1447,6 +1465,9 @@ func TestMergedRunProfile(t *testing.T) {
 	}
 	if handler == 0 {
 		t.Error("no handler events in the merged recording")
+	}
+	if pushes == 0 {
+		t.Error("no release pushed to a kept copy")
 	}
 
 	// What the ranks recorded, before any merging: who stored to what.

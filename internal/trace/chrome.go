@@ -41,7 +41,7 @@ var argNames = map[Kind][2]string{
 	EvTwin:            {"words", ""},
 	EvDiffOut:         {"words", "span"},
 	EvDiffIn:          {"words", ""},
-	EvNoticeSend:      {"to", ""},
+	EvNoticeSend:      {"to", "pushed"},
 	EvShootdown:       {"victim", ""},
 	EvShootdownDrain:  {"writers", ""},
 	EvExclBreak:       {"holder_node", "holder_proc"},

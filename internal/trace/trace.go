@@ -62,7 +62,7 @@ const (
 	EvTwin                 // instant: twin created; Arg=page words
 	EvDiffOut              // instant: outgoing diff flushed to the home; Arg=changed words, Arg2=PackWordSpan of the changed offsets
 	EvDiffIn               // instant: incoming diff applied; Arg=changed words
-	EvNoticeSend           // instant: write notice posted; Arg=destination protocol node
+	EvNoticeSend           // instant: write notice posted; Arg=destination protocol node, Arg2=words a multi-process push carried (0: a plain notice)
 	EvNoticeApply          // instant: write notice consumed as an invalidation at an acquire
 	EvShootdown            // instant: 2LS write-mapping revocation; Arg=victim local processor
 	EvShootdownDrain       // instant: in-flight store-range runs drained; Arg=revoked writers

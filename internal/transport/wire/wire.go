@@ -62,7 +62,7 @@ const Magic = 0x4d485343
 
 // Version is the current wire-format version. Bump on any change to
 // the frame layout or to the meaning of an existing frame type.
-const Version = 4
+const Version = 5
 
 // MaxFrameBytes bounds a single frame's payload. The largest
 // legitimate frame is a full page reply (8 Kbyte page = 1024 words)
@@ -73,12 +73,13 @@ const MaxFrameBytes = 1 << 22
 // Type identifies a frame's meaning.
 type Type uint8
 
-// The frame types of wire-format version 4. Version 2 gave TBarArrive
+// The frame types of wire-format version 5. Version 2 gave TBarArrive
 // and TBarRelease their page lists; version 3 gave TPageReq its delta
 // mark and TPageReply its run form; version 4 sends the lock frames to
 // and from the lock's home rather than rank 0, gave TLockRelease its
-// page list and TLockGrant its runs. The layout and the other types are
-// version 1's. Types 5 and 15, a directory update and a region write,
+// page list and TLockGrant its runs; version 5 gave TPageReq its keep
+// mark and TWriteNotice its runs (a push). The layout and the other
+// types are version 1's. Types 5 and 15, a directory update and a region write,
 // were never sent and are retired; their numbers stay unused.
 const (
 	// THello opens a connection: A=Magic, B=Version, C=sender rank.
@@ -89,22 +90,30 @@ const (
 	// set, 0 when it keeps the copy, Offs=paired (start,count) runs,
 	// Words=the runs' values concatenated.
 	TDiff
-	// TWriteNotice invalidates: A=page, B=ack token (echoed in
-	// TNoticeAck). Pages is empty, and the receiver refuses a notice
-	// that carries any; batching notices into one frame belongs to a
-	// later version of the format.
+	// TWriteNotice tells a sharer that a release changed a page:
+	// A=page, B=ack token (echoed in TNoticeAck). A plain notice
+	// (Offs and Words empty) invalidates the sharer's copy. A push
+	// carries the master's words the sharer's copy may lack:
+	// Offs=paired (start,count) runs, Words=the runs' values
+	// concatenated, which the sharer merges into its copy or, when it
+	// cannot, drops and takes the frame as a plain notice. Pages is
+	// empty, and the receiver refuses a notice that carries any;
+	// batching notices into one frame belongs to a later version of the
+	// format.
 	TWriteNotice
 	// TNoticeAck acknowledges a write notice: A=page, B=token.
 	TNoticeAck
 	_ // 5, retired
-	// TPageReq requests a page copy from its home: A=page, B=1 when
-	// the requester's frame holds everything the home's last reply to it
-	// carried, so a reply may carry only the words it lacks, 0 when it
-	// needs the whole page, C=request id.
+	// TPageReq requests a page copy from its home: A=page, B=two marks
+	// ORed, C=request id. Mark 1 (delta): the requester's frame holds
+	// everything the home's last reply to it carried, so a reply may
+	// carry only the words it lacks; without it the requester needs the
+	// whole page. Mark 2 (keep): the requester keeps its copy across
+	// releases, so the home may push to it rather than invalidate it.
 	TPageReq
 	// TPageReply answers, echoing the request id in C, in one of two
 	// forms. B=0: A=page, Words=the full page. B=1 (only to a request
-	// with B=1): A=page, Offs=paired (start,count) runs, Words=the runs'
+	// with the delta mark): A=page, Offs=paired (start,count) runs, Words=the runs'
 	// values concatenated — the master's words the requester's frame
 	// may lack, every other word being one it already holds.
 	TPageReply

@@ -25,9 +25,11 @@ func goldenFrames() []Frame {
 		{Type: TDiff, A: 17, B: 9001, Offs: []int32{0, 2, 100, 3}, Words: []int64{1, 2, 3, 4, 5}},
 		{Type: TDiff, A: 17, B: 9003, C: 1, Offs: []int32{7, 1}, Words: []int64{-6}},
 		{Type: TWriteNotice, A: 17, B: 9002, Pages: []int32{18, 19}},
+		{Type: TWriteNotice, A: 17, B: 9004, Offs: []int32{5, 2, 40, 1}, Words: []int64{50, -51, 1 << 41}},
 		{Type: TNoticeAck, A: 17, B: 9002},
 		{Type: TPageReq, A: 44},
 		{Type: TPageReq, A: 44, B: 1, C: 1<<32 | 5},
+		{Type: TPageReq, A: 44, B: 3, C: 1<<32 | 6},
 		{Type: TPageReply, A: 44, Words: []int64{-1, 0, 1, 1 << 62}},
 		{Type: TPageReply, A: 44, B: 1, C: 1<<32 | 5, Offs: []int32{3, 2, 100, 1}, Words: []int64{7, -8, 1 << 40}},
 		{Type: TFlushAck, A: 17, B: 9001},
@@ -140,9 +142,10 @@ func TestCheckHello(t *testing.T) {
 		{"not hello", Frame{Type: TDiff, A: Magic, B: Version}, "expected hello"},
 		{"bad magic", Frame{Type: THello, A: 0x12345678, B: Version}, "bad magic"},
 		{"version ahead", Frame{Type: THello, A: Magic, B: Version + 1}, "version mismatch"},
-		{"v1 peer", Frame{Type: THello, A: Magic, B: 1}, "version mismatch: peer speaks v1, this build speaks v4"},
-		{"v2 peer", Frame{Type: THello, A: Magic, B: 2}, "version mismatch: peer speaks v2, this build speaks v4"},
-		{"v3 peer", Frame{Type: THello, A: Magic, B: 3}, "version mismatch: peer speaks v3, this build speaks v4"},
+		{"v1 peer", Frame{Type: THello, A: Magic, B: 1}, "version mismatch: peer speaks v1, this build speaks v5"},
+		{"v2 peer", Frame{Type: THello, A: Magic, B: 2}, "version mismatch: peer speaks v2, this build speaks v5"},
+		{"v3 peer", Frame{Type: THello, A: Magic, B: 3}, "version mismatch: peer speaks v3, this build speaks v5"},
+		{"v4 peer", Frame{Type: THello, A: Magic, B: 4}, "version mismatch: peer speaks v4, this build speaks v5"},
 		{"version zero", Frame{Type: THello, A: Magic, B: 0}, "version mismatch"},
 	}
 	for _, tc := range cases {
@@ -293,6 +296,10 @@ func FuzzRoundTrip(f *testing.F) {
 	// with one run, (1, 2): Pages (1, 1), Offs (1, 1, 2).
 	f.Add(uint8(TLockRelease), int64(1), int64(6), int64(4), []byte{1, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0}, 0)
 	f.Add(uint8(TLockGrant), int64(1), int64(6), int64(0), []byte{1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0}, 2)
+	// A request with both marks, and a push of one run, (5, 2): the
+	// page-list bytes are zero, so Pages is (0, 0) and Offs (5, 2).
+	f.Add(uint8(TPageReq), int64(44), int64(3), int64(1<<32|6), []byte{}, 0)
+	f.Add(uint8(TWriteNotice), int64(17), int64(9004), int64(0), []byte{0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0}, 2)
 	f.Fuzz(func(t *testing.T, ty uint8, a, bb, c int64, raw []byte, nWords int) {
 		if ty == 0 {
 			t.Skip("type 0 is reserved")
