@@ -21,8 +21,9 @@
 // protocol code. A caller scanning a whole page excludes the callers'
 // bulk (range) stores to it with a lock of its own, but single-word loads
 // and stores keep running alongside the scan, so these functions read and
-// write page words with sync/atomic; twins are only touched under the
-// owning node's lock but are accessed atomically too for uniformity.
+// write page words with sync/atomic. Twins are only touched under the
+// owning node's lock, so most functions read them plainly, and MergeRuns
+// writes them plainly too.
 //
 // Both engines (internal/core and internal/mprun) call these merges, and
 // they have no switches: a checker that needs the historical clobbering
@@ -155,10 +156,32 @@ func AppendRuns(offs []int32, words []int64, page, twin []int64) (_ []int32, _ [
 	return offs, words, lo, hi
 }
 
+// RunsLen is the receiver's check of AppendRuns's format: it returns
+// the words offs's (start, count) pairs cover, or -1 unless they pair
+// up, each count is positive, each run begins at or past the end of the
+// one before, and all lie inside a page of pageWords words. Runs whose
+// length equals the words that came with them are safe to apply.
+func RunsLen(pageWords int, offs []int32) int {
+	if len(offs)%2 != 0 {
+		return -1
+	}
+	total, end := 0, 0
+	for i := 0; i < len(offs); i += 2 {
+		start, count := int(offs[i]), int(offs[i+1])
+		if start < end || count <= 0 || start+count > pageWords {
+			return -1
+		}
+		end = start + count
+		total += count
+	}
+	return total
+}
+
 // ApplyRuns is AppendRuns's receiving end: it stores the runs' words at
 // their offsets in dst, word-atomically. The home applies a diff to its
 // master copy with it, and a flush-update applies the same runs to the
-// twin. The caller has checked that the runs fit dst and cover words.
+// twin. The caller has checked that the runs fit dst and cover words
+// (RunsLen).
 func ApplyRuns(dst []int64, offs []int32, words []int64) {
 	for i := 0; i < len(offs); i += 2 {
 		start, count := int(offs[i]), int(offs[i+1])
@@ -193,6 +216,35 @@ func Incoming(working, twin, incoming []int64) int {
 		}
 	}
 	return n
+}
+
+// MergeRuns is Incoming over runs only: the runs carry the master's
+// words at their offsets, and a word outside them is one the sender
+// knows working already holds. A run word that differs from the twin
+// goes to the twin, and to working unless the local node has modified
+// that word (working differs from twin). With a nil twin — no
+// unreleased local writes — it is ApplyRuns. The caller has checked the
+// runs (RunsLen) and holds the lock that guards the twin, which is read
+// and written plainly: an atomic store costs an exchange a word, and a
+// merge runs on every push into a page with unreleased writes.
+func MergeRuns(working, twin []int64, offs []int32, words []int64) {
+	if twin == nil {
+		ApplyRuns(working, offs, words)
+		return
+	}
+	for i := 0; i < len(offs); i += 2 {
+		start, count := int(offs[i]), int(offs[i+1])
+		for j, v := range words[:count] {
+			k := start + j
+			if t := twin[k]; v != t {
+				if atomic.LoadInt64(&working[k]) == t {
+					atomic.StoreInt64(&working[k], v)
+				}
+				twin[k] = v
+			}
+		}
+		words = words[count:]
+	}
 }
 
 // Refresh makes dst equal to src, storing word-atomically only the

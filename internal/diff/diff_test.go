@@ -338,6 +338,11 @@ func TestIncomingWriteWriteOverlap(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
+			// MergeRuns is Incoming over runs: one whole-page run, or the
+			// runs of the words incoming changes, must merge the same.
+			whole := []int32{0, int32(len(tc.incoming))}
+			changed, words, _, _ := AppendRuns(nil, nil, tc.incoming, tc.twin)
+			merges := [][]int64{Twin(tc.working), Twin(tc.twin), Twin(tc.working), Twin(tc.twin)}
 			n := Incoming(tc.working, tc.twin, tc.incoming)
 			if n != tc.wantN {
 				t.Errorf("Incoming = %d, want %d", n, tc.wantN)
@@ -347,6 +352,19 @@ func TestIncomingWriteWriteOverlap(t *testing.T) {
 			}
 			if !Equal(tc.twin, tc.wantTwin) {
 				t.Errorf("twin = %v, want %v", tc.twin, tc.wantTwin)
+			}
+			MergeRuns(merges[0], merges[1], whole, tc.incoming)
+			MergeRuns(merges[2], merges[3], changed, words)
+			for k, runs := range [][]int32{whole, changed} {
+				if w, tw := merges[2*k], merges[2*k+1]; !Equal(w, tc.wantWorking) || !Equal(tw, tc.wantTwin) {
+					t.Errorf("MergeRuns over runs %v: working %v, twin %v, want %v, %v", runs, w, tw, tc.wantWorking, tc.wantTwin)
+				}
+			}
+			// With no twin there are no local writes to keep: it applies
+			// the runs.
+			plain := Twin(tc.twin)
+			if MergeRuns(plain, nil, whole, tc.incoming); !Equal(plain, tc.incoming) {
+				t.Errorf("MergeRuns with no twin = %v, want %v", plain, tc.incoming)
 			}
 		})
 	}
@@ -452,6 +470,9 @@ func TestAppendRuns(t *testing.T) {
 			if at != len(ws) {
 				t.Errorf("runs cover %d words, payload has %d", at, len(ws))
 			}
+			if n := RunsLen(words, offs); n != len(ws) {
+				t.Errorf("RunsLen(%v) = %d, want the %d words AppendRuns sent", offs, n, len(ws))
+			}
 			if !Equal(got, pg) {
 				t.Error("twin + runs != page")
 			}
@@ -462,5 +483,21 @@ func TestAppendRuns(t *testing.T) {
 				t.Errorf("ApplyRuns left the twin differing from the page in runs %v", again)
 			}
 		})
+	}
+	// RunsLen refuses what AppendRuns never sends.
+	for _, bad := range []struct {
+		name string
+		offs []int32
+	}{
+		{"overlapping", []int32{0, 2, 1, 2}},
+		{"backwards", []int32{8, 2, 0, 2}},
+		{"half a run", []int32{0, 1, 2}},
+		{"past the end", []int32{words - 1, 2}},
+		{"negative start", []int32{-1, 1}},
+		{"empty run", []int32{3, 0}},
+	} {
+		if n := RunsLen(words, bad.offs); n != -1 {
+			t.Errorf("RunsLen of %s runs %v = %d, want -1", bad.name, bad.offs, n)
+		}
 	}
 }

@@ -312,9 +312,10 @@ type deltaWorld struct {
 	t     *testing.T
 	nodes [2]*node
 	taps  [2]*tap
-	// runs and full count the replies rank 1 accepted, by form.
-	runs, full int
-	seq        int64
+	// runs and full count the replies rank 1 accepted, by form, and
+	// pushes the pushes it took into its copy.
+	runs, full, pushes int
+	seq                int64
 }
 
 func newDeltaWorld(t *testing.T) *deltaWorld {
@@ -340,26 +341,44 @@ func (w *deltaWorld) deliver(from int, s tapped) {
 	case 1:
 		b := w.nodes[1]
 		b.mu.Lock()
-		accepted := s.f.Type == wire.TPageReply && b.cache[0].reqID == s.f.C
+		cp := &b.cache[0]
+		accepted := s.f.Type == wire.TPageReply && cp.reqID == s.f.C
+		pushed := s.f.Type == wire.TWriteNotice && len(s.f.Words) > 0 && cp.valid && cp.diffs == 0
 		b.mu.Unlock()
 		b.handle(from, s.f)
-		if accepted {
+		switch {
+		case accepted && s.f.B == 1:
+			w.runs++
+		case accepted:
+			w.full++
+		case pushed:
+			w.pushes++
+		}
+		if accepted || pushed {
 			w.check(s.f)
 		}
 	default:
 		w.nodes[0].handle(from, s.f)
 	}
+	w.checkValid()
 }
 
-// check holds rank 1's frame, just after it accepted reply f, to the
-// master outside the words rank 1 has stored and not flushed.
+// checkValid asserts what the push rule's take condition rests on: a
+// valid copy at rank 1 has no request in flight and is synced.
+func (w *deltaWorld) checkValid() {
+	w.t.Helper()
+	b := w.nodes[1]
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if cp := &b.cache[0]; cp.valid && (cp.reqID != 0 || !cp.synced) {
+		w.t.Fatalf("rank 1's copy is valid with request %#x in flight, synced %v", cp.reqID, cp.synced)
+	}
+}
+
+// check holds rank 1's frame, just after it accepted reply or push f,
+// to the master outside the words rank 1 has stored and not flushed.
 func (w *deltaWorld) check(f wire.Frame) {
 	w.t.Helper()
-	if f.B == 1 {
-		w.runs++
-	} else {
-		w.full++
-	}
 	b, master := w.nodes[1], w.nodes[0].home[0].data
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -370,7 +389,7 @@ func (w *deltaWorld) check(f wire.Frame) {
 			continue
 		}
 		if m := atomic.LoadInt64(&master[i]); v != m {
-			w.t.Fatalf("after a reply B=%d with runs %v, rank 1's word %d = %d, master %d", f.B, f.Offs, i, v, m)
+			w.t.Fatalf("after a %v B=%d with runs %v, rank 1's word %d = %d, master %d", f.Type, f.B, f.Offs, i, v, m)
 		}
 	}
 }
@@ -431,12 +450,21 @@ func (w *deltaWorld) take(r int, want wire.Type) tapped {
 // TestDeltaRandomized drives random home stores and releases, rank 1
 // loads, stores and releases, rank 2 diffs and fetches, and disowning
 // races through two real nodes, and after every reply rank 1 accepts
-// holds its frame to the master outside its own unflushed words.
+// holds its frame to the master outside its own unflushed words, as it
+// does after every push rank 1 takes. Rank 1 keeps its copy once the
+// give-up rule finds giving it up bought a refetch; in seeds 5 and 6 it
+// keeps it from the start (cpage.keep), so pushes race its stores,
+// flushes and the disowning case from the first interval on, and a
+// valid copy is rarely refetched, so run replies may not occur. After
+// every frame delivered, a valid copy at rank 1 must have no request in
+// flight and be synced.
 func TestDeltaRandomized(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
+	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		w := newDeltaWorld(t)
 		home, remote := w.nodes[0], w.nodes[1]
+		keep := seed > 4
+		remote.cache[0].keep = keep
 		hp := [2]*proc{home.newProc(0), home.newProc(1)}
 		rp := [2]*proc{remote.newProc(0), remote.newProc(1)}
 		word := func() int {
@@ -448,7 +476,7 @@ func TestDeltaRandomized(t *testing.T) {
 		}
 		for op := 0; op < 500; op++ {
 			v := rng.Int63n(1000)
-			switch k := rng.Intn(10); k {
+			switch k := rng.Intn(11); k {
 			case 0, 1:
 				hp[k].Store(word(), v)
 			case 2:
@@ -498,14 +526,32 @@ func TestDeltaRandomized(t *testing.T) {
 				w.deliver(1, req)
 				w.deliver(1, diff)
 				w.settle(loaded, flushed)
+			case 10:
+				// A home release racing rank 1's: its push or notice
+				// reaches rank 1 while rank 1's diff is unacknowledged,
+				// with runs read from a master that lacks the diff's
+				// words. Pushes must be dropped then.
+				w.run(func() { rp[0].Store(word(), -1-int64(op)) })
+				flushed := make(chan struct{})
+				go func() { rp[0].flush(); close(flushed) }()
+				diff := w.take(1, wire.TDiff)
+				j := rng.Intn(2)
+				w.run(func() { hp[j].Store(word(), v) })
+				w.run(hp[j].flush)
+				w.deliver(1, diff)
+				w.settle(flushed)
 			}
 		}
 		for _, p := range append(hp[:], rp[:]...) {
 			w.run(p.flush)
 		}
 		t.Logf("seed %d: rank 1 accepted %d run replies and %d full ones", seed, w.runs, w.full)
-		if w.runs == 0 || w.full == 0 {
+		if !keep && (w.runs == 0 || w.full == 0) {
 			t.Errorf("seed %d: rank 1 accepted %d run replies and %d full ones, want some of each", seed, w.runs, w.full)
+		}
+		t.Logf("seed %d: rank 1 took %d pushes", seed, w.pushes)
+		if keep && (w.pushes == 0 || w.full == 0) {
+			t.Errorf("seed %d: rank 1 kept its copy and took %d pushes and %d full replies, want some of each", seed, w.pushes, w.full)
 		}
 	}
 }

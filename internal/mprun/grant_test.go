@@ -242,11 +242,30 @@ func TestGrantLockHomeQueues(t *testing.T) {
 	q.Unlock(0)
 	tp.quiet(t, "the local hand-offs")
 	n.mu.Lock()
-	held := n.lockHeld[0]
+	held := n.lockHolder[0] != noHolder
 	n.mu.Unlock()
 	if held {
 		t.Error("lock 0 is still held after its last release")
 	}
+}
+
+// TestGrantHomeUnlockByNonHolderPanics: a home processor's Unlock of a
+// lock another processor holds is refused, as the same release from
+// another rank is, rather than passing the lock on while its holder
+// still holds it.
+func TestGrantHomeUnlockByNonHolderPanics(t *testing.T) {
+	n, tp := tapNode()
+	n.handle(1, wire.Frame{Type: wire.TLockReq, A: 0, B: 2})
+	tp.next(t, wire.TLockGrant)
+	defer func() {
+		want := "mprun: processor 0 unlocks lock 0, which it does not hold"
+		if msg, _ := recover().(string); msg != want {
+			t.Errorf("panicked with %q, want %q", msg, want)
+		}
+		tp.quiet(t, "a refused unlock")
+	}()
+	n.newProc(0).Unlock(0)
+	t.Error("the unlock returned")
 }
 
 // TestGrantReleaseFromBeforeAMove: a release sent before a barrier that

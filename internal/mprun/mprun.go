@@ -113,22 +113,9 @@
 // the flushed words, or installed with no twin at all — would replace
 // the node's own flushed words with older ones that no notice would
 // ever correct. The waiting processor asks again, behind the diff
-// on the same ordered channel. A lock grant that drops its runs disowns
-// a request in flight too (the grant rule), and so does a dropped push
-// ("Pushes"). (A valid copy has no request in flight.)
-//
-// The grant rule: a lock grant from another rank may carry runs of pages
-// homed on the lock's home, built as a run reply's are ("Delta
-// replies"), and the home counts them as delivered. The node takes a
-// page's runs into its frame, which becomes a valid copy, only if the
-// frame is synced and has no twin, no request in flight and no diff
-// unacknowledged: local writes and a diff the master may not have yet
-// would each disagree with some run word, and a request in flight would
-// leave a valid copy waiting for a reply. Otherwise it drops them; the
-// frame then lacks words the home thinks it holds, so it is no longer
-// synced, and a request in flight, whose reply the home builds from the
-// mask the grant emptied, is disowned: the waiter asks again, for the
-// whole page.
+// on the same ordered channel. A lock grant or push that drops its runs
+// disowns a request in flight too ("Runs from a mask"). (A valid copy
+// has no request in flight.)
 //
 // Replies are ordered before notices. A copy taken at the home and a
 // notice or push for a later store travel to the requester on one
@@ -215,22 +202,54 @@
 // of the page and has accepted every reply it was sent since its last
 // accepted one (cpage.synced): a reply the fetch-id rule drops — or a
 // request it disowns, whose reply will be dropped — leaves the frame
-// without words the home counted as delivered. The home answers with
-// runs when the request asks for them, the rank has a mask, no local
-// processor is in an untracked interval on the page, and the runs with
-// their (start, count) headers are smaller than the page — which an
-// unknown mask's never are. The runs cover the mask and the bitmaps of
-// the page's tracked local writers: a superset of what the frame lacks,
-// read from the master under the node mutex, and a store that lands
+// without words the home counted as delivered. The home answers such a
+// request with the runs of the rank's mask when it can build them ("Runs
+// from a mask"), and any other with the whole page; either way the
+// rank's mask is left empty. A page's new home (see "Page placement")
+// starts with no masks.
+//
+// # Runs from a mask
+//
+// Three frames carry runs a home builds from a rank's mask — a run
+// reply, a push and a lock grant — and they share one builder, one take
+// and one drop.
+//
+// The builder (maskRuns) covers the rank's mask and the store bitmaps of
+// the page's tracked local writers: a superset of what the rank's frame
+// lacks, read from the master under the node mutex. A store that lands
 // after its bit is read is in its processor's next release, which
-// notices the requester like any other sharer. Any other reply is the
-// whole page. Either way the rank's mask is left empty. The requester
-// merges runs as diff.Incoming merges a page, over the runs only: a word
-// it has modified locally (frame differs from twin) keeps its value, and
-// the twin takes every run word. A page's new home (see "Page
-// placement") starts with no masks. A lock grant carries runs on the same
-// terms and with the same effect on the mask (see the grant rule), and so
-// does a push ("Pushes").
+// notices the rank like any other sharer. It builds nothing when the
+// rank has no mask, a local processor is in an untracked interval on the
+// page, or the runs with their (start, count) headers are no smaller
+// than the page, which an unknown mask's never are. When it builds, it
+// empties the mask: the home counts the words as delivered.
+//
+// The take is diff.MergeRuns, diff.Incoming over the runs only: a word
+// the node has modified locally (frame differs from twin) keeps its
+// value, and the twin takes every run word; with no twin the runs are
+// written as they are. The drop (dropRuns) leaves the frame without
+// words the home counts as delivered, so it is no longer synced, and
+// disowns a request in flight, whose reply the home builds from the mask
+// the runs emptied: the waiter asks again, for the whole page.
+//
+// Each carrier adds its own conditions:
+//   - A run reply answers a request that asks for runs. It is taken if
+//     it echoes the page's latest request (the fetch-id rule), and then
+//     makes the copy valid; any other reply leaves the frame unsynced.
+//   - A push replaces a write notice to a rank whose last request
+//     carried the keep mark, when there is at least one run ("Pushes").
+//     It is taken into a copy that is valid, and so has no request in
+//     flight, and has no diff unacknowledged; otherwise the node takes
+//     it as a plain notice and drops the runs.
+//   - A lock grant to another rank carries runs of each page of the
+//     lock's last release still homed on the lock's home of which the
+//     grantee is not a sharer, and makes it one (the grant rule). A
+//     page's runs are taken into a frame that is synced and has no twin,
+//     no request in flight and no diff unacknowledged, which becomes a
+//     valid copy: local writes and a diff the master may not have yet
+//     would each disagree with some run word, and a request in flight
+//     would leave a valid copy waiting for a reply. Otherwise they are
+//     dropped.
 //
 // # Pushes
 //
@@ -242,25 +261,16 @@
 // request did (homeDelta.keep). Where the home would send such a rank a
 // write notice, at a home processor's flush or for a remote writer's
 // diff (three or more ranks), it pushes instead (publish): the notice
-// carries the runs serve would answer a run request with, built from the
-// rank's mask and the page's tracked local store bitmaps, the mask is
-// emptied, and the rank stays in the sharer set. It falls back to a
-// plain notice, striking the rank, when the rank has no mask, a local
-// processor is in an untracked interval on the page, or the runs with
-// their headers are no smaller than the page.
+// carries the runs of the rank's mask ("Runs from a mask"), and the rank
+// stays in the sharer set. With no runs it falls back to a plain notice,
+// striking the rank.
 //
-// The sharer merges a push as it merges a run reply — diff.ApplyRuns, or
-// mergeRuns under a twin, so that unflushed local words keep their
-// values and the twin takes every run word — into a copy that is valid,
-// and so has no request in flight, and has no diff unacknowledged. The
-// copy stays valid and no epoch is bumped: its processors' TLB entries
-// stand, and a load may see the pushed words as soon as they land, as it
-// may a refetch's. In any other state it takes the push as a notice,
-// invalidating a valid copy, and drops the runs as the grant rule drops
-// a grant's: the frame is no longer synced, and a request in flight is
-// disowned. A diff unacknowledged means the runs were read from a master
-// that may not have the diff's words yet, and would put older words over
-// the node's own; an invalid copy has been given up or has dropped an
+// A copy that takes a push stays valid and no epoch is bumped: its
+// processors' TLB entries stand, and a load may see the pushed words as
+// soon as they land, as it may a refetch's. A copy with a diff
+// unacknowledged drops the push, whose runs were read from a master that
+// may not have the diff's words yet and would put older words over the
+// node's own; an invalid copy has been given up or has dropped an
 // earlier push, and lacks more than the runs carry. Either way the
 // sharer answers with a TNoticeAck, so a push holds up the release that
 // sent it exactly as a notice does.
@@ -313,37 +323,43 @@
 // millions of words.
 //
 // A frame is only ever updated in place and word-atomically, but for
-// StoreFRow — a cached one by scalar stores, diff.Refresh and
-// diff.Incoming, a master copy by scalar stores and the handler's
-// diff.ApplyRuns — so a load that races the handler may observe, word by
-// word, either the copy it validated or a newer one, but never a torn
-// word and never data older than its processor's last acquire: every
-// acquire waits under the mutex, after the handler has bumped the epoch
-// for each notice the matching release fenced on, and a master copy has
-// the release's words before its TFlushAck is sent. It may not observe
-// another processor's StoreFRow in flight: reading a word while it is
-// being stored plainly is a data race in the application.
+// StoreFRow — a cached one by scalar stores, diff.Refresh,
+// diff.Incoming and diff.MergeRuns, a master copy by scalar stores and
+// the handler's diff.ApplyRuns — so a load that races the handler may
+// observe, word by word, either the copy it validated or a newer one,
+// but never a torn word and never data older than its processor's last
+// acquire: every acquire waits under the mutex, after the handler has
+// bumped the epoch for each notice the matching release fenced on, and a
+// master copy has the release's words before its TFlushAck is sent. It
+// may not observe another processor's StoreFRow in flight: reading a
+// word while it is being stored plainly is a data race in the
+// application.
 //
 // Frames off the wire index those slices, so the handler range-checks
-// page numbers, flag and lock ids, diff, reply, push and grant runs,
-// give-up, request and form marks, reply lengths, a barrier frame's
-// pages, marks and ranks and a lock release's or grant's pages, refuses
-// a reply, notice or push for a page it homes, a run reply, push or
-// grant runs for a page it holds no frame of, grant runs for a page it
-// homes, a release listing a
-// page homed elsewhere, an acknowledgement it does not await, a barrier
-// frame at or from a rank other than 0, a lock frame at or from a rank
-// other than the lock's home or naming a processor its rank does not
-// host, a release of a lock nobody holds and a slice the frame's type
+// page numbers, flag and lock ids, diff, reply, push and grant runs
+// (checkRuns and checkGrant, on diff.RunsLen), give-up, request and form
+// marks, reply lengths, a barrier frame's pages, marks and ranks and a
+// lock release's or grant's pages, refuses a reply, notice or push for a
+// page it homes, a run reply, push or grant runs for a page it holds no
+// frame of, grant runs for a page it homes, a release listing a page
+// homed elsewhere, an acknowledgement it does not await, a barrier frame
+// at or from a rank other than 0, a lock frame at or from a rank other
+// than the lock's home or naming a processor its rank does not host, a
+// release of a lock by a processor that does not hold it, a grant to a
+// processor that has not asked for the lock and a slice the frame's type
 // does not define, and panics with the offending rank and frame rather
-// than faulting.
+// than faulting. A processor passing a lock or flag id outside the
+// application's panics likewise, naming itself, and so does a home
+// processor unlocking a lock it does not hold.
 //
 // # Synchronization
 //
 // Lock i is homed on rank i % nodes, the rule pages start from, and its
-// home keeps its FIFO queue. A processor of the home takes and passes the
-// lock under the node mutex and sends no frame; another rank's processor
-// sends a TLockReq there and waits for a TLockGrant, and its Unlock,
+// home keeps its holder and FIFO queue. Every processor records which
+// lock it asks for before asking. A processor of the home takes and
+// passes the lock under the node mutex and sends no frame, through the
+// same request path a TLockReq takes; another rank's processor sends a
+// TLockReq there and waits for a TLockGrant, and its Unlock,
 // after its flush, sends a TLockRelease. Each release names the pages it
 // published that are homed on the lock's home — a home processor's are
 // kept in place — and a grant to another rank carries the words of those
@@ -638,6 +654,13 @@ type waiter struct {
 	gpid int64
 }
 
+// The marks for no lock: a processor that waits for none
+// (node.wants), a lock that nobody holds (node.lockHolder).
+const (
+	noLock   = -1
+	noHolder = -1
+)
+
 // node is one process's share of the DSM: page cache, homed pages, and
 // (on rank 0) the coordinator state. The handler goroutine and the
 // processor goroutines synchronize on mu/cond.
@@ -710,19 +733,20 @@ type node struct {
 	corrSeq int64
 
 	flags []bool
-	// granted[i] says the lock local processor i waits for has been
-	// granted to it.
-	granted []bool
-	barRel  int64 // highest released barrier generation
-	bye     bool
+	// wants[i] is the lock local processor i has asked for and not yet
+	// been granted, noLock when none: a grant for anything else is
+	// refused.
+	wants  []int
+	barRel int64 // highest released barrier generation
+	bye    bool
 
 	// Lock state, indexed by lock id and used for the locks this rank
-	// homes ("Synchronization"). lockHeld says the lock is held, lockQ
-	// lists its waiters in arrival order, and lockPages the pages its last
-	// release published that are homed here, which a grant may carry.
-	// grantPages and grantOffs are the scratch for a grant's Pages and
-	// Offs, built and sent under mu.
-	lockHeld              []bool
+	// homes ("Synchronization"). lockHolder is the holder's processor id,
+	// noHolder when the lock is free, lockQ lists its waiters in arrival
+	// order, and lockPages the pages its last release published that are
+	// homed here, which a grant may carry. grantPages and grantOffs are
+	// the scratch for a grant's Pages and Offs, built and sent under mu.
+	lockHolder            []int64
 	lockQ                 [][]waiter
 	lockPages             [][]int32
 	grantPages, grantOffs []int32
@@ -772,18 +796,18 @@ func newNode(cfg Config, m transport.Messenger, shape apps.Shape) *node {
 		pageWords = apps.PageWords
 	}
 	n := &node{
-		cfg:       cfg,
-		m:         m,
-		tr:        cfg.Tracer,
-		pageWords: pageWords,
-		nPages:    (words + pageWords - 1) / pageWords,
-		pageShift: -1,
-		flags:     make([]bool, shape.Flags),
-		granted:   make([]bool, cfg.PPN),
-		lockHeld:  make([]bool, shape.Locks),
-		lockQ:     make([][]waiter, shape.Locks),
-		lockPages: make([][]int32, shape.Locks),
-		arrivals:  make(map[int64]int),
+		cfg:        cfg,
+		m:          m,
+		tr:         cfg.Tracer,
+		pageWords:  pageWords,
+		nPages:     (words + pageWords - 1) / pageWords,
+		pageShift:  -1,
+		flags:      make([]bool, shape.Flags),
+		wants:      slices.Repeat([]int{noLock}, cfg.PPN),
+		lockHolder: slices.Repeat([]int64{noHolder}, shape.Locks),
+		lockQ:      make([][]waiter, shape.Locks),
+		lockPages:  make([][]int32, shape.Locks),
+		arrivals:   make(map[int64]int),
 	}
 	if pageWords&(pageWords-1) == 0 {
 		n.pageShift = bits.TrailingZeros(uint(pageWords))
@@ -905,9 +929,9 @@ func (n *node) viaRank0(from int, f wire.Frame, r int) {
 // application's, r — the rank that receives f, or the one that sent it
 // — is its home, and f.B names a processor of rank host.
 func (n *node) lockAt(from int, f wire.Frame, r, host int) int {
-	if f.A < 0 || f.A >= int64(len(n.lockHeld)) {
+	if f.A < 0 || f.A >= int64(len(n.lockHolder)) {
 		panic(fmt.Sprintf("mprun: rank %d received a %v frame from rank %d for lock %d of %d",
-			n.cfg.Rank, f.Type, from, f.A, len(n.lockHeld)))
+			n.cfg.Rank, f.Type, from, f.A, len(n.lockHolder)))
 	}
 	i := int(f.A)
 	if home := n.lockHome(i); r != home {
@@ -950,8 +974,8 @@ func (n *node) checkRelease(from int, f wire.Frame) {
 // and are not homed here, this node holds a frame of each (a home keeps
 // a mask only for a rank that has fetched the page), and f.Offs holds
 // one run count per page and then that many runs of each, which fit a
-// page (runsLen) and together cover f.Words. The handler alone sets a
-// page's frame, so it reads cpage.data without mu.
+// page (diff.RunsLen) and together cover f.Words. The handler alone sets
+// a page's frame, so it reads cpage.data without mu.
 func (n *node) checkGrant(from int, f wire.Frame) {
 	bad := ""
 	at, words := len(f.Pages), 0
@@ -972,7 +996,7 @@ func (n *node) checkGrant(from int, f wire.Frame) {
 		case runs < 0 || runs > (len(f.Offs)-at)/2:
 			bad = fmt.Sprintf("page %d's run count %d exceeds the offsets", pg, runs)
 		default:
-			w := n.runsLen(f.Offs[at : at+2*runs])
+			w := diff.RunsLen(n.pageWords, f.Offs[at:at+2*runs])
 			if w < 0 {
 				bad = fmt.Sprintf("page %d's runs %v do not fit a page", pg, f.Offs[at:at+2*runs])
 			}
@@ -1024,95 +1048,47 @@ func (n *node) cached(from int, f wire.Frame) *cpage {
 	return &n.cache[f.A]
 }
 
-// runsFit reports whether offs's (start, count) pairs stay inside a
-// page, each begin at or past the end of the one before, and together
-// cover exactly words words.
-func (n *node) runsFit(offs []int32, words int) bool { return n.runsLen(offs) == words }
-
-// runsLen returns the words offs's (start, count) pairs cover, or -1
-// unless they stay inside a page and each begins at or past the end of
-// the one before.
-func (n *node) runsLen(offs []int32) int {
-	if len(offs)%2 != 0 {
-		return -1
+// checkRuns panics unless the runs of f — a diff, a run reply or a push,
+// which what names — fit a page and cover its words (diff.RunsLen), a
+// diff's give-up mark is 0 or 1, and, for runs a home built from a mask
+// (cp non-nil), this node holds a frame of the page for them to go into:
+// a home keeps a mask only for a rank that has fetched the page.
+func (n *node) checkRuns(from int, f wire.Frame, cp *cpage, what string) {
+	if cp != nil && cp.data == nil {
+		panic(fmt.Sprintf("mprun: rank %d received a %s page %d from rank %d, but holds no frame of it",
+			n.cfg.Rank, what, f.A, from))
 	}
-	total, end := 0, 0
-	for i := 0; i < len(offs); i += 2 {
-		start, count := int(offs[i]), int(offs[i+1])
-		if start < end || count <= 0 || start+count > n.pageWords {
-			return -1
-		}
-		end = start + count
-		total += count
+	isDiff := f.Type == wire.TDiff
+	if diff.RunsLen(n.pageWords, f.Offs) == len(f.Words) && (!isDiff || f.C == 0 || f.C == 1) {
+		return
 	}
-	return total
-}
-
-// checkDiff panics unless f's runs fit a page (runsFit) and its give-up
-// mark is 0 or 1.
-func (n *node) checkDiff(from int, f wire.Frame) {
-	if !n.runsFit(f.Offs, len(f.Words)) || f.C != 0 && f.C != 1 {
-		panic(fmt.Sprintf("mprun: rank %d received a malformed diff of page %d from rank %d: runs %v over %d words of a %d-word page, give-up mark %d",
-			n.cfg.Rank, f.A, from, f.Offs, len(f.Words), n.pageWords, f.C))
+	mark := ""
+	if isDiff {
+		mark = fmt.Sprintf(", give-up mark %d", f.C)
 	}
-}
-
-// checkPush panics unless push f's runs fit a page (runsFit) and this
-// node holds a frame of the page (cp's) for them to go into: a home
-// pushes only to a rank with a mask, which has fetched the page.
-func (n *node) checkPush(from int, f wire.Frame, cp *cpage) {
-	switch {
-	case cp.data == nil:
-		panic(fmt.Sprintf("mprun: rank %d received a push for page %d from rank %d, but holds no frame of it",
-			n.cfg.Rank, f.A, from))
-	case !n.runsFit(f.Offs, len(f.Words)):
-		panic(fmt.Sprintf("mprun: rank %d received a malformed push for page %d from rank %d: runs %v over %d words of a %d-word page",
-			n.cfg.Rank, f.A, from, f.Offs, len(f.Words), n.pageWords))
-	}
-}
-
-// mergeRuns is diff.Incoming restricted to a run reply's words: a word
-// the node has modified locally (working differs from twin) keeps its
-// local value, and the twin takes every run word. A word outside the
-// runs is one the home knows the frame already holds.
-func mergeRuns(working, twin []int64, offs []int32, words []int64) {
-	for i := 0; i < len(offs); i += 2 {
-		start, count := int(offs[i]), int(offs[i+1])
-		for j, v := range words[:count] {
-			if t := twin[start+j]; v != t {
-				if atomic.LoadInt64(&working[start+j]) == t {
-					atomic.StoreInt64(&working[start+j], v)
-				}
-				twin[start+j] = v
-			}
-		}
-		words = words[count:]
-	}
+	panic(fmt.Sprintf("mprun: rank %d received a malformed %s page %d from rank %d: runs %v over %d words of a %d-word page%s",
+		n.cfg.Rank, what, f.A, from, f.Offs, len(f.Words), n.pageWords, mark))
 }
 
 // serve answers rank from's request f for page hp, under n.mu. The
 // first fetch by a rank is only recorded and the second starts its
 // mask; both are answered with the whole page. From then on the reply
-// carries only the words the mask and the page's tracked local writers
-// mark, as runs, when the request says the frame is in step, no local
-// processor is in an untracked dirty interval on the page, and the runs
-// with their headers are smaller than the page. A full reply is a
-// snapshot, taken word-atomically into a borrowed twin (home processors
-// store to the master without mu, and Send reads its frame plainly); a
-// run reply goes out from the run scratch. Either echoes the
-// requester's correlation id and leaves its mask empty.
+// carries the runs of the mask (maskRuns) when the request says the
+// frame is in step and there are such runs. A full reply is a snapshot,
+// taken word-atomically into a borrowed twin (home processors store to
+// the master without mu, and Send reads its frame plainly); a run reply
+// goes out from the run scratch. Either echoes the requester's
+// correlation id and leaves its mask empty.
 func (n *node) serve(from int, f wire.Frame, hp *hpage) {
 	d := hp.delta
 	switch {
 	case d != nil && d.stale[from] != nil:
-		m := d.stale[from]
 		n.runOffs, n.runWords = n.runOffs[:0], n.runWords[:0]
-		runs := f.B&deltaMark != 0 && hp.untracked == 0 && n.staleRuns(hp, m)
-		clear(m)
-		if runs {
+		if f.B&deltaMark != 0 && n.maskRuns(hp, from) {
 			n.send(from, wire.Frame{Type: wire.TPageReply, A: f.A, B: 1, C: f.C, Offs: n.runOffs, Words: n.runWords})
 			return
 		}
+		clear(d.stale[from])
 	case !hp.fetched[from]:
 		hp.fetched[from] = true
 	default:
@@ -1159,23 +1135,36 @@ func (n *node) staleRuns(hp *hpage, m wordMask) bool {
 	return true
 }
 
+// maskRuns is the one builder of the runs a home sends from a mask, for
+// a run reply, a push and a lock grant alike ("Runs from a mask"): it
+// appends to the run scratch the words rank r's frame of page hp may
+// lack (staleRuns) and empties r's mask, unless r has no mask, a local
+// processor is in an untracked interval on the page, or the runs with
+// their headers would be no smaller than the page. It reports whether
+// it did. Called with n.mu held.
+func (n *node) maskRuns(hp *hpage, r int) bool {
+	d := hp.delta
+	if d == nil || d.stale[r] == nil || hp.untracked > 0 || !n.staleRuns(hp, d.stale[r]) {
+		return false
+	}
+	clear(d.stale[r])
+	return true
+}
+
 // publish tells sharer s that a release has changed homed page pg,
 // under n.mu, and counts one more notice of the page out. It pushes —
-// sends a TWriteNotice carrying the runs staleRuns builds from s's mask,
-// empties the mask and leaves s a sharer — when s's last request carried
-// the keep mark, s has a mask, no local processor is in an untracked
-// interval on the page, and there are runs, smaller with their headers
-// than the page. Otherwise it sends a plain notice and strikes s from
-// the sharer set. Both go out under n.mu, like a reply, so neither
-// overtakes one on the channel to s. ring is the caller's trace ring.
+// sends a TWriteNotice carrying the runs of s's mask (maskRuns) and
+// leaves s a sharer — when s's last request carried the keep mark and
+// there is at least one run. Otherwise it sends a plain notice and
+// strikes s from the sharer set. Both go out under n.mu, like a reply,
+// so neither overtakes one on the channel to s. ring is the caller's
+// trace ring.
 func (n *node) publish(ring, pg, s int, token int64) {
 	hp := &n.home[pg]
 	hp.unacked++
 	f := wire.Frame{Type: wire.TWriteNotice, A: int64(pg), B: token}
 	n.runOffs, n.runWords = n.runOffs[:0], n.runWords[:0]
-	if d := hp.delta; d != nil && d.keep[s] && d.stale[s] != nil && hp.untracked == 0 &&
-		n.staleRuns(hp, d.stale[s]) && len(n.runOffs) > 0 {
-		clear(d.stale[s])
+	if d := hp.delta; d != nil && d.keep[s] && n.maskRuns(hp, s) && len(n.runOffs) > 0 {
 		f.Offs, f.Words = n.runOffs, n.runWords
 	} else {
 		hp.sharers[s] = false
@@ -1184,18 +1173,28 @@ func (n *node) publish(ring, pg, s int, token int64) {
 	n.send(s, f)
 }
 
-// grant passes lock i to waiter w, under n.mu. A processor of this rank
-// is marked granted. Another rank is sent a TLockGrant, which carries the
-// runs of each page of the lock's last release that is still homed here
-// and that w's frame lacks, on the terms serve answers a request with
-// runs: w is not a sharer, has a mask, no local processor is in an
-// untracked interval on the page, and the runs with their headers are
-// smaller than the page. Each page carried registers w as a sharer and
-// empties w's mask, as a reply does. The grant goes out under n.mu, so a
-// notice of a later store follows it on the channel to w.
+// request queues waiter w for lock i, or grants it the lock when the
+// lock is free. Called with n.mu held, for a TLockReq and a home
+// processor's Lock alike.
+func (n *node) request(i int, w waiter) {
+	if n.lockHolder[i] != noHolder {
+		n.lockQ[i] = append(n.lockQ[i], w)
+		return
+	}
+	n.grant(i, w)
+}
+
+// grant makes waiter w the holder of lock i, under n.mu. A processor of
+// this rank has its request answered in place. Another rank is sent a
+// TLockGrant, which carries the runs (maskRuns) of each page of the
+// lock's last release that is still homed here and of which w is not a
+// sharer. Each page carried registers w as a sharer, as a reply does.
+// The grant goes out under n.mu, so a notice of a later store follows it
+// on the channel to w.
 func (n *node) grant(i int, w waiter) {
+	n.lockHolder[i] = w.gpid
 	if w.node == n.cfg.Rank {
-		n.granted[int(w.gpid)-n.cfg.Rank*n.cfg.PPN] = true
+		n.wants[int(w.gpid)-n.cfg.Rank*n.cfg.PPN] = noLock
 		n.cond.Broadcast()
 		return
 	}
@@ -1206,15 +1205,10 @@ func (n *node) grant(i int, w waiter) {
 			continue // moved away at a barrier since the release
 		}
 		hp := &n.home[pg]
-		if hp.sharers[w.node] || hp.delta == nil || hp.untracked > 0 {
-			continue
-		}
-		m := hp.delta.stale[w.node]
 		at := len(n.runOffs)
-		if m == nil || !n.staleRuns(hp, m) {
+		if hp.sharers[w.node] || !n.maskRuns(hp, w.node) {
 			continue
 		}
-		clear(m)
 		hp.sharers[w.node] = true
 		pages = append(pages, pg)
 		counts = append(counts, int32((len(n.runOffs)-at)/2))
@@ -1230,7 +1224,7 @@ func (n *node) release(i int, pages []int32) {
 	n.lockPages[i] = append(n.lockPages[i][:0], pages...)
 	q := n.lockQ[i]
 	if len(q) == 0 {
-		n.lockHeld[i] = false
+		n.lockHolder[i] = noHolder
 		return
 	}
 	w := q[0]
@@ -1239,19 +1233,20 @@ func (n *node) release(i int, pages []int32) {
 }
 
 // install takes in the runs grant f carries, under n.mu, by the grant
-// rule (package doc): a page's runs go into a frame that is synced and
-// has no twin, no request in flight and no diff unacknowledged, which
-// becomes a valid copy; otherwise they are dropped (dropRuns).
+// rule ("Runs from a mask"): a page's runs go into a frame that is
+// synced and has no twin, no request in flight and no diff
+// unacknowledged, which becomes a valid copy; otherwise they are dropped
+// (dropRuns).
 func (n *node) install(f wire.Frame) {
 	offs, words := f.Offs[len(f.Pages):], f.Words
 	wake := false
 	for k, pg := range f.Pages {
 		runs := offs[:2*f.Offs[k]]
-		vals := words[:n.runsLen(runs)]
+		vals := words[:diff.RunsLen(n.pageWords, runs)]
 		offs, words = offs[len(runs):], words[len(vals):]
 		cp := &n.cache[pg]
 		if cp.synced && cp.twin == nil && cp.reqID == 0 && cp.diffs == 0 {
-			diff.ApplyRuns(cp.data, runs, vals)
+			diff.MergeRuns(cp.data, cp.twin, runs, vals)
 			cp.valid = true
 			continue
 		}
@@ -1262,23 +1257,12 @@ func (n *node) install(f wire.Frame) {
 	}
 }
 
-// takeRuns writes runs the home built from a mask into cp's frame, under
-// n.mu: plainly, or merged under the twin (mergeRuns) while the page has
-// unflushed local writes.
-func takeRuns(cp *cpage, offs []int32, words []int64) {
-	if cp.twin == nil {
-		diff.ApplyRuns(cp.data, offs, words)
-	} else {
-		mergeRuns(cp.data, cp.twin, offs, words)
-	}
-}
-
 // dropRuns is what dropping runs the home built from a mask — a grant's
-// or a push's — does to cp, under n.mu: the frame lacks words the home
-// now counts as delivered, so it is no longer synced, and a request in
-// flight, whose reply the home builds from the mask the runs emptied, is
-// disowned. It reports whether it disowned one, whose waiter must be
-// woken to ask again, for the whole page.
+// or a push's — does to cp, under n.mu ("Runs from a mask"): the frame
+// lacks words the home now counts as delivered, so it is no longer
+// synced, and a request in flight, whose reply the home builds from the
+// mask the runs emptied, is disowned. It reports whether it disowned
+// one, whose waiter must be woken to ask again, for the whole page.
 func dropRuns(cp *cpage) (disowned bool) {
 	disowned = cp.reqID != 0
 	cp.synced, cp.reqID = false, 0
@@ -1330,13 +1314,9 @@ func (n *node) handle(from int, f wire.Frame) {
 		case f.B == 0 && len(f.Words) != n.pageWords:
 			panic(fmt.Sprintf("mprun: rank %d received a %d-word reply for page %d from rank %d, want %d words",
 				n.cfg.Rank, len(f.Words), f.A, from, n.pageWords))
-		case f.B == 1 && cp.data == nil:
-			panic(fmt.Sprintf("mprun: rank %d received a run reply for page %d from rank %d, but holds no frame of it",
-				n.cfg.Rank, f.A, from))
-		case f.B == 1 && !n.runsFit(f.Offs, len(f.Words)):
-			panic(fmt.Sprintf("mprun: rank %d received a malformed run reply for page %d from rank %d: runs %v over %d words of a %d-word page",
-				n.cfg.Rank, f.A, from, f.Offs, len(f.Words), n.pageWords))
-		case f.B != 0 && f.B != 1:
+		case f.B == 1:
+			n.checkRuns(from, f, cp, "run reply for")
+		case f.B != 0:
 			panic(fmt.Sprintf("mprun: rank %d received a reply for page %d from rank %d with form mark %d",
 				n.cfg.Rank, f.A, from, f.B))
 		}
@@ -1347,7 +1327,7 @@ func (n *node) handle(from int, f wire.Frame) {
 		if cp.reqID != 0 && f.C == cp.reqID {
 			switch {
 			case f.B == 1:
-				takeRuns(cp, f.Offs, f.Words)
+				diff.MergeRuns(cp.data, cp.twin, f.Offs, f.Words)
 			case cp.data == nil:
 				cp.data = make([]int64, n.pageWords)
 				diff.CopyIn(cp.data, f.Words)
@@ -1368,7 +1348,7 @@ func (n *node) handle(from int, f wire.Frame) {
 
 	case wire.TDiff:
 		hp := n.homed(from, f)
-		n.checkDiff(from, f)
+		n.checkRuns(from, f, nil, "diff of")
 		n.mu.Lock()
 		// Word-atomically: this node's processors read and write the
 		// master without the lock.
@@ -1410,7 +1390,7 @@ func (n *node) handle(from int, f wire.Frame) {
 		cp := n.cached(from, f)
 		push := len(f.Offs) != 0 || len(f.Words) != 0
 		if push {
-			n.checkPush(from, f, cp)
+			n.checkRuns(from, f, cp, "push for")
 		}
 		n.mu.Lock()
 		var invalidated int64
@@ -1418,9 +1398,9 @@ func (n *node) handle(from int, f wire.Frame) {
 		switch {
 		case push && cp.valid && cp.diffs == 0:
 			// A push into a copy in step with the master but for the runs
-			// (package doc, "Pushes"); a valid copy has no request in
-			// flight. The copy stays valid.
-			takeRuns(cp, f.Offs, f.Words)
+			// (package doc, "Runs from a mask"); a valid copy has no
+			// request in flight. The copy stays valid.
+			diff.MergeRuns(cp.data, cp.twin, f.Offs, f.Words)
 		case cp.valid:
 			invalidated = 1
 			cp.valid = false
@@ -1518,20 +1498,23 @@ func (n *node) handle(from int, f wire.Frame) {
 	case wire.TLockReq:
 		i := n.lockAt(from, f, n.cfg.Rank, from)
 		n.mu.Lock()
-		if w := (waiter{node: from, gpid: f.B}); n.lockHeld[i] {
-			n.lockQ[i] = append(n.lockQ[i], w)
-		} else {
-			n.lockHeld[i] = true
-			n.grant(i, w)
-		}
+		n.request(i, waiter{node: from, gpid: f.B})
 		n.mu.Unlock()
 
 	case wire.TLockGrant:
-		n.lockAt(from, f, from, n.cfg.Rank)
+		i := n.lockAt(from, f, from, n.cfg.Rank)
 		n.checkGrant(from, f)
+		local := int(f.B) - n.cfg.Rank*n.cfg.PPN
 		n.mu.Lock()
+		if n.wants[local] != i {
+			n.mu.Unlock()
+			// Taken, it would let the processor's next Lock return
+			// without the lock.
+			panic(fmt.Sprintf("mprun: rank %d received a grant of lock %d from rank %d for processor %d, which has not asked for it",
+				n.cfg.Rank, i, from, f.B))
+		}
 		n.install(f)
-		n.granted[int(f.B)-n.cfg.Rank*n.cfg.PPN] = true
+		n.wants[local] = noLock
 		n.mu.Unlock()
 		n.cond.Broadcast()
 
@@ -1539,10 +1522,14 @@ func (n *node) handle(from int, f wire.Frame) {
 		i := n.lockAt(from, f, n.cfg.Rank, from)
 		n.checkRelease(from, f)
 		n.mu.Lock()
-		if !n.lockHeld[i] {
+		if h := n.lockHolder[i]; h != f.B {
 			n.mu.Unlock()
-			panic(fmt.Sprintf("mprun: rank %d received a release of lock %d from rank %d, which is not held",
-				n.cfg.Rank, i, from))
+			if h == noHolder {
+				panic(fmt.Sprintf("mprun: rank %d received a release of lock %d from rank %d, which is not held",
+					n.cfg.Rank, i, from))
+			}
+			panic(fmt.Sprintf("mprun: rank %d received a release of lock %d from rank %d for processor %d, but processor %d holds it",
+				n.cfg.Rank, i, from, f.B, h))
 		}
 		n.release(i, f.Pages)
 		n.mu.Unlock()
@@ -2105,6 +2092,16 @@ func (n *node) await() bool {
 	return waited
 }
 
+// checkID panics, naming the processor, unless lock or flag id i is
+// below top, the application's count: an id outside it would index the
+// node's tables, or go out in a frame every receiver refuses, blaming
+// this rank. what says what the processor was doing.
+func (p *proc) checkID(i, top int, what string) {
+	if i < 0 || i >= top {
+		panic(fmt.Sprintf("mprun: processor %d %s %d of %d", p.gpid, what, i, top))
+	}
+}
+
 // Compute is a no-op: the multi-process runtime runs in real time and
 // charges no virtual clock.
 func (p *proc) Compute(ns, busBytes int64) {}
@@ -2119,26 +2116,23 @@ func (p *proc) PollN(n int64) {}
 // bring some of the lock's pages with it.
 func (p *proc) Lock(i int) {
 	n := p.n
-	if i < 0 || i >= len(n.lockHeld) {
-		panic(fmt.Sprintf("mprun: processor %d locks lock %d of %d", p.gpid, i, len(n.lockHeld)))
-	}
+	p.checkID(i, len(n.lockHolder), "locks lock")
 	t0 := n.wallNow()
-	home := n.lockHome(i)
-	if home != n.cfg.Rank {
-		n.send(home, wire.Frame{Type: wire.TLockReq, A: int64(i), B: int64(p.gpid)})
-	}
 	n.mu.Lock()
-	switch {
-	case home == n.cfg.Rank && !n.lockHeld[i]:
-		n.lockHeld[i] = true
-	case home == n.cfg.Rank:
-		n.lockQ[i] = append(n.lockQ[i], waiter{node: home, gpid: int64(p.gpid)})
-		fallthrough
-	default:
-		for !n.granted[p.local] {
-			n.cond.Wait()
-		}
-		n.granted[p.local] = false
+	// The request is on record before the TLockReq is out, so the grant
+	// finds it.
+	n.wants[p.local] = i
+	if home := n.lockHome(i); home == n.cfg.Rank {
+		n.request(i, waiter{node: home, gpid: int64(p.gpid)})
+	} else {
+		// Not under mu: held across the send, it holds up the handler,
+		// and mp_migratory_tcp then moved 0.2 % more data.
+		n.mu.Unlock()
+		n.send(home, wire.Frame{Type: wire.TLockReq, A: int64(i), B: int64(p.gpid)})
+		n.mu.Lock()
+	}
+	for n.wants[p.local] != noLock {
+		n.cond.Wait()
 	}
 	n.mu.Unlock()
 	n.span(p.local, trace.EvLock, -1, t0, int64(i), 0)
@@ -2150,6 +2144,7 @@ func (p *proc) Lock(i int) {
 // carry: in a TLockRelease to the home, or, on the home, kept in place.
 func (p *proc) Unlock(i int) {
 	n := p.n
+	p.checkID(i, len(n.lockHolder), "unlocks lock")
 	t0 := n.wallNow()
 	// The dirty list is this goroutine's own, and the flush publishes it.
 	home := n.lockHome(i)
@@ -2166,6 +2161,11 @@ func (p *proc) Unlock(i int) {
 		n.send(home, wire.Frame{Type: wire.TLockRelease, A: int64(i), B: int64(p.gpid), C: p.barGen, Pages: pages})
 	} else {
 		n.mu.Lock()
+		if n.lockHolder[i] != int64(p.gpid) {
+			// The home refuses the same release in a TLockRelease.
+			n.mu.Unlock()
+			panic(fmt.Sprintf("mprun: processor %d unlocks lock %d, which it does not hold", p.gpid, i))
+		}
 		n.release(i, pages)
 		n.mu.Unlock()
 	}
@@ -2176,6 +2176,7 @@ func (p *proc) Unlock(i int) {
 // woken waiter finds the protected data at its home.
 func (p *proc) SetFlag(i int) {
 	n := p.n
+	p.checkID(i, len(n.flags), "sets flag")
 	t0 := n.wallNow()
 	p.flush()
 	for r := 0; r < n.cfg.Nodes; r++ {
@@ -2187,6 +2188,7 @@ func (p *proc) SetFlag(i int) {
 // WaitFlag blocks until flag i is raised.
 func (p *proc) WaitFlag(i int) {
 	n := p.n
+	p.checkID(i, len(n.flags), "waits for flag")
 	t0 := n.wallNow()
 	n.mu.Lock()
 	for !n.flags[i] {

@@ -1405,6 +1405,10 @@ func TestMalformedFramesPanicAttributed(t *testing.T) {
 			"rank 1 received a malformed bar-release frame from rank 0: pages [-1]", 1},
 		{"release carrying words", wire.Frame{Type: wire.TBarRelease, A: 1, Pages: []int32{0}, Offs: []int32{1}, Words: []int64{7}},
 			"rank 1 received a bar-release frame from rank 0 carrying 1 pages, 1 offsets and 1 words, which the type does not define", 1},
+		{"release by a processor that does not hold the lock", wire.Frame{Type: wire.TLockRelease, A: 0, B: 3},
+			"rank 0 received a release of lock 0 from rank 1 for processor 3, but processor 2 holds it", 0},
+		{"grant to a processor that has not asked for the lock", wire.Frame{Type: wire.TLockGrant, A: 0, B: 2},
+			"rank 1 received a grant of lock 0 from rank 0 for processor 2, which has not asked for it", 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			n, _ := tapAt(tc.at, 2)
@@ -1417,6 +1421,10 @@ func TestMalformedFramesPanicAttributed(t *testing.T) {
 				// A frame of the page homed on rank 0, for grants to carry.
 				n.cache[homePage].data = make([]int64, pw)
 			}
+			if tc.f.Type == wire.TLockRelease && tc.f.B == 3 {
+				// Lock held by processor 2, for its sibling to release.
+				n.handle(1, wire.Frame{Type: wire.TLockReq, A: tc.f.A, B: 2})
+			}
 			defer func() {
 				msg, ok := recover().(string)
 				if !ok || !strings.HasPrefix(msg, "mprun: ") || !strings.Contains(msg, tc.want) {
@@ -1425,6 +1433,38 @@ func TestMalformedFramesPanicAttributed(t *testing.T) {
 			}()
 			n.handle(1-tc.at, tc.f)
 			t.Errorf("handle accepted the frame")
+		})
+	}
+}
+
+// TestSyncIDsOutOfRangePanicAttributed: a lock or flag id outside the
+// application's is refused by the processor that passes it, naming the
+// processor, before it can index the node's tables or go out in a frame
+// that its receivers would refuse, blaming this rank. The tap cluster
+// has four locks, lock 4 homed here and lock 5 on rank 1, and no flags.
+func TestSyncIDsOutOfRangePanicAttributed(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		call func(*proc)
+		want string
+	}{
+		{"lock beyond the application's", func(p *proc) { p.Lock(tapLocks) }, "mprun: processor 1 locks lock 4 of 4"},
+		{"negative lock", func(p *proc) { p.Lock(-1) }, "mprun: processor 1 locks lock -1 of 4"},
+		{"unlock beyond the application's, homed here", func(p *proc) { p.Unlock(tapLocks) }, "mprun: processor 1 unlocks lock 4 of 4"},
+		{"unlock beyond the application's, homed elsewhere", func(p *proc) { p.Unlock(tapLocks + 1) }, "mprun: processor 1 unlocks lock 5 of 4"},
+		{"set flag beyond the application's", func(p *proc) { p.SetFlag(0) }, "mprun: processor 1 sets flag 0 of 0"},
+		{"wait for a flag beyond the application's", func(p *proc) { p.WaitFlag(0) }, "mprun: processor 1 waits for flag 0 of 0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, tp := tapNode()
+			defer func() {
+				if msg, _ := recover().(string); msg != tc.want {
+					t.Errorf("panicked with %q, want %q", msg, tc.want)
+				}
+				tp.quiet(t, "a refused id")
+			}()
+			tc.call(n.newProc(1))
+			t.Errorf("the call returned")
 		})
 	}
 }
