@@ -156,13 +156,6 @@ func (l *Layout) Array(words int) int {
 	return base
 }
 
-// Raw reserves words without alignment.
-func (l *Layout) Raw(words int) int {
-	base := l.next
-	l.next += words
-	return base
-}
-
 // Words returns the total space reserved so far.
 func (l *Layout) Words() int { return l.next }
 

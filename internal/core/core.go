@@ -394,8 +394,7 @@ func New(cfg Config) (*Cluster, error) {
 	if !cfg.Protocol.TwoLevelFamily() {
 		protoNodes = cfg.Nodes * cfg.ProcsPerNode
 	}
-	physOf := func(pn int) int { return c.physOfProto(pn) }
-	c.dir = directory.NewGlobal(c.net, lay, c.pages, protoNodes, physOf, cfg.LockBasedMeta)
+	c.dir = directory.NewGlobal(c.net, lay, c.pages, protoNodes, nil, cfg.LockBasedMeta)
 
 	c.masters = make([][]int64, c.pages)
 	for p := range c.masters {
@@ -569,10 +568,7 @@ func (c *Cluster) superOf(page int) int { return page / c.cfg.SuperpagePages }
 func (c *Cluster) ReadShared(addr int) int64 {
 	page := addr / c.cfg.PageWords
 	off := addr % c.cfg.PageWords
-	// Scan for the holder through each node's own directory replica:
-	// the directory has no loop-back, so only the owner's doubled copy
-	// of its word is authoritative.
-	if holder, _, ok := c.dir.ExclHolderOwn(page); ok {
+	if holder, _, ok := c.dir.ExclHolder(page); ok {
 		if f := c.nodes[holder].frames[page].p.Load(); f != nil {
 			return atomic.LoadInt64(&(*f)[off])
 		}
@@ -584,9 +580,6 @@ func (c *Cluster) ReadShared(addr int) int64 {
 func (c *Cluster) ReadSharedF(addr int) float64 {
 	return math.Float64frombits(uint64(c.ReadShared(addr)))
 }
-
-// BytesMoved returns the total Memory Channel payload traffic so far.
-func (c *Cluster) BytesMoved() int64 { return c.net.BytesMoved() }
 
 // SnapshotStats aggregates the per-processor statistics as they stand
 // right now. It is a monitoring-grade read: the per-processor counters

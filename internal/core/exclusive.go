@@ -23,7 +23,7 @@ import (
 // mode. It reports whether a break was performed (the caller's fault
 // handler should re-run). Called with no node locks held.
 func (p *Proc) maybeBreakExclusive(page int) bool {
-	holderNode, holderProc, ok := p.c.dir.ExclHolder(p.n.id, page)
+	holderNode, holderProc, ok := p.c.dir.ExclHolder(page)
 	if !ok || holderNode == p.n.id {
 		return false
 	}

@@ -134,7 +134,7 @@ func (p *Proc) doWriteFault(page int) {
 				p.publishOwnWord(page, e)
 			}
 
-		case p.c.cfg.Protocol.TwoLevelFamily() && p.c.dir.Sharers(n.id, page, n.id) == 0:
+		case p.c.cfg.Protocol.TwoLevelFamily() && p.c.dir.Sharers(page, n.id) == 0:
 			// No other node is sharing: enter exclusive mode. The
 			// page incurs no further coherence overhead — no twin,
 			// no dirty-list entry, no flushes or notices — until
@@ -195,7 +195,7 @@ func (p *Proc) ensureCurrentLocked(page int) bool {
 	c := p.c
 	n := p.n
 
-	if holder, _, ok := c.dir.ExclHolder(n.id, page); ok && holder != n.id {
+	if holder, _, ok := c.dir.ExclHolder(page); ok && holder != n.id {
 		return false
 	}
 

@@ -258,7 +258,7 @@ func (c *Cluster) migrateHomePolicy(p *Proc, page, target int) bool {
 		return false
 	}
 	for g := first; g < last; g++ {
-		if _, _, ok := c.dir.ExclHolderOwn(g); ok {
+		if _, _, ok := c.dir.ExclHolder(g); ok {
 			c.homeLock.Release(p.clk.Now())
 			return false
 		}
@@ -298,7 +298,7 @@ func (c *Cluster) migrateHomePolicy(p *Proc, page, target int) bool {
 // state (their writers merge through the twin as usual); a page in
 // exclusive mode is not replicated.
 func (c *Cluster) replicatePage(p *Proc, page int) bool {
-	if _, _, ok := c.dir.ExclHolderOwn(page); ok {
+	if _, _, ok := c.dir.ExclHolder(page); ok {
 		return false
 	}
 	homeProto, hproc := c.homeOf(page)

@@ -117,9 +117,6 @@ func (p *Proc) ID() int { return p.global }
 // NProcs returns the total number of processors in the cluster.
 func (p *Proc) NProcs() int { return len(p.c.procs) }
 
-// NodeID returns the physical node hosting the processor.
-func (p *Proc) NodeID() int { return p.n.phys }
-
 // Now returns the processor's virtual clock in nanoseconds.
 func (p *Proc) Now() int64 { return p.clk.Now() }
 

@@ -310,7 +310,7 @@ func TestDirectoryWordsReflectProtocolState(t *testing.T) {
 		}
 		p.Barrier()
 		if p.ID() == 0 {
-			if _, _, ok := c.dir.ExclHolder(0, 0); ok {
+			if _, _, ok := c.dir.ExclHolder(0); ok {
 				t.Error("exclusive holder survives a remote read")
 			}
 		}

@@ -73,16 +73,6 @@ func (p *Proc) WaitFlag(i int) {
 	p.emitSpan(trace.EvFlagWait, -1, begin, int64(i), 0)
 }
 
-// FlagSet reports whether flag i has been raised (without acquiring).
-func (p *Proc) FlagSet(i int) bool { return p.c.flags[i].IsSet() }
-
-// ResetFlag returns flag i to the unset state at the caller's current
-// virtual time. No processor may be waiting on the flag, and the reset
-// must be separated from any re-raise by application synchronization.
-func (p *Proc) ResetFlag(i int) {
-	p.c.flags[i].Reset(p.n.phys, p.clk.Now())
-}
-
 // Barrier synchronizes all processors. On arrival each processor
 // flushes the dirty pages for which it is the last arriving local
 // writer (earlier arrivers delegate via no-longer-exclusive notices, so
@@ -297,7 +287,7 @@ func (p *Proc) flushPage(page int, releaseStart int64) {
 	sh.Lock()
 	if !c.cfg.Protocol.TwoLevelFamily() && !aliased &&
 		n.vm.Loosest(page) != directory.Invalid && meta.updateTS >= meta.wnTS &&
-		c.dir.Sharers(n.id, page, n.id) == 0 && !n.noticeQueued(page) {
+		c.dir.Sharers(page, n.id) == 0 && !n.noticeQueued(page) {
 		if !c.defects.keepExclusiveTwin {
 			n.dropTwin(page)
 		}

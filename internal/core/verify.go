@@ -251,16 +251,6 @@ func (h *Harness) PageState(node, page int) PageState {
 	return st
 }
 
-// LocalProcs returns the global processor ids hosted on protocol node
-// node.
-func (h *Harness) LocalProcs(node int) []int {
-	var out []int
-	for _, p := range h.c.nodes[node].procs {
-		out = append(out, p.global)
-	}
-	return out
-}
-
 // String describes the cluster shape, for counterexample headers.
 func (h *Harness) String() string {
 	c := h.c

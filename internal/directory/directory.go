@@ -6,9 +6,10 @@
 // the node whose view it records — so no global lock is needed to keep
 // the entry consistent: expanding the entry to a word per node is the
 // paper's alternative to compressing it into a single globally-locked
-// word. The entry is replicated on every physical node by Memory Channel
-// broadcast; because the directory region does not use loop-back, a
-// writer must manually "double" its write into its own replica.
+// word. On the hardware the entry is replicated on every physical node
+// by Memory Channel broadcast. The simulator keeps one copy of every
+// word, which every node reads and its owner stores atomically, and
+// charges each store one Memory Channel write latency (package simchan).
 //
 // # Word layouts
 //
@@ -24,8 +25,8 @@
 //
 // A larger cluster gets the same field order with the processor fields
 // widened to whatever its ids need, still within the one 64-bit word
-// the simulated region stores. Widening the word rather than adding
-// words per entry preserves the single-writer discipline unchanged:
+// the simulator stores. Widening the word rather than adding words per
+// entry preserves the single-writer discipline unchanged:
 // every word still has exactly one writing node, whatever its width.
 //
 // The one-level protocols use the same machinery with one word per
@@ -35,13 +36,13 @@
 // # Concurrency
 //
 // All methods are safe for concurrent use. Reads are lock-free atomic
-// loads from the caller's local replica. The soundness of concurrent
-// Store calls rests on the single-writer discipline above: node x only
-// ever stores words at index x of an entry, so two Stores to the same
-// word never race at the protocol level (the simulator's atomics make
-// any accidental violation a stale read, not a torn one). Under the
-// lock-based ablation callers must bracket Store with the page's
-// PageLock; the directory itself does not acquire it.
+// loads of the one copy. The soundness of concurrent Store calls rests
+// on the single-writer discipline above: node x only ever stores words
+// at index x of an entry, so two Stores to the same word never race at
+// the protocol level (the atomics make any accidental violation a stale
+// read, not a torn one). Under the lock-based ablation callers must
+// bracket Store with the page's PageLock; the directory itself does not
+// acquire it.
 package directory
 
 import (
@@ -92,7 +93,7 @@ const (
 	packedProcBits = 6
 
 	// maxProcBits bounds the layout so both processor fields and
-	// the first-touch bit stay inside the 63 low bits of the region's
+	// the first-touch bit stay inside the 63 low bits of the stored
 	// int64 word (2 + 2*30 + 1 = 63).
 	maxProcBits = 30
 )
@@ -227,32 +228,31 @@ func (l Layout) Format(w Word) string {
 	return s
 }
 
-// Global is the distributed, replicated page directory. Words are
-// indexed by (page, protocol node); physOf maps protocol nodes to the
-// physical nodes of the Memory Channel (identity for two-level
-// protocols; proc-to-SMP mapping for one-level protocols, where every
-// processor is its own protocol node).
+// Global is the distributed page directory: one copy of every word,
+// indexed by (page, protocol node).
 type Global struct {
-	region     *simchan.Region
+	words      []atomic.Int64
+	wlat       int64
 	lay        Layout
 	pages      int
 	protoNodes int
-	physOf     func(int) int
 	lockBased  bool
 	locks      []sim.VLock
 }
 
 // NewGlobal creates a directory for pages pages and protoNodes protocol
-// nodes on the given network, with words encoded by lay. When lockBased
-// is true, updates must be bracketed by Lock/Unlock on the page's
-// global lock (the Section 3.3.5 ablation).
+// nodes whose stores are charged on the given network, with words
+// encoded by lay. physOf is unused and may be nil; it stays until the
+// repository benchmark, which passes it, changes. When lockBased is
+// true, updates must be bracketed by Lock/Unlock on the page's global
+// lock (the Section 3.3.5 ablation).
 func NewGlobal(net *simchan.Network, lay Layout, pages, protoNodes int, physOf func(int) int, lockBased bool) *Global {
 	g := &Global{
-		region:     net.NewRegion(pages*protoNodes, false),
+		words:      make([]atomic.Int64, pages*protoNodes),
+		wlat:       net.Model().MCWriteLatency,
 		lay:        lay,
 		pages:      pages,
 		protoNodes: protoNodes,
-		physOf:     physOf,
 		lockBased:  lockBased,
 	}
 	if lockBased {
@@ -282,39 +282,29 @@ func (g *Global) PageLock(page int) *sim.VLock {
 	return &g.locks[page]
 }
 
-func (g *Global) off(page, protoNode int) int {
-	return page*g.protoNodes + protoNode
-}
-
-// Load returns protocol node protoNode's word for page, as read by a
-// processor on the given protocol node reader (reads always hit the
-// local replica).
+// Load returns protocol node protoNode's word for page. reader is
+// unused; it stays until the repository benchmark, which passes it,
+// changes.
 func (g *Global) Load(reader, page, protoNode int) Word {
-	return Word(g.region.Read(g.physOf(reader), g.off(page, protoNode)))
+	return Word(g.words[page*g.protoNodes+protoNode].Load())
 }
 
-// Store broadcasts writer's own word for page at virtual time now and
-// doubles it into the local replica. It returns the time the update is
-// globally performed. Only the word's owning node may store it; that
+// Store publishes writer's own word for page at virtual time now and
+// returns the time the update is globally performed, one Memory Channel
+// write latency later. Only the word's owning node may store it; that
 // discipline is what makes the directory lock-free.
 func (g *Global) Store(writer, page int, w Word, now int64) int64 {
-	phys := g.physOf(writer)
-	off := g.off(page, writer)
-	done := g.region.Write(phys, off, int64(w), now)
-	g.region.Poke(phys, off, int64(w))
-	return done
+	g.words[page*g.protoNodes+writer].Store(int64(w))
+	return now + g.wlat
 }
 
 // Sharers returns the number of protocol nodes with a valid (read-only
 // or read-write) view of page, excluding except (pass a negative except
 // to count all).
-func (g *Global) Sharers(reader, page, except int) int {
+func (g *Global) Sharers(page, except int) int {
 	n := 0
 	for node := 0; node < g.protoNodes; node++ {
-		if node == except {
-			continue
-		}
-		if g.lay.Perm(g.Load(reader, page, node)) != Invalid {
+		if node != except && g.lay.Perm(g.Load(node, page, node)) != Invalid {
 			n++
 		}
 	}
@@ -322,24 +312,8 @@ func (g *Global) Sharers(reader, page, except int) int {
 }
 
 // ExclHolder scans page's entry for an exclusive holder and returns the
-// protocol node and processor holding it, as seen from reader's replica.
-func (g *Global) ExclHolder(reader, page int) (node, proc int, ok bool) {
-	for n := 0; n < g.protoNodes; n++ {
-		if p, has := g.lay.Excl(g.Load(reader, page, n)); has {
-			return n, p, true
-		}
-	}
-	return 0, 0, false
-}
-
-// ExclHolderOwn scans page's entry for an exclusive holder, reading
-// each node's word through that node's own replica. The directory
-// region has no loop-back, so a node's doubled local copy is the
-// authoritative version of its word; any other replica only sees it
-// once the broadcast has been delivered. Out-of-band inspection (such
-// as result validation after a run) must use this rather than trusting
-// one observer's replica for every word.
-func (g *Global) ExclHolderOwn(page int) (node, proc int, ok bool) {
+// protocol node and processor holding it.
+func (g *Global) ExclHolder(page int) (node, proc int, ok bool) {
 	for n := 0; n < g.protoNodes; n++ {
 		if p, has := g.lay.Excl(g.Load(n, page, n)); has {
 			return n, p, true
@@ -351,9 +325,9 @@ func (g *Global) ExclHolderOwn(page int) (node, proc int, ok bool) {
 // Home returns the home processor of page as recorded in the directory
 // (any node's word; home indications are redundant), and whether one is
 // recorded.
-func (g *Global) Home(reader, page int) (proc int, ok bool) {
+func (g *Global) Home(page int) (proc int, ok bool) {
 	for n := 0; n < g.protoNodes; n++ {
-		if p, has := g.lay.Home(g.Load(reader, page, n)); has {
+		if p, has := g.lay.Home(g.Load(n, page, n)); has {
 			return p, true
 		}
 	}

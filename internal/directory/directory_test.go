@@ -2,6 +2,7 @@ package directory
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -265,11 +266,10 @@ func TestGlobalStoreLoad(t *testing.T) {
 		t.Error("Layout() does not report the constructor's layout")
 	}
 	w := g.Layout().Make(ReadWrite, -1, 2, false)
-	done := g.Store(1, 7, w, 1000)
-	if done <= 1000 {
-		t.Errorf("Store globally performed at %d", done)
+	if done, want := g.Store(1, 7, w, 1000), 1000+net.Model().MCWriteLatency; done != want {
+		t.Errorf("Store globally performed at %d, want %d", done, want)
 	}
-	// Every node, including the writer (manual doubling), sees it.
+	// Every node, the writer included, sees it.
 	for reader := 0; reader < 4; reader++ {
 		if got := g.Load(reader, 7, 1); got != w {
 			t.Errorf("reader %d load = %v, want %v", reader, got, w)
@@ -290,16 +290,16 @@ func TestGlobalSharers(t *testing.T) {
 	l := g.Layout()
 	g.Store(0, 2, l.WithPerm(0, ReadOnly), 0)
 	g.Store(3, 2, l.WithPerm(0, ReadWrite), 0)
-	if got := g.Sharers(1, 2, -1); got != 2 {
+	if got := g.Sharers(2, -1); got != 2 {
 		t.Errorf("Sharers(all) = %d, want 2", got)
 	}
-	if got := g.Sharers(1, 2, 0); got != 1 {
+	if got := g.Sharers(2, 0); got != 1 {
 		t.Errorf("Sharers(except 0) = %d, want 1", got)
 	}
-	if got := g.Sharers(1, 2, 3); got != 1 {
+	if got := g.Sharers(2, 3); got != 1 {
 		t.Errorf("Sharers(except 3) = %d, want 1", got)
 	}
-	if got := g.Sharers(1, 1, -1); got != 0 {
+	if got := g.Sharers(1, -1); got != 0 {
 		t.Errorf("Sharers(untouched page) = %d", got)
 	}
 }
@@ -307,48 +307,50 @@ func TestGlobalSharers(t *testing.T) {
 func TestGlobalExclHolder(t *testing.T) {
 	net := simchan.New(4, costs.Default())
 	g := newTestGlobal(net, 4, 4, ident, false)
-	if _, _, ok := g.ExclHolder(0, 1); ok {
+	if _, _, ok := g.ExclHolder(1); ok {
 		t.Error("found exclusive holder on empty directory")
 	}
 	g.Store(2, 1, g.Layout().Make(ReadWrite, 9, -1, false), 0)
-	node, proc, ok := g.ExclHolder(0, 1)
+	node, proc, ok := g.ExclHolder(1)
 	if !ok || node != 2 || proc != 9 {
 		t.Errorf("ExclHolder = %d,%d,%v want 2,9,true", node, proc, ok)
+	}
+	// The holder's next store drops the mode.
+	g.Store(2, 1, g.Layout().Make(ReadWrite, -1, -1, false), 0)
+	if _, _, ok := g.ExclHolder(1); ok {
+		t.Error("exclusive holder outlived the word that recorded it")
 	}
 }
 
 func TestGlobalExclHolderOwn(t *testing.T) {
+	// The holder is read from the owner's own word, the one copy: an
+	// owner's store names the holder at once for every reader, with no
+	// delivery step in between, and every reader loads that same word.
 	net := simchan.New(4, costs.Default())
 	g := newTestGlobal(net, 4, 4, ident, false)
-	if _, _, ok := g.ExclHolderOwn(1); ok {
+	if _, _, ok := g.ExclHolder(2); ok {
 		t.Error("found exclusive holder on empty directory")
 	}
-	// A normal Store is seen by both scans.
-	g.Store(2, 1, g.Layout().Make(ReadWrite, 9, -1, false), 0)
-	if node, proc, ok := g.ExclHolderOwn(1); !ok || node != 2 || proc != 9 {
-		t.Errorf("ExclHolderOwn = %d,%d,%v want 2,9,true", node, proc, ok)
-	}
-	// A word whose broadcast was not delivered — present only in the
-	// owner's doubled replica — is found by the owner-replica scan but
-	// invisible to an observer scanning replica 0.
 	w := g.Layout().Make(ReadWrite, 13, -1, false)
-	g.region.Poke(3, g.off(2, 3), int64(w))
-	if node, proc, ok := g.ExclHolderOwn(2); !ok || node != 3 || proc != 13 {
-		t.Errorf("ExclHolderOwn(undelivered) = %d,%d,%v want 3,13,true", node, proc, ok)
+	g.Store(3, 2, w, 0)
+	if node, proc, ok := g.ExclHolder(2); !ok || node != 3 || proc != 13 {
+		t.Errorf("ExclHolder = %d,%d,%v want 3,13,true", node, proc, ok)
 	}
-	if _, _, ok := g.ExclHolder(0, 2); ok {
-		t.Error("replica-0 scan saw a word whose broadcast was never delivered")
+	for reader := 0; reader < 4; reader++ {
+		if got := g.Load(reader, 2, 3); got != w {
+			t.Errorf("reader %d loads owner 3's word = %#x, want %#x", reader, uint64(got), uint64(w))
+		}
 	}
 }
 
 func TestGlobalHome(t *testing.T) {
 	net := simchan.New(4, costs.Default())
 	g := newTestGlobal(net, 4, 4, ident, false)
-	if _, ok := g.Home(0, 3); ok {
+	if _, ok := g.Home(3); ok {
 		t.Error("found home on empty directory")
 	}
 	g.Store(1, 3, g.Layout().WithHome(0, 6), 0)
-	if p, ok := g.Home(2, 3); !ok || p != 6 {
+	if p, ok := g.Home(3); !ok || p != 6 {
 		t.Errorf("Home = %d,%v want 6,true", p, ok)
 	}
 }
@@ -379,7 +381,7 @@ func TestGlobalLockBased(t *testing.T) {
 
 func TestGlobalOneLevelMapping(t *testing.T) {
 	// One-level protocols: 8 protocol nodes (processors) on 2 physical
-	// nodes; reads must hit the reader's physical replica.
+	// nodes; every processor reads proc 5's word.
 	net := simchan.New(2, costs.Default())
 	physOf := func(proc int) int { return proc / 4 }
 	g := newTestGlobal(net, 2, 8, physOf, false)
@@ -393,8 +395,8 @@ func TestGlobalOneLevelMapping(t *testing.T) {
 
 func TestGlobalWideLayoutLargeCluster(t *testing.T) {
 	// A 128-node cluster of 4-way SMPs (511 = largest proc id) cannot use
-	// the packed layout; the wide words must survive the region's int64
-	// storage and round-trip through Store/Load.
+	// the packed layout; the wide words must survive the directory's
+	// int64 storage and round-trip through Store/Load.
 	lay, err := LayoutFor(511)
 	if err != nil {
 		t.Fatal(err)
@@ -413,7 +415,7 @@ func TestGlobalWideLayoutLargeCluster(t *testing.T) {
 	if p, ok := lay.Excl(got); !ok || p != 511 {
 		t.Errorf("wide excl = %d,%v", p, ok)
 	}
-	node, proc, ok := g.ExclHolder(5, 3)
+	node, proc, ok := g.ExclHolder(3)
 	if !ok || node != 127 || proc != 511 {
 		t.Errorf("ExclHolder = %d,%d,%v", node, proc, ok)
 	}
@@ -520,23 +522,24 @@ func TestGlobalPackedWideEquivalenceStoreLoad(t *testing.T) {
 						reader, page, node, Packed().Format(pw), wide.Format(ww))
 				}
 			}
-			pn, pp, pok := gp.ExclHolder(reader, page)
-			wn, wp, wok := gw.ExclHolder(reader, page)
-			if pn != wn || pp != wp || pok != wok {
-				t.Errorf("reader %d page %d: ExclHolder packed %d,%d,%v wide %d,%d,%v",
-					reader, page, pn, pp, pok, wn, wp, wok)
-			}
-			if gp.Sharers(reader, page, -1) != gw.Sharers(reader, page, -1) {
-				t.Errorf("reader %d page %d: sharer counts disagree", reader, page)
-			}
+		}
+	}
+	for page := 0; page < 3; page++ {
+		pn, pp, pok := gp.ExclHolder(page)
+		wn, wp, wok := gw.ExclHolder(page)
+		if pn != wn || pp != wp || pok != wok {
+			t.Errorf("page %d: ExclHolder packed %d,%d,%v wide %d,%d,%v",
+				page, pn, pp, pok, wn, wp, wok)
+		}
+		if gp.Sharers(page, -1) != gw.Sharers(page, -1) {
+			t.Errorf("page %d: sharer counts disagree", page)
 		}
 	}
 }
 
-func TestGlobalExclHolderOwnWideLayout(t *testing.T) {
-	// ExclHolderOwn under the wide layout, including a processor id the
-	// packed fields cannot encode and a word present only in the owner's
-	// doubled replica (broadcast not yet delivered).
+func TestGlobalExclHolderWideLayout(t *testing.T) {
+	// ExclHolder under the wide layout, including a processor id the
+	// packed fields cannot encode.
 	lay, err := LayoutFor(511)
 	if err != nil {
 		t.Fatal(err)
@@ -546,22 +549,110 @@ func TestGlobalExclHolderOwnWideLayout(t *testing.T) {
 	}
 	net := simchan.New(4, costs.Default())
 	g := NewGlobal(net, lay, 4, 4, ident, false)
-	if _, _, ok := g.ExclHolderOwn(1); ok {
+	if _, _, ok := g.ExclHolder(1); ok {
 		t.Error("found exclusive holder on empty directory")
 	}
 	g.Store(2, 1, lay.Make(ReadWrite, 300, -1, false), 0)
-	if node, proc, ok := g.ExclHolderOwn(1); !ok || node != 2 || proc != 300 {
-		t.Errorf("ExclHolderOwn = %d,%d,%v want 2,300,true", node, proc, ok)
+	if node, proc, ok := g.ExclHolder(1); !ok || node != 2 || proc != 300 {
+		t.Errorf("ExclHolder = %d,%d,%v want 2,300,true", node, proc, ok)
 	}
-	// Owner-replica-only word with a proc id past the packed bound.
-	w := lay.Make(ReadWrite, 511, -1, false)
-	g.region.Poke(3, g.off(2, 3), int64(w))
-	if node, proc, ok := g.ExclHolderOwn(2); !ok || node != 3 || proc != 511 {
-		t.Errorf("ExclHolderOwn(undelivered) = %d,%d,%v want 3,511,true", node, proc, ok)
+	g.Store(3, 2, lay.Make(ReadWrite, 511, -1, false), 0)
+	if node, proc, ok := g.ExclHolder(2); !ok || node != 3 || proc != 511 {
+		t.Errorf("ExclHolder = %d,%d,%v want 3,511,true", node, proc, ok)
 	}
-	if _, _, ok := g.ExclHolder(0, 2); ok {
-		t.Error("replica-0 scan saw a word whose broadcast was never delivered")
+}
+
+func TestConcurrentDistinctWordWriters(t *testing.T) {
+	// The protocols give each directory word a single writing node.
+	// Every owner stores rising values into its own word while a reader
+	// per node scans every word. The one copy is read lock-free, so under
+	// -race this is the directory's concurrency check; a reader must
+	// never see a word go backwards, and every reader must see each
+	// owner's last store once the owners are done.
+	const nodes, rounds = 8, 1000
+	g := newTestGlobal(simchan.New(nodes, costs.Default()), 1, nodes, nil, false)
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for reader := 0; reader < nodes; reader++ {
+		wg.Add(1)
+		go func(reader int) {
+			defer wg.Done()
+			last := make([]Word, nodes)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for x := 0; x < nodes; x++ {
+					got := g.Load(reader, 0, x)
+					if got < last[x] {
+						t.Errorf("reader %d, owner %d: word went back from %d to %d",
+							reader, x, last[x], got)
+						return
+					}
+					last[x] = got
+				}
+			}
+		}(reader)
 	}
+	var owners sync.WaitGroup
+	for x := 0; x < nodes; x++ {
+		owners.Add(1)
+		go func(x int) {
+			defer owners.Done()
+			for i := Word(1); i <= rounds; i++ {
+				g.Store(x, 0, i, 0)
+			}
+		}(x)
+	}
+	owners.Wait()
+	close(stop)
+	wg.Wait()
+	for x := 0; x < nodes; x++ {
+		for reader := 0; reader < nodes; reader++ {
+			if got := g.Load(reader, 0, x); got != rounds {
+				t.Errorf("reader %d sees owner %d's word = %d, want %d", reader, x, got, rounds)
+			}
+		}
+	}
+}
+
+func TestWriteOrdering(t *testing.T) {
+	// A reader that observes an owner's second store must observe its
+	// first: one writer's stores are seen in the order it made them.
+	// The owner stores page 0 then page 1; the reader loads them in the
+	// opposite order.
+	const rounds = 10000
+	g := newTestGlobal(simchan.New(2, costs.Default()), 2, 2, nil, false)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	stop := make(chan struct{})
+	go func() {
+		defer wg.Done()
+		for i := Word(1); i <= rounds; i++ {
+			g.Store(0, 0, i, 0)
+			g.Store(0, 1, i, 0)
+		}
+		close(stop)
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			second := g.Load(1, 1, 0)
+			first := g.Load(1, 0, 0)
+			if first < second {
+				t.Errorf("ordering violated: second=%d visible but first=%d", second, first)
+				return
+			}
+		}
+	}()
+	wg.Wait()
 }
 
 func TestLClock(t *testing.T) {

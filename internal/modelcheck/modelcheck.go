@@ -47,7 +47,7 @@
 //   - dir-agree: each node's directory word permission is at least as
 //     loose as the loosest page-table permission on that node (the word
 //     is the first-level directory's summary of the second level), and
-//     every replica of every word agrees with the owner's doubled copy.
+//     the home processor a word records lies on the page's home node.
 //   - notice-conservation: a node's globally-accessible write-notice
 //     list only grows, except across that node's own acquire, which
 //     must leave it empty (notices are never dropped); after an acquire
@@ -363,14 +363,11 @@ func newRun(opts Options, tracer *trace.Tracer) (*run, error) {
 	return r, nil
 }
 
-// exclHolder returns the node holding page exclusively per the nodes'
-// own directory words, or -1.
+// exclHolder returns the node holding page exclusively per the
+// directory, or -1.
 func (r *run) exclHolder(page int) int {
-	dir, lay := r.h.Directory(), r.h.Layout()
-	for x := 0; x < r.nnodes; x++ {
-		if _, ok := lay.Excl(dir.Load(x, page, x)); ok {
-			return x
-		}
+	if x, _, ok := r.h.Directory().ExclHolder(page); ok {
+		return x
 	}
 	return -1
 }
@@ -639,7 +636,7 @@ func (r *run) check(op Op, drained []bool, barrierDone, policyActed, hasRead boo
 		}
 	}
 
-	dir, lay := r.h.Directory(), r.h.Layout()
+	lay := r.h.Layout()
 	for g := 0; g < r.pages; g++ {
 		master := r.h.Master(g)
 		excl := -1
@@ -680,16 +677,10 @@ func (r *run) check(op Op, drained []bool, barrierDone, policyActed, hasRead boo
 			}
 
 			// dir-agree: the word's permission is at least as loose as
-			// the node's page tables, and all replicas agree.
+			// the node's page tables, and its home is the page's.
 			if lay.Perm(st.OwnWord) < loosest {
 				return fail("dir-agree", "page %d node %d word says %s but a local table says %s",
 					g, x, lay.Perm(st.OwnWord), loosest)
-			}
-			for reader := 0; reader < r.nnodes; reader++ {
-				if w := dir.Load(reader, g, x); w != st.OwnWord {
-					return fail("dir-agree", "page %d node %d word: own replica %s, node %d replica %s",
-						g, x, lay.Format(st.OwnWord), reader, lay.Format(w))
-				}
 			}
 			if hp, ok := lay.Home(st.OwnWord); ok {
 				if home := r.h.ProtoNodeOf(hp); home != r.h.HomeOf(g) {

@@ -2,15 +2,15 @@
 // primitives of the Cashmere runtime: global locks, barriers, and flags
 // (paper Sections 2.2 and 2.3).
 //
-// Locks are represented by a per-node entry array in Memory Channel
-// space configured for loop-back: an acquirer takes its node's local
-// test-and-set flag, sets its array entry, waits for the entry to loop
-// back (proving the write is globally performed), and reads the whole
-// array; if its entry is the only one set it holds the lock. The
-// simulation resolves the contention race with a host mutex and models
-// the algorithm's cost and the virtual-time handoff from the previous
-// holder; the array writes are performed for real so the Memory Channel
-// state is observable.
+// Locks are represented on the hardware by a per-node entry array in
+// Memory Channel space configured for loop-back: an acquirer takes its
+// node's local test-and-set flag, sets its array entry, waits for the
+// entry to loop back (proving the write is globally performed), and
+// reads the whole array; if its entry is the only one set it holds the
+// lock. The simulation resolves the contention race with a host mutex
+// and models the algorithm's cost and the virtual-time handoff from the
+// previous holder; nothing reads the array, so none is kept, and each
+// acquire and release is recorded as a message on the node's link.
 //
 // Barriers are two-level: processors within a node gather through shared
 // memory, the last arrival posts the node's arrival to Memory Channel
@@ -26,14 +26,10 @@
 // # Concurrency
 //
 // Lock, Barrier, and Flag methods are safe for concurrent use by any
-// number of simulated processors, with two documented exceptions that
-// mirror the application contracts: Flag.Reset must not race with Set,
-// Wait, or another Reset (the caller separates them with application
-// synchronization), and each primitive must be fully constructed before
-// it is shared. Contention races are resolved by host mutexes: inside
-// sim.VLock and sim.Rendezvous for locks and barriers, and each Flag's
-// own; the Memory Channel array and cell writes are atomic through
-// simchan.Region.
+// number of simulated processors; each primitive must be fully
+// constructed before it is shared. Contention races are resolved by
+// host mutexes: inside sim.VLock and sim.Rendezvous for locks and
+// barriers, and each Flag's own.
 package msync
 
 import (
@@ -46,39 +42,30 @@ import (
 
 // Lock is a cluster-wide application lock.
 type Lock struct {
-	array *simchan.Region // one entry per node, loop-back enabled
-	v     sim.VLock
+	net *simchan.Network // traces the lock's messages
+	v   sim.VLock
 }
 
-// NewLock allocates a lock's entry array on the network.
+// NewLock returns a lock whose messages are traced on net.
 func NewLock(net *simchan.Network) *Lock {
-	return &Lock{array: net.NewRegion(net.Nodes(), true)}
+	return &Lock{net: net}
 }
 
 // Acquire takes the lock on behalf of a processor of physical node node
 // whose clock reads now, charging acquireCost (the protocol family's
-// measured uncontended latency). It returns the virtual time at which
-// the lock is held: no earlier than the previous holder's release.
+// measured uncontended latency, which includes the array write's
+// loop-back wait). It returns the virtual time at which the lock is
+// held: no earlier than the previous holder's release.
 func (l *Lock) Acquire(node int, now, acquireCost int64) int64 {
 	held := l.v.Acquire(now, acquireCost)
-	// Set our array entry; the loop-back wait is part of acquireCost.
-	l.array.Write(node, node, 1, held)
-	emitMsg(l.array, node, held, trace.MsgLockAcquire)
+	emitMsg(l.net, node, held, 0, trace.MsgLockAcquire)
 	return held
 }
 
-// Release releases the lock at virtual time now, clearing the holder's
-// array entry.
+// Release releases the lock at virtual time now.
 func (l *Lock) Release(node int, now int64) {
-	l.array.Write(node, node, 0, now)
 	l.v.Release(now)
-	emitMsg(l.array, node, now, trace.MsgLockRelease)
-}
-
-// HeldBy reports whether node's array entry is set, as observed from
-// observer's replica (for tests and debugging).
-func (l *Lock) HeldBy(observer, node int) bool {
-	return l.array.Read(observer, node) != 0
+	emitMsg(l.net, node, now, 0, trace.MsgLockRelease)
 }
 
 // Barrier is a cluster-wide application barrier over virtual time.
@@ -118,11 +105,8 @@ func (b *Barrier) Parties() int { return b.r.Parties() }
 // reproducible (docs/ADAPTIVE.md); moving the non-adaptive protocols
 // onto it changes their virtual times and re-pins their golden values.
 type Flag struct {
-	cell *simchan.Region
+	net  *simchan.Network // traces the flag's messages
 	wlat int64
-	// resetVis is the global visibility time of the most recent Reset's
-	// clearing write; a later Set can never become visible before it.
-	resetVis int64
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -134,10 +118,10 @@ type Flag struct {
 	cohort  []int
 }
 
-// NewFlag allocates a flag cell on the network.
+// NewFlag returns a flag whose set is charged and traced on net.
 func NewFlag(net *simchan.Network) *Flag {
 	fl := &Flag{
-		cell:    net.NewRegion(1, true),
+		net:     net,
 		wlat:    net.Model().MCWriteLatency,
 		blocked: make(map[int]struct{}),
 	}
@@ -146,13 +130,9 @@ func NewFlag(net *simchan.Network) *Flag {
 }
 
 // Set raises the flag from node at virtual time now. The flag becomes
-// globally visible one Memory Channel write latency later, and never
-// before the clearing write of a preceding Reset is itself performed.
+// globally visible one Memory Channel write latency later.
 func (fl *Flag) Set(node int, now int64) {
-	visible := fl.cell.Write(node, 0, 1, now)
-	if visible < fl.resetVis {
-		visible = fl.resetVis
-	}
+	visible := now + fl.wlat
 	fl.mu.Lock()
 	if !fl.set {
 		fl.set = true
@@ -169,7 +149,7 @@ func (fl *Flag) Set(node int, now int64) {
 	}
 	fl.mu.Unlock()
 	fl.cond.Broadcast()
-	emitMsgSpan(fl.cell, node, now, visible-now, trace.MsgFlagSet)
+	emitMsg(fl.net, node, now, fl.wlat, trace.MsgFlagSet)
 }
 
 // Wait blocks until the flag is set and returns the earliest virtual
@@ -227,36 +207,10 @@ func (fl *Flag) releaseTurn(id int) {
 	fl.cond.Broadcast()
 }
 
-// IsSet reports whether the flag has been raised.
-func (fl *Flag) IsSet() bool {
-	fl.mu.Lock()
-	defer fl.mu.Unlock()
-	return fl.set
-}
-
-// Reset returns the flag to the unset state at virtual time now; no
-// waiter may be active, and Reset must be serialized with Set. The
-// clearing write is performed at now — writing it at time 0 would
-// order it before every operation that preceded the reset and let a
-// re-raised flag report visibility earlier than the reset itself.
-func (fl *Flag) Reset(node int, now int64) {
-	fl.resetVis = fl.cell.Write(node, 0, 0, now)
-	fl.mu.Lock()
-	fl.set = false
-	fl.vis = 0
-	fl.cohort = fl.cohort[:0]
-	fl.mu.Unlock()
-	emitMsg(fl.cell, node, now, trace.MsgFlagReset)
-}
-
-// emitMsg records a synchronization message on node's link track of the
-// region's network tracer, if one is attached.
-func emitMsg(r *simchan.Region, node int, vt int64, sub int64) {
-	emitMsgSpan(r, node, vt, 0, sub)
-}
-
-func emitMsgSpan(r *simchan.Region, node int, vt, dur int64, sub int64) {
-	tr := r.Network().Tracer()
+// emitMsg records a synchronization message of the given duration on
+// node's link track of the network's tracer, if one is attached.
+func emitMsg(net *simchan.Network, node int, vt, dur int64, sub int64) {
+	tr := net.Tracer()
 	if tr == nil {
 		return
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cashmere/internal/costs"
+	"cashmere/internal/trace"
 	"cashmere/internal/transport/simchan"
 )
 
@@ -17,13 +18,7 @@ func TestLockUncontended(t *testing.T) {
 	if held != 1000+cost {
 		t.Errorf("held at %d, want %d", held, 1000+cost)
 	}
-	if !l.HeldBy(1, 0) {
-		t.Error("array entry for node 0 not visible on node 1")
-	}
 	l.Release(0, held+500)
-	if l.HeldBy(1, 0) {
-		t.Error("array entry still set after release")
-	}
 	// An acquirer arriving while the previous critical section was
 	// virtually active waits for its release.
 	held2 := l.Acquire(1, held+100, cost)
@@ -126,9 +121,6 @@ func TestBarrier(t *testing.T) {
 func TestFlag(t *testing.T) {
 	net := newNet()
 	f := NewFlag(net)
-	if f.IsSet() {
-		t.Error("new flag set")
-	}
 	done := make(chan int64, 2)
 	go func() { done <- f.Wait(0) }()
 	go func() { done <- f.Wait(999999) }()
@@ -146,42 +138,42 @@ func TestFlag(t *testing.T) {
 	if got2 != 999999 {
 		t.Errorf("late waiter resumed at %d, want its own time", got2)
 	}
-	if !f.IsSet() {
-		t.Error("flag not set")
-	}
-	f.Reset(2, 2000)
-	if f.IsSet() {
-		t.Error("flag set after Reset")
+	if got := f.Wait(0); got != vis {
+		t.Errorf("waiter after the set resumed at %d, want %d", got, vis)
 	}
 }
 
-func TestFlagResetVisibility(t *testing.T) {
-	// A reset-then-set flag must never report visibility earlier than
-	// the reset: the seed wrote the clearing cell at virtual time 0,
-	// so a re-raise from a processor with a lagging clock could appear
-	// to be performed before the reset that enabled it.
+func TestTracedMessages(t *testing.T) {
+	// Locks and flags keep no Memory Channel state, so their link
+	// events are the only record of their writes: an acquire, a
+	// release and a flag set each emit one msg-send on the node's link
+	// track, and the set spans the write's latency.
 	net := newNet()
-	f := NewFlag(net)
+	net.SetTracer(trace.New(trace.Config{Links: net.Nodes()}))
 	wlat := net.Model().MCWriteLatency
+	l := NewLock(net)
+	held := l.Acquire(1, 100, 11)
+	l.Release(1, held+5)
+	NewFlag(net).Set(3, 1000)
 
-	f.Set(0, 1000)
-	const resetAt = 50000
-	f.Reset(1, resetAt)
-	if f.IsSet() {
-		t.Fatal("flag set after Reset")
+	want := []struct {
+		node, sub int64
+		vt, dur   int64
+	}{
+		{1, trace.MsgLockAcquire, held, 0},
+		{1, trace.MsgLockRelease, held + 5, 0},
+		{3, trace.MsgFlagSet, 1000, wlat},
 	}
-
-	// Re-raise from a processor whose clock lags the resetter's.
-	f.Set(2, 100)
-	got := f.Wait(0)
-	if want := resetAt + wlat; got != want {
-		t.Errorf("waiter observed re-raised flag at %d, want reset visibility %d", got, want)
+	evs := net.Tracer().Events()
+	if len(evs) != len(want) {
+		t.Fatalf("got %d events, want %d: %+v", len(evs), len(want), evs)
 	}
-
-	// A set after the reset's visibility horizon is unaffected.
-	f.Reset(1, resetAt)
-	f.Set(2, 2*resetAt)
-	if got, want := f.Wait(0), 2*resetAt+wlat; got != want {
-		t.Errorf("late re-raise visible at %d, want %d", got, want)
+	for i, w := range want {
+		e := evs[i]
+		if e.Kind != trace.EvMsgSend || int64(e.Node) != w.node || e.Arg2 != w.sub ||
+			e.VT != w.vt || e.Dur != w.dur {
+			t.Errorf("event %d = %v node %d sub %d vt %d dur %d, want msg-send node %d sub %d vt %d dur %d",
+				i, e.Kind, e.Node, e.Arg2, e.VT, e.Dur, w.node, w.sub, w.vt, w.dur)
+		}
 	}
 }

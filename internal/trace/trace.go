@@ -89,7 +89,6 @@ const (
 	MsgLockAcquire int64 = iota
 	MsgLockRelease
 	MsgFlagSet
-	MsgFlagReset
 )
 
 var kindNames = [...]string{

@@ -16,8 +16,10 @@ import (
 //
 //   - page fetch:  TPageReq → TPageReply, correlated by the request id
 //     the sender places in Frame.C (the home echoes it back);
-//   - diff flush:  TDiff → TFlushAck, correlated by the ack token in
-//     Frame.B (already echoed by the protocol);
+//   - diff flush:  TDiff → TFlushAck, correlated by the page in
+//     Frame.A and the ack token in Frame.B (the home echoes both; one
+//     release sends all its diffs under one token, so the page tells
+//     two diffs to one home apart);
 //   - lock grant:  TLockReq → TLockGrant, correlated by the requesting
 //     global processor id in Frame.B (a processor has at most one lock
 //     request outstanding). Grant latency includes predecessors' hold
@@ -64,6 +66,7 @@ type pendingKey struct {
 	peer  int32
 	class uint8
 	id    int64
+	page  int64 // the diff's page for classFlush, else 0
 }
 
 const (
@@ -108,11 +111,11 @@ func (s *FrameStats) RecordSend(to int, f wire.Frame) {
 		if f.C == 0 {
 			return // sender threads no correlation id
 		}
-		key = pendingKey{int32(to), classPage, f.C}
+		key = pendingKey{int32(to), classPage, f.C, 0}
 	case wire.TDiff:
-		key = pendingKey{int32(to), classFlush, f.B}
+		key = pendingKey{int32(to), classFlush, f.B, f.A}
 	case wire.TLockReq:
-		key = pendingKey{int32(to), classLock, f.B}
+		key = pendingKey{int32(to), classLock, f.B, 0}
 	default:
 		return
 	}
@@ -138,11 +141,11 @@ func (s *FrameStats) RecordRecv(from int, f wire.Frame) {
 		if f.C == 0 {
 			return
 		}
-		key, h = pendingKey{int32(from), classPage, f.C}, &s.pageFetchNS
+		key, h = pendingKey{int32(from), classPage, f.C, 0}, &s.pageFetchNS
 	case wire.TFlushAck:
-		key, h = pendingKey{int32(from), classFlush, f.B}, &s.flushAckNS
+		key, h = pendingKey{int32(from), classFlush, f.B, f.A}, &s.flushAckNS
 	case wire.TLockGrant:
-		key, h = pendingKey{int32(from), classLock, f.B}, &s.lockGrantNS
+		key, h = pendingKey{int32(from), classLock, f.B, 0}, &s.lockGrantNS
 	default:
 		return
 	}

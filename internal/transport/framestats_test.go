@@ -61,6 +61,19 @@ func TestFrameStatsLatencyCorrelation(t *testing.T) {
 	}
 }
 
+func TestFrameStatsFlushAckPerPage(t *testing.T) {
+	// One release sends all its diffs under one token; two diffs to one
+	// home are two flushes, and each ack is one sample.
+	s := NewFrameStats(2)
+	s.RecordSend(1, wire.Frame{Type: wire.TDiff, A: 3, B: 7})
+	s.RecordSend(1, wire.Frame{Type: wire.TDiff, A: 4, B: 7})
+	s.RecordRecv(1, wire.Frame{Type: wire.TFlushAck, A: 4, B: 7})
+	s.RecordRecv(1, wire.Frame{Type: wire.TFlushAck, A: 3, B: 7})
+	if got := s.Snapshot().FlushAckNS.Count; got != 2 {
+		t.Errorf("FlushAckNS.Count = %d, want 2", got)
+	}
+}
+
 func TestFrameStatsZeroCorrelationIDSkipped(t *testing.T) {
 	s := NewFrameStats(2)
 	// A request without a correlation id (C == 0) must not enter the

@@ -1,7 +1,6 @@
 package simchan
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -20,150 +19,6 @@ func TestNewValidation(t *testing.T) {
 		}
 	}()
 	New(0, costs.Default())
-}
-
-func TestBroadcastWrite(t *testing.T) {
-	n := net8(t)
-	r := n.NewRegion(16, false)
-	done := r.Write(2, 5, 99, 1000)
-	if done != 1000+n.Model().MCWriteLatency {
-		t.Errorf("globally performed at %d, want %d", done, 1000+n.Model().MCWriteLatency)
-	}
-	for node := 0; node < 8; node++ {
-		got := r.Read(node, 5)
-		if node == 2 {
-			// No loop-back: writer's own copy untouched.
-			if got != 0 {
-				t.Errorf("writer's copy updated without loop-back: %d", got)
-			}
-			continue
-		}
-		if got != 99 {
-			t.Errorf("node %d read %d, want 99", node, got)
-		}
-	}
-}
-
-func TestLoopback(t *testing.T) {
-	n := net8(t)
-	r := n.NewRegion(4, true)
-	r.Write(3, 0, 7, 0)
-	if got := r.Read(3, 0); got != 7 {
-		t.Errorf("loop-back write not visible to writer: %d", got)
-	}
-}
-
-func TestPokeDoubling(t *testing.T) {
-	n := net8(t)
-	r := n.NewRegion(4, false)
-	r.Write(1, 2, 42, 0)
-	r.Poke(1, 2, 42) // manual doubling, as the global directory does
-	for node := 0; node < 8; node++ {
-		if got := r.Read(node, 2); got != 42 {
-			t.Errorf("node %d read %d after write+poke, want 42", node, got)
-		}
-	}
-}
-
-func TestRegionAtReceivers(t *testing.T) {
-	n := net8(t)
-	r := n.NewRegionAt(8, false, 4)
-	if !r.Receives(4) {
-		t.Error("node 4 should receive")
-	}
-	if r.Receives(0) || r.Receives(7) {
-		t.Error("non-receivers report receiving")
-	}
-	if r.Receives(-1) || r.Receives(99) {
-		t.Error("out-of-range nodes report receiving")
-	}
-	r.Write(0, 3, 11, 0)
-	if got := r.Read(4, 3); got != 11 {
-		t.Errorf("home copy read %d, want 11", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("reading a non-received region did not panic")
-		}
-	}()
-	r.Read(1, 3)
-}
-
-func TestRegionAtInvalidReceiver(t *testing.T) {
-	n := net8(t)
-	defer func() {
-		if recover() == nil {
-			t.Error("invalid receiver did not panic")
-		}
-	}()
-	n.NewRegionAt(8, false, 9)
-}
-
-func TestPokeNonReceiverPanics(t *testing.T) {
-	n := net8(t)
-	r := n.NewRegionAt(8, false, 2)
-	defer func() {
-		if recover() == nil {
-			t.Error("Poke on non-receiver did not panic")
-		}
-	}()
-	r.Poke(3, 0, 1)
-}
-
-func TestWriteOrdering(t *testing.T) {
-	// A reader that observes the second write must observe the first:
-	// MC guarantees write ordering from a single source.
-	n := New(2, costs.Default())
-	r := n.NewRegion(2, false)
-	var wg sync.WaitGroup
-	wg.Add(2)
-	stop := make(chan struct{})
-	go func() {
-		defer wg.Done()
-		for i := int64(1); i <= 10000; i++ {
-			r.Write(0, 0, i, 0)
-			r.Write(0, 1, i, 0)
-		}
-		close(stop)
-	}()
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			second := r.Read(1, 1)
-			first := r.Read(1, 0)
-			if first < second {
-				t.Errorf("ordering violated: second=%d visible but first=%d", second, first)
-				return
-			}
-		}
-	}()
-	wg.Wait()
-}
-
-func TestWriteBlock(t *testing.T) {
-	n := net8(t)
-	r := n.NewRegion(64, false)
-	vals := []int64{1, 2, 3, 4}
-	done := r.WriteBlock(0, 10, vals, 0)
-	if done <= 0 {
-		t.Errorf("WriteBlock completion = %d", done)
-	}
-	for i, v := range vals {
-		if got := r.Read(5, 10+i); got != v {
-			t.Errorf("word %d = %d, want %d", 10+i, got, v)
-		}
-	}
-	// Completion includes at least the link occupancy plus latency.
-	m := n.Model()
-	min := costs.Occupancy(int64(len(vals)*WordBytes), m.MCLinkBandwidth) + m.MCWriteLatency
-	if done < min {
-		t.Errorf("WriteBlock done=%d < minimum %d", done, min)
-	}
 }
 
 func TestTransferUncontended(t *testing.T) {
@@ -278,44 +133,6 @@ func TestTransferInvalidNode(t *testing.T) {
 		}
 	}()
 	n.Transfer(8, 100, 0)
-}
-
-func TestBytesMovedAccounting(t *testing.T) {
-	n := net8(t)
-	r := n.NewRegion(16, false)
-	n.Transfer(0, 1000, 0)
-	r.Write(0, 0, 1, 0)
-	r.WriteBlock(1, 0, []int64{1, 2}, 0)
-	want := int64(1000 + WordBytes + 2*WordBytes)
-	if got := n.BytesMoved(); got != want {
-		t.Errorf("BytesMoved = %d, want %d", got, want)
-	}
-}
-
-func TestConcurrentDistinctWordWriters(t *testing.T) {
-	// The protocols guarantee each metadata word has a single writing
-	// node; concurrent writers to distinct words must not interfere.
-	n := net8(t)
-	r := n.NewRegion(8, false)
-	var wg sync.WaitGroup
-	for node := 0; node < 8; node++ {
-		wg.Add(1)
-		go func(node int) {
-			defer wg.Done()
-			for i := int64(0); i < 1000; i++ {
-				r.Write(node, node, i, 0)
-				r.Poke(node, node, i)
-			}
-		}(node)
-	}
-	wg.Wait()
-	for node := 0; node < 8; node++ {
-		for reader := 0; reader < 8; reader++ {
-			if got := r.Read(reader, node); got != 999 {
-				t.Errorf("node %d reads word %d = %d, want 999", reader, node, got)
-			}
-		}
-	}
 }
 
 func TestWordBytesMatchesLatencyScale(t *testing.T) {

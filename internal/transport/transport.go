@@ -5,12 +5,12 @@
 // the word size. The repository has two engines and each has one seam:
 //
 //   - the simulation engine (internal/core, internal/msync,
-//     internal/directory) maps remote-write regions on
-//     transport/simchan, the virtual-time Memory Channel, and holds its
-//     types directly — that package documents the four Memory Channel
-//     properties of paper Section 2.1;
-//   - the multi-process runtime (internal/mprun) never maps a region: it
-//     exchanges versioned wire frames (transport/wire) over a Messenger,
+//     internal/directory) charges its traffic to transport/simchan,
+//     the virtual-time cost model of the Memory Channel, and holds its
+//     types directly — that package documents how the four Memory
+//     Channel properties of paper Section 2.1 hold;
+//   - the multi-process runtime (internal/mprun) charges no modelled
+//     cost: it exchanges versioned wire frames (transport/wire) over a Messenger,
 //     which is either transport/shmchan (goroutine nodes in one
 //     process) or transport/tcpchan (one OS process per node on a
 //     socket mesh); either endpoint is an Inbox plus the way its mesh
