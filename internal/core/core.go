@@ -92,9 +92,9 @@ type Config struct {
 	// two-level protocols, which subsume it.
 	HomeOpt bool
 
-	// LockBasedMeta replaces the lock-free directory and write-notice
-	// structures with globally-locked ones (the Section 3.3.5
-	// ablation).
+	// LockBasedMeta puts every directory store behind its page's global
+	// lock and every write-notice post and drain behind the receiving
+	// node's global lock (the Section 3.3.5 ablation).
 	LockBasedMeta bool
 
 	// UseInterrupts delivers explicit requests and shootdowns with
@@ -194,11 +194,10 @@ type node struct {
 	meta   []pageMeta  // second-level directory timestamps
 	lclock directory.LClock
 
-	// gwn is the node's globally-accessible write-notice list (one bin
-	// per remote protocol node); under the lock-based ablation the
-	// single locked list is used instead.
-	gwn      *wnotice.Global
-	wnLocked *wnotice.Locked
+	// gwn is the node's globally-accessible write-notice list. Under
+	// the lock-based ablation every post and drain holds wnLock.
+	gwn    *wnotice.Global
+	wnLock sim.VLock
 
 	// arrived flags each local processor's arrival at the current
 	// barrier episode, for the last-arriving-local-writer flush rule.
@@ -301,6 +300,11 @@ type Cluster struct {
 	// is a host lock and charges no virtual time.
 	shareMu []sync.Mutex
 
+	// dirLocks[p] is page p's global directory lock, which every store
+	// of one of its words holds under the lock-based ablation
+	// (Config.LockBasedMeta); nil otherwise.
+	dirLocks []sim.VLock
+
 	// Home state per superpage: packed (protoNode, proc, firstTouched)
 	// words readable lock-free; relocation serializes on homeLock.
 	// homeNode/homeProc hold the round-robin defaults from New.
@@ -394,7 +398,10 @@ func New(cfg Config) (*Cluster, error) {
 	if !cfg.Protocol.TwoLevelFamily() {
 		protoNodes = cfg.Nodes * cfg.ProcsPerNode
 	}
-	c.dir = directory.NewGlobal(c.net, lay, c.pages, protoNodes, nil, cfg.LockBasedMeta)
+	c.dir = directory.NewGlobal(c.net, lay, c.pages, protoNodes, nil, false)
+	if cfg.LockBasedMeta {
+		c.dirLocks = make([]sim.VLock, c.pages)
+	}
 
 	c.masters = make([][]int64, c.pages)
 	for p := range c.masters {
@@ -427,11 +434,7 @@ func New(cfg Config) (*Cluster, error) {
 			twins:   make([][]int64, c.pages),
 			meta:    make([]pageMeta, c.pages),
 			arrived: make([]bool, procsPerProto),
-		}
-		if cfg.LockBasedMeta {
-			n.wnLocked = wnotice.NewLocked()
-		} else {
-			n.gwn = wnotice.NewGlobal(protoNodes)
+			gwn:     wnotice.NewGlobal(protoNodes),
 		}
 		c.nodes[i] = n
 	}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"testing"
+	"time"
 
+	"cashmere/internal/directory"
 	"cashmere/internal/stats"
 )
 
@@ -403,4 +405,61 @@ func TestInterruptCostVariant(t *testing.T) {
 		p.Load((p.ID() + 2) % 4)
 		p.Barrier()
 	})
+}
+
+// TestLockBasedMetaCharges runs one notice post and one directory store
+// with and without the Section 3.3.5 ablation. Uncontended, a post costs
+// GlobalLock where the lock-free run charges DirectoryUpdate, and a
+// store DirectoryUpdateLocked; a second poster to a held notice lock
+// waits until the holder releases it.
+func TestLockBasedMetaCharges(t *testing.T) {
+	proc0 := func(lockBased bool) *Proc {
+		cfg := testConfig(TwoLevel, 2, 1)
+		cfg.LockBasedMeta = lockBased
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.procs[0]
+	}
+	elapsed := func(p *Proc, op func()) int64 {
+		t0 := p.clk.Now()
+		op()
+		return p.clk.Now() - t0
+	}
+	for _, lockBased := range []bool{false, true} {
+		p := proc0(lockBased)
+		m := p.c.model
+		wantPost, wantStore := m.DirectoryUpdate, m.DirectoryUpdate
+		if lockBased {
+			wantPost, wantStore = m.GlobalLock, m.DirectoryUpdateLocked
+		}
+		if got := elapsed(p, func() { p.postNotice(1, 3) }); got != wantPost {
+			t.Errorf("lockBased=%v: notice post cost %d, want %d", lockBased, got, wantPost)
+		}
+		if got := elapsed(p, func() { p.c.storeDirWord(p, 0, 3, p.c.lay.WithPerm(0, directory.ReadOnly)) }); got != wantStore {
+			t.Errorf("lockBased=%v: directory store cost %d, want %d", lockBased, got, wantStore)
+		}
+		if got := p.c.nodes[1].gwn.Snapshot(); len(got) != 1 || got[0] != 3 {
+			t.Errorf("lockBased=%v: node 1's notices = %v, want [3]", lockBased, got)
+		}
+	}
+
+	p := proc0(true)
+	to := p.c.nodes[1]
+	held := to.wnLock.Acquire(p.clk.Now(), 0)
+	done := make(chan int64)
+	go func() {
+		p.postNotice(1, 3)
+		done <- p.clk.Now()
+	}()
+	select {
+	case <-done:
+		t.Fatal("a post returned while another holder had the notice lock")
+	case <-time.After(20 * time.Millisecond):
+	}
+	to.wnLock.Release(held + 1000)
+	if got, want := <-done, held+1000+p.c.model.GlobalLock; got != want {
+		t.Errorf("contended post done at %d, want the holder's release plus GlobalLock, %d", got, want)
+	}
 }

@@ -130,8 +130,8 @@ func (c *Cluster) migrateSuperpage(p *Proc, sp, oldProto int) {
 // node by, charging proc p. Under the lock-based ablation the page's
 // global lock brackets the update.
 func (c *Cluster) storeDirWord(p *Proc, by, page int, w directory.Word) {
-	if c.dir.LockBased() {
-		l := c.dir.PageLock(page)
+	if c.cfg.LockBasedMeta {
+		l := &c.dirLocks[page]
 		held := l.Acquire(p.clk.Now(), c.model.DirectoryUpdateLocked)
 		p.chargeWait(held)
 		c.dir.Store(by, page, w, p.clk.Now())

@@ -81,7 +81,7 @@ func (m PageMode) String() string {
 // Attaching any controller — even one that never acts — inserts the
 // decision gate into every barrier. The gate adds no virtual time, but
 // as a second rendezvous it changes which sibling processor happens to
-// service a node's notice bins first, so timings can shift slightly
+// service a node's notice list first, so timings can shift slightly
 // against the nil-controller baseline. Only Config.Adaptive == nil is
 // the bit-identical baseline the golden tests pin.
 type PolicyController interface {

@@ -12,7 +12,7 @@ import (
 //
 // Releases flush the processor's dirty and no-longer-exclusive pages to
 // their home nodes and send write notices to sharing nodes. Acquires
-// drain the node's global write-notice bins, distribute the notices to
+// drain the node's global write-notice list, distribute the notices to
 // the per-processor lists of locally-mapped processors, and invalidate
 // the acquirer's mappings for pages whose update timestamp precedes
 // their write-notice timestamp.
@@ -287,7 +287,7 @@ func (p *Proc) flushPage(page int, releaseStart int64) {
 	sh.Lock()
 	if !c.cfg.Protocol.TwoLevelFamily() && !aliased &&
 		n.vm.Loosest(page) != directory.Invalid && meta.updateTS >= meta.wnTS &&
-		c.dir.Sharers(page, n.id) == 0 && !n.noticeQueued(page) {
+		c.dir.Sharers(page, n.id) == 0 && !n.gwn.Has(page) {
 		if !c.defects.keepExclusiveTwin {
 			n.dropTwin(page)
 		}
@@ -332,23 +332,18 @@ func (p *Proc) downgradeAfterFlush(page int) {
 	}
 }
 
-// noticeQueued reports whether a write notice for page waits in n's
-// list: posted by a release and not yet drained by an acquire.
-func (n *node) noticeQueued(page int) bool {
-	if n.wnLocked != nil {
-		return n.wnLocked.Has(page)
-	}
-	return n.gwn.Has(page)
-}
-
-// postNotice delivers a write notice for page to node x.
+// postNotice delivers a write notice for page to node x. Under the
+// lock-based ablation the post holds x's notice lock.
 func (p *Proc) postNotice(x, page int) {
 	c := p.c
+	to := c.nodes[x]
 	if c.cfg.LockBasedMeta {
-		t := c.nodes[x].wnLocked.Post(p.clk.Now(), page, c.model.GlobalLock)
-		p.chargeWait(t)
+		held := to.wnLock.Acquire(p.clk.Now(), c.model.GlobalLock)
+		to.gwn.Post(p.n.id, page)
+		to.wnLock.Release(held)
+		p.chargeWait(held)
 	} else {
-		c.nodes[x].gwn.Post(p.n.id, page)
+		to.gwn.Post(p.n.id, page)
 		p.chargeProtocol(c.model.DirectoryUpdate)
 	}
 	p.st.Inc(stats.WriteNotices)
@@ -367,9 +362,10 @@ func (p *Proc) acquireActions() {
 
 	var notices []int
 	if c.cfg.LockBasedMeta {
-		var t int64
-		notices, t = n.wnLocked.Drain(p.clk.Now(), c.model.GlobalLock)
-		p.chargeWait(t)
+		held := n.wnLock.Acquire(p.clk.Now(), c.model.GlobalLock)
+		notices = n.gwn.Drain()
+		n.wnLock.Release(held)
+		p.chargeWait(held)
 	} else {
 		notices = n.gwn.Drain()
 	}

@@ -56,7 +56,7 @@ func (h *Harness) Read(proc, addr int) int64 { return h.proc(proc).Load(addr) }
 func (h *Harness) Write(proc, addr int, v int64) { h.proc(proc).Store(addr, v) }
 
 // Acquire performs processor proc's acquire-side consistency actions:
-// draining the node's global write-notice bins, distributing notices to
+// draining the node's global write-notice list, distributing notices to
 // local per-processor lists, and invalidating stale mappings (Section
 // 2.4.2). It is the consistency half of Lock/WaitFlag, without the
 // synchronization object.
@@ -179,25 +179,12 @@ func (h *Harness) HomeOf(page int) int {
 func (h *Harness) SetFirstTouch(on bool) { h.c.initFlag.Store(on) }
 
 // PendingNotices returns the number of write notices queued in protocol
-// node node's globally-accessible list (or the lock-based list under
-// that ablation).
-func (h *Harness) PendingNotices(node int) int {
-	n := h.c.nodes[node]
-	if n.wnLocked != nil {
-		return n.wnLocked.Pending()
-	}
-	return n.gwn.Pending()
-}
+// node node's globally-accessible list.
+func (h *Harness) PendingNotices(node int) int { return h.c.nodes[node].gwn.Pending() }
 
 // QueuedNotices returns a snapshot of the pages with write notices
-// queued for protocol node node, in bin order.
-func (h *Harness) QueuedNotices(node int) []int {
-	n := h.c.nodes[node]
-	if n.wnLocked != nil {
-		return n.wnLocked.Snapshot()
-	}
-	return n.gwn.Snapshot()
-}
+// queued for protocol node node, in posting order.
+func (h *Harness) QueuedNotices(node int) []int { return h.c.nodes[node].gwn.Snapshot() }
 
 // ProcNotices returns the pages pending on processor proc's
 // second-level write-notice list.

@@ -30,8 +30,7 @@
 // every word still has exactly one writing node, whatever its width.
 //
 // The one-level protocols use the same machinery with one word per
-// processor, and the lock-based ablation (Section 3.3.5) serializes
-// updates behind per-page global locks.
+// processor.
 //
 // # Concurrency
 //
@@ -40,9 +39,7 @@
 // on the single-writer discipline above: node x only ever stores words
 // at index x of an entry, so two Stores to the same word never race at
 // the protocol level (the atomics make any accidental violation a stale
-// read, not a torn one). Under the lock-based ablation callers must
-// bracket Store with the page's PageLock; the directory itself does not
-// acquire it.
+// read, not a torn one).
 package directory
 
 import (
@@ -50,7 +47,6 @@ import (
 	"math/bits"
 	"sync/atomic"
 
-	"cashmere/internal/sim"
 	"cashmere/internal/transport/simchan"
 )
 
@@ -236,29 +232,20 @@ type Global struct {
 	lay        Layout
 	pages      int
 	protoNodes int
-	lockBased  bool
-	locks      []sim.VLock
 }
 
 // NewGlobal creates a directory for pages pages and protoNodes protocol
 // nodes whose stores are charged on the given network, with words
-// encoded by lay. physOf is unused and may be nil; it stays until the
-// repository benchmark, which passes it, changes. When lockBased is
-// true, updates must be bracketed by Lock/Unlock on the page's global
-// lock (the Section 3.3.5 ablation).
+// encoded by lay. physOf (which may be nil) and lockBased are unused;
+// they stay until the repository benchmark, which passes them, changes.
 func NewGlobal(net *simchan.Network, lay Layout, pages, protoNodes int, physOf func(int) int, lockBased bool) *Global {
-	g := &Global{
+	return &Global{
 		words:      make([]atomic.Int64, pages*protoNodes),
 		wlat:       net.Model().MCWriteLatency,
 		lay:        lay,
 		pages:      pages,
 		protoNodes: protoNodes,
-		lockBased:  lockBased,
 	}
-	if lockBased {
-		g.locks = make([]sim.VLock, pages)
-	}
-	return g
 }
 
 // Pages returns the number of pages the directory covers.
@@ -269,18 +256,6 @@ func (g *Global) ProtoNodes() int { return g.protoNodes }
 
 // Layout returns the word layout the directory's entries use.
 func (g *Global) Layout() Layout { return g.lay }
-
-// LockBased reports whether updates require the per-page global lock.
-func (g *Global) LockBased() bool { return g.lockBased }
-
-// PageLock returns the global lock for page under the lock-based
-// variant, or nil for the lock-free directory.
-func (g *Global) PageLock(page int) *sim.VLock {
-	if !g.lockBased {
-		return nil
-	}
-	return &g.locks[page]
-}
 
 // Load returns protocol node protoNode's word for page. reader is
 // unused; it stays until the repository benchmark, which passes it,

@@ -252,13 +252,13 @@ func TestWordFormat(t *testing.T) {
 
 func ident(n int) int { return n }
 
-func newTestGlobal(net *simchan.Network, pages, protoNodes int, physOf func(int) int, lockBased bool) *Global {
-	return NewGlobal(net, Packed(), pages, protoNodes, physOf, lockBased)
+func newTestGlobal(net *simchan.Network, pages, protoNodes int, physOf func(int) int) *Global {
+	return NewGlobal(net, Packed(), pages, protoNodes, physOf, false)
 }
 
 func TestGlobalStoreLoad(t *testing.T) {
 	net := simchan.New(4, costs.Default())
-	g := newTestGlobal(net, 10, 4, ident, false)
+	g := newTestGlobal(net, 10, 4, ident)
 	if g.Pages() != 10 || g.ProtoNodes() != 4 {
 		t.Errorf("dims = %d,%d", g.Pages(), g.ProtoNodes())
 	}
@@ -286,7 +286,7 @@ func TestGlobalStoreLoad(t *testing.T) {
 
 func TestGlobalSharers(t *testing.T) {
 	net := simchan.New(4, costs.Default())
-	g := newTestGlobal(net, 4, 4, ident, false)
+	g := newTestGlobal(net, 4, 4, ident)
 	l := g.Layout()
 	g.Store(0, 2, l.WithPerm(0, ReadOnly), 0)
 	g.Store(3, 2, l.WithPerm(0, ReadWrite), 0)
@@ -306,7 +306,7 @@ func TestGlobalSharers(t *testing.T) {
 
 func TestGlobalExclHolder(t *testing.T) {
 	net := simchan.New(4, costs.Default())
-	g := newTestGlobal(net, 4, 4, ident, false)
+	g := newTestGlobal(net, 4, 4, ident)
 	if _, _, ok := g.ExclHolder(1); ok {
 		t.Error("found exclusive holder on empty directory")
 	}
@@ -327,7 +327,7 @@ func TestGlobalExclHolderOwn(t *testing.T) {
 	// owner's store names the holder at once for every reader, with no
 	// delivery step in between, and every reader loads that same word.
 	net := simchan.New(4, costs.Default())
-	g := newTestGlobal(net, 4, 4, ident, false)
+	g := newTestGlobal(net, 4, 4, ident)
 	if _, _, ok := g.ExclHolder(2); ok {
 		t.Error("found exclusive holder on empty directory")
 	}
@@ -345,7 +345,7 @@ func TestGlobalExclHolderOwn(t *testing.T) {
 
 func TestGlobalHome(t *testing.T) {
 	net := simchan.New(4, costs.Default())
-	g := newTestGlobal(net, 4, 4, ident, false)
+	g := newTestGlobal(net, 4, 4, ident)
 	if _, ok := g.Home(3); ok {
 		t.Error("found home on empty directory")
 	}
@@ -355,36 +355,12 @@ func TestGlobalHome(t *testing.T) {
 	}
 }
 
-func TestGlobalLockBased(t *testing.T) {
-	net := simchan.New(2, costs.Default())
-	g := newTestGlobal(net, 3, 2, ident, true)
-	if !g.LockBased() {
-		t.Error("LockBased() = false")
-	}
-	l := g.PageLock(1)
-	if l == nil {
-		t.Fatal("PageLock returned nil for lock-based directory")
-	}
-	held := l.Acquire(0, 5)
-	l.Release(held + 100)
-	got := l.Acquire(held+10, 5) // overlapping arrival waits
-	if got != held+105 {
-		t.Errorf("overlapping acquire held at %d, want %d", got, held+105)
-	}
-	l.Release(got)
-
-	gf := newTestGlobal(net, 3, 2, ident, false)
-	if gf.PageLock(0) != nil {
-		t.Error("lock-free directory returned a page lock")
-	}
-}
-
 func TestGlobalOneLevelMapping(t *testing.T) {
 	// One-level protocols: 8 protocol nodes (processors) on 2 physical
 	// nodes; every processor reads proc 5's word.
 	net := simchan.New(2, costs.Default())
 	physOf := func(proc int) int { return proc / 4 }
-	g := newTestGlobal(net, 2, 8, physOf, false)
+	g := newTestGlobal(net, 2, 8, physOf)
 	g.Store(5, 0, g.Layout().WithPerm(0, ReadOnly), 0) // proc 5 lives on phys node 1
 	for reader := 0; reader < 8; reader++ {
 		if got := g.Load(reader, 0, 5); g.Layout().Perm(got) != ReadOnly {
@@ -570,7 +546,7 @@ func TestConcurrentDistinctWordWriters(t *testing.T) {
 	// never see a word go backwards, and every reader must see each
 	// owner's last store once the owners are done.
 	const nodes, rounds = 8, 1000
-	g := newTestGlobal(simchan.New(nodes, costs.Default()), 1, nodes, nil, false)
+	g := newTestGlobal(simchan.New(nodes, costs.Default()), 1, nodes, nil)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for reader := 0; reader < nodes; reader++ {
@@ -624,7 +600,7 @@ func TestWriteOrdering(t *testing.T) {
 	// The owner stores page 0 then page 1; the reader loads them in the
 	// opposite order.
 	const rounds = 10000
-	g := newTestGlobal(simchan.New(2, costs.Default()), 2, 2, nil, false)
+	g := newTestGlobal(simchan.New(2, costs.Default()), 2, 2, nil)
 	var wg sync.WaitGroup
 	wg.Add(2)
 	stop := make(chan struct{})

@@ -369,8 +369,10 @@
 // left, which the lock's home may have moved past; a grant passes over a
 // page no longer homed there.
 //
-// Rank 0 coordinates barriers (count arrivals per generation, decide
-// page moves, broadcast the release).
+// Rank 0 coordinates barriers (count the arrivals at the generation in
+// progress, decide page moves, broadcast the release). Only one
+// generation can be in flight there: no processor arrives at g+1 before
+// rank 0 has counted all of g and released it.
 // Flags are broadcast by the setter after its flush. Messages from one
 // rank are delivered in order; the handler runs single-threaded per
 // node (the Messenger contract), so protocol state needs no locking
@@ -751,8 +753,11 @@ type node struct {
 	lockPages             [][]int32
 	grantPages, grantOffs []int32
 
-	// Coordinator state, used on rank 0 only.
-	arrivals map[int64]int
+	// Coordinator state, used on rank 0 only. barCounting is the barrier
+	// generation in progress and barCount its arrivals so far; like the
+	// placement state below, both are the handler's alone.
+	barCounting int64
+	barCount    int
 	// placed marks the pages whose placement is decided. writer is each
 	// page's reporter in the barrier in progress (noWriter, a rank, or
 	// manyWriters) and writerValid whether that reporter holds a valid
@@ -796,18 +801,18 @@ func newNode(cfg Config, m transport.Messenger, shape apps.Shape) *node {
 		pageWords = apps.PageWords
 	}
 	n := &node{
-		cfg:        cfg,
-		m:          m,
-		tr:         cfg.Tracer,
-		pageWords:  pageWords,
-		nPages:     (words + pageWords - 1) / pageWords,
-		pageShift:  -1,
-		flags:      make([]bool, shape.Flags),
-		wants:      slices.Repeat([]int{noLock}, cfg.PPN),
-		lockHolder: slices.Repeat([]int64{noHolder}, shape.Locks),
-		lockQ:      make([][]waiter, shape.Locks),
-		lockPages:  make([][]int32, shape.Locks),
-		arrivals:   make(map[int64]int),
+		cfg:         cfg,
+		m:           m,
+		tr:          cfg.Tracer,
+		pageWords:   pageWords,
+		nPages:      (words + pageWords - 1) / pageWords,
+		pageShift:   -1,
+		flags:       make([]bool, shape.Flags),
+		wants:       slices.Repeat([]int{noLock}, cfg.PPN),
+		lockHolder:  slices.Repeat([]int64{noHolder}, shape.Locks),
+		lockQ:       make([][]waiter, shape.Locks),
+		lockPages:   make([][]int32, shape.Locks),
+		barCounting: 1,
 	}
 	if pageWords&(pageWords-1) == 0 {
 		n.pageShift = bits.TrailingZeros(uint(pageWords))
@@ -1464,17 +1469,18 @@ func (n *node) handle(from int, f wire.Frame) {
 	case wire.TBarArrive:
 		n.viaRank0(from, f, n.cfg.Rank)
 		n.checkPlacement(from, f, 2)
+		if f.A != n.barCounting {
+			// Counted, it would open a generation that never fills, and
+			// every rank would wait at the barrier forever.
+			panic(fmt.Sprintf("mprun: rank 0 received an arrival of processor %d from rank %d at barrier generation %d, but generation %d is in progress",
+				f.B, from, f.A, n.barCounting))
+		}
 		for i, pg := range f.Pages {
 			n.noteWriter(int(pg), from, f.Offs[i] == 1)
 		}
-		n.mu.Lock()
-		n.arrivals[f.A]++
-		release := n.arrivals[f.A] == n.cfg.Nodes*n.cfg.PPN
-		if release {
-			delete(n.arrivals, f.A)
-		}
-		n.mu.Unlock()
-		if release {
+		if n.barCount++; n.barCount == n.cfg.Nodes*n.cfg.PPN {
+			n.barCount = 0
+			n.barCounting++
 			// The decision's scratch is the handler's alone, and Send is
 			// done with it before the next arrival can be handled.
 			n.decide()

@@ -1397,6 +1397,8 @@ func TestMalformedFramesPanicAttributed(t *testing.T) {
 			"rank 0 received a malformed bar-arrive frame from rank 1: pages [1], entries [2]", 0},
 		{"arrival with more pages than marks", wire.Frame{Type: wire.TBarArrive, A: 1, B: 2, Pages: []int32{0, 1}, Offs: []int32{1}},
 			"rank 0 received a malformed bar-arrive frame from rank 1: pages [0 1], entries [1]", 0},
+		{"arrival at a generation not in progress", wire.Frame{Type: wire.TBarArrive, A: 2, B: 2},
+			"rank 0 received an arrival of processor 2 from rank 1 at barrier generation 2, but generation 1 is in progress", 0},
 		{"release moving a page to a rank outside the mesh", wire.Frame{Type: wire.TBarRelease, A: 1, Pages: []int32{0}, Offs: []int32{2}},
 			"rank 1 received a malformed bar-release frame from rank 0: pages [0], entries [2] (2 pages, entries below 2)", 1},
 		{"release moving a page to its own home", wire.Frame{Type: wire.TBarRelease, A: 1, Pages: []int32{1}, Offs: []int32{1}},

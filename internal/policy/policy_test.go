@@ -260,7 +260,7 @@ func TestAdaptiveDeterministic(t *testing.T) {
 // TestObserveOnlyEngineIsNearFree wires a controller that never acts.
 // Its Note hooks charge nothing and its decision gate adds no virtual
 // time, but the gate is a second host rendezvous: it reorders which
-// sibling processor services a node's notice bins first, so the run is
+// sibling processor services a node's notice list first, so the run is
 // close to — not bit-identical with — the nil-controller baseline
 // (only Config.Adaptive == nil takes the untouched baseline path; the
 // golden-config tests pin that). Here we bound the drift and require

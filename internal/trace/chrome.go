@@ -52,7 +52,7 @@ var argNames = map[Kind][2]string{
 	EvDirUpdate:       {"by", ""},
 	EvHomeMigrate:     {"from", "to"},
 	EvLinkTransfer:    {"bytes", ""},
-	EvMsgSend:         {"off", "subtype"},
+	EvMsgSend:         {"", "subtype"},
 	EvPolicyMode:      {"old_mode", "new_mode"},
 	EvPolicyReplicate: {"nodes", ""},
 	EvFlushFence:      {"pages", ""},

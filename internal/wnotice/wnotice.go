@@ -3,9 +3,8 @@
 //
 // A write notice tells a node that a page it shares has been modified
 // elsewhere; notices take effect (as invalidations) at the next acquire.
-// To avoid global locks, each node's globally-accessible list is split
-// into bins, one per remote node, so that every bin has a single writer.
-// On an acquire, a processor drains all bins and distributes the notices
+// Each node has one globally-accessible list that every releaser posts
+// to. On an acquire, a processor drains it and distributes the notices
 // to the per-processor second-level lists of the local processors with
 // mappings for the page.
 //
@@ -19,127 +18,70 @@
 //
 // # Concurrency
 //
-// Global is safe for concurrent use by any mix of posters and a
-// drainer: each bin has its own mutex, Post(b, ...) contends only with
-// drains, and the single-writer-per-bin discipline means two Posts to
-// one bin never race at the protocol level. Drain (and the Pending and
-// Snapshot read-side helpers) lock every bin before touching any, so a
-// drain is a single atomic snapshot with respect to concurrent posts. PerProc (and the NLE lists
+// Global is safe for concurrent use by any mix of posters and drainers:
+// one mutex covers the list, so every read (Drain, Pending, Has,
+// Snapshot) is an atomic snapshot with respect to concurrent posts, and
+// a drain returns notices in posting order. PerProc (and the NLE lists
 // built on it) is also internally locked, but its intended sharing is
 // narrower: remote processors Post under the owning node's big lock,
-// and only the owning processor Flushes. Locked (the global-lock
-// ablation's list) serializes every operation behind one sim.VLock and
-// additionally models the lock's virtual-time cost.
+// and only the owning processor Flushes.
 package wnotice
 
 import (
 	"slices"
 	"sync"
-
-	"cashmere/internal/sim"
 )
 
-// Global is one node's globally-accessible write notice list: one bin
-// per sending protocol node. Bin b is written only by node b, mirroring
-// the single-writer discipline that removes the need for global locks.
+// Global is one node's globally-accessible write notice list, in
+// posting order.
 type Global struct {
-	bins []bin
-}
-
-type bin struct {
 	mu    sync.Mutex
 	pages []int
 }
 
-// NewGlobal returns a list accepting notices from senders protocol
-// nodes.
-func NewGlobal(senders int) *Global {
-	return &Global{bins: make([]bin, senders)}
-}
+// NewGlobal returns an empty list. senders is unused; it stays until
+// the repository benchmark, which passes it, changes.
+func NewGlobal(senders int) *Global { return &Global{} }
 
-// Post appends a notice for page from sending node from. Notices from
-// one sender are delivered in order; duplicates are filtered later at
-// the per-processor lists.
+// Post appends a notice for page. from is unused; it stays until the
+// repository benchmark, which passes it, changes. Duplicates are
+// filtered later at the per-processor lists.
 func (g *Global) Post(from, page int) {
-	b := &g.bins[from]
-	b.mu.Lock()
-	b.pages = append(b.pages, page)
-	b.mu.Unlock()
+	g.mu.Lock()
+	g.pages = append(g.pages, page)
+	g.mu.Unlock()
 }
 
-// Drain removes and returns all queued notices across all bins, as one
-// atomic snapshot: every bin is locked (in bin order) before any is
-// read, so concurrent posts either land entirely before the drain or
-// entirely after it. Draining bins one at a time instead would let a
-// drain in flight collect a notice from a high-numbered bin while
-// missing a causally-earlier one already posted to a lower-numbered bin
-// the drainer had passed — the acquirer would then apply an
-// invalidation without the one that preceded it. The result may contain
-// duplicates.
+// Drain removes and returns all queued notices in posting order. The
+// result may contain duplicates.
 func (g *Global) Drain() []int {
-	for i := range g.bins {
-		g.bins[i].mu.Lock()
-	}
-	var out []int
-	for i := range g.bins {
-		b := &g.bins[i]
-		out = append(out, b.pages...)
-		b.pages = b.pages[:0]
-	}
-	for i := range g.bins {
-		g.bins[i].mu.Unlock()
-	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	out := slices.Clone(g.pages)
+	g.pages = g.pages[:0]
 	return out
 }
 
-// Pending returns the total number of queued notices, counted under the
-// same all-bins lock as Drain so the count is a consistent snapshot
-// rather than a sum over moving bins.
+// Pending returns the number of queued notices.
 func (g *Global) Pending() int {
-	for i := range g.bins {
-		g.bins[i].mu.Lock()
-	}
-	n := 0
-	for i := range g.bins {
-		n += len(g.bins[i].pages)
-	}
-	for i := range g.bins {
-		g.bins[i].mu.Unlock()
-	}
-	return n
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return len(g.pages)
 }
 
-// Has reports whether a notice for page is queued in any bin, under the
-// same all-bins lock as Drain.
+// Has reports whether a notice for page is queued.
 func (g *Global) Has(page int) bool {
-	for i := range g.bins {
-		g.bins[i].mu.Lock()
-	}
-	found := false
-	for i := range g.bins {
-		found = found || slices.Contains(g.bins[i].pages, page)
-	}
-	for i := range g.bins {
-		g.bins[i].mu.Unlock()
-	}
-	return found
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return slices.Contains(g.pages, page)
 }
 
-// Snapshot returns a copy of the queued notices across all bins, in bin
-// order, without draining them, under the same all-bins lock as Drain.
-// Intended for verification harnesses.
+// Snapshot returns a copy of the queued notices, in posting order,
+// without draining them. Intended for verification harnesses.
 func (g *Global) Snapshot() []int {
-	for i := range g.bins {
-		g.bins[i].mu.Lock()
-	}
-	var out []int
-	for i := range g.bins {
-		out = append(out, g.bins[i].pages...)
-	}
-	for i := range g.bins {
-		g.bins[i].mu.Unlock()
-	}
-	return out
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return slices.Clone(g.pages)
 }
 
 // PerProc is a per-processor notice list: a bitmap plus a queue under a
@@ -200,61 +142,4 @@ func (p *PerProc) Has(page int) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.bitmap[page/64]&(uint64(1)<<(page%64)) != 0
-}
-
-// Locked is the Section 3.3.5 ablation variant: a single per-node list
-// guarded by a cluster-wide global lock. Callers acquire the lock
-// (paying the global lock latency), mutate, and release with their
-// updated virtual time.
-type Locked struct {
-	lock  sim.VLock
-	mu    sync.Mutex // guards pages for Has, which charges no virtual time
-	pages []int
-}
-
-// NewLocked returns an empty lock-based list.
-func NewLocked() *Locked { return &Locked{} }
-
-// Post appends a notice for page at virtual time now, returning the
-// time after waiting for and holding the global lock.
-func (l *Locked) Post(now int64, page int, lockCost int64) int64 {
-	now = l.lock.Acquire(now, lockCost)
-	l.mu.Lock()
-	l.pages = append(l.pages, page)
-	l.mu.Unlock()
-	l.lock.Release(now)
-	return now
-}
-
-// Drain removes and returns all notices at virtual time now, returning
-// the notices and the time after the locked traversal.
-func (l *Locked) Drain(now int64, lockCost int64) ([]int, int64) {
-	now = l.lock.Acquire(now, lockCost)
-	l.mu.Lock()
-	out := make([]int, len(l.pages))
-	copy(out, l.pages)
-	l.pages = l.pages[:0]
-	l.mu.Unlock()
-	l.lock.Release(now)
-	return out, now
-}
-
-// Has reports whether a notice for page is queued, without charging
-// virtual time.
-func (l *Locked) Has(page int) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return slices.Contains(l.pages, page)
-}
-
-// Pending returns the number of queued notices without charging
-// virtual time. Intended for verification harnesses.
-func (l *Locked) Pending() int { return len(l.pages) }
-
-// Snapshot returns a copy of the queued notices without draining them
-// or charging virtual time. Intended for verification harnesses.
-func (l *Locked) Snapshot() []int {
-	out := make([]int, len(l.pages))
-	copy(out, l.pages)
-	return out
 }

@@ -34,15 +34,15 @@ func TestGlobalPostDrain(t *testing.T) {
 	}
 }
 
-func TestGlobalPerBinOrder(t *testing.T) {
+func TestGlobalPostingOrder(t *testing.T) {
 	g := NewGlobal(2)
 	for i := 0; i < 10; i++ {
-		g.Post(1, i)
+		g.Post(i%2, i)
 	}
 	got := g.Drain()
 	for i := 0; i < 10; i++ {
 		if got[i] != i {
-			t.Fatalf("bin order violated: %v", got)
+			t.Fatalf("posting order violated: %v", got)
 		}
 	}
 }
@@ -162,39 +162,13 @@ func TestPerProcProperty(t *testing.T) {
 	}
 }
 
-func TestLocked(t *testing.T) {
-	l := NewLocked()
-	const lockCost = 11
-	now := l.Post(100, 1, lockCost)
-	if now != 111 {
-		t.Errorf("Post time = %d, want 111", now)
-	}
-	// A poster arriving after the first critical section completed pays
-	// only the lock cost.
-	now2 := l.Post(200, 2, lockCost)
-	if now2 != 211 {
-		t.Errorf("second Post time = %d, want 211", now2)
-	}
-	pages, now3 := l.Drain(now2+5, lockCost)
-	if now3 != now2+5+lockCost {
-		t.Errorf("Drain time = %d, want %d", now3, now2+5+lockCost)
-	}
-	if len(pages) != 2 || pages[0] != 1 || pages[1] != 2 {
-		t.Errorf("Drain pages = %v", pages)
-	}
-	pages, _ = l.Drain(now3, lockCost)
-	if len(pages) != 0 {
-		t.Errorf("second Drain = %v", pages)
-	}
-}
-
 func TestDrainIsAtomicSnapshot(t *testing.T) {
-	// A poster emits causally-ordered pairs: notice 2k to bin 0, then
-	// notice 2k+1 to bin 1. A concurrent drainer must never observe the
-	// second of a pair without having observed the first — that would
-	// mean the drain split an in-flight post sequence, collecting a
-	// causally-later notice while leaving its predecessor queued in a
-	// lower-numbered bin. The pre-fix bin-at-a-time drain fails this.
+	// A poster emits causally-ordered pairs: notice 2k from sender 0,
+	// then notice 2k+1 from sender 1. A concurrent drainer must never
+	// observe the second of a pair without having observed the first —
+	// that would mean the drain split an in-flight post sequence,
+	// collecting a causally-later notice while leaving its predecessor
+	// queued.
 	const pairs = 20000
 	g := NewGlobal(2)
 	done := make(chan struct{})
@@ -233,11 +207,8 @@ func TestDrainIsAtomicSnapshot(t *testing.T) {
 
 func TestSnapshotIsAtomic(t *testing.T) {
 	// Same causal-pair discipline as TestDrainIsAtomicSnapshot, checked
-	// on the non-draining read side: notice 2k goes to bin 0 strictly
-	// before 2k+1 goes to bin 1, so any single Snapshot containing 2k+1
-	// must also contain 2k. The pre-fix bin-at-a-time walk could read
-	// bin 0 before the pair was posted and bin 1 after, returning the
-	// later notice without its predecessor.
+	// on the non-draining read side: notice 2k is posted strictly before
+	// 2k+1, so any single Snapshot containing 2k+1 must also contain 2k.
 	const pairs = 10000
 	g := NewGlobal(2)
 	done := make(chan struct{})
@@ -274,29 +245,19 @@ func TestSnapshotIsAtomic(t *testing.T) {
 	}
 }
 
-// TestHas checks that both global list kinds report a page as queued
-// from its post until the drain that takes it, whatever bin it is in.
+// TestHas checks that a page reads as queued from its post until the
+// drain that takes it.
 func TestHas(t *testing.T) {
 	g := NewGlobal(3)
 	g.Post(2, 7)
 	g.Post(0, 4)
 	for page, want := range map[int]bool{4: true, 7: true, 5: false} {
 		if got := g.Has(page); got != want {
-			t.Errorf("Global.Has(%d) = %v, want %v", page, got, want)
+			t.Errorf("Has(%d) = %v, want %v", page, got, want)
 		}
 	}
 	g.Drain()
 	if g.Has(7) {
-		t.Error("Global.Has(7) after Drain = true")
-	}
-
-	l := NewLocked()
-	l.Post(0, 9, 1)
-	if !l.Has(9) || l.Has(8) {
-		t.Errorf("Locked.Has(9), Has(8) = %v, %v; want true, false", l.Has(9), l.Has(8))
-	}
-	l.Drain(0, 1)
-	if l.Has(9) {
-		t.Error("Locked.Has(9) after Drain = true")
+		t.Error("Has(7) after Drain = true")
 	}
 }
