@@ -23,7 +23,6 @@ import (
 	"sync/atomic"
 
 	"cashmere/internal/costs"
-	"cashmere/internal/diff"
 	"cashmere/internal/directory"
 	"cashmere/internal/msync"
 	"cashmere/internal/sim"
@@ -181,7 +180,10 @@ func (c *Config) fill() error {
 }
 
 // node is one protocol node: a physical SMP node under the two-level
-// protocols, a single processor under the one-level protocols.
+// protocols, a single processor under the one-level protocols. Its view
+// of each page is one pageState — local copy, alias bit, twin and the
+// three timestamps of the second-level directory (Section 2.3) — next
+// to each local processor's table in vm and the node's directory word.
 type node struct {
 	id   int // protocol node id
 	phys int // physical node hosting it
@@ -189,9 +191,7 @@ type node struct {
 	mu sync.Mutex // protects protocol state below
 
 	vm     *vm.Node    // per-processor page tables
-	frames []frameSlot // local copy of each page (nil if unmapped)
-	twins  [][]int64   // twin of each page (nil if none)
-	meta   []pageMeta  // second-level directory timestamps
+	pages  []pageState // the node's entry for each page
 	lclock directory.LClock
 
 	// gwn is the node's globally-accessible write-notice list. Under
@@ -210,48 +210,6 @@ type node struct {
 	wbuf     []int
 
 	procs []*Proc // local processors
-}
-
-// newTwin returns a twin of src, refilling a pooled buffer when one is
-// available. Called with n.mu and the write side of the page's pageMu
-// held.
-func (n *node) newTwin(src []int64) []int64 {
-	var t []int64
-	if k := len(n.twinPool); k > 0 {
-		t = n.twinPool[k-1]
-		n.twinPool[k-1] = nil
-		n.twinPool = n.twinPool[:k-1]
-	} else {
-		t = make([]int64, len(src))
-	}
-	diff.CopyIn(t, src)
-	return t
-}
-
-// dropTwin retires page's twin, if any, into the pool. Called with
-// n.mu held.
-func (n *node) dropTwin(page int) {
-	if t := n.twins[page]; t != nil {
-		n.twins[page] = nil
-		n.twinPool = append(n.twinPool, t)
-	}
-}
-
-// frameSlot holds an atomically-published page frame pointer: the access
-// fast path reads it without the node lock. aliased records whether the
-// frame is the master copy itself (home node, or the home-node
-// optimization), which the 1L write-doubling fast path consults.
-type frameSlot struct {
-	p       framePtr
-	aliased atomic.Bool
-}
-
-// pageMeta is the per-page second-level directory entry: the three
-// logical timestamps of Section 2.3.
-type pageMeta struct {
-	flushTS  int64 // completion time of the last home-node flush
-	updateTS int64 // completion time of the last local update
-	wnTS     int64 // time the most recent write notice was received
 }
 
 // Cluster is a running simulated cluster.
@@ -430,9 +388,7 @@ func New(cfg Config) (*Cluster, error) {
 			id:      i,
 			phys:    c.physOfProto(i),
 			vm:      vm.NewNode(procsPerProto, c.pages),
-			frames:  make([]frameSlot, c.pages),
-			twins:   make([][]int64, c.pages),
-			meta:    make([]pageMeta, c.pages),
+			pages:   make([]pageState, c.pages),
 			arrived: make([]bool, procsPerProto),
 			gwn:     wnotice.NewGlobal(protoNodes),
 		}
@@ -572,8 +528,8 @@ func (c *Cluster) ReadShared(addr int) int64 {
 	page := addr / c.cfg.PageWords
 	off := addr % c.cfg.PageWords
 	if holder, _, ok := c.dir.ExclHolder(page); ok {
-		if f := c.nodes[holder].frames[page].p.Load(); f != nil {
-			return atomic.LoadInt64(&(*f)[off])
+		if f := c.nodes[holder].pages[page].local(); f != nil {
+			return atomic.LoadInt64(&f[off])
 		}
 	}
 	return atomic.LoadInt64(&c.masters[page][off])

@@ -36,6 +36,14 @@ type defects struct {
 	// re-enters exclusive mode with only read-only mappings, the word
 	// then understates the node's access.
 	skipExclusiveRepublish bool
+	// staleExclusiveEntry ("stale-exclusive-entry") lets a one-level
+	// release move a page into exclusive mode without the current-copy
+	// test: the node need not map the page, its copy may predate a
+	// notice it applied, and a notice for it may still be queued. The
+	// holder then skips the page's notices at its acquires, reads its
+	// stale frame past them, and a later break flushes that whole frame
+	// over other nodes' released writes.
+	staleExclusiveEntry bool
 	// incomingClobber ("incoming-clobber") merges an incoming diff by
 	// applying every remote difference to the working page
 	// unconditionally, destroying unreleased local writes that collide
@@ -56,6 +64,8 @@ func (h *Harness) InjectDefect(name string) error {
 		d.dropStaleMapNotice = true
 	case "skip-exclusive-republish":
 		d.skipExclusiveRepublish = true
+	case "stale-exclusive-entry":
+		d.staleExclusiveEntry = true
 	case "incoming-clobber":
 		d.incomingClobber = true
 	default:

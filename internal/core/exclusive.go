@@ -63,18 +63,17 @@ func (p *Proc) breakExclusive(page, holderNode, holderProc int) {
 		return // someone else already broke it
 	}
 
-	framePtr := x.frames[page].p.Load()
-	if framePtr == nil {
+	s := &x.pages[page]
+	frame := s.local()
+	if frame == nil {
 		c.storeDirWord(p, holderNode, page, c.lay.ClearExcl(word))
 		return
 	}
-	frame := *framePtr
 
-	homeProto, _ := c.homeOf(page)
-	mu := &c.pageMu[page]
-	if !x.frames[page].aliased.Load() {
+	if !s.aliased.Load() {
 		// Flush the entire page to the home node (the charge is the
 		// whole page's; only the words that differ need storing).
+		mu := &c.pageMu[page]
 		mu.Lock()
 		diff.Refresh(c.masters[page], frame)
 		mu.Unlock()
@@ -84,8 +83,8 @@ func (p *Proc) breakExclusive(page, holderNode, holderProc int) {
 		arrival := c.net.Transfer(x.phys, pageBytes, p.clk.Now())
 		p.chargeWait(arrival)
 	}
-	x.meta[page].flushTS = x.lclock.Tick()
-	x.meta[page].updateTS = x.lclock.Now()
+	s.flushTS = x.lclock.Tick()
+	s.updateTS = x.lclock.Now()
 
 	// The responding processor downgrades its mapping to catch future
 	// writes.
@@ -103,15 +102,7 @@ func (p *Proc) breakExclusive(page, holderNode, holderProc int) {
 	// flushed. No twin is needed when the holder node is the home (its
 	// writes land in the master directly) or under write doubling
 	// (in-flight writes are propagated eagerly).
-	if !x.frames[page].aliased.Load() && x.twins[page] == nil &&
-		c.cfg.Protocol != OneLevelWrite {
-		mu.Lock()
-		x.twins[page] = x.newTwin(c.masters[page])
-		mu.Unlock()
-		p.st.Inc(stats.TwinCreations)
-		p.chargeProtocol(c.model.Twin)
-		p.emit(trace.EvTwin, page, int64(c.cfg.PageWords), 0)
-	}
+	p.twinPage(x, page, c.masters[page])
 	// The holder and any remaining local writers get no-longer-exclusive
 	// notices to find at their next releases — even on the home node,
 	// where the release skips the data flush but must still send write
@@ -126,7 +117,6 @@ func (p *Proc) breakExclusive(page, holderNode, holderProc int) {
 	_, hproc := c.homeOf(page)
 	_, _, done := decodeHome(c.homes[c.superOf(page)].Load())
 	w := c.lay.Make(x.vm.Loosest(page), -1, hproc, done)
-	_ = homeProto
 	c.storeDirWord(p, holderNode, page, w)
 }
 

@@ -139,7 +139,7 @@ func (p *Proc) doWriteFault(page int) {
 			// page incurs no further coherence overhead — no twin,
 			// no dirty-list entry, no flushes or notices — until
 			// another node breaks it out (Section 2.4.1).
-			n.dropTwin(page) // exclusive pages have no twin
+			n.pages[page].retireTwin(n) // exclusive pages have no twin
 			p.table.Set(page, directory.ReadWrite)
 			p.chargeProtocol(p.c.model.MProtect)
 			p.st.Inc(stats.ExclTransitions)
@@ -150,16 +150,7 @@ func (p *Proc) doWriteFault(page int) {
 			// Actively shared: track modifications for the next
 			// release.
 			p.markDirty(page)
-			if p.needsTwin(page) && n.twins[page] == nil {
-				frame := *n.frames[page].p.Load()
-				mu := &p.c.pageMu[page]
-				mu.Lock()
-				n.twins[page] = n.newTwin(frame)
-				mu.Unlock()
-				p.st.Inc(stats.TwinCreations)
-				p.chargeProtocol(p.c.model.Twin)
-				p.emit(trace.EvTwin, page, int64(p.c.cfg.PageWords), 0)
-			}
+			p.twinPage(n, page, n.pages[page].local())
 			wasLoosest := n.vm.Loosest(page)
 			p.table.Set(page, directory.ReadWrite)
 			p.chargeProtocol(p.c.model.MProtect)
@@ -173,17 +164,15 @@ func (p *Proc) doWriteFault(page int) {
 	}
 }
 
-// needsTwin reports whether p's node maintains a twin for a shared,
-// writable page: yes except when the frame aliases the master copy
-// (home node, or a home-opt alias — writes land in the master directly)
-// and except under the write-doubling protocol, which propagates writes
-// eagerly instead. Must be called after ensureCurrentLocked has settled
-// the frame's aliasing.
-func (p *Proc) needsTwin(page int) bool {
-	if p.c.cfg.Protocol == OneLevelWrite {
-		return false
+// twinPage twins node x's copy of page from src if the copy needs a
+// twin (pageState.makeTwin), charging the work to p. Called with x.mu
+// held, after ensureCurrentLocked or a break has settled the frame.
+func (p *Proc) twinPage(x *node, page int, src []int64) {
+	if x.pages[page].makeTwin(p.c, x, page, src) {
+		p.st.Inc(stats.TwinCreations)
+		p.chargeProtocol(p.c.model.Twin)
+		p.emit(trace.EvTwin, page, int64(p.c.cfg.PageWords), 0)
 	}
-	return !p.n.frames[page].aliased.Load()
 }
 
 // ensureCurrentLocked makes the node's copy of page resident and
@@ -200,14 +189,12 @@ func (p *Proc) ensureCurrentLocked(page int) bool {
 	}
 
 	homeProto, _ := c.homeOf(page)
-	slot := &n.frames[page]
-	meta := &n.meta[page]
+	s := &n.pages[page]
 
 	if p.isHomeLike(homeProto) {
-		if slot.aliased.Load() {
+		if s.aliased.Load() {
 			return true // already working on the master copy
 		}
-		f := slot.p.Load()
 		// A home-like node normally maps the master copy directly. A
 		// private frame can exist here only transiently, after a
 		// first-touch relocation made us home: adopt the master once no
@@ -215,59 +202,32 @@ func (p *Proc) ensureCurrentLocked(page int) bool {
 		// aliased bit, not home identity, drives flush and notice
 		// decisions, so falling through to the diff-based path below
 		// stays correct in the interim).
-		if f == nil || !n.vm.HasWriters(page) {
-			// Preserve any data the private frame holds that the
-			// master lacks before adopting the master copy.
-			if f != nil {
-				mu := &c.pageMu[page]
-				mu.Lock()
-				if _, excl := p.c.lay.Excl(p.ownWord(page)); excl {
-					diff.Refresh(c.masters[page], *f)
-				} else if tw := n.twins[page]; tw != nil {
-					diff.FlushUpdate(*f, tw, c.masters[page])
-				}
-				mu.Unlock()
-			}
-			m := c.masters[page]
-			slot.p.Store(&m)
-			slot.aliased.Store(true)
-			n.dropTwin(page)
-			n.vm.Bump() // invalidate translations to the private frame
-			meta.updateTS = n.lclock.Tick()
+		if s.frame.Load() == nil || !n.vm.HasWriters(page) {
+			_, excl := c.lay.Excl(p.ownWord(page))
+			s.adoptMaster(c, n, page, excl)
 			return true
 		}
 	}
-	if slot.aliased.Load() {
-		// We used to be home (before a first-touch relocation moved
-		// it); drop the alias and refetch as an ordinary sharer.
-		slot.p.Store(nil)
-		slot.aliased.Store(false)
-		n.dropTwin(page)
-		n.vm.Bump()
+	if s.aliased.Load() {
+		// We used to be home (before a relocation moved it): drop the
+		// alias, which revokes every local mapping of it, and refetch
+		// as an ordinary sharer.
+		s.drop(n, page, false)
 	}
 
-	frame := slot.p.Load()
-	wnOrAcq := meta.wnTS
+	wnOrAcq := s.wnTS
 	if p.acquireTS < wnOrAcq {
 		wnOrAcq = p.acquireTS
 	}
 	switch {
-	case frame == nil:
-		f := make([]int64, c.cfg.PageWords)
+	case s.frame.Load() == nil:
 		p.fetchPage(page, homeProto)
-		mu := &c.pageMu[page]
-		mu.Lock()
-		diff.CopyIn(f, c.masters[page]) // f is not yet published
-		mu.Unlock()
-		slot.p.Store(&f)
-		n.vm.Bump()
-		meta.updateTS = n.lclock.Tick()
-	case meta.updateTS < wnOrAcq:
+		s.refresh(c, n, page)
+	case s.updateTS < wnOrAcq:
 		p.fetchPage(page, homeProto)
-		p.applyUpdate(page, *frame)
-		meta.updateTS = n.lclock.Tick()
+		p.applyUpdate(page)
 	}
-	if meta.updateTS < meta.wnTS && !c.defects.dropStaleMapNotice {
+	if s.updateTS < s.wnTS && !c.defects.dropStaleMapNotice {
 		// The copy being mapped predates a write notice the node has
 		// already drained. Release consistency lets this processor use
 		// it until its next acquire (its acquire timestamp precedes the
@@ -311,23 +271,20 @@ func (p *Proc) fetchPage(page, homeProto int) {
 	p.emitSpan(trace.EvPageFetch, page, begin, pageBytes, int64(homeProto))
 }
 
-// applyUpdate merges freshly fetched master data into an existing local
-// frame. With no concurrent local writers it is a plain copy. With
-// concurrent writers, Cashmere-2L applies an incoming diff against the
-// twin (two-way diffing, Section 2.5), while Cashmere-2LS shoots the
-// writers down, flushes their outstanding changes, and discards the twin
-// (Section 2.6). Called with p.n.mu held.
-func (p *Proc) applyUpdate(page int, frame []int64) {
+// applyUpdate merges freshly fetched master data into the node's
+// existing frame and stamps the update. With no concurrent local
+// writers it is a plain copy. With concurrent writers, Cashmere-2L
+// applies an incoming diff against the twin (two-way diffing, Section
+// 2.5), while Cashmere-2LS shoots the writers down, flushes their
+// outstanding changes, and discards the twin (Section 2.6). Called with
+// p.n.mu held.
+func (p *Proc) applyUpdate(page int) {
 	c := p.c
 	n := p.n
-	twin := n.twins[page]
-	master := c.masters[page]
-	mu := &c.pageMu[page]
+	s := &n.pages[page]
 
-	if twin == nil {
-		mu.Lock()
-		diff.Refresh(frame, master)
-		mu.Unlock()
+	if s.twin == nil {
+		s.refresh(c, n, page)
 		return
 	}
 
@@ -365,24 +322,25 @@ func (p *Proc) applyUpdate(page int, frame []int64) {
 		// the read side after us sees the revocation when it
 		// revalidates, and the fault it then takes blocks on the node
 		// mutex we hold.
+		frame, master := s.local(), c.masters[page]
+		mu := &c.pageMu[page]
 		mu.Lock()
-		changed, lo, hi := diff.OutgoingRange(frame, twin, master)
-		c.incoming(frame, twin, master)
+		changed, lo, hi := diff.OutgoingRange(frame, s.twin, master)
+		c.incoming(frame, s.twin, master)
 		mu.Unlock()
 		p.emit(trace.EvShootdownDrain, page, revoked, 0)
 		if changed > 0 {
 			p.flushBytes(page, changed, lo, hi)
 		}
-		n.dropTwin(page)
-		n.meta[page].flushTS = n.lclock.Tick()
+		s.retireTwin(n)
+		s.flushTS = n.lclock.Tick()
+		s.updateTS = n.lclock.Tick()
 		return
 	}
 
 	// Two-way diffing: apply only the remote modifications, to both the
 	// working page and the twin, with no intra-node synchronization.
-	mu.Lock()
-	changed := c.incoming(frame, twin, master)
-	mu.Unlock()
+	changed := s.refresh(c, n, page)
 	p.st.Inc(stats.IncomingDiffs)
 	p.chargeProtocol(c.model.IncomingDiff(changed, c.cfg.PageWords))
 	p.emit(trace.EvDiffIn, page, int64(changed), 0)

@@ -107,17 +107,11 @@ func (c *Cluster) migrateSuperpage(p *Proc, sp, oldProto int) {
 	}
 	old.mu.Lock()
 	for page := first; page < last; page++ {
-		slot := &old.frames[page]
-		if !slot.aliased.Load() {
+		s := &old.pages[page]
+		if !s.aliased.Load() {
 			continue
 		}
-		for l := 0; l < old.vm.Procs(); l++ {
-			old.vm.Proc(l).Set(page, directory.Invalid)
-		}
-		slot.aliased.Store(false)
-		slot.p.Store(nil)
-		old.vm.Bump() // invalidate cached translations to the master alias
-		old.meta[page] = pageMeta{}
+		s.drop(old, page, true)
 		// The old home's directory word no longer claims a mapping.
 		w := c.lay.ClearExcl(c.lay.WithPerm(c.dir.Load(oldProto, page, oldProto), directory.Invalid))
 		c.storeDirWord(p, oldProto, page, w)

@@ -140,3 +140,47 @@ func TestStaleMappingQueuesSelfNotice(t *testing.T) {
 		t.Errorf("defect injection: p2 reads %d, want the stale 0 (injection broken?)", got)
 	}
 }
+
+// TestStaleCopyStaysOutOfExclusive is the minimized counterexample for
+// the stale exclusive entry: a one-level release may move a page into
+// exclusive mode only from a current copy. Here two nodes each have
+// their mapping invalidated by the other's write notice, so each leaves
+// the sharing set; entering on their stale copies, both would become
+// exclusive holders, and each would later flush its whole stale frame
+// over the other's released writes.
+func TestStaleCopyStaysOutOfExclusive(t *testing.T) {
+	cfg := testConfig(OneLevelDiff, 4, 1)
+	cfg.SuperpagePages = 1 // page 1 homed on node 1
+	const page = 1
+	run := func(h *Harness) (holders []int) {
+		w := func(proc, word int) { h.Write(proc, page*16+word, int64(100*proc+word)) }
+		w(2, 3)
+		w(0, 1)
+		h.Release(0) // notice to node 2
+		w(0, 0)
+		h.Release(2) // notice to node 0
+		h.Acquire(0) // node 0 unmapped, leaves the set
+		w(2, 0)
+		h.Acquire(2)       // node 2 unmapped, leaves the set
+		h.BarrierArrive(2) // flushes node 2's write
+		h.BarrierArrive(0) // flushes node 0's write
+		for x := 0; x < h.ProtoNodes(); x++ {
+			if _, ok := h.Layout().Excl(h.PageState(x, page).OwnWord); ok {
+				holders = append(holders, x)
+			}
+		}
+		return holders
+	}
+
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := run(c.Harness()); len(got) != 0 {
+		t.Errorf("unmapped nodes %v entered exclusive mode", got)
+	}
+
+	if got := run(defective(t, cfg, "stale-exclusive-entry")); len(got) != 2 {
+		t.Errorf("defect injection: exclusive holders %v, want nodes 0 and 2 (injection broken?)", got)
+	}
+}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"cashmere/internal/diff"
 	"cashmere/internal/directory"
 	"cashmere/internal/stats"
 	"cashmere/internal/trace"
@@ -190,24 +189,14 @@ func (a *PolicyActions) Replicate(page int) bool {
 func (p *Proc) refreshPage(page int) bool {
 	c := p.c
 	n := p.n
-	slot := &n.frames[page]
-	if slot.aliased.Load() {
+	s := &n.pages[page]
+	if s.aliased.Load() {
 		return true // the master alias is never stale
 	}
-	f := slot.p.Load()
-	if f == nil {
+	if s.frame.Load() == nil {
 		return false
 	}
-	var changed int
-	mu := &c.pageMu[page]
-	mu.Lock()
-	if tw := n.twins[page]; tw != nil {
-		changed = c.incoming(*f, tw, c.masters[page])
-	} else {
-		changed = diff.Refresh(*f, c.masters[page])
-	}
-	mu.Unlock()
-	n.meta[page].updateTS = n.lclock.Tick()
+	changed := s.refresh(c, n, page)
 	p.st.Inc(stats.PolicyUpdates)
 	p.st.Inc(stats.IncomingDiffs)
 	p.chargeProtocol(c.model.IncomingDiff(changed, c.cfg.PageWords))
@@ -331,28 +320,14 @@ func (c *Cluster) replicatePage(p *Proc, page int) bool {
 	for x := range c.nodes {
 		n := c.nodes[x]
 		n.mu.Lock()
-		slot := &n.frames[page]
-		aliased := slot.aliased.Load()
-		if !aliased && n.twins[page] != nil {
+		s := &n.pages[page]
+		aliased := s.aliased.Load()
+		if !aliased && s.twin != nil {
 			n.mu.Unlock()
 			continue // active local writers: leave the private frame alone
 		}
-		refreshed := false
 		if !aliased {
-			mu := &c.pageMu[page]
-			if f := slot.p.Load(); f != nil {
-				mu.Lock()
-				diff.Refresh(*f, c.masters[page])
-				mu.Unlock()
-			} else {
-				nf := make([]int64, c.cfg.PageWords)
-				mu.Lock()
-				diff.CopyIn(nf, c.masters[page])
-				mu.Unlock()
-				slot.p.Store(&nf)
-				n.vm.Bump()
-			}
-			refreshed = true
+			s.refresh(c, n, page)
 		}
 		mapped := false
 		for l := 0; l < n.vm.Procs(); l++ {
@@ -361,8 +336,10 @@ func (c *Cluster) replicatePage(p *Proc, page int) bool {
 				mapped = true
 			}
 		}
-		if refreshed || mapped {
-			n.meta[page].updateTS = n.lclock.Tick()
+		if aliased && mapped {
+			s.updateTS = n.lclock.Tick() // the alias is current; stamp the new mappings
+		}
+		if !aliased || mapped {
 			p.chargeProtocol(c.model.MProtect)
 			touched++
 		}

@@ -13,9 +13,6 @@ import (
 	"cashmere/internal/wnotice"
 )
 
-// framePtr atomically publishes a page frame to the access fast path.
-type framePtr = atomic.Pointer[[]int64]
-
 // wordBytes is the accounting size of one shared word.
 const wordBytes = transport.WordBytes
 
@@ -61,6 +58,11 @@ type tlbEntry struct {
 // before it lands, so under 2LS it can land after a shootdown revoked
 // the mapping and diffed the page; it rereads the epoch afterwards and,
 // if it moved, writes its word through to the master (storeRevoked).
+//
+// A TLB miss reads the node's page record (pageState) without the node
+// lock: its frame pointer and alias bit. The record guarantees a frame
+// while the processor's table grants access, so a miss that finds the
+// slot empty raced a drop and checks the table again (fill).
 type Proc struct {
 	c      *Cluster
 	n      *node
@@ -140,15 +142,22 @@ func (p *Proc) split(addr int) (page, off int) {
 // fill caches the translation for page, which must currently be mapped
 // with at least the permission the caller verified. ep is the node
 // epoch observed before that verification, so any protocol transition
-// after it leaves the entry stale and forces revalidation.
+// after it leaves the entry stale and forces revalidation. It returns
+// nil, caching nothing, when the node's slot is empty: a drop revokes
+// every local table before it empties the slot, so the caller's check
+// is stale and must be redone.
 func (p *Proc) fill(page int, ep uint64) *tlbEntry {
+	s := &p.n.pages[page]
+	f := s.frame.Load()
+	if f == nil {
+		return nil
+	}
 	e := &p.tlb[page&tlbMask]
-	slot := &p.n.frames[page]
 	e.page = page
 	e.epoch = ep
 	e.perm = p.table.Get(page)
-	e.frame = *slot.p.Load()
-	e.doubling = p.c.cfg.Protocol == OneLevelWrite && !slot.aliased.Load()
+	e.frame = *f
+	e.doubling = p.c.cfg.Protocol == OneLevelWrite && !s.aliased.Load()
 	if e.doubling {
 		e.master = p.c.masters[page]
 	} else {
@@ -166,10 +175,11 @@ func (p *Proc) readEntry(page int) *tlbEntry {
 	}
 	for {
 		ep := p.vmEpoch.Load()
-		if p.table.CanRead(page) {
-			return p.fill(page, ep)
+		if !p.table.CanRead(page) {
+			p.readFault(page)
+		} else if f := p.fill(page, ep); f != nil {
+			return f
 		}
-		p.readFault(page)
 	}
 }
 
@@ -182,10 +192,11 @@ func (p *Proc) writeEntry(page int) *tlbEntry {
 	}
 	for {
 		ep := p.vmEpoch.Load()
-		if p.table.CanWrite(page) {
-			return p.fill(page, ep)
+		if !p.table.CanWrite(page) {
+			p.writeFault(page)
+		} else if f := p.fill(page, ep); f != nil {
+			return f
 		}
-		p.writeFault(page)
 	}
 }
 

@@ -217,27 +217,26 @@ func (p *Proc) releaseActions() {
 func (p *Proc) flushPage(page int, releaseStart int64) {
 	c := p.c
 	n := p.n
-	meta := &n.meta[page]
+	s := &n.pages[page]
 
 	if _, excl := p.c.lay.Excl(p.ownWord(page)); excl {
 		return // exclusive pages incur no coherence overhead
 	}
-	if meta.flushTS > releaseStart {
+	if s.flushTS > releaseStart {
 		// A flush that began after this release began already covers
 		// our modifications (overlapping-release rule).
 		return
 	}
-	framePtr := n.frames[page].p.Load()
-	if framePtr == nil {
+	frame := s.local()
+	if frame == nil {
 		return
 	}
-	frame := *framePtr
 
 	// Frames that alias the master copy (home node, home-opt) write
 	// through directly and need no data flush; private frames flush
 	// their twin-tracked modifications to the master.
-	aliased := n.frames[page].aliased.Load()
-	if !aliased && n.twins[page] != nil {
+	aliased := s.aliased.Load()
+	if !aliased && s.twin != nil {
 		n.wbuf = n.vm.Writers(page, n.wbuf[:0])
 		concurrent := false
 		for _, w := range n.wbuf {
@@ -247,7 +246,7 @@ func (p *Proc) flushPage(page int, releaseStart int64) {
 		}
 		mu := &c.pageMu[page]
 		mu.Lock()
-		changed, lo, hi := diff.FlushUpdateRange(frame, n.twins[page], c.masters[page])
+		changed, lo, hi := diff.FlushUpdateRange(frame, s.twin, c.masters[page])
 		mu.Unlock()
 		if ap := c.cfg.Adaptive; ap != nil {
 			ap.NoteFlush(page, p.global, changed)
@@ -259,7 +258,7 @@ func (p *Proc) flushPage(page int, releaseStart int64) {
 			}
 			p.flushBytes(page, changed, lo, hi)
 		}
-		meta.flushTS = n.lclock.Tick()
+		s.flushTS = n.lclock.Tick()
 	}
 
 	// One-level protocols move a page with no other sharers into
@@ -285,11 +284,11 @@ func (p *Proc) flushPage(page int, releaseStart int64) {
 	// data or is in the set and gets a notice.
 	sh := &c.shareMu[page]
 	sh.Lock()
-	if !c.cfg.Protocol.TwoLevelFamily() && !aliased &&
-		n.vm.Loosest(page) != directory.Invalid && meta.updateTS >= meta.wnTS &&
-		c.dir.Sharers(page, n.id) == 0 && !n.gwn.Has(page) {
+	if !c.cfg.Protocol.TwoLevelFamily() && !aliased && c.dir.Sharers(page, n.id) == 0 &&
+		(c.defects.staleExclusiveEntry ||
+			n.vm.Loosest(page) != directory.Invalid && s.updateTS >= s.wnTS && !n.gwn.Has(page)) {
 		if !c.defects.keepExclusiveTwin {
-			n.dropTwin(page)
+			s.retireTwin(n)
 		}
 		p.st.Inc(stats.ExclTransitions)
 		p.emit(trace.EvExclEnter, page, 0, 0)
@@ -308,7 +307,7 @@ func (p *Proc) flushPage(page int, releaseStart int64) {
 		if c.lay.Perm(c.dir.Load(n.id, page, x)) == directory.Invalid {
 			continue
 		}
-		if c.nodes[x].frames[page].aliased.Load() {
+		if c.nodes[x].pages[page].aliased.Load() {
 			continue
 		}
 		p.postNotice(x, page)
@@ -370,8 +369,9 @@ func (p *Proc) acquireActions() {
 		notices = n.gwn.Drain()
 	}
 	for _, page := range notices {
-		n.meta[page].wnTS = n.lclock.Now()
-		if n.frames[page].aliased.Load() {
+		s := &n.pages[page]
+		s.wnTS = n.lclock.Now()
+		if s.aliased.Load() {
 			continue // master alias is never stale
 		}
 		n.wbuf = n.vm.Mapped(page, n.wbuf[:0])
@@ -382,8 +382,7 @@ func (p *Proc) acquireActions() {
 	}
 
 	for _, page := range p.pwn.Flush() {
-		meta := &n.meta[page]
-		if meta.updateTS >= meta.wnTS {
+		if s := &n.pages[page]; s.updateTS >= s.wnTS {
 			continue // already updated by another local processor
 		}
 		if _, excl := p.c.lay.Excl(p.ownWord(page)); excl {

@@ -191,7 +191,8 @@ func (h *Harness) QueuedNotices(node int) []int { return h.c.nodes[node].gwn.Sna
 func (h *Harness) ProcNotices(proc int) int { return h.proc(proc).pwn.Len() }
 
 // PageState is a read-only snapshot of one protocol node's view of one
-// page, for invariant checking.
+// page, for invariant checking: a copy of the node's page record plus
+// the local page tables and the node's directory word.
 type PageState struct {
 	HasFrame bool    // the node holds a local copy
 	Aliased  bool    // the local frame is the master copy itself
@@ -205,8 +206,7 @@ type PageState struct {
 	// The three per-page logical timestamps of Section 2.3.
 	FlushTS, UpdateTS, WnTS int64
 
-	// OwnWord is the node's own directory word for the page, read
-	// through the node's own replica (the authoritative copy).
+	// OwnWord is the node's own directory word for the page.
 	OwnWord directory.Word
 }
 
@@ -214,27 +214,12 @@ type PageState struct {
 // race with a running transition (see the Harness contract).
 func (h *Harness) PageState(node, page int) PageState {
 	n := h.c.nodes[node]
-	st := PageState{
-		Perms:    make([]directory.Perm, n.vm.Procs()),
-		FlushTS:  n.meta[page].flushTS,
-		UpdateTS: n.meta[page].updateTS,
-		WnTS:     n.meta[page].wnTS,
-		OwnWord:  h.c.dir.Load(node, page, node),
-	}
+	st := n.pages[page].snapshot()
+	st.Perms = make([]directory.Perm, n.vm.Procs())
 	for i := range st.Perms {
 		st.Perms[i] = n.vm.Proc(i).Get(page)
 	}
-	if f := n.frames[page].p.Load(); f != nil {
-		st.HasFrame = true
-		st.Aliased = n.frames[page].aliased.Load()
-		st.Frame = make([]int64, len(*f))
-		copy(st.Frame, *f)
-	}
-	if tw := n.twins[page]; tw != nil {
-		st.HasTwin = true
-		st.Twin = make([]int64, len(tw))
-		copy(st.Twin, tw)
-	}
+	st.OwnWord = h.c.dir.Load(node, page, node)
 	return st
 }
 

@@ -72,6 +72,28 @@ var defectCases = []defectCase{
 		invariant: "exclusive-sole",
 	},
 	{
+		// A one-level release moves a page into exclusive mode from a
+		// copy that is no longer current: the node's mapping was
+		// invalidated by a notice at its acquire, and its sharer left
+		// the set the same way. Both nodes then enter exclusive mode.
+		// Four one-processor nodes, page 1 homed on node 1.
+		opts: Options{Nodes: 4, ProcsPerNode: 1, Words: 4, Protocol: core.OneLevelDiff,
+			Defect: "stale-exclusive-entry"},
+		schedule: []Op{
+			{Proc: 2, Kind: OpWrite, Page: 1, Word: 3},
+			{Proc: 0, Kind: OpWrite, Page: 1, Word: 1},
+			{Proc: 0, Kind: OpRelease},                 // notice to node 2
+			{Proc: 0, Kind: OpWrite, Page: 1, Word: 0}, // w0 pending on node 0
+			{Proc: 2, Kind: OpRelease},                 // notice to node 0
+			{Proc: 0, Kind: OpAcquire},                 // node 0 unmapped, leaves the set
+			{Proc: 2, Kind: OpWrite, Page: 1, Word: 0}, // w0 pending on node 2
+			{Proc: 2, Kind: OpAcquire},                 // node 2 unmapped, leaves the set
+			{Proc: 2, Kind: OpBarrier},                 // node 2 flushes, enters exclusive
+			{Proc: 0, Kind: OpBarrier},                 // node 0 flushes, enters exclusive too
+		},
+		invariant: "exclusive-sole",
+	},
+	{
 		// A write fault joins an exclusively-held page whose directory
 		// word records only read-only access (a one-level re-entry after
 		// a break downgrade) without republishing the word.

@@ -24,6 +24,10 @@
 // After every step the checker asserts (names as reported in
 // Violation.Invariant):
 //
+//   - map-implies-frame: wherever a local page table grants access to
+//     a page, its node holds a frame of it (the invariant core's page
+//     record keeps: installs publish the frame before access is granted,
+//     and a drop revokes every local table before it empties the slot).
 //   - exclusive-sole: a page in exclusive mode has exactly one holder
 //     node; every other node's directory word and page tables show
 //     Invalid (paper Section 2.4.1 — exclusive pages are outside the
@@ -202,9 +206,10 @@ type Options struct {
 
 	// Defect names a historical protocol defect to re-introduce
 	// (core.Harness.InjectDefect): "keep-exclusive-twin",
-	// "drop-stale-map-notice", "skip-exclusive-republish" or
-	// "incoming-clobber". Empty checks the protocol as built. Recording
-	// it here makes a counterexample of a defect replay as one.
+	// "drop-stale-map-notice", "skip-exclusive-republish",
+	// "stale-exclusive-entry" or "incoming-clobber". Empty checks the
+	// protocol as built. Recording it here makes a counterexample of a
+	// defect replay as one.
 	Defect string `json:"defect,omitempty"`
 
 	// LockBasedMeta checks the globally-locked metadata ablation.
@@ -658,6 +663,13 @@ func (r *run) check(op Op, drained []bool, barrierDone, policyActed, hasRead boo
 				if p > loosest {
 					loosest = p
 				}
+			}
+
+			// map-implies-frame: a table that grants access has a frame
+			// behind it.
+			if loosest != directory.Invalid && !st.HasFrame {
+				return fail("map-implies-frame", "page %d node %d maps the page %s but holds no frame",
+					g, x, loosest)
 			}
 
 			// exclusive-sole: the holder runs without a twin, and other

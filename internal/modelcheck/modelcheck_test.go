@@ -2,6 +2,7 @@ package modelcheck
 
 import (
 	"flag"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -90,24 +91,37 @@ func TestExploreDeep(t *testing.T) {
 // The fixed-seed fuzz corpus: long random schedules over every
 // protocol variant. Seeds are fixed so a failure here is reproducible
 // verbatim; the -modelcheck.schedules flag scales the batch for CI's
-// long mode.
+// long mode. Every case runs 1000 schedules (100 under -short): 40 ops
+// each at the default 2x2 shape, and 60 ops each at the wider 4x1, 4x2
+// and 2x4 shapes writing four words, where the one-level release-time
+// exclusive entry on a stale copy needed ten ops at 4x1. The twelve
+// wide cases take about 9 s together on a 2-vCPU host.
 func TestFuzzCorpus(t *testing.T) {
 	n := fuzzSchedules(t, 1000)
-	for _, tc := range []struct {
+	type fuzzCase struct {
 		name string
 		opts Options
-	}{
-		{"2L", Options{Protocol: core.TwoLevel}},
-		{"2LS", Options{Protocol: core.TwoLevelSD}},
-		{"1LD", Options{Protocol: core.OneLevelDiff}},
-		{"1L", Options{Protocol: core.OneLevelWrite}},
-		{"2L-words2", Options{Protocol: core.TwoLevel, Words: 2}},
-		{"2L-lockmeta", Options{Protocol: core.TwoLevel, LockBasedMeta: true}},
-		{"2L-firsttouch", Options{Protocol: core.TwoLevel, FirstTouch: true}},
-	} {
-		tc := tc
+		ops  int
+	}
+	cases := []fuzzCase{
+		{"2L", Options{Protocol: core.TwoLevel}, 40},
+		{"2LS", Options{Protocol: core.TwoLevelSD}, 40},
+		{"1LD", Options{Protocol: core.OneLevelDiff}, 40},
+		{"1L", Options{Protocol: core.OneLevelWrite}, 40},
+		{"2L-words2", Options{Protocol: core.TwoLevel, Words: 2}, 40},
+		{"2L-lockmeta", Options{Protocol: core.TwoLevel, LockBasedMeta: true}, 40},
+		{"2L-firsttouch", Options{Protocol: core.TwoLevel, FirstTouch: true}, 40},
+	}
+	for _, shape := range [][2]int{{4, 1}, {4, 2}, {2, 4}} {
+		for _, k := range []core.Kind{core.TwoLevel, core.TwoLevelSD, core.OneLevelDiff, core.OneLevelWrite} {
+			cases = append(cases, fuzzCase{
+				fmt.Sprintf("%s-%dx%d-words4", k, shape[0], shape[1]),
+				Options{Nodes: shape[0], ProcsPerNode: shape[1], Words: 4, Protocol: k}, 60})
+		}
+	}
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := Fuzz(tc.opts, 1, n, 40)
+			res, err := Fuzz(tc.opts, 1, n, tc.ops)
 			if err != nil {
 				t.Fatal(err)
 			}
