@@ -1,16 +1,14 @@
 // Command cashmere-benchdiff compares two cashmere-bench -json results
-// files cell by cell and exits nonzero when the current file regresses
-// beyond tolerance against the baseline — the CI performance gate.
+// files cell by cell and exits nonzero when any metric of any compared
+// cell differs — the CI performance gate.
 //
-//	cashmere-benchdiff [-tol 0.05] [-count-tol 0.25] [-count-slack 64] \
-//	    [-cells '^(SOR|LU)/'] baseline.json current.json
+//	cashmere-benchdiff [-cells '^(SOR|LU)/'] baseline.json current.json
 //
 // Virtual-time metrics (exec_ns, data_bytes, event counters) are
-// functions of the program and the cost model, not of the host, so a
-// committed baseline stays comparable across machines. The tolerances
-// absorb the residual host-order tie-breaks; -cells restricts the gate
-// to the deterministic barrier-phased applications when lock-based
-// cells are too noisy to gate.
+// functions of the program, the cost model and the simulator's fixed
+// processor order, not of the host, so a committed results file is
+// golden on every machine. -cells restricts the comparison to the cells
+// whose app/variant/topology label matches.
 package main
 
 import (
@@ -22,9 +20,6 @@ import (
 )
 
 func main() {
-	tol := flag.Float64("tol", 0.05, "relative tolerance for exec_ns and data_bytes")
-	countTol := flag.Float64("count-tol", 0, "relative tolerance for event counters (default: -tol)")
-	countSlack := flag.Int64("count-slack", 0, "absolute counter difference always tolerated")
 	cells := flag.String("cells", "", "regexp restricting compared cells by app/variant/topology label")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
@@ -46,12 +41,7 @@ func main() {
 		fail("%v", err)
 	}
 
-	rep, err := bench.DiffResults(baseline, current, bench.DiffOptions{
-		RelTol:      *tol,
-		CountTol:    *countTol,
-		CountSlack:  *countSlack,
-		CellPattern: *cells,
-	})
+	rep, err := bench.DiffResults(baseline, current, bench.DiffOptions{CellPattern: *cells})
 	if err != nil {
 		fail("%v", err)
 	}

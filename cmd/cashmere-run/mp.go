@@ -8,7 +8,7 @@ package main
 // The parent re-executes its own binary once per rank with
 // CASHMERE_MP_CHILD=rank:nodes in the environment and the original
 // command line unchanged, so every child parses the same flags and
-// picks the same application. Rendezvous is a two-line pipe protocol:
+// picks the same application. The address exchange is a two-line pipe protocol:
 // each child binds 127.0.0.1:0 and prints
 //
 //	CASHMERE-MP-ADDR <host:port>

@@ -152,7 +152,7 @@ func (l *LU) addr(i, j int) int {
 func (l *LU) store(st func(int, float64), i, j int, v float64) { st(l.addr(i, j), v) }
 
 // luScratch holds per-processor row buffers for the range kernels; each
-// Body goroutine owns one, so the kernels allocate nothing per call.
+// Body's processor owns one, so the kernels allocate nothing per call.
 type luScratch struct {
 	piv, row, aux []float64
 }

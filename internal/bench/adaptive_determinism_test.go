@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"runtime"
 	"testing"
 
 	"cashmere/internal/apps"
@@ -9,18 +8,12 @@ import (
 	"cashmere/internal/policy"
 )
 
-// TestAdaptiveGaussDeterministic pins the fix for the Gauss/2L+A
-// bistability: the adaptive decision gate shifts Gauss's pivot-row
-// flag waits onto equal-virtual-time ties, and before the ordered
-// flag-wakeup tie-break (msync.Flag.WaitOrdered) host scheduling chose
-// between two outcomes. With the tie-break, repeated adaptive runs
-// must agree bit for bit, which is what lets the CI adaptive gate
-// cover Gauss like every other app.
+// TestAdaptiveGaussDeterministic pins the Gauss/2L+A bistability: the
+// adaptive decision gate shifts Gauss's pivot-row flag waits onto
+// equal-virtual-time ties, which host scheduling once broke either
+// way. The executor wakes a flag's waiters in the order they began
+// waiting, so repeated adaptive runs must agree bit for bit.
 func TestAdaptiveGaussDeterministic(t *testing.T) {
-	if raceEnabled {
-		t.Skip("other virtual-time tie-breaks still flip under the race detector (see determinism test)")
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var first core.Result
 	for i := 0; i < 4; i++ {
 		cfg := core.Config{Nodes: 4, ProcsPerNode: 4, Protocol: core.TwoLevel}

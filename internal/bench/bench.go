@@ -101,11 +101,8 @@ type Section struct {
 
 // Plan returns the distinct cells the sections read, in the order they
 // name them: section by section, each application (Table 2 order) under
-// each variant at each topology. Suite.Run executes them in that order,
-// the one the committed quick baselines were produced in: a serial
-// run's virtual-time tie-breaks follow its host schedule, which depends
-// on the cells run before, and a sorted plan missed the CI gates more
-// often.
+// each variant at each topology. Suite.Run starts them in that order;
+// every cell's results are a function of its configuration alone.
 func Plan(secs ...Section) []Cell {
 	seen := make(map[Cell]bool)
 	var cells []Cell

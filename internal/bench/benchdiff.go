@@ -11,66 +11,20 @@ import (
 )
 
 // Benchmark regression diffing: cell-by-cell comparison of two -json
-// results files (see jsonout.go for the schema). Because exec_ns,
-// data_bytes, and the counters are virtual-time quantities — functions
-// of the program and the cost model, not of the host — a committed
-// baseline stays comparable across machines; the tolerances absorb the
-// residual host-order tie-breaks the determinism tests document.
-// cashmere-benchdiff wraps this in a command, and CI runs it against
-// BENCH_quick_baseline.json to gate performance regressions.
+// results files (see jsonout.go for the schema). exec_ns, data_bytes and
+// the counters are virtual-time quantities — functions of the program,
+// the cost model and the executor's fixed order, not of the host — so a
+// committed results file is golden: any difference in any metric is
+// reported. cashmere-benchdiff wraps this in a command, and CI runs it
+// against BENCH_quick_baseline.json to gate every change to virtual
+// time.
 
 // DiffOptions configures a results comparison.
 type DiffOptions struct {
-	// RelTol is the relative tolerance for exec_ns and data_bytes
-	// (default 0.05: a >5% move in either direction is reported).
-	RelTol float64
-
-	// CountTol is the relative tolerance for protocol event counters
-	// (default: RelTol). Counters are noisier than virtual time on
-	// lock-based apps, so it is usually set looser.
-	CountTol float64
-
-	// CountSlack is an absolute allowance added on top of CountTol for
-	// counters: a counter difference within CountSlack events never
-	// fires. It keeps tiny counters (3 vs 4 shootdowns) from tripping a
-	// relative gate.
-	CountSlack int64
-
 	// CellPattern, when non-empty, restricts the comparison to cells
 	// whose "app/variant/topology" label matches this regular
-	// expression. CI uses it to gate only the deterministic
-	// barrier-phased applications.
+	// expression.
 	CellPattern string
-}
-
-func (o *DiffOptions) fill() error {
-	// NaN compares false against everything, so an unvalidated NaN
-	// tolerance would make every "beyond tolerance" test fail and the
-	// gate silently pass all regressions; infinities likewise disable
-	// the gate. Both are flag-parsing accidents ("-tol NaN" parses), so
-	// reject them instead of guessing.
-	if math.IsNaN(o.RelTol) || math.IsInf(o.RelTol, 0) {
-		return fmt.Errorf("benchdiff: tolerance %g is not a finite number", o.RelTol)
-	}
-	if o.RelTol == 0 {
-		o.RelTol = 0.05
-	}
-	if o.RelTol < 0 {
-		return fmt.Errorf("benchdiff: negative tolerance %g", o.RelTol)
-	}
-	if math.IsNaN(o.CountTol) || math.IsInf(o.CountTol, 0) {
-		return fmt.Errorf("benchdiff: counter tolerance %g is not a finite number", o.CountTol)
-	}
-	if o.CountTol == 0 {
-		o.CountTol = o.RelTol
-	}
-	if o.CountTol < 0 {
-		return fmt.Errorf("benchdiff: negative counter tolerance %g", o.CountTol)
-	}
-	if o.CountSlack < 0 {
-		return fmt.Errorf("benchdiff: negative count slack %d", o.CountSlack)
-	}
-	return nil
 }
 
 // DiffEntry is one reported difference.
@@ -84,8 +38,8 @@ type DiffEntry struct {
 
 // DiffReport is the outcome of comparing two results files.
 type DiffReport struct {
-	// Regressions are differences beyond tolerance. Any entry here
-	// makes OK() false.
+	// Regressions are the metrics that differ. Any entry here makes
+	// OK() false.
 	Regressions []DiffEntry
 
 	// MissingCells are baseline cells absent from the current file;
@@ -102,8 +56,8 @@ type DiffReport struct {
 	Compared int
 }
 
-// OK reports whether the comparison passed: no metric beyond
-// tolerance, no lost cells, no newly-failing cells.
+// OK reports whether the comparison passed: no metric differs, no
+// lost cells, no newly-failing cells.
 func (r *DiffReport) OK() bool {
 	return len(r.Regressions) == 0 && len(r.MissingCells) == 0 && len(r.ErrorCells) == 0
 }
@@ -128,9 +82,6 @@ func cellLabel(c CellResult) string {
 
 // DiffResults compares current against baseline cell by cell.
 func DiffResults(baseline, current *ResultsFile, opts DiffOptions) (*DiffReport, error) {
-	if err := opts.fill(); err != nil {
-		return nil, err
-	}
 	var pat *regexp.Regexp
 	if opts.CellPattern != "" {
 		var err error
@@ -184,35 +135,25 @@ func DiffResults(baseline, current *ResultsFile, opts DiffOptions) (*DiffReport,
 		}
 		rep.Compared++
 
-		check := func(metric string, old, new int64, tol float64, slack int64) {
-			d := new - old
-			if d < 0 {
-				d = -d
-			}
-			if d <= slack {
+		check := func(metric string, old, new int64) {
+			if new == old {
 				return
 			}
 			// A zero baseline makes the relative change undefined (the
-			// naive new/old-1 divides by zero): a metric appearing from
-			// nothing is beyond any finite tolerance once it clears the
-			// absolute slack, so record it as an infinite delta —
-			// WriteText renders that case specially — rather than
-			// letting a 0/0 NaN slip past every comparison below.
-			var rel float64
+			// naive new/old-1 divides by zero): record a metric
+			// appearing from nothing as an infinite delta, which
+			// WriteText renders specially.
+			rel := math.Inf(1)
 			if old != 0 {
 				rel = float64(new-old) / float64(old)
-			} else {
-				rel = math.Inf(1) // new != 0 here: d > slack >= 0
 			}
-			if math.Abs(rel) > tol {
-				rep.Regressions = append(rep.Regressions, DiffEntry{
-					Cell: label, Metric: metric, Old: old, New: new, Delta: rel,
-				})
-			}
+			rep.Regressions = append(rep.Regressions, DiffEntry{
+				Cell: label, Metric: metric, Old: old, New: new, Delta: rel,
+			})
 		}
 
-		check("exec_ns", b.ExecNS, c.ExecNS, opts.RelTol, 0)
-		check("data_bytes", b.DataBytes, c.DataBytes, opts.RelTol, 0)
+		check("exec_ns", b.ExecNS, c.ExecNS)
+		check("data_bytes", b.DataBytes, c.DataBytes)
 
 		names := make(map[string]bool)
 		for n := range b.Counts {
@@ -227,7 +168,7 @@ func DiffResults(baseline, current *ResultsFile, opts DiffOptions) (*DiffReport,
 		}
 		sort.Strings(sorted)
 		for _, n := range sorted {
-			check(n, b.Counts[n], c.Counts[n], opts.CountTol, opts.CountSlack)
+			check(n, b.Counts[n], c.Counts[n])
 		}
 	}
 	return rep, nil
@@ -237,7 +178,7 @@ func DiffResults(baseline, current *ResultsFile, opts DiffOptions) (*DiffReport,
 // (worst relative change at the top), then coverage changes.
 func (r *DiffReport) WriteText(w io.Writer) {
 	if r.OK() {
-		fmt.Fprintf(w, "benchdiff: OK — %d cells compared, no regression beyond tolerance\n", r.Compared)
+		fmt.Fprintf(w, "benchdiff: OK — %d cells compared, all identical\n", r.Compared)
 		if len(r.NewCells) > 0 {
 			fmt.Fprintf(w, "%d new cells not in baseline (informational)\n", len(r.NewCells))
 		}
@@ -255,7 +196,7 @@ func (r *DiffReport) WriteText(w io.Writer) {
 			}
 			return regs[i].Metric < regs[j].Metric
 		})
-		fmt.Fprintf(w, "benchdiff: %d metric(s) beyond tolerance across %d compared cells\n\n", len(regs), r.Compared)
+		fmt.Fprintf(w, "benchdiff: %d metric(s) differ across %d compared cells\n\n", len(regs), r.Compared)
 		fmt.Fprintf(w, "%-24s %-18s %14s %14s %8s\n", "cell", "metric", "baseline", "current", "delta")
 		for _, e := range regs {
 			delta := fmt.Sprintf("%+7.1f%%", 100*e.Delta)

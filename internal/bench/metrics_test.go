@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"runtime"
-	"runtime/debug"
 	"sync/atomic"
 	"testing"
 
@@ -18,20 +16,13 @@ import (
 // metrics registry — with a goroutine scraping it concurrently the
 // whole time — must not change any virtual-time statistic, because
 // scrapes are plain reads that charge nothing and take no protocol
-// lock. Runs under the same conditions as TestVirtualTimeDeterminism
-// (no -race: scrapes intentionally race the owner goroutines'
-// plain-field counters, which is monitoring-grade by design but would
-// be flagged by the detector; GOMAXPROCS pinned for stable
-// tie-breaks).
+// lock. It skips under -race: scrapes intentionally race the running
+// processors' plain-field counters, which is monitoring-grade by design
+// but would be flagged by the detector.
 func TestMetricsPreservesVirtualTime(t *testing.T) {
 	if raceEnabled {
 		t.Skip("mid-run scrapes are deliberate monitoring-grade data races; see comment")
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	// The scraper allocates, so a collection would land in the observed
-	// run and not the plain one, and at GOMAXPROCS=1 that alone moves
-	// tie-breaks: keep the collector off for both.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	cfg := core.Config{
 		Nodes:        FullCluster.Nodes,
 		ProcsPerNode: FullCluster.ProcsPerNode,
@@ -43,20 +34,31 @@ func TestMetricsPreservesVirtualTime(t *testing.T) {
 	}
 
 	reg := metrics.NewRegistry()
-	var detach func()
-	cfg.Observer = func(c *core.Cluster) { detach = reg.Attach(c) }
 
-	// Scrape continuously while the observed run executes.
+	// Scrape continuously while the observed run executes, counting the
+	// scrapes that see it attached. The run starts only once one has:
+	// it is over in about a millisecond, before a scraper that has not
+	// been scheduled yet would see it.
 	var stop atomic.Bool
+	seen := make(chan struct{})
 	scraped := make(chan int)
 	go func() {
 		n := 0
 		for !stop.Load() {
-			reg.Snapshot()
-			n++
+			if reg.Snapshot().ActiveRuns > 0 {
+				if n == 0 {
+					close(seen)
+				}
+				n++
+			}
 		}
 		scraped <- n
 	}()
+	var detach func()
+	cfg.Observer = func(c *core.Cluster) {
+		detach = reg.Attach(c)
+		<-seen
+	}
 
 	observed, err := apps.Run(freshApp(t, "SOR"), cfg)
 	stop.Store(true)

@@ -3,5 +3,5 @@
 package bench
 
 // raceEnabled reports that this binary was built with the race
-// detector (see determinism_test.go for why that matters).
+// detector (see metrics_test.go for why that matters).
 const raceEnabled = true

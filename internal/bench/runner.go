@@ -126,18 +126,6 @@ func (s *Suite) Run(cells []Cell) *ResultsFile {
 				s.renderProgress()
 				s.mu.Unlock()
 
-				// A serial run starts every cell on a collected heap.
-				// Otherwise where the cells before it left the GC cycle
-				// decides when a collection interrupts its processors,
-				// and at GOMAXPROCS=1 -j 1 that host schedule picks its
-				// virtual-time tie-breaks: with this, serial runs repeat
-				// bit for bit and the CI gates stop flaking. Parallel
-				// runs are not reproducible either way, and a collection
-				// there only stalls the other workers' cells.
-				if s.workers == 1 {
-					runtime.GC()
-				}
-
 				out := s.execCell(cells[i])
 
 				s.mu.Lock()

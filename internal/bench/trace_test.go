@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"runtime"
 	"testing"
 
 	"cashmere/internal/apps"
@@ -13,14 +12,8 @@ import (
 // TestTracingPreservesVirtualTime is the off-path guarantee of the
 // observability layer: attaching a tracer must not change any
 // virtual-time accounting, so a traced run and an untraced run of a
-// deterministic application produce bit-identical stat vectors. Runs
-// under the same conditions as TestVirtualTimeDeterminism (no -race,
-// GOMAXPROCS pinned — see that test's comment).
+// deterministic application produce bit-identical stat vectors.
 func TestTracingPreservesVirtualTime(t *testing.T) {
-	if raceEnabled {
-		t.Skip("virtual-time tie-breaks are host-order dependent under -race (see determinism_test.go)")
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	cfg := core.Config{
 		Nodes:        FullCluster.Nodes,
 		ProcsPerNode: FullCluster.ProcsPerNode,

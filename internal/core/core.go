@@ -5,13 +5,19 @@
 // doubling), plus the home-node-optimization and lock-based-metadata
 // ablations.
 //
-// The engine uses direct execution: one goroutine per simulated
-// processor really runs the application against word-granularity shared
-// memory, with software page tables standing in for VM protection and
-// per-processor virtual clocks (see internal/sim) standing in for real
-// time. All protocol state transitions — faults, fetches, diffs,
-// directory updates, write notices, exclusive mode — happen for real,
-// so the applications' outputs validate the protocol end to end.
+// The engine uses direct execution: each simulated processor really
+// runs the application against word-granularity shared memory, with
+// software page tables standing in for VM protection and per-processor
+// virtual clocks (see internal/sim) standing in for real time. All
+// protocol state transitions — faults, fetches, diffs, directory
+// updates, write notices, exclusive mode — happen for real, so the
+// applications' outputs validate the protocol end to end.
+//
+// Processors run one at a time (sched.go): each runs until it blocks
+// at a lock, flag or barrier, and the executor resumes the next in a
+// FIFO ready queue. No switch happens inside a protocol action, so the
+// protocol state takes no host lock, and a run's virtual times are a
+// pure function of its configuration and program.
 package core
 
 import (
@@ -19,12 +25,9 @@ import (
 	"math"
 	"math/bits"
 	"os"
-	"sync"
-	"sync/atomic"
 
 	"cashmere/internal/costs"
 	"cashmere/internal/directory"
-	"cashmere/internal/msync"
 	"cashmere/internal/sim"
 	"cashmere/internal/stats"
 	"cashmere/internal/trace"
@@ -188,8 +191,6 @@ type node struct {
 	id   int // protocol node id
 	phys int // physical node hosting it
 
-	mu sync.Mutex // protects protocol state below
-
 	vm     *vm.Node    // per-processor page tables
 	pages  []pageState // the node's entry for each page
 	lclock directory.LClock
@@ -205,7 +206,7 @@ type node struct {
 
 	// twinPool recycles retired twin buffers so steady-state twinning
 	// allocates nothing; wbuf is reusable scratch for Writers/Mapped
-	// queries. Both are protected by mu.
+	// queries.
 	twinPool [][]int64
 	wbuf     []int
 
@@ -234,54 +235,27 @@ type Cluster struct {
 	// region at the home node. The home node's local frame aliases it.
 	masters [][]int64
 
-	// pageMu[p] covers page p's master copy and every node's frame of
-	// it. A StoreRange run holds the read side while it copies (runs on
-	// disjoint words proceed together, as the paper's processors store
-	// into one hardware-coherent frame); every whole-page scan — diff,
-	// twin, refresh, fetch copy — holds the write side around the scan
-	// only, taken after n.mu. It is a host lock: it charges no virtual
-	// time, and no protocol code runs under the read side.
-	pageMu []sync.RWMutex
-
-	// shareMu[p] serializes the check-then-act steps on page p's
-	// sharing set. A fault checks that no node holds the page
-	// exclusively, brings its copy up to date and publishes its mapping;
-	// entering exclusive mode checks that no other node shares the page
-	// and publishes the exclusive word; a release, its changes already in
-	// the master, reads the set to send write notices. Unserialized, two
-	// of these can each pass their check before the other publishes: a
-	// node faults in while another enters exclusive mode, and that
-	// holder's next break flushes its stale frame over the faulter's
-	// writes; or a fault copies the master before a release's flush but
-	// joins the set after the release read it, and keeps its stale copy
-	// with no notice. Taken after n.mu and before pageMu; like pageMu it
-	// is a host lock and charges no virtual time.
-	shareMu []sync.Mutex
-
 	// dirLocks[p] is page p's global directory lock, which every store
 	// of one of its words holds under the lock-based ablation
 	// (Config.LockBasedMeta); nil otherwise.
 	dirLocks []sim.VLock
 
-	// Home state per superpage: packed (protoNode, proc, firstTouched)
-	// words readable lock-free; relocation serializes on homeLock.
-	// homeNode/homeProc hold the round-robin defaults from New.
+	// Home state per superpage; relocation is charged the global
+	// homeLock.
 	homeLock sim.VLock
-	homes    []atomic.Int64
-	homeNode []int
-	homeProc []int
+	homes    []home
 
-	// pageModes holds each page's adaptive coherence mode (PageMode
-	// values; all ModeInvalidate unless a policy engine or the
-	// verification harness switches a page). Read lock-free on the
-	// fault and acquire paths.
-	pageModes []atomic.Int32
+	// pageModes holds each page's adaptive coherence mode (all
+	// ModeInvalidate unless a policy engine or the verification harness
+	// switches a page).
+	pageModes []PageMode
 
 	// decideBar is the decision-epoch gate: with Config.Adaptive set,
 	// every barrier ends with this second rendezvous, entered by
 	// processor 0 only after running the policy engine's decision so
-	// the release time charges the decision work to everyone.
-	decideBar *sim.Rendezvous
+	// the release time charges the decision work to everyone. It costs
+	// no virtual time.
+	decideBar barrier
 
 	// policyEpoch counts decision epochs; touched only by global
 	// processor 0 inside the decision gate.
@@ -289,20 +263,23 @@ type Cluster struct {
 
 	// initFlag is raised by EndInit: first-touch relocation is enabled
 	// only after program initialization (Section 2.3).
-	initFlag atomic.Bool
+	initFlag bool
 
 	// charging gates virtual-time charging of protocol operations; it
 	// is lowered during the BeginInit/EndInit initialization epoch so
 	// scaled-down problems are not dominated by initialization costs
 	// the paper's full-length runs amortize.
-	charging atomic.Bool
+	charging bool
 
 	nodes []*node
 	procs []*Proc
 
-	locks []*msync.Lock
-	flags []*msync.Flag
-	bar   *msync.Barrier
+	locks []*lock
+	flags []*flag
+	bar   barrier
+
+	// ready is the executor's FIFO of processors to resume (sched.go).
+	ready []*Proc
 
 	// defects is the set of historical defects re-introduced through
 	// Harness.InjectDefect; zero in production.
@@ -314,8 +291,7 @@ func New(cfg Config) (*Cluster, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	c := &Cluster{cfg: cfg, model: cfg.Model}
-	c.charging.Store(true)
+	c := &Cluster{cfg: cfg, model: cfg.Model, charging: true}
 	c.pageShift, c.pageMask = -1, 0
 	if cfg.PageWords&(cfg.PageWords-1) == 0 {
 		c.pageShift = bits.TrailingZeros(uint(cfg.PageWords))
@@ -365,18 +341,14 @@ func New(cfg Config) (*Cluster, error) {
 	for p := range c.masters {
 		c.masters[p] = make([]int64, cfg.PageWords)
 	}
-	c.pageMu = make([]sync.RWMutex, c.pages)
-	c.shareMu = make([]sync.Mutex, c.pages)
-	c.pageModes = make([]atomic.Int32, c.pages)
+	c.pageModes = make([]PageMode, c.pages)
 
-	c.homeNode = make([]int, c.superpages)
-	c.homeProc = make([]int, c.superpages)
-	for sp := range c.homeNode {
+	c.homes = make([]home, c.superpages)
+	for sp := range c.homes {
 		// Round-robin default assignment across protocol nodes.
-		c.homeNode[sp] = sp % protoNodes
-		c.homeProc[sp] = c.firstProcOf(c.homeNode[sp])
+		pn := sp % protoNodes
+		c.homes[sp] = home{node: pn, proc: c.firstProcOf(pn)}
 	}
-	c.initHomes()
 
 	procsPerProto := cfg.ProcsPerNode
 	if !cfg.Protocol.TwoLevelFamily() {
@@ -409,7 +381,6 @@ func New(cfg Config) (*Cluster, error) {
 			vmEpoch:   n.vm.Epoch(),
 			pageShift: c.pageShift,
 			pageMask:  c.pageMask,
-			sd:        cfg.Protocol == TwoLevelSD,
 			nle:       wnotice.NewPerProc(c.pages),
 			pwn:       wnotice.NewPerProc(c.pages),
 			dirtyIn:   make([]bool, c.pages),
@@ -425,16 +396,15 @@ func New(cfg Config) (*Cluster, error) {
 		c.procs[g] = p
 	}
 
-	c.locks = make([]*msync.Lock, cfg.Locks)
+	c.locks = make([]*lock, cfg.Locks)
 	for i := range c.locks {
-		c.locks[i] = msync.NewLock(c.net)
+		c.locks[i] = &lock{}
 	}
-	c.flags = make([]*msync.Flag, cfg.Flags)
+	c.flags = make([]*flag, cfg.Flags)
 	for i := range c.flags {
-		c.flags[i] = msync.NewFlag(c.net)
+		c.flags[i] = &flag{}
 	}
-	c.bar = msync.NewBarrier(total, c.model.Barrier(total, cfg.Protocol.TwoLevelFamily()))
-	c.decideBar = sim.NewRendezvous(total)
+	c.bar.cost = c.model.Barrier(total, cfg.Protocol.TwoLevelFamily())
 	if cfg.Observer != nil {
 		cfg.Observer(c)
 	}
@@ -495,28 +465,6 @@ type Result struct {
 	Finish []int64 // per-processor finishing virtual times
 }
 
-// Run executes body on every simulated processor concurrently and
-// returns the aggregated statistics. It may be called once per cluster.
-func (c *Cluster) Run(body func(p *Proc)) Result {
-	var wg sync.WaitGroup
-	for _, p := range c.procs {
-		wg.Add(1)
-		go func(p *Proc) {
-			defer wg.Done()
-			body(p)
-		}(p)
-	}
-	wg.Wait()
-
-	finish := make([]int64, len(c.procs))
-	perProc := make([]*stats.Proc, len(c.procs))
-	for i, p := range c.procs {
-		finish[i] = p.clk.Now()
-		perProc[i] = &p.st
-	}
-	return Result{Total: stats.Aggregate(perProc, finish), Finish: finish}
-}
-
 // superOf returns the superpage containing page.
 func (c *Cluster) superOf(page int) int { return page / c.cfg.SuperpagePages }
 
@@ -528,11 +476,11 @@ func (c *Cluster) ReadShared(addr int) int64 {
 	page := addr / c.cfg.PageWords
 	off := addr % c.cfg.PageWords
 	if holder, _, ok := c.dir.ExclHolder(page); ok {
-		if f := c.nodes[holder].pages[page].local(); f != nil {
-			return atomic.LoadInt64(&f[off])
+		if f := c.nodes[holder].pages[page].frame; f != nil {
+			return f[off]
 		}
 	}
-	return atomic.LoadInt64(&c.masters[page][off])
+	return c.masters[page][off]
 }
 
 // ReadSharedF returns ReadShared(addr) interpreted as a float64.
@@ -542,7 +490,7 @@ func (c *Cluster) ReadSharedF(addr int) float64 {
 
 // SnapshotStats aggregates the per-processor statistics as they stand
 // right now. It is a monitoring-grade read: the per-processor counters
-// are plain fields written by their owner goroutines, so a snapshot
+// are plain fields written by the running processor, so a snapshot
 // taken mid-run may be slightly stale or internally inconsistent
 // (individual counters are read without synchronization). That is
 // acceptable for a metrics scrape and free for the simulated

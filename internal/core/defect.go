@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"cashmere/internal/diff"
 )
@@ -83,9 +82,9 @@ func (c *Cluster) incoming(working, twin, master []int64) int {
 	}
 	n := 0
 	for i := range twin {
-		if v := atomic.LoadInt64(&master[i]); v != atomic.LoadInt64(&twin[i]) {
-			atomic.StoreInt64(&working[i], v)
-			atomic.StoreInt64(&twin[i], v)
+		if v := master[i]; v != twin[i] {
+			working[i] = v
+			twin[i] = v
 			n++
 		}
 	}

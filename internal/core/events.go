@@ -33,9 +33,11 @@ func (p *Proc) emitSpan(k trace.Kind, page int, beginVT int64, arg, arg2 int64) 
 	})
 }
 
-// emitLink records an event on the processor's physical node's fabric
-// link track (transport/simchan) at virtual time vt.
-func (p *Proc) emitLink(k trace.Kind, vt int64, page int, arg, arg2 int64) {
+// emitLink records an event covering virtual time [vt, vt+dur) on the
+// fabric link track of the processor's physical node
+// (transport/simchan): a synchronization write (msg-send, arg2 its
+// kind) or a flag delivery.
+func (p *Proc) emitLink(k trace.Kind, vt, dur, arg, arg2 int64) {
 	if p.ring == nil {
 		return
 	}
@@ -43,8 +45,9 @@ func (p *Proc) emitLink(k trace.Kind, vt int64, page int, arg, arg2 int64) {
 		Kind: k,
 		Proc: -1,
 		Node: int32(p.n.phys),
-		Page: int32(page),
+		Page: -1,
 		VT:   vt,
+		Dur:  dur,
 		Arg:  arg,
 		Arg2: arg2,
 	})

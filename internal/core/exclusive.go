@@ -21,7 +21,7 @@ import (
 // maybeBreakExclusive checks the directory for an exclusive holder of
 // page on another node and, if found, breaks the page out of exclusive
 // mode. It reports whether a break was performed (the caller's fault
-// handler should re-run). Called with no node locks held.
+// handler should re-run).
 func (p *Proc) maybeBreakExclusive(page int) bool {
 	holderNode, holderProc, ok := p.c.dir.ExclHolder(page)
 	if !ok || holderNode == p.n.id {
@@ -55,28 +55,18 @@ func (p *Proc) breakExclusive(page, holderNode, holderProc int) {
 	p.chargeProtocol(req)
 
 	x := c.nodes[holderNode]
-	x.mu.Lock()
-	defer x.mu.Unlock()
-
 	word := c.dir.Load(holderNode, page, holderNode)
-	if _, still := c.lay.Excl(word); !still {
-		return // someone else already broke it
-	}
-
 	s := &x.pages[page]
-	frame := s.local()
+	frame := s.frame
 	if frame == nil {
 		c.storeDirWord(p, holderNode, page, c.lay.ClearExcl(word))
 		return
 	}
 
-	if !s.aliased.Load() {
+	if !s.aliased {
 		// Flush the entire page to the home node (the charge is the
 		// whole page's; only the words that differ need storing).
-		mu := &c.pageMu[page]
-		mu.Lock()
 		diff.Refresh(c.masters[page], frame)
-		mu.Unlock()
 		pageBytes := int64(c.cfg.PageWords) * wordBytes
 		p.st.Inc(stats.PageFlushes)
 		p.st.Data(pageBytes)
@@ -114,9 +104,8 @@ func (p *Proc) breakExclusive(page, holderNode, holderProc int) {
 	}
 
 	p.st.Inc(stats.ExclTransitions)
-	_, hproc := c.homeOf(page)
-	_, _, done := decodeHome(c.homes[c.superOf(page)].Load())
-	w := c.lay.Make(x.vm.Loosest(page), -1, hproc, done)
+	h := c.homes[c.superOf(page)]
+	w := c.lay.Make(x.vm.Loosest(page), -1, h.proc, h.done)
 	c.storeDirWord(p, holderNode, page, w)
 }
 

@@ -2,26 +2,24 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 )
 
 // TestRangeStoresSurviveConcurrentDowngrades drives the shared-access
 // fast path through its hostile cases: every processor issues range
-// stores and loads against pages the other processors are concurrently
-// writing (false sharing), so software-TLB entries are invalidated by
-// remote downgrades while accesses are in flight. Under 2LS those
-// downgrades are shootdowns — the exact race the page lock's drain
-// exists for — and the single-writer phase pushes a page into exclusive
-// mode so the following all-writer phase breaks it mid-use. Two more
-// 2L cases reach the remaining whole-page scans: first-touch home
-// relocation adopting a private frame, and write-update refreshes,
-// replication and lock releases made while siblings still store, under
-// an adaptive controller. The program is
-// data-race-free at word granularity (disjoint runs, barriers between
-// conflicting phases), so every store must survive; run under
-// `go test -race` this doubles as the memory-model check for the TLB
-// and the page lock every scan takes against range stores.
+// stores and loads against pages the other processors write in the same
+// interval (false sharing), so software-TLB entries are invalidated by
+// remote downgrades between a processor's accesses. Under 2LS those
+// downgrades are shootdowns, and the single-writer phase pushes a page
+// into exclusive mode so the following all-writer phase breaks it
+// mid-interval. Two more 2L cases reach the remaining whole-page scans:
+// first-touch home relocation adopting a private frame, and
+// write-update refreshes, replication and lock releases made while
+// siblings have unreleased stores, under an adaptive controller. The
+// program is data-race-free at word granularity (disjoint runs,
+// barriers between conflicting phases), so every store must survive;
+// under `go test -race` it also checks that the executor orders every
+// processor's accesses after the protocol actions before them.
 func TestRangeStoresSurviveConcurrentDowngrades(t *testing.T) {
 	const iters = 20
 	type variant struct {
@@ -63,15 +61,13 @@ func TestRangeStoresSurviveConcurrentDowngrades(t *testing.T) {
 				return int64(((it*64+id)*1024+page)*64 + j)
 			}
 			// Record only the first mismatch; a proc must keep running
-			// to its barriers even after a failure or the others hang.
-			var mu sync.Mutex
+			// to its barriers even after a failure, or Run reports the
+			// others blocked.
 			var firstErr error
 			report := func(format string, args ...any) {
-				mu.Lock()
 				if firstErr == nil {
 					firstErr = fmt.Errorf(format, args...)
 				}
-				mu.Unlock()
 			}
 			c.Run(func(p *Proc) {
 				id := p.ID()
@@ -92,8 +88,8 @@ func TestRangeStoresSurviveConcurrentDowngrades(t *testing.T) {
 				}
 				for it := 0; it < iters; it++ {
 					// Phase 1: all procs write their own run of every
-					// page — maximal false sharing, concurrent
-					// shootdowns under 2LS.
+					// page — maximal false sharing, shootdowns under
+					// 2LS.
 					for page := 0; page < pages; page++ {
 						for j := range buf {
 							buf[j] = val(it, id, page, j)
@@ -141,7 +137,7 @@ func TestRangeStoresSurviveConcurrentDowngrades(t *testing.T) {
 					}
 					p.Barrier()
 					// ...and then every proc writes it, breaking
-					// exclusivity while ranges are in flight.
+					// exclusivity.
 					for j := range buf {
 						buf[j] = val(it, id, pages+1, j)
 					}

@@ -38,37 +38,18 @@ func (p *Proc) doReadFault(page int) {
 	p.drainDoubled()
 	p.maybeFirstTouch(page)
 
-	for {
-		if p.maybeBreakExclusive(page) {
-			continue
+	for p.maybeBreakExclusive(page) {
+	}
+	p.ensureCurrent(page)
+	wasInvalid := p.n.vm.Loosest(page) == directory.Invalid
+	p.table.Set(page, directory.ReadOnly)
+	p.chargeProtocol(p.c.model.MProtect)
+	if wasInvalid {
+		excl := -1
+		if e, ok := p.c.lay.Excl(p.ownWord(page)); ok {
+			excl = e
 		}
-		n := p.n
-		sh := &p.c.shareMu[page]
-		n.mu.Lock()
-		sh.Lock()
-		if p.table.CanRead(page) {
-			sh.Unlock()
-			n.mu.Unlock()
-			return // resolved by a concurrent local fault
-		}
-		if !p.ensureCurrentLocked(page) {
-			sh.Unlock()
-			n.mu.Unlock()
-			continue // raced with a new exclusive holder
-		}
-		wasInvalid := n.vm.Loosest(page) == directory.Invalid
-		p.table.Set(page, directory.ReadOnly)
-		p.chargeProtocol(p.c.model.MProtect)
-		if wasInvalid {
-			excl := -1
-			if e, ok := p.c.lay.Excl(p.ownWord(page)); ok {
-				excl = e
-			}
-			p.publishOwnWord(page, excl)
-		}
-		sh.Unlock()
-		n.mu.Unlock()
-		return
+		p.publishOwnWord(page, excl)
 	}
 }
 
@@ -94,106 +75,82 @@ func (p *Proc) doWriteFault(page int) {
 	p.drainDoubled()
 	p.maybeFirstTouch(page)
 
-	for {
-		if p.maybeBreakExclusive(page) {
-			continue
-		}
-		n := p.n
-		sh := &p.c.shareMu[page]
-		n.mu.Lock()
-		sh.Lock()
-		if p.table.CanWrite(page) {
-			sh.Unlock()
-			n.mu.Unlock()
-			return
-		}
-		if !p.ensureCurrentLocked(page) {
-			sh.Unlock()
-			n.mu.Unlock()
-			continue
+	for p.maybeBreakExclusive(page) {
+	}
+	p.ensureCurrent(page)
+	n := p.n
+
+	own := p.ownWord(page)
+	_, alreadyExcl := p.c.lay.Excl(own)
+
+	switch {
+	case alreadyExcl:
+		// This node holds the page exclusively; intra-node hardware
+		// coherence lets us join for free. The directory word must
+		// still be republished when our mapping loosens the node's
+		// summary (the one-level protocols re-enter exclusive mode at
+		// a release after a break downgraded every local mapping to
+		// read-only, so the exclusive word can record ro) — read
+		// faults do the same when they raise the summary out of
+		// Invalid.
+		wasLoosest := n.vm.Loosest(page)
+		p.table.Set(page, directory.ReadWrite)
+		p.chargeProtocol(p.c.model.MProtect)
+		if wasLoosest != directory.ReadWrite && !p.c.defects.skipExclusiveRepublish {
+			e, _ := p.c.lay.Excl(own)
+			p.publishOwnWord(page, e)
 		}
 
-		own := p.ownWord(page)
-		_, alreadyExcl := p.c.lay.Excl(own)
+	case p.c.cfg.Protocol.TwoLevelFamily() && p.c.dir.Sharers(page, n.id) == 0:
+		// No other node is sharing: enter exclusive mode. The
+		// page incurs no further coherence overhead — no twin,
+		// no dirty-list entry, no flushes or notices — until
+		// another node breaks it out (Section 2.4.1).
+		n.pages[page].retireTwin(n) // exclusive pages have no twin
+		p.table.Set(page, directory.ReadWrite)
+		p.chargeProtocol(p.c.model.MProtect)
+		p.st.Inc(stats.ExclTransitions)
+		p.emit(trace.EvExclEnter, page, 0, 0)
+		p.publishOwnWord(page, p.global)
 
-		switch {
-		case alreadyExcl:
-			// This node holds the page exclusively; intra-node hardware
-			// coherence lets us join for free. The directory word must
-			// still be republished when our mapping loosens the node's
-			// summary (the one-level protocols re-enter exclusive mode at
-			// a release after a break downgraded every local mapping to
-			// read-only, so the exclusive word can record ro) — read
-			// faults do the same when they raise the summary out of
-			// Invalid.
-			wasLoosest := n.vm.Loosest(page)
-			p.table.Set(page, directory.ReadWrite)
-			p.chargeProtocol(p.c.model.MProtect)
-			if wasLoosest != directory.ReadWrite && !p.c.defects.skipExclusiveRepublish {
-				e, _ := p.c.lay.Excl(own)
-				p.publishOwnWord(page, e)
-			}
-
-		case p.c.cfg.Protocol.TwoLevelFamily() && p.c.dir.Sharers(page, n.id) == 0:
-			// No other node is sharing: enter exclusive mode. The
-			// page incurs no further coherence overhead — no twin,
-			// no dirty-list entry, no flushes or notices — until
-			// another node breaks it out (Section 2.4.1).
-			n.pages[page].retireTwin(n) // exclusive pages have no twin
-			p.table.Set(page, directory.ReadWrite)
-			p.chargeProtocol(p.c.model.MProtect)
-			p.st.Inc(stats.ExclTransitions)
-			p.emit(trace.EvExclEnter, page, 0, 0)
-			p.publishOwnWord(page, p.global)
-
-		default:
-			// Actively shared: track modifications for the next
-			// release.
-			p.markDirty(page)
-			p.twinPage(n, page, n.pages[page].local())
-			wasLoosest := n.vm.Loosest(page)
-			p.table.Set(page, directory.ReadWrite)
-			p.chargeProtocol(p.c.model.MProtect)
-			if wasLoosest != directory.ReadWrite {
-				p.publishOwnWord(page, -1)
-			}
+	default:
+		// Actively shared: track modifications for the next
+		// release.
+		p.markDirty(page)
+		p.twinPage(n, page, n.pages[page].frame)
+		wasLoosest := n.vm.Loosest(page)
+		p.table.Set(page, directory.ReadWrite)
+		p.chargeProtocol(p.c.model.MProtect)
+		if wasLoosest != directory.ReadWrite {
+			p.publishOwnWord(page, -1)
 		}
-		sh.Unlock()
-		n.mu.Unlock()
-		return
 	}
 }
 
 // twinPage twins node x's copy of page from src if the copy needs a
-// twin (pageState.makeTwin), charging the work to p. Called with x.mu
-// held, after ensureCurrentLocked or a break has settled the frame.
+// twin (pageState.makeTwin), charging the work to p. Called after
+// ensureCurrent or a break has settled the frame.
 func (p *Proc) twinPage(x *node, page int, src []int64) {
-	if x.pages[page].makeTwin(p.c, x, page, src) {
+	if x.pages[page].makeTwin(p.c, x, src) {
 		p.st.Inc(stats.TwinCreations)
 		p.chargeProtocol(p.c.model.Twin)
 		p.emit(trace.EvTwin, page, int64(p.c.cfg.PageWords), 0)
 	}
 }
 
-// ensureCurrentLocked makes the node's copy of page resident and
-// current, fetching from the home node if necessary. It must be called
-// with p.n.mu and the page's shareMu held. It returns false if the
-// caller must retry because an exclusive holder elsewhere was
-// discovered.
-func (p *Proc) ensureCurrentLocked(page int) bool {
+// ensureCurrent makes the node's copy of page resident and current,
+// fetching from the home node if necessary. No other node may hold the
+// page exclusively (the fault handlers break every such holder first).
+func (p *Proc) ensureCurrent(page int) {
 	c := p.c
 	n := p.n
-
-	if holder, _, ok := c.dir.ExclHolder(page); ok && holder != n.id {
-		return false
-	}
 
 	homeProto, _ := c.homeOf(page)
 	s := &n.pages[page]
 
 	if p.isHomeLike(homeProto) {
-		if s.aliased.Load() {
-			return true // already working on the master copy
+		if s.aliased {
+			return // already working on the master copy
 		}
 		// A home-like node normally maps the master copy directly. A
 		// private frame can exist here only transiently, after a
@@ -202,13 +159,13 @@ func (p *Proc) ensureCurrentLocked(page int) bool {
 		// aliased bit, not home identity, drives flush and notice
 		// decisions, so falling through to the diff-based path below
 		// stays correct in the interim).
-		if s.frame.Load() == nil || !n.vm.HasWriters(page) {
+		if s.frame == nil || !n.vm.HasWriters(page) {
 			_, excl := c.lay.Excl(p.ownWord(page))
 			s.adoptMaster(c, n, page, excl)
-			return true
+			return
 		}
 	}
-	if s.aliased.Load() {
+	if s.aliased {
 		// We used to be home (before a relocation moved it): drop the
 		// alias, which revokes every local mapping of it, and refetch
 		// as an ordinary sharer.
@@ -220,7 +177,7 @@ func (p *Proc) ensureCurrentLocked(page int) bool {
 		wnOrAcq = p.acquireTS
 	}
 	switch {
-	case s.frame.Load() == nil:
+	case s.frame == nil:
 		p.fetchPage(page, homeProto)
 		s.refresh(c, n, page)
 	case s.updateTS < wnOrAcq:
@@ -238,7 +195,6 @@ func (p *Proc) ensureCurrentLocked(page int) bool {
 		p.pwn.Add(page)
 		p.chargeProtocol(p.c.model.LLSC)
 	}
-	return true
 }
 
 // fetchPage charges a page transfer from the home node: the fixed
@@ -276,8 +232,7 @@ func (p *Proc) fetchPage(page, homeProto int) {
 // writers it is a plain copy. With concurrent writers, Cashmere-2L
 // applies an incoming diff against the twin (two-way diffing, Section
 // 2.5), while Cashmere-2LS shoots the writers down, flushes their
-// outstanding changes, and discards the twin (Section 2.6). Called with
-// p.n.mu held.
+// outstanding changes, and discards the twin (Section 2.6).
 func (p *Proc) applyUpdate(page int) {
 	c := p.c
 	n := p.n
@@ -293,9 +248,9 @@ func (p *Proc) applyUpdate(page int) {
 		// their outstanding modifications to the home, and drop the
 		// twin; writers re-twin at their next write fault. (The real
 		// system halts the writers with an interrupt or poll-detected
-		// message; a goroutine cannot be halted mid-store, so the
-		// update is applied as remote-only differences — the same
-		// memory outcome — while the full page-copy cost is charged.)
+		// message; here they are not running, and the update is
+		// applied as remote-only differences — the same memory outcome
+		// — while the full page-copy cost is charged.)
 		n.wbuf = n.vm.Writers(page, n.wbuf[:0])
 		writers := n.wbuf
 		cost := c.model.ShootdownPoll
@@ -313,21 +268,9 @@ func (p *Proc) applyUpdate(page int) {
 			p.emit(trace.EvShootdown, page, int64(w), 0)
 			revoked++
 		}
-		// Drain in-flight store-range runs on the page: a run that
-		// validated its mapping before the revocation above may still
-		// be writing (the real system's interrupt latency). The diffs
-		// below must observe its stores — once the twin is dropped a
-		// straggler would never be flushed — and the write side of the
-		// page's lock waits for every run to finish. A run that takes
-		// the read side after us sees the revocation when it
-		// revalidates, and the fault it then takes blocks on the node
-		// mutex we hold.
-		frame, master := s.local(), c.masters[page]
-		mu := &c.pageMu[page]
-		mu.Lock()
+		frame, master := s.frame, c.masters[page]
 		changed, lo, hi := diff.OutgoingRange(frame, s.twin, master)
 		c.incoming(frame, s.twin, master)
-		mu.Unlock()
 		p.emit(trace.EvShootdownDrain, page, revoked, 0)
 		if changed > 0 {
 			p.flushBytes(page, changed, lo, hi)

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"cashmere/internal/directory"
 	"cashmere/internal/stats"
 	"cashmere/internal/trace"
@@ -16,37 +14,18 @@ import (
 // only global lock in the protocol. Ordinary page operations never take
 // that lock: they always follow the initial access in time.
 
-// homeState packs a superpage's home assignment for lock-free reads:
-// protocol node, home processor id, and the first-touch-done bit. The
-// processor field is 31 bits wide so the packing never constrains the
-// cluster size before the directory layout does.
-const homeProcBits = 31
-
-func encodeHome(protoNode, proc int, done bool) int64 {
-	v := int64(protoNode)<<(homeProcBits+1) | int64(proc)<<1
-	if done {
-		v |= 1
-	}
-	return v
-}
-
-func decodeHome(v int64) (protoNode, proc int, done bool) {
-	return int(v >> (homeProcBits + 1)), int(v>>1) & (1<<homeProcBits - 1), v&1 != 0
-}
-
-// initHomes installs the round-robin defaults into the atomic table.
-func (c *Cluster) initHomes() {
-	c.homes = make([]atomic.Int64, c.superpages)
-	for sp := range c.homes {
-		c.homes[sp].Store(encodeHome(c.homeNode[sp], c.homeProc[sp], false))
-	}
+// home is a superpage's home assignment: protocol node, home processor
+// id, and whether the first-touch relocation is done.
+type home struct {
+	node, proc int
+	done       bool
 }
 
 // homeOf returns the protocol node and processor currently serving as
 // page's home.
 func (c *Cluster) homeOf(page int) (protoNode, proc int) {
-	pn, pr, _ := decodeHome(c.homes[c.superOf(page)].Load())
-	return pn, pr
+	h := c.homes[c.superOf(page)]
+	return h.node, h.proc
 }
 
 // isHomeLike reports whether p accesses page's master copy directly:
@@ -64,14 +43,14 @@ func (p *Proc) isHomeLike(homeProto int) bool {
 }
 
 // maybeFirstTouch relocates page's superpage home to p's node if this is
-// the first post-initialization touch. Called with no node locks held.
+// the first post-initialization touch.
 func (p *Proc) maybeFirstTouch(page int) {
 	c := p.c
-	if !c.initFlag.Load() {
+	if !c.initFlag {
 		return
 	}
 	sp := c.superOf(page)
-	if _, _, done := decodeHome(c.homes[sp].Load()); done {
+	if c.homes[sp].done {
 		return
 	}
 
@@ -79,16 +58,11 @@ func (p *Proc) maybeFirstTouch(page int) {
 	held := c.homeLock.Acquire(p.clk.Now(), c.model.GlobalLock)
 	p.chargeWait(held)
 
-	oldProto, _, done := decodeHome(c.homes[sp].Load())
-	if done {
-		c.homeLock.Release(p.clk.Now())
-		return
-	}
-	newProto := p.n.id
+	oldProto, newProto := c.homes[sp].node, p.n.id
 	if oldProto != newProto {
 		c.migrateSuperpage(p, sp, oldProto)
 	}
-	c.homes[sp].Store(encodeHome(newProto, p.global, true))
+	c.homes[sp] = home{newProto, p.global, true}
 	p.st.Inc(stats.HomeMigrations)
 	p.emit(trace.EvHomeMigrate, page, int64(oldProto), int64(newProto))
 	c.homeLock.Release(p.clk.Now())
@@ -105,10 +79,9 @@ func (c *Cluster) migrateSuperpage(p *Proc, sp, oldProto int) {
 	if last > c.pages {
 		last = c.pages
 	}
-	old.mu.Lock()
 	for page := first; page < last; page++ {
 		s := &old.pages[page]
-		if !s.aliased.Load() {
+		if !s.aliased {
 			continue
 		}
 		s.drop(old, page, true)
@@ -116,7 +89,6 @@ func (c *Cluster) migrateSuperpage(p *Proc, sp, oldProto int) {
 		w := c.lay.ClearExcl(c.lay.WithPerm(c.dir.Load(oldProto, page, oldProto), directory.Invalid))
 		c.storeDirWord(p, oldProto, page, w)
 	}
-	old.mu.Unlock()
 	p.chargeProtocol(c.model.ExplicitRequest) // remap request to the old home
 }
 
@@ -140,14 +112,12 @@ func (c *Cluster) storeDirWord(p *Proc, by, page int, w directory.Word) {
 }
 
 // publishOwnWord recomputes and broadcasts p's node's directory word for
-// page from the current second-level state. Must be called with p.n.mu
-// held. excl supplies the exclusive holder processor (negative for
+// page from the current second-level state. excl supplies the exclusive holder processor (negative for
 // none).
 func (p *Proc) publishOwnWord(page int, excl int) {
 	n := p.n
-	_, hproc := p.c.homeOf(page)
-	_, _, done := decodeHome(p.c.homes[p.c.superOf(page)].Load())
-	w := p.c.lay.Make(n.vm.Loosest(page), excl, hproc, done)
+	h := p.c.homes[p.c.superOf(page)]
+	w := p.c.lay.Make(n.vm.Loosest(page), excl, h.proc, h.done)
 	p.c.storeDirWord(p, n.id, page, w)
 }
 

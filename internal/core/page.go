@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"cashmere/internal/diff"
 	"cashmere/internal/directory"
 )
@@ -10,32 +8,21 @@ import (
 // pageState is one protocol node's second-level directory entry for one
 // page (paper Section 2.3): the local copy, whether that copy is the
 // master itself, the twin, and the three logical timestamps. Every
-// transition of the entry is a method here, called with the node's
-// mutex held; those that read or write a copy's words take the write
-// side of the page's pageMu around the scan.
+// transition of the entry is a method here.
 //
 // The entry keeps one invariant: while a local page table grants access
-// to the page, the frame is present. Installs publish the frame before
-// the caller grants access, and drop revokes every local table before it
-// empties the slot. The access fast path (Proc.fill) reads frame and
-// aliased without the node mutex, which is why those two are atomic; it
-// treats an empty slot as a fault and rechecks the table.
+// to the page, the frame is present. Installs set the frame before the
+// caller grants access, and drop revokes every local table before it
+// empties the slot, so the access path (Proc.fill) always finds a frame
+// behind a granting table.
 type pageState struct {
-	frame   atomic.Pointer[[]int64] // local copy; nil while the node holds none
-	aliased atomic.Bool             // frame is the master copy (home node, or home-opt)
-	twin    []int64                 // twin of a private frame; nil while none
+	frame   []int64 // local copy; nil while the node holds none
+	aliased bool    // frame is the master copy (home node, or home-opt)
+	twin    []int64 // twin of a private frame; nil while none
 
 	flushTS  int64 // completion time of the last home-node flush
 	updateTS int64 // completion time of the last local update
 	wnTS     int64 // time the most recent write notice was received
-}
-
-// local returns the node's copy of the page, or nil when it holds none.
-func (s *pageState) local() []int64 {
-	if f := s.frame.Load(); f != nil {
-		return *f
-	}
-	return nil
 }
 
 // refresh brings the node's copy of page up to the master's contents
@@ -45,21 +32,17 @@ func (s *pageState) local() []int64 {
 // overwritten. It returns the number of words merged or copied.
 func (s *pageState) refresh(c *Cluster, n *node, page int) int {
 	master := c.masters[page]
-	mu := &c.pageMu[page]
 	changed := len(master)
-	mu.Lock()
-	switch f := s.frame.Load(); {
-	case f == nil:
-		nf := make([]int64, len(master))
-		diff.CopyIn(nf, master)
-		s.frame.Store(&nf)
+	switch {
+	case s.frame == nil:
+		s.frame = make([]int64, len(master))
+		diff.CopyIn(s.frame, master)
 		n.vm.Bump()
 	case s.twin != nil:
-		changed = c.incoming(*f, s.twin, master)
+		changed = c.incoming(s.frame, s.twin, master)
 	default:
-		changed = diff.Refresh(*f, master)
+		changed = diff.Refresh(s.frame, master)
 	}
-	mu.Unlock()
 	s.updateTS = n.lclock.Tick()
 	return changed
 }
@@ -71,18 +54,15 @@ func (s *pageState) refresh(c *Cluster, n *node, page int) int {
 // writes otherwise.
 func (s *pageState) adoptMaster(c *Cluster, n *node, page int, excl bool) {
 	master := c.masters[page]
-	if f := s.frame.Load(); f != nil {
-		mu := &c.pageMu[page]
-		mu.Lock()
+	if s.frame != nil {
 		if excl {
-			diff.Refresh(master, *f)
+			diff.Refresh(master, s.frame)
 		} else if s.twin != nil {
-			diff.FlushUpdate(*f, s.twin, master)
+			diff.FlushUpdate(s.frame, s.twin, master)
 		}
-		mu.Unlock()
 	}
-	s.frame.Store(&master)
-	s.aliased.Store(true)
+	s.frame = master
+	s.aliased = true
 	s.retireTwin(n)
 	n.vm.Bump() // invalidate translations to the private frame
 	s.updateTS = n.lclock.Tick()
@@ -93,8 +73,8 @@ func (s *pageState) adoptMaster(c *Cluster, n *node, page int, excl bool) {
 // twin needs no other, and none is made when the frame is the master
 // itself (its writes land home directly) or under write doubling (1L
 // sends each write home as it happens).
-func (s *pageState) makeTwin(c *Cluster, n *node, page int, src []int64) bool {
-	if s.twin != nil || s.aliased.Load() || c.cfg.Protocol == OneLevelWrite {
+func (s *pageState) makeTwin(c *Cluster, n *node, src []int64) bool {
+	if s.twin != nil || s.aliased || c.cfg.Protocol == OneLevelWrite {
 		return false
 	}
 	var t []int64
@@ -105,10 +85,7 @@ func (s *pageState) makeTwin(c *Cluster, n *node, page int, src []int64) bool {
 	} else {
 		t = make([]int64, len(src))
 	}
-	mu := &c.pageMu[page]
-	mu.Lock()
 	diff.CopyIn(t, src)
-	mu.Unlock()
 	s.twin = t
 	return true
 }
@@ -132,8 +109,8 @@ func (s *pageState) drop(n *node, page int, resetTS bool) {
 		n.vm.Proc(l).Set(page, directory.Invalid)
 	}
 	n.vm.Bump()
-	s.frame.Store(nil)
-	s.aliased.Store(false)
+	s.frame = nil
+	s.aliased = false
 	s.retireTwin(n)
 	if resetTS {
 		s.flushTS, s.updateTS, s.wnTS = 0, 0, 0
@@ -144,10 +121,10 @@ func (s *pageState) drop(n *node, page int, resetTS bool) {
 // verification harness.
 func (s *pageState) snapshot() PageState {
 	st := PageState{FlushTS: s.flushTS, UpdateTS: s.updateTS, WnTS: s.wnTS}
-	if f := s.local(); f != nil {
+	if s.frame != nil {
 		st.HasFrame = true
-		st.Aliased = s.aliased.Load()
-		st.Frame = append([]int64(nil), f...)
+		st.Aliased = s.aliased
+		st.Frame = append([]int64(nil), s.frame...)
 	}
 	if s.twin != nil {
 		st.HasTwin = true

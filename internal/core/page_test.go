@@ -22,15 +22,13 @@ func TestDropRevokesEveryTable(t *testing.T) {
 		h.Read(1, 0)
 		n := c.nodes[0]
 		s := &n.pages[0]
-		if !s.aliased.Load() {
+		if !s.aliased {
 			t.Fatal("home node does not alias the master")
 		}
 		s.wnTS = 7
 		epoch := n.vm.Epoch().Load()
 
-		n.mu.Lock()
 		s.drop(n, 0, resetTS)
-		n.mu.Unlock()
 
 		st := h.PageState(0, 0)
 		if st.HasFrame || st.Aliased {

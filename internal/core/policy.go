@@ -35,8 +35,7 @@ import (
 // deciding processor at a decision epoch (a barrier at which every
 // other processor is quiesced between the rendezvous and the decision
 // gate), or by the verification harness between modelcheck transitions.
-// The mode table itself is read lock-free on the fault and acquire
-// paths; with Config.Adaptive nil every page stays in ModeInvalidate
+// With Config.Adaptive nil every page stays in ModeInvalidate
 // and the protocol's virtual-time behavior is bit-identical to a build
 // without this layer.
 
@@ -70,19 +69,18 @@ func (m PageMode) String() string {
 
 // PolicyController is the adaptive policy engine's interface to the
 // protocol (Config.Adaptive). The Note hooks are the in-run feedback
-// path: they are called from the fault and flush paths, outside any
-// node lock, possibly concurrently from every processor, and must not
-// block or charge virtual time. DecideEpoch is called at every barrier
-// by global processor 0 while all other processors are quiesced at the
-// decision gate; transitions it applies through acts are charged to
+// path: they are called from the fault and flush paths of the running
+// processor, and must not block or charge virtual time. DecideEpoch is
+// called at every barrier by global processor 0 while all other
+// processors are blocked at the decision gate; transitions it applies through acts are charged to
 // that processor and extend the barrier for everyone.
 //
 // Attaching any controller — even one that never acts — inserts the
 // decision gate into every barrier. The gate adds no virtual time, but
-// as a second rendezvous it changes which sibling processor happens to
-// service a node's notice list first, so timings can shift slightly
-// against the nil-controller baseline. Only Config.Adaptive == nil is
-// the bit-identical baseline the golden tests pin.
+// as a second rendezvous it changes the order in which the processors
+// resume (which sibling services a node's notice list first), so
+// timings can shift slightly against the nil-controller baseline. Only
+// Config.Adaptive == nil is the baseline the golden tests pin.
 type PolicyController interface {
 	// NoteReadFault records a read fault on page by global processor
 	// proc.
@@ -99,14 +97,14 @@ type PolicyController interface {
 
 // pageModeOf returns page's current coherence mode.
 func (c *Cluster) pageModeOf(page int) PageMode {
-	return PageMode(c.pageModes[page].Load())
+	return c.pageModes[page]
 }
 
 // PolicyActions is the handle through which policy transitions are
 // applied: by the engine's DecideEpoch at a decision epoch, or by the
 // verification harness between modelcheck transitions. All costs are
-// charged to the acting processor. It must not be used concurrently
-// with running application code except from DecideEpoch.
+// charged to the acting processor. It must not be used while
+// application code runs except from DecideEpoch.
 type PolicyActions struct {
 	c *Cluster
 	p *Proc
@@ -146,10 +144,11 @@ func (a *PolicyActions) SuperpageRange(page int) (first, last int) {
 // It reports whether the mode actually changed.
 func (a *PolicyActions) SetMode(page int, mode PageMode) bool {
 	c, p := a.c, a.p
-	old := PageMode(c.pageModes[page].Swap(int32(mode)))
+	old := c.pageModes[page]
 	if old == mode {
 		return false
 	}
+	c.pageModes[page] = mode
 	p.st.Inc(stats.PolicyModeChanges)
 	p.chargeProtocol(c.model.DirectoryUpdate)
 	p.st.Data(wordBytes)
@@ -185,15 +184,15 @@ func (a *PolicyActions) Replicate(page int) bool {
 // writes, exactly as the refetch path does), a counted copy otherwise —
 // and the mappings survive. Reports false when the node holds no frame
 // (nothing to refresh; the caller falls back to invalidation
-// bookkeeping). Called with p.n.mu held.
+// bookkeeping).
 func (p *Proc) refreshPage(page int) bool {
 	c := p.c
 	n := p.n
 	s := &n.pages[page]
-	if s.aliased.Load() {
+	if s.aliased {
 		return true // the master alias is never stale
 	}
-	if s.frame.Load() == nil {
+	if s.frame == nil {
 		return false
 	}
 	changed := s.refresh(c, n, page)
@@ -205,17 +204,13 @@ func (p *Proc) refreshPage(page int) bool {
 }
 
 // maybeDemoteBroadcast demotes a broadcast page to write-invalidate at
-// a write fault (the broadcast safety valve). The compare-and-swap
-// makes the demotion race-free when two processors fault concurrently;
-// with the policy layer idle the check is a single atomic load.
+// a write fault (the broadcast safety valve).
 func (p *Proc) maybeDemoteBroadcast(page int) {
 	c := p.c
-	if c.pageModeOf(page) != ModeBroadcast {
+	if c.pageModes[page] != ModeBroadcast {
 		return
 	}
-	if !c.pageModes[page].CompareAndSwap(int32(ModeBroadcast), int32(ModeInvalidate)) {
-		return
-	}
+	c.pageModes[page] = ModeInvalidate
 	p.st.Inc(stats.PolicyModeChanges)
 	p.chargeProtocol(c.model.DirectoryUpdate)
 	p.st.Data(wordBytes)
@@ -236,7 +231,7 @@ func (c *Cluster) migrateHomePolicy(p *Proc, page, target int) bool {
 	held := c.homeLock.Acquire(p.clk.Now(), c.model.GlobalLock)
 	p.chargeWait(held)
 
-	oldProto, _, _ := decodeHome(c.homes[sp].Load())
+	oldProto := c.homes[sp].node
 	first := sp * c.cfg.SuperpagePages
 	last := first + c.cfg.SuperpagePages
 	if last > c.pages {
@@ -254,14 +249,12 @@ func (c *Cluster) migrateHomePolicy(p *Proc, page, target int) bool {
 	}
 
 	c.migrateSuperpage(p, sp, oldProto)
-	c.homes[sp].Store(encodeHome(newProto, target, true))
+	c.homes[sp] = home{newProto, target, true}
 
 	// Republish every node's word with the new home processor,
 	// preserving each node's recorded permission (no page of the
 	// superpage is exclusive, checked above).
 	for x := range c.nodes {
-		nx := c.nodes[x]
-		nx.mu.Lock()
 		for g := first; g < last; g++ {
 			w := c.dir.Load(x, g, x)
 			nw := c.lay.Make(c.lay.Perm(w), -1, target, true)
@@ -269,7 +262,6 @@ func (c *Cluster) migrateHomePolicy(p *Proc, page, target int) bool {
 				c.storeDirWord(p, x, g, nw)
 			}
 		}
-		nx.mu.Unlock()
 	}
 
 	p.st.Inc(stats.HomeMigrations)
@@ -290,40 +282,33 @@ func (c *Cluster) replicatePage(p *Proc, page int) bool {
 	if _, _, ok := c.dir.ExclHolder(page); ok {
 		return false
 	}
-	homeProto, hproc := c.homeOf(page)
-	_, _, done := decodeHome(c.homes[c.superOf(page)].Load())
-	if !done && c.initFlag.Load() {
+	sp := c.superOf(page)
+	if !c.homes[sp].done && c.initFlag {
 		// Replication maps the page everywhere, so it must count as the
 		// superpage's first touch: pin the home where it is before
 		// publishing words that record it. Otherwise a later first
 		// touch would migrate the home out from under every directory
 		// word the broadcast just wrote.
-		sp := c.superOf(page)
 		held := c.homeLock.Acquire(p.clk.Now(), c.model.GlobalLock)
 		p.chargeWait(held)
-		if pr, pp, d := decodeHome(c.homes[sp].Load()); !d {
-			c.homes[sp].Store(encodeHome(pr, pp, true))
-		}
+		c.homes[sp].done = true
 		c.homeLock.Release(p.clk.Now())
-		homeProto, hproc = c.homeOf(page)
-		done = true
 	}
+	h := c.homes[sp]
 
 	pageBytes := int64(c.cfg.PageWords) * wordBytes
 	p.st.Inc(stats.PageTransfers)
 	p.st.Data(pageBytes)
 	p.chargeProtocol(c.model.PageTransfer(false, c.cfg.Protocol.TwoLevelFamily()))
-	arrival := c.net.Transfer(c.physOfProto(homeProto), pageBytes, p.clk.Now())
+	arrival := c.net.Transfer(c.physOfProto(h.node), pageBytes, p.clk.Now())
 	p.chargeWait(arrival)
 
 	touched := 0
 	for x := range c.nodes {
 		n := c.nodes[x]
-		n.mu.Lock()
 		s := &n.pages[page]
-		aliased := s.aliased.Load()
+		aliased := s.aliased
 		if !aliased && s.twin != nil {
-			n.mu.Unlock()
 			continue // active local writers: leave the private frame alone
 		}
 		if !aliased {
@@ -344,12 +329,11 @@ func (c *Cluster) replicatePage(p *Proc, page int) bool {
 			touched++
 		}
 		if mapped {
-			w := c.lay.Make(n.vm.Loosest(page), -1, hproc, done)
+			w := c.lay.Make(n.vm.Loosest(page), -1, h.proc, h.done)
 			if w != c.dir.Load(x, page, x) {
 				c.storeDirWord(p, x, page, w)
 			}
 		}
-		n.mu.Unlock()
 	}
 	if touched == 0 {
 		return false
@@ -361,16 +345,15 @@ func (c *Cluster) replicatePage(p *Proc, page int) bool {
 
 // decidePolicyEpoch runs the adaptive engine's decision epoch from the
 // barrier: global processor 0 decides while every other processor is
-// parked between the barrier rendezvous and the decision gate, then the
-// gate releases everyone at the decider's post-decision time — the
-// decision work extends the barrier for all, exactly like a longer
-// barrier episode. Called from Barrier, only when Config.Adaptive is
-// set.
+// blocked between the barrier and the decision gate, then the gate
+// releases everyone at the decider's post-decision time — the decision
+// work extends the barrier for all, exactly like a longer barrier
+// episode. Called from Barrier, only when Config.Adaptive is set.
 func (p *Proc) decidePolicyEpoch() {
 	c := p.c
 	if p.global == 0 {
 		c.policyEpoch++
 		c.cfg.Adaptive.DecideEpoch(c.policyEpoch, &PolicyActions{c: c, p: p})
 	}
-	p.chargeWait(c.decideBar.Wait(p.clk.Now()))
+	p.chargeWait(c.await(&c.decideBar, p, waitDecision))
 }

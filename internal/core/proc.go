@@ -26,7 +26,7 @@ const (
 )
 
 // tlbEntry caches one page translation in plain fields owned by the
-// accessing goroutine. An entry is valid while its epoch tag equals the
+// accessing processor. An entry is valid while its epoch tag equals the
 // node's current epoch (see the vm package's epoch contract): any
 // permission change, frame republish, or alias flip on the node bumps
 // the epoch and so invalidates every cached translation at its next
@@ -44,25 +44,11 @@ type tlbEntry struct {
 	master   []int64
 }
 
-// Proc is the handle a simulated processor's goroutine uses to access
-// shared memory, synchronize, and account for computation. A Proc is
-// owned by exactly one goroutine.
-//
-// Loads and scalar stores are single words accessed with sync/atomic.
-// A StoreRange run is a plain copy made under the read side of its
-// page's lock (Cluster.pageMu), whose write side every whole-page scan
-// of any copy of the page takes: a scan — a diff, a twin, a refresh, a
-// 2LS shootdown's flush — never overlaps a run, and a run revalidates
-// its mapping under the lock, so it cannot slip stores past a
-// revocation made before the scan. A scalar store checks its mapping
-// before it lands, so under 2LS it can land after a shootdown revoked
-// the mapping and diffed the page; it rereads the epoch afterwards and,
-// if it moved, writes its word through to the master (storeRevoked).
-//
-// A TLB miss reads the node's page record (pageState) without the node
-// lock: its frame pointer and alias bit. The record guarantees a frame
-// while the processor's table grants access, so a miss that finds the
-// slot empty raced a drop and checks the table again (fill).
+// Proc is the handle a simulated processor uses to access shared
+// memory, synchronize, and account for computation. Its body runs as a
+// coroutine of Cluster.Run, and only while no other processor runs, so
+// loads, stores and range copies are plain memory accesses: no protocol
+// action can interleave with them.
 type Proc struct {
 	c      *Cluster
 	n      *node
@@ -74,13 +60,11 @@ type Proc struct {
 	// Software TLB state. vmEpoch points at the node's translation
 	// generation; pageShift/pageMask mirror the cluster's shift/mask
 	// page arithmetic (pageShift is -1 when PageWords is not a power of
-	// two); sd notes the shootdown protocol, whose scalar stores must
-	// not slip past a shootdown (see storeRevoked).
+	// two).
 	tlb       [tlbSize]tlbEntry
 	vmEpoch   *atomic.Uint64
 	pageShift int
 	pageMask  int
-	sd        bool
 
 	// rowBuf is scratch for the float64 range kernels.
 	rowBuf []int64
@@ -111,6 +95,17 @@ type Proc struct {
 	// gated on a single nil check of ring (see events.go).
 	tr   *trace.Tracer
 	ring *trace.Ring
+
+	// Executor state (sched.go): the coroutine's resume, stop and yield
+	// functions, whether the body has returned, what the processor is
+	// blocked on, and the grant time its waker computed for it.
+	resume func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
+	done   bool
+	waitOn waitKind
+	waitID int
+	grant  int64
 }
 
 // ID returns the processor's global id.
@@ -140,24 +135,18 @@ func (p *Proc) split(addr int) (page, off int) {
 }
 
 // fill caches the translation for page, which must currently be mapped
-// with at least the permission the caller verified. ep is the node
-// epoch observed before that verification, so any protocol transition
-// after it leaves the entry stale and forces revalidation. It returns
-// nil, caching nothing, when the node's slot is empty: a drop revokes
-// every local table before it empties the slot, so the caller's check
-// is stale and must be redone.
+// with at least the permission the caller verified; the page record
+// then holds a frame. ep is the node epoch observed before that
+// verification, so any protocol transition after it leaves the entry
+// stale and forces revalidation.
 func (p *Proc) fill(page int, ep uint64) *tlbEntry {
 	s := &p.n.pages[page]
-	f := s.frame.Load()
-	if f == nil {
-		return nil
-	}
 	e := &p.tlb[page&tlbMask]
 	e.page = page
 	e.epoch = ep
 	e.perm = p.table.Get(page)
-	e.frame = *f
-	e.doubling = p.c.cfg.Protocol == OneLevelWrite && !s.aliased.Load()
+	e.frame = s.frame
+	e.doubling = p.c.cfg.Protocol == OneLevelWrite && !s.aliased
 	if e.doubling {
 		e.master = p.c.masters[page]
 	} else {
@@ -173,14 +162,12 @@ func (p *Proc) readEntry(page int) *tlbEntry {
 	if e.page == page && e.perm >= directory.ReadOnly && e.epoch == p.vmEpoch.Load() {
 		return e
 	}
-	for {
-		ep := p.vmEpoch.Load()
-		if !p.table.CanRead(page) {
-			p.readFault(page)
-		} else if f := p.fill(page, ep); f != nil {
-			return f
-		}
+	ep := p.vmEpoch.Load()
+	for !p.table.CanRead(page) {
+		p.readFault(page)
+		ep = p.vmEpoch.Load()
 	}
+	return p.fill(page, ep)
 }
 
 // writeEntry returns a TLB entry valid for writing page, faulting as
@@ -190,14 +177,12 @@ func (p *Proc) writeEntry(page int) *tlbEntry {
 	if e.page == page && e.perm >= directory.ReadWrite && e.epoch == p.vmEpoch.Load() {
 		return e
 	}
-	for {
-		ep := p.vmEpoch.Load()
-		if !p.table.CanWrite(page) {
-			p.writeFault(page)
-		} else if f := p.fill(page, ep); f != nil {
-			return f
-		}
+	ep := p.vmEpoch.Load()
+	for !p.table.CanWrite(page) {
+		p.writeFault(page)
+		ep = p.vmEpoch.Load()
 	}
+	return p.fill(page, ep)
 }
 
 // Load reads the shared word at addr.
@@ -205,9 +190,9 @@ func (p *Proc) Load(addr int) int64 {
 	page, off := p.split(addr)
 	e := &p.tlb[page&tlbMask]
 	if e.page == page && e.perm >= directory.ReadOnly && e.epoch == p.vmEpoch.Load() {
-		return atomic.LoadInt64(&e.frame[off])
+		return e.frame[off]
 	}
-	return atomic.LoadInt64(&p.readEntry(page).frame[off])
+	return p.readEntry(page).frame[off]
 }
 
 // Store writes the shared word at addr.
@@ -217,37 +202,17 @@ func (p *Proc) Store(addr int, v int64) {
 	if e.page != page || e.perm < directory.ReadWrite || e.epoch != p.vmEpoch.Load() {
 		e = p.writeEntry(page)
 	}
-	atomic.StoreInt64(&e.frame[off], v)
+	e.frame[off] = v
 	if e.doubling {
 		// Write doubling: propagate the word to the home copy on the
 		// fly (Section 2.6). The network occupancy is accumulated and
 		// charged at the next protocol operation.
-		atomic.StoreInt64(&e.master[off], v)
+		e.master[off] = v
 		p.clk.Advance(p.c.model.WriteDouble)
 		p.st.Charge(stats.WriteDoubling, p.c.model.WriteDouble)
 		p.doubledBytes += wordBytes
 		p.st.Data(wordBytes)
-	} else if p.sd && e.epoch != p.vmEpoch.Load() {
-		p.storeRevoked(page, off, v)
 	}
-}
-
-// storeRevoked writes a 2LS store that may have raced a shootdown
-// through to the master. The shooter revokes the mapping, which moves
-// the node epoch, then diffs the frame against the twin and drops the
-// twin; a store that passed its check before the revocation can land
-// after the diff, and with the twin gone no flush would ever find it.
-// With sequentially consistent atomics, a store whose epoch reread
-// still matches landed before the revocation and so before the diff.
-// Otherwise the word goes to the master here, under the read side of
-// the page's lock so it does not overlap the diff. An epoch moved by
-// anything else costs only a write of a word the next release flushes
-// anyway; a data-race-free program has no other writer of it.
-func (p *Proc) storeRevoked(page, off int, v int64) {
-	mu := &p.c.pageMu[page]
-	mu.RLock()
-	atomic.StoreInt64(&p.c.masters[page][off], v)
-	mu.RUnlock()
 }
 
 // LoadRange reads len(dst) consecutive shared words starting at addr
@@ -262,10 +227,7 @@ func (p *Proc) LoadRange(dst []int64, addr int) {
 		if run > len(dst) {
 			run = len(dst)
 		}
-		frame := p.readEntry(page).frame[off : off+run]
-		for i := range frame {
-			dst[i] = atomic.LoadInt64(&frame[i])
-		}
+		copy(dst[:run], p.readEntry(page).frame[off:off+run])
 		dst = dst[run:]
 		addr += run
 	}
@@ -276,12 +238,6 @@ func (p *Proc) LoadRange(dst []int64, addr int) {
 // write-doubling charges are identical in count and order to
 // word-at-a-time Stores; doubling time and traffic are accounted in
 // bulk per page run.
-//
-// Each page run is one copy under the read side of the page's lock
-// (see Proc). The mapping is revalidated under the lock: a scan that
-// revoked it — a 2LS shootdown — did so before taking the write side,
-// so either the run sees the revocation and faults again, or it
-// finishes before the scan reads the page.
 func (p *Proc) StoreRange(addr int, src []int64) {
 	for len(src) > 0 {
 		page, off := p.split(addr)
@@ -290,18 +246,9 @@ func (p *Proc) StoreRange(addr int, src []int64) {
 			run = len(src)
 		}
 		e := p.writeEntry(page)
-		mu := &p.c.pageMu[page]
-		mu.RLock()
-		if e.epoch != p.vmEpoch.Load() {
-			mu.RUnlock()
-			continue
-		}
 		copy(e.frame[off:off+run], src[:run])
 		if e.doubling {
 			copy(e.master[off:off+run], src[:run])
-		}
-		mu.RUnlock()
-		if e.doubling {
 			d := int64(run) * p.c.model.WriteDouble
 			p.clk.Advance(d)
 			p.st.Charge(stats.WriteDoubling, d)
@@ -334,7 +281,7 @@ func (p *Proc) LoadFRow(dst []float64, addr int) {
 		}
 		frame := p.readEntry(page).frame[off : off+run]
 		for i := range frame {
-			dst[i] = math.Float64frombits(uint64(atomic.LoadInt64(&frame[i])))
+			dst[i] = math.Float64frombits(uint64(frame[i]))
 		}
 		dst = dst[run:]
 		addr += run
@@ -417,7 +364,7 @@ func (p *Proc) clearDirty() {
 // the paper's runs are long enough to amortize initialization, while a
 // scaled-down problem would be dominated by it.
 func (p *Proc) chargeProtocol(ns int64) {
-	if !p.c.charging.Load() {
+	if !p.c.charging {
 		return
 	}
 	p.clk.Advance(ns)
@@ -428,7 +375,7 @@ func (p *Proc) chargeProtocol(ns int64) {
 // communication/wait. Like chargeProtocol, it is free during the
 // initialization epoch.
 func (p *Proc) chargeWait(t int64) {
-	if !p.c.charging.Load() {
+	if !p.c.charging {
 		return
 	}
 	if w := p.clk.AdvanceTo(t); w > 0 {

@@ -23,7 +23,8 @@ func (p *Proc) Lock(i int) {
 	c := p.c
 	begin := p.clk.Now()
 	cost := c.model.LockAcquire(c.cfg.Protocol.TwoLevelFamily())
-	held := c.locks[i].Acquire(p.n.phys, p.clk.Now(), cost)
+	held := c.acquireLock(p, i, cost)
+	p.emitLink(trace.EvMsgSend, held, 0, 0, trace.MsgLockAcquire)
 	p.chargeProtocol(cost)
 	p.chargeWait(held)
 	p.st.Inc(stats.LockAcquires)
@@ -34,9 +35,11 @@ func (p *Proc) Lock(i int) {
 // Unlock performs release-side consistency actions, then releases
 // application lock i.
 func (p *Proc) Unlock(i int) {
+	c := p.c
 	begin := p.clk.Now()
 	p.releaseActions()
-	p.c.locks[i].Release(p.n.phys, p.clk.Now())
+	c.releaseLock(i, p.clk.Now(), c.model.LockAcquire(c.cfg.Protocol.TwoLevelFamily()))
+	p.emitLink(trace.EvMsgSend, p.clk.Now(), 0, 0, trace.MsgLockRelease)
 	p.emitSpan(trace.EvUnlock, -1, begin, int64(i), 0)
 }
 
@@ -44,32 +47,20 @@ func (p *Proc) Unlock(i int) {
 func (p *Proc) SetFlag(i int) {
 	begin := p.clk.Now()
 	p.releaseActions()
-	p.c.flags[i].Set(p.n.phys, p.clk.Now())
+	p.c.setFlag(i, p.clk.Now())
+	p.emitLink(trace.EvMsgSend, p.clk.Now(), p.c.model.MCWriteLatency, 0, trace.MsgFlagSet)
 	p.emitSpan(trace.EvFlagSet, -1, begin, int64(i), 0)
 }
 
 // WaitFlag blocks until flag i is raised, then performs acquire-side
-// consistency actions. Under an adaptive policy engine, waiters that
-// were blocked when the flag was raised — who all resume at the same
-// virtual time — run their acquire actions serially in descending
-// global processor id (the deterministic tie-break for the equal-time
-// wakeup; see msync.Flag.WaitOrdered), with the done handle releasing
-// the next waiter. That removes the Gauss/2L+A bistability the
-// decision gate exposes (docs/ADAPTIVE.md). The non-adaptive
-// protocols keep the free broadcast wakeup whose schedule the golden
-// paper configurations were pinned under.
+// consistency actions.
 func (p *Proc) WaitFlag(i int) {
 	begin := p.clk.Now()
-	id := -1 // opt out of the wakeup ordering
-	if p.c.cfg.Adaptive != nil {
-		id = p.global
-	}
-	t, done := p.c.flags[i].WaitOrdered(p.clk.Now(), id)
+	t := p.c.waitFlag(p, i)
 	p.chargeWait(t)
 	p.st.Inc(stats.LockAcquires)
 	p.acquireActions()
-	done()
-	p.emitLink(trace.EvMsgDeliver, t, -1, int64(i), 0)
+	p.emitLink(trace.EvMsgDeliver, t, 0, int64(i), 0)
 	p.emitSpan(trace.EvFlagWait, -1, begin, int64(i), 0)
 }
 
@@ -80,40 +71,41 @@ func (p *Proc) WaitFlag(i int) {
 // departure phase performs acquire-side consistency actions.
 func (p *Proc) Barrier() {
 	c := p.c
-	n := p.n
 	begin := p.clk.Now()
-	p.drainDoubled()
-
-	n.mu.Lock()
-	n.lclock.Tick()
-	releaseStart := n.lclock.Now()
-	n.arrived[p.local] = true
-	p.flushForBarrier(releaseStart)
-	n.mu.Unlock()
-
+	p.barrierArrive()
 	if p.global == 0 {
 		p.st.Inc(stats.Barriers)
 	}
-	released := c.bar.Wait(p.clk.Now())
-	p.chargeWait(released)
+	p.chargeWait(c.await(&c.bar, p, waitBarrier))
 
 	if c.cfg.Adaptive != nil {
 		// Decision epoch: every processor is protocol-quiescent between
-		// the rendezvous above and the decision gate, so processor 0's
+		// the barrier above and the decision gate, so processor 0's
 		// policy transitions run against a stopped cluster.
 		p.decidePolicyEpoch()
 	}
-
-	n.mu.Lock()
-	n.arrived[p.local] = false
-	n.mu.Unlock()
-
-	p.acquireActions()
+	p.barrierDepart()
 	p.emitSpan(trace.EvBarrier, -1, begin, 0, 0)
 }
 
+// barrierArrive is Barrier's arrival half: the processor marks itself
+// arrived and flushes under the last-arriving-local-writer rule.
+func (p *Proc) barrierArrive() {
+	n := p.n
+	p.drainDoubled()
+	n.lclock.Tick()
+	n.arrived[p.local] = true
+	p.flushForBarrier(n.lclock.Now())
+}
+
+// barrierDepart is Barrier's departure half: the acquire-side actions.
+func (p *Proc) barrierDepart() {
+	p.n.arrived[p.local] = false
+	p.acquireActions()
+}
+
 // flushForBarrier applies the last-arriving-local-writer rule to the
-// processor's dirty and NLE pages. Called with p.n.mu held.
+// processor's dirty and NLE pages.
 func (p *Proc) flushForBarrier(releaseStart int64) {
 	n := p.n
 	work := p.nle.Flush()
@@ -136,7 +128,7 @@ func (p *Proc) flushForBarrier(releaseStart int64) {
 
 // pendingWriter returns a local processor (other than p) that holds a
 // write mapping for page and has not arrived at the current barrier, or
-// -1 if none. Called with p.n.mu held.
+// -1 if none.
 func (p *Proc) pendingWriter(page int) int {
 	n := p.n
 	for l := 0; l < n.vm.Procs(); l++ {
@@ -158,7 +150,7 @@ func (p *Proc) pendingWriter(page int) int {
 func (p *Proc) BeginInit() {
 	p.Barrier()
 	if p.global == 0 {
-		p.c.charging.Store(false)
+		p.c.charging = false
 	}
 	p.Barrier()
 }
@@ -169,8 +161,8 @@ func (p *Proc) BeginInit() {
 func (p *Proc) EndInit() {
 	p.Barrier()
 	if p.global == 0 {
-		p.c.initFlag.Store(true)
-		p.c.charging.Store(true)
+		p.c.initFlag = true
+		p.c.charging = true
 	}
 	p.Barrier()
 }
@@ -183,13 +175,13 @@ func (p *Proc) EndInit() {
 func (p *Proc) Warmup(f func()) {
 	p.Barrier()
 	if p.global == 0 {
-		p.c.charging.Store(false)
+		p.c.charging = false
 	}
 	p.Barrier()
 	f()
 	p.Barrier()
 	if p.global == 0 {
-		p.c.charging.Store(true)
+		p.c.charging = true
 	}
 	p.Barrier()
 }
@@ -199,7 +191,6 @@ func (p *Proc) releaseActions() {
 	n := p.n
 	p.drainDoubled()
 
-	n.mu.Lock()
 	n.lclock.Tick()
 	releaseStart := n.lclock.Now()
 	for _, page := range p.nle.Flush() {
@@ -209,11 +200,10 @@ func (p *Proc) releaseActions() {
 		p.flushPage(page, releaseStart)
 	}
 	p.clearDirty()
-	n.mu.Unlock()
 }
 
 // flushPage flushes one dirty page to its home and sends write notices
-// to sharing nodes. Called with p.n.mu held.
+// to sharing nodes.
 func (p *Proc) flushPage(page int, releaseStart int64) {
 	c := p.c
 	n := p.n
@@ -227,15 +217,14 @@ func (p *Proc) flushPage(page int, releaseStart int64) {
 		// our modifications (overlapping-release rule).
 		return
 	}
-	frame := s.local()
-	if frame == nil {
+	if s.frame == nil {
 		return
 	}
 
 	// Frames that alias the master copy (home node, home-opt) write
 	// through directly and need no data flush; private frames flush
 	// their twin-tracked modifications to the master.
-	aliased := s.aliased.Load()
+	aliased := s.aliased
 	if !aliased && s.twin != nil {
 		n.wbuf = n.vm.Writers(page, n.wbuf[:0])
 		concurrent := false
@@ -244,10 +233,7 @@ func (p *Proc) flushPage(page int, releaseStart int64) {
 				concurrent = true
 			}
 		}
-		mu := &c.pageMu[page]
-		mu.Lock()
-		changed, lo, hi := diff.FlushUpdateRange(frame, s.twin, c.masters[page])
-		mu.Unlock()
+		changed, lo, hi := diff.FlushUpdateRange(s.frame, s.twin, c.masters[page])
 		if ap := c.cfg.Adaptive; ap != nil {
 			ap.NoteFlush(page, p.global, changed)
 		}
@@ -277,13 +263,6 @@ func (p *Proc) flushPage(page int, releaseStart int64) {
 	// invalidated; a sharer can write, release and leave the set before
 	// this node acquires) would be read past the next acquire and would
 	// overwrite other nodes' released writes.
-	//
-	// The sharing set is read under the page's shareMu, after the data
-	// above reached the master: a fault copies the master and publishes
-	// its mapping under the same lock, so it either sees the flushed
-	// data or is in the set and gets a notice.
-	sh := &c.shareMu[page]
-	sh.Lock()
 	if !c.cfg.Protocol.TwoLevelFamily() && !aliased && c.dir.Sharers(page, n.id) == 0 &&
 		(c.defects.staleExclusiveEntry ||
 			n.vm.Loosest(page) != directory.Invalid && s.updateTS >= s.wnTS && !n.gwn.Has(page)) {
@@ -293,7 +272,6 @@ func (p *Proc) flushPage(page int, releaseStart int64) {
 		p.st.Inc(stats.ExclTransitions)
 		p.emit(trace.EvExclEnter, page, 0, 0)
 		p.publishOwnWord(page, p.global)
-		sh.Unlock()
 		return
 	}
 
@@ -307,19 +285,18 @@ func (p *Proc) flushPage(page int, releaseStart int64) {
 		if c.lay.Perm(c.dir.Load(n.id, page, x)) == directory.Invalid {
 			continue
 		}
-		if c.nodes[x].pages[page].aliased.Load() {
+		if c.nodes[x].pages[page].aliased {
 			continue
 		}
 		p.postNotice(x, page)
 		p.emit(trace.EvNoticeSend, page, int64(x), 0)
 	}
-	sh.Unlock()
 
 	p.downgradeAfterFlush(page)
 }
 
 // downgradeAfterFlush removes p's write permission for page so future
-// modifications are trapped. Called with p.n.mu held.
+// modifications are trapped.
 func (p *Proc) downgradeAfterFlush(page int) {
 	if p.table.Get(page) != directory.ReadWrite {
 		return
@@ -355,7 +332,6 @@ func (p *Proc) acquireActions() {
 	n := p.n
 	p.drainDoubled()
 
-	n.mu.Lock()
 	n.lclock.Tick()
 	p.acquireTS = n.lclock.Now()
 
@@ -371,7 +347,7 @@ func (p *Proc) acquireActions() {
 	for _, page := range notices {
 		s := &n.pages[page]
 		s.wnTS = n.lclock.Now()
-		if s.aliased.Load() {
+		if s.aliased {
 			continue // master alias is never stale
 		}
 		n.wbuf = n.vm.Mapped(page, n.wbuf[:0])
@@ -410,5 +386,4 @@ func (p *Proc) acquireActions() {
 			p.publishOwnWord(page, -1)
 		}
 	}
-	n.mu.Unlock()
 }

@@ -12,10 +12,10 @@ import (
 // transitions — the operations that appear as single steps in the
 // paper's protocol description: faults, release flushes, acquire-side
 // notice drains, exclusive-mode breaks, and the two halves of a
-// barrier. Each transition already runs to completion under the owning
-// node's mutex, so executing them one at a time from a single
-// controlling goroutine explores exactly the protocol-level
-// interleavings while keeping every run deterministic and replayable.
+// barrier. The executor never switches processors inside a transition
+// either, so executing them one at a time from a single controlling
+// goroutine explores exactly the protocol-level interleavings while
+// keeping every run deterministic and replayable.
 //
 // Harness methods call the same unexported protocol routines the
 // application-facing entry points use (acquireActions, releaseActions,
@@ -23,7 +23,7 @@ import (
 // The only decomposition is the barrier: Barrier's arrival half (flush
 // under the last-arriving-local-writer rule) and departure half
 // (acquire-side consistency actions) are exposed as separate steps with
-// the rendezvous enforced by the scheduler instead of a blocking wait,
+// the rendezvous enforced by the checker instead of a blocking wait,
 // which lets the checker interleave other processors' operations
 // between arrivals — a strict superset of the schedules the blocking
 // barrier admits.
@@ -87,17 +87,7 @@ func (h *Harness) BreakExclusive(proc, page int) bool {
 // The caller is responsible for the rendezvous: every processor must
 // arrive before any departs, and an arrived processor must perform no
 // other operation until its BarrierDepart.
-func (h *Harness) BarrierArrive(proc int) {
-	p := h.proc(proc)
-	n := p.n
-	p.drainDoubled()
-	n.mu.Lock()
-	n.lclock.Tick()
-	releaseStart := n.lclock.Now()
-	n.arrived[p.local] = true
-	p.flushForBarrier(releaseStart)
-	n.mu.Unlock()
-}
+func (h *Harness) BarrierArrive(proc int) { h.proc(proc).barrierArrive() }
 
 // BarrierDepart performs the departure half of Barrier for processor
 // proc, releasing it at virtual time release (the caller computes
@@ -106,11 +96,7 @@ func (h *Harness) BarrierArrive(proc int) {
 func (h *Harness) BarrierDepart(proc int, release int64) {
 	p := h.proc(proc)
 	p.chargeWait(release)
-	n := p.n
-	n.mu.Lock()
-	n.arrived[p.local] = false
-	n.mu.Unlock()
-	p.acquireActions()
+	p.barrierDepart()
 }
 
 // BarrierCost returns the modeled cost of one barrier episode, the
@@ -176,7 +162,7 @@ func (h *Harness) HomeOf(page int) int {
 // state EndInit normally switches on. The harness flips it directly so
 // schedules can cover the home-migration paths without the barrier
 // pair EndInit requires.
-func (h *Harness) SetFirstTouch(on bool) { h.c.initFlag.Store(on) }
+func (h *Harness) SetFirstTouch(on bool) { h.c.initFlag = on }
 
 // PendingNotices returns the number of write notices queued in protocol
 // node node's globally-accessible list.

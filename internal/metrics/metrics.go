@@ -100,8 +100,8 @@ func NewRegistry() *Registry {
 }
 
 // Attach registers a run for live scraping and returns its detach
-// function. Detach must be called exactly once, after the run's
-// goroutines have finished: it takes a final (now exact) snapshot and
+// function. Detach must be called exactly once, after the run has
+// finished: it takes a final (now exact) snapshot and
 // folds it into the registry's completed-run accumulators, so totals
 // survive the run's cluster being garbage collected.
 func (r *Registry) Attach(run Run) (detach func()) {

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -214,14 +213,10 @@ func TestScrapeMatchesRun(t *testing.T) {
 
 // TestGoldenEndpoints compares /metrics (wall-clock line scrubbed) and
 // /status against committed golden files for a fixed small run. The
-// run's virtual-time results are deterministic under GOMAXPROCS(1)
-// (see internal/bench's determinism tests), so the scrape is
-// byte-stable. Regenerate with -update.
+// run's virtual-time results are a function of its configuration (see
+// internal/bench's determinism tests), so the scrape is byte-stable.
+// Regenerate with -update.
 func TestGoldenEndpoints(t *testing.T) {
-	if raceEnabled {
-		t.Skip("deterministic golden run requires race detector off")
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 
 	reg := metrics.NewRegistry()
 	runSmallSOR(t, reg)

@@ -8,8 +8,8 @@
 //
 // Every protocol transition (fault service, release flush, acquire
 // drain, exclusive break, barrier arrival/departure) runs to completion
-// under the owning node's mutex, so a schedule of transitions executed
-// one at a time from a single goroutine explores exactly the
+// — the simulator never switches processors inside one — so a schedule
+// of transitions executed one at a time from a single goroutine explores exactly the
 // protocol-level interleavings, deterministically. Explore enumerates
 // every schedule up to a depth bound over a small model (by default
 // 2 nodes x 2 processors x 2 pages); Fuzz samples long random

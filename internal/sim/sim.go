@@ -1,13 +1,13 @@
 // Package sim provides the virtual-time machinery of the simulator.
 //
-// The simulator uses direct execution: each simulated processor is a
-// goroutine that really executes the application and protocol code, while
-// its *performance* is modelled by a per-processor virtual clock measured
-// in nanoseconds. Computation and protocol operations advance the clock
-// by amounts taken from the cost model; synchronization primitives
-// reconcile clocks between processors (a barrier releases everyone at the
-// latest arrival time, a lock passes its release time to the next holder,
-// a flag wait completes when the setter's write has propagated).
+// The simulator uses direct execution: each simulated processor really
+// executes the application and protocol code, while its *performance* is
+// modelled by a per-processor virtual clock measured in nanoseconds.
+// Computation and protocol operations advance the clock by amounts taken
+// from the cost model; synchronization primitives reconcile clocks
+// between processors (a barrier releases everyone at the latest arrival
+// time, a lock passes its release time to the next holder, a flag wait
+// completes when the setter's write has propagated).
 //
 // Two shared resources are modelled as serially-occupied buses, matching
 // the paper's platform: the Memory Channel (a serial global interconnect,
@@ -16,14 +16,13 @@
 package sim
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"cashmere/internal/costs"
 )
 
 // Clock is a virtual-time clock owned by a single simulated processor.
-// Only the owning goroutine may call its methods.
+// Only the owning processor may call its methods.
 type Clock struct {
 	now int64
 }
@@ -148,75 +147,17 @@ func (b *Bus) FreeAt() int64 {
 	return b.freeAt.Load()
 }
 
-// Rendezvous is a reusable n-party barrier over virtual time: Wait blocks
-// until all n parties have arrived and returns the latest arrival time,
-// which becomes the common departure time.
-type Rendezvous struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	n       int
-	arrived int
-	gen     uint64
-	maxTime int64
-	// release holds the departure time of the two generations that can
-	// be simultaneously active (sleepers of generation g and early
-	// arrivals of g+1), indexed by generation parity.
-	release [2]int64
-}
-
-// NewRendezvous returns a rendezvous for n parties. n must be positive.
-func NewRendezvous(n int) *Rendezvous {
-	if n <= 0 {
-		panic("sim: rendezvous requires at least one party")
-	}
-	r := &Rendezvous{n: n}
-	r.cond = sync.NewCond(&r.mu)
-	return r
-}
-
-// Wait records an arrival at virtual time now, blocks until all parties
-// have arrived, and returns the maximum arrival time.
-func (r *Rendezvous) Wait(now int64) int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	gen := r.gen
-	if now > r.maxTime {
-		r.maxTime = now
-	}
-	r.arrived++
-	if r.arrived == r.n {
-		r.arrived = 0
-		r.release[gen%2] = r.maxTime
-		r.gen++
-		r.cond.Broadcast()
-		return r.maxTime
-	}
-	for r.gen == gen {
-		r.cond.Wait()
-	}
-	return r.release[gen%2]
-}
-
-// maxTime is deliberately never reset between generations: every party
-// departs a barrier at its release time, so all arrivals of the next
-// generation are at least the previous maximum, and keeping the running
-// maximum is semantically exact. Waiters read their own generation's
-// snapshot from release[] because a fast party may already have raised
-// maxTime for the next generation before they wake.
-
-// Parties returns the number of parties the rendezvous synchronizes.
-func (r *Rendezvous) Parties() int { return r.n }
-
-// VLock is a mutual-exclusion lock over virtual time. Grants follow the
-// host scheduler, which may disagree with virtual-time order: a caller
-// whose clock is still early may be granted the lock after a holder
-// whose critical section lies entirely in the caller's virtual future.
-// Only a critical section that virtually overlaps the caller's arrival
-// (it began at or before the caller's now) delays the caller — dragging
-// a virtually-early acquirer behind a virtually-late holder would
+// VLock is a mutual-exclusion lock over virtual time: it computes grant
+// times and holds no host lock, so its caller keeps acquires and releases
+// in order (the simulator runs one processor at a time). Grants follow
+// that order, which may disagree with virtual-time order: a caller whose
+// clock is still early may be granted the lock after a holder whose
+// critical section lies entirely in the caller's virtual future. Only a
+// critical section that virtually overlaps the caller's arrival (it
+// began at or before the caller's now) delays the caller — dragging a
+// virtually-early acquirer behind a virtually-late holder would
 // serialize work that, in virtual time, never contended.
 type VLock struct {
-	mu       sync.Mutex
 	heldAt   int64 // virtual start of the current/most recent critical section
 	released int64 // virtual end of the most recent critical section
 }
@@ -225,7 +166,6 @@ type VLock struct {
 // cost (the platform's lock acquire latency), and returns the virtual
 // time at which the caller holds the lock.
 func (l *VLock) Acquire(now, cost int64) int64 {
-	l.mu.Lock()
 	held := now
 	if now >= l.heldAt && l.released > now {
 		held = l.released
@@ -241,5 +181,4 @@ func (l *VLock) Release(now int64) {
 	if now > l.released {
 		l.released = now
 	}
-	l.mu.Unlock()
 }

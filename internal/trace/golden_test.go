@@ -6,7 +6,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -112,16 +111,10 @@ func chromeJSON(t *testing.T, tr *trace.Tracer) []byte {
 // two-processor workload against a golden file. Wall-time stamps are
 // never exported and virtual time is a function of
 // the program and cost model alone, so with the tie-free workload above
-// the file is bit-stable. GOMAXPROCS is pinned and the test skips under
-// -race for the same reasons as the virtual-time determinism test (see
-// internal/bench/determinism_test.go). Regenerate with:
+// the file is bit-stable. Regenerate with:
 //
 //	go test ./internal/trace -run TestChromeGolden -update
 func TestChromeGolden(t *testing.T) {
-	if raceEnabled {
-		t.Skip("virtual-time tie-breaks are host-order dependent under -race (see internal/bench/determinism_test.go)")
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 
 	got := chromeJSON(t, tracedRun(t, trace.Config{}))
 	golden := filepath.Join("testdata", "two_proc_chrome.json")

@@ -1,7 +1,6 @@
 package trace_test
 
 import (
-	"runtime"
 	"testing"
 
 	"cashmere/internal/apps"
@@ -19,14 +18,7 @@ import (
 // Table 3 exclusive transitions. The counts come from one run, whatever
 // the application's verification says of it, so a lost write cannot
 // hide a gap in the schema.
-//
-// The runs are pinned to one P. With more, two processors can both read
-// the holder's directory word and both request the same break: each
-// request is an excl-break and an ExplicitRequests, but only the first
-// is a transition, so entries plus breaks then exceed ExclTransitions
-// by the redundant requests (one run in seven on a 2-vCPU host).
 func TestEventsReconcileWithStats(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	pairs := []struct {
 		kinds   []trace.Kind
 		counter stats.Counter

@@ -1,13 +1,13 @@
 // Package simchan models the cost of DEC's Memory Channel: a
 // low-latency remote-write cluster interconnect (Gillett, IEEE Micro
-// 1996). It is the simulation engine's one fabric: internal/core,
-// internal/msync and internal/directory charge their Memory Channel
+// 1996). It is the simulation engine's one fabric: internal/core and
+// internal/directory charge their Memory Channel
 // traffic to a *Network, and the golden paper configurations pin its
 // virtual-time results bit-identical.
 //
 // The Cashmere protocols depend on four properties of the network
 // (paper Section 2.1). The simulator keeps one copy of every shared
-// word, written synchronously with sequentially consistent atomics, so
+// word, written synchronously by one running processor at a time, so
 // the semantics of all four hold by construction and only their costs
 // are modelled here:
 //

@@ -4,8 +4,8 @@
 // Messengers, the FrameStats collector every Messenger can carry, and
 // the word size. The repository has two engines and each has one seam:
 //
-//   - the simulation engine (internal/core, internal/msync,
-//     internal/directory) charges its traffic to transport/simchan,
+//   - the simulation engine (internal/core, internal/directory)
+//     charges its traffic to transport/simchan,
 //     the virtual-time cost model of the Memory Channel, and holds its
 //     types directly — that package documents how the four Memory
 //     Channel properties of paper Section 2.1 hold;
