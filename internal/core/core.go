@@ -378,19 +378,16 @@ func New(cfg Config) (*Cluster, error) {
 			global:    g,
 			local:     local,
 			table:     n.vm.Proc(local),
-			vmEpoch:   n.vm.Epoch(),
 			pageShift: c.pageShift,
 			pageMask:  c.pageMask,
 			nle:       wnotice.NewPerProc(c.pages),
 			pwn:       wnotice.NewPerProc(c.pages),
 			dirtyIn:   make([]bool, c.pages),
+			doubling:  cfg.Protocol == OneLevelWrite,
 		}
 		if c.tr != nil {
 			p.tr = c.tr
 			p.ring = c.tr.ProcRing(g)
-		}
-		for i := range p.tlb {
-			p.tlb[i].page = -1
 		}
 		n.procs = append(n.procs, p)
 		c.procs[g] = p

@@ -8,8 +8,8 @@ import (
 // TestRangeStoresSurviveConcurrentDowngrades drives the shared-access
 // fast path through its hostile cases: every processor issues range
 // stores and loads against pages the other processors write in the same
-// interval (false sharing), so software-TLB entries are invalidated by
-// remote downgrades between a processor's accesses. Under 2LS those
+// interval (false sharing), so remote downgrades revoke a processor's
+// mappings between its accesses. Under 2LS those
 // downgrades are shootdowns, and the single-writer phase pushes a page
 // into exclusive mode so the following all-writer phase breaks it
 // mid-interval. Two more 2L cases reach the remaining whole-page scans:

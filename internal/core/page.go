@@ -13,8 +13,8 @@ import (
 // The entry keeps one invariant: while a local page table grants access
 // to the page, the frame is present. Installs set the frame before the
 // caller grants access, and drop revokes every local table before it
-// empties the slot, so the access path (Proc.fill) always finds a frame
-// behind a granting table.
+// empties the slot, so the access path (Proc.readFrame, Proc.writePage)
+// always finds a frame behind a granting table.
 type pageState struct {
 	frame   []int64 // local copy; nil while the node holds none
 	aliased bool    // frame is the master copy (home node, or home-opt)
@@ -37,7 +37,6 @@ func (s *pageState) refresh(c *Cluster, n *node, page int) int {
 	case s.frame == nil:
 		s.frame = make([]int64, len(master))
 		diff.CopyIn(s.frame, master)
-		n.vm.Bump()
 	case s.twin != nil:
 		changed = c.incoming(s.frame, s.twin, master)
 	default:
@@ -64,7 +63,6 @@ func (s *pageState) adoptMaster(c *Cluster, n *node, page int, excl bool) {
 	s.frame = master
 	s.aliased = true
 	s.retireTwin(n)
-	n.vm.Bump() // invalidate translations to the private frame
 	s.updateTS = n.lclock.Tick()
 }
 
@@ -99,8 +97,8 @@ func (s *pageState) retireTwin(n *node) {
 }
 
 // drop detaches the node from its copy of page. It revokes every local
-// table and bumps the node epoch first, so no table grants access once
-// the slot is empty, then empties the slot and retires the twin.
+// table first, so no table grants access once the slot is empty, then
+// empties the slot and retires the twin.
 // resetTS also zeroes the timestamps: a home migration forgets the old
 // home's history, while a former home refetching as a sharer keeps the
 // notice time its next fetch is judged against.
@@ -108,7 +106,6 @@ func (s *pageState) drop(n *node, page int, resetTS bool) {
 	for l := 0; l < n.vm.Procs(); l++ {
 		n.vm.Proc(l).Set(page, directory.Invalid)
 	}
-	n.vm.Bump()
 	s.frame = nil
 	s.aliased = false
 	s.retireTwin(n)

@@ -8,9 +8,8 @@ import (
 
 // TestDropRevokesEveryTable pins the page record's drop, the transition
 // both a home migration and a former home's refetch go through: every
-// local table loses the page and the node epoch moves, so no processor
-// can reach the emptied slot, and only the migration's drop forgets the
-// timestamps.
+// local table loses the page, so no processor can reach the emptied
+// slot, and only the migration's drop forgets the timestamps.
 func TestDropRevokesEveryTable(t *testing.T) {
 	for _, resetTS := range []bool{false, true} {
 		c, err := New(testConfig(TwoLevel, 2, 2))
@@ -26,7 +25,6 @@ func TestDropRevokesEveryTable(t *testing.T) {
 			t.Fatal("home node does not alias the master")
 		}
 		s.wnTS = 7
-		epoch := n.vm.Epoch().Load()
 
 		s.drop(n, 0, resetTS)
 
@@ -38,9 +36,6 @@ func TestDropRevokesEveryTable(t *testing.T) {
 			if perm != directory.Invalid {
 				t.Errorf("resetTS=%v: local proc %d still maps the page %s", resetTS, l, perm)
 			}
-		}
-		if n.vm.Epoch().Load() == epoch {
-			t.Errorf("resetTS=%v: node epoch did not move", resetTS)
 		}
 		if want := map[bool]int64{false: 7, true: 0}[resetTS]; st.WnTS != want {
 			t.Errorf("resetTS=%v: wnTS %d, want %d", resetTS, st.WnTS, want)

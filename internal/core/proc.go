@@ -2,9 +2,7 @@ package core
 
 import (
 	"math"
-	"sync/atomic"
 
-	"cashmere/internal/directory"
 	"cashmere/internal/sim"
 	"cashmere/internal/stats"
 	"cashmere/internal/trace"
@@ -15,34 +13,6 @@ import (
 
 // wordBytes is the accounting size of one shared word.
 const wordBytes = transport.WordBytes
-
-// tlbSize is the number of direct-mapped entries in each processor's
-// software TLB. Sixteen entries cover the applications' working rows
-// (SOR's three neighbouring rows, for instance, land in adjacent
-// entries without conflict).
-const (
-	tlbSize = 16
-	tlbMask = tlbSize - 1
-)
-
-// tlbEntry caches one page translation in plain fields owned by the
-// accessing processor. An entry is valid while its epoch tag equals the
-// node's current epoch (see the vm package's epoch contract): any
-// permission change, frame republish, or alias flip on the node bumps
-// the epoch and so invalidates every cached translation at its next
-// use. The common-case access is then one atomic epoch load instead of
-// a permission-table load plus a frame-pointer load.
-type tlbEntry struct {
-	page  int    // cached page number (-1 when empty)
-	epoch uint64 // node epoch observed before the state below was read
-	perm  directory.Perm
-	frame []int64
-	// doubling is set when the 1L protocol write-doubles stores on this
-	// page (i.e. the frame does not alias the master copy); master is
-	// the home copy the doubled words land in.
-	doubling bool
-	master   []int64
-}
 
 // Proc is the handle a simulated processor uses to access shared
 // memory, synchronize, and account for computation. Its body runs as a
@@ -57,14 +27,15 @@ type Proc struct {
 
 	table *vm.Table
 
-	// Software TLB state. vmEpoch points at the node's translation
-	// generation; pageShift/pageMask mirror the cluster's shift/mask
-	// page arithmetic (pageShift is -1 when PageWords is not a power of
+	// pageShift/pageMask mirror the cluster's shift/mask page
+	// arithmetic (pageShift is -1 when PageWords is not a power of
 	// two).
-	tlb       [tlbSize]tlbEntry
-	vmEpoch   *atomic.Uint64
 	pageShift int
 	pageMask  int
+
+	// doubling is set under 1L, which write-doubles every store to a
+	// page whose frame is not the master copy itself.
+	doubling bool
 
 	// rowBuf is scratch for the float64 range kernels.
 	rowBuf []int64
@@ -134,80 +105,40 @@ func (p *Proc) split(addr int) (page, off int) {
 	return addr / p.c.cfg.PageWords, addr % p.c.cfg.PageWords
 }
 
-// fill caches the translation for page, which must currently be mapped
-// with at least the permission the caller verified; the page record
-// then holds a frame. ep is the node epoch observed before that
-// verification, so any protocol transition after it leaves the entry
-// stale and forces revalidation.
-func (p *Proc) fill(page int, ep uint64) *tlbEntry {
-	s := &p.n.pages[page]
-	e := &p.tlb[page&tlbMask]
-	e.page = page
-	e.epoch = ep
-	e.perm = p.table.Get(page)
-	e.frame = s.frame
-	e.doubling = p.c.cfg.Protocol == OneLevelWrite && !s.aliased
-	if e.doubling {
-		e.master = p.c.masters[page]
-	} else {
-		e.master = nil
-	}
-	return e
-}
-
-// readEntry returns a TLB entry valid for reading page, faulting as
-// needed.
-func (p *Proc) readEntry(page int) *tlbEntry {
-	e := &p.tlb[page&tlbMask]
-	if e.page == page && e.perm >= directory.ReadOnly && e.epoch == p.vmEpoch.Load() {
-		return e
-	}
-	ep := p.vmEpoch.Load()
+// readFrame returns the node's copy of page, faulting until the
+// processor's table grants reading it.
+func (p *Proc) readFrame(page int) []int64 {
 	for !p.table.CanRead(page) {
 		p.readFault(page)
-		ep = p.vmEpoch.Load()
 	}
-	return p.fill(page, ep)
+	return p.n.pages[page].frame
 }
 
-// writeEntry returns a TLB entry valid for writing page, faulting as
-// needed.
-func (p *Proc) writeEntry(page int) *tlbEntry {
-	e := &p.tlb[page&tlbMask]
-	if e.page == page && e.perm >= directory.ReadWrite && e.epoch == p.vmEpoch.Load() {
-		return e
-	}
-	ep := p.vmEpoch.Load()
+// writePage returns the node's record of page, faulting until the
+// processor's table grants writing it.
+func (p *Proc) writePage(page int) *pageState {
 	for !p.table.CanWrite(page) {
 		p.writeFault(page)
-		ep = p.vmEpoch.Load()
 	}
-	return p.fill(page, ep)
+	return &p.n.pages[page]
 }
 
 // Load reads the shared word at addr.
 func (p *Proc) Load(addr int) int64 {
 	page, off := p.split(addr)
-	e := &p.tlb[page&tlbMask]
-	if e.page == page && e.perm >= directory.ReadOnly && e.epoch == p.vmEpoch.Load() {
-		return e.frame[off]
-	}
-	return p.readEntry(page).frame[off]
+	return p.readFrame(page)[off]
 }
 
 // Store writes the shared word at addr.
 func (p *Proc) Store(addr int, v int64) {
 	page, off := p.split(addr)
-	e := &p.tlb[page&tlbMask]
-	if e.page != page || e.perm < directory.ReadWrite || e.epoch != p.vmEpoch.Load() {
-		e = p.writeEntry(page)
-	}
-	e.frame[off] = v
-	if e.doubling {
+	s := p.writePage(page)
+	s.frame[off] = v
+	if p.doubling && !s.aliased {
 		// Write doubling: propagate the word to the home copy on the
 		// fly (Section 2.6). The network occupancy is accumulated and
 		// charged at the next protocol operation.
-		e.master[off] = v
+		p.c.masters[page][off] = v
 		p.clk.Advance(p.c.model.WriteDouble)
 		p.st.Charge(stats.WriteDoubling, p.c.model.WriteDouble)
 		p.doubledBytes += wordBytes
@@ -227,7 +158,7 @@ func (p *Proc) LoadRange(dst []int64, addr int) {
 		if run > len(dst) {
 			run = len(dst)
 		}
-		copy(dst[:run], p.readEntry(page).frame[off:off+run])
+		copy(dst[:run], p.readFrame(page)[off:off+run])
 		dst = dst[run:]
 		addr += run
 	}
@@ -245,10 +176,10 @@ func (p *Proc) StoreRange(addr int, src []int64) {
 		if run > len(src) {
 			run = len(src)
 		}
-		e := p.writeEntry(page)
-		copy(e.frame[off:off+run], src[:run])
-		if e.doubling {
-			copy(e.master[off:off+run], src[:run])
+		s := p.writePage(page)
+		copy(s.frame[off:off+run], src[:run])
+		if p.doubling && !s.aliased {
+			copy(p.c.masters[page][off:off+run], src[:run])
 			d := int64(run) * p.c.model.WriteDouble
 			p.clk.Advance(d)
 			p.st.Charge(stats.WriteDoubling, d)
@@ -279,7 +210,7 @@ func (p *Proc) LoadFRow(dst []float64, addr int) {
 		if run > len(dst) {
 			run = len(dst)
 		}
-		frame := p.readEntry(page).frame[off : off+run]
+		frame := p.readFrame(page)[off : off+run]
 		for i := range frame {
 			dst[i] = math.Float64frombits(uint64(frame[i]))
 		}

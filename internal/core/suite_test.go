@@ -46,6 +46,22 @@ func onCore(t *testing.T, c proctest.Case, nodes, ppn int, ks ...core.Kind) {
 	}
 }
 
+// placement runs one of the suite's placement programs (its first
+// writes after EndInit move homes by first touch) at nodes×ppn under
+// all four protocols, with the one-level home-node optimization off and
+// on.
+func placement(t *testing.T, c proctest.Case, nodes, ppn int) {
+	for _, homeOpt := range []bool{false, true} {
+		t.Run(fmt.Sprintf("homeopt=%v", homeOpt), func(t *testing.T) {
+			for _, k := range kinds {
+				t.Run(k.String(), func(t *testing.T) {
+					c.Run(t, engine(core.Config{Protocol: k, HomeOpt: homeOpt}), nodes, ppn)
+				})
+			}
+		})
+	}
+}
+
 func TestSingleProcStoreLoad(t *testing.T)          { onCore(t, proctest.StoreLoad, 1, 1) }
 func TestCrossNodeSharingViaBarrier(t *testing.T)   { onCore(t, proctest.CrossNode, 4, 2) }
 func TestMultiWriterFalseSharingMerge(t *testing.T) { onCore(t, proctest.FalseSharing, 4, 2) }
@@ -56,6 +72,8 @@ func TestFlagProducerConsumer(t *testing.T)         { onCore(t, proctest.Produce
 func TestFlagsAreReleaseAcquirePairs(t *testing.T)  { onCore(t, proctest.FlagChain, 4, 2) }
 func TestInterleavedReadersAndWriters(t *testing.T) { onCore(t, proctest.RotatingWriter, 4, 2) }
 func TestPageWordsVariants(t *testing.T)            { onCore(t, proctest.PageSizes, 2, 2, core.TwoLevel) }
+func TestBandsPlacement(t *testing.T)               { placement(t, proctest.Bands, 2, 2) }
+func TestRandomDRFInitPrograms(t *testing.T)        { placement(t, proctest.RandomDRFInit, 4, 2) }
 
 // TestLockBasedMetaSameResults: the lock-based ablation must produce
 // the same memory, only different timing.

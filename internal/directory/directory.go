@@ -8,8 +8,8 @@
 // paper's alternative to compressing it into a single globally-locked
 // word. On the hardware the entry is replicated on every physical node
 // by Memory Channel broadcast. The simulator keeps one copy of every
-// word, which every node reads and its owner stores atomically, and
-// charges each store one Memory Channel write latency (package simchan).
+// word, which every node reads and only its owner stores, and charges
+// each store one Memory Channel write latency (package simchan).
 //
 // # Word layouts
 //
@@ -32,20 +32,19 @@
 // The one-level protocols use the same machinery with one word per
 // processor.
 //
-// # Concurrency
+// # The single-writer rule
 //
-// All methods are safe for concurrent use. Reads are lock-free atomic
-// loads of the one copy. The soundness of concurrent Store calls rests
-// on the single-writer discipline above: node x only ever stores words
-// at index x of an entry, so two Stores to the same word never race at
-// the protocol level (the atomics make any accidental violation a stale
-// read, not a torn one).
+// Node x only ever stores the words at index x of an entry. That rule,
+// not a lock, is what keeps an entry consistent: two nodes never write
+// the same word, so no update needs a global lock to order it against
+// another, which is why the paper needs none (the Section 3.3.5 ablation
+// adds one to measure what it would cost). The simulator runs one
+// processor at a time, so the words are plain memory.
 package directory
 
 import (
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 
 	"cashmere/internal/transport/simchan"
 )
@@ -89,8 +88,8 @@ const (
 	packedProcBits = 6
 
 	// maxProcBits bounds the layout so both processor fields and
-	// the first-touch bit stay inside the 63 low bits of the stored
-	// int64 word (2 + 2*30 + 1 = 63).
+	// the first-touch bit stay inside the 63 low bits of a Word
+	// (2 + 2*30 + 1 = 63).
 	maxProcBits = 30
 )
 
@@ -227,7 +226,7 @@ func (l Layout) Format(w Word) string {
 // Global is the distributed page directory: one copy of every word,
 // indexed by (page, protocol node).
 type Global struct {
-	words      []atomic.Int64
+	words      []Word
 	wlat       int64
 	lay        Layout
 	pages      int
@@ -240,7 +239,7 @@ type Global struct {
 // they stay until the repository benchmark, which passes them, changes.
 func NewGlobal(net *simchan.Network, lay Layout, pages, protoNodes int, physOf func(int) int, lockBased bool) *Global {
 	return &Global{
-		words:      make([]atomic.Int64, pages*protoNodes),
+		words:      make([]Word, pages*protoNodes),
 		wlat:       net.Model().MCWriteLatency,
 		lay:        lay,
 		pages:      pages,
@@ -261,15 +260,15 @@ func (g *Global) Layout() Layout { return g.lay }
 // unused; it stays until the repository benchmark, which passes it,
 // changes.
 func (g *Global) Load(reader, page, protoNode int) Word {
-	return Word(g.words[page*g.protoNodes+protoNode].Load())
+	return g.words[page*g.protoNodes+protoNode]
 }
 
 // Store publishes writer's own word for page at virtual time now and
 // returns the time the update is globally performed, one Memory Channel
-// write latency later. Only the word's owning node may store it; that
-// discipline is what makes the directory lock-free.
+// write latency later. Only the word's owning node may store it (the
+// single-writer rule).
 func (g *Global) Store(writer, page int, w Word, now int64) int64 {
-	g.words[page*g.protoNodes+writer].Store(int64(w))
+	g.words[page*g.protoNodes+writer] = w
 	return now + g.wlat
 }
 
@@ -310,15 +309,16 @@ func (g *Global) Home(page int) (proc int, ok bool) {
 }
 
 // LClock is a node's protocol logical clock (paper Section 2.2:
-// incremented on page faults, page flushes, acquires and releases). It
-// is shared by the node's processors and updated with atomic operations,
-// standing in for the paper's ll/sc sequences.
-type LClock struct {
-	v atomic.Int64
-}
+// incremented on page faults, page flushes, acquires and releases),
+// shared by the node's processors. The paper updates it with ll/sc
+// sequences; here one processor runs at a time.
+type LClock int64
 
 // Tick increments the clock and returns the new value.
-func (c *LClock) Tick() int64 { return c.v.Add(1) }
+func (c *LClock) Tick() int64 {
+	*c++
+	return int64(*c)
+}
 
 // Now returns the current logical time.
-func (c *LClock) Now() int64 { return c.v.Load() }
+func (c *LClock) Now() int64 { return int64(*c) }

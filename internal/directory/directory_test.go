@@ -2,7 +2,6 @@ package directory
 
 import (
 	"strings"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -536,99 +535,6 @@ func TestGlobalExclHolderWideLayout(t *testing.T) {
 	if node, proc, ok := g.ExclHolder(2); !ok || node != 3 || proc != 511 {
 		t.Errorf("ExclHolder = %d,%d,%v want 3,511,true", node, proc, ok)
 	}
-}
-
-func TestConcurrentDistinctWordWriters(t *testing.T) {
-	// The protocols give each directory word a single writing node.
-	// Every owner stores rising values into its own word while a reader
-	// per node scans every word. The one copy is read lock-free, so under
-	// -race this is the directory's concurrency check; a reader must
-	// never see a word go backwards, and every reader must see each
-	// owner's last store once the owners are done.
-	const nodes, rounds = 8, 1000
-	g := newTestGlobal(simchan.New(nodes, costs.Default()), 1, nodes, nil)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for reader := 0; reader < nodes; reader++ {
-		wg.Add(1)
-		go func(reader int) {
-			defer wg.Done()
-			last := make([]Word, nodes)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				for x := 0; x < nodes; x++ {
-					got := g.Load(reader, 0, x)
-					if got < last[x] {
-						t.Errorf("reader %d, owner %d: word went back from %d to %d",
-							reader, x, last[x], got)
-						return
-					}
-					last[x] = got
-				}
-			}
-		}(reader)
-	}
-	var owners sync.WaitGroup
-	for x := 0; x < nodes; x++ {
-		owners.Add(1)
-		go func(x int) {
-			defer owners.Done()
-			for i := Word(1); i <= rounds; i++ {
-				g.Store(x, 0, i, 0)
-			}
-		}(x)
-	}
-	owners.Wait()
-	close(stop)
-	wg.Wait()
-	for x := 0; x < nodes; x++ {
-		for reader := 0; reader < nodes; reader++ {
-			if got := g.Load(reader, 0, x); got != rounds {
-				t.Errorf("reader %d sees owner %d's word = %d, want %d", reader, x, got, rounds)
-			}
-		}
-	}
-}
-
-func TestWriteOrdering(t *testing.T) {
-	// A reader that observes an owner's second store must observe its
-	// first: one writer's stores are seen in the order it made them.
-	// The owner stores page 0 then page 1; the reader loads them in the
-	// opposite order.
-	const rounds = 10000
-	g := newTestGlobal(simchan.New(2, costs.Default()), 2, 2, nil)
-	var wg sync.WaitGroup
-	wg.Add(2)
-	stop := make(chan struct{})
-	go func() {
-		defer wg.Done()
-		for i := Word(1); i <= rounds; i++ {
-			g.Store(0, 0, i, 0)
-			g.Store(0, 1, i, 0)
-		}
-		close(stop)
-	}()
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			second := g.Load(1, 1, 0)
-			first := g.Load(1, 0, 0)
-			if first < second {
-				t.Errorf("ordering violated: second=%d visible but first=%d", second, first)
-				return
-			}
-		}
-	}()
-	wg.Wait()
 }
 
 func TestLClock(t *testing.T) {

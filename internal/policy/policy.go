@@ -10,8 +10,8 @@
 // page a -profile report labels "producer-consumer" is the same page
 // the engine moves to write-update. Decisions are made from
 // order-independent aggregates only — per-page sums, per-processor
-// bitmasks, and converging sole-owner cells — so a run with -adaptive
-// is exactly as deterministic as one without.
+// bitmasks, and sole-owner cells — so a run with -adaptive is exactly
+// as deterministic as one without.
 //
 // The decision rules, their hysteresis, and the mode state machines
 // are documented in docs/ADAPTIVE.md.
@@ -19,7 +19,6 @@ package policy
 
 import (
 	"math/bits"
-	"sync/atomic"
 
 	"cashmere/internal/core"
 	"cashmere/internal/metrics"
@@ -73,67 +72,50 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// soleNone / soleMulti are the states of a sole-owner cell: 0 while no
-// processor has been observed, proc+1 after exactly one, soleMulti
-// forever after a second distinct processor. The transitions commute,
-// so concurrent observers converge to the same value regardless of
-// interleaving — the property that keeps decisions deterministic.
+// soleMulti is the absorbing state of a sole-owner cell, which holds 0
+// while no processor has been observed, proc+1 after exactly one, and
+// soleMulti forever after a second distinct processor. The final state depends on
+// which processors were observed, never on their order — the property
+// that keeps decisions deterministic.
 const soleMulti = int64(-1)
 
-func noteSole(cell *atomic.Int64, proc int) {
-	id := int64(proc) + 1
-	for {
-		cur := cell.Load()
-		switch {
-		case cur == id || cur == soleMulti:
-			return
-		case cur == 0:
-			if cell.CompareAndSwap(0, id) {
-				return
-			}
-		default:
-			if cell.CompareAndSwap(cur, soleMulti) {
-				return
-			}
-		}
+func noteSole(cell *int64, proc int) {
+	switch id := int64(proc) + 1; *cell {
+	case 0:
+		*cell = id
+	case id, soleMulti:
+	default:
+		*cell = soleMulti
 	}
 }
 
-func orMask(cell *atomic.Uint64, proc int) {
-	bit := uint64(1) << (uint(proc) % 64)
-	for {
-		cur := cell.Load()
-		if cur&bit != 0 || cell.CompareAndSwap(cur, cur|bit) {
-			return
-		}
-	}
-}
+func orMask(cell *uint64, proc int) { *cell |= 1 << (uint(proc) % 64) }
 
-// pageStats is one page's concurrently-updated accumulator. Counters
-// are cumulative over the run; the decision loop forms per-epoch deltas
-// against its private lastXX copies.
+// pageStats is one page's accumulator, updated by the faulting or
+// flushing processor. Counters are cumulative over the run; the decision
+// loop forms per-epoch deltas against its private lastXX copies.
 type pageStats struct {
-	readFaults  atomic.Int64
-	writeFaults atomic.Int64
-	flushes     atomic.Int64
-	flushWords  atomic.Int64
+	readFaults  int64
+	writeFaults int64
+	flushes     int64
+	flushWords  int64
 
 	// readersMask / writersMask record distinct faulting processors
 	// (folded mod 64; popcounts are exact for clusters of up to 64
 	// processors and conservative undercounts beyond).
-	readersMask atomic.Uint64
-	writersMask atomic.Uint64
+	readersMask uint64
+	writersMask uint64
 
-	// soleWriter / soleFlusher converge to the single processor that
-	// writes / flushes the page, or soleMulti once two have.
-	soleWriter  atomic.Int64
-	soleFlusher atomic.Int64
+	// soleWriter / soleFlusher record the single processor that writes
+	// / flushes the page, or soleMulti once two have.
+	soleWriter  int64
+	soleFlusher int64
 }
 
 // pageDecision is one page's decision-loop state. Only global processor
-// 0 touches it, from DecideEpoch, so it needs no synchronization. The
-// migration streak lives on the first page of each superpage — homes
-// move at superpage granularity, so that is the decision's granularity.
+// 0 touches it, from DecideEpoch. The migration streak lives on the
+// first page of each superpage — homes move at superpage granularity,
+// so that is the decision's granularity.
 type pageDecision struct {
 	lastRF, lastWF, lastFlush int64 // cumulative counters at last epoch
 	dFl                       int64 // this epoch's flush delta (set each epoch)
@@ -189,14 +171,14 @@ func Wire(cc *core.Config, cfg Config) *Engine {
 // NoteReadFault implements core.PolicyController.
 func (e *Engine) NoteReadFault(page, proc int) {
 	st := &e.stats[page]
-	st.readFaults.Add(1)
+	st.readFaults++
 	orMask(&st.readersMask, proc)
 }
 
 // NoteWriteFault implements core.PolicyController.
 func (e *Engine) NoteWriteFault(page, proc int) {
 	st := &e.stats[page]
-	st.writeFaults.Add(1)
+	st.writeFaults++
 	orMask(&st.writersMask, proc)
 	noteSole(&st.soleWriter, proc)
 }
@@ -204,8 +186,8 @@ func (e *Engine) NoteWriteFault(page, proc int) {
 // NoteFlush implements core.PolicyController.
 func (e *Engine) NoteFlush(page, proc, changedWords int) {
 	st := &e.stats[page]
-	st.flushes.Add(1)
-	st.flushWords.Add(int64(changedWords))
+	st.flushes++
+	st.flushWords += int64(changedWords)
 	orMask(&st.writersMask, proc)
 	noteSole(&st.soleFlusher, proc)
 }
@@ -247,9 +229,7 @@ func (e *Engine) DecideEpoch(epoch int, acts *core.PolicyActions) {
 		st := &e.stats[g]
 		d := &e.dec[g]
 
-		rf := st.readFaults.Load()
-		wf := st.writeFaults.Load()
-		fl := st.flushes.Load()
+		rf, wf, fl := st.readFaults, st.writeFaults, st.flushes
 		dRF := rf - d.lastRF
 		dWF := wf - d.lastWF
 		d.dFl = fl - d.lastFlush
@@ -265,8 +245,7 @@ func (e *Engine) DecideEpoch(epoch int, acts *core.PolicyActions) {
 			continue
 		}
 
-		rm := st.readersMask.Load()
-		wm := st.writersMask.Load()
+		rm, wm := st.readersMask, st.writersMask
 		readers := bits.OnesCount64(rm)
 		writers := bits.OnesCount64(wm)
 		outsideReader := rm&^wm != 0
@@ -332,8 +311,8 @@ func (e *Engine) DecideEpoch(epoch int, acts *core.PolicyActions) {
 		for g := first; g < last; g++ {
 			st := &e.stats[g]
 			dFl += e.dec[g].dFl
-			samples += st.readFaults.Load() + st.writeFaults.Load() + st.flushes.Load()
-			switch sf := st.soleFlusher.Load(); {
+			samples += st.readFaults + st.writeFaults + st.flushes
+			switch sf := st.soleFlusher; {
 			case sf == 0: // page never flushed: no constraint
 			case sf == soleMulti:
 				agree = false

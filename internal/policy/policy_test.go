@@ -1,8 +1,6 @@
 package policy
 
 import (
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"cashmere/internal/core"
@@ -11,50 +9,70 @@ import (
 )
 
 func TestNoteSoleConverges(t *testing.T) {
-	var cell atomic.Int64
+	var cell int64
 	noteSole(&cell, 3)
-	if cell.Load() != 4 {
-		t.Fatalf("after one proc: %d, want 4", cell.Load())
+	if cell != 4 {
+		t.Fatalf("after one proc: %d, want 4", cell)
 	}
 	noteSole(&cell, 3)
-	if cell.Load() != 4 {
-		t.Fatalf("same proc again: %d, want 4", cell.Load())
+	if cell != 4 {
+		t.Fatalf("same proc again: %d, want 4", cell)
 	}
 	noteSole(&cell, 7)
-	if cell.Load() != soleMulti {
-		t.Fatalf("second proc: %d, want soleMulti", cell.Load())
+	if cell != soleMulti {
+		t.Fatalf("second proc: %d, want soleMulti", cell)
 	}
 	noteSole(&cell, 3)
-	if cell.Load() != soleMulti {
-		t.Fatalf("soleMulti must be absorbing, got %d", cell.Load())
+	if cell != soleMulti {
+		t.Fatalf("soleMulti must be absorbing, got %d", cell)
 	}
 
-	// Concurrent observers must converge to the same value regardless
-	// of interleaving.
-	var c2 atomic.Int64
-	var wg sync.WaitGroup
-	for proc := 0; proc < 8; proc++ {
-		wg.Add(1)
-		go func(proc int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				noteSole(&c2, proc)
+	// The final value depends on which processors were observed, never
+	// on their order: every order of each observation list ends in the
+	// same state.
+	for _, tc := range []struct {
+		obs  []int
+		want int64
+	}{
+		{[]int{3, 3, 3}, 4},
+		{[]int{0, 0}, 1},
+		{[]int{3, 7}, soleMulti},
+		{[]int{3, 3, 7, 7, 3}, soleMulti},
+		{[]int{0, 1, 2, 3, 4, 5}, soleMulti},
+	} {
+		permutations(tc.obs, 0, func(order []int) {
+			var cell int64
+			for _, proc := range order {
+				noteSole(&cell, proc)
 			}
-		}(proc)
+			if cell != tc.want {
+				t.Errorf("observations in order %v: %d, want %d", order, cell, tc.want)
+			}
+		})
 	}
-	wg.Wait()
-	if c2.Load() != soleMulti {
-		t.Fatalf("concurrent multi-proc: %d, want soleMulti", c2.Load())
+}
+
+// permutations calls f with every order of s[k:] behind s[:k],
+// permuting s in place.
+func permutations(s []int, k int, f func([]int)) {
+	if k == len(s) {
+		f(s)
+		return
+	}
+	for i := k; i < len(s); i++ {
+		s[k], s[i] = s[i], s[k]
+		permutations(s, k+1, f)
+		s[k], s[i] = s[i], s[k]
 	}
 }
 
 func TestOrMaskFolds(t *testing.T) {
-	var cell atomic.Uint64
+	var cell uint64
 	orMask(&cell, 0)
 	orMask(&cell, 5)
 	orMask(&cell, 64) // folds onto bit 0
-	if got := cell.Load(); got != (1<<0)|(1<<5) {
-		t.Fatalf("mask = %#x, want %#x", got, (1<<0)|(1<<5))
+	if cell != (1<<0)|(1<<5) {
+		t.Fatalf("mask = %#x, want %#x", cell, (1<<0)|(1<<5))
 	}
 }
 

@@ -54,9 +54,11 @@ func (c *Clock) AdvanceTo(t int64) int64 {
 // the Memory Channel hub or an SMP node's memory bus. Transfers are
 // granted in the order processors request them; each occupies the bus
 // for bytes/bandwidth seconds starting no earlier than the bus's previous
-// completion time. Bus is safe for concurrent use.
+// completion time. Only the running processor calls Use. busy is the
+// one atomic: the live metrics layer reads BusyNS mid-run from its
+// scrape goroutine (core.Cluster.LinkBusy).
 type Bus struct {
-	freeAt    atomic.Int64
+	freeAt    int64
 	busy      atomic.Int64 // total virtual time the bus has been occupied
 	bandwidth int64
 }
@@ -86,25 +88,10 @@ func (b *Bus) Use(now, n int64) int64 {
 		return now
 	}
 	occ := costs.Occupancy(n, b.bandwidth)
-	for {
-		free := b.freeAt.Load()
-		start := now
-		if free > start {
-			start = free
-		}
-		if cap := now + maxQueueFactor*occ; start > cap {
-			start = cap
-		}
-		end := start + occ
-		next := free
-		if end > next {
-			next = end
-		}
-		if b.freeAt.CompareAndSwap(free, next) {
-			b.busy.Add(occ)
-			return end
-		}
-	}
+	end := min(max(now, b.freeAt), now+maxQueueFactor*occ) + occ
+	b.freeAt = max(b.freeAt, end)
+	b.busy.Add(occ)
+	return end
 }
 
 // BusyNS returns the total virtual time the bus has been occupied by
@@ -144,7 +131,7 @@ func (b *Bus) FreeAt() int64 {
 	if b == nil {
 		return 0
 	}
-	return b.freeAt.Load()
+	return b.freeAt
 }
 
 // VLock is a mutual-exclusion lock over virtual time: it computes grant

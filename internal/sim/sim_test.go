@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -73,36 +72,6 @@ func TestBusZeroBandwidth(t *testing.T) {
 	}
 }
 
-func TestBusConcurrent(t *testing.T) {
-	b := NewBus(100 << 20)
-	const workers = 8
-	const transfers = 200
-	const size = 4096
-	occ := int64(size) * int64(time.Second) / (100 << 20)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < transfers; i++ {
-				if end := b.Use(0, size); end > (maxQueueFactor+1)*occ {
-					t.Errorf("transfer completed at %d, above queue cap %d",
-						end, (maxQueueFactor+1)*occ)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	// With every request at time 0, queueing is bounded by the cap.
-	if got := b.FreeAt(); got > (maxQueueFactor+1)*occ {
-		t.Errorf("FreeAt = %d, above cap %d", got, (maxQueueFactor+1)*occ)
-	}
-	if got := b.FreeAt(); got < maxQueueFactor*occ {
-		t.Errorf("FreeAt = %d, queue never built up to the cap %d", got, maxQueueFactor*occ)
-	}
-}
-
 func TestBusQueueCap(t *testing.T) {
 	// A request from a processor whose clock lags far behind a prior
 	// reservation waits at most maxQueueFactor occupancies.
@@ -112,6 +81,17 @@ func TestBusQueueCap(t *testing.T) {
 	end := b.Use(0, 1000)
 	if end > (maxQueueFactor+1)*occ {
 		t.Errorf("lagging transfer completed at %d, want <= %d", end, (maxQueueFactor+1)*occ)
+	}
+
+	// Many requests at one instant queue up to the cap and no further.
+	b = NewBus(1 << 20)
+	for i := 0; i < 4*maxQueueFactor; i++ {
+		if end := b.Use(0, 1000); end > (maxQueueFactor+1)*occ {
+			t.Fatalf("request %d completed at %d, above the cap %d", i, end, (maxQueueFactor+1)*occ)
+		}
+	}
+	if got := b.FreeAt(); got < maxQueueFactor*occ {
+		t.Errorf("FreeAt = %d, queue never built up to the cap %d", got, maxQueueFactor*occ)
 	}
 }
 

@@ -19,11 +19,10 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // tracedRun drives a small deterministic workload on two
 // single-processor nodes under a fresh tracer and returns it. The
 // phases are serialized by set-once flags so no two processors ever
-// contend for the interconnect at the same virtual instant — the
-// simulator breaks genuine virtual-time ties by host arrival order, so
-// a byte-stable trace must avoid them. (Application init epochs are
-// avoided for the same reason: the charging toggle around BeginInit
-// races with the other processors' barrier wake-ups.) The workload
+// contend for the interconnect at the same virtual instant, and the
+// workload has no init epoch: the trace reads as a plain sequence of
+// hand-offs. (The simulator runs one processor at a time in a fixed
+// order, so the trace would be byte-stable either way.) The workload
 // still exercises the protocol broadly: remote write faults with twin
 // creation, read faults with page fetches, release-time diff flushes
 // and write notices, acquire-time invalidations, and an ordered lock

@@ -15,10 +15,10 @@
 //     in the simulator every node reads the one copy, and what the
 //     protocols pay is the write.
 //   - Write ordering. Two writes issued by one node are observed in
-//     issue order by every reader, because each is one sequentially
-//     consistent store to the single copy. The protocols additionally
-//     write each metadata word from a single node, which is what makes
-//     the lock-free directory sound.
+//     issue order by every reader, because each is a store to the
+//     single copy, made while no other processor runs. The protocols
+//     additionally write each metadata word from a single node, which
+//     is why the directory needs no lock.
 //   - Broadcast. One write reaches every receiver: the single copy is
 //     what every node reads.
 //   - Loop-back. On the hardware a writer that sees its own write come
@@ -38,11 +38,12 @@
 //
 // # Concurrency
 //
-// All Network methods are safe for concurrent use by any number of
-// simulated processors; Transfer serializes bandwidth accounting
-// through the sim.Bus mutexes. SetTracer is the one exception: it must
-// be called before the network carries traffic (New in internal/core
-// calls it during cluster construction).
+// Only the running simulated processor calls Transfer; the simulator
+// runs one at a time. LinkBusyNS and HubBusyNS may also be called from
+// another goroutine mid-run (a metrics scrape): they read the buses'
+// atomic busy counters. SetTracer must be called before the network
+// carries traffic (New in internal/core calls it during cluster
+// construction).
 package simchan
 
 import (
@@ -113,8 +114,8 @@ func (n *Network) HubBusyNS() (int64, bool) {
 }
 
 // SetTracer attaches a structured event tracer (nil disables tracing).
-// The tracer must have at least Nodes() link tracks. Not safe to call
-// concurrently with traffic; set it before the simulation starts.
+// The tracer must have at least Nodes() link tracks. Set it before the
+// simulation starts.
 func (n *Network) SetTracer(t *trace.Tracer) { n.tr = t }
 
 // Tracer returns the attached tracer, or nil when tracing is off.

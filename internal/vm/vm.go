@@ -9,90 +9,50 @@
 // fault (72 us) and mprotect (55 us) costs charged by the protocol
 // engine when the tables are consulted and changed.
 //
-// # Concurrency contract
-//
-// Tables are read on the access fast path by application goroutines and
-// written by protocol code (sometimes on behalf of *other* processors:
-// exclusive-mode breaks and shootdowns downgrade someone else's
-// mappings), so entries are accessed atomically. All writes to a node's
-// tables happen under that node's protocol mutex; reads take no lock.
-// A reader that raced a concurrent Set may therefore act on a
-// permission that is one transition out of date — the same window a
-// real processor has between a remote mprotect and its TLB shootdown
-// interrupt — and the protocol absorbs it (see core's fault handling).
-// The aggregate queries Loosest, Writers, and Mapped are consistent
-// only when called under the owning node's mutex; lock-free callers get
-// a snapshot in which concurrent transitions may be half-visible.
-//
-// # Epochs
-//
-// Each Node carries a generation counter ("epoch") bumped after every
-// permission change on any of its tables and, by the protocol engine,
-// after every page-frame publish or alias flip. Per-processor software
-// TLBs (core.Proc) tag cached translations with the epoch observed
-// *before* reading the table and frame state; a cached entry is used
-// only while its tag equals the current epoch, so any protocol
-// transition — including cross-processor downgrades — invalidates every
-// TLB on the node at the next access. Writers must make their state
-// change visible before bumping (store state, then Bump); fillers must
-// read the epoch before the state they cache. Both orders are provided
-// by sync/atomic's sequential consistency.
+// Tables are plain memory: the simulator runs one processor at a time,
+// and protocol code that changes another processor's mappings
+// (exclusive-mode breaks, shootdowns) runs while that processor is
+// stopped, so its next access sees the change.
 package vm
 
-import (
-	"sync/atomic"
-
-	"cashmere/internal/directory"
-)
+import "cashmere/internal/directory"
 
 // Table is one processor's page permission table.
 type Table struct {
-	perms []uint32
-	epoch *atomic.Uint64 // the owning Node's epoch (private when standalone)
+	perms []directory.Perm
 }
 
 // NewTable returns a table of pages entries, all Invalid.
 func NewTable(pages int) *Table {
-	return &Table{perms: make([]uint32, pages), epoch: new(atomic.Uint64)}
+	return &Table{perms: make([]directory.Perm, pages)}
 }
 
 // Pages returns the number of pages the table covers.
 func (t *Table) Pages() int { return len(t.perms) }
 
 // Get returns the permission for page.
-func (t *Table) Get(page int) directory.Perm {
-	return directory.Perm(atomic.LoadUint32(&t.perms[page]))
-}
+func (t *Table) Get(page int) directory.Perm { return t.perms[page] }
 
-// Set changes the permission for page (the simulator's mprotect) and
-// bumps the owning node's epoch, invalidating cached translations.
-func (t *Table) Set(page int, p directory.Perm) {
-	atomic.StoreUint32(&t.perms[page], uint32(p))
-	t.epoch.Add(1)
-}
+// Set changes the permission for page (the simulator's mprotect).
+func (t *Table) Set(page int, p directory.Perm) { t.perms[page] = p }
 
 // CanRead reports whether a read access to page would succeed.
-func (t *Table) CanRead(page int) bool {
-	return atomic.LoadUint32(&t.perms[page]) >= uint32(directory.ReadOnly)
-}
+func (t *Table) CanRead(page int) bool { return t.perms[page] >= directory.ReadOnly }
 
 // CanWrite reports whether a write access to page would succeed.
-func (t *Table) CanWrite(page int) bool {
-	return atomic.LoadUint32(&t.perms[page]) >= uint32(directory.ReadWrite)
-}
+func (t *Table) CanWrite(page int) bool { return t.perms[page] >= directory.ReadWrite }
 
 // Node groups the tables of one SMP node's processors and answers the
 // second-level directory's mapping queries.
 type Node struct {
 	tables []*Table
-	epoch  atomic.Uint64
 }
 
 // NewNode returns tables for procs processors over pages pages.
 func NewNode(procs, pages int) *Node {
 	n := &Node{tables: make([]*Table, procs)}
 	for i := range n.tables {
-		n.tables[i] = &Table{perms: make([]uint32, pages), epoch: &n.epoch}
+		n.tables[i] = NewTable(pages)
 	}
 	return n
 }
@@ -103,21 +63,10 @@ func (n *Node) Procs() int { return len(n.tables) }
 // Proc returns processor i's table.
 func (n *Node) Proc(i int) *Table { return n.tables[i] }
 
-// Epoch returns the node's current translation generation. TLB fills
-// must read it before reading the permission and frame state they
-// cache.
-func (n *Node) Epoch() *atomic.Uint64 { return &n.epoch }
-
-// Bump invalidates every cached translation for the node. The protocol
-// engine calls it after republishing a page frame or flipping an alias
-// bit; Table.Set calls it implicitly. The state change must be visible
-// before the bump.
-func (n *Node) Bump() { n.epoch.Add(1) }
-
 // Loosest returns the loosest permission any processor on the node
 // holds for page — the value recorded in the node's global directory
 // word. It short-circuits at ReadWrite, the loosest permission there
-// is. Consistent only under the owning node's mutex.
+// is.
 func (n *Node) Loosest(page int) directory.Perm {
 	loosest := directory.Invalid
 	for _, t := range n.tables {
@@ -133,7 +82,7 @@ func (n *Node) Loosest(page int) directory.Perm {
 
 // HasWriters reports whether any processor on the node holds a
 // read-write mapping for page, without building the list Writers
-// returns. Consistent only under the owning node's mutex.
+// returns.
 func (n *Node) HasWriters(page int) bool {
 	for _, t := range n.tables {
 		if t.Get(page) == directory.ReadWrite {
@@ -144,8 +93,8 @@ func (n *Node) HasWriters(page int) bool {
 }
 
 // Writers appends to buf the processors holding read-write mappings for
-// page and returns the extended slice. Consistent only under the owning
-// node's mutex; callers there may reuse a scratch buffer across calls.
+// page and returns the extended slice; callers may reuse a scratch
+// buffer across calls.
 func (n *Node) Writers(page int, buf []int) []int {
 	for i, t := range n.tables {
 		if t.Get(page) == directory.ReadWrite {
@@ -156,8 +105,8 @@ func (n *Node) Writers(page int, buf []int) []int {
 }
 
 // Mapped appends to buf the processors holding any valid mapping for
-// page and returns the extended slice. Consistent only under the owning
-// node's mutex; callers there may reuse a scratch buffer across calls.
+// page and returns the extended slice; callers may reuse a scratch
+// buffer across calls.
 func (n *Node) Mapped(page int, buf []int) []int {
 	for i, t := range n.tables {
 		if t.Get(page) != directory.Invalid {

@@ -1,7 +1,6 @@
 package vm
 
 import (
-	"sync"
 	"testing"
 
 	"cashmere/internal/directory"
@@ -76,35 +75,4 @@ func TestNodeWritersAndMapped(t *testing.T) {
 	if n.Writers(0, nil) != nil {
 		t.Error("Writers of untouched page not empty")
 	}
-}
-
-func TestConcurrentPermissionChanges(t *testing.T) {
-	// Protocol code downgrades other processors' mappings while they
-	// run; the table must tolerate concurrent Get/Set.
-	tab := NewTable(64)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			for p := 0; p < 64; p++ {
-				tab.CanRead(p)
-				tab.CanWrite(p)
-			}
-		}
-	}()
-	for i := 0; i < 1000; i++ {
-		p := i % 64
-		tab.Set(p, directory.ReadWrite)
-		tab.Set(p, directory.ReadOnly)
-		tab.Set(p, directory.Invalid)
-	}
-	close(stop)
-	wg.Wait()
 }

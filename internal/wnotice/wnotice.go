@@ -8,34 +8,20 @@
 // to the per-processor second-level lists of the local processors with
 // mappings for the page.
 //
-// Per-processor lists pair a bitmap with a queue under a local (ll/sc
-// class) lock: posting an already-present notice is a no-op, which keeps
-// redundant notices from ballooning the queues.
+// Per-processor lists pair a bitmap with a queue: posting an
+// already-present notice is a no-op, which keeps redundant notices from
+// ballooning the queues.
 //
 // The same bitmap+queue structure serves the no-longer-exclusive (NLE)
 // lists, which record pages a processor must start flushing because
 // another node broke them out of exclusive mode.
-//
-// # Concurrency
-//
-// Global is safe for concurrent use by any mix of posters and drainers:
-// one mutex covers the list, so every read (Drain, Pending, Has,
-// Snapshot) is an atomic snapshot with respect to concurrent posts, and
-// a drain returns notices in posting order. PerProc (and the NLE lists
-// built on it) is also internally locked, but its intended sharing is
-// narrower: remote processors Post under the owning node's big lock,
-// and only the owning processor Flushes.
 package wnotice
 
-import (
-	"slices"
-	"sync"
-)
+import "slices"
 
 // Global is one node's globally-accessible write notice list, in
 // posting order.
 type Global struct {
-	mu    sync.Mutex
 	pages []int
 }
 
@@ -46,49 +32,30 @@ func NewGlobal(senders int) *Global { return &Global{} }
 // Post appends a notice for page. from is unused; it stays until the
 // repository benchmark, which passes it, changes. Duplicates are
 // filtered later at the per-processor lists.
-func (g *Global) Post(from, page int) {
-	g.mu.Lock()
-	g.pages = append(g.pages, page)
-	g.mu.Unlock()
-}
+func (g *Global) Post(from, page int) { g.pages = append(g.pages, page) }
 
 // Drain removes and returns all queued notices in posting order. The
 // result may contain duplicates.
 func (g *Global) Drain() []int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	out := slices.Clone(g.pages)
 	g.pages = g.pages[:0]
 	return out
 }
 
 // Pending returns the number of queued notices.
-func (g *Global) Pending() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.pages)
-}
+func (g *Global) Pending() int { return len(g.pages) }
 
 // Has reports whether a notice for page is queued.
-func (g *Global) Has(page int) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return slices.Contains(g.pages, page)
-}
+func (g *Global) Has(page int) bool { return slices.Contains(g.pages, page) }
 
 // Snapshot returns a copy of the queued notices, in posting order,
 // without draining them. Intended for verification harnesses.
-func (g *Global) Snapshot() []int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return slices.Clone(g.pages)
-}
+func (g *Global) Snapshot() []int { return slices.Clone(g.pages) }
 
-// PerProc is a per-processor notice list: a bitmap plus a queue under a
-// local lock. It serves both second-level write-notice lists and
-// no-longer-exclusive lists.
+// PerProc is a per-processor notice list: a bitmap plus a queue. It
+// serves both second-level write-notice lists and no-longer-exclusive
+// lists.
 type PerProc struct {
-	mu     sync.Mutex
 	bitmap []uint64
 	queue  []int
 }
@@ -102,8 +69,6 @@ func NewPerProc(pages int) *PerProc {
 // enqueued (false when one was already pending, in which case no action
 // was needed).
 func (p *PerProc) Add(page int) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	w, b := page/64, uint64(1)<<(page%64)
 	if p.bitmap[w]&b != 0 {
 		return false
@@ -116,8 +81,6 @@ func (p *PerProc) Add(page int) bool {
 // Flush drains the queue and clears the bitmap, returning the pending
 // pages in posting order without duplicates.
 func (p *PerProc) Flush() []int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if len(p.queue) == 0 {
 		return nil
 	}
@@ -131,15 +94,9 @@ func (p *PerProc) Flush() []int {
 }
 
 // Len returns the number of pending notices.
-func (p *PerProc) Len() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.queue)
-}
+func (p *PerProc) Len() int { return len(p.queue) }
 
 // Has reports whether a notice for page is pending.
 func (p *PerProc) Has(page int) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.bitmap[page/64]&(uint64(1)<<(page%64)) != 0
 }

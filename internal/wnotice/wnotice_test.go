@@ -2,7 +2,6 @@ package wnotice
 
 import (
 	"sort"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -47,34 +46,6 @@ func TestGlobalPostingOrder(t *testing.T) {
 	}
 }
 
-func TestGlobalConcurrentSenders(t *testing.T) {
-	const senders = 8
-	const per = 500
-	g := NewGlobal(senders)
-	var wg sync.WaitGroup
-	for s := 0; s < senders; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				g.Post(s, s*per+i)
-			}
-		}(s)
-	}
-	wg.Wait()
-	got := g.Drain()
-	if len(got) != senders*per {
-		t.Fatalf("drained %d notices, want %d", len(got), senders*per)
-	}
-	seen := make(map[int]bool, len(got))
-	for _, p := range got {
-		if seen[p] {
-			t.Fatalf("duplicate notice %d", p)
-		}
-		seen[p] = true
-	}
-}
-
 func TestPerProcDedup(t *testing.T) {
 	p := NewPerProc(128)
 	if !p.Add(5) {
@@ -112,30 +83,6 @@ func TestPerProcFlushEmpty(t *testing.T) {
 	}
 }
 
-func TestPerProcConcurrent(t *testing.T) {
-	p := NewPerProc(1024)
-	var wg sync.WaitGroup
-	var added sync.Map
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 1024; i++ {
-				if p.Add(i) {
-					if _, loaded := added.LoadOrStore(i, w); loaded {
-						t.Errorf("page %d newly-added twice", i)
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	got := p.Flush()
-	if len(got) != 1024 {
-		t.Errorf("flushed %d pages, want 1024", len(got))
-	}
-}
-
 func TestPerProcProperty(t *testing.T) {
 	// Flushing always yields exactly the set of distinct pages added
 	// since the previous flush.
@@ -159,89 +106,6 @@ func TestPerProcProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestDrainIsAtomicSnapshot(t *testing.T) {
-	// A poster emits causally-ordered pairs: notice 2k from sender 0,
-	// then notice 2k+1 from sender 1. A concurrent drainer must never
-	// observe the second of a pair without having observed the first —
-	// that would mean the drain split an in-flight post sequence,
-	// collecting a causally-later notice while leaving its predecessor
-	// queued.
-	const pairs = 20000
-	g := NewGlobal(2)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for k := 0; k < pairs; k++ {
-			g.Post(0, 2*k)
-			g.Post(1, 2*k+1)
-		}
-	}()
-
-	seen := make([]bool, 2*pairs)
-	record := func(batch []int) {
-		for _, page := range batch {
-			if page%2 == 1 && !seen[page-1] {
-				t.Fatalf("drain returned notice %d before its causal predecessor %d", page, page-1)
-			}
-			seen[page] = true
-		}
-	}
-	for {
-		select {
-		case <-done:
-			record(g.Drain())
-			for page, ok := range seen {
-				if !ok {
-					t.Fatalf("notice %d lost", page)
-				}
-			}
-			return
-		default:
-			record(g.Drain())
-		}
-	}
-}
-
-func TestSnapshotIsAtomic(t *testing.T) {
-	// Same causal-pair discipline as TestDrainIsAtomicSnapshot, checked
-	// on the non-draining read side: notice 2k is posted strictly before
-	// 2k+1, so any single Snapshot containing 2k+1 must also contain 2k.
-	const pairs = 10000
-	g := NewGlobal(2)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for k := 0; k < pairs; k++ {
-			g.Post(0, 2*k)
-			g.Post(1, 2*k+1)
-		}
-	}()
-	check := func() {
-		snap := g.Snapshot()
-		have := make(map[int]bool, len(snap))
-		for _, page := range snap {
-			have[page] = true
-		}
-		for _, page := range snap {
-			if page%2 == 1 && !have[page-1] {
-				t.Fatalf("snapshot holds notice %d but not its causal predecessor %d", page, page-1)
-			}
-		}
-	}
-	for {
-		select {
-		case <-done:
-			check()
-			if n := g.Pending(); n != 2*pairs {
-				t.Fatalf("Pending = %d after all posts, want %d", n, 2*pairs)
-			}
-			return
-		default:
-			check()
-		}
 	}
 }
 
