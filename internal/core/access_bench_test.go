@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -136,4 +137,85 @@ func BenchmarkLoadFRow(b *testing.B) {
 	}
 }
 
-var sinkInt64 int64
+func BenchmarkStoreFRow(b *testing.B) {
+	_, p := benchCluster(b, 1, TwoLevel)
+	touchAll(p)
+	buf := make([]float64, p.PageWords())
+	b.SetBytes(int64(len(buf)) * 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.StoreFRow(0, buf)
+	}
+}
+
+var (
+	sinkInt64 int64
+	sinkN     int
+)
+
+// BenchmarkMerge measures the page record's merges on one 1024-word
+// page. Each iteration alternates between two master (or frame)
+// contents, so every call finds the same differences to apply: sparse
+// changes every sixteenth word, dense every word.
+func BenchmarkMerge(b *testing.B) {
+	c, p := benchCluster(b, 1, TwoLevel)
+	n, s := p.n, &p.n.pages[0]
+	const words = 1024
+	if c.cfg.PageWords != words {
+		b.Fatalf("page of %d words, want %d", c.cfg.PageWords, words)
+	}
+	base := make([]int64, words)
+	for i := range base {
+		base[i] = int64(i)
+	}
+	variant := func(stride int) []int64 {
+		v := slices.Clone(base)
+		for i := 0; i < words; i += stride {
+			v[i] = -v[i] - 1
+		}
+		return v
+	}
+	sparse, dense := variant(16), variant(1)
+	local := variant(8) // a working frame with local writes on every eighth word
+	b.Run("install", func(b *testing.B) {
+		c.masters[0] = base
+		b.SetBytes(words * 8)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.frame = nil
+			s.refresh(c, n, 0)
+		}
+	})
+	b.Run("refresh-stale", func(b *testing.B) {
+		frame := slices.Clone(base)
+		masters := [2][]int64{base, sparse}
+		b.SetBytes(words * 8)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sinkN = copyCounted(frame, masters[i&1])
+		}
+	})
+	for _, bc := range []struct {
+		name  string
+		other []int64
+	}{{"incoming-sparse", sparse}, {"incoming-dense", dense}} {
+		b.Run(bc.name, func(b *testing.B) {
+			working, twin := slices.Clone(local), slices.Clone(base)
+			masters := [2][]int64{bc.other, base}
+			b.SetBytes(words * 8)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkN = mergeIncoming(working, twin, masters[i&1], false)
+			}
+		})
+	}
+	b.Run("flush-update", func(b *testing.B) {
+		twin, master := slices.Clone(base), slices.Clone(base)
+		frames := [2][]int64{local, base}
+		b.SetBytes(words * 8)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sinkN, _, _ = flushUpdate(frames[i&1], twin, master)
+		}
+	})
+}

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"cashmere/internal/diff"
-)
+import "fmt"
 
 // Historical protocol defects, re-introducible one cluster at a time so
 // the model checker's own tests can prove each one still produces a
@@ -45,8 +41,9 @@ type defects struct {
 	staleExclusiveEntry bool
 	// incomingClobber ("incoming-clobber") merges an incoming diff by
 	// applying every remote difference to the working page
-	// unconditionally, destroying unreleased local writes that collide
-	// with a remote write on the same word.
+	// unconditionally (mergeIncoming's clobber branch), destroying
+	// unreleased local writes that collide with a remote write on the
+	// same word.
 	incomingClobber bool
 }
 
@@ -71,22 +68,4 @@ func (h *Harness) InjectDefect(name string) error {
 		return fmt.Errorf("core: unknown defect %q", name)
 	}
 	return nil
-}
-
-// incoming merges the master copy into a twinned working frame: an
-// incoming diff (diff.Incoming), or the historical clobbering merge
-// under the incoming-clobber defect.
-func (c *Cluster) incoming(working, twin, master []int64) int {
-	if !c.defects.incomingClobber {
-		return diff.Incoming(working, twin, master)
-	}
-	n := 0
-	for i := range twin {
-		if v := master[i]; v != twin[i] {
-			working[i] = v
-			twin[i] = v
-			n++
-		}
-	}
-	return n
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cashmere/internal/diff"
 	"cashmere/internal/directory"
 	"cashmere/internal/stats"
 	"cashmere/internal/trace"
@@ -64,9 +63,8 @@ func (p *Proc) breakExclusive(page, holderNode, holderProc int) {
 	}
 
 	if !s.aliased {
-		// Flush the entire page to the home node (the charge is the
-		// whole page's; only the words that differ need storing).
-		diff.Refresh(c.masters[page], frame)
+		// Flush the entire page to the home node.
+		copy(c.masters[page], frame)
 		pageBytes := int64(c.cfg.PageWords) * wordBytes
 		p.st.Inc(stats.PageFlushes)
 		p.st.Data(pageBytes)

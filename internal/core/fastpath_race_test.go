@@ -173,9 +173,9 @@ func TestRangeStoresSurviveConcurrentDowngrades(t *testing.T) {
 // one page per epoch.
 type updateEveryPage struct{}
 
-func (updateEveryPage) NoteReadFault(page, proc int)           {}
-func (updateEveryPage) NoteWriteFault(page, proc int)          {}
-func (updateEveryPage) NoteFlush(page, proc, changedWords int) {}
+func (updateEveryPage) NoteReadFault(page, proc int)  {}
+func (updateEveryPage) NoteWriteFault(page, proc int) {}
+func (updateEveryPage) NoteFlush(page, proc int)      {}
 
 func (updateEveryPage) DecideEpoch(epoch int, a *PolicyActions) {
 	if epoch == 1 {

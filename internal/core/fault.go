@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cashmere/internal/diff"
 	"cashmere/internal/directory"
 	"cashmere/internal/stats"
 	"cashmere/internal/trace"
@@ -269,8 +268,8 @@ func (p *Proc) applyUpdate(page int) {
 			revoked++
 		}
 		frame, master := s.frame, c.masters[page]
-		changed, lo, hi := diff.OutgoingRange(frame, s.twin, master)
-		c.incoming(frame, s.twin, master)
+		changed, lo, hi := flushUpdate(frame, s.twin, master)
+		mergeIncoming(frame, s.twin, master, c.defects.incomingClobber)
 		p.emit(trace.EvShootdownDrain, page, revoked, 0)
 		if changed > 0 {
 			p.flushBytes(page, changed, lo, hi)

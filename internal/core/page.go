@@ -1,7 +1,8 @@
 package core
 
 import (
-	"cashmere/internal/diff"
+	"slices"
+
 	"cashmere/internal/directory"
 )
 
@@ -26,7 +27,7 @@ type pageState struct {
 }
 
 // refresh brings the node's copy of page up to the master's contents
-// and stamps the update: a new frame is filled and published when the
+// and stamps the update: a new frame is cloned from the master when the
 // node holds none, a twinned frame takes an incoming diff (its
 // unreleased local writes survive, Section 2.5), and any other frame is
 // overwritten. It returns the number of words merged or copied.
@@ -35,12 +36,11 @@ func (s *pageState) refresh(c *Cluster, n *node, page int) int {
 	changed := len(master)
 	switch {
 	case s.frame == nil:
-		s.frame = make([]int64, len(master))
-		diff.CopyIn(s.frame, master)
+		s.frame = slices.Clone(master)
 	case s.twin != nil:
-		changed = c.incoming(s.frame, s.twin, master)
+		changed = mergeIncoming(s.frame, s.twin, master, c.defects.incomingClobber)
 	default:
-		changed = diff.Refresh(s.frame, master)
+		changed = copyCounted(s.frame, master)
 	}
 	s.updateTS = n.lclock.Tick()
 	return changed
@@ -55,9 +55,9 @@ func (s *pageState) adoptMaster(c *Cluster, n *node, page int, excl bool) {
 	master := c.masters[page]
 	if s.frame != nil {
 		if excl {
-			diff.Refresh(master, s.frame)
+			copy(master, s.frame)
 		} else if s.twin != nil {
-			diff.FlushUpdate(s.frame, s.twin, master)
+			flushUpdate(s.frame, s.twin, master)
 		}
 	}
 	s.frame = master
@@ -75,16 +75,14 @@ func (s *pageState) makeTwin(c *Cluster, n *node, src []int64) bool {
 	if s.twin != nil || s.aliased || c.cfg.Protocol == OneLevelWrite {
 		return false
 	}
-	var t []int64
 	if k := len(n.twinPool); k > 0 {
-		t = n.twinPool[k-1]
+		s.twin = n.twinPool[k-1]
 		n.twinPool[k-1] = nil
 		n.twinPool = n.twinPool[:k-1]
+		copy(s.twin, src)
 	} else {
-		t = make([]int64, len(src))
+		s.twin = slices.Clone(src)
 	}
-	diff.CopyIn(t, src)
-	s.twin = t
 	return true
 }
 
@@ -128,4 +126,72 @@ func (s *pageState) snapshot() PageState {
 		st.Twin = append([]int64(nil), s.twin...)
 	}
 	return st
+}
+
+// The merges below are plain loops: only the running processor touches
+// a frame, its twin or a master copy, and no protocol action interleaves
+// with another (Proc doc), so none needs an atomic.
+
+// mergeIncoming is two-way diffing's incoming diff (Section 2.5): it
+// compares master against twin and writes the differences, the remote
+// modifications, to both working and the twin. A word the local node
+// has modified (working differs from the twin) keeps its local value:
+// when a remote write and an unreleased local write collide on a word,
+// the remote value reached the home first, so release order makes the
+// local write, flushed at this node's next release against the twin now
+// holding the remote value, the last writer. clobber is the
+// incoming-clobber defect, which overwrites that local write instead.
+// It returns the number of words applied to the twin.
+func mergeIncoming(working, twin, master []int64, clobber bool) int {
+	working, twin = working[:len(master)], twin[:len(master)]
+	n := 0
+	for i, v := range master {
+		if t := twin[i]; v != t {
+			if clobber || working[i] == t {
+				working[i] = v
+			}
+			twin[i] = v
+			n++
+		}
+	}
+	return n
+}
+
+// flushUpdate is a release's flush-update (Section 2.5): it writes the
+// frame's words that differ from the twin, the local modifications, to
+// both master and the twin, so a later release by another local writer
+// flushes only newer ones and never overwrites a newer remote write at
+// the home. It returns their number and their inclusive span [lo, hi]
+// (-1, -1 when nothing changed), which the hot-page profiler's
+// false-sharing classifier reads.
+func flushUpdate(frame, twin, master []int64) (n, lo, hi int) {
+	frame, master = frame[:len(twin)], master[:len(twin)]
+	lo, hi = -1, -1
+	for i, t := range twin {
+		if v := frame[i]; v != t {
+			master[i] = v
+			twin[i] = v
+			if n == 0 {
+				lo = i
+			}
+			hi = i
+			n++
+		}
+	}
+	return n, lo, hi
+}
+
+// copyCounted makes dst equal to src and returns the number of words
+// that differed: the payload of a refresh of a frame with no twin (no
+// unreleased local writes to keep, so a copy is the whole merge).
+func copyCounted(dst, src []int64) int {
+	dst = dst[:len(src)]
+	n := 0
+	for i, v := range src {
+		if dst[i] != v {
+			n++
+		}
+	}
+	copy(dst, src)
+	return n
 }

@@ -88,9 +88,9 @@ type PolicyController interface {
 	// NoteWriteFault records a write fault on page by global processor
 	// proc.
 	NoteWriteFault(page, proc int)
-	// NoteFlush records a release flush of changedWords modified words
-	// of page by global processor proc.
-	NoteFlush(page, proc, changedWords int)
+	// NoteFlush records a release flush of page by global processor
+	// proc.
+	NoteFlush(page, proc int)
 	// DecideEpoch applies this epoch's policy transitions.
 	DecideEpoch(epoch int, acts *PolicyActions)
 }

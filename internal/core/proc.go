@@ -37,9 +37,6 @@ type Proc struct {
 	// page whose frame is not the master copy itself.
 	doubling bool
 
-	// rowBuf is scratch for the float64 range kernels.
-	rowBuf []int64
-
 	clk sim.Clock
 	st  stats.Proc
 
@@ -135,15 +132,21 @@ func (p *Proc) Store(addr int, v int64) {
 	s := p.writePage(page)
 	s.frame[off] = v
 	if p.doubling && !s.aliased {
-		// Write doubling: propagate the word to the home copy on the
-		// fly (Section 2.6). The network occupancy is accumulated and
-		// charged at the next protocol operation.
 		p.c.masters[page][off] = v
-		p.clk.Advance(p.c.model.WriteDouble)
-		p.st.Charge(stats.WriteDoubling, p.c.model.WriteDouble)
-		p.doubledBytes += wordBytes
-		p.st.Data(wordBytes)
+		p.doubled(1)
 	}
+}
+
+// doubled charges the write doubling of words stores to a page whose
+// frame is not the master copy: under 1L each word propagates to the
+// home copy on the fly (Section 2.6). The network occupancy is
+// accumulated and charged at the next protocol operation.
+func (p *Proc) doubled(words int) {
+	d := int64(words) * p.c.model.WriteDouble
+	p.clk.Advance(d)
+	p.st.Charge(stats.WriteDoubling, d)
+	p.doubledBytes += int64(words) * wordBytes
+	p.st.Data(int64(words) * wordBytes)
 }
 
 // LoadRange reads len(dst) consecutive shared words starting at addr
@@ -180,11 +183,7 @@ func (p *Proc) StoreRange(addr int, src []int64) {
 		copy(s.frame[off:off+run], src[:run])
 		if p.doubling && !s.aliased {
 			copy(p.c.masters[page][off:off+run], src[:run])
-			d := int64(run) * p.c.model.WriteDouble
-			p.clk.Advance(d)
-			p.st.Charge(stats.WriteDoubling, d)
-			p.doubledBytes += int64(run) * wordBytes
-			p.st.Data(int64(run) * wordBytes)
+			p.doubled(run)
 		}
 		src = src[run:]
 		addr += run
@@ -206,13 +205,11 @@ func (p *Proc) StoreF(addr int, v float64) {
 func (p *Proc) LoadFRow(dst []float64, addr int) {
 	for len(dst) > 0 {
 		page, off := p.split(addr)
-		run := p.c.cfg.PageWords - off
-		if run > len(dst) {
-			run = len(dst)
-		}
+		run := min(p.c.cfg.PageWords-off, len(dst))
 		frame := p.readFrame(page)[off : off+run]
-		for i := range frame {
-			dst[i] = math.Float64frombits(uint64(frame[i]))
+		row := dst[:len(frame)]
+		for i, w := range frame {
+			row[i] = math.Float64frombits(uint64(w))
 		}
 		dst = dst[run:]
 		addr += run
@@ -220,16 +217,25 @@ func (p *Proc) LoadFRow(dst []float64, addr int) {
 }
 
 // StoreFRow writes the float64s of src to consecutive shared addresses
-// starting at addr. Equivalent to len(src) StoreF calls.
+// starting at addr, converting them straight into each page's frame.
+// Equivalent to len(src) StoreF calls, with StoreRange's per-page
+// faults and charges.
 func (p *Proc) StoreFRow(addr int, src []float64) {
-	if cap(p.rowBuf) < len(src) {
-		p.rowBuf = make([]int64, len(src))
+	for len(src) > 0 {
+		page, off := p.split(addr)
+		run := min(p.c.cfg.PageWords-off, len(src))
+		s := p.writePage(page)
+		frame := s.frame[off : off+run]
+		for i, v := range src[:len(frame)] {
+			frame[i] = int64(math.Float64bits(v))
+		}
+		if p.doubling && !s.aliased {
+			copy(p.c.masters[page][off:off+run], frame)
+			p.doubled(run)
+		}
+		src = src[run:]
+		addr += run
 	}
-	buf := p.rowBuf[:len(src)]
-	for i, v := range src {
-		buf[i] = int64(math.Float64bits(v))
-	}
-	p.StoreRange(addr, buf)
 }
 
 // Compute charges ns nanoseconds of user computation and busBytes of

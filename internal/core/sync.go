@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cashmere/internal/diff"
 	"cashmere/internal/directory"
 	"cashmere/internal/stats"
 	"cashmere/internal/trace"
@@ -233,9 +232,9 @@ func (p *Proc) flushPage(page int, releaseStart int64) {
 				concurrent = true
 			}
 		}
-		changed, lo, hi := diff.FlushUpdateRange(s.frame, s.twin, c.masters[page])
+		changed, lo, hi := flushUpdate(s.frame, s.twin, c.masters[page])
 		if ap := c.cfg.Adaptive; ap != nil {
-			ap.NoteFlush(page, p.global, changed)
+			ap.NoteFlush(page, p.global)
 		}
 		if changed > 0 {
 			p.st.Inc(stats.PageFlushes)

@@ -31,14 +31,6 @@ func BenchmarkTwin(b *testing.B) {
 	}
 }
 
-func BenchmarkChanged(b *testing.B) {
-	page, twin, _ := benchPages()
-	b.SetBytes(benchPage * 8)
-	for i := 0; i < b.N; i++ {
-		sinkN = Changed(page, twin)
-	}
-}
-
 func BenchmarkOutgoing(b *testing.B) {
 	page, twin, home := benchPages()
 	b.SetBytes(benchPage * 8)
@@ -55,14 +47,6 @@ func BenchmarkIncoming(b *testing.B) {
 	b.SetBytes(benchPage * 8)
 	for i := 0; i < b.N; i++ {
 		sinkN = Incoming(page, twin, home)
-	}
-}
-
-func BenchmarkFlushUpdate(b *testing.B) {
-	page, twin, home := benchPages()
-	b.SetBytes(benchPage * 8)
-	for i := 0; i < b.N; i++ {
-		sinkN = FlushUpdate(page, twin, home)
 	}
 }
 

@@ -1,33 +1,31 @@
-// Package diff implements twin and diff maintenance for the Cashmere
-// protocols (paper Sections 2.2 and 2.5).
+// Package diff implements the multi-process runtime's (internal/mprun)
+// twin and diff maintenance for the Cashmere protocols (paper Sections
+// 2.2 and 2.5).
 //
 // A twin is a pristine copy of a page made at the first write fault. At a
 // release, the page is compared against its twin and the differences —
-// the local modifications — are flushed to the home node (an "outgoing"
-// diff). Cashmere-2L additionally uses the twin in the other direction:
-// when fetching a fresh copy of a page that local processors are still
-// writing, the incoming master data is compared against the twin and only
-// the differences — which, for data-race-free programs, are exactly the
-// modifications made on remote nodes — are applied to the working page
-// and the twin (an "incoming" diff, or two-way diffing). This replaces
-// TLB shootdown: no intra-node synchronization is needed.
+// the local modifications — travel to the home node as runs
+// (AppendRuns, applied there by ApplyRuns; the twin takes the same runs,
+// a flush-update). Cashmere-2L additionally uses the twin in the other
+// direction: when fetching a fresh copy of a page that local processors
+// are still writing, the incoming master data is compared against the
+// twin and only the differences — which, for data-race-free programs,
+// are exactly the modifications made on remote nodes — are applied to
+// the working page and the twin (an "incoming" diff, or two-way
+// diffing: Incoming, and MergeRuns over runs). This replaces TLB
+// shootdown: no intra-node synchronization is needed.
 //
-// A flush-update writes the local modifications to both the home node and
-// the twin, so that later releases by other local writers of the same
-// page do not re-flush them and overwrite newer remote changes at the
-// home (Section 2.5).
+// The atomic contract is mprun's. There a page is a []int64 word array
+// shared between application goroutines and the rank's handler: a
+// caller scanning a whole page excludes bulk (range) stores to it with a
+// lock of its own, but single-word loads and stores keep running
+// alongside the scan, so these functions read and write page words
+// with sync/atomic. Twins are only touched under the owning node's
+// lock, so they are read and written plainly.
 //
-// Pages are []int64 word arrays shared between application goroutines and
-// protocol code. A caller scanning a whole page excludes the callers'
-// bulk (range) stores to it with a lock of its own, but single-word loads
-// and stores keep running alongside the scan, so these functions read and
-// write page words with sync/atomic. Twins are only touched under the
-// owning node's lock, so most functions read them plainly, and MergeRuns
-// writes them plainly too.
-//
-// Both engines (internal/core and internal/mprun) call these merges, and
-// they have no switches: a checker that needs the historical clobbering
-// merge back gets it from core's per-cluster defect set.
+// The simulator (internal/core) does not call this package: it runs one
+// simulated processor at a time, so its page record merges with plain
+// loops of its own (internal/core/page.go).
 package diff
 
 import "sync/atomic"
@@ -39,18 +37,6 @@ func Twin(page []int64) []int64 {
 		t[i] = atomic.LoadInt64(&page[i])
 	}
 	return t
-}
-
-// Changed returns the number of words at which page and twin differ —
-// the size of the outgoing diff a release would flush.
-func Changed(page, twin []int64) int {
-	n := 0
-	for i := range twin {
-		if atomic.LoadInt64(&page[i]) != twin[i] {
-			n++
-		}
-	}
-	return n
 }
 
 // Outgoing compares page against twin and applies the differences (the
@@ -66,57 +52,6 @@ func Outgoing(page, twin, home []int64) int {
 		}
 	}
 	return n
-}
-
-// FlushUpdate compares page against twin and writes the differences to
-// both home and the twin, returning the number of words written. After
-// the call the twin equals the page's flushed contents, so a subsequent
-// release by another local writer will flush only genuinely newer
-// modifications.
-func FlushUpdate(page, twin, home []int64) int {
-	n, _, _ := FlushUpdateRange(page, twin, home)
-	return n
-}
-
-// FlushUpdateRange is FlushUpdate, additionally reporting the inclusive
-// span [lo, hi] of changed word offsets (-1, -1 when nothing changed).
-// The span feeds the hot-page profiler's sharing-pattern classifier:
-// writers whose flushed spans never overlap are false-sharing
-// candidates. Tracking it costs two compares per changed word.
-func FlushUpdateRange(page, twin, home []int64) (n, lo, hi int) {
-	lo, hi = -1, -1
-	for i := range twin {
-		v := atomic.LoadInt64(&page[i])
-		if v != twin[i] {
-			atomic.StoreInt64(&home[i], v)
-			atomic.StoreInt64(&twin[i], v)
-			if n == 0 {
-				lo = i
-			}
-			hi = i
-			n++
-		}
-	}
-	return n, lo, hi
-}
-
-// OutgoingRange is Outgoing, additionally reporting the inclusive span
-// [lo, hi] of changed word offsets (-1, -1 when nothing changed), for
-// the same profiling purpose as FlushUpdateRange.
-func OutgoingRange(page, twin, home []int64) (n, lo, hi int) {
-	lo, hi = -1, -1
-	for i := range twin {
-		v := atomic.LoadInt64(&page[i])
-		if v != twin[i] {
-			atomic.StoreInt64(&home[i], v)
-			if n == 0 {
-				lo = i
-			}
-			hi = i
-			n++
-		}
-	}
-	return n, lo, hi
 }
 
 // AppendRuns compares page against twin and appends the differences (the
@@ -201,17 +136,17 @@ func ApplyRuns(dst []int64, offs []int32, words []int64) {
 // local write — flushed at this node's next release, against the twin
 // now holding the remote value — the last writer. Overwriting the local
 // word instead would destroy a write that was never flushed anywhere.
-// It returns the number of words applied to the twin.
+// It returns the number of words applied to the twin. The caller holds
+// the lock that guards the twin, which is read and written plainly, as
+// in MergeRuns; the working page stays word-atomic.
 func Incoming(working, twin, incoming []int64) int {
 	n := 0
-	for i := range twin {
-		v := atomic.LoadInt64(&incoming[i])
-		t := atomic.LoadInt64(&twin[i])
-		if v != t {
+	for i, t := range twin {
+		if v := atomic.LoadInt64(&incoming[i]); v != t {
 			if atomic.LoadInt64(&working[i]) == t {
 				atomic.StoreInt64(&working[i], v)
 			}
-			atomic.StoreInt64(&twin[i], v)
+			twin[i] = v
 			n++
 		}
 	}
@@ -248,12 +183,11 @@ func MergeRuns(working, twin []int64, offs []int32, words []int64) {
 }
 
 // Refresh makes dst equal to src, storing word-atomically only the
-// words that differ, and returns their number — the payload size of a
-// write-update refresh applied to a frame with no twin (no unreleased
-// local writes to preserve, so a counted copy is the whole merge). It
-// is also the whole-page transfer and exclusive-mode flush: most words
-// of a refetched page already match, and a load costs far less than an
-// atomic store. The slices must have equal length.
+// words that differ, and returns their number. It is the whole-page
+// reply applied to a copy with no twin (no unreleased local writes to
+// preserve, so a copy is the whole merge): most words of a refetched
+// page already match, and a load costs far less than an atomic store.
+// The slices must have equal length.
 func Refresh(dst, src []int64) int {
 	n := 0
 	for i := range src {
@@ -278,17 +212,4 @@ func CopyIn(dst, src []int64) {
 	for i := range src {
 		dst[i] = atomic.LoadInt64(&src[i])
 	}
-}
-
-// Equal reports whether two pages hold identical contents.
-func Equal(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if atomic.LoadInt64(&a[i]) != atomic.LoadInt64(&b[i]) {
-			return false
-		}
-	}
-	return true
 }

@@ -2,6 +2,7 @@ package diff
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -12,27 +13,25 @@ func page(vals ...int64) []int64 {
 	return p
 }
 
+// flushRuns is mprun's flush-update: the page's runs against the twin
+// go to home (the handler's ApplyRuns) and into the twin, so a second
+// flush sends only newer words. It returns the words sent.
+func flushRuns(page, twin, home []int64) int {
+	offs, words, _, _ := AppendRuns(nil, nil, page, twin)
+	ApplyRuns(home, offs, words)
+	ApplyRuns(twin, offs, words)
+	return len(words)
+}
+
 func TestTwinIsIndependentCopy(t *testing.T) {
 	p := page(1, 2, 3)
 	tw := Twin(p)
-	if !Equal(p, tw) {
+	if !slices.Equal(p, tw) {
 		t.Fatal("twin differs from page")
 	}
 	p[1] = 99
 	if tw[1] != 2 {
 		t.Error("twin aliases page storage")
-	}
-}
-
-func TestChanged(t *testing.T) {
-	p := page(1, 2, 3, 4)
-	tw := Twin(p)
-	if got := Changed(p, tw); got != 0 {
-		t.Errorf("pristine page Changed = %d", got)
-	}
-	p[0], p[3] = 10, 40
-	if got := Changed(p, tw); got != 2 {
-		t.Errorf("Changed = %d, want 2", got)
 	}
 }
 
@@ -49,38 +48,12 @@ func TestOutgoingAppliesOnlyLocalMods(t *testing.T) {
 		t.Errorf("Outgoing applied %d words, want 2", n)
 	}
 	want := page(100, 2, 300, 444)
-	if !Equal(home, want) {
+	if !slices.Equal(home, want) {
 		t.Errorf("home = %v, want %v", home, want)
 	}
 	// Outgoing leaves the twin untouched.
 	if tw[0] != 1 || tw[2] != 3 {
 		t.Errorf("Outgoing modified the twin: %v", tw)
-	}
-}
-
-func TestFlushUpdateUpdatesTwin(t *testing.T) {
-	p := page(1, 2, 3, 4)
-	tw := Twin(p)
-	home := page(1, 2, 3, 4)
-	p[1] = 22
-	n := FlushUpdate(p, tw, home)
-	if n != 1 {
-		t.Errorf("FlushUpdate applied %d, want 1", n)
-	}
-	if home[1] != 22 {
-		t.Errorf("home[1] = %d, want 22", home[1])
-	}
-	if tw[1] != 22 {
-		t.Errorf("twin[1] = %d, want 22 (flush-update must update the twin)", tw[1])
-	}
-	// A second flush by another local processor now sees no changes to
-	// this word and leaves a newer remote value at the home alone.
-	home[1] = 555 // newer remote write arrives at home
-	if n := FlushUpdate(p, tw, home); n != 0 {
-		t.Errorf("re-flush applied %d words, want 0", n)
-	}
-	if home[1] != 555 {
-		t.Errorf("re-flush clobbered newer remote value: home[1] = %d", home[1])
 	}
 }
 
@@ -97,7 +70,7 @@ func TestIncomingAppliesOnlyRemoteMods(t *testing.T) {
 		t.Errorf("Incoming applied %d, want 1", n)
 	}
 	want := page(100, 2, 333, 4) // local mod preserved, remote mod applied
-	if !Equal(p, want) {
+	if !slices.Equal(p, want) {
 		t.Errorf("working page = %v, want %v", p, want)
 	}
 	// Twin picked up the remote change so the next release will not
@@ -109,8 +82,8 @@ func TestIncomingAppliesOnlyRemoteMods(t *testing.T) {
 		t.Errorf("twin[0] = %d, want 1 (local mod must stay flushable)", tw[0])
 	}
 	// The local modification remains the only outgoing diff.
-	if got := Changed(p, tw); got != 1 {
-		t.Errorf("outgoing diff after incoming diff = %d words, want 1", got)
+	if _, words, _, _ := AppendRuns(nil, nil, p, tw); len(words) != 1 {
+		t.Errorf("outgoing diff after incoming diff = %d words, want 1", len(words))
 	}
 }
 
@@ -125,19 +98,19 @@ func TestIncomingThenFlushRoundTrip(t *testing.T) {
 	pa[0] = 11 // A writes
 	pb[1] = 22 // B writes
 
-	FlushUpdate(pa, ta, home) // A releases
-	Incoming(pb, tb, home)    // B acquires and fetches
+	flushRuns(pa, ta, home) // A releases
+	Incoming(pb, tb, home)  // B acquires and fetches
 	want := page(11, 22)
-	if !Equal(pb, want) {
+	if !slices.Equal(pb, want) {
 		t.Errorf("B's page = %v, want %v", pb, want)
 	}
 
-	FlushUpdate(pb, tb, home) // B releases
-	Incoming(pa, ta, home)    // A fetches
-	if !Equal(pa, want) {
+	flushRuns(pb, tb, home) // B releases
+	Incoming(pa, ta, home)  // A fetches
+	if !slices.Equal(pa, want) {
 		t.Errorf("A's page = %v, want %v", pa, want)
 	}
-	if !Equal(home, want) {
+	if !slices.Equal(home, want) {
 		t.Errorf("home = %v, want %v", home, want)
 	}
 }
@@ -148,20 +121,8 @@ func TestRefresh(t *testing.T) {
 	if n := Refresh(dst, src); n != 2 {
 		t.Errorf("Refresh stored %d words, want 2", n)
 	}
-	if !Equal(dst, src) {
+	if !slices.Equal(dst, src) {
 		t.Errorf("Refresh: dst = %v", dst)
-	}
-}
-
-func TestEqual(t *testing.T) {
-	if Equal(page(1, 2), page(1, 2, 3)) {
-		t.Error("pages of different lengths reported equal")
-	}
-	if !Equal(page(1, 2), page(1, 2)) {
-		t.Error("identical pages reported unequal")
-	}
-	if Equal(page(1, 2), page(1, 3)) {
-		t.Error("different pages reported equal")
 	}
 }
 
@@ -199,43 +160,19 @@ func TestMergeProperty(t *testing.T) {
 		// Remote node releases first; local node then fetches with an
 		// incoming diff while still holding its own dirty words, then
 		// releases its own changes.
-		FlushUpdate(remote, rtwin, home)
+		flushRuns(remote, rtwin, home)
 		Incoming(local, ltwin, home)
-		FlushUpdate(local, ltwin, home)
+		flushRuns(local, ltwin, home)
 
-		return Equal(local, want) && Equal(home, want) && Equal(ltwin, want)
+		return slices.Equal(local, want) && slices.Equal(home, want) && slices.Equal(ltwin, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
 
-// Property: FlushUpdate makes the twin equal the page, and a second
-// FlushUpdate is always a no-op.
-func TestFlushUpdateIdempotent(t *testing.T) {
-	f := func(vals []int64, muts []uint8) bool {
-		if len(vals) == 0 {
-			return true
-		}
-		p := make([]int64, len(vals))
-		copy(p, vals)
-		tw := Twin(p)
-		home := Twin(p)
-		for i, m := range muts {
-			p[i%len(p)] += int64(m) + 1
-		}
-		FlushUpdate(p, tw, home)
-		if !Equal(tw, p) {
-			return false
-		}
-		return FlushUpdate(p, tw, home) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Outgoing and Changed agree on the diff size.
+// Property: Outgoing applies exactly the words at which page and twin
+// differ.
 func TestOutgoingMatchesChanged(t *testing.T) {
 	f := func(vals []int64, muts []uint8) bool {
 		if len(vals) == 0 {
@@ -248,46 +185,16 @@ func TestOutgoingMatchesChanged(t *testing.T) {
 		for i, m := range muts {
 			p[i%len(p)] += int64(m) + 1
 		}
-		c := Changed(p, tw)
-		return Outgoing(p, tw, home) == c && Equal(home, p)
+		changed := 0
+		for i := range tw {
+			if p[i] != tw[i] {
+				changed++
+			}
+		}
+		return Outgoing(p, tw, home) == changed && slices.Equal(home, p)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestRangeVariants(t *testing.T) {
-	home := make([]int64, 16)
-	p := make([]int64, 16)
-	tw := Twin(p)
-	p[3] = 1
-	p[9] = 2
-
-	n, lo, hi := FlushUpdateRange(p, tw, home)
-	if n != 2 || lo != 3 || hi != 9 {
-		t.Errorf("FlushUpdateRange = (%d,%d,%d), want (2,3,9)", n, lo, hi)
-	}
-	if home[3] != 1 || home[9] != 2 || tw[3] != 1 || tw[9] != 2 {
-		t.Error("FlushUpdateRange did not apply to home and twin")
-	}
-	// Nothing left to flush: empty span.
-	if n, lo, hi := FlushUpdateRange(p, tw, home); n != 0 || lo != -1 || hi != -1 {
-		t.Errorf("clean FlushUpdateRange = (%d,%d,%d), want (0,-1,-1)", n, lo, hi)
-	}
-
-	home2 := make([]int64, 16)
-	p2 := make([]int64, 16)
-	tw2 := Twin(p2)
-	p2[15] = 5
-	n, lo, hi = OutgoingRange(p2, tw2, home2)
-	if n != 1 || lo != 15 || hi != 15 {
-		t.Errorf("OutgoingRange = (%d,%d,%d), want (1,15,15)", n, lo, hi)
-	}
-	if home2[15] != 5 {
-		t.Error("OutgoingRange did not apply to home")
-	}
-	if tw2[15] != 0 {
-		t.Error("OutgoingRange modified the twin")
 	}
 }
 
@@ -347,23 +254,23 @@ func TestIncomingWriteWriteOverlap(t *testing.T) {
 			if n != tc.wantN {
 				t.Errorf("Incoming = %d, want %d", n, tc.wantN)
 			}
-			if !Equal(tc.working, tc.wantWorking) {
+			if !slices.Equal(tc.working, tc.wantWorking) {
 				t.Errorf("working = %v, want %v", tc.working, tc.wantWorking)
 			}
-			if !Equal(tc.twin, tc.wantTwin) {
+			if !slices.Equal(tc.twin, tc.wantTwin) {
 				t.Errorf("twin = %v, want %v", tc.twin, tc.wantTwin)
 			}
 			MergeRuns(merges[0], merges[1], whole, tc.incoming)
 			MergeRuns(merges[2], merges[3], changed, words)
 			for k, runs := range [][]int32{whole, changed} {
-				if w, tw := merges[2*k], merges[2*k+1]; !Equal(w, tc.wantWorking) || !Equal(tw, tc.wantTwin) {
+				if w, tw := merges[2*k], merges[2*k+1]; !slices.Equal(w, tc.wantWorking) || !slices.Equal(tw, tc.wantTwin) {
 					t.Errorf("MergeRuns over runs %v: working %v, twin %v, want %v, %v", runs, w, tw, tc.wantWorking, tc.wantTwin)
 				}
 			}
 			// With no twin there are no local writes to keep: it applies
 			// the runs.
 			plain := Twin(tc.twin)
-			if MergeRuns(plain, nil, whole, tc.incoming); !Equal(plain, tc.incoming) {
+			if MergeRuns(plain, nil, whole, tc.incoming); !slices.Equal(plain, tc.incoming) {
 				t.Errorf("MergeRuns with no twin = %v, want %v", plain, tc.incoming)
 			}
 		})
@@ -383,7 +290,7 @@ func TestIncomingOverlapLastWriterWins(t *testing.T) {
 	if p[0] != 5 {
 		t.Fatalf("local write lost at incoming diff: %v", p)
 	}
-	if n := FlushUpdate(p, tw, home); n != 1 {
+	if n := flushRuns(p, tw, home); n != 1 {
 		t.Fatalf("release flushed %d words, want 1", n)
 	}
 	if home[0] != 5 {
@@ -473,13 +380,13 @@ func TestAppendRuns(t *testing.T) {
 			if n := RunsLen(words, offs); n != len(ws) {
 				t.Errorf("RunsLen(%v) = %d, want the %d words AppendRuns sent", offs, n, len(ws))
 			}
-			if !Equal(got, pg) {
+			if !slices.Equal(got, pg) {
 				t.Error("twin + runs != page")
 			}
 			// ApplyRuns is the same walk: the twin it updates leaves a
 			// second scan of the page nothing to send.
 			ApplyRuns(twin, offs, ws)
-			if again, _, _, _ := AppendRuns(nil, nil, pg, twin); !Equal(twin, pg) || len(again) != 0 {
+			if again, _, _, _ := AppendRuns(nil, nil, pg, twin); !slices.Equal(twin, pg) || len(again) != 0 {
 				t.Errorf("ApplyRuns left the twin differing from the page in runs %v", again)
 			}
 		})

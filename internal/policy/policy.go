@@ -98,7 +98,6 @@ type pageStats struct {
 	readFaults  int64
 	writeFaults int64
 	flushes     int64
-	flushWords  int64
 
 	// readersMask / writersMask record distinct faulting processors
 	// (folded mod 64; popcounts are exact for clusters of up to 64
@@ -184,10 +183,9 @@ func (e *Engine) NoteWriteFault(page, proc int) {
 }
 
 // NoteFlush implements core.PolicyController.
-func (e *Engine) NoteFlush(page, proc, changedWords int) {
+func (e *Engine) NoteFlush(page, proc int) {
 	st := &e.stats[page]
 	st.flushes++
-	st.flushWords += int64(changedWords)
 	orMask(&st.writersMask, proc)
 	noteSole(&st.soleFlusher, proc)
 }

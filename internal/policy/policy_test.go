@@ -287,7 +287,7 @@ type nullController struct{}
 
 func (nullController) NoteReadFault(page, proc int)         {}
 func (nullController) NoteWriteFault(page, proc int)        {}
-func (nullController) NoteFlush(page, proc, changed int)    {}
+func (nullController) NoteFlush(page, proc int)             {}
 func (nullController) DecideEpoch(int, *core.PolicyActions) {}
 
 func TestObserveOnlyEngineIsNearFree(t *testing.T) {
